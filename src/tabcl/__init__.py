@@ -66,7 +66,6 @@ from .numerics import (
     matmul,
     mse,
     softmax,
-    vector_norm,
 )
 from .ood import (
     Backbone,

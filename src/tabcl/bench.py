@@ -1,4 +1,4 @@
-"""Full-pipeline experiments and the speed/accuracy trade-off.
+"""Full-pipeline experiments, the stages they run, and the speed/accuracy trade-off.
 
 The trade-off score of a model is its task metric per training second:
 ``P / t`` for classification (higher F1 is better) and ``(1 / P) / t`` for
@@ -7,10 +7,15 @@ pipeline on one CSV: ingest, OOD detection and split, timed contrastive
 training, embedding, head fitting, and evaluation on the ID-test and OOD
 portions.  Only the unsupervised training time enters the trade-off; the
 other stages are recorded separately.
+
+The stage functions here (:func:`detect`, :func:`split_at_threshold`,
+:func:`train`, :func:`fit_head`, :func:`evaluate`) are the single
+implementation of each stage: the CLI subcommands call the same ones.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -18,15 +23,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ood as ood_mod
-from .contrastive import TclConfig, embed, parameter_count, save_model, train_tcl
-from .data import CLASSIFICATION, Dataset, ingest_csv, save_split, split
+from .artifacts import atomic_write, fields, read_json, write_json
+from .contrastive import (
+    TclConfig,
+    TclModel,
+    TrainTrace,
+    embed,
+    parameter_count,
+    save_model,
+    train_tcl,
+)
+from .data import CLASSIFICATION, Dataset, Schema, SplitPair, ingest_csv, save_split, split
 from .exceptions import ConfigError, FormatError
 from .heads import (
+    LINEAR,
+    LOGISTIC,
+    Head,
     HeadConfig,
     fit_linear,
     fit_logistic,
+    metric_accuracy,
     metric_f1_macro,
+    metric_r2,
     metric_rmse,
     predict,
 )
@@ -34,6 +52,7 @@ from .numerics import RngStream
 from .ood import (
     OPENMAX,
     TEMPERATURE,
+    discretize_target,
     fit_openmax,
     fit_temperature,
     openmax_score,
@@ -46,6 +65,8 @@ from .ood import (
 )
 
 DETECTOR_KEYS = {"detector", "norm", "tail", "bins", "threshold", "quantile", "seed"}
+# every TclConfig field but input_dim, which is the data's encoded width
+TCL_KEYS = {f.name for f in dataclasses.fields(TclConfig)} - {"input_dim"}
 DISCRETIZE_BINS = 10  # detection-only quantile bins for regression targets
 
 
@@ -60,6 +81,54 @@ def tradeoff(p: float, t: float, task: str) -> float:
             raise ValueError(f"regression metric must be positive, got {p}")
         return (1.0 / p) / t
     raise ValueError(f"unknown task: {task!r}")
+
+
+def load_config(path) -> dict:
+    """Read a JSON config document, or a TOML one when the name ends in ``.toml``."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        if str(path).endswith(".toml"):
+            try:
+                import tomllib  # py3.11+
+            except ImportError:  # pragma: no cover
+                try:
+                    import tomli as tomllib
+                except ImportError:
+                    raise ConfigError("TOML configs need Python 3.11+ or the tomli package")
+            doc = tomllib.loads(raw.decode("utf-8"))
+        else:
+            doc = json.loads(raw)
+    except ValueError as exc:  # bad JSON, bad TOML or bad UTF-8
+        raise ConfigError(f"{path}: bad config: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a config is a JSON object or a TOML table")
+    return doc
+
+
+def check_detector(det: dict) -> None:
+    """Reject detector settings no stage reads, an unknown detector, and a
+    threshold given together with a quantile."""
+    unknown = set(det) - DETECTOR_KEYS
+    if unknown:
+        raise ConfigError(f"unknown detector config keys: {sorted(unknown)}")
+    name = det.get("detector", OPENMAX)
+    if name not in (OPENMAX, TEMPERATURE):
+        raise ConfigError(f"unknown detector: {name!r}")
+    if "threshold" in det and "quantile" in det:
+        raise ConfigError("give either a threshold or a quantile, not both")
+
+
+def check_tcl(tcl: dict) -> None:
+    """Reject TCL settings that :class:`TclConfig` does not take."""
+    if "input_dim" in tcl:
+        raise ConfigError("the tcl config cannot set input_dim: it is the data's encoded width")
+    unknown = set(tcl) - TCL_KEYS
+    if unknown:
+        raise ConfigError(f"unknown tcl config keys: {sorted(unknown)}")
 
 
 @dataclass
@@ -79,14 +148,8 @@ class ExperimentPlan:
     fractions: tuple[float, float] = (0.8, 0.2)
 
     def __post_init__(self):
-        unknown = set(self.detector) - DETECTOR_KEYS
-        if unknown:
-            raise ConfigError(f"unknown detector config keys: {sorted(unknown)}")
-        name = self.detector.get("detector", OPENMAX)
-        if name not in (OPENMAX, TEMPERATURE):
-            raise ConfigError(f"unknown detector: {name!r}")
-        if "threshold" in self.detector and "quantile" in self.detector:
-            raise ConfigError("give either a threshold or a quantile, not both")
+        check_detector(self.detector)
+        check_tcl(self.tcl)
 
     def to_dict(self) -> dict:
         return {
@@ -115,28 +178,7 @@ class ExperimentPlan:
 
     @staticmethod
     def from_file(path) -> "ExperimentPlan":
-        try:
-            text = open(path, "r", encoding="utf-8").read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read plan {path}: {exc}") from exc
-        if str(path).endswith(".toml"):
-            try:
-                import tomllib  # py3.11+
-            except ImportError:  # pragma: no cover
-                try:
-                    import tomli as tomllib
-                except ImportError:
-                    raise ConfigError("TOML plans need Python 3.11+ or the tomli package")
-            try:
-                doc = tomllib.loads(text)
-            except Exception as exc:
-                raise ConfigError(f"{path}: bad TOML: {exc}") from exc
-        else:
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: bad JSON: {exc}") from exc
-        return ExperimentPlan.from_dict(doc)
+        return ExperimentPlan.from_dict(load_config(path))
 
 
 @dataclass
@@ -190,13 +232,7 @@ class BenchReport:
 
     @staticmethod
     def from_file(path) -> "BenchReport":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return BenchReport.from_dict(json.load(fh))
-        except OSError as exc:
-            raise FormatError(f"cannot read report {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: corrupt report: {exc}") from exc
+        return BenchReport.from_dict(read_json(path, "report"))
 
     def split_signature(self) -> tuple:
         return (self.dataset, self.detector, self.norm, round(self.threshold, 12),
@@ -226,47 +262,60 @@ class _Stage:
         return False
 
 
-def _detector_scores(dataset: Dataset, det: dict, seed: int, out_dir: str):
-    """Train the backbone, fit the configured detector, score every row."""
+def detect(dataset: Dataset, det: dict, seed: int, out_dir) -> tuple[np.ndarray, dict]:
+    """Detect stage: train the backbone, fit the configured detector, score
+    every row, and write ``histogram.csv`` into ``out_dir``.
+
+    A regression target is discretized into quantile bins for detection
+    only.  ``det["seed"]``, when given, overrides ``seed``.  Returns the
+    scores and the settings that produced them, which the split records.
+    """
     name = det.get("detector", OPENMAX)
     norm = det.get("norm", "l2")
     tail = int(det.get("tail", 20))
-    bins = int(det.get("bins", 50))
     det_seed = int(det.get("seed", seed))
 
-    if dataset.schema.task == CLASSIFICATION:
-        det_data = dataset
-    else:
-        labels = ood_mod.discretize_target(dataset.labels, DISCRETIZE_BINS)
-        det_data = _with_class_labels(dataset, labels, DISCRETIZE_BINS)
+    if dataset.schema.task != CLASSIFICATION:
+        schema = Schema(dataset.schema.features, dataset.schema.target, CLASSIFICATION,
+                        tuple(str(i) for i in range(DISCRETIZE_BINS)))
+        labels = discretize_target(dataset.labels, DISCRETIZE_BINS)
+        dataset = Dataset(dataset.features, labels, schema, dataset.stats)
 
     if name == OPENMAX:
-        backbone = train_backbone(det_data)
-        model = fit_openmax(backbone, det_data, norm=norm, tail=tail)
-        scores = openmax_score(model, det_data.features)
+        backbone = train_backbone(dataset)
+        model = fit_openmax(backbone, dataset, norm=norm, tail=tail)
+        scores = openmax_score(model, dataset.features)
     else:
-        fit_part, cal_part = split(det_data, (0.8, 0.2), RngStream(det_seed, 11))
+        fit_part, cal_part = split(dataset, (0.8, 0.2), RngStream(det_seed, 11))
         backbone = train_backbone(fit_part)
         model = fit_temperature(backbone, cal_part)
-        scores = temp_score(model, det_data.features)
+        scores = temp_score(model, dataset.features)
         norm = "none"
 
-    hist = score_histogram(scores, bins=bins)
+    hist = score_histogram(scores, bins=int(det.get("bins", 50)))
     write_histogram_csv(hist, os.path.join(out_dir, "histogram.csv"))
-    return np.asarray(scores), name, norm, det_seed
+    return np.asarray(scores), {"detector": name, "norm": norm, "tail": tail, "seed": det_seed}
 
 
-def _with_class_labels(dataset: Dataset, labels: np.ndarray, n_classes: int) -> Dataset:
-    """Detection-only view of a regression dataset with discretized labels."""
-    from .data import Schema
+def save_scores(path, scores: np.ndarray, settings: dict) -> None:
+    """Write detector scores and the settings of :func:`detect` as JSON."""
+    write_json(path, {**settings, "scores": np.asarray(scores).tolist()})
 
-    schema = Schema(
-        dataset.schema.features,
-        dataset.schema.target,
-        CLASSIFICATION,
-        tuple(str(i) for i in range(n_classes)),
-    )
-    return Dataset(dataset.features, labels, schema, dataset.stats)
+
+def load_scores(path) -> tuple[np.ndarray, dict]:
+    """Inverse of :func:`save_scores`.  Only ``scores`` is required, so
+    scores from any other source can be split too."""
+    payload = read_json(path, "scores file")
+    with fields(path, "scores file"):
+        scores = np.asarray(payload["scores"], dtype=np.float64)
+        if scores.ndim != 1:
+            raise ValueError(f"scores must be a flat list, got {scores.ndim} dimensions")
+    settings = {
+        "detector": payload.get("detector", "unknown"),
+        "norm": payload.get("norm", "none"),
+        "seed": payload.get("seed"),
+    }
+    return scores, settings
 
 
 def resolve_threshold(scores: np.ndarray, det: dict) -> float:
@@ -278,6 +327,56 @@ def resolve_threshold(scores: np.ndarray, det: dict) -> float:
     if not 0.0 < q < 1.0:
         raise ConfigError(f"quantile must lie in (0, 1), got {q}")
     return float(np.quantile(scores, q))
+
+
+def split_at_threshold(
+    dataset: Dataset, scores: np.ndarray, det: dict, settings: dict, out_dir
+) -> SplitPair:
+    """Split stage: rows scoring at most the threshold that ``det`` sets
+    stay in-distribution; the split is written into ``out_dir``."""
+    threshold = resolve_threshold(scores, det)
+    pair = split_by_threshold(
+        dataset, scores, threshold,
+        detector=settings["detector"], norm=settings["norm"], seed=settings["seed"],
+    )
+    save_split(pair, out_dir)
+    return pair
+
+
+def train(data: Dataset, tcl: dict, seed: int, out_dir) -> tuple[TclModel, TrainTrace]:
+    """Train stage: fit the contrastive encoder on ``data`` and write
+    ``model.json`` and ``trace.json`` into ``out_dir``.
+
+    ``tcl`` holds :class:`TclConfig` fields; its ``seed``, when given,
+    overrides ``seed``.
+    """
+    check_tcl(tcl)
+    model, trace = train_tcl(data, TclConfig(input_dim=data.d, **{"seed": seed, **tcl}))
+    save_model(model, os.path.join(out_dir, "model.json"))
+    write_json(os.path.join(out_dir, "trace.json"), dataclasses.asdict(trace), indent=1)
+    return model, trace
+
+
+def fit_head(features, labels, kind: str | None, task: str, seed: int) -> Head:
+    """Fit-head stage: ``kind`` defaults to logistic for classification and
+    linear for regression."""
+    kind = kind or (LOGISTIC if task == CLASSIFICATION else LINEAR)
+    if kind == LOGISTIC:
+        return fit_logistic(features, labels, HeadConfig(seed=seed))
+    if kind == LINEAR:
+        return fit_linear(features, labels)
+    raise ConfigError(f"unknown head kind: {kind!r}")
+
+
+def evaluate(task: str, labels, pred) -> dict:
+    """Evaluate stage: accuracy and macro-F1 for classification, RMSE and
+    r-squared for regression."""
+    if task == CLASSIFICATION:
+        return {
+            "accuracy": metric_accuracy(labels, pred),
+            "f1_macro": metric_f1_macro(labels, pred),
+        }
+    return {"rmse": metric_rmse(labels, pred), "r2": metric_r2(labels, pred)}
 
 
 def _estimate_memory_bytes(n_params: int, batch: int, d: int, h: int, k: int) -> int:
@@ -301,68 +400,37 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         task = dataset.schema.task
 
     with _Stage("detect", clock):
-        scores, det_name, det_norm, det_seed = _detector_scores(
-            dataset, plan.detector, plan.seed, plan.out_dir
-        )
-        threshold = resolve_threshold(scores, plan.detector)
+        scores, settings = detect(dataset, plan.detector, plan.seed, plan.out_dir)
 
     with _Stage("split", clock):
-        pair = split_by_threshold(
-            dataset, scores, threshold, detector=det_name, norm=det_norm, seed=det_seed
+        pair = split_at_threshold(
+            dataset, scores, plan.detector, settings, os.path.join(plan.out_dir, "split")
         )
-        save_split(pair, os.path.join(plan.out_dir, "split"))
         grid = validate_split(pair, RngStream(plan.seed, 21), plan.fractions)
         id_train, id_test = split(pair.d_in, plan.fractions, RngStream(plan.seed, 22))
 
     with _Stage("train", clock):
-        tcl_cfg = TclConfig(input_dim=dataset.d, seed=plan.seed, **plan.tcl)
-        model, trace = train_tcl(id_train, tcl_cfg)
-        save_model(model, os.path.join(plan.out_dir, "model.json"))
-        with open(os.path.join(plan.out_dir, "trace.json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "total": trace.total,
-                    "reconstruction": trace.reconstruction,
-                    "contrastive": trace.contrastive,
-                    "distance": trace.distance,
-                    "seconds": trace.seconds,
-                    "epochs": trace.epochs,
-                    "stop_reason": trace.stop_reason,
-                },
-                fh,
-                indent=1,
-            )
+        model, trace = train(id_train, plan.tcl, plan.seed, plan.out_dir)
 
     with _Stage("embed", clock):
         e_train = embed(model, id_train.features)
         e_test = embed(model, id_test.features)
         e_ood = embed(model, pair.d_ood.features)
 
-    head_kind = plan.head or ("logistic" if task == CLASSIFICATION else "linear")
     with _Stage("fit-head", clock):
-        if head_kind == "logistic":
-            head = fit_logistic(e_train, id_train.labels, HeadConfig(seed=plan.seed))
-        elif head_kind == "linear":
-            head = fit_linear(e_train, id_train.labels)
-        else:
-            raise ConfigError(f"unknown head kind: {head_kind!r}")
+        head = fit_head(e_train, id_train.labels, plan.head, task, plan.seed)
 
+    metric_name = "f1_macro" if task == CLASSIFICATION else "rmse"
     with _Stage("evaluate", clock):
         t0 = time.perf_counter()
         pred_test = predict(head, e_test)
         t_inference = time.perf_counter() - t0
-        pred_ood = predict(head, e_ood)
-        if task == CLASSIFICATION:
-            metric_name = "f1_macro"
-            p = metric_f1_macro(id_test.labels, pred_test)
-            p_ood = metric_f1_macro(pair.d_ood.labels, pred_ood)
-        else:
-            metric_name = "rmse"
-            p = metric_rmse(id_test.labels, pred_test)
-            p_ood = metric_rmse(pair.d_ood.labels, pred_ood)
+        p = evaluate(task, id_test.labels, pred_test)[metric_name]
+        p_ood = evaluate(task, pair.d_ood.labels, predict(head, e_ood))[metric_name]
 
     t_train = trace.seconds
     n_params = parameter_count(model)
+    config = model.config
     report = BenchReport(
         model=plan.model_name,
         dataset=plan.dataset,
@@ -375,8 +443,8 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         constraints={
             "t_train_seconds": t_train,
             "memory_estimate_bytes": _estimate_memory_bytes(
-                n_params, min(tcl_cfg.batch_size, id_train.n), dataset.d,
-                tcl_cfg.hidden_dim, tcl_cfg.latent_dim
+                n_params, min(config.batch_size, id_train.n), dataset.d,
+                config.hidden_dim, config.latent_dim
             ),
             "parameter_count": n_params,
             "t_inference_seconds": t_inference,
@@ -385,9 +453,9 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
             "delta_declared": plan.delta,
         },
         stage_seconds=clock,
-        detector=det_name,
-        norm=det_norm,
-        threshold=threshold,
+        detector=settings["detector"],
+        norm=settings["norm"],
+        threshold=pair.threshold,
         m=pair.m,
         n=pair.n,
         seed=plan.seed,
@@ -467,11 +535,8 @@ def emit_report(report: BenchReport, fmt: str, path) -> None:
         text = _csv_text(report)
     else:
         raise ValueError(f"unknown report format: {fmt!r}")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 def compare_models(reports: list[BenchReport]) -> list[dict]:

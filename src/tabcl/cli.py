@@ -1,90 +1,57 @@
 """Command-line pipeline: each subcommand is one stage, `report` runs them all.
 
-Exit codes: 0 success, 2 configuration error, 3 data/format error,
-4 numeric/training error.
+Each stage subcommand parses its arguments and calls the stage function
+in :mod:`tabcl.bench` that ``run_experiment`` calls too.
+
+Exit codes: 0 success, 2 configuration error, 3 data/format error
+(including an unreadable or unwritable file), 4 numeric/training error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-import numpy as np
-
+from .artifacts import atomic_write, write_json
 from .bench import (
+    TCL_KEYS,
     BenchReport,
     ExperimentPlan,
+    check_detector,
     compare_models,
     comparison_markdown,
+    detect,
     emit_report,
-    resolve_threshold,
+    evaluate,
+    fit_head,
+    load_config,
+    load_scores,
     run_experiment,
+    save_scores,
+    split_at_threshold,
     tradeoff,
+    train,
 )
-from .contrastive import TclConfig, embed, load_model, save_model, train_tcl
-from .data import (
-    CLASSIFICATION,
-    Column,
-    Dataset,
-    Schema,
-    ingest_csv,
-    load_dataset,
-    load_split,
-    save_dataset,
-    save_split,
-)
+from .contrastive import embed, load_model
+from .data import Column, Dataset, Schema, ingest_csv, load_dataset, load_split, save_dataset
 from .exceptions import ConfigError, FormatError, NumericError
-from .heads import (
-    HeadConfig,
-    fit_linear,
-    fit_logistic,
-    load_head,
-    metric_accuracy,
-    metric_f1_macro,
-    metric_r2,
-    metric_rmse,
-    predict,
-    save_head,
-)
-from .numerics import RngStream
-from .ood import (
-    OPENMAX,
-    TEMPERATURE,
-    fit_openmax,
-    fit_temperature,
-    openmax_score,
-    score_histogram,
-    split_by_threshold,
-    temp_score,
-    train_backbone,
-    write_histogram_csv,
-)
-from .data import split as split_rows
+from .heads import load_head, predict, save_head
+from .ood import OPENMAX, TEMPERATURE
 
+# No stage calls this alias any more, but perfbench/test_tracer.py checks
+# that the tracer folds a call through it into the span of data.split.
+from .data import split as split_rows  # noqa: F401
 
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    path = args.config
-    try:
-        text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if str(path).endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError:  # pragma: no cover
-            try:
-                import tomli as tomllib
-            except ImportError:
-                raise ConfigError("TOML configs need Python 3.11+ or the tomli package")
-        return tomllib.loads(text)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: bad JSON: {exc}") from exc
+def _settings(args, block: str, flags) -> dict:
+    """One stage's settings: the ``block`` table of ``--config`` when it has
+    one, else the whole document, with the given flags laid over it."""
+    cfg = load_config(args.config) if args.config else {}
+    settings = dict(cfg[block]) if isinstance(cfg.get(block), dict) else dict(cfg)
+    for key in flags:
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
+    return settings
 
 
 def _out_dir(args) -> str:
@@ -104,115 +71,35 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cfg = _load_config(args)
-    det = dict(cfg.get("detector", cfg) if isinstance(cfg, dict) else {})
-    for key in ("detector", "norm", "tail", "bins"):
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            det[key] = flag
-    name = det.get("detector", OPENMAX)
-    norm = det.get("norm", "l2")
-    tail = int(det.get("tail", 20))
-    bins = int(det.get("bins", 50))
-    seed = args.seed if args.seed is not None else int(det.get("seed", 0))
-
+    det = _settings(args, "detector", ("detector", "norm", "tail", "bins", "seed"))
+    check_detector(det)
     dataset = load_dataset(args.data)
-    if dataset.schema.task != CLASSIFICATION:
-        from .ood import discretize_target
-
-        labels = discretize_target(dataset.labels, 10)
-        schema = Schema(
-            dataset.schema.features, dataset.schema.target, CLASSIFICATION,
-            tuple(str(i) for i in range(10)),
-        )
-        det_data = Dataset(dataset.features, labels, schema, dataset.stats)
-    else:
-        det_data = dataset
-
-    if name == OPENMAX:
-        backbone = train_backbone(det_data)
-        model = fit_openmax(backbone, det_data, norm=norm, tail=tail)
-        scores = openmax_score(model, det_data.features)
-    elif name == TEMPERATURE:
-        fit_part, cal_part = split_rows(det_data, (0.8, 0.2), RngStream(seed, 11))
-        backbone = train_backbone(fit_part)
-        model = fit_temperature(backbone, cal_part)
-        scores = temp_score(model, det_data.features)
-        norm = "none"
-    else:
-        raise ConfigError(f"unknown detector: {name!r}")
-
     out = _out_dir(args)
-    hist = score_histogram(scores, bins=bins)
-    write_histogram_csv(hist, os.path.join(out, "histogram.csv"))
-    with open(os.path.join(out, "scores.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {"detector": name, "norm": norm, "tail": tail, "seed": seed,
-             "scores": np.asarray(scores).tolist()},
-            fh,
-        )
-    print(f"scored {len(scores)} rows with {name} -> {out}/scores.json, {out}/histogram.csv")
+    scores, settings = detect(dataset, det, 0, out)  # seed 0 unless --seed or the config sets one
+    save_scores(os.path.join(out, "scores.json"), scores, settings)
+    print(f"scored {len(scores)} rows with {settings['detector']} "
+          f"-> {out}/scores.json, {out}/histogram.csv")
     return 0
 
 
 def cmd_split(args) -> int:
     dataset = load_dataset(args.data)
-    try:
-        with open(args.scores, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read scores {args.scores}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{args.scores}: corrupt scores file: {exc}") from exc
-    scores = np.asarray(payload["scores"], dtype=np.float64)
-
-    det = {}
-    if args.threshold is not None:
-        det["threshold"] = args.threshold
-    if args.quantile is not None:
-        det["quantile"] = args.quantile
-    if "threshold" in det and "quantile" in det:
-        raise ConfigError("give either --threshold or --quantile, not both")
-    threshold = resolve_threshold(scores, det)
-
-    pair = split_by_threshold(
-        dataset, scores, threshold,
-        detector=payload.get("detector", "unknown"),
-        norm=payload.get("norm", "none"),
-        seed=payload.get("seed"),
-    )
+    scores, settings = load_scores(args.scores)
+    det = {k: getattr(args, k) for k in ("threshold", "quantile") if getattr(args, k) is not None}
+    check_detector(det)
     out = _out_dir(args)
-    save_split(pair, out)
+    pair = split_at_threshold(dataset, scores, det, settings, out)
     flag = "  (anomalous: M <= N)" if pair.anomalous else ""
-    print(f"split at {threshold!r}: M={pair.m} in-distribution, N={pair.n} OOD -> {out}{flag}")
+    print(f"split at {pair.threshold!r}: M={pair.m} in-distribution, N={pair.n} OOD -> {out}{flag}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    tcl = dict(cfg.get("tcl", cfg) if isinstance(cfg, dict) else {})
-    for key in ("hidden_dim", "latent_dim", "noise", "sigma", "mask_prob", "temperature",
-                "batch_size", "max_epochs", "tolerance", "learning_rate"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            tcl[key] = flag
-    if args.seed is not None:
-        tcl["seed"] = args.seed
-
+    tcl = _settings(args, "tcl", TCL_KEYS)  # every TCL setting has a flag
     path = os.path.join(args.data, "d_in.csv")
     data = load_split(args.data).d_in if os.path.exists(path) else load_dataset(args.data)
-    config = TclConfig(input_dim=data.d, **tcl)
-    model, trace = train_tcl(data, config)
     out = _out_dir(args)
-    save_model(model, os.path.join(out, "model.json"))
-    with open(os.path.join(out, "trace.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {"total": trace.total, "reconstruction": trace.reconstruction,
-             "contrastive": trace.contrastive, "distance": trace.distance,
-             "seconds": trace.seconds, "epochs": trace.epochs,
-             "stop_reason": trace.stop_reason},
-            fh, indent=1,
-        )
+    model, trace = train(data, tcl, 0, out)  # seed 0 unless --seed or the config sets one
     print(
         f"trained {trace.epochs} epochs in {trace.seconds:.2f}s "
         f"(stop: {trace.stop_reason}, final loss {trace.total[-1]:.4g}) -> {out}/model.json"
@@ -238,38 +125,19 @@ def cmd_embed(args) -> int:
 
 def cmd_fit_head(args) -> int:
     dataset = load_dataset(args.data)
-    kind = args.kind or ("logistic" if dataset.schema.task == CLASSIFICATION else "linear")
-    if kind == "logistic":
-        head = fit_logistic(
-            dataset.features, dataset.labels, HeadConfig(seed=args.seed or 0)
-        )
-    elif kind == "linear":
-        head = fit_linear(dataset.features, dataset.labels)
-    else:
-        raise ConfigError(f"unknown head kind: {kind!r}")
+    head = fit_head(dataset.features, dataset.labels, args.kind, dataset.schema.task,
+                    args.seed or 0)
     out = _out_dir(args)
     save_head(head, os.path.join(out, "head.json"))
-    print(f"fitted {kind} head on {dataset.n} rows -> {out}/head.json")
+    print(f"fitted {head.kind} head on {dataset.n} rows -> {out}/head.json")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     head = load_head(args.head)
     dataset = load_dataset(args.data)
-    pred = predict(head, dataset.features)
-    if dataset.schema.task == CLASSIFICATION:
-        metrics = {
-            "accuracy": metric_accuracy(dataset.labels, pred),
-            "f1_macro": metric_f1_macro(dataset.labels, pred),
-        }
-    else:
-        metrics = {
-            "rmse": metric_rmse(dataset.labels, pred),
-            "r2": metric_r2(dataset.labels, pred),
-        }
-    out = _out_dir(args)
-    with open(os.path.join(out, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=1)
+    metrics = evaluate(dataset.schema.task, dataset.labels, predict(head, dataset.features))
+    write_json(os.path.join(_out_dir(args), "metrics.json"), metrics, indent=1)
     for key, value in metrics.items():
         print(f"{key}: {value:.6g}")
     return 0
@@ -305,8 +173,7 @@ def cmd_compare(args) -> int:
     text = comparison_markdown(rows)
     sys.stdout.write(text)
     if args.out:
-        out = _out_dir(args)
-        with open(os.path.join(out, "comparison.md"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(_out_dir(args), "comparison.md")) as fh:
             fh.write(text)
     return 0
 
@@ -395,16 +262,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -20,13 +20,13 @@ checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import FormatError, TrainingError
+from .artifacts import fields, read_json, write_json
+from .exceptions import TrainingError
 from .numerics import RngStream, check_finite, gaussian_noise
 
 LEAKY_SLOPE = 0.01
@@ -282,12 +282,8 @@ def loss_contrastive(e1, e2, temperature: float) -> float:
     return float(np.mean(dots * dots)) / temperature
 
 
-def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponents]:
-    """Total loss for two fixed noisy views against the clean batch.
-
-    Pure in the parameters, which makes it the target for the
-    finite-difference gradient oracle.
-    """
+def _forward(model: TclModel, x1, x2, x_clean):
+    """Both views through encoder and decoder, and the three loss terms."""
     x_clean = _check_input(model, x_clean, model.config.input_dim, "clean batch")
     enc1 = _encode_cached(model, _check_input(model, x1, model.config.input_dim, "view 1"))
     enc2 = _encode_cached(model, _check_input(model, x2, model.config.input_dim, "view 2"))
@@ -298,6 +294,16 @@ def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponen
         contrastive=loss_contrastive(enc1["e"], enc2["e"], model.config.temperature),
         distance=loss_distance(enc1["e"], enc2["e"]),
     )
+    return x_clean, enc1, enc2, dec1, dec2, comps
+
+
+def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponents]:
+    """Total loss for two fixed noisy views against the clean batch.
+
+    Pure in the parameters, which makes it the target for the
+    finite-difference gradient oracle.
+    """
+    comps = _forward(model, x1, x2, x_clean)[-1]
     return comps.total, comps
 
 
@@ -346,22 +352,11 @@ def grad_on_views(
     model: TclModel, x1, x2, x_clean
 ) -> tuple[float, LossComponents, dict[str, np.ndarray]]:
     """Loss and analytic parameter gradients for two fixed views."""
-    x_clean = _check_input(model, x_clean, model.config.input_dim, "clean batch")
-    enc1 = _encode_cached(model, _check_input(model, x1, model.config.input_dim, "view 1"))
-    enc2 = _encode_cached(model, _check_input(model, x2, model.config.input_dim, "view 2"))
-    dec1 = _decode_cached(model, enc1["e"])
-    dec2 = _decode_cached(model, enc2["e"])
-
+    x_clean, enc1, enc2, dec1, dec2, comps = _forward(model, x1, x2, x_clean)
     n, d = x_clean.shape
     k = model.config.latent_dim
     tau = model.config.temperature
     e1, e2 = enc1["e"], enc2["e"]
-
-    comps = LossComponents(
-        reconstruction=loss_reconstruction(dec1["out"], dec2["out"], x_clean),
-        contrastive=loss_contrastive(e1, e2, tau),
-        distance=loss_distance(e1, e2),
-    )
 
     # reconstruction: L_r = (mse(out1, x) + mse(out2, x)) / 2
     d_out1 = (dec1["out"] - x_clean) / (n * d)
@@ -505,33 +500,17 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
 
 def save_model(model: TclModel, path) -> None:
     """Write the model as a JSON container; floats round-trip bit-exactly."""
-    payload = {
+    write_json(path, {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config": model.config.to_dict(),
         "params": {k: model.params[k].tolist() for k in PARAM_KEYS},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    })
 
 
 def load_model(path) -> TclModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: corrupt model file: {exc}") from exc
-    if payload.get("format") != MODEL_FORMAT:
-        raise FormatError(f"{path}: not a model file")
-    if payload.get("version") != MODEL_VERSION:
-        raise FormatError(
-            f"{path}: model version {payload.get('version')!r}, expected {MODEL_VERSION}"
-        )
-    try:
+    payload = read_json(path, "model file", MODEL_FORMAT, MODEL_VERSION)
+    with fields(path, "model file"):
         config = TclConfig.from_dict(payload["config"])
         params = {k: np.asarray(payload["params"][k], dtype=np.float64) for k in PARAM_KEYS}
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed model payload: {exc}") from exc
-    return TclModel(config, params)
+        return TclModel(config, params)

@@ -10,13 +10,13 @@ through a directory of full-precision CSVs plus a JSON sidecar.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_write, fields, read_json, write_json
 from .exceptions import ConfigError, FormatError
 from .numerics import RngStream
 
@@ -101,14 +101,11 @@ class Schema:
 
     @staticmethod
     def from_dict(d: dict) -> "Schema":
-        try:
-            cols = tuple(
-                Column(c["name"], c["kind"], tuple(c.get("categories", ())))
-                for c in d["features"]
-            )
-            return Schema(cols, d["target"], d["task"], tuple(d.get("classes", ())))
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"malformed schema block: {exc}") from exc
+        cols = tuple(
+            Column(c["name"], c["kind"], tuple(c.get("categories", ())))
+            for c in d["features"]
+        )
+        return Schema(cols, d["target"], d["task"], tuple(d.get("classes", ())))
 
 
 @dataclass
@@ -429,7 +426,7 @@ def _format_cell(v) -> str:
 
 def _write_dataset_csv(dataset: Dataset, path) -> None:
     names = dataset.schema.encoded_names()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(names) + [dataset.schema.target])
         classification = dataset.schema.task == CLASSIFICATION
@@ -475,27 +472,18 @@ def save_dataset(dataset: Dataset, path) -> None:
         "schema": dataset.schema.to_dict(),
         "stats": dataset.stats,
     }
-    with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
+    write_json(os.path.join(path, "meta.json"), meta, indent=1)
 
 
-def _load_meta(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: corrupt JSON sidecar: {exc}") from exc
-    version = meta.get("schema-version")
-    if version != SCHEMA_VERSION:
-        raise FormatError(f"{path}: schema-version {version!r}, expected {SCHEMA_VERSION}")
-    return meta
+def _load_meta(path) -> tuple[dict, Schema]:
+    """A dataset or split sidecar and the schema it stores."""
+    meta = read_json(path, "dataset sidecar", version=SCHEMA_VERSION)
+    with fields(path, "dataset sidecar"):
+        return meta, Schema.from_dict(meta["schema"])
 
 
 def load_dataset(path) -> Dataset:
-    meta = _load_meta(os.path.join(path, "meta.json"))
-    schema = Schema.from_dict(meta["schema"])
+    meta, schema = _load_meta(os.path.join(path, "meta.json"))
     return _read_dataset_csv(os.path.join(path, "data.csv"), schema, meta.get("stats"))
 
 
@@ -515,26 +503,26 @@ def save_split(pair: SplitPair, path) -> None:
         "schema": pair.d_in.schema.to_dict(),
         "stats": pair.d_in.stats,
     }
-    with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
+    write_json(os.path.join(path, "meta.json"), meta, indent=1)
 
 
 def load_split(path) -> SplitPair:
     """Inverse of :func:`save_split`; features, labels, threshold, and
     detector id round-trip bit-exactly."""
-    meta = _load_meta(os.path.join(path, "meta.json"))
-    schema = Schema.from_dict(meta["schema"])
+    sidecar = os.path.join(path, "meta.json")
+    meta, schema = _load_meta(sidecar)
     stats = meta.get("stats")
     d_in = _read_dataset_csv(os.path.join(path, "d_in.csv"), schema, stats)
     d_ood = _read_dataset_csv(os.path.join(path, "d_ood.csv"), schema, stats)
-    pair = SplitPair(
-        d_in,
-        d_ood,
-        threshold=float(meta["threshold"]),
-        detector=str(meta["detector"]),
-        norm=str(meta["norm"]),
-        seed=meta.get("seed"),
-    )
-    if pair.m != meta["m"] or pair.n != meta["n"]:
-        raise FormatError(f"{path}: row counts disagree with the sidecar")
+    with fields(sidecar, "dataset sidecar"):
+        pair = SplitPair(
+            d_in,
+            d_ood,
+            threshold=float(meta["threshold"]),
+            detector=str(meta["detector"]),
+            norm=str(meta["norm"]),
+            seed=meta.get("seed"),
+        )
+        if pair.m != meta["m"] or pair.n != meta["n"]:
+            raise FormatError(f"{path}: row counts disagree with the sidecar")
     return pair

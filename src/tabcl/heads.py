@@ -7,12 +7,12 @@ for classification, closed-form ridge regression for real targets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import FormatError, NumericError, TrainingError
+from .artifacts import fields, read_json, write_json
+from .exceptions import NumericError, TrainingError
 
 LOGISTIC = "logistic"
 LINEAR = "linear"
@@ -164,34 +164,27 @@ def predict_proba(head: Head, X) -> np.ndarray:
 
 
 def save_head(head: Head, path) -> None:
-    payload = {
+    write_json(path, {
         "format": HEAD_FORMAT,
         "version": HEAD_VERSION,
         "kind": head.kind,
         "weights": head.weights.tolist(),
         "bias": head.bias.tolist(),
         "classes": head.classes,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    })
 
 
 def load_head(path) -> Head:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: corrupt head file: {exc}") from exc
-    if payload.get("format") != HEAD_FORMAT or payload.get("version") != HEAD_VERSION:
-        raise FormatError(f"{path}: not a version-{HEAD_VERSION} head file")
-    kind = payload["kind"]
-    weights = np.asarray(payload["weights"], dtype=np.float64)
-    bias = np.asarray(payload["bias"], dtype=np.float64)
-    if kind == LOGISTIC and weights.ndim != 2:
-        raise FormatError(f"{path}: logistic head weights must be 2-D")
-    return Head(kind, weights, bias, payload.get("classes"))
+    payload = read_json(path, "head file", HEAD_FORMAT, HEAD_VERSION)
+    with fields(path, "head file"):
+        kind = payload["kind"]
+        weights = np.asarray(payload["weights"], dtype=np.float64)
+        bias = np.asarray(payload["bias"], dtype=np.float64)
+        if kind not in (LOGISTIC, LINEAR):
+            raise ValueError(f"unknown head kind {kind!r}")
+        if weights.ndim != (2 if kind == LOGISTIC else 1):
+            raise ValueError(f"{kind} head weights have {weights.ndim} dimensions")
+        return Head(kind, weights, bias, payload.get("classes"))
 
 
 def _check_pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:

@@ -89,19 +89,6 @@ def mse(a, b) -> float:
     return float(np.mean(d * d))
 
 
-def vector_norm(v, kind: str = "l2") -> float:
-    """L1 or L2 norm of a non-empty vector.  ``kind`` is case-insensitive."""
-    x = np.asarray(v, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("vector_norm expects a non-empty 1-D vector")
-    k = kind.lower()
-    if k == "l1":
-        return float(np.sum(np.abs(x)))
-    if k == "l2":
-        return float(np.sqrt(np.sum(x * x)))
-    raise ValueError(f"unknown norm kind: {kind!r}")
-
-
 def gaussian_noise(rows: int, cols: int, sigma: float, rng: RngStream) -> Array:
     """i.i.d. draws from N(0, sigma^2); sigma = 0 returns an exact zero matrix."""
     if sigma < 0:

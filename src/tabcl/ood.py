@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_write
 from .data import CLASSIFICATION, Dataset, SplitPair, split
 from .exceptions import NumericError
 from .heads import (
@@ -291,7 +292,7 @@ def score_histogram(scores, bins: int = 50) -> Histogram:
 
 
 def write_histogram_csv(hist: Histogram, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write("bin_lo,bin_hi,count\n")
         for lo, hi, count in hist.rows():
             fh.write(f"{lo!r},{hi!r},{count}\n")

@@ -150,6 +150,11 @@ class TestRunExperiment:
         assert r1.threshold == r2.threshold
         assert (r1.m, r1.n) == (r2.m, r2.n)
 
+    def test_tcl_seed_overrides_plan_seed(self, tmp_path):
+        run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2, "batch_size": 128, "seed": 9}))
+        model = json.loads((tmp_path / "run" / "model.json").read_text())
+        assert model["config"]["seed"] == 9
+
     def test_temperature_detector_path(self, tmp_path):
         plan = small_plan(
             tmp_path, run_name="temp",

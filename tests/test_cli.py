@@ -1,7 +1,9 @@
 import json
+import shutil
 
 import pytest
 
+from tabcl.bench import ExperimentPlan, run_experiment
 from tabcl.cli import main
 
 from conftest import shifted_cluster_data, write_classification_csv
@@ -16,8 +18,20 @@ def data_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def ds_dir(tmp_path_factory, data_csv):
+    out = tmp_path_factory.mktemp("cli-ds") / "ds"
+    assert run(["ingest", data_csv, "--target", "label", "--out", out]) == 0
+    return out
+
+
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
 
 
 class TestStagedPipeline:
@@ -129,3 +143,93 @@ class TestExitCodes:
         ds_dir = tmp_path / "ds"
         run(["ingest", data_csv, "--target", "label", "--out", ds_dir])
         assert run(["train", ds_dir, "--batch-size", 1, "--out", tmp_path / "m"]) == 2
+
+    def test_unwritable_out_is_3(self, tmp_path, data_csv):
+        # --out below a regular file: the directory cannot be made
+        assert run(["ingest", data_csv, "--target", "label", "--out", data_csv / "sub"]) == 3
+
+    # Each case is a JSON artifact that parses but does not hold what its
+    # loader reads; the file name is what the subcommand is pointed at.
+    MALFORMED = {
+        "head without kind": (
+            "head.json", {"format": "tcl-head", "version": 1, "weights": [[0.0]], "bias": [0.0]},
+            lambda f, ds: ["evaluate", f, ds],
+        ),
+        "model holding a list": ("model.json", [1, 2], lambda f, ds: ["embed", f, ds]),
+        "scores holding a list": ("scores.json", [0.1, 0.2], lambda f, ds: ["split", ds, f]),
+        "scores without scores": (
+            "scores.json", {"detector": "openmax"}, lambda f, ds: ["split", ds, f],
+        ),
+        "dataset sidecar without schema": (
+            "meta.json", {"schema-version": 1, "stats": None}, lambda f, ds: ["fit-head", f.parent],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_artifact_is_3(self, tmp_path, ds_dir, case, capsys):
+        name, payload, argv = self.MALFORMED[case]
+        shutil.copy(ds_dir / "data.csv", tmp_path / "data.csv")
+        path = write_json(tmp_path / name, payload)
+        assert run(argv(path, ds_dir) + ["--out", tmp_path / "out"]) == 3
+        assert str(path) in capsys.readouterr().err
+
+
+class TestConfig:
+    """One config document drives the CLI stages and the experiment plan."""
+
+    DETECTOR = {"detector": "openmax", "norm": "l1", "tail": 25}
+
+    @pytest.mark.parametrize("form", ["flat", "nested"])
+    def test_detector_config_forms(self, tmp_path, ds_dir, form):
+        cfg = self.DETECTOR if form == "flat" else {"detector": self.DETECTOR}
+        config = write_json(tmp_path / "det.json", cfg)
+        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "cfg"]) == 0
+        assert run(["detect", ds_dir, "--detector", "openmax", "--norm", "l1", "--tail", 25,
+                    "--out", tmp_path / "flags"]) == 0
+        by_config = (tmp_path / "cfg" / "scores.json").read_bytes()
+        assert by_config == (tmp_path / "flags" / "scores.json").read_bytes()
+        assert json.loads(by_config)["norm"] == "l1"
+
+    @pytest.mark.parametrize("cfg", [
+        {"detector": "openmax", "bogus": 1},
+        {"detector": {"detektor": "openmax"}},
+    ])
+    def test_unknown_detector_key_is_2(self, tmp_path, ds_dir, cfg, capsys):
+        config = write_json(tmp_path / "det.json", cfg)
+        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "o"]) == 2
+        assert "unknown detector config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tcl, message", [
+        ({"bogus": 1}, "bogus"),
+        ({"input_dim": 4}, "input_dim"),
+    ])
+    def test_bad_tcl_key_is_2(self, tmp_path, data_csv, ds_dir, tcl, message, capsys):
+        config = write_json(tmp_path / "train.json", {"tcl": tcl})
+        assert run(["train", ds_dir, "--config", config, "--out", tmp_path / "m"]) == 2
+        assert message in capsys.readouterr().err
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "tcl": tcl,
+            "out_dir": str(tmp_path / "exp"),
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("detector", ["openmax", "temperature"])
+    def test_cli_and_plan_write_the_same_split(self, tmp_path, data_csv, detector):
+        plan = ExperimentPlan(
+            dataset=str(data_csv), target="label",
+            detector={"detector": detector, "norm": "l1", "tail": 25, "bins": 20},
+            tcl={"max_epochs": 1, "batch_size": 128}, seed=7, out_dir=str(tmp_path / "plan"),
+        )
+        config = write_json(tmp_path / "plan.json", plan.to_dict())
+        run_experiment(plan)
+
+        ds, det, spl = tmp_path / "ds", tmp_path / "det", tmp_path / "split"
+        assert run(["ingest", data_csv, "--target", "label", "--out", ds]) == 0
+        assert run(["detect", ds, "--config", config, "--seed", 7, "--out", det]) == 0
+        assert run(["split", ds, det / "scores.json", "--quantile", 0.95, "--out", spl]) == 0
+
+        made = tmp_path / "plan"
+        assert (det / "histogram.csv").read_bytes() == (made / "histogram.csv").read_bytes()
+        for name in ("d_in.csv", "d_ood.csv", "meta.json"):
+            assert (spl / name).read_bytes() == (made / "split" / name).read_bytes(), name

@@ -15,7 +15,6 @@ from tabcl.numerics import (
     matmul,
     mse,
     softmax,
-    vector_norm,
 )
 
 finite_floats = st.floats(min_value=-20, max_value=20, allow_nan=False)
@@ -85,29 +84,6 @@ class TestMse:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mse(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestVectorNorm:
-    def test_analytic(self):
-        assert vector_norm([3, -4], "l1") == 7.0
-        assert vector_norm([3, -4], "l2") == 5.0
-        assert vector_norm([3, -4], "L2") == 5.0  # case-insensitive
-
-    def test_zero_vector(self):
-        assert vector_norm(np.zeros(4), "l1") == 0.0
-        assert vector_norm(np.zeros(4), "l2") == 0.0
-
-    def test_l2_never_exceeds_l1(self):
-        rng = RngStream(4, 0)
-        for _ in range(200):
-            v = rng.normal(1, 6)[0]
-            assert vector_norm(v, "l2") <= vector_norm(v, "l1") + 1e-12
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            vector_norm([], "l1")
-        with pytest.raises(ValueError):
-            vector_norm([1.0], "l3")
 
 
 class TestGaussianNoise:
