@@ -310,6 +310,11 @@ def load_scores(path) -> tuple[np.ndarray, dict]:
         scores = np.asarray(payload["scores"], dtype=np.float64)
         if scores.ndim != 1:
             raise ValueError(f"scores must be a flat list, got {scores.ndim} dimensions")
+    if scores.size == 0:
+        raise FormatError(f"{path}: the scores file holds no scores")
+    if not np.isfinite(scores).all():
+        bad = int(np.flatnonzero(~np.isfinite(scores))[0])
+        raise FormatError(f"{path}: non-finite score {float(scores[bad])!r} at index {bad}")
     settings = {
         "detector": payload.get("detector", "unknown"),
         "norm": payload.get("norm", "none"),
@@ -334,6 +339,8 @@ def split_at_threshold(
 ) -> SplitPair:
     """Split stage: rows scoring at most the threshold that ``det`` sets
     stay in-distribution; the split is written into ``out_dir``."""
+    if scores.shape != (dataset.n,):
+        raise FormatError(f"{scores.size} scores for {dataset.n} rows: need one score per row")
     threshold = resolve_threshold(scores, det)
     pair = split_by_threshold(
         dataset, scores, threshold,

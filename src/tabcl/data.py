@@ -198,7 +198,7 @@ def read_csv(path, delimiter: str = ",") -> RawTable:
                 header = next(reader)
             except StopIteration:
                 raise FormatError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
+            header = list(map(str.strip, header))
             rows = []
             for i, row in enumerate(reader, start=2):
                 if not row:
@@ -207,7 +207,7 @@ def read_csv(path, delimiter: str = ",") -> RawTable:
                     raise FormatError(
                         f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
                     )
-                rows.append([cell.strip() for cell in row])
+                rows.append(list(map(str.strip, row)))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     return RawTable(header, rows)
@@ -223,11 +223,29 @@ def _parse_number(cell: str, col: str, row: int) -> float:
     return v
 
 
-def _is_number(cell: str) -> bool:
+def _floats(cells) -> np.ndarray | None:
+    """``cells`` parsed by Python's ``float`` into one float64 array, or None
+    when a cell does not parse or is not finite.
+
+    This is the only parser of numeric cells.  A caller that must name the
+    bad cell scans the cells again with :func:`_parse_number`, in the order
+    its errors are reported, only after this has failed.
+    """
     try:
-        return np.isfinite(float(cell))
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
-        return False
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _class_indices(cells, n_classes: int) -> np.ndarray | None:
+    """``cells`` parsed by Python's ``int`` into class indices, or None when
+    a cell does not parse or lies outside ``[0, n_classes)``."""
+    try:
+        labels = np.fromiter(map(int, cells), np.int64, len(cells))
+    except (ValueError, OverflowError):
+        return None
+    return labels if ((labels >= 0) & (labels < n_classes)).all() else None
 
 
 def infer_schema(
@@ -257,9 +275,8 @@ def infer_schema(
     def classify(cells: list[str]) -> tuple[str, bool]:
         present = [c for c in cells if c not in MISSING_TOKENS]
         has_missing = len(present) < len(cells)
-        if present and all(_is_number(c) for c in present):
-            if len(set(present)) > category_cutoff:
-                return NUMERIC, has_missing
+        if present and len(set(present)) > category_cutoff and _floats(present) is not None:
+            return NUMERIC, has_missing
         return CATEGORICAL, has_missing
 
     features = []
@@ -315,10 +332,13 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
         j = raw.header.index(col.name)
         cells = [row[j] for row in raw.rows]
         if col.kind == NUMERIC:
+            keep = [i for i, cell in enumerate(cells) if cell not in MISSING_TOKENS]
+            parsed = _floats([cells[i] for i in keep])
+            if parsed is None:
+                for i in keep:
+                    _parse_number(cells[i], col.name, i + 2)
             values = np.full(n, np.nan)
-            for i, cell in enumerate(cells):
-                if cell not in MISSING_TOKENS:
-                    values[i] = _parse_number(cell, col.name, i + 2)
+            values[keep] = parsed
             if fitting:
                 present = values[~np.isnan(values)]
                 if present.size == 0:
@@ -336,28 +356,28 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
                 mean, std = s["mean"], s["std"]
             blocks.append(((values - mean) / std)[:, None])
         else:
-            width = len(col.categories) + 1
-            onehot = np.zeros((n, width))
+            unknown = len(col.categories)
             index = {c: k for k, c in enumerate(col.categories)}
-            for i, cell in enumerate(cells):
-                if cell in MISSING_TOKENS:
-                    cell = MISSING_CATEGORY
-                onehot[i, index.get(cell, width - 1)] = 1.0
+            index.update(dict.fromkeys(MISSING_TOKENS, index.get(MISSING_CATEGORY, unknown)))
+            codes = np.fromiter((index.get(cell, unknown) for cell in cells), np.intp, n)
+            onehot = np.zeros((n, unknown + 1))
+            onehot[np.arange(n), codes] = 1.0
             blocks.append(onehot)
 
     jt = raw.header.index(schema.target)
+    target_cells = [row[jt] for row in raw.rows]
     if schema.task == CLASSIFICATION:
         lookup = {c: k for k, c in enumerate(schema.classes)}
-        labels = np.empty(n, dtype=np.int64)
-        for i, row in enumerate(raw.rows):
-            cell = row[jt]
-            if cell not in lookup:
-                raise FormatError(f"row {i + 2}: unknown target class {cell!r}")
-            labels[i] = lookup[cell]
+        try:
+            labels = np.fromiter(map(lookup.__getitem__, target_cells), np.int64, n)
+        except KeyError:
+            i = next(i for i, cell in enumerate(target_cells) if cell not in lookup)
+            raise FormatError(f"row {i + 2}: unknown target class {target_cells[i]!r}") from None
     else:
-        labels = np.array(
-            [_parse_number(row[jt], schema.target, i + 2) for i, row in enumerate(raw.rows)]
-        )
+        labels = _floats(target_cells)
+        if labels is None:
+            for i, cell in enumerate(target_cells):
+                _parse_number(cell, schema.target, i + 2)
 
     features = np.hstack(blocks) if blocks else np.zeros((n, 0))
     return Dataset(features, labels, schema, fitted if fitting else dict(stats))
@@ -420,20 +440,21 @@ def split(dataset: Dataset, fractions, rng: RngStream) -> tuple[Dataset, Dataset
     return dataset.take(first), dataset.take(second)
 
 
-def _format_cell(v) -> str:
-    return repr(float(v))
-
-
 def _write_dataset_csv(dataset: Dataset, path) -> None:
-    names = dataset.schema.encoded_names()
+    """Write the header through ``csv.writer``, which quotes encoded names
+    such as ``c=a,b``, and each body row whole: ``repr`` of every feature,
+    then the label, ending in ``csv.writer``'s ``\\r\\n``.  No body cell
+    needs quoting."""
+    if dataset.schema.task == CLASSIFICATION:
+        labels = [str(int(v)) for v in dataset.labels.tolist()]
+    else:
+        labels = [repr(float(v)) for v in dataset.labels.tolist()]
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + [dataset.schema.target])
-        classification = dataset.schema.task == CLASSIFICATION
-        for i in range(dataset.n):
-            row = [_format_cell(v) for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])) if classification else _format_cell(dataset.labels[i]))
-            writer.writerow(row)
+        csv.writer(fh).writerow(list(dataset.schema.encoded_names()) + [dataset.schema.target])
+        fh.writelines(
+            ",".join([*map(repr, row), label]) + "\r\n"
+            for row, label in zip(dataset.features.tolist(), labels)
+        )
 
 
 def _read_dataset_csv(path, schema: Schema, stats: dict | None) -> Dataset:
@@ -445,22 +466,35 @@ def _read_dataset_csv(path, schema: Schema, stats: dict | None) -> Dataset:
     if n == 0:
         raise FormatError(f"{path}: no data rows")
     d = len(expected) - 1
-    features = np.empty((n, d))
+    features = _floats([cell for row in raw.rows for cell in row[:d]])
+    label_cells = [row[d] for row in raw.rows]
     if schema.task == CLASSIFICATION:
-        labels: np.ndarray = np.empty(n, dtype=np.int64)
+        labels = _class_indices(label_cells, len(schema.classes))
     else:
-        labels = np.empty(n)
-    for i, row in enumerate(raw.rows):
-        for j in range(d):
-            features[i, j] = _parse_number(row[j], expected[j], i + 2)
-        if schema.task == CLASSIFICATION:
-            try:
-                labels[i] = int(row[d])
-            except ValueError:
-                raise FormatError(f"{path}: row {i + 2}: bad class index {row[d]!r}") from None
-        else:
-            labels[i] = _parse_number(row[d], schema.target, i + 2)
-    return Dataset(features, labels, schema, stats)
+        labels = _floats(label_cells)
+    if features is None or labels is None:
+        _raise_first_bad_cell(path, raw.rows, schema)
+    return Dataset(features.reshape(n, d), labels, schema, stats)
+
+
+def _raise_first_bad_cell(path, rows, schema: Schema) -> None:
+    """Raise the FormatError for the first bad cell of a dataset CSV,
+    scanning row by row, each row's features before its label."""
+    names = schema.encoded_names()
+    k = len(schema.classes)
+    for i, row in enumerate(rows, start=2):
+        for j, name in enumerate(names):
+            _parse_number(row[j], name, i)
+        label = row[len(names)]
+        if schema.task != CLASSIFICATION:
+            _parse_number(label, schema.target, i)
+            continue
+        try:
+            index = int(label)
+        except ValueError:
+            raise FormatError(f"{path}: row {i}: bad class index {label!r}") from None
+        if not 0 <= index < k:
+            raise FormatError(f"{path}: row {i}: class index {index} outside [0, {k})")
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -148,6 +148,26 @@ class TestExitCodes:
         # --out below a regular file: the directory cannot be made
         assert run(["ingest", data_csv, "--target", "label", "--out", data_csv / "sub"]) == 3
 
+    @pytest.mark.parametrize("label", ["7", "-1"])
+    def test_class_index_outside_schema_is_3(self, tmp_path, ds_dir, label, capsys):
+        shutil.copytree(ds_dir, tmp_path / "ds")
+        data = tmp_path / "ds" / "data.csv"
+        lines = data.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + label
+        data.write_text("\n".join(lines) + "\n")
+        assert run(["fit-head", tmp_path / "ds", "--out", tmp_path / "head"]) == 3
+        assert f"{data}: row 6: class index {label} outside [0, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scores, message", [
+        ([0.5, 0.25, 0.75], "3 scores for 500 rows"),
+        ([], "holds no scores"),
+        ([float("nan")] * 500, "non-finite score nan at index 0"),
+    ])
+    def test_bad_scores_is_3(self, tmp_path, ds_dir, scores, message, capsys):
+        path = write_json(tmp_path / "scores.json", {"scores": scores})
+        assert run(["split", ds_dir, path, "--out", tmp_path / "split"]) == 3
+        assert message in capsys.readouterr().err
+
     # Each case is a JSON artifact that parses but does not hold what its
     # loader reads; the file name is what the subcommand is pointed at.
     MALFORMED = {

@@ -1,10 +1,17 @@
+import csv
 import json
+import math
 import statistics
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabcl.data import (
+    MISSING_TOKENS,
     Column,
     Dataset,
     RawTable,
@@ -314,3 +321,184 @@ class TestDatasetPersistence:
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         assert loaded.schema == ds.schema
+
+
+# Per-cell references for the column-at-a-time parser and the whole-row
+# writer: one float() per cell, and csv.writer with repr(float(v)) cells.
+
+
+def cell_error(cell, col, row):
+    """The FormatError text for one cell that is not a finite number, else None."""
+    try:
+        v = float(cell)
+    except ValueError:
+        return f"column {col!r}, row {row}: cannot parse {cell!r} as a number"
+    if not math.isfinite(v):
+        return f"column {col!r}, row {row}: non-finite value {cell!r}"
+    return None
+
+
+def first_error(located):
+    """First error among ``(cell, column, row)`` triples, in their order."""
+    return next(filter(None, (cell_error(*c) for c in located)), None)
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def reference_write(dataset, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(dataset.schema.encoded_names()) + [dataset.schema.target])
+        for i in range(dataset.n):
+            row = [repr(float(v)) for v in dataset.features[i]]
+            label = dataset.labels[i]
+            row.append(str(int(label)) if dataset.schema.task == "classification"
+                       else repr(float(label)))
+            writer.writerow(row)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+HEADER = ["x0", "x1", "x2", "y"]
+REGRESSION = numeric_schema(3, task="regression")
+IDENTITY_STATS = {f"x{j}": {"median": 0.0, "mean": 0.0, "std": 1.0} for j in range(3)}
+VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([" 2 ", "+.5", "1_0", "1e5", "-0", "5e-324", "1E-5", "\t-3.25"]),
+)
+CELL = st.one_of(VALUE, st.sampled_from(sorted(MISSING_TOKENS)))
+BAD = st.lists(
+    st.tuples(st.integers(0, 99), st.integers(0, 3), st.sampled_from(["bad", "inf", "nan"])),
+    min_size=1, max_size=3,
+)
+
+
+def with_bad(rows, bad):
+    rows = [list(r) for r in rows]
+    for i, j, token in bad:
+        rows[i % len(rows)][j] = token
+    return rows
+
+
+def saved_regression(directory, rows):
+    """A dataset directory whose ``data.csv`` holds ``rows`` as written."""
+    save_dataset(Dataset(np.zeros((1, 3)), np.zeros(1), REGRESSION, None), directory)
+    write_rows(Path(directory) / "data.csv", HEADER, rows)
+    return directory
+
+
+class TestBulkParse:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(CELL, CELL, CELL, VALUE), min_size=1, max_size=15))
+    def test_ingest_matches_per_cell_reference(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_rows(path, HEADER, rows)
+            ds = ingest_csv(path, schema=REGRESSION, stats=IDENTITY_STATS)
+        # identity stats: a missing cell imputes 0.0, a present one keeps its bits
+        expected = [[0.0 if c.strip() in MISSING_TOKENS else float(c) for c in r[:3]]
+                    for r in rows]
+        assert bits(ds.features) == bits(expected)
+        assert bits(ds.labels) == bits([float(r[3]) for r in rows])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(VALUE, VALUE, VALUE, VALUE), min_size=1, max_size=15))
+    def test_load_matches_per_cell_reference(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = load_dataset(saved_regression(tmp, rows))
+        assert bits(ds.features) == bits([[float(c) for c in r[:3]] for r in rows])
+        assert bits(ds.labels) == bits([float(r[3]) for r in rows])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(VALUE, VALUE, VALUE, VALUE), min_size=1, max_size=15), BAD)
+    def test_ingest_names_first_bad_cell_column_by_column(self, rows, bad):
+        rows = with_bad(rows, bad)
+        expected = first_error(
+            (r[j], HEADER[j], i + 2)
+            for j in range(4) for i, r in enumerate(rows)
+            if j == 3 or r[j] not in MISSING_TOKENS
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_rows(path, HEADER, rows)
+            if expected is None:  # only "nan" in features: imputed as missing
+                ingest_csv(path, schema=REGRESSION, stats=IDENTITY_STATS)
+                return
+            with pytest.raises(FormatError) as exc:
+                ingest_csv(path, schema=REGRESSION, stats=IDENTITY_STATS)
+        assert str(exc.value) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(VALUE, VALUE, VALUE, VALUE), min_size=1, max_size=15), BAD)
+    def test_load_names_first_bad_cell_row_by_row(self, rows, bad):
+        rows = with_bad(rows, bad)
+        expected = first_error(
+            (c, HEADER[j], i + 2) for i, r in enumerate(rows) for j, c in enumerate(r)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(FormatError) as exc:
+                load_dataset(saved_regression(tmp, rows))
+        assert str(exc.value) == expected
+
+    def test_bad_class_index_comes_after_its_row_features(self, tmp_path):
+        schema = numeric_schema(2)
+        save_dataset(Dataset(np.zeros((1, 2)), np.zeros(1, np.int64), schema, None), tmp_path)
+        write_rows(tmp_path / "data.csv", ["x0", "x1", "y"],
+                   [["1", "2", "0"], ["3", "4", "x"], ["bad", "5", "1"]])
+        with pytest.raises(FormatError, match=r"row 3: bad class index 'x'"):
+            load_dataset(tmp_path)
+
+
+EDGE_VALUES = [-0.0, 1e-05, 1e16, 5e-324]
+QUOTED = Schema(
+    (Column("c", "categorical", ("a,b", 'say "hi"')), Column("x", "numeric")),
+    "y", "classification", ("0", "1"),
+)
+
+
+def writer_case(case, task):
+    classification = task == "classification"
+    if case == "quoted levels":
+        schema = QUOTED if classification else Schema(QUOTED.features, "y", "regression")
+        features = [[1.0, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, -1.25], [0.0, 0.0, 1.0, 2.0 / 3.0]]
+    elif case == "no features":
+        schema = Schema((), "y", task, ("0", "1") if classification else ())
+        features = np.zeros((3, 0))
+    else:
+        schema = numeric_schema(4, task=task)
+        features = [EDGE_VALUES, EDGE_VALUES[::-1], [1 / 3, -2.5, 123456.789, -1e-300]]
+    labels = np.array([0, 1, 1]) if classification else np.array(EDGE_VALUES[1:])
+    return Dataset(features, labels, schema, None)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("case", ["quoted levels", "no features", "edge values"])
+    def test_bytes_match_csv_writer_reference(self, tmp_path, case, task):
+        ds = writer_case(case, task)
+        reference_write(ds, tmp_path / "reference.csv")
+        save_dataset(ds, tmp_path / "ds")
+        assert (tmp_path / "ds" / "data.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        loaded = load_dataset(tmp_path / "ds")
+        assert bits(loaded.features) == bits(ds.features)
+        assert bits(loaded.labels) == bits(ds.labels)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_split_round_trip_is_bit_exact(self, tmp_path, task):
+        ds = writer_case("edge values", task)
+        pair = SplitPair(ds.take([0, 1]), ds.take([2]), threshold=0.5, detector="openmax",
+                         norm="l1", seed=1)
+        save_split(pair, tmp_path / "split")
+        reference_write(pair.d_in, tmp_path / "reference.csv")
+        assert (tmp_path / "split" / "d_in.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        loaded = load_split(tmp_path / "split")
+        for side in ("d_in", "d_ood"):
+            assert bits(getattr(loaded, side).features) == bits(getattr(pair, side).features)
+            assert bits(getattr(loaded, side).labels) == bits(getattr(pair, side).labels)
