@@ -57,16 +57,7 @@ from .heads import (
     predict_proba,
     save_head,
 )
-from .numerics import (
-    RngStream,
-    add_bias,
-    elementwise_apply,
-    finite_diff_grad,
-    gaussian_noise,
-    matmul,
-    mse,
-    softmax,
-)
+from .numerics import RngStream, finite_diff_grad, gaussian_noise, softmax_rows
 from .ood import (
     Backbone,
     BackboneConfig,

@@ -39,7 +39,6 @@ from .heads import (
     LINEAR,
     LOGISTIC,
     Head,
-    HeadConfig,
     fit_linear,
     fit_logistic,
     metric_accuracy,
@@ -92,13 +91,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         if str(path).endswith(".toml"):
-            try:
-                import tomllib  # py3.11+
-            except ImportError:  # pragma: no cover
-                try:
-                    import tomli as tomllib
-                except ImportError:
-                    raise ConfigError("TOML configs need Python 3.11+ or the tomli package")
+            import tomllib  # only TOML configs pay for the import
+
             doc = tomllib.loads(raw.decode("utf-8"))
         else:
             doc = json.loads(raw)
@@ -152,19 +146,7 @@ class ExperimentPlan:
         check_tcl(self.tcl)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "target": self.target,
-            "task": self.task,
-            "model_name": self.model_name,
-            "detector": dict(self.detector),
-            "tcl": dict(self.tcl),
-            "head": self.head,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "delta": self.delta,
-            "fractions": list(self.fractions),
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
@@ -204,24 +186,7 @@ class BenchReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "task": self.task,
-            "metric_name": self.metric_name,
-            "p": self.p,
-            "t_seconds": self.t_seconds,
-            "tradeoff": self.tradeoff,
-            "split_grid": dict(self.split_grid),
-            "constraints": dict(self.constraints),
-            "stage_seconds": dict(self.stage_seconds),
-            "detector": self.detector,
-            "norm": self.norm,
-            "threshold": self.threshold,
-            "m": self.m,
-            "n": self.n,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BenchReport":
@@ -240,8 +205,8 @@ class BenchReport:
 
 
 class _Stage:
-    """Context that prefixes any stage failure with the stage name and
-    records its wall-clock time."""
+    """Context that adds the note ``[stage=<name>]`` to any stage failure,
+    which propagates unchanged otherwise, and records its wall-clock time."""
 
     def __init__(self, name: str, clock: dict):
         self.name = name
@@ -253,12 +218,8 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         self.clock[self.name] = time.perf_counter() - self._start
-        if exc is not None and isinstance(exc, Exception):
-            try:
-                wrapped = type(exc)(f"[stage={self.name}] {exc}")
-            except TypeError:  # exception with a non-trivial constructor
-                return False
-            raise wrapped from exc
+        if isinstance(exc, Exception):
+            exc.add_note(f"[stage={self.name}]")
         return False
 
 
@@ -364,12 +325,12 @@ def train(data: Dataset, tcl: dict, seed: int, out_dir) -> tuple[TclModel, Train
     return model, trace
 
 
-def fit_head(features, labels, kind: str | None, task: str, seed: int) -> Head:
+def fit_head(features, labels, kind: str | None, task: str) -> Head:
     """Fit-head stage: ``kind`` defaults to logistic for classification and
     linear for regression."""
     kind = kind or (LOGISTIC if task == CLASSIFICATION else LINEAR)
     if kind == LOGISTIC:
-        return fit_logistic(features, labels, HeadConfig(seed=seed))
+        return fit_logistic(features, labels)
     if kind == LINEAR:
         return fit_linear(features, labels)
     raise ConfigError(f"unknown head kind: {kind!r}")
@@ -396,8 +357,8 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
     """Execute a plan end to end and write all artifacts to its out_dir.
 
     Stage order: ingest -> detect -> split -> train (timed) -> embed ->
-    fit-head -> evaluate.  Any failure is re-raised with the stage name;
-    artifacts written before the failure are kept for debugging.
+    fit-head -> evaluate.  Any failure propagates with the stage name added
+    as a note; artifacts written before the failure are kept for debugging.
     """
     os.makedirs(plan.out_dir, exist_ok=True)
     clock: dict[str, float] = {}
@@ -425,7 +386,7 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         e_ood = embed(model, pair.d_ood.features)
 
     with _Stage("fit-head", clock):
-        head = fit_head(e_train, id_train.labels, plan.head, task, plan.seed)
+        head = fit_head(e_train, id_train.labels, plan.head, task)
 
     metric_name = "f1_macro" if task == CLASSIFICATION else "rmse"
     with _Stage("evaluate", clock):

@@ -85,7 +85,12 @@ def cmd_detect(args) -> int:
 def cmd_split(args) -> int:
     dataset = load_dataset(args.data)
     scores, settings = load_scores(args.scores)
-    det = {k: getattr(args, k) for k in ("threshold", "quantile") if getattr(args, k) is not None}
+    det = _settings(args, "detector", ("threshold", "quantile"))
+    # a --threshold or --quantile flag replaces both of the file's keys
+    if args.threshold is not None and args.quantile is None:
+        det.pop("quantile", None)
+    if args.quantile is not None and args.threshold is None:
+        det.pop("threshold", None)
     check_detector(det)
     out = _out_dir(args)
     pair = split_at_threshold(dataset, scores, det, settings, out)
@@ -125,8 +130,7 @@ def cmd_embed(args) -> int:
 
 def cmd_fit_head(args) -> int:
     dataset = load_dataset(args.data)
-    head = fit_head(dataset.features, dataset.labels, args.kind, dataset.schema.task,
-                    args.seed or 0)
+    head = fit_head(dataset.features, dataset.labels, args.kind, dataset.schema.task)
     out = _out_dir(args)
     save_head(head, os.path.join(out, "head.json"))
     print(f"fitted {head.kind} head on {dataset.n} rows -> {out}/head.json")
@@ -257,19 +261,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: Exception) -> str:
+    """The exception's text, after its notes (such as ``[stage=train]``)."""
+    return " ".join([*getattr(exc, "__notes__", ()), str(exc)])
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: {_message(exc)}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        print(f"data error: {_message(exc)}", file=sys.stderr)
         return 3
     except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+        print(f"numeric error: {_message(exc)}", file=sys.stderr)
         return 4
 
 

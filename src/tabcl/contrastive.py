@@ -21,7 +21,7 @@ checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -89,20 +89,7 @@ class TclConfig:
             raise ValueError("bad optimization settings")
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "latent_dim": self.latent_dim,
-            "noise": self.noise,
-            "sigma": self.sigma,
-            "mask_prob": self.mask_prob,
-            "temperature": self.temperature,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "tolerance": self.tolerance,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TclConfig":
@@ -206,7 +193,7 @@ def augment(batch, config: TclConfig, rng: RngStream) -> tuple[np.ndarray, np.nd
     return x * keep1, x * keep2
 
 
-def _check_input(model: TclModel, x, width: int, what: str) -> np.ndarray:
+def _check_input(x, width: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"{what} must be 2-D with {width} columns, got shape {x.shape}")
@@ -236,13 +223,13 @@ def _decode_cached(model: TclModel, e: np.ndarray) -> dict:
 
 def encode(model: TclModel, x) -> np.ndarray:
     """Deterministic encoder forward pass (n x latent_dim)."""
-    x = _check_input(model, x, model.config.input_dim, "input")
+    x = _check_input(x, model.config.input_dim, "input")
     return _encode_cached(model, x)["e"]
 
 
 def decode(model: TclModel, e) -> np.ndarray:
     """Deterministic decoder forward pass (n x input_dim)."""
-    e = _check_input(model, e, model.config.latent_dim, "embedding")
+    e = _check_input(e, model.config.latent_dim, "embedding")
     return _decode_cached(model, e)["out"]
 
 
@@ -284,9 +271,9 @@ def loss_contrastive(e1, e2, temperature: float) -> float:
 
 def _forward(model: TclModel, x1, x2, x_clean):
     """Both views through encoder and decoder, and the three loss terms."""
-    x_clean = _check_input(model, x_clean, model.config.input_dim, "clean batch")
-    enc1 = _encode_cached(model, _check_input(model, x1, model.config.input_dim, "view 1"))
-    enc2 = _encode_cached(model, _check_input(model, x2, model.config.input_dim, "view 2"))
+    x_clean = _check_input(x_clean, model.config.input_dim, "clean batch")
+    enc1 = _encode_cached(model, _check_input(x1, model.config.input_dim, "view 1"))
+    enc2 = _encode_cached(model, _check_input(x2, model.config.input_dim, "view 2"))
     dec1 = _decode_cached(model, enc1["e"])
     dec2 = _decode_cached(model, enc2["e"])
     comps = LossComponents(

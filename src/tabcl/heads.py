@@ -13,6 +13,7 @@ import numpy as np
 
 from .artifacts import fields, read_json, write_json
 from .exceptions import NumericError, TrainingError
+from .numerics import softmax_rows
 
 LOGISTIC = "logistic"
 LINEAR = "linear"
@@ -26,7 +27,6 @@ class HeadConfig:
     learning_rate: float = 0.1
     epochs: int = 200
     l2: float = 1e-4
-    seed: int = 0
 
 
 @dataclass
@@ -41,12 +41,6 @@ class Head:
     @property
     def input_dim(self) -> int:
         return self.weights.shape[0]
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _check_features(X, head: Head | None = None) -> np.ndarray:
@@ -76,23 +70,24 @@ def fit_softmax_regression(
     n, d = X.shape
     W = np.zeros((d, n_classes))
     b = np.zeros(n_classes)
+    rows = np.arange(n)
     onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
+    onehot[rows, y] = 1.0
 
-    def objective() -> tuple[float, float]:
-        p = _softmax_rows(X @ W + b)
-        nll = -float(np.mean(np.log(p[np.arange(n), y] + 1e-300)))
-        return nll + 0.5 * l2 * float(np.sum(W * W)), nll
-
+    # One softmax per epoch: the probabilities after an update give both
+    # that epoch's objective and the next epoch's gradient.
+    p = softmax_rows(X @ W + b)
+    prev_obj = -float(np.mean(np.log(p[rows, y] + 1e-300)))  # W = 0: no penalty yet
     nll_trace: list[float] = []
-    prev_obj, nll = objective()
     for epoch in range(epochs):
-        p = _softmax_rows(X @ W + b)
-        gW = X.T @ (p - onehot) / n + l2 * W
-        gb = (p - onehot).sum(axis=0) / n
+        residual = p - onehot
+        gW = X.T @ residual / n + l2 * W
+        gb = residual.sum(axis=0) / n
         W -= learning_rate * gW
         b -= learning_rate * gb
-        obj, nll = objective()
+        p = softmax_rows(X @ W + b)
+        nll = -float(np.mean(np.log(p[rows, y] + 1e-300)))
+        obj = nll + 0.5 * l2 * float(np.sum(W * W))
         if not np.isfinite(obj):
             raise NumericError("non-finite training objective")
         if require_monotone and obj > prev_obj + 1e-12:
@@ -160,7 +155,7 @@ def predict_proba(head: Head, X) -> np.ndarray:
     if head.kind != LOGISTIC:
         raise ValueError("probabilities are only defined for logistic heads")
     X = _check_features(X, head)
-    return _softmax_rows(X @ head.weights + head.bias)
+    return softmax_rows(X @ head.weights + head.bias)
 
 
 def save_head(head: Head, path) -> None:

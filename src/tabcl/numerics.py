@@ -1,8 +1,10 @@
 """Dense numeric primitives shared by every other module.
 
-All public operations work on float64 arrays, validate their inputs, and
-guarantee finite outputs.  Randomness goes through :class:`RngStream` so
-that every stochastic operation is a pure function of ``(seed, stream_id)``.
+All public operations work on float64 arrays.  All but
+:func:`softmax_rows`, which sits on the training hot path, validate their
+inputs and guarantee finite outputs.  Randomness goes through
+:class:`RngStream` so that every stochastic operation is a pure function of
+``(seed, stream_id)``.
 """
 
 from __future__ import annotations
@@ -57,36 +59,15 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _as_matrix(a, name: str = "matrix") -> Array:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
-    return m
+def softmax_rows(z: Array) -> Array:
+    """Stable softmax of each row of a logit matrix.
 
-
-def softmax(logits) -> Array:
-    """Stable softmax of a logit vector.
-
-    Uses max-subtraction so large logits cannot overflow; the result is
-    non-negative and sums to 1 within 1e-12.
+    Max-subtraction keeps large logits from overflowing.  The input is not
+    checked: callers check finiteness where the result is used.
     """
-    v = np.asarray(logits, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax expects a non-empty 1-D vector")
-    if not np.isfinite(v).all():
-        raise NumericError("softmax input contains non-finite entries")
-    z = np.exp(v - v.max())
-    return z / z.sum()
-
-
-def mse(a, b) -> float:
-    """Mean squared difference over all entries of two equal-shape arrays."""
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    d = x - y
-    return float(np.mean(d * d))
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def gaussian_noise(rows: int, cols: int, sigma: float, rng: RngStream) -> Array:
@@ -122,35 +103,6 @@ def finite_diff_grad(f: Callable[[Array], float], theta, eps: float = 1e-5) -> A
             raise NumericError(f"non-finite function value at coordinate {i}")
         grad[i] = (hi - lo) / (2.0 * eps)
     return grad
-
-
-def matmul(a, b) -> Array:
-    """Matrix product with explicit dimension checking."""
-    x = _as_matrix(a, "a")
-    y = _as_matrix(b, "b")
-    if x.shape[1] != y.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {x.shape} x {y.shape}")
-    return x @ y
-
-
-def add_bias(m, bias) -> Array:
-    """Add a bias row-vector to every row of a matrix."""
-    x = _as_matrix(m)
-    b = np.asarray(bias, dtype=np.float64)
-    if b.ndim != 1 or b.size != x.shape[1]:
-        raise ValueError(f"bias length {b.size} does not match {x.shape[1]} columns")
-    return x + b
-
-
-def elementwise_apply(m, fn: Callable[[Array], Array]) -> Array:
-    """Apply a vectorized function entrywise; the result must stay finite."""
-    x = _as_matrix(m)
-    out = np.asarray(fn(x), dtype=np.float64)
-    if out.shape != x.shape:
-        raise ValueError("fn changed the matrix shape")
-    if not np.isfinite(out).all():
-        raise NumericError("elementwise_apply produced non-finite entries")
-    return out
 
 
 def check_finite(a: Array, where: str) -> Array:

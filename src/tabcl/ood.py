@@ -17,7 +17,7 @@ regression probes trained on the in-distribution side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .heads import (
     metric_r2,
     predict,
 )
-from .numerics import RngStream
+from .numerics import RngStream, softmax_rows
 from .weibull import weibull_cdf, weibull_mle
 
 OPENMAX = "openmax"
@@ -47,7 +47,6 @@ class BackboneConfig:
     learning_rate: float = 0.1
     epochs: int = 300
     l2: float = 1e-4
-    seed: int = 0
 
 
 @dataclass
@@ -260,10 +259,7 @@ def temp_score(model: TemperatureModel, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     logits = np.atleast_2d(model.backbone.logits(x)) / model.temperature
-    z = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    scores = -p.max(axis=1)
+    scores = -softmax_rows(logits).max(axis=1)
     return float(scores[0]) if single else scores
 
 
@@ -358,19 +354,7 @@ class SplitReport:
         return self.id_test - self.ood_test
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "id_train": self.id_train,
-            "id_test": self.id_test,
-            "ood_train": self.ood_train,
-            "ood_test": self.ood_test,
-            "m": self.m,
-            "n": self.n,
-            "threshold": self.threshold,
-            "detector": self.detector,
-            "norm": self.norm,
-            "degradation": self.degradation,
-        }
+        return {**asdict(self), "degradation": self.degradation}
 
 
 def validate_split(

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -63,6 +65,11 @@ class TestPlan:
         )
         again = ExperimentPlan.from_dict(plan.to_dict())
         assert again.to_dict() == plan.to_dict()
+        assert json.dumps(plan.to_dict()) == (
+            '{"dataset": "d.csv", "target": "y", "task": null, "model_name": "tcl", '
+            '"detector": {"detector": "openmax", "quantile": 0.9}, "tcl": {"max_epochs": 5}, '
+            '"head": null, "seed": 3, "out_dir": "out", "delta": null, "fractions": [0.8, 0.2]}'
+        )
 
     def test_unknown_detector_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -82,7 +89,6 @@ class TestPlan:
         assert plan.seed == 4
 
     def test_from_toml_file(self, tmp_path):
-        pytest.importorskip("tomli")
         path = tmp_path / "plan.toml"
         path.write_text('dataset = "d.csv"\ntarget = "y"\nseed = 6\n')
         plan = ExperimentPlan.from_file(path)
@@ -187,6 +193,17 @@ class TestRunExperiment:
         with pytest.raises(Exception, match="stage=ingest"):
             run_experiment(plan)
 
+    def test_stage_failure_keeps_the_exception(self, tmp_path):
+        plan = small_plan(tmp_path)
+        blocker = os.path.join(plan.out_dir, "split")  # a file where the split directory goes
+        os.makedirs(plan.out_dir)
+        open(blocker, "w").close()
+        with pytest.raises(FileExistsError) as info:
+            run_experiment(plan)
+        assert info.value.errno == errno.EEXIST
+        assert info.value.filename == blocker
+        assert info.value.__notes__ == ["[stage=split]"]
+
 
 class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
@@ -195,6 +212,11 @@ class TestEmitReport:
         emit_report(report, "json", path)
         again = BenchReport.from_file(path)
         assert again.to_dict() == report.to_dict()
+        assert list(json.loads(path.read_text())) == [
+            "model", "dataset", "task", "metric_name", "p", "t_seconds", "tradeoff",
+            "split_grid", "constraints", "stage_seconds", "detector", "norm", "threshold",
+            "m", "n", "seed",
+        ]
 
     def test_markdown_has_one_table_per_section(self, tmp_path):
         report = run_experiment(small_plan(tmp_path))

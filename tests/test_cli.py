@@ -144,6 +144,19 @@ class TestExitCodes:
         run(["ingest", data_csv, "--target", "label", "--out", ds_dir])
         assert run(["train", ds_dir, "--batch-size", 1, "--out", tmp_path / "m"]) == 2
 
+    def test_report_names_the_failed_stage(self, tmp_path, data_csv, capsys):
+        blocker = tmp_path / "exp" / "split"  # a file where the split directory goes
+        blocker.parent.mkdir()
+        blocker.write_text("")
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(blocker.parent),
+            "detector": {"tail": 25},
+        })
+        assert run(["report", "--config", plan]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: [stage=split] [Errno 17] File exists: '{blocker}'\n"
+        )
+
     def test_unwritable_out_is_3(self, tmp_path, data_csv):
         # --out below a regular file: the directory cannot be made
         assert run(["ingest", data_csv, "--target", "label", "--out", data_csv / "sub"]) == 3
@@ -253,3 +266,23 @@ class TestConfig:
         assert (det / "histogram.csv").read_bytes() == (made / "histogram.csv").read_bytes()
         for name in ("d_in.csv", "d_ood.csv", "meta.json"):
             assert (spl / name).read_bytes() == (made / "split" / name).read_bytes(), name
+
+    def test_split_reads_threshold_and_quantile_from_config(self, tmp_path, ds_dir):
+        det = tmp_path / "det"
+        assert run(["detect", ds_dir, "--out", det]) == 0
+        scores = det / "scores.json"
+
+        def split_bytes(name, *argv):
+            out = tmp_path / name
+            assert run(["split", ds_dir, scores, "--out", out, *argv]) == 0
+            return [(out / f).read_bytes() for f in ("d_in.csv", "d_ood.csv")]
+
+        config = write_json(tmp_path / "split.json",
+                            {"detector": {"detector": "openmax", "quantile": 0.5}})
+        by_flag = split_bytes("flag", "--quantile", 0.5)
+        assert split_bytes("config", "--config", config) == by_flag
+        assert split_bytes("default") != by_flag
+        # a flag beats the file, and either flag replaces both keys
+        assert split_bytes("q", "--config", config, "--quantile", 0.95) == split_bytes("default")
+        threshold = json.loads((tmp_path / "flag" / "meta.json").read_text())["threshold"]
+        assert split_bytes("t", "--config", config, "--threshold", threshold) == by_flag

@@ -66,6 +66,10 @@ class TestConfig:
     def test_round_trip(self):
         cfg = TclConfig(input_dim=5, sigma=0.3, noise="mask")
         assert TclConfig.from_dict(cfg.to_dict()) == cfg
+        assert list(cfg.to_dict()) == [  # the key order of model.json
+            "input_dim", "hidden_dim", "latent_dim", "noise", "sigma", "mask_prob",
+            "temperature", "batch_size", "max_epochs", "tolerance", "learning_rate", "seed",
+        ]
 
 
 class TestAugment:

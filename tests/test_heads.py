@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tabcl.exceptions import FormatError, NumericError
+from tabcl.exceptions import FormatError, NumericError, TrainingError
 from tabcl.heads import (
     Head,
     HeadConfig,
     fit_linear,
     fit_logistic,
+    fit_softmax_regression,
     load_head,
     metric_accuracy,
     metric_f1_macro,
@@ -44,8 +47,8 @@ class TestLogistic:
 
     def test_deterministic(self):
         X, y = separable_toy()
-        h1 = fit_logistic(X, y, HeadConfig(seed=3))
-        h2 = fit_logistic(X, y, HeadConfig(seed=3))
+        h1 = fit_logistic(X, y)
+        h2 = fit_logistic(X, y)
         np.testing.assert_array_equal(h1.weights, h2.weights)
         np.testing.assert_array_equal(h1.bias, h2.bias)
 
@@ -64,6 +67,90 @@ class TestLogistic:
         head = fit_logistic(X, y)
         with pytest.raises(ValueError):
             predict(head, X[:, :1])
+
+
+def two_pass_fit(X, y, n_classes, learning_rate, epochs, l2, require_monotone=False):
+    """Reference: the fit as first written, with one softmax for the gradient
+    and a second one for the objective in every epoch."""
+    def softmax_rows(z):
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=1, keepdims=True)
+
+    n, d = X.shape
+    W = np.zeros((d, n_classes))
+    b = np.zeros(n_classes)
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+
+    def objective():
+        p = softmax_rows(X @ W + b)
+        nll = -float(np.mean(np.log(p[np.arange(n), y] + 1e-300)))
+        return nll + 0.5 * l2 * float(np.sum(W * W)), nll
+
+    nll_trace = []
+    prev_obj, nll = objective()
+    for epoch in range(epochs):
+        p = softmax_rows(X @ W + b)
+        gW = X.T @ (p - onehot) / n + l2 * W
+        gb = (p - onehot).sum(axis=0) / n
+        W -= learning_rate * gW
+        b -= learning_rate * gb
+        obj, nll = objective()
+        if not np.isfinite(obj):
+            raise NumericError("non-finite training objective")
+        if require_monotone and obj > prev_obj + 1e-12:
+            raise TrainingError(
+                f"objective rose at epoch {epoch} ({prev_obj:.6g} -> {obj:.6g}); "
+                "use a smaller learning rate"
+            )
+        prev_obj = obj
+        nll_trace.append(nll)
+    return W, b, nll_trace
+
+
+def softmax_problem(seed, n, d, classes, scale):
+    """Labels from a noisy linear rule, so the fit has something to learn."""
+    rng = RngStream(seed, 0)
+    X = scale * rng.normal(n, d)
+    y = np.argmax(X @ rng.normal(d, classes) + rng.normal(n, classes), axis=1)
+    return X, y
+
+
+def assert_fits_bit_equal(X, y, classes, *args):
+    try:
+        expected = two_pass_fit(X, y, classes, *args)
+    except (NumericError, TrainingError) as exc:
+        with pytest.raises(type(exc)) as info:
+            fit_softmax_regression(X, y, classes, *args)
+        assert str(info.value) == str(exc)
+        return
+    W, b, nll = fit_softmax_regression(X, y, classes, *args)
+    assert W.tobytes() == expected[0].tobytes()
+    assert b.tobytes() == expected[1].tobytes()
+    assert nll == expected[2]
+
+
+class TestSoftmaxRegression:
+    """The fit computes one softmax per epoch; it must return exactly what
+    the two-pass reference returns, or raise the same error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**16), st.integers(2, 120), st.integers(1, 12), st.integers(2, 6),
+        st.sampled_from([0.5, 1.0, 5.0]), st.sampled_from([0.01, 0.1, 1.0, 30.0]),
+        st.integers(0, 40), st.sampled_from([0.0, 1e-4, 0.5]), st.booleans(),
+    )
+    def test_matches_two_pass_reference(self, seed, n, d, classes, scale, lr, epochs, l2,
+                                        monotone):
+        X, y = softmax_problem(seed, n, d, classes, scale)
+        assert_fits_bit_equal(X, y, classes, lr, epochs, l2, monotone)
+
+    @pytest.mark.parametrize("n, d, classes", [(4000, 44, 3), (700, 64, 4), (1200, 24, 10)])
+    @pytest.mark.parametrize("monotone", [False, True])
+    def test_matches_two_pass_reference_at_workload_shapes(self, n, d, classes, monotone):
+        X, y = softmax_problem(n + d, n, d, classes, 1.0)
+        assert_fits_bit_equal(X, y, classes, 0.1, 100, 1e-4, monotone)
 
 
 class TestLinear:

@@ -52,8 +52,8 @@ class TestBackbone:
 
     def test_deterministic(self):
         ds = toy_dataset()
-        b1 = train_backbone(ds, BackboneConfig(seed=1))
-        b2 = train_backbone(ds, BackboneConfig(seed=1))
+        b1 = train_backbone(ds)
+        b2 = train_backbone(ds)
         np.testing.assert_array_equal(b1.weights, b2.weights)
 
     def test_single_class_rejected(self):
@@ -188,6 +188,18 @@ class TestTemperature:
         hot = TemperatureModel(backbone, 1e9, 0.0, 0.0)
         assert temp_score(hot, np.array([17.0, -4.0])) == pytest.approx(-0.5, abs=1e-6)
 
+    def test_score_matches_inline_reference(self):
+        # the score as first written, with its own in-place softmax
+        rng = RngStream(57, 0)
+        backbone = Backbone(rng.normal(6, 4), rng.normal(1, 4)[0], 4, 0.0)
+        x = 3.0 * rng.normal(200, 6)
+        for tau in (0.05, 0.7, 1.0, 9.5):
+            logits = backbone.logits(x) / tau
+            p = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            scores = temp_score(TemperatureModel(backbone, tau, 0.0, 0.0), x)
+            assert scores.tobytes() == (-p.max(axis=1)).tobytes()
+
     def test_score_decreases_with_confidence(self):
         backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
         model = TemperatureModel(backbone, 1.3, 0.0, 0.0)
@@ -299,6 +311,7 @@ class TestValidateSplit:
         pair = split_by_threshold(ds, scores, float(np.quantile(scores, 0.9)), detector="t")
         report = validate_split(pair, RngStream(69, 0))
         d = report.to_dict()
-        for key in ("id_train", "id_test", "ood_train", "ood_test", "m", "n", "degradation"):
-            assert key in d
+        assert list(d) == ["task", "id_train", "id_test", "ood_train", "ood_test", "m", "n",
+                           "threshold", "detector", "norm", "degradation"]
+        assert d["degradation"] == report.id_test - report.ood_test
         assert d["m"] + d["n"] == 300
