@@ -32,6 +32,7 @@ from .contrastive import (
     parameter_count,
     save_model,
     train_tcl,
+    training_array_bytes,
 )
 from .data import CLASSIFICATION, Dataset, Schema, SplitPair, ingest_csv, save_split, split
 from .exceptions import ConfigError, FormatError
@@ -347,12 +348,6 @@ def evaluate(task: str, labels, pred) -> dict:
     return {"rmse": metric_rmse(labels, pred), "r2": metric_r2(labels, pred)}
 
 
-def _estimate_memory_bytes(n_params: int, batch: int, d: int, h: int, k: int) -> int:
-    # parameters + gradients + two Adam moments, plus the live batch
-    # activations for both views; an estimate, not a measurement
-    return 8 * (4 * n_params + 2 * batch * (3 * d + 4 * h + 2 * k))
-
-
 def run_experiment(plan: ExperimentPlan) -> BenchReport:
     """Execute a plan end to end and write all artifacts to its out_dir.
 
@@ -410,9 +405,9 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         split_grid=grid.to_dict(),
         constraints={
             "t_train_seconds": t_train,
-            "memory_estimate_bytes": _estimate_memory_bytes(
-                n_params, min(config.batch_size, id_train.n), dataset.d,
-                config.hidden_dim, config.latent_dim
+            # the arrays training allocates, counted from their shapes
+            "memory_estimate_bytes": training_array_bytes(
+                config, min(config.batch_size, id_train.n)
             ),
             "parameter_count": n_params,
             "t_inference_seconds": t_inference,

@@ -44,10 +44,18 @@ from .ood import OPENMAX, TEMPERATURE
 from .data import split as split_rows  # noqa: F401
 
 def _settings(args, block: str, flags) -> dict:
-    """One stage's settings: the ``block`` table of ``--config`` when it has
-    one, else the whole document, with the given flags laid over it."""
+    """One stage's settings, with the given flags laid over them.
+
+    They are the ``block`` table of ``--config`` when it has one.  Without
+    one, a document with a ``dataset`` key is an experiment plan, which
+    sets nothing for this stage; any other document is a flat table of the
+    stage's keys.
+    """
     cfg = load_config(args.config) if args.config else {}
-    settings = dict(cfg[block]) if isinstance(cfg.get(block), dict) else dict(cfg)
+    if isinstance(cfg.get(block), dict):
+        settings = dict(cfg[block])
+    else:
+        settings = {} if "dataset" in cfg else dict(cfg)
     for key in flags:
         if getattr(args, key, None) is not None:
             settings[key] = getattr(args, key)

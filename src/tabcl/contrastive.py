@@ -15,11 +15,14 @@ space with no noise and no decoder.
 
 The encoder is Linear -> LeakyReLU -> LayerNorm -> Linear and the decoder
 Linear -> LeakyReLU -> Linear; gradients are computed analytically and are
-checked against central finite differences in the test suite.
+checked against central finite differences in the test suite.  The forward
+and backward pass write into per-view work arrays, which training allocates
+once and reuses for every step.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -96,6 +99,15 @@ class TclConfig:
         return TclConfig(**d)
 
 
+def _param_shapes(config: TclConfig) -> dict[str, tuple[int, ...]]:
+    d, h, k = config.input_dim, config.hidden_dim, config.latent_dim
+    return {
+        "w1": (d, h), "b1": (h,), "gamma": (h,), "beta": (h,),
+        "w2": (h, k), "b2": (k,),
+        "w3": (k, h), "b3": (h,), "w4": (h, d), "b4": (d,),
+    }
+
+
 @dataclass
 class TclModel:
     """Encoder/decoder parameter sets plus the config that shaped them."""
@@ -105,12 +117,7 @@ class TclModel:
 
     def __post_init__(self):
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in self.params.items()}
-        d, h, k = self.config.input_dim, self.config.hidden_dim, self.config.latent_dim
-        expected = {
-            "w1": (d, h), "b1": (h,), "gamma": (h,), "beta": (h,),
-            "w2": (h, k), "b2": (k,),
-            "w3": (k, h), "b3": (h,), "w4": (h, d), "b4": (d,),
-        }
+        expected = _param_shapes(self.config)
         for key in PARAM_KEYS:
             if key not in self.params:
                 raise ValueError(f"missing parameter {key!r}")
@@ -134,12 +141,13 @@ class LossComponents:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch loss record, wall-clock time, and the stop reason."""
+    """Per-epoch loss and wall-clock record, total seconds, and the stop reason."""
 
     total: list[float] = field(default_factory=list)
     reconstruction: list[float] = field(default_factory=list)
     contrastive: list[float] = field(default_factory=list)
     distance: list[float] = field(default_factory=list)
+    epoch_seconds: list[float] = field(default_factory=list)
     seconds: float = 0.0
     epochs: int = 0
     stop_reason: str = ""
@@ -169,14 +177,6 @@ def init_model(config: TclConfig) -> TclModel:
     return TclModel(config, params)
 
 
-def _leaky(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0.0, z, LEAKY_SLOPE * z)
-
-
-def _leaky_grad(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
-
-
 def augment(batch, config: TclConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Two independently corrupted full copies of the batch."""
     x = np.asarray(batch, dtype=np.float64)
@@ -200,37 +200,92 @@ def _check_input(x, width: int, what: str) -> np.ndarray:
     return x
 
 
-def _encode_cached(model: TclModel, x: np.ndarray) -> dict:
-    p = model.params
-    z1 = check_finite(x @ p["w1"] + p["b1"], "encoder linear 1")
-    a1 = _leaky(z1)
-    mu = a1.mean(axis=1, keepdims=True)
-    var = a1.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (a1 - mu) * inv_std
-    ln = check_finite(xhat * p["gamma"] + p["beta"], "encoder layernorm")
-    e = check_finite(ln @ p["w2"] + p["b2"], "encoder linear 2")
-    return {"x": x, "z1": z1, "xhat": xhat, "inv_std": inv_std, "ln": ln, "e": e}
+# The forward and backward pass write every intermediate into per-view work
+# arrays, named in these tables.  Each array has one row per batch row and a
+# width of d (input_dim), h (hidden_dim), k (latent_dim) or 1.  Inference
+# allocates the encoder's arrays; training allocates all three tables for
+# each view, once for the full batch, and hands row-slices of them to a
+# shorter last batch.
+_ENCODER_ARRAYS = {"z1": "h", "xhat": "h", "ln": "h", "e": "k", "mu": 1, "inv_std": 1}
+_DECODER_ARRAYS = {"z3": "h", "a3": "h", "out": "d"}
+_BACKWARD_ARRAYS = {
+    "d_out": "d", "d_e": "k", "t_k": "k", "d_h": "h", "t_h": "h",
+    "dots": 1, "mean_dx": 1, "mean_dx_xhat": 1,
+}
+_FORWARD_ARRAYS = {**_ENCODER_ARRAYS, **_DECODER_ARRAYS}
+_TRAINING_ARRAYS = {**_FORWARD_ARRAYS, **_BACKWARD_ARRAYS}
 
 
-def _decode_cached(model: TclModel, e: np.ndarray) -> dict:
-    p = model.params
-    z3 = check_finite(e @ p["w3"] + p["b3"], "decoder linear 1")
-    a3 = _leaky(z3)
-    out = check_finite(a3 @ p["w4"] + p["b4"], "decoder linear 2")
-    return {"z3": z3, "a3": a3, "out": out}
+def _widths(config: TclConfig) -> dict:
+    return {"d": config.input_dim, "h": config.hidden_dim, "k": config.latent_dim, 1: 1}
+
+
+def _work_arrays(config: TclConfig, rows: int, table: dict) -> dict[str, np.ndarray]:
+    widths = _widths(config)
+    return {name: np.empty((rows, widths[w])) for name, w in table.items()}
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.matmul(x, w, out=out)
+    out += b
+    return out
+
+
+def _leaky(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # max(z, slope * z) equals "z if z > 0 else slope * z" for finite z,
+    # signed zeros included
+    np.multiply(z, LEAKY_SLOPE, out=out)
+    return np.maximum(z, out, out=out)
+
+
+def _leaky_slope(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # 1 where z > 0, else LEAKY_SLOPE; 0.99 + 0.01 == 1.0 in binary64, and
+    # the arithmetic is several times faster than np.where
+    np.greater(z, 0.0, out=out)
+    out *= 1.0 - LEAKY_SLOPE
+    out += LEAKY_SLOPE
+    return out
+
+
+def _encode(p: dict, x: np.ndarray, w: dict) -> np.ndarray:
+    """Encoder forward pass of ``x`` into the work arrays ``w``."""
+    z1, xhat, ln, mu, inv_std = w["z1"], w["xhat"], w["ln"], w["mu"], w["inv_std"]
+    check_finite(_linear(x, p["w1"], p["b1"], z1), "encoder linear 1")
+    _leaky(z1, xhat)
+    # layernorm per row: the population variance is the mean square of the
+    # centred row, as np.var computes it; ln holds the squares until it is
+    # written
+    np.mean(xhat, axis=1, keepdims=True, out=mu)
+    xhat -= mu
+    np.square(xhat, out=ln)
+    np.mean(ln, axis=1, keepdims=True, out=inv_std)
+    inv_std += LN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, p["gamma"], out=ln)
+    ln += p["beta"]
+    check_finite(ln, "encoder layernorm")
+    return check_finite(_linear(ln, p["w2"], p["b2"], w["e"]), "encoder linear 2")
+
+
+def _decode(p: dict, e: np.ndarray, w: dict) -> np.ndarray:
+    """Decoder forward pass of ``e`` into the work arrays ``w``."""
+    check_finite(_linear(e, p["w3"], p["b3"], w["z3"]), "decoder linear 1")
+    _leaky(w["z3"], w["a3"])
+    return check_finite(_linear(w["a3"], p["w4"], p["b4"], w["out"]), "decoder linear 2")
 
 
 def encode(model: TclModel, x) -> np.ndarray:
     """Deterministic encoder forward pass (n x latent_dim)."""
     x = _check_input(x, model.config.input_dim, "input")
-    return _encode_cached(model, x)["e"]
+    return _encode(model.params, x, _work_arrays(model.config, x.shape[0], _ENCODER_ARRAYS))
 
 
 def decode(model: TclModel, e) -> np.ndarray:
     """Deterministic decoder forward pass (n x input_dim)."""
     e = _check_input(e, model.config.latent_dim, "embedding")
-    return _decode_cached(model, e)["out"]
+    return _decode(model.params, e, _work_arrays(model.config, e.shape[0], _DECODER_ARRAYS))
 
 
 def embed(model: TclModel, x) -> np.ndarray:
@@ -269,19 +324,26 @@ def loss_contrastive(e1, e2, temperature: float) -> float:
     return float(np.mean(dots * dots)) / temperature
 
 
-def _forward(model: TclModel, x1, x2, x_clean):
+def _check_views(model: TclModel, x1, x2, x_clean):
+    d = model.config.input_dim
+    x_clean = _check_input(x_clean, d, "clean batch")
+    x1 = _check_input(x1, d, "view 1")
+    x2 = _check_input(x2, d, "view 2")
+    if x1.shape != x_clean.shape or x2.shape != x_clean.shape:
+        raise ValueError("views and clean batch must share one shape")
+    return x1, x2, x_clean
+
+
+def _forward(model: TclModel, x1, x2, x_clean, w1: dict, w2: dict) -> LossComponents:
     """Both views through encoder and decoder, and the three loss terms."""
-    x_clean = _check_input(x_clean, model.config.input_dim, "clean batch")
-    enc1 = _encode_cached(model, _check_input(x1, model.config.input_dim, "view 1"))
-    enc2 = _encode_cached(model, _check_input(x2, model.config.input_dim, "view 2"))
-    dec1 = _decode_cached(model, enc1["e"])
-    dec2 = _decode_cached(model, enc2["e"])
-    comps = LossComponents(
-        reconstruction=loss_reconstruction(dec1["out"], dec2["out"], x_clean),
-        contrastive=loss_contrastive(enc1["e"], enc2["e"], model.config.temperature),
-        distance=loss_distance(enc1["e"], enc2["e"]),
+    p = model.params
+    e1, e2 = _encode(p, x1, w1), _encode(p, x2, w2)
+    out1, out2 = _decode(p, e1, w1), _decode(p, e2, w2)
+    return LossComponents(
+        reconstruction=loss_reconstruction(out1, out2, x_clean),
+        contrastive=loss_contrastive(e1, e2, model.config.temperature),
+        distance=loss_distance(e1, e2),
     )
-    return x_clean, enc1, enc2, dec1, dec2, comps
 
 
 def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponents]:
@@ -290,7 +352,9 @@ def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponen
     Pure in the parameters, which makes it the target for the
     finite-difference gradient oracle.
     """
-    comps = _forward(model, x1, x2, x_clean)[-1]
+    x1, x2, x_clean = _check_views(model, x1, x2, x_clean)
+    w1, w2 = (_work_arrays(model.config, x_clean.shape[0], _FORWARD_ARRAYS) for _ in range(2))
+    comps = _forward(model, x1, x2, x_clean, w1, w2)
     return comps.total, comps
 
 
@@ -305,62 +369,95 @@ def _zero_grads(model: TclModel) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in model.params.items()}
 
 
-def _backward_view(
-    model: TclModel, enc: dict, dec: dict, d_out: np.ndarray, d_e: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    """Accumulate gradients for one view given dL/d(out) and dL/d(e)."""
-    p = model.params
+def _seed(config: TclConfig, x_clean: np.ndarray, w1: dict, w2: dict) -> None:
+    """dL/d(out) and dL/d(e) of both views into their d_out and d_e arrays."""
+    n, d = x_clean.shape
+    k = config.latent_dim
+    tau = config.temperature
+    e1, e2 = w1["e"], w2["e"]
+    d_e1, d_e2 = w1["d_e"], w2["d_e"]
+    dots = w1["dots"]  # view 1's serves both views
+
+    # reconstruction: L_r = (mse(out1, x) + mse(out2, x)) / 2
+    for w in (w1, w2):
+        np.subtract(w["out"], x_clean, out=w["d_out"])
+        w["d_out"] /= n * d
+    # distance: L_d = mean((e1 - e2)^2)
+    np.subtract(e1, e2, out=d_e1)
+    d_e1 *= 2.0
+    d_e1 /= n * k
+    np.negative(d_e1, out=d_e2)
+    # contrastive: L_c = mean(rowdot^2) / tau
+    np.multiply(e1, e2, out=w1["t_k"])
+    np.sum(w1["t_k"], axis=1, keepdims=True, out=dots)
+    dots *= 2.0 / (n * tau)
+    d_e1 += np.multiply(dots, e2, out=w1["t_k"])
+    d_e2 += np.multiply(dots, e1, out=w2["t_k"])
+
+
+def _backward(p: dict, x: np.ndarray, w: dict, grads: dict, scratch: dict) -> None:
+    """Add one view's parameter gradients to ``grads``, from its seeds d_out
+    and d_e; ``scratch`` holds one product at a time before it is added."""
+    d_out, d_e, d_h, t_h, t_k = w["d_out"], w["d_e"], w["d_h"], w["t_h"], w["t_k"]
+
+    def add_product(key, a, b):
+        grads[key] += np.matmul(a.T, b, out=scratch[key])
+
+    def add_column_sums(key, a):
+        grads[key] += np.sum(a, axis=0, out=scratch[key])
+
     # decoder
-    grads["w4"] += dec["a3"].T @ d_out
-    grads["b4"] += d_out.sum(axis=0)
-    d_a3 = d_out @ p["w4"].T
-    d_z3 = d_a3 * _leaky_grad(dec["z3"])
-    grads["w3"] += enc["e"].T @ d_z3
-    grads["b3"] += d_z3.sum(axis=0)
-    d_e = d_e + d_z3 @ p["w3"].T
+    add_product("w4", w["a3"], d_out)
+    add_column_sums("b4", d_out)
+    np.matmul(d_out, p["w4"].T, out=d_h)
+    d_h *= _leaky_slope(w["z3"], t_h)  # d_z3
+    add_product("w3", w["e"], d_h)
+    add_column_sums("b3", d_h)
+    d_e += np.matmul(d_h, p["w3"].T, out=t_k)
     # encoder
-    grads["w2"] += enc["ln"].T @ d_e
-    grads["b2"] += d_e.sum(axis=0)
-    d_ln = d_e @ p["w2"].T
-    grads["gamma"] += (d_ln * enc["xhat"]).sum(axis=0)
-    grads["beta"] += d_ln.sum(axis=0)
-    d_xhat = d_ln * p["gamma"]
-    # layernorm backward (per row, population variance)
-    mean_dx = d_xhat.mean(axis=1, keepdims=True)
-    mean_dx_xhat = (d_xhat * enc["xhat"]).mean(axis=1, keepdims=True)
-    d_a1 = (d_xhat - mean_dx - enc["xhat"] * mean_dx_xhat) * enc["inv_std"]
-    d_z1 = d_a1 * _leaky_grad(enc["z1"])
-    grads["w1"] += enc["x"].T @ d_z1
-    grads["b1"] += d_z1.sum(axis=0)
+    add_product("w2", w["ln"], d_e)
+    add_column_sums("b2", d_e)
+    np.matmul(d_e, p["w2"].T, out=d_h)  # d_ln
+    add_column_sums("gamma", np.multiply(d_h, w["xhat"], out=t_h))
+    add_column_sums("beta", d_h)
+    d_h *= p["gamma"]  # d_xhat
+    # layernorm backward (per row, population variance):
+    # d_a1 = (d_xhat - mean(d_xhat) - xhat * mean(d_xhat * xhat)) * inv_std
+    np.mean(d_h, axis=1, keepdims=True, out=w["mean_dx"])
+    np.mean(np.multiply(d_h, w["xhat"], out=t_h), axis=1, keepdims=True, out=w["mean_dx_xhat"])
+    d_h -= w["mean_dx"]
+    d_h -= np.multiply(w["xhat"], w["mean_dx_xhat"], out=t_h)
+    d_h *= w["inv_std"]  # d_a1
+    d_h *= _leaky_slope(w["z1"], t_h)  # d_z1
+    add_product("w1", x, d_h)
+    add_column_sums("b1", d_h)
+
+
+def _grad_into(
+    model: TclModel, x1, x2, x_clean, w1: dict, w2: dict, grads: dict, scratch: dict
+) -> LossComponents:
+    """Loss of two views, and its gradients written into ``grads``."""
+    comps = _forward(model, x1, x2, x_clean, w1, w2)
+    _seed(model.config, x_clean, w1, w2)
+    # each sum is 0.0 + view 1 + view 2, so a -0.0 comes out as it would
+    # from fresh zero arrays
+    for g in grads.values():
+        g.fill(0.0)
+    _backward(model.params, x1, w1, grads, scratch)
+    _backward(model.params, x2, w2, grads, scratch)
+    for key, g in grads.items():
+        check_finite(g, f"gradient of {key}")
+    return comps
 
 
 def grad_on_views(
     model: TclModel, x1, x2, x_clean
 ) -> tuple[float, LossComponents, dict[str, np.ndarray]]:
     """Loss and analytic parameter gradients for two fixed views."""
-    x_clean, enc1, enc2, dec1, dec2, comps = _forward(model, x1, x2, x_clean)
-    n, d = x_clean.shape
-    k = model.config.latent_dim
-    tau = model.config.temperature
-    e1, e2 = enc1["e"], enc2["e"]
-
-    # reconstruction: L_r = (mse(out1, x) + mse(out2, x)) / 2
-    d_out1 = (dec1["out"] - x_clean) / (n * d)
-    d_out2 = (dec2["out"] - x_clean) / (n * d)
-    # distance: L_d = mean((e1 - e2)^2)
-    d_e1 = 2.0 * (e1 - e2) / (n * k)
-    d_e2 = -d_e1
-    # contrastive: L_c = mean(rowdot^2) / tau
-    dots = (e1 * e2).sum(axis=1, keepdims=True)
-    d_e1 = d_e1 + (2.0 / (n * tau)) * dots * e2
-    d_e2 = d_e2 + (2.0 / (n * tau)) * dots * e1
-
+    x1, x2, x_clean = _check_views(model, x1, x2, x_clean)
+    w1, w2 = (_work_arrays(model.config, x_clean.shape[0], _TRAINING_ARRAYS) for _ in range(2))
     grads = _zero_grads(model)
-    _backward_view(model, enc1, dec1, d_out1, d_e1, grads)
-    _backward_view(model, enc2, dec2, d_out2, d_e2, grads)
-    for key, g in grads.items():
-        check_finite(g, f"gradient of {key}")
+    comps = _grad_into(model, x1, x2, x_clean, w1, w2, grads, _zero_grads(model))
     return comps.total, comps, grads
 
 
@@ -398,27 +495,55 @@ def parameter_count(model: TclModel) -> int:
     return sum(v.size for v in model.params.values())
 
 
+# Parameter-sized float64 sets that train_tcl holds: the parameters, their
+# gradients and the gradient scratch, and Adam's two moments and two scratch
+# sets.
+_TRAINING_PARAM_SETS = 7
+
+
+def training_array_bytes(config: TclConfig, batch: int) -> int:
+    """Bytes of the float64 arrays :func:`train_tcl` allocates for batches of
+    ``batch`` rows: both views' work arrays and the parameter-sized sets."""
+    n_params = sum(math.prod(shape) for shape in _param_shapes(config).values())
+    widths = _widths(config)
+    per_row = sum(widths[w] for w in _TRAINING_ARRAYS.values())
+    return 8 * (_TRAINING_PARAM_SETS * n_params + 2 * batch * per_row)
+
+
 class _Adam:
-    """Minimal Adam optimizer over a parameter dict."""
+    """Minimal Adam optimizer over a parameter dict, updating it in place."""
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._num = {k: np.empty_like(v) for k, v in params.items()}
+        self._den = {k: np.empty_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for k in params:
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            mhat = self.m[k] / b1t
-            vhat = self.v[k] / b2t
-            params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        for k, p in params.items():
+            g, m, v, num, den = grads[k], self.m[k], self.v[k], self._num[k], self._den[k]
+            # m = beta1 * m + (1 - beta1) * g
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=num)
+            # v = beta2 * v + (1 - beta2) * (g * g)
+            v *= self.beta2
+            np.multiply(g, g, out=num)
+            num *= 1.0 - self.beta2
+            v += num
+            # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
+            np.divide(m, b1t, out=num)
+            num *= self.lr
+            np.divide(v, b2t, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p -= num
 
 
 def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
@@ -430,7 +555,9 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     below ``config.tolerance``, or at ``config.max_epochs``.  An epoch-mean
     loss above ten times the first epoch's raises TrainingError.
 
-    The trace records per-epoch means of all loss components and the
+    The work arrays of both views, the gradients and Adam's state are
+    allocated once, before the first epoch.  The trace records per-epoch
+    means of all loss components, each epoch's wall-clock seconds, and the
     wall-clock seconds spent inside this function.
     """
     X = np.asarray(data.features if hasattr(data, "features") else data, dtype=np.float64)
@@ -445,19 +572,24 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     model = init_model(config)
     rng = RngStream(config.seed, stream_id=1)
     adam = _Adam(model.params, config.learning_rate)
+    grads, scratch = _zero_grads(model), _zero_grads(model)
+    views = [_work_arrays(config, batch, _TRAINING_ARRAYS) for _ in range(2)]
     trace = TrainTrace()
     stop_reason = "max-epochs"
     initial_loss = None  # first batch at the initial parameters
 
     for epoch in range(config.max_epochs):
+        epoch_start = time.perf_counter()
         order = rng.permutation(n)
         sums = np.zeros(3)
         batches = 0
         for lo in range(0, n, batch):
-            rows = order[lo : lo + batch]
-            total, comps, grads = grad_loss(model, X[rows], rng)
+            x = X[order[lo : lo + batch]]
+            x1, x2 = augment(x, config, rng)
+            w1, w2 = ({name: a[: x.shape[0]] for name, a in w.items()} for w in views)
+            comps = _grad_into(model, x1, x2, x, w1, w2, grads, scratch)
             if initial_loss is None:
-                initial_loss = total
+                initial_loss = comps.total
             adam.step(model.params, grads)
             sums += (comps.reconstruction, comps.contrastive, comps.distance)
             batches += 1
@@ -466,6 +598,7 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
         trace.contrastive.append(float(means[1]))
         trace.distance.append(float(means[2]))
         trace.total.append(float(means.sum()))
+        trace.epoch_seconds.append(time.perf_counter() - epoch_start)
 
         if trace.total[-1] > 10.0 * initial_loss + 1e-12:
             raise TrainingError(

@@ -62,6 +62,9 @@ class TestStagedPipeline:
         assert (train_dir / "model.json").exists()
         trace = json.loads((train_dir / "trace.json").read_text())
         assert trace["epochs"] == 5
+        assert list(trace) == ["total", "reconstruction", "contrastive", "distance",
+                               "epoch_seconds", "seconds", "epochs", "stop_reason"]
+        assert len(trace["epoch_seconds"]) == 5
 
         embed_dir = tmp_path / "emb"
         assert run(["embed", train_dir / "model.json", ds_dir, "--out", embed_dir]) == 0
@@ -286,3 +289,25 @@ class TestConfig:
         assert split_bytes("q", "--config", config, "--quantile", 0.95) == split_bytes("default")
         threshold = json.loads((tmp_path / "flag" / "meta.json").read_text())["threshold"]
         assert split_bytes("t", "--config", config, "--threshold", threshold) == by_flag
+
+    def test_plan_without_a_stage_block_sets_nothing_for_it(self, tmp_path, data_csv, ds_dir):
+        # a plan document has a dataset key; its other top-level keys are not
+        # settings of the stage whose block it lacks
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "tcl": {"max_epochs": 2},
+        })
+        det, default_det = tmp_path / "det", tmp_path / "default-det"
+        assert run(["detect", ds_dir, "--config", plan, "--out", det]) == 0
+        assert run(["detect", ds_dir, "--out", default_det]) == 0
+        scores = det / "scores.json"
+        assert scores.read_bytes() == (default_det / "scores.json").read_bytes()
+        assert run(["split", ds_dir, scores, "--config", plan, "--out", tmp_path / "s1"]) == 0
+        assert run(["split", ds_dir, scores, "--out", tmp_path / "s2"]) == 0
+        assert (tmp_path / "s1" / "d_in.csv").read_bytes() == \
+            (tmp_path / "s2" / "d_in.csv").read_bytes()
+        # the tcl block applies to train; a plan without one trains with defaults
+        assert run(["train", ds_dir, "--config", plan, "--out", tmp_path / "m1"]) == 0
+        assert json.loads((tmp_path / "m1" / "trace.json").read_text())["epochs"] == 2
+        no_tcl = write_json(tmp_path / "no-tcl.json", {"dataset": str(data_csv), "target": "label"})
+        assert run(["train", ds_dir, "--config", no_tcl, "--max-epochs", 1,
+                    "--out", tmp_path / "m2"]) == 0

@@ -1,12 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tabcl import contrastive
 from tabcl.contrastive import (
+    LEAKY_SLOPE,
+    LN_EPS,
     PARAM_KEYS,
+    STABLE_WINDOW,
     TclConfig,
     augment,
     decode,
@@ -22,9 +27,11 @@ from tabcl.contrastive import (
     loss_reconstruction,
     loss_total,
     param_vector,
+    parameter_count,
     replace_params,
     save_model,
     train_tcl,
+    training_array_bytes,
 )
 from tabcl.exceptions import FormatError, TrainingError
 from tabcl.numerics import RngStream, finite_diff_grad
@@ -379,3 +386,253 @@ class TestPersistence:
         path.write_text(json.dumps({"format": "other", "version": 1}))
         with pytest.raises(FormatError):
             load_model(path)
+
+
+# The training step as first written: np.where LeakyReLU, a fresh array for
+# every intermediate, and out-of-place Adam.  The module's step writes into
+# reused work arrays and must match it bit for bit.
+
+def ref_leaky(z):
+    return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+
+
+def ref_leaky_grad(z):
+    return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+
+
+def ref_encode(p, x):
+    z1 = x @ p["w1"] + p["b1"]
+    a1 = ref_leaky(z1)
+    mu = a1.mean(axis=1, keepdims=True)
+    var = a1.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (a1 - mu) * inv_std
+    ln = xhat * p["gamma"] + p["beta"]
+    e = ln @ p["w2"] + p["b2"]
+    return {"x": x, "z1": z1, "xhat": xhat, "inv_std": inv_std, "ln": ln, "e": e}
+
+
+def ref_decode(p, e):
+    z3 = e @ p["w3"] + p["b3"]
+    a3 = ref_leaky(z3)
+    return {"z3": z3, "a3": a3, "out": a3 @ p["w4"] + p["b4"]}
+
+
+def ref_backward_view(p, enc, dec, d_out, d_e, grads):
+    grads["w4"] += dec["a3"].T @ d_out
+    grads["b4"] += d_out.sum(axis=0)
+    d_a3 = d_out @ p["w4"].T
+    d_z3 = d_a3 * ref_leaky_grad(dec["z3"])
+    grads["w3"] += enc["e"].T @ d_z3
+    grads["b3"] += d_z3.sum(axis=0)
+    d_e = d_e + d_z3 @ p["w3"].T
+    grads["w2"] += enc["ln"].T @ d_e
+    grads["b2"] += d_e.sum(axis=0)
+    d_ln = d_e @ p["w2"].T
+    grads["gamma"] += (d_ln * enc["xhat"]).sum(axis=0)
+    grads["beta"] += d_ln.sum(axis=0)
+    d_xhat = d_ln * p["gamma"]
+    mean_dx = d_xhat.mean(axis=1, keepdims=True)
+    mean_dx_xhat = (d_xhat * enc["xhat"]).mean(axis=1, keepdims=True)
+    d_a1 = (d_xhat - mean_dx - enc["xhat"] * mean_dx_xhat) * enc["inv_std"]
+    d_z1 = d_a1 * ref_leaky_grad(enc["z1"])
+    grads["w1"] += enc["x"].T @ d_z1
+    grads["b1"] += d_z1.sum(axis=0)
+
+
+def ref_grad_on_views(model, x1, x2, x):
+    p, cfg = model.params, model.config
+    n, d = x.shape
+    k, tau = cfg.latent_dim, cfg.temperature
+    enc1, enc2 = ref_encode(p, x1), ref_encode(p, x2)
+    dec1, dec2 = ref_decode(p, enc1["e"]), ref_decode(p, enc2["e"])
+    e1, e2 = enc1["e"], enc2["e"]
+    comps = (
+        loss_reconstruction(dec1["out"], dec2["out"], x),
+        loss_contrastive(e1, e2, tau),
+        loss_distance(e1, e2),
+    )
+    d_out1 = (dec1["out"] - x) / (n * d)
+    d_out2 = (dec2["out"] - x) / (n * d)
+    d_e1 = 2.0 * (e1 - e2) / (n * k)
+    d_e2 = -d_e1
+    dots = (e1 * e2).sum(axis=1, keepdims=True)
+    d_e1 = d_e1 + (2.0 / (n * tau)) * dots * e2
+    d_e2 = d_e2 + (2.0 / (n * tau)) * dots * e1
+    grads = {key: np.zeros_like(v) for key, v in p.items()}
+    ref_backward_view(p, enc1, dec1, d_out1, d_e1, grads)
+    ref_backward_view(p, enc2, dec2, d_out2, d_e2, grads)
+    return comps, grads
+
+
+def ref_train(X, cfg):
+    """Parameters, per-epoch losses and stop reason of the reference loop."""
+    model = init_model(cfg)
+    p = model.params
+    rng = RngStream(cfg.seed, stream_id=1)
+    m = {key: np.zeros_like(v) for key, v in p.items()}
+    v = {key: np.zeros_like(a) for key, a in p.items()}
+    b1, b2, eps, t = 0.9, 0.999, 1e-8, 0
+    n = X.shape[0]
+    batch = min(cfg.batch_size, n)
+    losses = {"total": [], "reconstruction": [], "contrastive": [], "distance": []}
+    stop = "max-epochs"
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        sums, batches = np.zeros(3), 0
+        for lo in range(0, n, batch):
+            x = X[order[lo : lo + batch]]
+            x1, x2 = augment(x, cfg, rng)
+            comps, grads = ref_grad_on_views(model, x1, x2, x)
+            t += 1
+            b1t, b2t = 1.0 - b1**t, 1.0 - b2**t
+            for key in p:
+                g = grads[key]
+                m[key] = b1 * m[key] + (1.0 - b1) * g
+                v[key] = b2 * v[key] + (1.0 - b2) * (g * g)
+                p[key] -= cfg.learning_rate * (m[key] / b1t) / (np.sqrt(v[key] / b2t) + eps)
+            sums += comps
+            batches += 1
+        means = sums / batches
+        for name, value in zip(("reconstruction", "contrastive", "distance"), means):
+            losses[name].append(float(value))
+        losses["total"].append(float(means.sum()))
+        if epoch >= STABLE_WINDOW:
+            ref = losses["total"][-1 - STABLE_WINDOW]
+            if abs(ref - losses["total"][-1]) / max(abs(ref), 1e-12) < cfg.tolerance:
+                stop = "stabilized"
+                break
+    return model, losses, stop
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMatchesReferenceStep:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=300),
+        d=st.integers(min_value=1, max_value=70),
+        batch_size=st.integers(min_value=2, max_value=320),
+        noise=st.sampled_from(["gaussian", "mask"]),
+        epochs=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    # train-wide's shape: n x h x 8 bytes is 256 KiB for the full batch
+    @example(n=504, d=64, batch_size=256, noise="gaussian", epochs=2, seed=3)
+    # a partial last batch below 128 KiB, and a batch of the whole set
+    @example(n=100, d=8, batch_size=64, noise="mask", epochs=3, seed=1)
+    @example(n=40, d=4, batch_size=256, noise="gaussian", epochs=3, seed=6)
+    def test_training_is_bit_identical(self, n, d, batch_size, noise, epochs, seed):
+        rng = RngStream(seed, 3)
+        X = rng.normal(n, d) * (1.0 + 3.0 * rng.uniform(1, d))
+        cfg = TclConfig(input_dim=d, batch_size=batch_size, noise=noise, sigma=0.2,
+                        mask_prob=0.3, max_epochs=epochs, tolerance=1e-3, seed=seed)
+        model, trace = train_tcl(X, cfg)
+        ref_model, losses, stop = ref_train(X, cfg)
+        assert same_bits(param_vector(model), param_vector(ref_model))
+        for name, values in losses.items():
+            assert same_bits(getattr(trace, name), values), name
+        assert (trace.epochs, trace.stop_reason) == (len(losses["total"]), stop)
+        assert same_bits(embed(model, X), ref_encode(ref_model.params, X)["e"])
+
+    def test_gradients_at_exact_zeros_of_z1(self):
+        cfg = TclConfig(input_dim=5, hidden_dim=8, latent_dim=4, seed=4)
+        model = init_model(cfg)
+        model.params["b1"][:4] = 0.0  # zero rows of x give z1 entries of exactly 0.0
+        x = RngStream(94, 0).normal(6, 5)
+        x[:3] = 0.0
+        x1, x2 = x.copy(), x + 0.01 * RngStream(95, 0).normal(6, 5)
+        x2[:3] = 0.0
+        z1 = ref_encode(model.params, x1)["z1"]
+        assert (z1 == 0.0).any()
+        total, comps, grads = grad_on_views(model, x1, x2, x)
+        ref_comps, ref_grads = ref_grad_on_views(model, x1, x2, x)
+        assert (comps.reconstruction, comps.contrastive, comps.distance) == ref_comps
+        for key in PARAM_KEYS:
+            assert same_bits(grads[key], ref_grads[key]), key
+
+    def test_leaky_and_its_slope_at_signed_zeros(self):
+        # the matrix product never yields -0.0, so the element functions are
+        # checked on their own at both zeros, subnormals and large values
+        z = np.array([[0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1.5, -2.5]])
+        out = np.empty_like(z)
+        assert same_bits(contrastive._leaky(z, out), ref_leaky(z))
+        assert same_bits(contrastive._leaky_slope(z, out), ref_leaky_grad(z))
+        assert np.signbit(contrastive._leaky(z, out)[0, 1])
+
+
+class TestWorkArrays:
+    def test_outputs_are_not_overwritten_by_later_calls(self):
+        model = small_model()
+        rng = RngStream(96, 0)
+        x, y = rng.normal(5, 4), rng.normal(5, 4)
+        e, e_again = embed(model, x), encode(model, x).copy()
+        out = decode(model, e)
+        out_again = out.copy()
+        embed(model, y)
+        encode(model, y)
+        decode(model, encode(model, y))
+        assert same_bits(e, e_again)
+        assert same_bits(out, out_again)
+
+    def test_gradients_survive_a_second_call(self):
+        model = small_model()
+        rng = RngStream(97, 0)
+        x = rng.normal(6, 4)
+        x1, x2 = augment(x, model.config, rng)
+        _, _, grads = grad_on_views(model, x1, x2, x)
+        kept = {key: g.copy() for key, g in grads.items()}
+        y = rng.normal(6, 4)
+        grad_on_views(model, *augment(y, model.config, rng), y)
+        for key in PARAM_KEYS:
+            assert same_bits(grads[key], kept[key]), key
+
+    def test_loss_is_pure_across_gradient_calls(self):
+        model = small_model()
+        rng = RngStream(98, 0)
+        x = rng.normal(6, 4)
+        x1, x2 = augment(x, model.config, rng)
+        first = loss_on_views(model, x1, x2, x)
+        grad_on_views(model, x1[::-1], x2, x)
+        assert loss_on_views(model, x1, x2, x) == first
+
+    def test_views_must_match_the_clean_batch(self):
+        model = small_model()
+        x = RngStream(99, 0).normal(6, 4)
+        with pytest.raises(ValueError, match="share one shape"):
+            loss_on_views(model, x[:5], x, x)
+        with pytest.raises(ValueError, match="share one shape"):
+            grad_on_views(model, x, x[:5], x)
+
+    @pytest.mark.parametrize("batch_size", [256, 32])
+    def test_memory_estimate_counts_what_training_holds(self, batch_size):
+        # the estimate covers the arrays that live through training; the
+        # measured peak adds the per-step noise, batch and loss temporaries
+        X = two_cluster_matrix(n=300, d=24)
+        cfg = TclConfig(input_dim=24, batch_size=batch_size, max_epochs=1, seed=10)
+        batch = min(batch_size, 300)
+        per_view = sum(a.nbytes for a in contrastive._work_arrays(
+            cfg, batch, contrastive._TRAINING_ARRAYS).values())
+        estimate = training_array_bytes(cfg, batch)
+        assert estimate == 2 * per_view + 8 * 7 * parameter_count(init_model(cfg))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_tcl(X, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert estimate <= peak <= 1.5 * estimate
+
+
+class TestTrace:
+    def test_one_epoch_time_per_epoch(self):
+        X = two_cluster_matrix(n=100, d=4)
+        _, trace = train_tcl(X, TclConfig(input_dim=4, batch_size=32, max_epochs=4,
+                                          tolerance=0.0, seed=11))
+        assert len(trace.epoch_seconds) == trace.epochs == 4
+        assert all(s > 0.0 for s in trace.epoch_seconds)
+        assert sum(trace.epoch_seconds) <= trace.seconds
