@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,10 +110,17 @@ class Schema:
 
 @dataclass
 class RawTable:
-    """A parsed CSV: header plus string-valued rows of uniform arity."""
+    """A parsed CSV: header plus string-valued rows of uniform arity.
+
+    Within :func:`ingest_csv`, which owns its table, ``_numbers`` keeps the
+    values of each numeric column that :func:`infer_schema` parsed, keyed by
+    column name, and :func:`encode_features` takes them over instead of
+    parsing the column again.  It is None on every other table.
+    """
 
     header: list[str]
     rows: list[list[str]]
+    _numbers: dict | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -238,6 +245,14 @@ def _floats(cells) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
+def _take_floats(raw: RawTable, name: str, cells: list[str]) -> np.ndarray | None:
+    """``_floats(cells)`` of column ``name``, taken over when
+    :func:`infer_schema` already parsed it."""
+    if raw._numbers and name in raw._numbers:
+        return raw._numbers.pop(name)
+    return _floats(cells)
+
+
 def _class_indices(cells, n_classes: int) -> np.ndarray | None:
     """``cells`` parsed by Python's ``int`` into class indices, or None when
     a cell does not parse or lies outside ``[0, n_classes)``."""
@@ -272,11 +287,15 @@ def infer_schema(
         j = raw.header.index(name)
         return [row[j] for row in raw.rows]
 
-    def classify(cells: list[str]) -> tuple[str, bool]:
+    def classify(name: str, cells: list[str]) -> tuple[str, bool]:
         present = [c for c in cells if c not in MISSING_TOKENS]
         has_missing = len(present) < len(cells)
-        if present and len(set(present)) > category_cutoff and _floats(present) is not None:
-            return NUMERIC, has_missing
+        if present and len(set(present)) > category_cutoff:
+            values = _floats(present)
+            if values is not None:
+                if raw._numbers is not None:
+                    raw._numbers[name] = values
+                return NUMERIC, has_missing
         return CATEGORICAL, has_missing
 
     features = []
@@ -284,7 +303,7 @@ def infer_schema(
         if name == target:
             continue
         cells = column_cells(name)
-        kind, has_missing = classify(cells)
+        kind, has_missing = classify(name, cells)
         if kind == NUMERIC:
             features.append(Column(name, NUMERIC))
         else:
@@ -297,7 +316,7 @@ def infer_schema(
     if any(c in MISSING_TOKENS for c in target_cells):
         raise FormatError(f"target column {target!r} has missing values")
     if task is None:
-        kind, _ = classify(target_cells)
+        kind, _ = classify(target, target_cells)
         task = REGRESSION if kind == NUMERIC else CLASSIFICATION
     classes = tuple(sorted(set(target_cells))) if task == CLASSIFICATION else ()
     return Schema(tuple(features), target, task, classes)
@@ -333,7 +352,7 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
         cells = [row[j] for row in raw.rows]
         if col.kind == NUMERIC:
             keep = [i for i, cell in enumerate(cells) if cell not in MISSING_TOKENS]
-            parsed = _floats([cells[i] for i in keep])
+            parsed = _take_floats(raw, col.name, [cells[i] for i in keep])
             if parsed is None:
                 for i in keep:
                     _parse_number(cells[i], col.name, i + 2)
@@ -374,7 +393,7 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
             i = next(i for i, cell in enumerate(target_cells) if cell not in lookup)
             raise FormatError(f"row {i + 2}: unknown target class {target_cells[i]!r}") from None
     else:
-        labels = _floats(target_cells)
+        labels = _take_floats(raw, schema.target, target_cells)
         if labels is None:
             for i, cell in enumerate(target_cells):
                 _parse_number(cell, schema.target, i + 2)
@@ -396,6 +415,7 @@ def ingest_csv(
     which requires an explicit ``target`` column name."""
     raw = read_csv(path, delimiter=delimiter)
     if schema is None:
+        raw._numbers = {}  # nothing else sees raw, so its cells cannot change
         schema = infer_schema(raw, target=target, task=task, category_cutoff=category_cutoff)
     return encode_features(raw, schema, stats=stats)
 

@@ -66,27 +66,37 @@ def fit_softmax_regression(
     Weights start at zero, so the fit is deterministic.  Returns weights,
     bias, and the per-epoch NLL trace.  When ``require_monotone`` is set an
     epoch that increases the regularized objective raises TrainingError.
+    Labels outside ``[0, n_classes)`` raise ValueError.
     """
     n, d = X.shape
+    y = np.asarray(y)
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
+        raise ValueError(f"labels must lie in [0, {n_classes})")
     W = np.zeros((d, n_classes))
     b = np.zeros(n_classes)
-    rows = np.arange(n)
-    onehot = np.zeros((n, n_classes))
-    onehot[rows, y] = 1.0
+    # Position of each row's true-class entry in the flattened (n, C) matrix.
+    flat = np.arange(n) * n_classes + y
 
     # One softmax per epoch: the probabilities after an update give both
     # that epoch's objective and the next epoch's gradient.
-    p = softmax_rows(X @ W + b)
-    prev_obj = -float(np.mean(np.log(p[rows, y] + 1e-300)))  # W = 0: no penalty yet
+    z = X @ W
+    z += b
+    p = softmax_rows(z)
+    prev_obj = -float(np.mean(np.log(p.reshape(-1)[flat] + 1e-300)))  # W = 0: no penalty yet
     nll_trace: list[float] = []
     for epoch in range(epochs):
-        residual = p - onehot
+        # p minus the one-hot labels, formed in place: p is a fresh
+        # C-contiguous array from softmax_rows, so reshape gives a view.
+        residual = p
+        residual.reshape(-1)[flat] -= 1.0
         gW = X.T @ residual / n + l2 * W
         gb = residual.sum(axis=0) / n
         W -= learning_rate * gW
         b -= learning_rate * gb
-        p = softmax_rows(X @ W + b)
-        nll = -float(np.mean(np.log(p[rows, y] + 1e-300)))
+        z = X @ W
+        z += b
+        p = softmax_rows(z)
+        nll = -float(np.mean(np.log(p.reshape(-1)[flat] + 1e-300)))
         obj = nll + 0.5 * l2 * float(np.sum(W * W))
         if not np.isfinite(obj):
             raise NumericError("non-finite training objective")

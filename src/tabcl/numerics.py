@@ -5,6 +5,12 @@ All public operations work on float64 arrays.  All but
 inputs and guarantee finite outputs.  Randomness goes through
 :class:`RngStream` so that every stochastic operation is a pure function of
 ``(seed, stream_id)``.
+
+Logit matrices have few columns, and numpy reduces a short last axis
+slowly.  So :func:`softmax_rows` takes each row's max as a loop of
+elementwise maxima over the columns, which is exact at any width, and keeps
+numpy's row sum, whose order a column loop would match only below 8
+columns.  The result is bit-equal to the plain reductions.
 """
 
 from __future__ import annotations
@@ -59,15 +65,27 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+def _row_max(z: Array) -> Array:
+    """``z.max(axis=1)`` of a matrix with at least one column, bit for bit,
+    as one elementwise maximum per column."""
+    m = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(m, z[:, j], out=m)
+    return m
+
+
 def softmax_rows(z: Array) -> Array:
     """Stable softmax of each row of a logit matrix.
 
     Max-subtraction keeps large logits from overflowing.  The input is not
-    checked: callers check finiteness where the result is used.
+    checked: callers check finiteness where the result is used.  The
+    result is bit-equal to ``exp(z - max) / sum`` with numpy's own row
+    reductions (see the module docstring).
     """
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - _row_max(z)[:, None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=1)[:, None]
+    return e
 
 
 def gaussian_noise(rows: int, cols: int, sigma: float, rng: RngStream) -> Array:

@@ -32,7 +32,7 @@ from .heads import (
     metric_r2,
     predict,
 )
-from .numerics import RngStream, softmax_rows
+from .numerics import RngStream, _row_max, softmax_rows
 from .weibull import weibull_cdf, weibull_mle
 
 OPENMAX = "openmax"
@@ -190,9 +190,7 @@ def openmax_score(model: OpenMaxModel, x) -> float | np.ndarray:
     logits = np.atleast_2d(model.backbone.logits(x))
     pred = np.argmax(logits, axis=1)
     dist = _distances(logits - model.mavs[pred], model.norm)
-    scores = np.array(
-        [weibull_cdf(d, model.shapes[c], model.scales[c]) for d, c in zip(dist, pred)]
-    )
+    scores = weibull_cdf(dist, model.shapes[pred], model.scales[pred])
     return float(scores[0]) if single else scores
 
 
@@ -208,7 +206,7 @@ class TemperatureModel:
 
 def _nll_at_temperature(logits: np.ndarray, y: np.ndarray, tau: float) -> float:
     z = logits / tau
-    z = z - z.max(axis=1, keepdims=True)
+    z -= _row_max(z)[:, None]
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return -float(np.mean(logp[np.arange(y.size), y]))
 
@@ -259,7 +257,7 @@ def temp_score(model: TemperatureModel, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     logits = np.atleast_2d(model.backbone.logits(x)) / model.temperature
-    scores = -softmax_rows(logits).max(axis=1)
+    scores = -_row_max(softmax_rows(logits))
     return float(scores[0]) if single else scores
 
 

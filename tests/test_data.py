@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabcl import data
 from tabcl.data import (
     MISSING_TOKENS,
     Column,
@@ -153,6 +154,39 @@ class TestIngest:
         path = write(tmp_path / "t.csv", "a,y\n1,0\nbad,1\n")
         with pytest.raises(FormatError, match="row 3"):
             ingest_csv(path, schema=schema)
+
+    def test_numeric_columns_are_parsed_once(self, tmp_path, monkeypatch):
+        feature = [repr(0.25 * i) for i in range(40)]
+        target = [repr(1.5 * i - 7.0) for i in range(40)]
+        feature[3] = "NA"
+        text = "a,y\n" + "".join(f"{a},{y}\n" for a, y in zip(feature, target))
+        path = write(tmp_path / "t.csv", text)
+        calls = []
+
+        def counting(cells, _floats=data._floats):
+            calls.append(list(cells))
+            return _floats(cells)
+
+        monkeypatch.setattr(data, "_floats", counting)
+        ds = ingest_csv(path, target="y")
+        assert ds.schema.features[0].kind == "numeric"
+        assert ds.schema.task == "regression"
+        present = feature[:3] + feature[4:]
+        assert calls.count(present) == 1
+        assert calls.count(target) == 1
+        assert ds.labels.tolist() == [float(t) for t in target]
+
+    def test_encode_after_infer_reads_the_current_cells(self):
+        rows = [[repr(0.5 * i), str(i % 2)] for i in range(30)]
+        raw = RawTable(["a", "y"], rows)
+        schema = infer_schema(raw, target="y")
+        assert schema.features[0].kind == "numeric"
+        rows[4][0] = "bad"
+        with pytest.raises(FormatError, match="column 'a', row 6: cannot parse 'bad'"):
+            encode_features(raw, schema)
+        rows[4][0] = "100.0"
+        ds = encode_features(raw, schema)
+        assert ds.features[:, 0].argmax() == 4
 
 
 class TestEncode:

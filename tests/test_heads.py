@@ -137,7 +137,7 @@ class TestSoftmaxRegression:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(0, 2**16), st.integers(2, 120), st.integers(1, 12), st.integers(2, 6),
+        st.integers(0, 2**16), st.integers(2, 120), st.integers(1, 12), st.integers(2, 12),
         st.sampled_from([0.5, 1.0, 5.0]), st.sampled_from([0.01, 0.1, 1.0, 30.0]),
         st.integers(0, 40), st.sampled_from([0.0, 1e-4, 0.5]), st.booleans(),
     )
@@ -146,11 +146,25 @@ class TestSoftmaxRegression:
         X, y = softmax_problem(seed, n, d, classes, scale)
         assert_fits_bit_equal(X, y, classes, lr, epochs, l2, monotone)
 
-    @pytest.mark.parametrize("n, d, classes", [(4000, 44, 3), (700, 64, 4), (1200, 24, 10)])
+    # 7, 8 and 9 classes straddle the width from which numpy unrolls its
+    # row sum by 8.
+    @pytest.mark.parametrize("n, d, classes", [
+        (4000, 44, 3), (700, 64, 4), (1200, 24, 10), (4000, 44, 7), (700, 64, 8), (1200, 24, 9),
+    ])
     @pytest.mark.parametrize("monotone", [False, True])
     def test_matches_two_pass_reference_at_workload_shapes(self, n, d, classes, monotone):
         X, y = softmax_problem(n + d, n, d, classes, 1.0)
         assert_fits_bit_equal(X, y, classes, 0.1, 100, 1e-4, monotone)
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_label_outside_class_range_rejected(self, bad):
+        # The fit gathers each row's true-class probability by flat index,
+        # so an unchecked label would read a neighbouring row's entry.
+        X, y = softmax_problem(7, 30, 4, 3, 1.0)
+        y = y.copy()
+        y[5] = bad
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            fit_softmax_regression(X, y, 3, 0.1, 5, 1e-4)
 
 
 class TestLinear:

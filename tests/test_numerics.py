@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tabcl.exceptions import NumericError
 from tabcl.numerics import RngStream, finite_diff_grad, gaussian_noise, softmax_rows
@@ -43,6 +44,35 @@ class TestSoftmax:
     )
     def test_shift_invariance(self, v, c):
         np.testing.assert_allclose(softmax(np.array(v) + c), softmax(v), atol=1e-12)
+
+
+def plain_softmax_rows(z):
+    """Reference: softmax_rows as first written, with numpy's own row
+    reductions."""
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestSoftmaxRowsBits:
+    """softmax_rows loops over the columns for its row max and works in
+    place on its own copy; it must return exactly the plain reductions'
+    bits and leave its input alone.  Widths 7, 8 and 9 straddle the width
+    from which numpy unrolls its row sum by 8."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 16)),
+                  elements=st.floats(min_value=-1e3, max_value=1e3)))
+    def test_matches_plain_reductions(self, z):
+        before = z.tobytes()
+        assert softmax_rows(z).tobytes() == plain_softmax_rows(z).tobytes()
+        assert z.tobytes() == before
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4, 6, 7, 8, 9, 12, 16])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 1e3])
+    def test_matches_plain_reductions_on_tall_matrices(self, cols, scale):
+        z = scale * RngStream(cols, 0).normal(4000, cols)
+        assert softmax_rows(z).tobytes() == plain_softmax_rows(z).tobytes()
 
 
 class TestGaussianNoise:

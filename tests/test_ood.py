@@ -1,6 +1,12 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tabcl import ood
 from tabcl.data import Dataset, split
 from tabcl.exceptions import NumericError, TrainingError
 from tabcl.numerics import RngStream
@@ -140,6 +146,93 @@ class TestOpenMax:
         xs = np.array([[3.0 + t, 0.0] for t in np.linspace(0, 20, 40)])
         scores = openmax_score(model, xs)
         assert np.all(np.diff(scores) >= 0)
+
+
+def reference_weibull_cdf(x, shape, scale):
+    """weibull_cdf as first written, for one scalar: numpy's scalar power."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(np.where(x > 0, -np.expm1(-((np.maximum(x, 0.0) / scale) ** shape)), 0.0))
+
+
+def reference_openmax_score(model, x):
+    """The score as first written: one scalar weibull_cdf call per row."""
+    logits = model.backbone.logits(x)
+    pred = np.argmax(logits, axis=1)
+    dist = ood._distances(logits - model.mavs[pred], model.norm)
+    return np.array(
+        [reference_weibull_cdf(d, model.shapes[c], model.scales[c]) for d, c in zip(dist, pred)]
+    )
+
+
+class TestOpenMaxMatchesReference:
+    """openmax_score evaluates the CDF for all rows in one weibull_cdf call;
+    every score must keep the bits of the per-row scalar formula."""
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_bit_equal_on_a_fitted_model(self, norm):
+        # Enough rows that numpy's SIMD array power, which differs from
+        # libm pow in the last bit on a few percent of inputs, would show.
+        ds, _ = shifted_cluster_data(n_id=1800, n_ood=200, seed=61)
+        backbone = train_backbone(ds)
+        model = fit_openmax(backbone, ds, norm=norm, tail=20)
+        scores = openmax_score(model, ds.features)
+        assert scores.shape == (2000,)
+        assert scores.tobytes() == reference_openmax_score(model, ds.features).tobytes()
+
+    def test_overflowing_power_scores_exactly_one(self):
+        backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
+        mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
+        model = OpenMaxModel(backbone, mavs, np.array([500.0, 500.0]), np.array([1.0, 1.0]),
+                             10, "l2")
+        x = np.array([[1e3, 0.0], [3.0, 0.0], [0.0, 1e3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = openmax_score(model, x)
+            single = openmax_score(model, x[0])
+        assert scores.tolist() == [1.0, 0.0, 1.0]
+        assert single == 1.0
+        with np.errstate(over="ignore"):
+            assert scores.tobytes() == reference_openmax_score(model, x).tobytes()
+
+    def test_non_positive_parameters_rejected(self):
+        backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
+        mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
+        model = OpenMaxModel(backbone, mavs, np.array([1.0, 0.0]), np.array([1.0, 1.0]), 10, "l2")
+        assert openmax_score(model, np.array([4.0, 0.0])) > 0.0  # class 0 is sound
+        with pytest.raises(ValueError, match="must be positive"):
+            openmax_score(model, np.array([0.0, 4.0]))
+
+
+def reference_nll(logits, y, tau):
+    """_nll_at_temperature as first written, with numpy's own row max."""
+    z = logits / tau
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return -float(np.mean(logp[np.arange(y.size), y]))
+
+
+def calibration_problem(seed, n, classes, scale):
+    rng = RngStream(seed, 0)
+    return scale * rng.normal(n, classes), rng.integers(0, classes, n).astype(np.int64)
+
+
+class TestTemperatureMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(1, 300), st.integers(2, 12),
+           st.sampled_from([0.1, 1.0, 30.0, 1e3]), st.floats(0.05, 10.0))
+    def test_nll_bit_equal(self, seed, n, classes, scale, tau):
+        logits, y = calibration_problem(seed, n, classes, scale)
+        got = ood._nll_at_temperature(logits, y, tau)
+        assert got.hex() == reference_nll(logits, y, tau).hex()
+
+    @pytest.mark.parametrize("n, classes, scale", [
+        (4000, 3, 1.0), (400, 7, 5.0), (400, 8, 5.0), (400, 9, 0.3), (800, 12, 30.0),
+    ])
+    def test_fitted_temperature_bit_equal(self, n, classes, scale):
+        logits, y = calibration_problem(n + classes, n, classes, scale)
+        with mock.patch.object(ood, "_nll_at_temperature", reference_nll):
+            expected = fit_temperature_on_logits(logits, y)
+        assert fit_temperature_on_logits(logits, y).hex() == expected.hex()
 
 
 class TestTemperature:

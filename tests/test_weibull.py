@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,39 @@ class TestCdf:
             weibull_cdf(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             weibull_cdf(1.0, 1.0, -2.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            weibull_cdf(np.ones(3), np.array([1.0, 0.0, 2.0]), 1.0)
+
+    def test_scalar_keeps_numpy_scalar_power_bits(self):
+        rng = RngStream(21, 0)
+        xs, shapes, scales = np.exp(3.0 * rng.normal(3, 500))
+        for x, shape, scale in zip(xs.tolist(), shapes.tolist(), scales.tolist()):
+            # The formula as first written; numpy's scalar power is libm pow.
+            with np.errstate(over="ignore"):
+                expected = float(-np.expm1(-((np.maximum(np.float64(x), 0.0) / scale) ** shape)))
+            assert weibull_cdf(x, shape, scale).hex() == expected.hex()
+
+    def test_per_element_parameters_match_scalar_calls_bit_for_bit(self):
+        # More than a thousand elements: numpy's SIMD array power differs
+        # from libm pow in the last bit on a few percent of inputs.
+        rng = RngStream(22, 0)
+        x = 4.0 * rng.normal(1, 3000)[0]
+        shape = 0.2 + 8.0 * rng.uniform(1, 3000)[0]
+        scale = np.exp(rng.normal(1, 3000)[0])
+        got = weibull_cdf(x, shape, scale)
+        assert got.shape == (3000,)
+        expected = [weibull_cdf(a, k, s) for a, k, s in zip(x.tolist(), shape.tolist(), scale.tolist())]
+        assert got.tobytes() == np.array(expected).tobytes()
+        grid = weibull_cdf(np.abs(x).reshape(30, 100), shape[:100], 2.0)
+        assert grid.shape == (30, 100)
+        assert grid[7].tobytes() == weibull_cdf(np.abs(x[700:800]), shape[:100], 2.0).tobytes()
+
+    def test_overflowing_power_is_exactly_one_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weibull_cdf(1e300, 2.0, 1.0) == 1.0
+            assert weibull_cdf(np.array([1e300, 1.0, -1.0]), 2.0, 1.0).tolist() == [
+                1.0, -math.expm1(-1.0), 0.0]
 
 
 class TestSampling:
