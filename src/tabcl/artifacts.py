@@ -5,9 +5,10 @@ corrupt or foreign file surfaces as :class:`FormatError`, never as a bare
 ``KeyError`` or ``AttributeError`` further down.  Loaders read the fields of
 a payload inside :func:`fields`, which does the same for missing or
 ill-typed fields.  Every file is written through :func:`atomic_write`: the
-text goes to a temporary file in the target's directory, which replaces the
-target only once it is complete.  A writer that fails or is killed part-way
-therefore leaves the previous file, or none, and never a truncated one.
+text or bytes go to a temporary file in the target's directory, which
+replaces the target only once it is complete.  A writer that fails or is
+killed part-way therefore leaves the previous file, or none, and never a
+truncated one.
 The rename is not followed by an fsync, so a power loss may still lose
 the most recent write.
 """
@@ -57,14 +58,15 @@ def fields(path, what: str):
 
 
 @contextlib.contextmanager
-def atomic_write(path):
-    """Text handle whose content replaces ``path`` when the block exits
-    cleanly; on an error the target is left as it was."""
+def atomic_write(path, binary: bool = False):
+    """Text handle, or a bytes handle when ``binary`` is set, whose content
+    replaces ``path`` when the block exits cleanly; on an error the target
+    is left as it was."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -74,6 +76,11 @@ def atomic_write(path):
 
 
 def write_json(path, payload, indent: int | None = None) -> None:
-    """Write one JSON document atomically."""
+    """Write one JSON document atomically.
+
+    The document is built by one ``json.dumps``, which takes the C encoder
+    when ``indent`` is None (``json.dump`` never does), and written whole.
+    """
+    text = json.dumps(payload, indent=indent)
     with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=indent)
+        fh.write(text)

@@ -3,7 +3,8 @@
 The pipeline turns a headered CSV into a :class:`Dataset`: an n x d float64
 feature matrix (z-scored numerics, one-hot categoricals with an extra
 "unknown" slot) plus a label vector.  Standardization statistics are fitted
-on one split and can be re-applied to any other, and splits round-trip
+on one split and can be re-applied to any other.  A dataset round-trips
+through a directory of two ``.npy`` arrays plus a JSON sidecar, a split
 through a directory of full-precision CSVs plus a JSON sidecar.
 """
 
@@ -20,7 +21,7 @@ from .artifacts import atomic_write, fields, read_json, write_json
 from .exceptions import ConfigError, FormatError
 from .numerics import RngStream
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MISSING_TOKENS = frozenset({"", "?", "NA", "N/A", "nan", "NaN", "null", "None"})
 MISSING_CATEGORY = "<missing>"
 UNKNOWN_SLOT = "<unknown>"
@@ -518,9 +519,15 @@ def _raise_first_bad_cell(path, rows, schema: Schema) -> None:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Persist one dataset as ``<path>/data.csv`` plus ``<path>/meta.json``."""
+    """Persist one dataset as ``features.npy``, ``labels.npy`` and
+    ``meta.json`` in directory ``path``.  Labels are stored as int64 class
+    indices for classification and as float64 targets for regression."""
     os.makedirs(path, exist_ok=True)
-    _write_dataset_csv(dataset, os.path.join(path, "data.csv"))
+    kind = np.int64 if dataset.schema.task == CLASSIFICATION else np.float64
+    arrays = {"features.npy": dataset.features, "labels.npy": dataset.labels.astype(kind)}
+    for name, array in arrays.items():
+        with atomic_write(os.path.join(path, name), binary=True) as fh:
+            np.save(fh, array, allow_pickle=False)
     meta = {
         "schema-version": SCHEMA_VERSION,
         "schema": dataset.schema.to_dict(),
@@ -536,9 +543,45 @@ def _load_meta(path) -> tuple[dict, Schema]:
         return meta, Schema.from_dict(meta["schema"])
 
 
+def _load_array(path, what: str, dtype, ndim: int) -> np.ndarray:
+    """The one array of a ``.npy`` file, read without unpickling anything,
+    which must have exactly ``dtype`` and ``ndim`` dimensions."""
+    try:
+        with open(path, "rb") as fh:
+            array = np.load(fh, allow_pickle=False)
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+    except (EOFError, ValueError) as exc:  # empty, truncated, pickled or object dtype
+        raise FormatError(f"{path}: corrupt {what}: {exc}") from exc
+    if not isinstance(array, np.ndarray):  # an .npz archive
+        raise FormatError(f"{path}: not a .npy {what}")
+    if array.dtype != dtype or array.ndim != ndim:
+        raise FormatError(
+            f"{path}: {what} is {array.ndim}-D {array.dtype}, expected {ndim}-D {np.dtype(dtype)}"
+        )
+    return array
+
+
 def load_dataset(path) -> Dataset:
+    """Inverse of :func:`save_dataset`; features and labels round-trip
+    bit-exactly, and every malformed file is a FormatError."""
     meta, schema = _load_meta(os.path.join(path, "meta.json"))
-    return _read_dataset_csv(os.path.join(path, "data.csv"), schema, meta.get("stats"))
+    features = _load_array(os.path.join(path, "features.npy"), "feature matrix", np.float64, 2)
+    labels_path = os.path.join(path, "labels.npy")
+    if schema.task == CLASSIFICATION:
+        labels = _load_array(labels_path, "label vector", np.int64, 1)
+        k = len(schema.classes)
+        bad = labels[(labels < 0) | (labels >= k)]
+        if bad.size:
+            raise FormatError(f"{labels_path}: class index {bad[0]} outside [0, {k})")
+    else:
+        labels = _load_array(labels_path, "label vector", np.float64, 1)
+        if not np.isfinite(labels).all():
+            raise FormatError(f"{labels_path}: non-finite target")
+    # Dataset checks the row counts, the width against the schema and the
+    # finiteness of the features.
+    with fields(path, "dataset"):
+        return Dataset(features, labels, schema, meta.get("stats"))
 
 
 def save_split(pair: SplitPair, path) -> None:

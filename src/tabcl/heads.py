@@ -189,7 +189,15 @@ def load_head(path) -> Head:
             raise ValueError(f"unknown head kind {kind!r}")
         if weights.ndim != (2 if kind == LOGISTIC else 1):
             raise ValueError(f"{kind} head weights have {weights.ndim} dimensions")
-        return Head(kind, weights, bias, payload.get("classes"))
+        outputs = weights.shape[1] if kind == LOGISTIC else 1
+        if bias.shape != (outputs,):
+            raise ValueError(f"{kind} head bias has shape {bias.shape}, expected ({outputs},)")
+        classes = payload.get("classes")
+        if classes != (outputs if kind == LOGISTIC else None):
+            raise ValueError(f"{kind} head classes {classes!r} disagree with its weights")
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ValueError(f"{kind} head holds a non-finite parameter")
+        return Head(kind, weights, bias, classes)
 
 
 def _check_pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:

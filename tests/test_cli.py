@@ -1,10 +1,16 @@
+import io
 import json
+import pickle
 import shutil
 
+import numpy as np
 import pytest
 
 from tabcl.bench import ExperimentPlan, run_experiment
 from tabcl.cli import main
+from tabcl.data import (
+    SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
+)
 
 from conftest import shifted_cluster_data, write_classification_csv
 
@@ -38,7 +44,7 @@ class TestStagedPipeline:
     def test_full_stage_chain(self, tmp_path, data_csv, capsys):
         ds_dir = tmp_path / "ds"
         assert run(["ingest", data_csv, "--target", "label", "--out", ds_dir]) == 0
-        assert (ds_dir / "data.csv").exists() and (ds_dir / "meta.json").exists()
+        assert {p.name for p in ds_dir.iterdir()} == {"features.npy", "labels.npy", "meta.json"}
 
         det_dir = tmp_path / "det"
         assert run(["detect", ds_dir, "--detector", "openmax", "--norm", "l2",
@@ -167,12 +173,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("label", ["7", "-1"])
     def test_class_index_outside_schema_is_3(self, tmp_path, ds_dir, label, capsys):
         shutil.copytree(ds_dir, tmp_path / "ds")
-        data = tmp_path / "ds" / "data.csv"
-        lines = data.read_text().splitlines()
-        lines[5] = lines[5].rsplit(",", 1)[0] + "," + label
-        data.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "ds" / "labels.npy"
+        labels = np.load(path)
+        labels[4] = int(label)
+        np.save(path, labels)
         assert run(["fit-head", tmp_path / "ds", "--out", tmp_path / "head"]) == 3
-        assert f"{data}: row 6: class index {label} outside [0, 2)" in capsys.readouterr().err
+        assert f"{path}: class index {label} outside [0, 2)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scores, message", [
         ([0.5, 0.25, 0.75], "3 scores for 500 rows"),
@@ -191,22 +197,152 @@ class TestExitCodes:
             "head.json", {"format": "tcl-head", "version": 1, "weights": [[0.0]], "bias": [0.0]},
             lambda f, ds: ["evaluate", f, ds],
         ),
+        "head with a NaN weight": (
+            "head.json", {"format": "tcl-head", "version": 1, "kind": "linear",
+                          "weights": [0.0, float("nan"), 0.0, 0.0], "bias": [0.0], "classes": None},
+            lambda f, ds: ["evaluate", f, ds],
+        ),
+        "head with two biases": (
+            "head.json", {"format": "tcl-head", "version": 1, "kind": "linear",
+                          "weights": [0.0] * 4, "bias": [0.0, 1.0], "classes": None},
+            lambda f, ds: ["evaluate", f, ds],
+        ),
+        "head with five biases for two classes": (
+            "head.json", {"format": "tcl-head", "version": 1, "kind": "logistic",
+                          "weights": [[0.0, 0.0]] * 4, "bias": [0.0] * 5, "classes": 2},
+            lambda f, ds: ["evaluate", f, ds],
+        ),
+        "head with three classes for two columns": (
+            "head.json", {"format": "tcl-head", "version": 1, "kind": "logistic",
+                          "weights": [[0.0, 0.0]] * 4, "bias": [0.0] * 2, "classes": 3},
+            lambda f, ds: ["evaluate", f, ds],
+        ),
         "model holding a list": ("model.json", [1, 2], lambda f, ds: ["embed", f, ds]),
         "scores holding a list": ("scores.json", [0.1, 0.2], lambda f, ds: ["split", ds, f]),
         "scores without scores": (
             "scores.json", {"detector": "openmax"}, lambda f, ds: ["split", ds, f],
         ),
         "dataset sidecar without schema": (
-            "meta.json", {"schema-version": 1, "stats": None}, lambda f, ds: ["fit-head", f.parent],
+            "meta.json", {"schema-version": SCHEMA_VERSION, "stats": None},
+            lambda f, ds: ["fit-head", f.parent],
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_artifact_is_3(self, tmp_path, ds_dir, case, capsys):
         name, payload, argv = self.MALFORMED[case]
-        shutil.copy(ds_dir / "data.csv", tmp_path / "data.csv")
+        for array in ("features.npy", "labels.npy"):
+            shutil.copy(ds_dir / array, tmp_path / array)
         path = write_json(tmp_path / name, payload)
         assert run(argv(path, ds_dir) + ["--out", tmp_path / "out"]) == 3
+        assert str(path) in capsys.readouterr().err
+
+
+def _resave(name, change):
+    """A case that loads ``name``, changes the array, or casts it when
+    ``change`` is a type, and saves it back with pickling allowed."""
+    def apply(directory):
+        path = directory / name
+        array = np.load(path)
+        array = array.astype(change) if isinstance(change, type) else change(array)
+        np.save(path, array, allow_pickle=True)
+    return apply
+
+
+def _unlink(name):
+    return lambda directory: (directory / name).unlink()
+
+
+def _rewrite(name, change):
+    """A case that replaces the bytes of ``name`` with ``change(bytes)``."""
+    def apply(directory):
+        path = directory / name
+        path.write_bytes(change(path.read_bytes()))
+    return apply
+
+
+def _as_v1(directory):
+    """The directory as the CSV format of schema-version 1 stored it."""
+    dataset = load_dataset(directory)
+    for name in ("features.npy", "labels.npy"):
+        (directory / name).unlink()
+    _write_dataset_csv(dataset, directory / "data.csv")
+    meta = json.loads((directory / "meta.json").read_text())
+    write_json(directory / "meta.json", dict(meta, **{"schema-version": 1}))
+
+
+def _as_pickle(npy: bytes) -> bytes:
+    return pickle.dumps(np.load(io.BytesIO(npy)))
+
+
+def _as_npz(npy: bytes) -> bytes:
+    out = io.BytesIO()
+    np.savez(out, features=np.load(io.BytesIO(npy)))
+    return out.getvalue()
+
+
+def _set_first(value):
+    def change(a):
+        a = a.copy()
+        a.flat[0] = value
+        return a
+    return change
+
+
+class TestDatasetPayload:
+    """Every malformed dataset directory is a format error, exit 3."""
+
+    # case: (change to a copy of a good directory, text the error holds)
+    CASES = {
+        "features missing": (_unlink("features.npy"), "cannot read feature matrix"),
+        "labels missing": (_unlink("labels.npy"), "cannot read label vector"),
+        "features empty": (_rewrite("features.npy", lambda b: b""), "corrupt feature matrix"),
+        "labels empty": (_rewrite("labels.npy", lambda b: b""), "corrupt label vector"),
+        "features truncated": (_rewrite("features.npy", lambda b: b[:-8]), "corrupt feature"),
+        "labels cut in header": (_rewrite("labels.npy", lambda b: b[:20]), "corrupt label"),
+        "features pickled": (_rewrite("features.npy", _as_pickle), "corrupt feature matrix"),
+        "features object dtype": (_resave("features.npy", object), "corrupt feature matrix"),
+        "labels object dtype": (_resave("labels.npy", object), "corrupt label vector"),
+        "features npz archive": (_rewrite("features.npy", _as_npz), "not a .npy feature"),
+        "features 1-D": (_resave("features.npy", lambda a: a[:, 0]), "1-D float64, expected 2-D"),
+        "features float32": (_resave("features.npy", np.float32), "2-D float32, expected 2-D"),
+        "features too narrow": (_resave("features.npy", lambda a: a[:, 1:]), "feature width 3"),
+        "features too wide": (_resave("features.npy", lambda a: a[:, [0, 0, 1, 2, 3]]), "width 5"),
+        "features no rows": (_resave("features.npy", lambda a: a[:0]), "non-empty"),
+        "features non-finite": (_resave("features.npy", _set_first(np.nan)), "non-finite"),
+        "features infinite": (_resave("features.npy", _set_first(-np.inf)), "non-finite"),
+        "labels 2-D": (_resave("labels.npy", lambda a: a[:, None]), "is 2-D int64, expected 1-D"),
+        "labels one short": (_resave("labels.npy", lambda a: a[:-1]), "labels length"),
+        "labels float64": (_resave("labels.npy", np.float64), "1-D float64, expected 1-D int64"),
+        "labels int32": (_resave("labels.npy", np.int32), "1-D int32"),
+        "schema-version 1 with data.csv": (_as_v1, "schema-version 1, expected 2"),
+    }
+
+    @pytest.mark.parametrize("command", ["detect", "fit-head"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_payload_is_3(self, tmp_path, ds_dir, case, command, capsys):
+        change, message = self.CASES[case]
+        shutil.copytree(ds_dir, tmp_path / "ds")
+        change(tmp_path / "ds")
+        assert run([command, tmp_path / "ds", "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "ds") in err and message in err
+
+    @pytest.mark.parametrize("stored", ["int64", "nan", "inf"])
+    def test_bad_regression_target_is_3(self, tmp_path, ds_dir, stored, capsys):
+        dataset = load_dataset(ds_dir)
+        schema = Schema(dataset.schema.features, "target", "regression")
+        directory = tmp_path / "ds"
+        save_dataset(Dataset(dataset.features, dataset.labels, schema, dataset.stats), directory)
+        assert run(["fit-head", directory, "--out", tmp_path / "ok"]) == 0
+        path = directory / "labels.npy"
+        targets = np.load(path)
+        if stored == "int64":
+            targets = targets.astype(np.int64)
+        else:
+            targets[3] = float(stored)
+        np.save(path, targets)
+        assert run(["fit-head", directory, "--out", tmp_path / "out"]) == 3
         assert str(path) in capsys.readouterr().err
 
 

@@ -356,6 +356,43 @@ class TestDatasetPersistence:
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         assert loaded.schema == ds.schema
 
+    @pytest.mark.parametrize("case, task", [
+        ("edge values", "classification"),
+        ("edge values", "regression"),
+        ("no features", "classification"),
+        ("no features", "regression"),
+    ])
+    def test_npy_round_trip_is_bit_exact(self, tmp_path, case, task):
+        ds = writer_case(case, task)
+        ds.stats = {c.name: {"median": 0.5, "mean": -1e-300, "std": 1 / 3}
+                    for c in ds.schema.features}
+        save_dataset(ds, tmp_path / "ds")
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+            "features.npy", "labels.npy", "meta.json",
+        ]
+        loaded = load_dataset(tmp_path / "ds")
+        assert loaded.features.dtype == np.float64 and loaded.features.shape == ds.features.shape
+        assert loaded.labels.dtype == (np.int64 if task == "classification" else np.float64)
+        assert bits(loaded.features) == bits(ds.features)
+        assert bits(loaded.labels) == bits(ds.labels)
+        assert loaded.schema == ds.schema and loaded.stats == ds.stats
+
+    @pytest.mark.parametrize("stored", [np.int32, np.float64])
+    def test_class_labels_are_stored_as_int64(self, tmp_path, stored):
+        ds = writer_case("edge values", "classification")
+        ds.labels = ds.labels.astype(stored)
+        save_dataset(ds, tmp_path / "ds")
+        assert np.load(tmp_path / "ds" / "labels.npy").dtype == np.int64
+        assert load_dataset(tmp_path / "ds").labels.tolist() == [0, 1, 1]
+
+    def test_old_version_is_format_error(self, tmp_path):
+        save_dataset(writer_case("edge values", "regression"), tmp_path / "ds")
+        meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+        meta["schema-version"] = 1
+        (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="schema-version 1, expected 2"):
+            load_dataset(tmp_path / "ds")
+
 
 # Per-cell references for the column-at-a-time parser and the whole-row
 # writer: one float() per cell, and csv.writer with repr(float(v)) cells.
@@ -421,11 +458,22 @@ def with_bad(rows, bad):
     return rows
 
 
-def saved_regression(directory, rows):
-    """A dataset directory whose ``data.csv`` holds ``rows`` as written."""
-    save_dataset(Dataset(np.zeros((1, 3)), np.zeros(1), REGRESSION, None), directory)
-    write_rows(Path(directory) / "data.csv", HEADER, rows)
+def stored_split(directory, schema, header, rows):
+    """A split directory whose ``d_in.csv`` holds ``rows`` as written and
+    whose sidecar agrees with their count."""
+    width = len(header) - 1
+    labels = np.zeros(1) if schema.task == "regression" else np.zeros(1, np.int64)
+    side = Dataset(np.zeros((1, width)), labels, schema, None)
+    pair = SplitPair(side.take([0] * len(rows)), side, threshold=0.5, detector="openmax",
+                     norm="l2")
+    save_split(pair, directory)
+    write_rows(Path(directory) / "d_in.csv", header, rows)
     return directory
+
+
+def saved_regression(directory, rows):
+    """A split directory whose ``d_in.csv`` holds ``rows`` as written."""
+    return stored_split(directory, REGRESSION, HEADER, rows)
 
 
 class TestBulkParse:
@@ -446,7 +494,7 @@ class TestBulkParse:
     @given(st.lists(st.tuples(VALUE, VALUE, VALUE, VALUE), min_size=1, max_size=15))
     def test_load_matches_per_cell_reference(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
-            ds = load_dataset(saved_regression(tmp, rows))
+            ds = load_split(saved_regression(tmp, rows)).d_in
         assert bits(ds.features) == bits([[float(c) for c in r[:3]] for r in rows])
         assert bits(ds.labels) == bits([float(r[3]) for r in rows])
 
@@ -478,16 +526,14 @@ class TestBulkParse:
         )
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(FormatError) as exc:
-                load_dataset(saved_regression(tmp, rows))
+                load_split(saved_regression(tmp, rows))
         assert str(exc.value) == expected
 
     def test_bad_class_index_comes_after_its_row_features(self, tmp_path):
-        schema = numeric_schema(2)
-        save_dataset(Dataset(np.zeros((1, 2)), np.zeros(1, np.int64), schema, None), tmp_path)
-        write_rows(tmp_path / "data.csv", ["x0", "x1", "y"],
-                   [["1", "2", "0"], ["3", "4", "x"], ["bad", "5", "1"]])
-        with pytest.raises(FormatError, match=r"row 3: bad class index 'x'"):
-            load_dataset(tmp_path)
+        stored_split(tmp_path, numeric_schema(2), ["x0", "x1", "y"],
+                     [["1", "2", "0"], ["3", "4", "x"], ["bad", "5", "1"]])
+        with pytest.raises(FormatError, match=r"d_in.csv: row 3: bad class index 'x'"):
+            load_split(tmp_path)
 
 
 EDGE_VALUES = [-0.0, 1e-05, 1e16, 5e-324]
@@ -518,9 +564,11 @@ class TestWriter:
     def test_bytes_match_csv_writer_reference(self, tmp_path, case, task):
         ds = writer_case(case, task)
         reference_write(ds, tmp_path / "reference.csv")
-        save_dataset(ds, tmp_path / "ds")
-        assert (tmp_path / "ds" / "data.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-        loaded = load_dataset(tmp_path / "ds")
+        pair = SplitPair(ds, ds.take([0]), threshold=0.5, detector="openmax", norm="l1")
+        save_split(pair, tmp_path / "split")
+        stored = (tmp_path / "split" / "d_in.csv").read_bytes()
+        assert stored == (tmp_path / "reference.csv").read_bytes()
+        loaded = load_split(tmp_path / "split").d_in
         assert bits(loaded.features) == bits(ds.features)
         assert bits(loaded.labels) == bits(ds.labels)
 

@@ -22,6 +22,10 @@ from tabcl.heads import (
 from tabcl.numerics import RngStream
 
 
+def bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def separable_toy(n=100, seed=40):
     rng = RngStream(seed, 0)
     y = (np.arange(n) % 2).astype(np.int64)
@@ -273,3 +277,45 @@ class TestHeadPersistence:
         (tmp_path / "head.json").write_text("{not json")
         with pytest.raises(FormatError):
             load_head(tmp_path / "head.json")
+
+    @pytest.mark.parametrize("head, message", [
+        (Head("linear", np.array([0.5, np.nan]), np.array([0.25]), None), "non-finite"),
+        (Head("linear", np.array([0.5, -1.0]), np.array([np.inf]), None), "non-finite"),
+        (Head("logistic", np.full((2, 2), -np.inf), np.zeros(2), 2), "non-finite"),
+        (Head("logistic", np.zeros((2, 2)), np.array([0.0, np.nan]), 2), "non-finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, tmp_path, head, message):
+        save_head(head, tmp_path / "head.json")
+        with pytest.raises(FormatError, match=message):
+            load_head(tmp_path / "head.json")
+
+    @pytest.mark.parametrize("head", [
+        Head("linear", np.array([0.5, -1.0]), np.array([0.25, 3.0]), None),
+        Head("linear", np.array([0.5, -1.0]), np.zeros(0), None),
+        Head("logistic", np.zeros((2, 2)), np.zeros(5), 2),
+        Head("logistic", np.zeros((2, 2)), np.zeros((1, 2)), 2),
+    ])
+    def test_bias_shape_must_match_weights(self, tmp_path, head):
+        save_head(head, tmp_path / "head.json")
+        with pytest.raises(FormatError, match="bias has shape"):
+            load_head(tmp_path / "head.json")
+
+    @pytest.mark.parametrize("head", [
+        Head("logistic", np.zeros((2, 2)), np.zeros(2), 3),
+        Head("logistic", np.zeros((2, 2)), np.zeros(2), None),
+        Head("linear", np.array([0.5, -1.0]), np.array([0.25]), 2),
+    ])
+    def test_classes_must_match_weights(self, tmp_path, head):
+        save_head(head, tmp_path / "head.json")
+        with pytest.raises(FormatError, match="classes"):
+            load_head(tmp_path / "head.json")
+
+    @pytest.mark.parametrize("head", [
+        Head("linear", np.array([0.5, -1.0]), np.array([0.25]), None),
+        Head("logistic", np.array([[0.5, -1.0], [2.0, 0.0]]), np.array([0.0, -0.5]), 2),
+    ])
+    def test_well_formed_heads_load(self, tmp_path, head):
+        save_head(head, tmp_path / "head.json")
+        loaded = load_head(tmp_path / "head.json")
+        assert bits_equal(loaded.weights, head.weights) and bits_equal(loaded.bias, head.bias)
+        assert loaded.classes == head.classes
