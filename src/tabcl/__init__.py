@@ -54,10 +54,9 @@ from .heads import (
     metric_r2,
     metric_rmse,
     predict,
-    predict_proba,
     save_head,
 )
-from .numerics import RngStream, finite_diff_grad, gaussian_noise, softmax_rows
+from .numerics import RngStream, finite_diff_grad, gaussian_noise, softmax_classes
 from .ood import (
     Backbone,
     BackboneConfig,

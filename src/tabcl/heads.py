@@ -3,6 +3,10 @@
 A head is a small linear model fitted on either raw features or learned
 embeddings: multinomial logistic regression (gradient descent, L2 penalty)
 for classification, closed-form ridge regression for real targets.
+
+The softmax fit works on class-major (C, n) probabilities P, so all but
+its matrix products walk rows of length n.  Those stay ``X @ W`` and
+``X.T @ r`` on a row-major copy r of P: copy-free forms can round apart.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 
 from .artifacts import fields, read_json, write_json
 from .exceptions import NumericError, TrainingError
-from .numerics import softmax_rows
+from .numerics import _class_index, softmax_classes
 
 LOGISTIC = "logistic"
 LINEAR = "linear"
@@ -66,37 +70,35 @@ def fit_softmax_regression(
     Weights start at zero, so the fit is deterministic.  Returns weights,
     bias, and the per-epoch NLL trace.  When ``require_monotone`` is set an
     epoch that increases the regularized objective raises TrainingError.
-    Labels outside ``[0, n_classes)`` raise ValueError.
+    Labels not one per row or outside ``[0, n_classes)`` raise ValueError.
     """
     n, d = X.shape
-    y = np.asarray(y)
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise ValueError(f"labels must lie in [0, {n_classes})")
+    flat = _class_index(y, n_classes, n)
     W = np.zeros((d, n_classes))
     b = np.zeros(n_classes)
-    # Position of each row's true-class entry in the flattened (n, C) matrix.
-    flat = np.arange(n) * n_classes + y
+    p = np.empty((n_classes, n))  # class-major probabilities
+    r = np.empty((n, n_classes))  # their row-major copy, for X.T @ r
+    work = np.empty((min(n_classes, 8), n))
 
     # One softmax per epoch: the probabilities after an update give both
     # that epoch's objective and the next epoch's gradient.
-    z = X @ W
-    z += b
-    p = softmax_rows(z)
-    prev_obj = -float(np.mean(np.log(p.reshape(-1)[flat] + 1e-300)))  # W = 0: no penalty yet
+    np.add((X @ W).T, b[:, None], out=p)
+    g = softmax_classes(p, work).reshape(-1)[flat]
+    prev_obj = -float(np.mean(np.log(g + 1e-300)))  # W = 0: no penalty yet
     nll_trace: list[float] = []
     for epoch in range(epochs):
-        # p minus the one-hot labels, formed in place: p is a fresh
-        # C-contiguous array from softmax_rows, so reshape gives a view.
-        residual = p
-        residual.reshape(-1)[flat] -= 1.0
-        gW = X.T @ residual / n + l2 * W
-        gb = residual.sum(axis=0) / n
+        p.reshape(-1)[flat] = g - 1.0  # p minus the one-hot labels
+        np.copyto(r, p.T)
+        gW = X.T @ r / n + l2 * W
+        # Column sums of the residual, adding its rows in order either way;
+        # a running sum along each class row is the faster for few classes.
+        gb = (np.add.accumulate(p, axis=1, out=work)[:, -1] if n_classes < 6
+              else r.sum(axis=0)) / n
         W -= learning_rate * gW
         b -= learning_rate * gb
-        z = X @ W
-        z += b
-        p = softmax_rows(z)
-        nll = -float(np.mean(np.log(p.reshape(-1)[flat] + 1e-300)))
+        np.add((X @ W).T, b[:, None], out=p)
+        g = softmax_classes(p, work).reshape(-1)[flat]
+        nll = -float(np.mean(np.log(g + 1e-300)))
         obj = nll + 0.5 * l2 * float(np.sum(W * W))
         if not np.isfinite(obj):
             raise NumericError("non-finite training objective")
@@ -159,13 +161,6 @@ def predict(head: Head, X) -> np.ndarray:
     if head.kind == LOGISTIC:
         return np.argmax(X @ head.weights + head.bias, axis=1)
     return X @ head.weights + head.bias[0]
-
-
-def predict_proba(head: Head, X) -> np.ndarray:
-    if head.kind != LOGISTIC:
-        raise ValueError("probabilities are only defined for logistic heads")
-    X = _check_features(X, head)
-    return softmax_rows(X @ head.weights + head.bias)
 
 
 def save_head(head: Head, path) -> None:

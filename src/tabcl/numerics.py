@@ -1,16 +1,15 @@
 """Dense numeric primitives shared by every other module.
 
 All public operations work on float64 arrays.  All but
-:func:`softmax_rows`, which sits on the training hot path, validate their
-inputs and guarantee finite outputs.  Randomness goes through
+:func:`softmax_classes`, which sits on the training hot path, validate
+their inputs and guarantee finite outputs.  Randomness goes through
 :class:`RngStream` so that every stochastic operation is a pure function of
 ``(seed, stream_id)``.
 
-Logit matrices have few columns, and numpy reduces a short last axis
-slowly.  So :func:`softmax_rows` takes each row's max as a loop of
-elementwise maxima over the columns, which is exact at any width, and keeps
-numpy's row sum, whose order a column loop would match only below 8
-columns.  The result is bit-equal to the plain reductions.
+:func:`softmax_classes` is the one softmax.  It works in place on a
+class-major (C, n) matrix, so every step walks rows of length n, and sums
+the classes in the order of numpy's pairwise row sum of the (n, C)
+transpose: the bits equal the plain row-major formula's.
 """
 
 from __future__ import annotations
@@ -65,27 +64,52 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _row_max(z: Array) -> Array:
-    """``z.max(axis=1)`` of a matrix with at least one column, bit for bit,
-    as one elementwise maximum per column."""
-    m = z[:, 0].copy()
-    for j in range(1, z.shape[1]):
-        np.maximum(m, z[:, j], out=m)
-    return m
+def _class_index(y: Array, n_classes: int, n: int) -> Array:
+    """Flat position of each row's label in a class-major (C, n) matrix.
+    A label outside ``[0, C)`` would read a neighbouring row: ValueError."""
+    y = np.asarray(y)
+    if y.shape != (n,) or n == 0:
+        raise ValueError("labels must be one per row, with at least one row")
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError(f"labels must lie in [0, {n_classes})")
+    return y * n + np.arange(n)
 
 
-def softmax_rows(z: Array) -> Array:
-    """Stable softmax of each row of a logit matrix.
+def _class_sum(p: Array, acc: Array) -> Array:
+    """``p.T.sum(axis=1)`` of a (C, n) matrix, bit for bit, into ``acc[0]``
+    of its ``min(C, 8)`` work rows, in numpy's pairwise order: one by one
+    below 8 rows, 8 running sums to 128, halves (cut at a multiple of 8)."""
+    s, C = acc[0], p.shape[0]
+    if C < 8:
+        return np.sum(p, axis=0, out=s)  # adds the rows in order
+    if C > 128:
+        h = C // 2 - C // 2 % 8
+        right = _class_sum(p[h:], acc).copy()
+        return np.add(_class_sum(p[:h], acc), right, out=s)
+    k = C - C % 8
+    np.add(p[:8], 0.0, out=acc)  # + 0.0: numpy starts its sums at +0.0
+    for i in range(8, k, 8):
+        acc += p[i:i + 8]
+    for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        acc[i] += acc[j]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for row in p[k:]:
+        s += row
+    return s
 
-    Max-subtraction keeps large logits from overflowing.  The input is not
-    checked: callers check finiteness where the result is used.  The
-    result is bit-equal to ``exp(z - max) / sum`` with numpy's own row
-    reductions (see the module docstring).
-    """
-    e = z - _row_max(z)[:, None]
-    np.exp(e, out=e)
-    e /= e.sum(axis=1)[:, None]
-    return e
+
+def softmax_classes(p: Array, work: Array | None = None, log: bool = False) -> Array:
+    """Stable softmax (with ``log``, log-softmax) over the classes of a
+    C-contiguous class-major (C, n) logit matrix, in place; returns ``p``.
+    ``work`` is ``min(C, 8)`` rows of length n.  Unchecked input; column i
+    is bit-equal to the plain formula on row i of the (n, C) transpose."""
+    work = np.empty((min(p.shape[0], 8), p.shape[1])) if work is None else work
+    p -= np.max(p, axis=0, out=work[0])
+    if log:
+        p -= np.log(_class_sum(np.exp(p), work))
+    else:
+        np.exp(p, out=p)
+        p /= _class_sum(p, work)
+    return p
 
 
 def gaussian_noise(rows: int, cols: int, sigma: float, rng: RngStream) -> Array:

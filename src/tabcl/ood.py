@@ -10,6 +10,8 @@ those into a single OOD score per row:
 * Temperature scaling ("temperature"): negative maximum softmax confidence
   after dividing logits by a temperature fitted to minimize calibration NLL.
   Score in [-1, 0), higher = less confident = more out-of-distribution.
+  Its score and NLL divide the transposed logits into a class-major (C, n)
+  matrix for the one softmax, :func:`tabcl.numerics.softmax_classes`.
 
 Rows are then split at a threshold and the split is validated with simple
 regression probes trained on the in-distribution side.
@@ -32,7 +34,7 @@ from .heads import (
     metric_r2,
     predict,
 )
-from .numerics import RngStream, _row_max, softmax_rows
+from .numerics import RngStream, _class_index, softmax_classes
 from .weibull import weibull_cdf, weibull_mle
 
 OPENMAX = "openmax"
@@ -205,10 +207,9 @@ class TemperatureModel:
 
 
 def _nll_at_temperature(logits: np.ndarray, y: np.ndarray, tau: float) -> float:
-    z = logits / tau
-    z -= _row_max(z)[:, None]
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return -float(np.mean(logp[np.arange(y.size), y]))
+    flat = _class_index(y, logits.shape[1], logits.shape[0])
+    logp = softmax_classes(np.divide(logits.T, tau, order="C"), log=True)
+    return -float(np.mean(logp.reshape(-1)[flat]))
 
 
 def fit_temperature_on_logits(logits, y, lo: float = TEMP_LO, hi: float = TEMP_HI,
@@ -256,8 +257,8 @@ def temp_score(model: TemperatureModel, x) -> float | np.ndarray:
     """Negative maximum calibrated confidence, in [-1, -1/C]."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    logits = np.atleast_2d(model.backbone.logits(x)) / model.temperature
-    scores = -_row_max(softmax_rows(logits))
+    logits = np.atleast_2d(model.backbone.logits(x))
+    scores = -softmax_classes(np.divide(logits.T, model.temperature, order="C")).max(axis=0)
     return float(scores[0]) if single else scores
 
 

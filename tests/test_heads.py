@@ -16,7 +16,6 @@ from tabcl.heads import (
     metric_r2,
     metric_rmse,
     predict,
-    predict_proba,
     save_head,
 )
 from tabcl.numerics import RngStream
@@ -60,11 +59,6 @@ class TestLogistic:
         X = RngStream(41, 0).normal(10, 2)
         with pytest.raises(ValueError):
             fit_logistic(X, np.zeros(10, dtype=np.int64))
-
-    def test_proba_rows_sum_to_one(self):
-        X, y = separable_toy()
-        p = predict_proba(fit_logistic(X, y), X)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shape_mismatch_never_truncates(self):
         X, y = separable_toy()
@@ -151,9 +145,12 @@ class TestSoftmaxRegression:
         assert_fits_bit_equal(X, y, classes, lr, epochs, l2, monotone)
 
     # 7, 8 and 9 classes straddle the width from which numpy unrolls its
-    # row sum by 8.
+    # row sum by 8, and 130 the width from which it sums in halves.  One
+    # feature makes the gradient product a rank-1 update, where a BLAS
+    # takes its shortest paths.
     @pytest.mark.parametrize("n, d, classes", [
         (4000, 44, 3), (700, 64, 4), (1200, 24, 10), (4000, 44, 7), (700, 64, 8), (1200, 24, 9),
+        (1500, 1, 3), (2, 1, 2), (900, 6, 130),
     ])
     @pytest.mark.parametrize("monotone", [False, True])
     def test_matches_two_pass_reference_at_workload_shapes(self, n, d, classes, monotone):
@@ -169,6 +166,14 @@ class TestSoftmaxRegression:
         y[5] = bad
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             fit_softmax_regression(X, y, 3, 0.1, 5, 1e-4)
+
+    def test_labels_not_one_per_row_rejected(self):
+        X, y = softmax_problem(7, 30, 4, 3, 1.0)
+        for labels in (y[:-1], y[:1], np.append(y, 0)):
+            with pytest.raises(ValueError, match="labels must be one per row"):
+                fit_softmax_regression(X, labels, 3, 0.1, 5, 1e-4)
+        with pytest.raises(ValueError, match="with at least one row"):
+            fit_softmax_regression(X[:0], y[:0], 3, 0.1, 5, 1e-4)
 
 
 class TestLinear:

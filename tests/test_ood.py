@@ -227,12 +227,30 @@ class TestTemperatureMatchesReference:
 
     @pytest.mark.parametrize("n, classes, scale", [
         (4000, 3, 1.0), (400, 7, 5.0), (400, 8, 5.0), (400, 9, 0.3), (800, 12, 30.0),
+        (300, 130, 3.0),
     ])
     def test_fitted_temperature_bit_equal(self, n, classes, scale):
         logits, y = calibration_problem(n + classes, n, classes, scale)
         with mock.patch.object(ood, "_nll_at_temperature", reference_nll):
             expected = fit_temperature_on_logits(logits, y)
         assert fit_temperature_on_logits(logits, y).hex() == expected.hex()
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_label_outside_class_range_rejected(self, bad):
+        # The NLL gathers each row's true-class entry by flat index, so an
+        # unchecked label would read a neighbouring row's entry.
+        logits, y = calibration_problem(5, 40, 3, 1.0)
+        y[7] = bad
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            ood._nll_at_temperature(logits, y, 1.0)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            fit_temperature_on_logits(logits, y)
+
+    def test_labels_not_one_per_row_rejected(self):
+        logits, y = calibration_problem(5, 40, 3, 1.0)
+        for labels in (y[:-1], np.append(y, 0)):
+            with pytest.raises(ValueError, match="labels must be one per row"):
+                fit_temperature_on_logits(logits, labels)
 
 
 class TestTemperature:
@@ -282,16 +300,19 @@ class TestTemperature:
         assert temp_score(hot, np.array([17.0, -4.0])) == pytest.approx(-0.5, abs=1e-6)
 
     def test_score_matches_inline_reference(self):
-        # the score as first written, with its own in-place softmax
+        # the score as first written, with its own in-place row-major
+        # softmax; 10 classes is the cli-regression calibration, 8 and 130
+        # start numpy's unrolled and halved row sums.
         rng = RngStream(57, 0)
-        backbone = Backbone(rng.normal(6, 4), rng.normal(1, 4)[0], 4, 0.0)
-        x = 3.0 * rng.normal(200, 6)
-        for tau in (0.05, 0.7, 1.0, 9.5):
-            logits = backbone.logits(x) / tau
-            p = np.exp(logits - logits.max(axis=1, keepdims=True))
-            p /= p.sum(axis=1, keepdims=True)
-            scores = temp_score(TemperatureModel(backbone, tau, 0.0, 0.0), x)
-            assert scores.tobytes() == (-p.max(axis=1)).tobytes()
+        for classes in (4, 8, 10, 130):
+            backbone = Backbone(rng.normal(6, classes), rng.normal(1, classes)[0], classes, 0.0)
+            x = 3.0 * rng.normal(200, 6)
+            for tau in (0.05, 0.7, 1.0, 9.5):
+                logits = backbone.logits(x) / tau
+                p = np.exp(logits - logits.max(axis=1, keepdims=True))
+                p /= p.sum(axis=1, keepdims=True)
+                scores = temp_score(TemperatureModel(backbone, tau, 0.0, 0.0), x)
+                assert scores.tobytes() == (-p.max(axis=1)).tobytes()
 
     def test_score_decreases_with_confidence(self):
         backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
