@@ -16,13 +16,11 @@ from .contrastive import (
     decode,
     embed,
     encode,
-    grad_loss,
     init_model,
     load_model,
     loss_contrastive,
     loss_distance,
     loss_reconstruction,
-    loss_total,
     save_model,
     train_tcl,
 )

@@ -11,7 +11,10 @@ an unweighted three-part loss:
 * distance: mean squared error between the two embedded views.
 
 At inference only the encoder runs: :func:`embed` maps rows to the latent
-space with no noise and no decoder.
+space with no noise and no decoder.  It runs both matrix products on the
+whole input and the LeakyReLU and LayerNorm in cache-sized row blocks, and
+its output is bit-identical to the training step's encoder on the same
+matrix.
 
 The encoder is Linear -> LeakyReLU -> LayerNorm -> Linear and the decoder
 Linear -> LeakyReLU -> Linear; gradients are computed analytically and are
@@ -202,10 +205,10 @@ def _check_input(x, width: int, what: str) -> np.ndarray:
 
 # The forward and backward pass write every intermediate into per-view work
 # arrays, named in these tables.  Each array has one row per batch row and a
-# width of d (input_dim), h (hidden_dim), k (latent_dim) or 1.  Inference
-# allocates the encoder's arrays; training allocates all three tables for
-# each view, once for the full batch, and hands row-slices of them to a
-# shorter last batch.
+# width of d (input_dim), h (hidden_dim), k (latent_dim) or 1.  Training
+# allocates all three tables for each view, once for the full batch, and
+# hands row-slices of them to a shorter last batch.  Inference (encode)
+# uses none of them: it runs the encoder in row blocks.
 _ENCODER_ARRAYS = {"z1": "h", "xhat": "h", "ln": "h", "e": "k", "mu": 1, "inv_std": 1}
 _DECODER_ARRAYS = {"z3": "h", "a3": "h", "out": "d"}
 _BACKWARD_ARRAYS = {
@@ -247,14 +250,16 @@ def _leaky_slope(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _encode(p: dict, x: np.ndarray, w: dict) -> np.ndarray:
-    """Encoder forward pass of ``x`` into the work arrays ``w``."""
-    z1, xhat, ln, mu, inv_std = w["z1"], w["xhat"], w["ln"], w["mu"], w["inv_std"]
-    check_finite(_linear(x, p["w1"], p["b1"], z1), "encoder linear 1")
+def _hidden(p: dict, z1: np.ndarray, xhat: np.ndarray, ln: np.ndarray,
+            mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """LeakyReLU then LayerNorm of the pre-activations ``z1`` into ``ln``.
+
+    ``xhat`` receives the normalized rows; ``ln`` holds their squares until
+    it is written, so it may be ``z1`` itself."""
+    check_finite(z1, "encoder linear 1")
     _leaky(z1, xhat)
     # layernorm per row: the population variance is the mean square of the
-    # centred row, as np.var computes it; ln holds the squares until it is
-    # written
+    # centred row, as np.var computes it
     np.mean(xhat, axis=1, keepdims=True, out=mu)
     xhat -= mu
     np.square(xhat, out=ln)
@@ -265,7 +270,13 @@ def _encode(p: dict, x: np.ndarray, w: dict) -> np.ndarray:
     xhat *= inv_std
     np.multiply(xhat, p["gamma"], out=ln)
     ln += p["beta"]
-    check_finite(ln, "encoder layernorm")
+    return check_finite(ln, "encoder layernorm")
+
+
+def _encode(p: dict, x: np.ndarray, w: dict) -> np.ndarray:
+    """Encoder forward pass of ``x`` into the work arrays ``w``."""
+    z1 = _linear(x, p["w1"], p["b1"], w["z1"])
+    ln = _hidden(p, z1, w["xhat"], w["ln"], w["mu"], w["inv_std"])
     return check_finite(_linear(ln, p["w2"], p["b2"], w["e"]), "encoder linear 2")
 
 
@@ -276,10 +287,35 @@ def _decode(p: dict, e: np.ndarray, w: dict) -> np.ndarray:
     return check_finite(_linear(w["a3"], p["w4"], p["b4"], w["out"]), "decoder linear 2")
 
 
+# Rows per block of inference: a block of hidden activations takes about
+# this many bytes, so the LeakyReLU and LayerNorm passes over it stay in the
+# per-core cache instead of streaming n x h arrays through memory.
+_BLOCK_BYTES = 256 * 1024
+
+
 def encode(model: TclModel, x) -> np.ndarray:
-    """Deterministic encoder forward pass (n x latent_dim)."""
+    """Deterministic encoder forward pass (n x latent_dim).
+
+    Both matrix products run on the whole matrix, and the row-local
+    LeakyReLU and LayerNorm run in row blocks of about ``_BLOCK_BYTES``, so
+    the output is bit-identical to the training step's encoder on the same
+    matrix.  The blocks work in place on the first product's output; one
+    block of scratch rows is the only other temporary.
+    """
     x = _check_input(x, model.config.input_dim, "input")
-    return _encode(model.params, x, _work_arrays(model.config, x.shape[0], _ENCODER_ARRAYS))
+    p, n, h = model.params, x.shape[0], model.config.hidden_dim
+    rows = max(1, _BLOCK_BYTES // (8 * h))
+    a = np.matmul(x, p["w1"])
+    xhat = np.empty((min(rows, n), h))
+    mu, inv_std = np.empty((2, min(rows, n), 1))
+    for lo in range(0, n, rows):
+        block = a[lo : lo + rows]
+        m = block.shape[0]
+        block += p["b1"]
+        _hidden(p, block, xhat[:m], block, mu[:m], inv_std[:m])
+    e = np.matmul(a, p["w2"])
+    e += p["b2"]
+    return check_finite(e, "encoder linear 2")
 
 
 def decode(model: TclModel, e) -> np.ndarray:
@@ -356,13 +392,6 @@ def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponen
     w1, w2 = (_work_arrays(model.config, x_clean.shape[0], _FORWARD_ARRAYS) for _ in range(2))
     comps = _forward(model, x1, x2, x_clean, w1, w2)
     return comps.total, comps
-
-
-def loss_total(batch, model: TclModel, rng: RngStream) -> tuple[float, LossComponents]:
-    """Draw two noisy views from ``rng`` and evaluate the three-part loss."""
-    x = np.asarray(batch, dtype=np.float64)
-    x1, x2 = augment(x, model.config, rng)
-    return loss_on_views(model, x1, x2, x)
 
 
 def _zero_grads(model: TclModel) -> dict[str, np.ndarray]:
@@ -459,15 +488,6 @@ def grad_on_views(
     grads = _zero_grads(model)
     comps = _grad_into(model, x1, x2, x_clean, w1, w2, grads, _zero_grads(model))
     return comps.total, comps, grads
-
-
-def grad_loss(
-    model: TclModel, batch, rng: RngStream
-) -> tuple[float, LossComponents, dict[str, np.ndarray]]:
-    """Draw noise once, then return loss, components, and analytic gradients."""
-    x = np.asarray(batch, dtype=np.float64)
-    x1, x2 = augment(x, model.config, rng)
-    return grad_on_views(model, x1, x2, x)
 
 
 def param_vector(model: TclModel) -> np.ndarray:
@@ -633,4 +653,7 @@ def load_model(path) -> TclModel:
     with fields(path, "model file"):
         config = TclConfig.from_dict(payload["config"])
         params = {k: np.asarray(payload["params"][k], dtype=np.float64) for k in PARAM_KEYS}
+        for key, value in params.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"model parameter {key!r} holds a non-finite value")
         return TclModel(config, params)

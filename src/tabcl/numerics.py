@@ -40,12 +40,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    def clone(self) -> "RngStream":
-        """Copy of this stream, including its current position."""
-        other = RngStream(self.seed, self.stream_id)
-        other._gen.bit_generator.state = self._gen.bit_generator.state
-        return other
-
     def normal(self, rows: int, cols: int) -> Array:
         """Standard-normal matrix of the given shape."""
         return self._gen.standard_normal((rows, cols))

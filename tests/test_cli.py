@@ -218,6 +218,15 @@ class TestExitCodes:
             lambda f, ds: ["evaluate", f, ds],
         ),
         "model holding a list": ("model.json", [1, 2], lambda f, ds: ["embed", f, ds]),
+        "model with a NaN weight": (
+            "model.json", {"format": "tcl-model", "version": 1,
+                           "config": {"input_dim": 4, "hidden_dim": 1, "latent_dim": 1},
+                           "params": {"w1": [[0.0], [0.0], [float("nan")], [0.0]], "b1": [0.0],
+                                      "gamma": [1.0], "beta": [0.0], "w2": [[1.0]], "b2": [0.0],
+                                      "w3": [[1.0]], "b3": [0.0], "w4": [[0.0] * 4],
+                                      "b4": [0.0] * 4}},
+            lambda f, ds: ["embed", f, ds],
+        ),
         "scores holding a list": ("scores.json", [0.1, 0.2], lambda f, ds: ["split", ds, f]),
         "scores without scores": (
             "scores.json", {"detector": "openmax"}, lambda f, ds: ["split", ds, f],

@@ -17,7 +17,6 @@ from tabcl.contrastive import (
     decode,
     embed,
     encode,
-    grad_loss,
     grad_on_views,
     init_model,
     load_model,
@@ -25,7 +24,6 @@ from tabcl.contrastive import (
     loss_distance,
     loss_on_views,
     loss_reconstruction,
-    loss_total,
     param_vector,
     parameter_count,
     replace_params,
@@ -33,7 +31,7 @@ from tabcl.contrastive import (
     train_tcl,
     training_array_bytes,
 )
-from tabcl.exceptions import FormatError, TrainingError
+from tabcl.exceptions import FormatError, NumericError, TrainingError
 from tabcl.numerics import RngStream, finite_diff_grad
 
 from conftest import two_cluster_matrix
@@ -240,8 +238,8 @@ class TestTotalLoss:
     def test_loss_total_draws_from_stream(self):
         model = small_model()
         x = RngStream(87, 0).normal(6, 4)
-        t1, c1 = loss_total(x, model, RngStream(9, 0))
-        t2, c2 = loss_total(x, model, RngStream(9, 0))
+        t1, c1 = loss_on_views(model, *augment(x, model.config, RngStream(9, 0)), x)
+        t2, c2 = loss_on_views(model, *augment(x, model.config, RngStream(9, 0)), x)
         assert t1 == t2 and c1 == c2
 
     def test_noise_free_fixed_point(self):
@@ -282,7 +280,8 @@ class TestGradients:
         cfg = TclConfig(input_dim=3, hidden_dim=4, latent_dim=2, sigma=0.0, seed=0)
         model = replace_params(init_model(cfg), np.zeros(param_vector(init_model(cfg)).size))
         x = RngStream(92, 0).normal(5, 3)
-        _, _, grads = grad_loss(model, x, RngStream(0, 0))
+        x1, x2 = augment(x, cfg, RngStream(0, 0))
+        _, _, grads = grad_on_views(model, x1, x2, x)
         expected = -(2.0 / (5 * 3)) * x.sum(axis=0)
         np.testing.assert_allclose(grads["b4"], expected, atol=1e-12)
         # all other gradients vanish at the all-zero stationary point
@@ -379,6 +378,16 @@ class TestPersistence:
         payload["version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        payload = json.loads(path.read_text())
+        payload["params"]["w2"][1][2] = value  # json writes NaN and Infinity
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="'w2' holds a non-finite value"):
             load_model(path)
 
     def test_wrong_format_tag(self, tmp_path):
@@ -562,6 +571,54 @@ class TestMatchesReferenceStep:
         assert same_bits(contrastive._leaky(z, out), ref_leaky(z))
         assert same_bits(contrastive._leaky_slope(z, out), ref_leaky_grad(z))
         assert np.signbit(contrastive._leaky(z, out)[0, 1])
+
+
+def block_rows(hidden_dim):
+    return max(1, contrastive._BLOCK_BYTES // (8 * hidden_dim))
+
+
+class TestBlockedInference:
+    """``embed`` runs LeakyReLU and LayerNorm in row blocks between two
+    whole-matrix products; its bits must not depend on the blocking."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        h=st.sampled_from([16, 48, 96, 128, 256]),
+        # n = blocks * rows + extra: 0, 1, rows - 1, rows, rows + 1, 3 rows + 17
+        blocks_extra=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 17)]),
+        d=st.sampled_from([1, 3, 7, 24, 48, 64]),
+        k=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(h=96, blocks_extra=(3, 17), d=48, k=48, seed=0)  # gate-tall's widths
+    @example(h=16, blocks_extra=(1, 1), d=3, k=8, seed=1)
+    def test_bit_equal_to_reference_encoder(self, h, blocks_extra, d, k, seed):
+        blocks, extra = blocks_extra
+        n = blocks * block_rows(h) + extra
+        model = init_model(TclConfig(input_dim=d, hidden_dim=h, latent_dim=k, seed=seed))
+        rng = RngStream(seed, 4)
+        x = rng.normal(n, d) * (1.0 + 3.0 * rng.uniform(1, d))
+        e = embed(model, x)
+        assert e.shape == (n, k)
+        assert same_bits(e, ref_encode(model.params, x)["e"])
+
+    def test_non_finite_row_in_a_later_block(self):
+        model = small_model(d=4, h=16, k=3)
+        rows = block_rows(16)
+        x = RngStream(101, 0).normal(2 * rows + 5, 4)
+        x[rows + 3, 2] = np.nan
+        with pytest.raises(NumericError, match="encoder linear 1"):
+            embed(model, x)
+
+    def test_input_and_parameters_untouched(self):
+        model = small_model(d=5, h=16, k=4)
+        x = RngStream(102, 0).normal(3 * block_rows(16) + 2, 5)
+        x_before = x.copy()
+        params_before = {key: v.copy() for key, v in model.params.items()}
+        embed(model, x)
+        assert same_bits(x, x_before)
+        for key in PARAM_KEYS:
+            assert same_bits(model.params[key], params_before[key]), key
 
 
 class TestWorkArrays:

@@ -174,12 +174,6 @@ class TestRngStream:
         a, b = RngStream(100, 0), RngStream(100, 1)
         assert not np.array_equal(a.normal(4, 4), b.normal(4, 4))
 
-    def test_clone_preserves_position(self):
-        a = RngStream(7, 0)
-        a.normal(2, 2)
-        b = a.clone()
-        assert np.array_equal(a.normal(3, 3), b.normal(3, 3))
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngStream(-1, 0)
