@@ -56,8 +56,6 @@ from .heads import (
 )
 from .numerics import RngStream, finite_diff_grad, gaussian_noise, softmax_classes
 from .ood import (
-    Backbone,
-    BackboneConfig,
     Histogram,
     OpenMaxModel,
     SplitReport,

@@ -8,9 +8,9 @@ training, embedding, head fitting, and evaluation on the ID-test and OOD
 portions.  Only the unsupervised training time enters the trade-off; the
 other stages are recorded separately.
 
-The stage functions here (:func:`detect`, :func:`split_at_threshold`,
-:func:`train`, :func:`fit_head`, :func:`evaluate`) are the single
-implementation of each stage: the CLI subcommands call the same ones.
+The stage functions (:func:`detect`, :func:`split_at_threshold`,
+:func:`train`, :func:`tabcl.heads.fit_head`, :func:`evaluate`) are the
+single implementation of each stage: the CLI subcommands call the same ones.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ from .contrastive import (
     train_tcl,
     training_array_bytes,
 )
-from .data import CLASSIFICATION, Dataset, Schema, SplitPair, ingest_csv, save_split, split
+from .data import (CLASSIFICATION, Dataset, Schema, SplitPair, check_fractions, ingest_csv,
+                   save_split, split)
 from .exceptions import ConfigError, FormatError
 from .heads import (
     LINEAR,
     LOGISTIC,
-    Head,
-    fit_linear,
-    fit_logistic,
+    fit_head,
+    head_kind,
     metric_accuracy,
     metric_f1_macro,
     metric_r2,
@@ -145,15 +145,20 @@ class ExperimentPlan:
     def __post_init__(self):
         check_detector(self.detector)
         check_tcl(self.tcl)
+        if self.head not in (None, LOGISTIC, LINEAR):
+            raise ConfigError(f"unknown head kind: {self.head!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        try:
+            self.fractions = check_fractions(self.fractions)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad fractions {self.fractions!r}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
-        d = dict(d)
-        if "fractions" in d:
-            d["fractions"] = tuple(d["fractions"])
         try:
             return ExperimentPlan(**d)
         except TypeError as exc:
@@ -326,17 +331,6 @@ def train(data: Dataset, tcl: dict, seed: int, out_dir) -> tuple[TclModel, Train
     return model, trace
 
 
-def fit_head(features, labels, kind: str | None, task: str) -> Head:
-    """Fit-head stage: ``kind`` defaults to logistic for classification and
-    linear for regression."""
-    kind = kind or (LOGISTIC if task == CLASSIFICATION else LINEAR)
-    if kind == LOGISTIC:
-        return fit_logistic(features, labels)
-    if kind == LINEAR:
-        return fit_linear(features, labels)
-    raise ConfigError(f"unknown head kind: {kind!r}")
-
-
 def evaluate(task: str, labels, pred) -> dict:
     """Evaluate stage: accuracy and macro-F1 for classification, RMSE and
     r-squared for regression."""
@@ -361,6 +355,7 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
     with _Stage("ingest", clock):
         dataset = ingest_csv(plan.dataset, target=plan.target, task=plan.task)
         task = dataset.schema.task
+        head_kind(task, plan.head)  # a head that does not fit the task fails before training
 
     with _Stage("detect", clock):
         scores, settings = detect(dataset, plan.detector, plan.seed, plan.out_dir)
@@ -381,7 +376,7 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         e_ood = embed(model, pair.d_ood.features)
 
     with _Stage("fit-head", clock):
-        head = fit_head(e_train, id_train.labels, plan.head, task)
+        head = fit_head(e_train, id_train.labels, task, plan.head)
 
     metric_name = "f1_macro" if task == CLASSIFICATION else "rmse"
     with _Stage("evaluate", clock):

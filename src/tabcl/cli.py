@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 data/format error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -24,7 +25,6 @@ from .bench import (
     detect,
     emit_report,
     evaluate,
-    fit_head,
     load_config,
     load_scores,
     run_experiment,
@@ -36,7 +36,7 @@ from .bench import (
 from .contrastive import embed, load_model
 from .data import Column, Dataset, Schema, ingest_csv, load_dataset, load_split, save_dataset
 from .exceptions import ConfigError, FormatError, NumericError
-from .heads import load_head, predict, save_head
+from .heads import fit_head, head_kind, load_head, predict, save_head
 from .ood import OPENMAX, TEMPERATURE
 
 # No stage calls this alias any more, but perfbench/test_tracer.py checks
@@ -138,7 +138,7 @@ def cmd_embed(args) -> int:
 
 def cmd_fit_head(args) -> int:
     dataset = load_dataset(args.data)
-    head = fit_head(dataset.features, dataset.labels, args.kind, dataset.schema.task)
+    head = fit_head(dataset.features, dataset.labels, dataset.schema.task, args.kind)
     out = _out_dir(args)
     save_head(head, os.path.join(out, "head.json"))
     print(f"fitted {head.kind} head on {dataset.n} rows -> {out}/head.json")
@@ -148,6 +148,7 @@ def cmd_fit_head(args) -> int:
 def cmd_evaluate(args) -> int:
     head = load_head(args.head)
     dataset = load_dataset(args.data)
+    head_kind(dataset.schema.task, head.kind)  # the head must fit the dataset's task
     metrics = evaluate(dataset.schema.task, dataset.labels, predict(head, dataset.features))
     write_json(os.path.join(_out_dir(args), "metrics.json"), metrics, indent=1)
     for key, value in metrics.items():
@@ -165,10 +166,9 @@ def cmd_report(args) -> int:
     if not args.config:
         raise ConfigError("report needs --config with an experiment plan")
     plan = ExperimentPlan.from_file(args.config)
-    if args.out:
-        plan.out_dir = args.out
-    if args.seed is not None:
-        plan.seed = args.seed
+    # replace() checks the plan again, with the flags laid over it
+    plan = dataclasses.replace(plan, out_dir=args.out or plan.out_dir,
+                               seed=plan.seed if args.seed is None else args.seed)
     report = run_experiment(plan)
     emit_report(report, "markdown", os.path.join(plan.out_dir, "report.md"))
     emit_report(report, "csv", os.path.join(plan.out_dir, "report.csv"))

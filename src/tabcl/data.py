@@ -421,6 +421,15 @@ def ingest_csv(
     return encode_features(raw, schema, stats=stats)
 
 
+def check_fractions(fractions) -> tuple[float, float]:
+    """``fractions`` as two floats; ValueError unless they are two positive
+    proportions summing to 1."""
+    f = tuple(float(x) for x in fractions)
+    if len(f) != 2 or any(x <= 0 for x in f) or abs(sum(f) - 1.0) > 1e-9:
+        raise ValueError("fractions must be two positive values summing to 1")
+    return f
+
+
 def split(dataset: Dataset, fractions, rng: RngStream) -> tuple[Dataset, Dataset]:
     """Deterministic two-way row split, stratified by class for classification.
 
@@ -428,9 +437,7 @@ def split(dataset: Dataset, fractions, rng: RngStream) -> tuple[Dataset, Dataset
     an unstratified split (with a warning) when some class has fewer rows
     than splits.
     """
-    f = tuple(float(x) for x in fractions)
-    if len(f) != 2 or any(x <= 0 for x in f) or abs(sum(f) - 1.0) > 1e-9:
-        raise ValueError("fractions must be two positive values summing to 1")
+    f = check_fractions(fractions)
     n = dataset.n
 
     stratify = dataset.schema.task == CLASSIFICATION

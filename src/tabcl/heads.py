@@ -3,6 +3,8 @@
 A head is a small linear model fitted on either raw features or learned
 embeddings: multinomial logistic regression (gradient descent, L2 penalty)
 for classification, closed-form ridge regression for real targets.
+:func:`fit_head` picks the one that fits a task.  The OOD gate's scoring
+backbone is a logistic head too; :func:`logits` gives its class scores.
 
 The softmax fit works on class-major (C, n) probabilities P, so all but
 its matrix products walk rows of length n.  Those stay ``X @ W`` and
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import fields, read_json, write_json
-from .exceptions import NumericError, TrainingError
+from .data import CLASSIFICATION
+from .exceptions import ConfigError, NumericError, TrainingError
 from .numerics import _class_index, softmax_classes
 
 LOGISTIC = "logistic"
@@ -155,12 +158,37 @@ def fit_linear(X, y, ridge: float = 1e-6) -> Head:
     return Head(LINEAR, coef[:d], np.array([coef[d]]), None)
 
 
+def head_kind(task: str, kind: str | None = None) -> str:
+    """The head kind that fits ``task``: logistic for classification, linear
+    for regression.  Any other ``kind`` given raises ConfigError."""
+    fits = LOGISTIC if task == CLASSIFICATION else LINEAR
+    if kind not in (None, fits):
+        raise ConfigError(f"a {kind!r} head does not fit a {task} task; use {fits}")
+    return fits
+
+
+def fit_head(X, y, task: str, kind: str | None = None) -> Head:
+    """Fit the head of :func:`head_kind` for ``task``."""
+    if head_kind(task, kind) == LOGISTIC:
+        return fit_logistic(X, y)
+    return fit_linear(X, y)
+
+
+def logits(head: Head, X) -> np.ndarray:
+    """Class scores ``X @ W + b`` of a logistic head, one row per row of the
+    matrix ``X``; NumericError when any is non-finite."""
+    X = _check_features(X, head)
+    out = X @ head.weights + head.bias
+    if not np.isfinite(out).all():
+        raise NumericError("non-finite logits")
+    return out
+
+
 def predict(head: Head, X) -> np.ndarray:
     """Class indices for logistic heads, real predictions for linear heads."""
-    X = _check_features(X, head)
     if head.kind == LOGISTIC:
-        return np.argmax(X @ head.weights + head.bias, axis=1)
-    return X @ head.weights + head.bias[0]
+        return np.argmax(logits(head, X), axis=1)
+    return _check_features(X, head) @ head.weights + head.bias[0]
 
 
 def save_head(head: Head, path) -> None:

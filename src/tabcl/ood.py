@@ -1,7 +1,8 @@
 """Out-of-distribution gating.
 
-A trained scoring backbone produces per-class logits; two detectors turn
-those into a single OOD score per row:
+The scoring backbone is a multinomial logistic :class:`~tabcl.heads.Head`;
+two detectors turn its logits (:func:`tabcl.heads.logits`) into a single
+OOD score per row of a feature matrix:
 
 * Weibull recalibration ("openmax"): distance of a row's logit vector from
   the mean activation vector (MAV) of its predicted class, pushed through a
@@ -13,8 +14,8 @@ those into a single OOD score per row:
   Its score and NLL divide the transposed logits into a class-major (C, n)
   matrix for the one softmax, :func:`tabcl.numerics.softmax_classes`.
 
-Rows are then split at a threshold and the split is validated with simple
-regression probes trained on the in-distribution side.
+Rows are then split at a threshold and the split is validated with the
+task's head (:func:`tabcl.heads.fit_head`) trained on the ID side.
 """
 
 from __future__ import annotations
@@ -23,17 +24,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import heads
 from .artifacts import atomic_write
 from .data import CLASSIFICATION, Dataset, SplitPair, split
 from .exceptions import NumericError
-from .heads import (
-    fit_linear,
-    fit_logistic,
-    fit_softmax_regression,
-    metric_accuracy,
-    metric_r2,
-    predict,
-)
+from .heads import (LOGISTIC, Head, HeadConfig, fit_head, fit_softmax_regression,
+                    metric_accuracy, metric_r2, predict)
 from .numerics import RngStream, _class_index, softmax_classes
 from .weibull import weibull_cdf, weibull_mle
 
@@ -41,65 +37,27 @@ OPENMAX = "openmax"
 TEMPERATURE = "temperature"
 
 TEMP_LO, TEMP_HI = 0.05, 10.0
+_TEMP_TOL = 1e-4
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_BACKBONE = HeadConfig(epochs=300)
 
 
-@dataclass
-class BackboneConfig:
-    learning_rate: float = 0.1
-    epochs: int = 300
-    l2: float = 1e-4
+def train_backbone(train: Dataset) -> Head:
+    """Fit the scoring backbone, a logistic head, on a classification dataset.
 
-
-@dataclass
-class Backbone:
-    """Multinomial logistic scorer: the logit producer for both detectors."""
-
-    weights: np.ndarray  # (d, C)
-    bias: np.ndarray  # (C,)
-    classes: int
-    final_nll: float
-
-    def logits(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.weights.shape[0]:
-            raise ValueError(f"expected {self.weights.shape[0]} features, got {X.shape[1]}")
-        out = X @ self.weights + self.bias
-        if not np.isfinite(out).all():
-            raise NumericError("non-finite logits")
-        return out[0] if single else out
-
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(np.atleast_2d(self.logits(X)), axis=1)
-
-
-def train_backbone(train: Dataset, config: BackboneConfig | None = None) -> Backbone:
-    """Fit the scoring backbone on a classification dataset.
-
-    The training objective must fall every epoch under the configured step
-    size, otherwise a TrainingError is raised.  Regression targets have to
-    be discretized first (see :func:`discretize_target`).
+    The training objective must fall every epoch, otherwise a TrainingError
+    is raised.  Regression targets have to be discretized first (see
+    :func:`discretize_target`).
     """
     if train.schema.task != CLASSIFICATION:
         raise ValueError("backbone training needs classification labels; discretize first")
-    config = config or BackboneConfig()
     y = train.labels.astype(np.int64)
     if np.unique(y).size < 2:
         raise ValueError("degenerate training data: single class")
     classes = int(y.max()) + 1
-    W, b, nll = fit_softmax_regression(
-        train.features,
-        y,
-        classes,
-        config.learning_rate,
-        config.epochs,
-        config.l2,
-        require_monotone=True,
-    )
-    return Backbone(W, b, classes, nll[-1])
+    W, b, _ = fit_softmax_regression(train.features, y, classes, _BACKBONE.learning_rate,
+                                     _BACKBONE.epochs, _BACKBONE.l2, require_monotone=True)
+    return Head(LOGISTIC, W, b, classes)
 
 
 def discretize_target(y, bins: int) -> np.ndarray:
@@ -126,7 +84,7 @@ def discretize_target(y, bins: int) -> np.ndarray:
 class OpenMaxModel:
     """Per-class MAVs plus Weibull tail fits in logit space."""
 
-    backbone: Backbone
+    backbone: Head
     mavs: np.ndarray  # (C, C) mean logit vector per class
     shapes: np.ndarray  # (C,)
     scales: np.ndarray  # (C,)
@@ -144,7 +102,7 @@ def _distances(diff: np.ndarray, norm: str) -> np.ndarray:
 
 
 def fit_openmax(
-    backbone: Backbone, train: Dataset, norm: str = "l2", tail: int = 20
+    backbone: Head, train: Dataset, norm: str = "l2", tail: int = 20
 ) -> OpenMaxModel:
     """Fit one MAV and one Weibull tail model per class.
 
@@ -154,7 +112,7 @@ def fit_openmax(
     """
     if tail < 2:
         raise ValueError("tail must be >= 2")
-    logits = backbone.logits(train.features)
+    logits = heads.logits(backbone, train.features)
     pred = np.argmax(logits, axis=1)
     y = train.labels.astype(np.int64)
     correct = pred == y
@@ -182,25 +140,19 @@ def fit_openmax(
     return OpenMaxModel(backbone, mavs, shapes, scales, tail, norm.lower())
 
 
-def openmax_score(model: OpenMaxModel, x) -> float | np.ndarray:
-    """Weibull CDF of the distance to the predicted class's MAV.
-
-    Accepts one row (returns a scalar) or a matrix (returns a vector).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    logits = np.atleast_2d(model.backbone.logits(x))
+def openmax_score(model: OpenMaxModel, X) -> np.ndarray:
+    """Weibull CDF of each row's distance to its predicted class's MAV."""
+    logits = heads.logits(model.backbone, X)
     pred = np.argmax(logits, axis=1)
     dist = _distances(logits - model.mavs[pred], model.norm)
-    scores = weibull_cdf(dist, model.shapes[pred], model.scales[pred])
-    return float(scores[0]) if single else scores
+    return weibull_cdf(dist, model.shapes[pred], model.scales[pred])
 
 
 @dataclass
 class TemperatureModel:
     """Single scalar temperature fitted on a calibration split."""
 
-    backbone: Backbone
+    backbone: Head
     temperature: float
     nll_calibrated: float
     nll_uncalibrated: float
@@ -212,17 +164,17 @@ def _nll_at_temperature(logits: np.ndarray, y: np.ndarray, tau: float) -> float:
     return -float(np.mean(logp.reshape(-1)[flat]))
 
 
-def fit_temperature_on_logits(logits, y, lo: float = TEMP_LO, hi: float = TEMP_HI,
-                              tol: float = 1e-4) -> float:
-    """Golden-section search for the NLL-minimizing temperature in [lo, hi]."""
+def fit_temperature_on_logits(logits, y) -> float:
+    """Golden-section search for the NLL-minimizing temperature in
+    [TEMP_LO, TEMP_HI]."""
     logits = np.asarray(logits, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
-    a, b = lo, hi
+    a, b = TEMP_LO, TEMP_HI
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc = _nll_at_temperature(logits, y, c)
     fd = _nll_at_temperature(logits, y, d)
-    while b - a > tol:
+    while b - a > _TEMP_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -238,11 +190,11 @@ def fit_temperature_on_logits(logits, y, lo: float = TEMP_LO, hi: float = TEMP_H
     return float(tau)
 
 
-def fit_temperature(backbone: Backbone, calibration: Dataset) -> TemperatureModel:
+def fit_temperature(backbone: Head, calibration: Dataset) -> TemperatureModel:
     """Fit the temperature on a held-out labeled split."""
     if calibration.schema.task != CLASSIFICATION:
         raise ValueError("temperature calibration needs classification labels")
-    logits = backbone.logits(calibration.features)
+    logits = heads.logits(backbone, calibration.features)
     y = calibration.labels.astype(np.int64)
     tau = fit_temperature_on_logits(logits, y)
     return TemperatureModel(
@@ -253,13 +205,10 @@ def fit_temperature(backbone: Backbone, calibration: Dataset) -> TemperatureMode
     )
 
 
-def temp_score(model: TemperatureModel, x) -> float | np.ndarray:
-    """Negative maximum calibrated confidence, in [-1, -1/C]."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    logits = np.atleast_2d(model.backbone.logits(x))
-    scores = -softmax_classes(np.divide(logits.T, model.temperature, order="C")).max(axis=0)
-    return float(scores[0]) if single else scores
+def temp_score(model: TemperatureModel, X) -> np.ndarray:
+    """Each row's negative maximum calibrated confidence, in [-1, -1/C]."""
+    logits = heads.logits(model.backbone, X)
+    return -softmax_classes(np.divide(logits.T, model.temperature, order="C")).max(axis=0)
 
 
 @dataclass
@@ -331,9 +280,9 @@ def split_by_threshold(
 class SplitReport:
     """Four-cell validation grid for one ID/OOD split.
 
-    The probe (logistic regression for classification, ordinary least
-    squares for regression) is trained on the ID-train portion only; the
-    metric is accuracy or r-squared respectively.
+    The probe, the task's head (logistic regression for classification,
+    ridge regression for regression), is trained on the ID-train portion
+    only; the metric is accuracy or r-squared respectively.
     """
 
     task: str
@@ -370,12 +319,8 @@ def validate_split(
     ood_train, ood_test = split(pair.d_ood, fractions, rng)
 
     task = pair.d_in.schema.task
-    if task == CLASSIFICATION:
-        probe = fit_logistic(id_train.features, id_train.labels)
-        metric = metric_accuracy
-    else:
-        probe = fit_linear(id_train.features, id_train.labels)
-        metric = metric_r2
+    probe = fit_head(id_train.features, id_train.labels, task)
+    metric = metric_accuracy if task == CLASSIFICATION else metric_r2
 
     def score(ds: Dataset) -> float:
         return metric(ds.labels, predict(probe, ds.features))

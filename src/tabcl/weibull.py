@@ -16,6 +16,8 @@ from .numerics import RngStream
 
 _SHAPE_LO = 1e-3
 _SHAPE_HI = 1e3
+_MLE_TOL = 1e-8  # Newton stops once a shape step is below this
+_MLE_MAX_ITER = 200
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -68,7 +70,7 @@ def _profile_score(k: float, z: np.ndarray, ln_z: np.ndarray, mean_ln: float):
     return g, gp
 
 
-def weibull_mle(x, tol: float = 1e-8, max_iter: int = 200) -> tuple[float, float]:
+def weibull_mle(x) -> tuple[float, float]:
     """Fit (shape, scale) by maximum likelihood.
 
     Newton iteration on the shape with a bisection fallback whenever a step
@@ -102,7 +104,7 @@ def weibull_mle(x, tol: float = 1e-8, max_iter: int = 200) -> tuple[float, float
         raise NumericError("shape parameter out of range (near-degenerate sample)")
 
     k = min(max(1.0, lo), hi)
-    for _ in range(max_iter):
+    for _ in range(_MLE_MAX_ITER):
         g, gp = _profile_score(k, z, ln_z, mean_ln)
         if np.isfinite(g):
             if g < 0:
@@ -116,7 +118,7 @@ def weibull_mle(x, tol: float = 1e-8, max_iter: int = 200) -> tuple[float, float
                 k_new = 0.5 * (lo + hi)
         else:
             k_new = 0.5 * (lo + hi)
-        if abs(k_new - k) < tol:
+        if abs(k_new - k) < _MLE_TOL:
             k = k_new
             break
         k = k_new

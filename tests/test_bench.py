@@ -98,6 +98,25 @@ class TestPlan:
         with pytest.raises(ConfigError):
             ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", "bogus": 1})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("head", "ridge", "unknown head kind"),
+        ("fractions", [0.5, 0.6], "summing to 1"),
+        ("fractions", [0.0, 1.0], "positive"),
+        ("fractions", [0.2, 0.3, 0.5], "two positive"),
+        ("fractions", 0.8, "fractions"),
+        ("fractions", ["a", "b"], "fractions"),
+        ("seed", -1, "non-negative integer"),
+        ("seed", "3", "non-negative integer"),
+    ])
+    def test_bad_field_rejected_when_built(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", field: value})
+
+    def test_fractions_stored_as_a_float_pair(self):
+        plan = ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y",
+                                         "fractions": [0.75, 0.25]})
+        assert plan.fractions == (0.75, 0.25)
+
 
 class TestResolveThreshold:
     def test_explicit_threshold_wins(self):
@@ -187,6 +206,21 @@ class TestRunExperiment:
         assert report.task == "regression"
         assert report.metric_name == "rmse"
         assert report.tradeoff == pytest.approx((1.0 / report.p) / report.t_seconds)
+
+    @pytest.mark.parametrize("head", ["linear", "logistic"])
+    def test_head_must_fit_the_task_before_training(self, tmp_path, head):
+        if head == "linear":
+            plan = small_plan(tmp_path, head=head)
+        else:
+            rng = RngStream(204, 0)
+            X = rng.normal(300, 3)
+            csv_path = tmp_path / "reg.csv"
+            write_regression_csv(csv_path, X, 0.5 + X[:, 0] ** 2)  # no negative targets
+            plan = small_plan(tmp_path, dataset=str(csv_path), target="value", head=head)
+        with pytest.raises(ConfigError, match="does not fit") as exc:
+            run_experiment(plan)
+        assert "[stage=ingest]" in exc.value.__notes__
+        assert os.listdir(plan.out_dir) == []
 
     def test_stage_failures_name_the_stage(self, tmp_path):
         plan = small_plan(tmp_path, run_name="bad", dataset=str(tmp_path / "missing.csv"))

@@ -355,6 +355,71 @@ class TestDatasetPayload:
         assert str(path) in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def reg_dir(tmp_path_factory, ds_dir):
+    """ds_dir's features with a real, non-negative target."""
+    dataset = load_dataset(ds_dir)
+    schema = Schema(dataset.schema.features, "value", "regression")
+    target = 0.5 + dataset.features[:, 0] ** 2
+    out = tmp_path_factory.mktemp("cli-reg") / "ds"
+    save_dataset(Dataset(dataset.features, target, schema, dataset.stats), out)
+    return out
+
+
+class TestHeadKind:
+    """A head kind must fit the dataset's task, at fit-head and at evaluate."""
+
+    @pytest.mark.parametrize("data, kind", [("cls", "linear"), ("reg", "logistic")])
+    def test_fit_head_with_the_other_kind_is_2(self, tmp_path, ds_dir, reg_dir, data, kind,
+                                               capsys):
+        directory = ds_dir if data == "cls" else reg_dir
+        assert run(["fit-head", directory, "--kind", kind, "--out", tmp_path / "head"]) == 2
+        assert "does not fit" in capsys.readouterr().err
+        assert not (tmp_path / "head" / "head.json").exists()
+
+    @pytest.mark.parametrize("fit_on, evaluate_on", [("cls", "reg"), ("reg", "cls")])
+    def test_evaluate_with_the_other_kind_is_2(self, tmp_path, ds_dir, reg_dir, fit_on,
+                                               evaluate_on, capsys):
+        dirs = {"cls": ds_dir, "reg": reg_dir}
+        assert run(["fit-head", dirs[fit_on], "--out", tmp_path / "head"]) == 0
+        assert run(["evaluate", tmp_path / "head" / "head.json", dirs[fit_on],
+                    "--out", tmp_path / "ok"]) == 0
+        assert run(["evaluate", tmp_path / "head" / "head.json", dirs[evaluate_on],
+                    "--out", tmp_path / "eval"]) == 2
+        assert "does not fit" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+
+class TestPlanChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("head", "ridge"), ("fractions", [0.5, 0.6]), ("fractions", 0.8), ("seed", -1),
+    ])
+    def test_bad_plan_field_is_2_before_any_stage(self, tmp_path, data_csv, field, value):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out),
+            "detector": {"tail": 25}, "tcl": {"max_epochs": 2}, field: value,
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_2_before_any_stage(self, tmp_path, data_csv):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {"dataset": str(data_csv), "target": "label"})
+        assert run(["report", "--config", plan, "--seed", -1, "--out", out]) == 2
+        assert not out.exists()
+
+    def test_head_that_does_not_fit_the_task_is_2_before_training(self, tmp_path, data_csv,
+                                                                  capsys):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out), "head": "linear",
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert "does not fit a classification task" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestConfig:
     """One config document drives the CLI stages and the experiment plan."""
 

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabcl.exceptions import FormatError, NumericError, TrainingError
+from tabcl.exceptions import ConfigError, FormatError, NumericError, TrainingError
 from tabcl.heads import (
     Head,
     HeadConfig,
+    fit_head,
     fit_linear,
     fit_logistic,
     fit_softmax_regression,
+    head_kind,
     load_head,
+    logits,
     metric_accuracy,
     metric_f1_macro,
     metric_r2,
@@ -65,6 +68,48 @@ class TestLogistic:
         head = fit_logistic(X, y)
         with pytest.raises(ValueError):
             predict(head, X[:, :1])
+
+
+class TestLogits:
+    def test_overflow_raises(self):
+        head = Head("logistic", np.array([[1e308, 0.0], [1e308, 0.0]]), np.zeros(2), 2)
+        X = np.array([[1.0, 0.0], [10.0, 10.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="non-finite logits"):
+                logits(head, X)
+            with pytest.raises(NumericError, match="non-finite logits"):
+                predict(head, X)
+
+    def test_predict_is_the_argmax_of_the_plain_logits(self):
+        X, y = softmax_problem(41, 500, 6, 7, 3.0)
+        head = fit_logistic(X, y)
+        plain = np.argmax(X @ head.weights + head.bias, axis=1)
+        assert bits_equal(predict(head, X), plain)
+        assert bits_equal(logits(head, X), X @ head.weights + head.bias)
+
+    def test_one_row_must_be_a_matrix(self):
+        X, y = separable_toy()
+        head = fit_logistic(X, y)
+        with pytest.raises(ValueError, match="2-D matrix"):
+            logits(head, X[0])
+        assert logits(head, X[:1]).shape == (1, 2)
+
+
+class TestFitHead:
+    def test_kind_follows_the_task(self):
+        X, y = separable_toy()
+        assert fit_head(X, y, "classification").kind == "logistic"
+        assert fit_head(X, y.astype(np.float64), "regression").kind == "linear"
+        assert head_kind("classification", "logistic") == "logistic"
+        assert head_kind("regression", "linear") == "linear"
+
+    @pytest.mark.parametrize("task, kind", [
+        ("classification", "linear"), ("regression", "logistic"), ("classification", "ridge"),
+    ])
+    def test_kind_that_does_not_fit_the_task_rejected(self, task, kind):
+        X, y = separable_toy()
+        with pytest.raises(ConfigError, match="does not fit"):
+            fit_head(X, y, task, kind)
 
 
 def two_pass_fit(X, y, n_classes, learning_rate, epochs, l2, require_monotone=False):

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from tabcl import ood
 from tabcl.data import Dataset, split
 from tabcl.exceptions import NumericError, TrainingError
+from tabcl.heads import Head, HeadConfig, logits, predict
 from tabcl.numerics import RngStream
 from tabcl.ood import (
-    Backbone,
-    BackboneConfig,
     OpenMaxModel,
     TemperatureModel,
     discretize_target,
@@ -39,13 +38,18 @@ def toy_dataset(n=200, d=4, sep=5.0, seed=50):
     return Dataset(X, y, numeric_schema(d), None)
 
 
+def eye_backbone():
+    """A two-class backbone whose logits are the two features themselves."""
+    return Head("logistic", np.eye(2), np.zeros(2), 2)
+
+
 class TestBackbone:
     def test_separable_data(self):
         ds = toy_dataset()
         backbone = train_backbone(ds)
-        acc = float(np.mean(backbone.predict(ds.features) == ds.labels))
+        assert (backbone.kind, backbone.classes) == ("logistic", 2)
+        acc = float(np.mean(predict(backbone, ds.features) == ds.labels))
         assert acc >= 0.99
-        assert np.isfinite(backbone.final_nll)
 
     def test_shuffled_labels_stay_near_chance(self):
         rng = RngStream(51, 0)
@@ -53,7 +57,7 @@ class TestBackbone:
         y = (rng.uniform(200, 1)[:, 0] < 0.5).astype(np.int64)  # labels independent of X
         ds = Dataset(X, y, numeric_schema(5), None)
         backbone = train_backbone(ds)
-        acc = float(np.mean(backbone.predict(ds.features) == ds.labels))
+        acc = float(np.mean(predict(backbone, ds.features) == ds.labels))
         assert acc <= 0.65
 
     def test_deterministic(self):
@@ -70,8 +74,9 @@ class TestBackbone:
 
     def test_oversized_step_raises(self):
         ds = toy_dataset()
-        with pytest.raises(TrainingError):
-            train_backbone(ds, BackboneConfig(learning_rate=50.0))
+        with mock.patch.object(ood, "_BACKBONE", HeadConfig(learning_rate=50.0, epochs=300)):
+            with pytest.raises(TrainingError):
+                train_backbone(ds)
 
 
 class TestDiscretize:
@@ -100,11 +105,11 @@ class TestOpenMax:
         ds = toy_dataset(n=400, sep=6.0)
         backbone = train_backbone(ds)
         model = fit_openmax(backbone, ds, norm="l2", tail=30)
-        logits = backbone.logits(ds.features)
+        z = logits(backbone, ds.features)
         mav_gap = np.linalg.norm(model.mavs[0] - model.mavs[1])
         within = []
         for cls in (0, 1):
-            acts = logits[(backbone.predict(ds.features) == ds.labels) & (ds.labels == cls)]
+            acts = z[(predict(backbone, ds.features) == ds.labels) & (ds.labels == cls)]
             diff = acts - model.mavs[cls]
             within.extend(np.sqrt((diff * diff).sum(axis=1)))
         assert mav_gap > 10.0 * float(np.mean(within))
@@ -125,27 +130,34 @@ class TestOpenMax:
             fit_openmax(backbone, ds, tail=20)
 
     def test_score_zero_at_mav_and_one_far_away(self):
-        backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
-        model = OpenMaxModel(backbone, mavs, np.array([2.0, 2.0]), np.array([1.0, 1.0]), 10, "l2")
-        assert openmax_score(model, np.array([3.0, 0.0])) == 0.0
-        assert openmax_score(model, np.array([300.0, 0.0])) == pytest.approx(1.0)
+        model = OpenMaxModel(eye_backbone(), mavs, np.array([2.0, 2.0]), np.array([1.0, 1.0]),
+                             10, "l2")
+        scores = openmax_score(model, np.array([[3.0, 0.0], [300.0, 0.0]]))
+        assert scores[0] == 0.0
+        assert scores[1] == pytest.approx(1.0)
 
     def test_score_at_scale_distance(self):
-        backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
-        model = OpenMaxModel(backbone, mavs, np.array([1.3, 1.3]), np.array([2.0, 2.0]), 10, "l2")
+        model = OpenMaxModel(eye_backbone(), mavs, np.array([1.3, 1.3]), np.array([2.0, 2.0]),
+                             10, "l2")
         # distance from class-0 MAV exactly equals the scale parameter
-        score = openmax_score(model, np.array([5.0, 0.0]))
+        (score,) = openmax_score(model, np.array([[5.0, 0.0]]))
         assert score == pytest.approx(1 - np.exp(-1), abs=1e-12)
 
     def test_score_monotone_in_distance(self):
-        backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
-        model = OpenMaxModel(backbone, mavs, np.array([1.7, 1.7]), np.array([0.8, 0.8]), 10, "l2")
+        model = OpenMaxModel(eye_backbone(), mavs, np.array([1.7, 1.7]), np.array([0.8, 0.8]),
+                             10, "l2")
         xs = np.array([[3.0 + t, 0.0] for t in np.linspace(0, 20, 40)])
         scores = openmax_score(model, xs)
         assert np.all(np.diff(scores) >= 0)
+
+    def test_single_row_vector_rejected(self):
+        mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
+        model = OpenMaxModel(eye_backbone(), mavs, np.ones(2), np.ones(2), 10, "l2")
+        with pytest.raises(ValueError, match="2-D matrix"):
+            openmax_score(model, np.array([3.0, 0.0]))
 
 
 def reference_weibull_cdf(x, shape, scale):
@@ -156,9 +168,9 @@ def reference_weibull_cdf(x, shape, scale):
 
 def reference_openmax_score(model, x):
     """The score as first written: one scalar weibull_cdf call per row."""
-    logits = model.backbone.logits(x)
-    pred = np.argmax(logits, axis=1)
-    dist = ood._distances(logits - model.mavs[pred], model.norm)
+    z = logits(model.backbone, x)
+    pred = np.argmax(z, axis=1)
+    dist = ood._distances(z - model.mavs[pred], model.norm)
     return np.array(
         [reference_weibull_cdf(d, model.shapes[c], model.scales[c]) for d, c in zip(dist, pred)]
     )
@@ -180,27 +192,26 @@ class TestOpenMaxMatchesReference:
         assert scores.tobytes() == reference_openmax_score(model, ds.features).tobytes()
 
     def test_overflowing_power_scores_exactly_one(self):
-        backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
-        model = OpenMaxModel(backbone, mavs, np.array([500.0, 500.0]), np.array([1.0, 1.0]),
-                             10, "l2")
+        model = OpenMaxModel(eye_backbone(), mavs, np.array([500.0, 500.0]),
+                             np.array([1.0, 1.0]), 10, "l2")
         x = np.array([[1e3, 0.0], [3.0, 0.0], [0.0, 1e3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scores = openmax_score(model, x)
-            single = openmax_score(model, x[0])
+            one_row = openmax_score(model, x[:1])
         assert scores.tolist() == [1.0, 0.0, 1.0]
-        assert single == 1.0
+        assert one_row.tolist() == [1.0]
         with np.errstate(over="ignore"):
             assert scores.tobytes() == reference_openmax_score(model, x).tobytes()
 
     def test_non_positive_parameters_rejected(self):
-        backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
-        model = OpenMaxModel(backbone, mavs, np.array([1.0, 0.0]), np.array([1.0, 1.0]), 10, "l2")
-        assert openmax_score(model, np.array([4.0, 0.0])) > 0.0  # class 0 is sound
+        model = OpenMaxModel(eye_backbone(), mavs, np.array([1.0, 0.0]), np.array([1.0, 1.0]),
+                             10, "l2")
+        assert openmax_score(model, np.array([[4.0, 0.0]]))[0] > 0.0  # class 0 is sound
         with pytest.raises(ValueError, match="must be positive"):
-            openmax_score(model, np.array([0.0, 4.0]))
+            openmax_score(model, np.array([[0.0, 4.0]]))
 
 
 def reference_nll(logits, y, tau):
@@ -292,12 +303,17 @@ class TestTemperature:
         assert 0.05 <= model.temperature <= 10.0
 
     def test_score_limits(self):
-        backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
-        model = TemperatureModel(backbone, 1.0, 0.0, 0.0)
-        assert temp_score(model, np.array([50.0, 0.0])) == pytest.approx(-1.0, abs=1e-9)
-        assert temp_score(model, np.array([0.0, 0.0])) == pytest.approx(-0.5)
-        hot = TemperatureModel(backbone, 1e9, 0.0, 0.0)
-        assert temp_score(hot, np.array([17.0, -4.0])) == pytest.approx(-0.5, abs=1e-6)
+        model = TemperatureModel(eye_backbone(), 1.0, 0.0, 0.0)
+        scores = temp_score(model, np.array([[50.0, 0.0], [0.0, 0.0]]))
+        assert scores[0] == pytest.approx(-1.0, abs=1e-9)
+        assert scores[1] == pytest.approx(-0.5)
+        hot = TemperatureModel(eye_backbone(), 1e9, 0.0, 0.0)
+        assert temp_score(hot, np.array([[17.0, -4.0]]))[0] == pytest.approx(-0.5, abs=1e-6)
+
+    def test_single_row_vector_rejected(self):
+        model = TemperatureModel(eye_backbone(), 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="2-D matrix"):
+            temp_score(model, np.array([50.0, 0.0]))
 
     def test_score_matches_inline_reference(self):
         # the score as first written, with its own in-place row-major
@@ -305,18 +321,17 @@ class TestTemperature:
         # start numpy's unrolled and halved row sums.
         rng = RngStream(57, 0)
         for classes in (4, 8, 10, 130):
-            backbone = Backbone(rng.normal(6, classes), rng.normal(1, classes)[0], classes, 0.0)
+            backbone = Head("logistic", rng.normal(6, classes), rng.normal(1, classes)[0], classes)
             x = 3.0 * rng.normal(200, 6)
             for tau in (0.05, 0.7, 1.0, 9.5):
-                logits = backbone.logits(x) / tau
-                p = np.exp(logits - logits.max(axis=1, keepdims=True))
+                z = logits(backbone, x) / tau
+                p = np.exp(z - z.max(axis=1, keepdims=True))
                 p /= p.sum(axis=1, keepdims=True)
                 scores = temp_score(TemperatureModel(backbone, tau, 0.0, 0.0), x)
                 assert scores.tobytes() == (-p.max(axis=1)).tobytes()
 
     def test_score_decreases_with_confidence(self):
-        backbone = Backbone(np.eye(2), np.zeros(2), 2, 0.0)
-        model = TemperatureModel(backbone, 1.3, 0.0, 0.0)
+        model = TemperatureModel(eye_backbone(), 1.3, 0.0, 0.0)
         xs = np.array([[t, 0.0] for t in np.linspace(0.0, 10.0, 25)])
         scores = temp_score(model, xs)
         assert np.all(np.diff(scores) < 0)  # more confident -> lower score
