@@ -43,7 +43,6 @@ from .data import (
 from .exceptions import ConfigError, FormatError, NumericError, TrainingError
 from .heads import (
     Head,
-    HeadConfig,
     fit_linear,
     fit_logistic,
     load_head,

@@ -104,26 +104,46 @@ def load_config(path) -> dict:
     return doc
 
 
+def _check_int(det: dict, key: str, low: int) -> None:
+    value = det.get(key, low)  # an absent key takes its stage's default
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"detector {key} must be an integer >= {low}, got {value!r}")
+
+
 def check_detector(det: dict) -> None:
-    """Reject detector settings no stage reads, an unknown detector, and a
-    threshold given together with a quantile."""
+    """Reject detector settings no stage reads, an unknown detector or norm,
+    a threshold given together with a quantile, and a ``seed``, ``tail``,
+    ``bins`` or ``quantile`` out of range, before any stage runs."""
     unknown = set(det) - DETECTOR_KEYS
     if unknown:
         raise ConfigError(f"unknown detector config keys: {sorted(unknown)}")
     name = det.get("detector", OPENMAX)
     if name not in (OPENMAX, TEMPERATURE):
         raise ConfigError(f"unknown detector: {name!r}")
+    norm = det.get("norm", "l2")
+    if not (isinstance(norm, str) and norm.lower() in ("l1", "l2")):
+        raise ConfigError(f"unknown norm: {norm!r}; use l1 or l2")
     if "threshold" in det and "quantile" in det:
         raise ConfigError("give either a threshold or a quantile, not both")
+    _check_int(det, "seed", 0)
+    _check_int(det, "tail", 2)
+    _check_int(det, "bins", 1)
+    q = det.get("quantile", 0.95)
+    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0.0 < q < 1.0:
+        raise ConfigError(f"quantile must lie in (0, 1), got {q!r}")
 
 
 def check_tcl(tcl: dict) -> None:
-    """Reject TCL settings that :class:`TclConfig` does not take."""
+    """Reject TCL settings that :class:`TclConfig` does not take or rejects."""
     if "input_dim" in tcl:
         raise ConfigError("the tcl config cannot set input_dim: it is the data's encoded width")
     unknown = set(tcl) - TCL_KEYS
     if unknown:
         raise ConfigError(f"unknown tcl config keys: {sorted(unknown)}")
+    try:
+        TclConfig(input_dim=1, **tcl)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad tcl config: {exc}") from exc
 
 
 @dataclass

@@ -1,14 +1,18 @@
 """Supervised heads and evaluation metrics.
 
 A head is a small linear model fitted on either raw features or learned
-embeddings: multinomial logistic regression (gradient descent, L2 penalty)
-for classification, closed-form ridge regression for real targets.
+embeddings: multinomial logistic regression (L2 penalty) for
+classification, closed-form ridge regression for real targets.
 :func:`fit_head` picks the one that fits a task.  The OOD gate's scoring
 backbone is a logistic head too; :func:`logits` gives its class scores.
 
-The softmax fit works on class-major (C, n) probabilities P, so all but
-its matrix products walk rows of length n.  Those stay ``X @ W`` and
-``X.T @ r`` on a row-major copy r of P: copy-free forms can round apart.
+The logistic head is solved to the optimum of its objective by truncated
+Newton (:func:`fit_softmax_regression`): conjugate gradients on
+Hessian-vector products for each step's direction, and a backtracking
+line search.  It keeps its class-major (C, n) logits and probabilities in
+buffers allocated once per fit, so all but its matrix products walk rows
+of length n, and a Hessian-vector product costs two matrix products and no
+``exp``.  The OOD backbone does not use it: see :mod:`tabcl.ood`.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import numpy as np
 
 from .artifacts import fields, read_json, write_json
 from .data import CLASSIFICATION
-from .exceptions import ConfigError, NumericError, TrainingError
-from .numerics import _class_index, softmax_classes
+from .exceptions import ConfigError, NumericError
+from .numerics import _class_index, check_finite, softmax_classes
 
 LOGISTIC = "logistic"
 LINEAR = "linear"
@@ -28,12 +32,12 @@ LINEAR = "linear"
 HEAD_FORMAT = "tcl-head"
 HEAD_VERSION = 1
 
-
-@dataclass
-class HeadConfig:
-    learning_rate: float = 0.1
-    epochs: int = 200
-    l2: float = 1e-4
+L2 = 1e-4  # fit_logistic's default weight penalty
+_TOL = 1e-6  # a fit stops once no gradient entry is larger in magnitude
+_NEWTON_STEPS = 100
+_CG_STEPS = 100  # Hessian-vector products per Newton step, at most
+_ARMIJO = 1e-4  # share of the predicted decrease a step must achieve
+_MIN_STEP = 2.0 ** -30  # the line search gives up below this step length
 
 
 @dataclass
@@ -59,65 +63,131 @@ def _check_features(X, head: Head | None = None) -> np.ndarray:
     return X
 
 
-def fit_softmax_regression(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    learning_rate: float,
-    epochs: int,
-    l2: float,
-    require_monotone: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Full-batch gradient descent on the multinomial logistic objective.
+class _Objective:
+    """Mean NLL plus ``0.5 * l2 * |W|^2`` (bias unpenalized) on one data set.
 
-    Weights start at zero, so the fit is deterministic.  Returns weights,
-    bias, and the per-epoch NLL trace.  When ``require_monotone`` is set an
-    epoch that increases the regularized objective raises TrainingError.
-    Labels not one per row or outside ``[0, n_classes)`` raise ValueError.
+    Parameters are one class-major (C, d + 1) matrix ``theta``, the weights'
+    transpose with the bias as its last column, so the logits are the
+    class-major product ``theta @ xt`` with the transposed, one-extended
+    features ``xt``.  The gradient and the Hessian-vector product are taken
+    at the probabilities ``p`` that the last :meth:`value` left behind.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, l2: float):
+        n, d = X.shape
+        self.n = n
+        self.flat = _class_index(y, n_classes, n)
+        self.xt = np.empty((d + 1, n))
+        self.xt[:d] = X.T
+        self.xt[d] = 1.0
+        self.pen = np.full(d + 1, float(l2))
+        self.pen[d] = 0.0
+        self.p = np.empty((n_classes, n))
+        self.q = np.empty((n_classes, n))
+        self.m = np.empty(n)
+        self.work = np.empty((min(n_classes, 8), n))
+
+    def value(self, z: np.ndarray, theta: np.ndarray) -> float:
+        """The objective at ``theta``, whose logits are ``z``."""
+        np.copyto(self.p, z)
+        g = softmax_classes(self.p, self.work).reshape(-1)[self.flat]
+        return (-float(np.mean(np.log(g + 1e-300)))
+                + 0.5 * float(np.vdot(self.pen * theta, theta)))
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        np.copyto(self.q, self.p)
+        self.q.reshape(-1)[self.flat] -= 1.0  # p minus the one-hot labels
+        return self.q @ self.xt.T / self.n + self.pen * theta
+
+    def hessian_product(self, v: np.ndarray, zv: np.ndarray) -> np.ndarray:
+        """``H @ v`` from the logit direction ``zv = v @ xt``, which it
+        writes: each row's block of H is ``diag(p) - p p^T``, so the product
+        is two matrix products and no ``exp``."""
+        np.matmul(v, self.xt, out=zv)
+        np.multiply(self.p, zv, out=self.q)
+        np.sum(self.q, axis=0, out=self.m)
+        np.subtract(zv, self.m, out=self.q)
+        self.q *= self.p
+        return self.q @ self.xt.T / self.n + self.pen * v
+
+
+def _newton_step(obj: _Objective, g: np.ndarray, zs: np.ndarray, zv: np.ndarray) -> np.ndarray:
+    """Truncated conjugate gradients on ``H s = -g`` from ``s = 0``, with
+    ``zs`` receiving the logit direction ``s @ xt``.  Stops once the
+    residual falls to ``min(0.5, sqrt(|g|)) * |g|`` (Nocedal & Wright,
+    Algorithm 7.1), on a direction without curvature, or after
+    ``_CG_STEPS`` products."""
+    s = np.zeros_like(g)
+    zs.fill(0.0)
+    r = -g
+    v = r.copy()
+    rr = gg = float(np.vdot(r, r))
+    stop = min(0.25, np.sqrt(gg)) * gg  # the squared residual to reach
+    for _ in range(_CG_STEPS):
+        hv = obj.hessian_product(v, zv)
+        curvature = float(np.vdot(v, hv))
+        if curvature <= 0.0:  # say, a shift of all biases by one constant
+            break
+        a = rr / curvature
+        s += a * v
+        zv *= a
+        zs += zv
+        r -= a * hv
+        rr, rr_old = float(np.vdot(r, r)), rr
+        if rr <= stop:
+            break
+        v *= rr / rr_old
+        v += r
+    return s
+
+
+def fit_softmax_regression(
+    X: np.ndarray, y: np.ndarray, n_classes: int, l2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial logistic regression solved to its optimum by truncated
+    Newton (Newton-CG; Lin, Weng & Keerthi, 2008).
+
+    Minimizes the mean NLL plus ``0.5 * l2 * |W|^2``, bias unpenalized.
+    Each Newton step solves for its direction with :func:`_newton_step`
+    and backtracks from the full step until the objective falls by the
+    Armijo margin, so it never rises.  The fit starts at zero weights and
+    stops once every gradient entry is at most ``_TOL`` in magnitude, after
+    ``_NEWTON_STEPS`` steps, or when no step lowers the objective.  Returns
+    weights (d, C) and bias (C,).  Labels not one per row or outside
+    ``[0, n_classes)`` raise ValueError, non-finite features NumericError.
     """
     n, d = X.shape
-    flat = _class_index(y, n_classes, n)
-    W = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
-    p = np.empty((n_classes, n))  # class-major probabilities
-    r = np.empty((n, n_classes))  # their row-major copy, for X.T @ r
-    work = np.empty((min(n_classes, 8), n))
-
-    # One softmax per epoch: the probabilities after an update give both
-    # that epoch's objective and the next epoch's gradient.
-    np.add((X @ W).T, b[:, None], out=p)
-    g = softmax_classes(p, work).reshape(-1)[flat]
-    prev_obj = -float(np.mean(np.log(g + 1e-300)))  # W = 0: no penalty yet
-    nll_trace: list[float] = []
-    for epoch in range(epochs):
-        p.reshape(-1)[flat] = g - 1.0  # p minus the one-hot labels
-        np.copyto(r, p.T)
-        gW = X.T @ r / n + l2 * W
-        # Column sums of the residual, adding its rows in order either way;
-        # a running sum along each class row is the faster for few classes.
-        gb = (np.add.accumulate(p, axis=1, out=work)[:, -1] if n_classes < 6
-              else r.sum(axis=0)) / n
-        W -= learning_rate * gW
-        b -= learning_rate * gb
-        np.add((X @ W).T, b[:, None], out=p)
-        g = softmax_classes(p, work).reshape(-1)[flat]
-        nll = -float(np.mean(np.log(g + 1e-300)))
-        obj = nll + 0.5 * l2 * float(np.sum(W * W))
-        if not np.isfinite(obj):
-            raise NumericError("non-finite training objective")
-        if require_monotone and obj > prev_obj + 1e-12:
-            raise TrainingError(
-                f"objective rose at epoch {epoch} ({prev_obj:.6g} -> {obj:.6g}); "
-                "use a smaller learning rate"
-            )
-        prev_obj = obj
-        nll_trace.append(nll)
-    return W, b, nll_trace
+    obj = _Objective(X, y, n_classes, l2)
+    check_finite(X, "softmax regression features")
+    theta = np.zeros((n_classes, d + 1))
+    z = np.zeros((n_classes, n))  # logits theta @ xt, updated with theta
+    trial, zs, zv = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    f = obj.value(z, theta)
+    for _ in range(_NEWTON_STEPS):
+        g = obj.gradient(theta)
+        if np.abs(g).max() <= _TOL:
+            break
+        s = _newton_step(obj, g, zs, zv)
+        slope = float(np.vdot(g, s))
+        t = 1.0
+        while slope < 0.0 and t >= _MIN_STEP:
+            np.multiply(zs, t, out=trial)
+            trial += z
+            f_trial = obj.value(trial, theta + t * s)
+            if f_trial <= f + _ARMIJO * t * slope:  # False for a NaN objective
+                break
+            t *= 0.5
+        else:
+            break  # no step lowers the objective any more
+        theta += t * s
+        z, trial, f = trial, z, f_trial
+    return np.ascontiguousarray(theta[:, :d].T), theta[:, d].copy()
 
 
-def fit_logistic(X, y, config: HeadConfig | None = None) -> Head:
+def fit_logistic(X, y, l2: float = L2) -> Head:
     """Multinomial logistic regression head; requires >= 2 classes present."""
-    config = config or HeadConfig()
+    if l2 < 0:
+        raise ValueError("l2 must be >= 0")
     X = _check_features(X)
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
@@ -126,9 +196,7 @@ def fit_logistic(X, y, config: HeadConfig | None = None) -> Head:
     classes = int(y.max()) + 1 if y.size else 0
     if np.unique(y).size < 2:
         raise ValueError("logistic head needs at least 2 classes present")
-    W, b, _ = fit_softmax_regression(
-        X, y, classes, config.learning_rate, config.epochs, config.l2
-    )
+    W, b = fit_softmax_regression(X, y, classes, l2)
     return Head(LOGISTIC, W, b, classes)
 
 

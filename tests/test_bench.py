@@ -112,6 +112,28 @@ class TestPlan:
         with pytest.raises(ConfigError, match=message):
             ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", field: value})
 
+    @pytest.mark.parametrize("detector, message", [
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"seed": 1.5}, "seed must be an integer >= 0"),
+        ({"tail": 1}, "tail must be an integer >= 2"),
+        ({"bins": 0}, "bins must be an integer >= 1"),
+        ({"quantile": 1.0}, r"quantile must lie in \(0, 1\)"),
+        ({"quantile": "0.9"}, r"quantile must lie in \(0, 1\)"),
+        ({"norm": "l3"}, "unknown norm"),
+    ])
+    def test_bad_detector_value_rejected_when_built(self, detector, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", "detector": detector})
+
+    @pytest.mark.parametrize("tcl, message", [
+        ({"batch_size": 1}, "batch_size must be >= 2"),
+        ({"noise": "salt"}, "unknown noise mode"),
+        ({"temperature": "hot"}, "bad tcl config"),
+    ])
+    def test_bad_tcl_value_rejected_when_built(self, tcl, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", "tcl": tcl})
+
     def test_fractions_stored_as_a_float_pair(self):
         plan = ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y",
                                          "fractions": [0.75, 0.25]})

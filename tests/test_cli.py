@@ -403,6 +403,19 @@ class TestPlanChecks:
         assert run(["report", "--config", plan]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("tcl", {"batch_size": 1}), ("detector", {"seed": -1}),
+    ])
+    def test_bad_stage_setting_is_2_before_any_stage(self, tmp_path, data_csv, field, value,
+                                                     capsys):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out), field: value,
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert "[stage=" not in capsys.readouterr().err
+        assert not (out / "histogram.csv").exists() and not (out / "split").exists()
+
     def test_negative_seed_flag_is_2_before_any_stage(self, tmp_path, data_csv):
         out = tmp_path / "exp"
         plan = write_json(tmp_path / "plan.json", {"dataset": str(data_csv), "target": "label"})

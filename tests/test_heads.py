@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabcl import heads
 from tabcl.exceptions import ConfigError, FormatError, NumericError, TrainingError
 from tabcl.heads import (
     Head,
-    HeadConfig,
     fit_head,
     fit_linear,
     fit_logistic,
@@ -21,7 +21,8 @@ from tabcl.heads import (
     predict,
     save_head,
 )
-from tabcl.numerics import RngStream
+from tabcl.numerics import RngStream, finite_diff_grad
+from tabcl.ood import _descend
 
 
 def bits_equal(a, b):
@@ -47,7 +48,7 @@ class TestLogistic:
         y = y.copy()
         y[:70] = 1  # make class 1 the majority
         baseline = fit_logistic(X, y)
-        head = fit_logistic(X, y, HeadConfig(learning_rate=0.01, l2=100.0, epochs=3000))
+        head = fit_logistic(X, y, l2=100.0)
         assert np.abs(head.weights).max() < 0.05 * np.abs(baseline.weights).max()
         assert np.all(predict(head, X) == 1)
 
@@ -62,6 +63,27 @@ class TestLogistic:
         X = RngStream(41, 0).normal(10, 2)
         with pytest.raises(ValueError):
             fit_logistic(X, np.zeros(10, dtype=np.int64))
+
+    def test_negative_penalty_rejected(self):
+        X, y = separable_toy()
+        with pytest.raises(ValueError, match="l2 must be >= 0"):
+            fit_logistic(X, y, l2=-1e-4)
+
+    @pytest.mark.parametrize("labels", [(0, 1), (0, 2)])
+    def test_separable_data_stops_with_finite_weights(self, labels):
+        # Separable classes, and with labels {0, 2} an absent class 1 whose
+        # unpenalized bias has no finite optimum: the fit still ends on its
+        # tolerance, well within its step cap.
+        X, y = separable_toy()
+        y = np.asarray(labels)[y]
+        head = fit_logistic(X, y)
+        assert head.classes == max(labels) + 1
+        assert np.isfinite(head.weights).all() and np.isfinite(head.bias).all()
+        assert np.abs(plain_gradient(X, y, head.classes, heads.L2, head.weights,
+                                     head.bias)).max() <= heads._TOL
+        pred = predict(head, X)
+        assert np.array_equal(np.unique(pred), np.unique(y))
+        assert metric_accuracy(y, pred) == 1.0
 
     def test_shape_mismatch_never_truncates(self):
         X, y = separable_toy()
@@ -113,8 +135,8 @@ class TestFitHead:
 
 
 def two_pass_fit(X, y, n_classes, learning_rate, epochs, l2, require_monotone=False):
-    """Reference: the fit as first written, with one softmax for the gradient
-    and a second one for the objective in every epoch."""
+    """Reference: the backbone's descent as first written, with one softmax
+    for the gradient and a second one for the objective in every epoch."""
     def softmax_rows(z):
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -129,17 +151,16 @@ def two_pass_fit(X, y, n_classes, learning_rate, epochs, l2, require_monotone=Fa
     def objective():
         p = softmax_rows(X @ W + b)
         nll = -float(np.mean(np.log(p[np.arange(n), y] + 1e-300)))
-        return nll + 0.5 * l2 * float(np.sum(W * W)), nll
+        return nll + 0.5 * l2 * float(np.sum(W * W))
 
-    nll_trace = []
-    prev_obj, nll = objective()
+    prev_obj = objective()
     for epoch in range(epochs):
         p = softmax_rows(X @ W + b)
         gW = X.T @ (p - onehot) / n + l2 * W
         gb = (p - onehot).sum(axis=0) / n
         W -= learning_rate * gW
         b -= learning_rate * gb
-        obj, nll = objective()
+        obj = objective()
         if not np.isfinite(obj):
             raise NumericError("non-finite training objective")
         if require_monotone and obj > prev_obj + 1e-12:
@@ -148,8 +169,7 @@ def two_pass_fit(X, y, n_classes, learning_rate, epochs, l2, require_monotone=Fa
                 "use a smaller learning rate"
             )
         prev_obj = obj
-        nll_trace.append(nll)
-    return W, b, nll_trace
+    return W, b
 
 
 def softmax_problem(seed, n, d, classes, scale):
@@ -160,47 +180,47 @@ def softmax_problem(seed, n, d, classes, scale):
     return X, y
 
 
-def assert_fits_bit_equal(X, y, classes, *args):
+def assert_descent_bit_equal(X, y, classes, *args, monotone=True):
     try:
-        expected = two_pass_fit(X, y, classes, *args)
+        expected = two_pass_fit(X, y, classes, *args, require_monotone=monotone)
     except (NumericError, TrainingError) as exc:
         with pytest.raises(type(exc)) as info:
-            fit_softmax_regression(X, y, classes, *args)
+            _descend(X, y, classes, *args)
         assert str(info.value) == str(exc)
         return
-    W, b, nll = fit_softmax_regression(X, y, classes, *args)
+    W, b = _descend(X, y, classes, *args)
     assert W.tobytes() == expected[0].tobytes()
     assert b.tobytes() == expected[1].tobytes()
-    assert nll == expected[2]
 
 
 class TestSoftmaxRegression:
-    """The fit computes one softmax per epoch; it must return exactly what
-    the two-pass reference returns, or raise the same error."""
+    """The OOD backbone's descent (``ood._descend``) computes one softmax
+    per epoch; it must return exactly what the two-pass reference returns,
+    or raise the same error.  The label checks are the Newton fit's."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 2**16), st.integers(2, 120), st.integers(1, 12), st.integers(2, 12),
         st.sampled_from([0.5, 1.0, 5.0]), st.sampled_from([0.01, 0.1, 1.0, 30.0]),
-        st.integers(0, 40), st.sampled_from([0.0, 1e-4, 0.5]), st.booleans(),
+        st.integers(0, 40), st.sampled_from([0.0, 1e-4, 0.5]),
     )
-    def test_matches_two_pass_reference(self, seed, n, d, classes, scale, lr, epochs, l2,
-                                        monotone):
+    def test_matches_two_pass_reference(self, seed, n, d, classes, scale, lr, epochs, l2):
         X, y = softmax_problem(seed, n, d, classes, scale)
-        assert_fits_bit_equal(X, y, classes, lr, epochs, l2, monotone)
+        assert_descent_bit_equal(X, y, classes, lr, epochs, l2)
 
     # 7, 8 and 9 classes straddle the width from which numpy unrolls its
     # row sum by 8, and 130 the width from which it sums in halves.  One
     # feature makes the gradient product a rank-1 update, where a BLAS
-    # takes its shortest paths.
+    # takes its shortest paths.  The descent always checks that its
+    # objective falls, so it is compared with the reference that checks too.
     @pytest.mark.parametrize("n, d, classes", [
         (4000, 44, 3), (700, 64, 4), (1200, 24, 10), (4000, 44, 7), (700, 64, 8), (1200, 24, 9),
         (1500, 1, 3), (2, 1, 2), (900, 6, 130),
     ])
-    @pytest.mark.parametrize("monotone", [False, True])
+    @pytest.mark.parametrize("monotone", [True])
     def test_matches_two_pass_reference_at_workload_shapes(self, n, d, classes, monotone):
         X, y = softmax_problem(n + d, n, d, classes, 1.0)
-        assert_fits_bit_equal(X, y, classes, 0.1, 100, 1e-4, monotone)
+        assert_descent_bit_equal(X, y, classes, 0.1, 100, 1e-4, monotone=monotone)
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_label_outside_class_range_rejected(self, bad):
@@ -209,16 +229,147 @@ class TestSoftmaxRegression:
         X, y = softmax_problem(7, 30, 4, 3, 1.0)
         y = y.copy()
         y[5] = bad
-        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-            fit_softmax_regression(X, y, 3, 0.1, 5, 1e-4)
+        for fit in (fit_softmax_regression, lambda X, y, C, l2: _descend(X, y, C, 0.1, 5, l2)):
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+                fit(X, y, 3, 1e-4)
 
     def test_labels_not_one_per_row_rejected(self):
         X, y = softmax_problem(7, 30, 4, 3, 1.0)
         for labels in (y[:-1], y[:1], np.append(y, 0)):
             with pytest.raises(ValueError, match="labels must be one per row"):
-                fit_softmax_regression(X, labels, 3, 0.1, 5, 1e-4)
+                fit_softmax_regression(X, labels, 3, 1e-4)
         with pytest.raises(ValueError, match="with at least one row"):
-            fit_softmax_regression(X[:0], y[:0], 3, 0.1, 5, 1e-4)
+            fit_softmax_regression(X[:0], y[:0], 3, 1e-4)
+
+    def test_non_finite_features_rejected(self):
+        X, y = softmax_problem(7, 30, 4, 3, 1.0)
+        X[3, 2] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            fit_softmax_regression(X, y, 3, 1e-4)
+
+
+def plain_objective(X, y, classes, l2, W, b):
+    """Mean NLL plus ``0.5 * l2 * |W|^2`` by the row-major textbook formula."""
+    z = X @ W + b
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return -float(np.mean(logp[np.arange(len(y)), y])) + 0.5 * l2 * float(np.sum(W * W))
+
+
+def plain_gradient(X, y, classes, l2, W, b):
+    """The objective's gradient, weights then bias stacked as (d + 1, C)."""
+    z = X @ W + b
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(len(y)), y] -= 1.0
+    return np.vstack([X.T @ p / len(y) + l2 * W, p.mean(axis=0)])
+
+
+def explicit_newton(X, y, classes, l2, steps=200):
+    """Reference optimum: damped Newton with the explicit ((d + 1) C)^2
+    Hessian and Armijo backtracking, to a gradient max-norm of 1e-11."""
+    n, d = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])
+    pen = np.full(d + 1, l2)
+    pen[d] = 0.0
+    theta = np.zeros((d + 1, classes))  # column c: class c's weights and bias
+
+    def f(t):
+        return plain_objective(X, y, classes, l2, t[:d], t[d])
+
+    for _ in range(steps):
+        g = plain_gradient(X, y, classes, l2, theta[:d], theta[d])
+        if np.abs(g).max() <= 1e-11:
+            break
+        z = Xa @ theta
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        # H[(j, a), (k, b)] = mean_i x_ij x_ik (p_ia [a == b] - p_ia p_ib)
+        Q = (Xa[:, :, None] * p[:, None, :]).reshape(n, -1)
+        H = -(Q.T @ Q) / n
+        for a in range(classes):
+            H[a::classes, a::classes] += (Xa.T * p[:, a]) @ Xa / n + np.diag(pen)
+        # Shifting every bias by one constant leaves the objective as it
+        # is, so H is singular: least squares picks the shortest step.
+        step = np.linalg.lstsq(H, -g.reshape(-1), rcond=None)[0].reshape(d + 1, classes)
+        slope = float(np.vdot(g, step))
+        t, f0 = 1.0, f(theta)
+        while f(theta + t * step) > f0 + 1e-4 * t * slope and t > 1e-12:
+            t *= 0.5
+        theta = theta + t * step
+    return f(theta)
+
+
+def every_class_present(X, y, classes, seed):
+    """``softmax_problem``'s data with one random row relabelled to each
+    class, so every class is present and the objective has a minimum."""
+    y = y.copy()
+    y[RngStream(seed, 1).permutation(len(y))[:classes]] = np.arange(classes)
+    return X, y
+
+
+WORKLOAD_SHAPES = [(4000, 44, 3), (700, 64, 4), (1200, 24, 10), (900, 6, 130), (1500, 1, 3),
+                   (2, 1, 2)]
+
+
+class TestNewton:
+    """The head's truncated-Newton fit against independent references."""
+
+    @pytest.mark.parametrize("n, d, classes", [(40, 3, 2), (60, 4, 5), (30, 1, 3)])
+    def test_gradient_and_hessian_product_match_central_differences(self, n, d, classes):
+        X, y = softmax_problem(n + d, n, d, classes, 1.0)
+        rng = RngStream(n, 2)
+        obj = heads._Objective(X, y, classes, 0.3)
+        theta = rng.normal(classes, d + 1)
+        v = rng.normal(classes, d + 1)
+        zv = np.empty((classes, n))
+
+        def value(t):
+            return obj.value(t @ obj.xt, t)
+
+        def gradient(t):
+            obj.value(t @ obj.xt, t)
+            return obj.gradient(t)
+
+        numeric = finite_diff_grad(lambda t: value(t.reshape(theta.shape)), theta.ravel())
+        np.testing.assert_allclose(gradient(theta).ravel(), numeric, rtol=1e-6, atol=1e-8)
+
+        eps = 1e-5
+        diff = (gradient(theta + eps * v) - gradient(theta - eps * v)) / (2 * eps)
+        obj.value(theta @ obj.xt, theta)
+        np.testing.assert_allclose(obj.hessian_product(v, zv), diff, rtol=1e-6, atol=1e-8)
+        assert bits_equal(zv, v @ obj.xt)
+
+    @pytest.mark.parametrize("n, d, classes", WORKLOAD_SHAPES)
+    def test_gradient_at_return_within_tolerance(self, n, d, classes):
+        X, y = softmax_problem(n + d, n, d, classes, 1.0)
+        W, b = fit_softmax_regression(X, y, classes, 1e-4)
+        assert np.abs(plain_gradient(X, y, classes, 1e-4, W, b)).max() <= heads._TOL
+
+    @pytest.mark.parametrize("n, d, classes", WORKLOAD_SHAPES)
+    def test_reaches_the_explicit_newton_optimum(self, n, d, classes):
+        X, y = every_class_present(*softmax_problem(n + d, n, d, classes, 1.0), classes, n)
+        W, b = fit_softmax_regression(X, y, classes, 1e-4)
+        best = explicit_newton(X, y, classes, 1e-4)
+        assert abs(plain_objective(X, y, classes, 1e-4, W, b) - best) <= 1e-6
+
+    @pytest.mark.parametrize("n, d, classes", WORKLOAD_SHAPES[:3])
+    def test_two_fits_give_identical_bits(self, n, d, classes):
+        X, y = softmax_problem(n + d, n, d, classes, 1.0)
+        W1, b1 = fit_softmax_regression(X, y, classes, 1e-4)
+        W2, b2 = fit_softmax_regression(X, y, classes, 1e-4)
+        assert bits_equal(W1, W2) and bits_equal(b1, b2)
+
+    def test_objective_never_rises(self, monkeypatch):
+        # The fit capped at k Newton steps returns its k-th iterate.
+        X, y = softmax_problem(11, 300, 5, 4, 3.0)
+        values = []
+        for cap in range(12):
+            monkeypatch.setattr(heads, "_NEWTON_STEPS", cap)
+            values.append(plain_objective(X, y, 4, 1e-4, *fit_softmax_regression(X, y, 4, 1e-4)))
+        assert values[0] == pytest.approx(np.log(4))
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert values[-1] < values[0] / 2
 
 
 class TestLinear:

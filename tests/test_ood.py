@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tabcl import ood
 from tabcl.data import Dataset, split
 from tabcl.exceptions import NumericError, TrainingError
-from tabcl.heads import Head, HeadConfig, logits, predict
+from tabcl.heads import Head, logits, predict
 from tabcl.numerics import RngStream
 from tabcl.ood import (
     OpenMaxModel,
@@ -27,7 +27,7 @@ from tabcl.ood import (
     write_histogram_csv,
 )
 
-from conftest import numeric_schema, shifted_cluster_data
+from conftest import auroc, numeric_schema, shifted_cluster_data
 
 
 def toy_dataset(n=200, d=4, sep=5.0, seed=50):
@@ -74,9 +74,42 @@ class TestBackbone:
 
     def test_oversized_step_raises(self):
         ds = toy_dataset()
-        with mock.patch.object(ood, "_BACKBONE", HeadConfig(learning_rate=50.0, epochs=300)):
+        with mock.patch.object(ood, "_STEP", 50.0):
             with pytest.raises(TrainingError):
                 train_backbone(ds)
+
+
+def regression_shaped_table(n, d, seed):
+    """A bimodal real target along feature 0, discretized into 10 bins as
+    the detect stage does, with a tenth of the rows in the gap between the
+    modes and their target's sign flipped.  Returns (Dataset, is_ood)."""
+    rng = RngStream(seed, 0)
+    n_id = n - n // 10
+    X = rng.normal(n, d)
+    mode = np.where(rng.uniform(n_id, 1)[:, 0] < 0.5, -1.0, 1.0)
+    X[:n_id, 0] = 6.0 * mode + 0.5 * X[:n_id, 0]
+    X[n_id:, 0] *= 0.5
+    t = X[:, 0] + 0.2 * np.sin(2.0 * X[:, d - 1]) + 0.1 * rng.normal(n, 1)[:, 0]
+    t[n_id:] = -t[n_id:]
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    labels = discretize_target(t, 10)
+    schema = numeric_schema(d, classes=tuple(str(i) for i in range(10)))
+    return Dataset(X, labels, schema, None), np.arange(n) >= n_id
+
+
+class TestBackboneScale:
+    """The detectors read the scale of the backbone's logits, which its
+    early-stopped descent sets.  On this table at seeds 0-3 the temperature
+    detector scores the gap cluster at AUROC 0.85-0.92; with a backbone
+    solved to its optimum (weights about twenty times larger), at
+    0.09-0.22."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_temperature_detector_finds_the_gap_cluster(self, seed):
+        ds, is_ood = regression_shaped_table(600, 8, seed)
+        fit_part, cal_part = split(ds, (0.8, 0.2), RngStream(seed, 11))
+        model = fit_temperature(train_backbone(fit_part), cal_part)
+        assert auroc(temp_score(model, ds.features), is_ood) >= 0.65
 
 
 class TestDiscretize:
