@@ -12,7 +12,8 @@ Hessian-vector products for each step's direction, and a backtracking
 line search.  It keeps its class-major (C, n) logits and probabilities in
 buffers allocated once per fit, so all but its matrix products walk rows
 of length n, and a Hessian-vector product costs two matrix products and no
-``exp``.  The OOD backbone does not use it: see :mod:`tabcl.ood`.
+``exp``.  The OOD backbone's gradient descent (:mod:`tabcl.ood`) runs on
+the same objective, :class:`_Objective`, and stops early.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class _Objective:
     class-major product ``theta @ xt`` with the transposed, one-extended
     features ``xt``.  The gradient and the Hessian-vector product are taken
     at the probabilities ``p`` that the last :meth:`value` left behind.
+    One objective serves both softmax fits: the Newton fit
+    (:func:`fit_softmax_regression`) and the OOD backbone's fixed-step
+    descent (``tabcl.ood._descend``).
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, l2: float):

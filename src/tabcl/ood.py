@@ -15,12 +15,14 @@ OOD score per row of a feature matrix:
   matrix for the one softmax, :func:`tabcl.numerics.softmax_classes`.
 
 The backbone is trained by 300 epochs of fixed-step gradient descent on
-the objective that :func:`tabcl.heads.fit_logistic` solves to its optimum
-by Newton's method, and it stops short of that optimum on purpose: both
-detectors read the scale of its logits.  The Weibull tails fit distances
-in logit space, and the temperature rescales the logits.  Solved to the
-optimum, the backbone's weights grow about twentyfold and the detectors
-lose the shifted rows: on the regression benchmark (``perfbench``,
+the one class-major objective, :class:`tabcl.heads._Objective`, that
+:func:`tabcl.heads.fit_logistic` solves to its optimum by Newton's method.
+The fixed step needs z-scored features, such as ``tabcl ingest`` writes.
+The descent stops short of the optimum on purpose: both detectors read
+the scale of its logits.  The Weibull tails fit distances in logit space,
+and the temperature rescales the logits.  Solved to the optimum, the
+backbone's weights grow about twentyfold and the detectors lose the
+shifted rows: on the regression benchmark (``perfbench``,
 ``cli-regression``) the temperature detector's AUROC fell from 0.88 to
 0.18, and on ``train-wide`` the openmax AUROC fell from 0.95 to 0.86.
 
@@ -53,49 +55,35 @@ _STEP, _EPOCHS, _L2 = 0.1, 300, 1e-4
 
 
 def _descend(X, y, n_classes: int, learning_rate: float, epochs: int, l2: float):
-    """Full-batch gradient descent on the softmax-regression objective of
-    :func:`tabcl.heads.fit_softmax_regression`, from zero weights.
+    """Full-batch gradient descent from zero weights on
+    :class:`tabcl.heads._Objective`, the class-major objective that the
+    Newton fit (:func:`tabcl.heads.fit_softmax_regression`) minimizes too.
 
     Returns weights and bias.  An epoch that raises the objective raises
-    TrainingError.  Labels not one per row or outside ``[0, n_classes)``
-    raise ValueError.
+    TrainingError, a non-finite objective NumericError.  Labels not one per
+    row or outside ``[0, n_classes)`` raise ValueError.
     """
     n, d = X.shape
-    flat = _class_index(y, n_classes, n)
-    W = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
-    p = np.empty((n_classes, n))  # class-major probabilities
-    r = np.empty((n, n_classes))  # their row-major copy, for X.T @ r
-    work = np.empty((min(n_classes, 8), n))
-
-    # One softmax per epoch: the probabilities after an update give both
-    # that epoch's objective and the next epoch's gradient.  The products
-    # stay X @ W and X.T @ r: copy-free forms round apart in the last bit.
-    np.add((X @ W).T, b[:, None], out=p)
-    g = softmax_classes(p, work).reshape(-1)[flat]
-    prev_obj = -float(np.mean(np.log(g + 1e-300)))  # W = 0: no penalty yet
+    obj = heads._Objective(X, y, n_classes, l2)
+    theta = np.zeros((n_classes, d + 1))
+    z = np.zeros((n_classes, n))  # logits theta @ xt
+    # One softmax per epoch: the probabilities that value() leaves behind
+    # give both that epoch's objective and the next epoch's gradient.
+    prev_obj = obj.value(z, theta)
     for epoch in range(epochs):
-        p.reshape(-1)[flat] = g - 1.0  # p minus the one-hot labels
-        np.copyto(r, p.T)
-        gW = X.T @ r / n + l2 * W
-        # Column sums of the residual, adding its rows in order either way;
-        # a running sum along each class row is the faster for few classes.
-        gb = (np.add.accumulate(p, axis=1, out=work)[:, -1] if n_classes < 6
-              else r.sum(axis=0)) / n
-        W -= learning_rate * gW
-        b -= learning_rate * gb
-        np.add((X @ W).T, b[:, None], out=p)
-        g = softmax_classes(p, work).reshape(-1)[flat]
-        obj = -float(np.mean(np.log(g + 1e-300))) + 0.5 * l2 * float(np.sum(W * W))
-        if not np.isfinite(obj):
+        theta -= learning_rate * obj.gradient(theta)
+        np.matmul(theta, obj.xt, out=z)
+        f = obj.value(z, theta)
+        if not np.isfinite(f):
             raise NumericError("non-finite training objective")
-        if obj > prev_obj + 1e-12:
+        if f > prev_obj + 1e-12:
             raise TrainingError(
-                f"objective rose at epoch {epoch} ({prev_obj:.6g} -> {obj:.6g}); "
-                "use a smaller learning rate"
+                f"objective rose at epoch {epoch} ({prev_obj:.6g} -> {f:.6g}); the fixed "
+                "step needs z-scored features, such as `tabcl ingest` writes (largest "
+                f"feature standard deviation {float(X.std(axis=0).max()):.6g})"
             )
-        prev_obj = obj
-    return W, b
+        prev_obj = f
+    return np.ascontiguousarray(theta[:, :d].T), theta[:, d].copy()
 
 
 def train_backbone(train: Dataset) -> Head:

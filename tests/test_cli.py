@@ -143,6 +143,14 @@ class TestExitCodes:
         assert run(["train", ds_dir, "--max-epochs", 10, "--learning-rate", 50,
                     "--batch-size", 32, "--out", tmp_path / "m"]) == 4
 
+    def test_diverging_backbone_is_4(self, tmp_path, capsys):
+        # Features of standard deviation about 10, not z-scored as ingest
+        # writes them: the backbone's fixed step diverges at epoch 0.
+        ds, _ = shifted_cluster_data(900, 100)
+        save_dataset(Dataset(10.0 * ds.features, ds.labels, ds.schema, None), tmp_path / "ds")
+        assert run(["detect", tmp_path / "ds", "--out", tmp_path / "det"]) == 4
+        assert "the fixed step needs z-scored features" in capsys.readouterr().err
+
     def test_argparse_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["ingest"])  # missing required csv/--target

@@ -78,6 +78,30 @@ class TestBackbone:
             with pytest.raises(TrainingError):
                 train_backbone(ds)
 
+    def test_unscaled_features_name_the_cause(self):
+        # The fixed step needs z-scored features; at a standard deviation
+        # of about 10 it diverges at once, and no caller can change it.
+        ds, _ = shifted_cluster_data(900, 100)
+        wide = Dataset(10.0 * ds.features, ds.labels, ds.schema, None)
+        with pytest.raises(TrainingError, match=(
+            r"objective rose at epoch 0 .*; the fixed step needs z-scored features, such as "
+            r"`tabcl ingest` writes \(largest feature standard deviation "
+        )) as info:
+            train_backbone(wide)
+        assert str(info.value).endswith(f" {wide.features.std(axis=0).max():.6g})")
+
+    def test_non_finite_feature_raises(self):
+        ds = toy_dataset()
+        ds.features[3, 2] = np.nan  # past the Dataset's own check
+        with pytest.raises(NumericError, match="^non-finite training objective$"):
+            train_backbone(ds)
+
+    def test_label_outside_class_range_rejected(self):
+        ds = toy_dataset()
+        ds.labels[7] = -1
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            train_backbone(ds)
+
 
 def regression_shaped_table(n, d, seed):
     """A bimodal real target along feature 0, discretized into 10 bins as
