@@ -48,7 +48,7 @@ from .heads import (
     metric_rmse,
     predict,
 )
-from .numerics import RngStream
+from .numerics import RngStream, is_finite_number
 from .ood import (
     OPENMAX,
     TEMPERATURE,
@@ -112,8 +112,9 @@ def _check_int(det: dict, key: str, low: int) -> None:
 
 def check_detector(det: dict) -> None:
     """Reject detector settings no stage reads, an unknown detector or norm,
-    a threshold given together with a quantile, and a ``seed``, ``tail``,
-    ``bins`` or ``quantile`` out of range, before any stage runs."""
+    a threshold given together with a quantile, a threshold that is not a
+    finite number, and a ``seed``, ``tail``, ``bins`` or ``quantile`` out of
+    range, before any stage runs."""
     unknown = set(det) - DETECTOR_KEYS
     if unknown:
         raise ConfigError(f"unknown detector config keys: {sorted(unknown)}")
@@ -125,6 +126,8 @@ def check_detector(det: dict) -> None:
         raise ConfigError(f"unknown norm: {norm!r}; use l1 or l2")
     if "threshold" in det and "quantile" in det:
         raise ConfigError("give either a threshold or a quantile, not both")
+    if not is_finite_number(det.get("threshold", 0.0)):
+        raise ConfigError(f"threshold must be a finite number, got {det['threshold']!r}")
     _check_int(det, "seed", 0)
     _check_int(det, "tail", 2)
     _check_int(det, "bins", 1)
@@ -272,6 +275,7 @@ def detect(dataset: Dataset, det: dict, seed: int, out_dir) -> tuple[np.ndarray,
         backbone = train_backbone(dataset)
         model = fit_openmax(backbone, dataset, norm=norm, tail=tail)
         scores = openmax_score(model, dataset.features)
+        norm = model.norm
     else:
         fit_part, cal_part = split(dataset, (0.8, 0.2), RngStream(det_seed, 11))
         backbone = train_backbone(fit_part)

@@ -26,6 +26,7 @@ once and reuses for every step.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .artifacts import fields, read_json, write_json
 from .exceptions import TrainingError
-from .numerics import RngStream, check_finite, gaussian_noise
+from .numerics import RngStream, check_finite, gaussian_noise, is_finite_number
 
 LEAKY_SLOPE = 0.01
 LN_EPS = 1e-5
@@ -50,6 +51,10 @@ MODEL_VERSION = 1
 
 def _clamp(v: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, v))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -75,12 +80,20 @@ class TclConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+        if not _is_integer(self.input_dim) or self.input_dim < 1:
+            raise ValueError(f"input_dim must be an integer >= 1, got {self.input_dim!r}")
         if self.hidden_dim is None:
             object.__setattr__(self, "hidden_dim", _clamp(2 * self.input_dim, 16, 256))
         if self.latent_dim is None:
             object.__setattr__(self, "latent_dim", _clamp(self.input_dim, 8, 128))
+        for name in ("hidden_dim", "latent_dim", "batch_size", "max_epochs", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("sigma", "mask_prob", "temperature", "tolerance", "learning_rate"):
+            if not is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.hidden_dim < 1 or self.latent_dim < 1:
             raise ValueError("hidden_dim and latent_dim must be >= 1")
         if self.temperature <= 0:

@@ -89,12 +89,11 @@ class _Objective:
         self.p = np.empty((n_classes, n))
         self.q = np.empty((n_classes, n))
         self.m = np.empty(n)
-        self.work = np.empty((min(n_classes, 8), n))
 
     def value(self, z: np.ndarray, theta: np.ndarray) -> float:
         """The objective at ``theta``, whose logits are ``z``."""
         np.copyto(self.p, z)
-        g = softmax_classes(self.p, self.work).reshape(-1)[self.flat]
+        g = softmax_classes(self.p).reshape(-1)[self.flat]
         return (-float(np.mean(np.log(g + 1e-300)))
                 + 0.5 * float(np.vdot(self.pen * theta, theta)))
 

@@ -7,13 +7,13 @@ their inputs and guarantee finite outputs.  Randomness goes through
 ``(seed, stream_id)``.
 
 :func:`softmax_classes` is the one softmax.  It works in place on a
-class-major (C, n) matrix, so every step walks rows of length n, and sums
-the classes in the order of numpy's pairwise row sum of the (n, C)
-transpose: the bits equal the plain row-major formula's.
+class-major (C, n) matrix, so every step walks rows of length n.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from typing import Callable
 
 import numpy as np
@@ -69,40 +69,16 @@ def _class_index(y: Array, n_classes: int, n: int) -> Array:
     return y * n + np.arange(n)
 
 
-def _class_sum(p: Array, acc: Array) -> Array:
-    """``p.T.sum(axis=1)`` of a (C, n) matrix, bit for bit, into ``acc[0]``
-    of its ``min(C, 8)`` work rows, in numpy's pairwise order: one by one
-    below 8 rows, 8 running sums to 128, halves (cut at a multiple of 8)."""
-    s, C = acc[0], p.shape[0]
-    if C < 8:
-        return np.sum(p, axis=0, out=s)  # adds the rows in order
-    if C > 128:
-        h = C // 2 - C // 2 % 8
-        right = _class_sum(p[h:], acc).copy()
-        return np.add(_class_sum(p[:h], acc), right, out=s)
-    k = C - C % 8
-    np.add(p[:8], 0.0, out=acc)  # + 0.0: numpy starts its sums at +0.0
-    for i in range(8, k, 8):
-        acc += p[i:i + 8]
-    for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        acc[i] += acc[j]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for row in p[k:]:
-        s += row
-    return s
-
-
-def softmax_classes(p: Array, work: Array | None = None, log: bool = False) -> Array:
+def softmax_classes(p: Array, log: bool = False) -> Array:
     """Stable softmax (with ``log``, log-softmax) over the classes of a
-    C-contiguous class-major (C, n) logit matrix, in place; returns ``p``.
-    ``work`` is ``min(C, 8)`` rows of length n.  Unchecked input; column i
-    is bit-equal to the plain formula on row i of the (n, C) transpose."""
-    work = np.empty((min(p.shape[0], 8), p.shape[1])) if work is None else work
-    p -= np.max(p, axis=0, out=work[0])
+    class-major (C, n) logit matrix, in place; returns ``p``.  Unchecked
+    input; column i is row i of the (n, C) transpose's softmax."""
+    p -= p.max(axis=0)
     if log:
-        p -= np.log(_class_sum(np.exp(p), work))
+        p -= np.log(np.exp(p).sum(axis=0))
     else:
         np.exp(p, out=p)
-        p /= _class_sum(p, work)
+        p /= p.sum(axis=0)
     return p
 
 
@@ -139,6 +115,12 @@ def finite_diff_grad(f: Callable[[Array], float], theta, eps: float = 1e-5) -> A
             raise NumericError(f"non-finite function value at coordinate {i}")
         grad[i] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+def is_finite_number(value) -> bool:
+    """A real number, not a bool, within the float range (so not NaN)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def check_finite(a: Array, where: str) -> Array:

@@ -7,8 +7,6 @@ strictly positive.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .exceptions import NumericError
@@ -20,29 +18,19 @@ _MLE_TOL = 1e-8  # Newton stops once a shape step is below this
 _MLE_MAX_ITER = 200
 
 
-def _pow(base: float, exponent: float) -> float:
-    """libm ``pow``, with an overflow read as the infinity it stands for."""
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        return math.inf
-
-
 def weibull_cdf(x, shape, scale):
     """CDF ``1 - exp(-(x/scale)^shape)``; zero for x <= 0.
 
     ``shape`` and ``scale`` are scalars or arrays that broadcast against
-    ``x``, such as one pair per row.  The power goes through libm ``pow``
-    one element at a time, as numpy's scalar power does: numpy's array
-    power takes a SIMD loop whose last bit can differ.  So every element
-    has the bits of a scalar call.
+    ``x``, such as one pair per row.  A power that overflows gives exactly
+    1.0, without a warning.
     """
     x, shape, scale = np.broadcast_arrays(*(np.asarray(v, np.float64) for v in (x, shape, scale)))
     if np.any(shape <= 0) or np.any(scale <= 0):
         raise ValueError("shape and scale must be positive")
-    ratio = np.maximum(x, 0.0) / scale
-    power = np.fromiter(map(_pow, ratio.ravel().tolist(), shape.ravel().tolist()), np.float64)
-    out = np.where(x > 0, -np.expm1(-power.reshape(ratio.shape)), 0.0)
+    with np.errstate(over="ignore"):
+        power = (np.maximum(x, 0.0) / scale) ** shape
+    out = np.where(x > 0, -np.expm1(-power), 0.0)
     if out.ndim == 0:
         return float(out)
     return out

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from tabcl.bench import ExperimentPlan, run_experiment
+from tabcl.bench import DETECTOR_KEYS, TCL_KEYS, ExperimentPlan, run_experiment
 from tabcl.cli import main
 from tabcl.data import (
     SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
@@ -439,6 +439,105 @@ class TestPlanChecks:
         assert run(["report", "--config", plan]) == 2
         assert "does not fit a classification task" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+def bad_values(key, kind):
+    """A list, a string, a bool, a float where an integer is due, and a
+    negative value, for one setting of the given kind.  A threshold may be
+    negative, so its extra cases are NaN and infinity."""
+    cases = [[1], "bogus", True]
+    if kind == "int":
+        cases += [2.5, -1]
+    elif kind == "threshold":
+        cases += [float("nan"), float("inf"), -float("inf")]
+    else:
+        cases += [-1]
+    return [(key, value) for value in cases]
+
+
+DETECTOR_CASES = [
+    *bad_values("detector", "name"), *bad_values("norm", "name"), *bad_values("tail", "int"),
+    *bad_values("bins", "int"), *bad_values("seed", "int"),
+    *bad_values("threshold", "threshold"), *bad_values("quantile", "real"),
+]
+TCL_CASES = [
+    *bad_values("hidden_dim", "int"), *bad_values("latent_dim", "int"),
+    *bad_values("noise", "name"), *bad_values("sigma", "real"),
+    *bad_values("mask_prob", "real"), *bad_values("temperature", "real"),
+    *bad_values("batch_size", "int"), *bad_values("max_epochs", "int"),
+    *bad_values("tolerance", "real"), *bad_values("learning_rate", "real"),
+    *bad_values("seed", "int"), ("sigma", float("nan")), ("learning_rate", float("inf")),
+]
+
+
+def no_file_in(out):
+    return not out.exists() or not any(out.iterdir())
+
+
+@pytest.fixture(scope="module")
+def scores_json(tmp_path_factory, ds_dir):
+    out = tmp_path_factory.mktemp("cli-scores")
+    assert run(["detect", ds_dir, "--out", out]) == 0
+    return out / "scores.json"
+
+
+class TestBadSettingValues:
+    """Every detector and tcl setting with a value no stage can use exits 2
+    before any stage runs, through the experiment plan and through each CLI
+    stage that reads it."""
+
+    @pytest.mark.parametrize("key, value", DETECTOR_CASES)
+    def test_detector_value_is_2(self, tmp_path, data_csv, ds_dir, scores_json, key, value,
+                                 capsys):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out),
+            "detector": {key: value},
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert no_file_in(out)
+        config = write_json(tmp_path / "det.json", {"detector": {key: value}})
+        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "det"]) == 2
+        assert no_file_in(tmp_path / "det")
+        assert run(["split", ds_dir, scores_json, "--config", config,
+                    "--out", tmp_path / "split"]) == 2
+        assert no_file_in(tmp_path / "split")
+        err = capsys.readouterr().err
+        assert err.count("configuration error") == 3 and "[stage=" not in err
+
+    @pytest.mark.parametrize("key, value", TCL_CASES)
+    def test_tcl_value_is_2(self, tmp_path, data_csv, ds_dir, key, value, capsys):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out),
+            "tcl": {key: value},
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert no_file_in(out)
+        config = write_json(tmp_path / "train.json", {"tcl": {key: value}})
+        assert run(["train", ds_dir, "--config", config, "--out", tmp_path / "m"]) == 2
+        assert no_file_in(tmp_path / "m")
+        err = capsys.readouterr().err
+        assert err.count("configuration error") == 2 and "[stage=" not in err
+
+    def test_every_setting_is_covered(self):
+        assert {key for key, _ in DETECTOR_CASES} == DETECTOR_KEYS
+        assert {key for key, _ in TCL_CASES} == TCL_KEYS
+
+    def test_detect_records_the_norm_it_fitted_with(self, tmp_path, data_csv, ds_dir):
+        config = write_json(tmp_path / "det.json", {"detector": {"norm": "L2", "tail": 25}})
+        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "det"]) == 0
+        assert json.loads((tmp_path / "det" / "scores.json").read_text())["norm"] == "l2"
+        assert run(["split", ds_dir, tmp_path / "det" / "scores.json",
+                    "--out", tmp_path / "split"]) == 0
+        assert json.loads((tmp_path / "split" / "meta.json").read_text())["norm"] == "l2"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(tmp_path / "exp"),
+            "detector": {"norm": "L2", "tail": 25}, "tcl": {"max_epochs": 1},
+        })
+        assert run(["report", "--config", plan]) == 0
+        report = json.loads((tmp_path / "exp" / "report.json").read_text())
+        assert report["norm"] == report["split_grid"]["norm"] == "l2"
 
 
 class TestConfig:

@@ -169,14 +169,21 @@ def class_major_fit(X, y, n_classes, learning_rate, epochs, l2, require_monotone
     onehot = np.zeros((n_classes, n))
     onehot[y, np.arange(n)] = 1.0
 
-    # Row-major copies, so that each row's class sum is numpy's pairwise row
-    # sum, the order softmax_classes repeats, and the gradient product gets
-    # the operand layout the descent passes to BLAS.
-    def probabilities():  # a row-wise softmax of the transposed logits
-        z = np.ascontiguousarray((theta @ xt).T)
-        z = z - z.max(axis=1, keepdims=True)
+    # Fresh class-major arrays, so that the gradient product gets the
+    # operand layout the descent passes to BLAS.  The row-wise softmax of
+    # the transposed logits sums the classes in another order; it must
+    # agree to rounding, so that a reduction over the wrong axis fails.
+    def probabilities():
+        z = theta @ xt
+        z = z - z.max(axis=0)
         e = np.exp(z)
-        return np.ascontiguousarray((e / e.sum(axis=1, keepdims=True)).T)
+        p = e / e.sum(axis=0)
+        zt = np.ascontiguousarray(z.T)
+        et = np.exp(zt)
+        # atol: a subnormal probability is rounded to a fixed absolute step
+        np.testing.assert_allclose(p, (et / et.sum(axis=1, keepdims=True)).T,
+                                   rtol=1e-14, atol=1e-300)
+        return p
 
     def objective():
         p = probabilities()[y, np.arange(n)]
@@ -219,8 +226,9 @@ def assert_descent_bit_equal(X, y, classes, *args, monotone=True):
     assert bits_equal(b, np.ascontiguousarray(expected[1]))
 
 
-# 7, 8 and 9 classes straddle the width from which numpy unrolls its row sum
-# by 8, and 130 the width from which it sums in halves.  One feature makes
+# 7, 8 and 9 classes straddle the width from which numpy unrolls a contiguous
+# row sum by 8, and 130 the width from which it sums in halves: there the
+# reference's row-major cross-check adds in another order.  One feature makes
 # the gradient product a rank-1 update, where a BLAS takes its shortest paths.
 # The descent always checks that its objective falls, so it is compared with
 # the reference that checks too.

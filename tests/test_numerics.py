@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from tabcl.exceptions import NumericError
 from tabcl.numerics import (
     RngStream,
-    _class_sum,
     finite_diff_grad,
     gaussian_noise,
     softmax_classes,
@@ -52,73 +51,73 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax(np.array(v) + c), softmax(v), atol=1e-12)
 
 
+def plain_softmax_classes(z):
+    """Reference: the class-major softmax on fresh arrays, with numpy's own
+    reductions over the classes."""
+    z = np.ascontiguousarray(z)
+    z = z - z.max(axis=0)
+    e = np.exp(z)
+    return e / e.sum(axis=0)
+
+
 def plain_softmax_rows(z):
-    """Reference: the row-major softmax as first written, with numpy's own
-    row reductions.  numpy sums a row pairwise only when the row is
-    contiguous, so the reference runs on a C-contiguous copy, as the
-    row-major fits did."""
+    """The row-major softmax as first written, on a C-contiguous copy, as
+    the row-major fits ran it: numpy sums a contiguous row pairwise, in
+    another order than the class-major sum, so it agrees to rounding."""
     z = np.ascontiguousarray(z)
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
-class TestClassSum:
-    def test_matches_numpy_row_sum_at_every_class_count(self):
-        # 1-300 classes cover numpy's three summation orders (one by one
-        # below 8, 8 running sums up to 128, halves above) and two levels
-        # of halving; 13 and 1001 rows are no multiple of 8.
-        rng = RngStream(11, 0)
-        wrong = []
-        for classes in range(1, 301):
-            for n in (13, 1001):
-                z = rng.normal(n, classes) * 10.0 ** rng.integers(-3, 4, 1)[0]
-                p = np.ascontiguousarray(z.T)
-                got = _class_sum(p, np.empty((min(classes, 8), n)))
-                if got.tobytes() != z.sum(axis=1).tobytes():
-                    wrong.append((classes, n))
-        assert wrong == []
-
-    @pytest.mark.parametrize("classes", [3, 9, 200])
-    def test_negative_zeros_sum_to_positive_zero(self, classes):
-        # numpy starts its row sum from +0.0, so all -0.0 rows give +0.0.
-        z = np.full((13, classes), -0.0)
-        got = _class_sum(np.ascontiguousarray(z.T), np.empty((min(classes, 8), 13)))
-        assert got.tobytes() == z.sum(axis=1).tobytes() == np.zeros(13).tobytes()
+# A subnormal probability is rounded to a fixed absolute step, so the
+# cross-checks against the row-major formula allow an error below the
+# smallest normal float.
+SUBNORMAL = 1e-300
 
 
 class TestSoftmaxRowsBits:
-    """softmax_classes works in place on a class-major (C, n) matrix; each
-    column must hold exactly the plain row-major reductions' bits for the
-    matching row of the transpose.  Widths 7, 8 and 9 straddle the width
-    from which numpy unrolls its row sum by 8; 128, 129 and 300 straddle
-    the width from which it sums in halves."""
+    """softmax_classes works in place on a class-major (C, n) matrix; it
+    must hold exactly the bits of the plain class-major formula, and agree
+    to rounding with the row-major softmax of the (n, C) transpose, so that
+    a reduction over the wrong axis fails.  Widths 7, 8, 9, 128, 129 and 300
+    straddle the widths from which numpy sums a contiguous row in another
+    order."""
 
     @settings(max_examples=150, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 16), st.integers(1, 40)),
                   elements=st.floats(min_value=-1e3, max_value=1e3)))
     def test_matches_plain_reductions(self, z):
-        expected = plain_softmax_rows(z.T).T
+        expected = plain_softmax_classes(z)
         p = z.copy()
         assert softmax_classes(p) is p
         assert p.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(p, plain_softmax_rows(z.T).T, rtol=1e-14, atol=SUBNORMAL)
 
     @pytest.mark.parametrize("cols", [1, 2, 3, 4, 6, 7, 8, 9, 12, 16, 128, 129, 300])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 1e3])
     def test_matches_plain_reductions_on_tall_matrices(self, cols, scale):
         n = 4000 if cols <= 16 else 203
         z = scale * RngStream(cols, 0).normal(cols, n)
-        expected = plain_softmax_rows(z.T).T
-        assert softmax_classes(z, np.empty((min(cols, 8), n))).tobytes() == expected.tobytes()
+        expected = plain_softmax_classes(z)
+        row_major = plain_softmax_rows(z.T).T
+        assert softmax_classes(z).tobytes() == expected.tobytes()
+        np.testing.assert_allclose(z, row_major, rtol=1e-14, atol=SUBNORMAL)
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 40)),
                   elements=st.floats(min_value=-1e3, max_value=1e3)))
     def test_log_matches_plain_formula(self, z):
+        zc = z - z.max(axis=0)
+        expected = zc - np.log(np.exp(zc).sum(axis=0))
         zt = np.ascontiguousarray(z.T)
         zt = zt - zt.max(axis=1, keepdims=True)
-        expected = (zt - np.log(np.exp(zt).sum(axis=1, keepdims=True))).T
-        assert softmax_classes(z.copy(), log=True).tobytes() == expected.tobytes()
+        row_major = (zt - np.log(np.exp(zt).sum(axis=1, keepdims=True))).T
+        got = softmax_classes(z.copy(), log=True)
+        assert got.tobytes() == expected.tobytes()
+        # A log-probability near 0 carries the sum's rounding as an
+        # absolute error, so the cross-check also allows one of 1e-15.
+        np.testing.assert_allclose(got, row_major, rtol=1e-14, atol=1e-15)
 
 
 class TestGaussianNoise:

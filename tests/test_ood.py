@@ -217,36 +217,45 @@ class TestOpenMax:
             openmax_score(model, np.array([3.0, 0.0]))
 
 
-def reference_weibull_cdf(x, shape, scale):
-    """weibull_cdf as first written, for one scalar: numpy's scalar power."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.where(x > 0, -np.expm1(-((np.maximum(x, 0.0) / scale) ** shape)), 0.0))
-
-
 def reference_openmax_score(model, x):
-    """The score as first written: one scalar weibull_cdf call per row."""
+    """The score by the plain formula on fresh arrays: numpy's array power,
+    all rows at once."""
     z = logits(model.backbone, x)
     pred = np.argmax(z, axis=1)
     dist = ood._distances(z - model.mavs[pred], model.norm)
-    return np.array(
-        [reference_weibull_cdf(d, model.shapes[c], model.scales[c]) for d, c in zip(dist, pred)]
-    )
+    power = (np.maximum(dist, 0.0) / model.scales[pred]) ** model.shapes[pred]
+    return np.where(dist > 0, -np.expm1(-power), 0.0)
+
+
+def per_row_openmax_score(model, x):
+    """The score as first written: one CDF per row, whose scalar power is
+    libm ``pow``.  numpy's array power can differ from it in the last bit."""
+    z = logits(model.backbone, x)
+    pred = np.argmax(z, axis=1)
+    dist = ood._distances(z - model.mavs[pred], model.norm)
+    return np.array([
+        -np.expm1(-((d / model.scales[c]) ** model.shapes[c])) if d > 0 else 0.0
+        for d, c in zip(dist, pred)
+    ])
 
 
 class TestOpenMaxMatchesReference:
     """openmax_score evaluates the CDF for all rows in one weibull_cdf call;
-    every score must keep the bits of the per-row scalar formula."""
+    every score must keep the bits of the plain array formula, and agree
+    to rounding with the per-row scalar formula."""
 
     @pytest.mark.parametrize("norm", ["l2", "l1"])
     def test_bit_equal_on_a_fitted_model(self, norm):
-        # Enough rows that numpy's SIMD array power, which differs from
-        # libm pow in the last bit on a few percent of inputs, would show.
+        # Enough rows that numpy's array power, which can differ from libm
+        # pow in the last bit on a few percent of inputs, would show.
         ds, _ = shifted_cluster_data(n_id=1800, n_ood=200, seed=61)
         backbone = train_backbone(ds)
         model = fit_openmax(backbone, ds, norm=norm, tail=20)
         scores = openmax_score(model, ds.features)
         assert scores.shape == (2000,)
         assert scores.tobytes() == reference_openmax_score(model, ds.features).tobytes()
+        np.testing.assert_allclose(
+            scores, per_row_openmax_score(model, ds.features), rtol=1e-14, atol=0)
 
     def test_overflowing_power_scores_exactly_one(self):
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
@@ -272,7 +281,16 @@ class TestOpenMaxMatchesReference:
 
 
 def reference_nll(logits, y, tau):
-    """_nll_at_temperature as first written, with numpy's own row max."""
+    """_nll_at_temperature by the plain class-major formula on fresh arrays."""
+    z = np.ascontiguousarray(logits.T) / tau
+    z = z - z.max(axis=0)
+    logp = z - np.log(np.exp(z).sum(axis=0))
+    return -float(np.mean(logp[y, np.arange(y.size)]))
+
+
+def row_major_nll(logits, y, tau):
+    """_nll_at_temperature as first written, on row-major logits: numpy sums
+    each contiguous row in another order, so it agrees to rounding."""
     z = logits / tau
     z = z - z.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -292,6 +310,9 @@ class TestTemperatureMatchesReference:
         logits, y = calibration_problem(seed, n, classes, scale)
         got = ood._nll_at_temperature(logits, y, tau)
         assert got.hex() == reference_nll(logits, y, tau).hex()
+        # An NLL near 0 carries the class sum's rounding as an absolute
+        # error, so the cross-check also allows one of 1e-15.
+        np.testing.assert_allclose(got, row_major_nll(logits, y, tau), rtol=1e-14, atol=1e-15)
 
     @pytest.mark.parametrize("n, classes, scale", [
         (4000, 3, 1.0), (400, 7, 5.0), (400, 8, 5.0), (400, 9, 0.3), (800, 12, 30.0),
@@ -373,19 +394,24 @@ class TestTemperature:
             temp_score(model, np.array([50.0, 0.0]))
 
     def test_score_matches_inline_reference(self):
-        # the score as first written, with its own in-place row-major
-        # softmax; 10 classes is the cli-regression calibration, 8 and 130
-        # start numpy's unrolled and halved row sums.
+        # the plain class-major formula on fresh arrays, and to rounding
+        # the score as first written, with a row-major softmax; 10 classes
+        # is the cli-regression calibration, and from 8 and 130 numpy sums
+        # a contiguous row in another order.
         rng = RngStream(57, 0)
         for classes in (4, 8, 10, 130):
             backbone = Head("logistic", rng.normal(6, classes), rng.normal(1, classes)[0], classes)
             x = 3.0 * rng.normal(200, 6)
             for tau in (0.05, 0.7, 1.0, 9.5):
-                z = logits(backbone, x) / tau
-                p = np.exp(z - z.max(axis=1, keepdims=True))
-                p /= p.sum(axis=1, keepdims=True)
+                z = np.ascontiguousarray(logits(backbone, x).T) / tau
+                p = np.exp(z - z.max(axis=0))
+                p /= p.sum(axis=0)
                 scores = temp_score(TemperatureModel(backbone, tau, 0.0, 0.0), x)
-                assert scores.tobytes() == (-p.max(axis=1)).tobytes()
+                assert scores.tobytes() == (-p.max(axis=0)).tobytes()
+                zr = logits(backbone, x) / tau
+                pr = np.exp(zr - zr.max(axis=1, keepdims=True))
+                pr /= pr.sum(axis=1, keepdims=True)
+                np.testing.assert_allclose(scores, -pr.max(axis=1), rtol=1e-14, atol=0)
 
     def test_score_decreases_with_confidence(self):
         model = TemperatureModel(eye_backbone(), 1.3, 0.0, 0.0)

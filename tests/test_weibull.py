@@ -38,17 +38,23 @@ class TestCdf:
             weibull_cdf(np.ones(3), np.array([1.0, 0.0, 2.0]), 1.0)
 
     def test_scalar_keeps_numpy_scalar_power_bits(self):
+        # A scalar call keeps the bits of the plain formula with numpy's
+        # array power, and agrees to rounding with libm pow, which numpy's
+        # scalar power and the formula as first written use.
         rng = RngStream(21, 0)
         xs, shapes, scales = np.exp(3.0 * rng.normal(3, 500))
-        for x, shape, scale in zip(xs.tolist(), shapes.tolist(), scales.tolist()):
-            # The formula as first written; numpy's scalar power is libm pow.
-            with np.errstate(over="ignore"):
-                expected = float(-np.expm1(-((np.maximum(np.float64(x), 0.0) / scale) ** shape)))
-            assert weibull_cdf(x, shape, scale).hex() == expected.hex()
+        with np.errstate(over="ignore"):
+            expected = -np.expm1(-((np.maximum(xs, 0.0) / scales) ** shapes))
+            libm = [-np.expm1(-((x / s) ** k)) for x, k, s in zip(xs, shapes, scales)]
+        for x, shape, scale, e, l in zip(xs.tolist(), shapes.tolist(), scales.tolist(), expected,
+                                         libm):
+            got = weibull_cdf(x, shape, scale)
+            assert got.hex() == e.hex()
+            assert got == pytest.approx(l, rel=1e-14, abs=0)
 
     def test_per_element_parameters_match_scalar_calls_bit_for_bit(self):
-        # More than a thousand elements: numpy's SIMD array power differs
-        # from libm pow in the last bit on a few percent of inputs.
+        # More than a thousand elements, so that the SIMD loop of numpy's
+        # array power runs on full vectors as well as on a remainder.
         rng = RngStream(22, 0)
         x = 4.0 * rng.normal(1, 3000)[0]
         shape = 0.2 + 8.0 * rng.uniform(1, 3000)[0]
