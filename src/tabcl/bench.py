@@ -32,7 +32,6 @@ from .contrastive import (
     parameter_count,
     save_model,
     train_tcl,
-    training_array_bytes,
 )
 from .data import (CLASSIFICATION, Dataset, Schema, SplitPair, check_fractions, ingest_csv,
                    save_split, split)
@@ -170,7 +169,7 @@ class ExperimentPlan:
         check_tcl(self.tcl)
         if self.head not in (None, LOGISTIC, LINEAR):
             raise ConfigError(f"unknown head kind: {self.head!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         try:
             self.fractions = check_fractions(self.fractions)
@@ -412,7 +411,6 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
 
     t_train = trace.seconds
     n_params = parameter_count(model)
-    config = model.config
     report = BenchReport(
         model=plan.model_name,
         dataset=plan.dataset,
@@ -424,10 +422,7 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         split_grid=grid.to_dict(),
         constraints={
             "t_train_seconds": t_train,
-            # the arrays training allocates, counted from their shapes
-            "memory_estimate_bytes": training_array_bytes(
-                config, min(config.batch_size, id_train.n)
-            ),
+            "memory_estimate_bytes": trace.array_bytes,
             "parameter_count": n_params,
             "t_inference_seconds": t_inference,
             "ood_degradation": p - p_ood if task == CLASSIFICATION else p_ood - p,

@@ -20,6 +20,7 @@ from .bench import (
     BenchReport,
     ExperimentPlan,
     check_detector,
+    check_tcl,
     compare_models,
     comparison_markdown,
     detect,
@@ -33,7 +34,7 @@ from .bench import (
     tradeoff,
     train,
 )
-from .contrastive import embed, load_model
+from .contrastive import TclConfig, embed, load_model
 from .data import Column, Dataset, Schema, ingest_csv, load_dataset, load_split, save_dataset
 from .exceptions import ConfigError, FormatError, NumericError
 from .heads import fit_head, head_kind, load_head, predict, save_head
@@ -91,8 +92,6 @@ def cmd_detect(args) -> int:
 
 
 def cmd_split(args) -> int:
-    dataset = load_dataset(args.data)
-    scores, settings = load_scores(args.scores)
     det = _settings(args, "detector", ("threshold", "quantile"))
     # a --threshold or --quantile flag replaces both of the file's keys
     if args.threshold is not None and args.quantile is None:
@@ -100,6 +99,8 @@ def cmd_split(args) -> int:
     if args.quantile is not None and args.threshold is None:
         det.pop("threshold", None)
     check_detector(det)
+    dataset = load_dataset(args.data)
+    scores, settings = load_scores(args.scores)
     out = _out_dir(args)
     pair = split_at_threshold(dataset, scores, det, settings, out)
     flag = "  (anomalous: M <= N)" if pair.anomalous else ""
@@ -108,7 +109,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    tcl = _settings(args, "tcl", TCL_KEYS)  # every TCL setting has a flag
+    tcl = _settings(args, "tcl", TCL_KEYS)
+    check_tcl(tcl)
     path = os.path.join(args.data, "d_in.csv")
     data = load_split(args.data).d_in if os.path.exists(path) else load_dataset(args.data)
     out = _out_dir(args)
@@ -120,9 +122,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _same_width(artifact, width: int, data, dataset: Dataset) -> None:
+    """A model or head and a dataset of another width are two artifacts that
+    do not belong together: a format error naming both."""
+    if dataset.d != width:
+        raise FormatError(f"{artifact} takes {width} features, but {data} has {dataset.d}")
+
+
 def cmd_embed(args) -> int:
     model = load_model(args.model)
     dataset = load_dataset(args.data)
+    _same_width(args.model, model.config.input_dim, args.data, dataset)
     e = embed(model, dataset.features)
     schema = Schema(
         tuple(Column(f"e{i}", "numeric") for i in range(e.shape[1])),
@@ -148,6 +158,7 @@ def cmd_fit_head(args) -> int:
 def cmd_evaluate(args) -> int:
     head = load_head(args.head)
     dataset = load_dataset(args.data)
+    _same_width(args.head, head.input_dim, args.data, dataset)
     head_kind(dataset.schema.task, head.kind)  # the head must fit the dataset's task
     metrics = evaluate(dataset.schema.task, dataset.labels, predict(head, dataset.features))
     write_json(os.path.join(_out_dir(args), "metrics.json"), metrics, indent=1)
@@ -226,16 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="train the contrastive encoder")
     p.add_argument("data", help="dataset artifact or split directory")
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    p.add_argument("--latent-dim", dest="latent_dim", type=int, default=None)
-    p.add_argument("--noise", choices=["gaussian", "mask"], default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--mask-prob", dest="mask_prob", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
+    for f in dataclasses.fields(TclConfig):
+        if f.name not in ("input_dim", "seed"):  # the data's width; --seed is common
+            kind = {"int": int, "float": float, "str": str}[f.type.removesuffix(" | None")]
+            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=kind, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("embed", parents=[common], help="encode a dataset into the latent space")

@@ -25,7 +25,6 @@ once and reuses for every step.
 
 from __future__ import annotations
 
-import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
@@ -157,7 +156,10 @@ class LossComponents:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch loss and wall-clock record, total seconds, and the stop reason."""
+    """Per-epoch loss and wall-clock record, total seconds, the stop reason,
+    and ``array_bytes``, the bytes of the float64 arrays that training
+    allocated once: parameters, gradients, gradient scratch, Adam's state
+    and both views' work arrays."""
 
     total: list[float] = field(default_factory=list)
     reconstruction: list[float] = field(default_factory=list)
@@ -167,6 +169,7 @@ class TrainTrace:
     seconds: float = 0.0
     epochs: int = 0
     stop_reason: str = ""
+    array_bytes: int = 0
 
 
 def init_model(config: TclConfig) -> TclModel:
@@ -232,12 +235,8 @@ _FORWARD_ARRAYS = {**_ENCODER_ARRAYS, **_DECODER_ARRAYS}
 _TRAINING_ARRAYS = {**_FORWARD_ARRAYS, **_BACKWARD_ARRAYS}
 
 
-def _widths(config: TclConfig) -> dict:
-    return {"d": config.input_dim, "h": config.hidden_dim, "k": config.latent_dim, 1: 1}
-
-
 def _work_arrays(config: TclConfig, rows: int, table: dict) -> dict[str, np.ndarray]:
-    widths = _widths(config)
+    widths = {"d": config.input_dim, "h": config.hidden_dim, "k": config.latent_dim, 1: 1}
     return {name: np.empty((rows, widths[w])) for name, w in table.items()}
 
 
@@ -528,21 +527,6 @@ def parameter_count(model: TclModel) -> int:
     return sum(v.size for v in model.params.values())
 
 
-# Parameter-sized float64 sets that train_tcl holds: the parameters, their
-# gradients and the gradient scratch, and Adam's two moments and two scratch
-# sets.
-_TRAINING_PARAM_SETS = 7
-
-
-def training_array_bytes(config: TclConfig, batch: int) -> int:
-    """Bytes of the float64 arrays :func:`train_tcl` allocates for batches of
-    ``batch`` rows: both views' work arrays and the parameter-sized sets."""
-    n_params = sum(math.prod(shape) for shape in _param_shapes(config).values())
-    widths = _widths(config)
-    per_row = sum(widths[w] for w in _TRAINING_ARRAYS.values())
-    return 8 * (_TRAINING_PARAM_SETS * n_params + 2 * batch * per_row)
-
-
 class _Adam:
     """Minimal Adam optimizer over a parameter dict, updating it in place."""
 
@@ -589,9 +573,9 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     loss above ten times the first epoch's raises TrainingError.
 
     The work arrays of both views, the gradients and Adam's state are
-    allocated once, before the first epoch.  The trace records per-epoch
-    means of all loss components, each epoch's wall-clock seconds, and the
-    wall-clock seconds spent inside this function.
+    allocated once, before the first epoch.  The trace records their bytes,
+    per-epoch means of all loss components, each epoch's wall-clock
+    seconds, and the wall-clock seconds spent inside this function.
     """
     X = np.asarray(data.features if hasattr(data, "features") else data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -607,7 +591,8 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     adam = _Adam(model.params, config.learning_rate)
     grads, scratch = _zero_grads(model), _zero_grads(model)
     views = [_work_arrays(config, batch, _TRAINING_ARRAYS) for _ in range(2)]
-    trace = TrainTrace()
+    held = (model.params, grads, scratch, adam.m, adam.v, adam._num, adam._den, *views)
+    trace = TrainTrace(array_bytes=sum(a.nbytes for arrays in held for a in arrays.values()))
     stop_reason = "max-epochs"
     initial_loss = None  # first batch at the initial parameters
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .artifacts import atomic_write, fields, read_json, write_json
 from .exceptions import ConfigError, FormatError
-from .numerics import RngStream
+from .numerics import RngStream, is_finite_number
 
 SCHEMA_VERSION = 2
 MISSING_TOKENS = frozenset({"", "?", "NA", "N/A", "nan", "NaN", "null", "None"})
@@ -423,11 +423,12 @@ def ingest_csv(
 
 def check_fractions(fractions) -> tuple[float, float]:
     """``fractions`` as two floats; ValueError unless they are two positive
-    proportions summing to 1."""
-    f = tuple(float(x) for x in fractions)
-    if len(f) != 2 or any(x <= 0 for x in f) or abs(sum(f) - 1.0) > 1e-9:
+    proportions summing to 1, each a real number and not a bool."""
+    f = tuple(fractions)
+    if (len(f) != 2 or not all(is_finite_number(x) for x in f) or any(x <= 0 for x in f)
+            or abs(sum(f) - 1.0) > 1e-9):
         raise ValueError("fractions must be two positive values summing to 1")
-    return f
+    return tuple(float(x) for x in f)
 
 
 def split(dataset: Dataset, fractions, rng: RngStream) -> tuple[Dataset, Dataset]:

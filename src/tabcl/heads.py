@@ -9,11 +9,12 @@ backbone is a logistic head too; :func:`logits` gives its class scores.
 The logistic head is solved to the optimum of its objective by truncated
 Newton (:func:`fit_softmax_regression`): conjugate gradients on
 Hessian-vector products for each step's direction, and a backtracking
-line search.  It keeps its class-major (C, n) logits and probabilities in
-buffers allocated once per fit, so all but its matrix products walk rows
-of length n, and a Hessian-vector product costs two matrix products and no
-``exp``.  The OOD backbone's gradient descent (:mod:`tabcl.ood`) runs on
-the same objective, :class:`_Objective`, and stops early.
+line search.  Its objective computes the class-major (C, n) logits and
+probabilities from the parameters, in buffers allocated once per fit, so
+all but its matrix products walk rows of length n, and a Hessian-vector
+product costs two matrix products and no ``exp``.  The OOD backbone's
+gradient descent (:mod:`tabcl.ood`) runs on the same objective,
+:class:`_Objective`, and stops early.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ class _Objective:
     Parameters are one class-major (C, d + 1) matrix ``theta``, the weights'
     transpose with the bias as its last column, so the logits are the
     class-major product ``theta @ xt`` with the transposed, one-extended
-    features ``xt``.  The gradient and the Hessian-vector product are taken
-    at the probabilities ``p`` that the last :meth:`value` left behind.
+    features ``xt``.  :meth:`value` computes them into ``p`` and takes
+    their softmax there, and the gradient and the Hessian-vector product
+    are taken at the probabilities ``p`` that the last :meth:`value` left
+    behind.
     One objective serves both softmax fits: the Newton fit
     (:func:`fit_softmax_regression`) and the OOD backbone's fixed-step
     descent (``tabcl.ood._descend``).
@@ -88,11 +91,12 @@ class _Objective:
         self.pen[d] = 0.0
         self.p = np.empty((n_classes, n))
         self.q = np.empty((n_classes, n))
+        self.zv = np.empty((n_classes, n))
         self.m = np.empty(n)
 
-    def value(self, z: np.ndarray, theta: np.ndarray) -> float:
-        """The objective at ``theta``, whose logits are ``z``."""
-        np.copyto(self.p, z)
+    def value(self, theta: np.ndarray) -> float:
+        """The objective at ``theta``."""
+        np.matmul(theta, self.xt, out=self.p)
         g = softmax_classes(self.p).reshape(-1)[self.flat]
         return (-float(np.mean(np.log(g + 1e-300)))
                 + 0.5 * float(np.vdot(self.pen * theta, theta)))
@@ -102,11 +106,10 @@ class _Objective:
         self.q.reshape(-1)[self.flat] -= 1.0  # p minus the one-hot labels
         return self.q @ self.xt.T / self.n + self.pen * theta
 
-    def hessian_product(self, v: np.ndarray, zv: np.ndarray) -> np.ndarray:
-        """``H @ v`` from the logit direction ``zv = v @ xt``, which it
-        writes: each row's block of H is ``diag(p) - p p^T``, so the product
-        is two matrix products and no ``exp``."""
-        np.matmul(v, self.xt, out=zv)
+    def hessian_product(self, v: np.ndarray) -> np.ndarray:
+        """``H @ v``: each row's block of H is ``diag(p) - p p^T``, so the
+        product is two matrix products and no ``exp``."""
+        zv = np.matmul(v, self.xt, out=self.zv)
         np.multiply(self.p, zv, out=self.q)
         np.sum(self.q, axis=0, out=self.m)
         np.subtract(zv, self.m, out=self.q)
@@ -114,27 +117,23 @@ class _Objective:
         return self.q @ self.xt.T / self.n + self.pen * v
 
 
-def _newton_step(obj: _Objective, g: np.ndarray, zs: np.ndarray, zv: np.ndarray) -> np.ndarray:
-    """Truncated conjugate gradients on ``H s = -g`` from ``s = 0``, with
-    ``zs`` receiving the logit direction ``s @ xt``.  Stops once the
-    residual falls to ``min(0.5, sqrt(|g|)) * |g|`` (Nocedal & Wright,
-    Algorithm 7.1), on a direction without curvature, or after
+def _newton_step(obj: _Objective, g: np.ndarray) -> np.ndarray:
+    """Truncated conjugate gradients on ``H s = -g`` from ``s = 0``.  Stops
+    once the residual falls to ``min(0.5, sqrt(|g|)) * |g|`` (Nocedal &
+    Wright, Algorithm 7.1), on a direction without curvature, or after
     ``_CG_STEPS`` products."""
     s = np.zeros_like(g)
-    zs.fill(0.0)
     r = -g
     v = r.copy()
     rr = gg = float(np.vdot(r, r))
     stop = min(0.25, np.sqrt(gg)) * gg  # the squared residual to reach
     for _ in range(_CG_STEPS):
-        hv = obj.hessian_product(v, zv)
+        hv = obj.hessian_product(v)
         curvature = float(np.vdot(v, hv))
         if curvature <= 0.0:  # say, a shift of all biases by one constant
             break
         a = rr / curvature
         s += a * v
-        zv *= a
-        zs += zv
         r -= a * hv
         rr, rr_old = float(np.vdot(r, r)), rr
         if rr <= stop:
@@ -159,31 +158,27 @@ def fit_softmax_regression(
     weights (d, C) and bias (C,).  Labels not one per row or outside
     ``[0, n_classes)`` raise ValueError, non-finite features NumericError.
     """
-    n, d = X.shape
+    d = X.shape[1]
     obj = _Objective(X, y, n_classes, l2)
     check_finite(X, "softmax regression features")
     theta = np.zeros((n_classes, d + 1))
-    z = np.zeros((n_classes, n))  # logits theta @ xt, updated with theta
-    trial, zs, zv = np.empty_like(z), np.empty_like(z), np.empty_like(z)
-    f = obj.value(z, theta)
+    f = obj.value(theta)
     for _ in range(_NEWTON_STEPS):
         g = obj.gradient(theta)
         if np.abs(g).max() <= _TOL:
             break
-        s = _newton_step(obj, g, zs, zv)
+        s = _newton_step(obj, g)
         slope = float(np.vdot(g, s))
         t = 1.0
         while slope < 0.0 and t >= _MIN_STEP:
-            np.multiply(zs, t, out=trial)
-            trial += z
-            f_trial = obj.value(trial, theta + t * s)
+            f_trial = obj.value(theta + t * s)
             if f_trial <= f + _ARMIJO * t * slope:  # False for a NaN objective
                 break
             t *= 0.5
         else:
             break  # no step lowers the objective any more
         theta += t * s
-        z, trial, f = trial, z, f_trial
+        f = f_trial
     return np.ascontiguousarray(theta[:, :d].T), theta[:, d].copy()
 
 

@@ -63,17 +63,15 @@ def _descend(X, y, n_classes: int, learning_rate: float, epochs: int, l2: float)
     TrainingError, a non-finite objective NumericError.  Labels not one per
     row or outside ``[0, n_classes)`` raise ValueError.
     """
-    n, d = X.shape
+    d = X.shape[1]
     obj = heads._Objective(X, y, n_classes, l2)
     theta = np.zeros((n_classes, d + 1))
-    z = np.zeros((n_classes, n))  # logits theta @ xt
     # One softmax per epoch: the probabilities that value() leaves behind
     # give both that epoch's objective and the next epoch's gradient.
-    prev_obj = obj.value(z, theta)
+    prev_obj = obj.value(theta)
     for epoch in range(epochs):
         theta -= learning_rate * obj.gradient(theta)
-        np.matmul(theta, obj.xt, out=z)
-        f = obj.value(z, theta)
+        f = obj.value(theta)
         if not np.isfinite(f):
             raise NumericError("non-finite training objective")
         if f > prev_obj + 1e-12:

@@ -105,8 +105,10 @@ class TestPlan:
         ("fractions", [0.2, 0.3, 0.5], "two positive"),
         ("fractions", 0.8, "fractions"),
         ("fractions", ["a", "b"], "fractions"),
+        ("fractions", ["0.5", "0.5"], "fractions"),
         ("seed", -1, "non-negative integer"),
         ("seed", "3", "non-negative integer"),
+        ("seed", True, "non-negative integer"),
     ])
     def test_bad_field_rejected_when_built(self, field, value, message):
         with pytest.raises(ConfigError, match=message):

@@ -69,7 +69,8 @@ class TestStagedPipeline:
         trace = json.loads((train_dir / "trace.json").read_text())
         assert trace["epochs"] == 5
         assert list(trace) == ["total", "reconstruction", "contrastive", "distance",
-                               "epoch_seconds", "seconds", "epochs", "stop_reason"]
+                               "epoch_seconds", "seconds", "epochs", "stop_reason",
+                               "array_bytes"]
         assert len(trace["epoch_seconds"]) == 5
 
         embed_dir = tmp_path / "emb"
@@ -160,6 +161,7 @@ class TestExitCodes:
         ds_dir = tmp_path / "ds"
         run(["ingest", data_csv, "--target", "label", "--out", ds_dir])
         assert run(["train", ds_dir, "--batch-size", 1, "--out", tmp_path / "m"]) == 2
+        assert run(["train", ds_dir, "--noise", "bogus", "--out", tmp_path / "m"]) == 2
 
     def test_report_names_the_failed_stage(self, tmp_path, data_csv, capsys):
         blocker = tmp_path / "exp" / "split"  # a file where the split directory goes
@@ -374,6 +376,33 @@ def reg_dir(tmp_path_factory, ds_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def wide_dir(tmp_path_factory):
+    """A classification dataset of 6 encoded features, where ds_dir has 4."""
+    tmp = tmp_path_factory.mktemp("cli-wide")
+    ds, _ = shifted_cluster_data(n_id=90, n_ood=10, d=6, seed=301)
+    write_classification_csv(tmp / "data.csv", ds.features, ds.labels)
+    assert run(["ingest", tmp / "data.csv", "--target", "label", "--out", tmp / "ds"]) == 0
+    return tmp / "ds"
+
+
+class TestWidthMismatch:
+    """A model or head and a dataset of another width exit 3, naming both."""
+
+    @pytest.mark.parametrize("command, make, artifact", [
+        ("embed", ["train", "--max-epochs", 1], "model.json"),
+        ("evaluate", ["fit-head"], "head.json"),
+    ])
+    def test_artifact_for_another_width_is_3(self, tmp_path, ds_dir, wide_dir, command, make,
+                                             artifact, capsys):
+        assert run([make[0], ds_dir, *make[1:], "--out", tmp_path / "made"]) == 0
+        path = tmp_path / "made" / artifact
+        assert run([command, path, wide_dir, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path} takes 4 features, but {wide_dir} has 6" in err
+        assert no_file_in(tmp_path / "out")
+
+
 class TestHeadKind:
     """A head kind must fit the dataset's task, at fit-head and at evaluate."""
 
@@ -400,7 +429,8 @@ class TestHeadKind:
 
 class TestPlanChecks:
     @pytest.mark.parametrize("field, value", [
-        ("head", "ridge"), ("fractions", [0.5, 0.6]), ("fractions", 0.8), ("seed", -1),
+        ("head", "ridge"), ("fractions", [0.5, 0.6]), ("fractions", 0.8),
+        ("fractions", ["0.5", "0.5"]), ("seed", -1), ("seed", True),
     ])
     def test_bad_plan_field_is_2_before_any_stage(self, tmp_path, data_csv, field, value):
         out = tmp_path / "exp"
@@ -520,6 +550,18 @@ class TestBadSettingValues:
         err = capsys.readouterr().err
         assert err.count("configuration error") == 2 and "[stage=" not in err
 
+    @pytest.mark.parametrize("argv, setting", [
+        (["split", "ds", "missing.json"], {"quantile": 7}),
+        (["train", "missing"], {"max_epochs": 2.5}),
+    ])
+    def test_setting_is_checked_before_any_artifact_is_read(self, tmp_path, argv, setting,
+                                                            capsys):
+        config = write_json(tmp_path / "config.json", setting)
+        paths = [tmp_path / name for name in argv[1:]]
+        assert run([argv[0], *paths, "--config", config, "--out", tmp_path / "out"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert no_file_in(tmp_path / "out")
+
     def test_every_setting_is_covered(self):
         assert {key for key, _ in DETECTOR_CASES} == DETECTOR_KEYS
         assert {key for key, _ in TCL_CASES} == TCL_KEYS
@@ -579,6 +621,16 @@ class TestConfig:
         })
         assert run(["report", "--config", plan]) == 2
         assert message in capsys.readouterr().err
+
+    def test_every_tcl_flag_reaches_the_model_config(self, tmp_path, ds_dir):
+        values = {"hidden_dim": 12, "latent_dim": 5, "noise": "mask", "sigma": 0.25,
+                  "mask_prob": 0.2, "temperature": 2.0, "batch_size": 64, "max_epochs": 2,
+                  "tolerance": 0.5, "learning_rate": 0.002}
+        assert set(values) == TCL_KEYS - {"seed"}
+        flags = [a for key, value in values.items() for a in (f"--{key.replace('_', '-')}", value)]
+        assert run(["train", ds_dir, *flags, "--seed", 3, "--out", tmp_path / "m"]) == 0
+        config = json.loads((tmp_path / "m" / "model.json").read_text())["config"]
+        assert config == {**values, "input_dim": 4, "seed": 3}
 
     @pytest.mark.parametrize("detector", ["openmax", "temperature"])
     def test_cli_and_plan_write_the_same_split(self, tmp_path, data_csv, detector):

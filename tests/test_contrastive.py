@@ -29,7 +29,6 @@ from tabcl.contrastive import (
     replace_params,
     save_model,
     train_tcl,
-    training_array_bytes,
 )
 from tabcl.exceptions import FormatError, NumericError, TrainingError
 from tabcl.numerics import RngStream, finite_diff_grad
@@ -666,23 +665,25 @@ class TestWorkArrays:
 
     @pytest.mark.parametrize("batch_size", [256, 32])
     def test_memory_estimate_counts_what_training_holds(self, batch_size):
-        # the estimate covers the arrays that live through training; the
-        # measured peak adds the per-step noise, batch and loss temporaries
+        # the recorded bytes cover the arrays that live through training:
+        # parameters, gradients, gradient scratch and Adam's four sets, and
+        # both views' work arrays; the measured peak adds the per-step
+        # noise, batch and loss temporaries
         X = two_cluster_matrix(n=300, d=24)
         cfg = TclConfig(input_dim=24, batch_size=batch_size, max_epochs=1, seed=10)
         batch = min(batch_size, 300)
         per_view = sum(a.nbytes for a in contrastive._work_arrays(
             cfg, batch, contrastive._TRAINING_ARRAYS).values())
-        estimate = training_array_bytes(cfg, batch)
-        assert estimate == 2 * per_view + 8 * 7 * parameter_count(init_model(cfg))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            train_tcl(X, cfg)
+            _, trace = train_tcl(X, cfg)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert estimate <= peak <= 1.5 * estimate
+        held = trace.array_bytes
+        assert held == 2 * per_view + 8 * 7 * parameter_count(init_model(cfg))
+        assert held <= peak <= 1.5 * held
 
 
 class TestTrace:

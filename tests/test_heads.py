@@ -373,23 +373,18 @@ class TestNewton:
         obj = heads._Objective(X, y, classes, 0.3)
         theta = rng.normal(classes, d + 1)
         v = rng.normal(classes, d + 1)
-        zv = np.empty((classes, n))
-
-        def value(t):
-            return obj.value(t @ obj.xt, t)
 
         def gradient(t):
-            obj.value(t @ obj.xt, t)
+            obj.value(t)
             return obj.gradient(t)
 
-        numeric = finite_diff_grad(lambda t: value(t.reshape(theta.shape)), theta.ravel())
+        numeric = finite_diff_grad(lambda t: obj.value(t.reshape(theta.shape)), theta.ravel())
         np.testing.assert_allclose(gradient(theta).ravel(), numeric, rtol=1e-6, atol=1e-8)
 
         eps = 1e-5
         diff = (gradient(theta + eps * v) - gradient(theta - eps * v)) / (2 * eps)
-        obj.value(theta @ obj.xt, theta)
-        np.testing.assert_allclose(obj.hessian_product(v, zv), diff, rtol=1e-6, atol=1e-8)
-        assert bits_equal(zv, v @ obj.xt)
+        obj.value(theta)
+        np.testing.assert_allclose(obj.hessian_product(v), diff, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("n, d, classes", WORKLOAD_SHAPES)
     def test_gradient_at_return_within_tolerance(self, n, d, classes):
