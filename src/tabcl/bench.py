@@ -33,8 +33,8 @@ from .contrastive import (
     save_model,
     train_tcl,
 )
-from .data import (CLASSIFICATION, Dataset, Schema, SplitPair, check_fractions, ingest_csv,
-                   save_split, split)
+from .data import (CLASSIFICATION, REGRESSION, Dataset, Schema, SplitPair, check_fractions,
+                   ingest_csv, save_split, split)
 from .exceptions import ConfigError, FormatError
 from .heads import (
     LINEAR,
@@ -167,8 +167,12 @@ class ExperimentPlan:
     def __post_init__(self):
         check_detector(self.detector)
         check_tcl(self.tcl)
+        if self.task not in (None, CLASSIFICATION, REGRESSION):
+            raise ConfigError(f"unknown task: {self.task!r}")
         if self.head not in (None, LOGISTIC, LINEAR):
             raise ConfigError(f"unknown head kind: {self.head!r}")
+        if self.delta is not None and not is_finite_number(self.delta):
+            raise ConfigError(f"delta must be a finite number, got {self.delta!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         try:

@@ -413,8 +413,14 @@ def ingest_csv(
     category_cutoff: int = DEFAULT_CATEGORY_CUTOFF,
 ) -> Dataset:
     """Read a CSV and encode it.  Infers the schema when none is given,
-    which requires an explicit ``target`` column name."""
+    which requires an explicit ``target`` column name.  A header that names
+    a column twice raises FormatError naming the column."""
     raw = read_csv(path, delimiter=delimiter)
+    seen = set()
+    for name in raw.header:
+        if name in seen:
+            raise FormatError(f"{path}: column {name!r} appears twice in the header")
+        seen.add(name)
     if schema is None:
         raw._numbers = {}  # nothing else sees raw, so its cells cannot change
         schema = infer_schema(raw, target=target, task=task, category_cutoff=category_cutoff)

@@ -12,9 +12,9 @@ Hessian-vector products for each step's direction, and a backtracking
 line search.  Its objective computes the class-major (C, n) logits and
 probabilities from the parameters, in buffers allocated once per fit, so
 all but its matrix products walk rows of length n, and a Hessian-vector
-product costs two matrix products and no ``exp``.  The OOD backbone's
-gradient descent (:mod:`tabcl.ood`) runs on the same objective,
-:class:`_Objective`, and stops early.
+product costs two matrix products and no ``exp``.  The OOD backbone
+(:func:`tabcl.ood.train_backbone`) is this head solved at the larger
+penalty 0.2, which sets the scale of the logits its detectors read.
 """
 
 from __future__ import annotations
@@ -74,10 +74,8 @@ class _Objective:
     features ``xt``.  :meth:`value` computes them into ``p`` and takes
     their softmax there, and the gradient and the Hessian-vector product
     are taken at the probabilities ``p`` that the last :meth:`value` left
-    behind.
-    One objective serves both softmax fits: the Newton fit
-    (:func:`fit_softmax_regression`) and the OOD backbone's fixed-step
-    descent (``tabcl.ood._descend``).
+    behind.  The Newton fit (:func:`fit_softmax_regression`) minimizes it
+    for every logistic head, the OOD backbone among them.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, l2: float):

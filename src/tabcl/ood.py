@@ -14,17 +14,15 @@ OOD score per row of a feature matrix:
   Its score and NLL divide the transposed logits into a class-major (C, n)
   matrix for the one softmax, :func:`tabcl.numerics.softmax_classes`.
 
-The backbone is trained by 300 epochs of fixed-step gradient descent on
-the one class-major objective, :class:`tabcl.heads._Objective`, that
-:func:`tabcl.heads.fit_logistic` solves to its optimum by Newton's method.
-The fixed step needs z-scored features, such as ``tabcl ingest`` writes.
-The descent stops short of the optimum on purpose: both detectors read
-the scale of its logits.  The Weibull tails fit distances in logit space,
-and the temperature rescales the logits.  Solved to the optimum, the
-backbone's weights grow about twentyfold and the detectors lose the
-shifted rows: on the regression benchmark (``perfbench``,
-``cli-regression``) the temperature detector's AUROC fell from 0.88 to
-0.18, and on ``train-wide`` the openmax AUROC fell from 0.95 to 0.86.
+The backbone is the logistic head, :func:`tabcl.heads.fit_logistic`, solved
+to its optimum at the weight penalty ``_L2 = 0.2``.  That penalty sets the
+scale of its logits, which both detectors read: the Weibull tails fit
+distances in logit space, and the temperature rescales the logits.  At the
+heads' own penalty (1e-4) the weights grow many times larger and the
+detectors lose the shifted rows: on the regression benchmark
+(``perfbench``, ``cli-regression``) the temperature detector's AUROC fell
+from 0.88 to 0.18, and on ``train-wide`` the openmax AUROC from 0.95 to
+0.86.
 
 Rows are then split at a threshold and the split is validated with the
 task's head (:func:`tabcl.heads.fit_head`) trained on the ID side.
@@ -39,8 +37,8 @@ import numpy as np
 from . import heads
 from .artifacts import atomic_write
 from .data import CLASSIFICATION, Dataset, SplitPair, split
-from .exceptions import NumericError, TrainingError
-from .heads import LOGISTIC, Head, fit_head, metric_accuracy, metric_r2, predict
+from .exceptions import NumericError
+from .heads import Head, fit_head, metric_accuracy, metric_r2, predict
 from .numerics import RngStream, _class_index, softmax_classes
 from .weibull import weibull_cdf, weibull_mle
 
@@ -50,57 +48,19 @@ TEMPERATURE = "temperature"
 TEMP_LO, TEMP_HI = 0.05, 10.0
 _TEMP_TOL = 1e-4
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# The backbone's early-stopped descent: step, epochs and weight penalty.
-_STEP, _EPOCHS, _L2 = 0.1, 300, 1e-4
-
-
-def _descend(X, y, n_classes: int, learning_rate: float, epochs: int, l2: float):
-    """Full-batch gradient descent from zero weights on
-    :class:`tabcl.heads._Objective`, the class-major objective that the
-    Newton fit (:func:`tabcl.heads.fit_softmax_regression`) minimizes too.
-
-    Returns weights and bias.  An epoch that raises the objective raises
-    TrainingError, a non-finite objective NumericError.  Labels not one per
-    row or outside ``[0, n_classes)`` raise ValueError.
-    """
-    d = X.shape[1]
-    obj = heads._Objective(X, y, n_classes, l2)
-    theta = np.zeros((n_classes, d + 1))
-    # One softmax per epoch: the probabilities that value() leaves behind
-    # give both that epoch's objective and the next epoch's gradient.
-    prev_obj = obj.value(theta)
-    for epoch in range(epochs):
-        theta -= learning_rate * obj.gradient(theta)
-        f = obj.value(theta)
-        if not np.isfinite(f):
-            raise NumericError("non-finite training objective")
-        if f > prev_obj + 1e-12:
-            raise TrainingError(
-                f"objective rose at epoch {epoch} ({prev_obj:.6g} -> {f:.6g}); the fixed "
-                "step needs z-scored features, such as `tabcl ingest` writes (largest "
-                f"feature standard deviation {float(X.std(axis=0).max()):.6g})"
-            )
-        prev_obj = f
-    return np.ascontiguousarray(theta[:, :d].T), theta[:, d].copy()
+# The backbone's weight penalty; it sets the scale of the detectors' logits.
+_L2 = 0.2
 
 
 def train_backbone(train: Dataset) -> Head:
-    """Fit the scoring backbone, a logistic head, on a classification dataset.
-
-    The backbone takes 300 fixed steps of gradient descent and stops short
-    of the optimum that :func:`tabcl.heads.fit_logistic` reaches: the
-    detectors read the scale of its logits.  The training objective must
-    fall every epoch, otherwise a TrainingError is raised.  Regression
-    targets have to be discretized first (see :func:`discretize_target`).
+    """Fit the scoring backbone on a classification dataset: the logistic
+    head solved at the weight penalty ``_L2``, which sets the scale of the
+    logits the detectors read.  Regression targets have to be discretized
+    first (see :func:`discretize_target`).
     """
     if train.schema.task != CLASSIFICATION:
         raise ValueError("backbone training needs classification labels; discretize first")
-    y = train.labels.astype(np.int64)
-    if np.unique(y).size < 2:
-        raise ValueError("degenerate training data: single class")
-    classes = int(y.max()) + 1
-    W, b = _descend(train.features, y, classes, _STEP, _EPOCHS, _L2)
-    return Head(LOGISTIC, W, b, classes)
+    return heads.fit_logistic(train.features, train.labels, l2=_L2)
 
 
 def discretize_target(y, bins: int) -> np.ndarray:

@@ -109,6 +109,11 @@ class TestPlan:
         ("seed", -1, "non-negative integer"),
         ("seed", "3", "non-negative integer"),
         ("seed", True, "non-negative integer"),
+        ("task", "clasification", "unknown task"),
+        ("task", 1, "unknown task"),
+        ("delta", "abc", "delta must be a finite number"),
+        ("delta", True, "delta must be a finite number"),
+        ("delta", float("nan"), "delta must be a finite number"),
     ])
     def test_bad_field_rejected_when_built(self, field, value, message):
         with pytest.raises(ConfigError, match=message):

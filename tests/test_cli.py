@@ -135,6 +135,13 @@ class TestExitCodes:
         bad.write_text("a,b,y\n1,2,0\n3,4\n")
         assert run(["ingest", bad, "--target", "y", "--out", tmp_path / "out"]) == 3
 
+    @pytest.mark.parametrize("header, name", [("a,a,label", "a"), ("label,a,label", "label")])
+    def test_repeated_header_name_is_3(self, tmp_path, capsys, header, name):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n1,2,0\n3,4,1\n")
+        assert run(["ingest", bad, "--target", "label", "--out", tmp_path / "out"]) == 3
+        assert f"column '{name}' appears twice in the header" in capsys.readouterr().err
+
     def test_missing_artifact_is_3(self, tmp_path):
         assert run(["evaluate", tmp_path / "head.json", tmp_path / "nope"]) == 3
 
@@ -144,13 +151,14 @@ class TestExitCodes:
         assert run(["train", ds_dir, "--max-epochs", 10, "--learning-rate", 50,
                     "--batch-size", 32, "--out", tmp_path / "m"]) == 4
 
-    def test_diverging_backbone_is_4(self, tmp_path, capsys):
+    def test_unscaled_features_detect_with_exit_0(self, tmp_path):
         # Features of standard deviation about 10, not z-scored as ingest
-        # writes them: the backbone's fixed step diverges at epoch 0.
+        # writes them: the backbone's Newton fit needs no step size.
         ds, _ = shifted_cluster_data(900, 100)
         save_dataset(Dataset(10.0 * ds.features, ds.labels, ds.schema, None), tmp_path / "ds")
-        assert run(["detect", tmp_path / "ds", "--out", tmp_path / "det"]) == 4
-        assert "the fixed step needs z-scored features" in capsys.readouterr().err
+        assert run(["detect", tmp_path / "ds", "--out", tmp_path / "det"]) == 0
+        scores = json.loads((tmp_path / "det" / "scores.json").read_text())["scores"]
+        assert len(scores) == 1000 and np.isfinite(scores).all()
 
     def test_argparse_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -431,6 +439,7 @@ class TestPlanChecks:
     @pytest.mark.parametrize("field, value", [
         ("head", "ridge"), ("fractions", [0.5, 0.6]), ("fractions", 0.8),
         ("fractions", ["0.5", "0.5"]), ("seed", -1), ("seed", True),
+        ("task", "clasification"), ("delta", "abc"),
     ])
     def test_bad_plan_field_is_2_before_any_stage(self, tmp_path, data_csv, field, value):
         out = tmp_path / "exp"

@@ -55,6 +55,7 @@ class TestReadCsv:
         with pytest.raises(FormatError):
             read_csv(tmp_path / "nope.csv")
 
+
     def test_alternate_delimiter(self, tmp_path):
         path = write(tmp_path / "t.csv", "a;b;y\n1;2;0\n3;4;1\n")
         raw = read_csv(path, delimiter=";")
@@ -94,6 +95,14 @@ class TestInferSchema:
 
 
 class TestIngest:
+    @pytest.mark.parametrize("header, name", [("a,a,label", "a"), ("label,a,label", "label")])
+    def test_repeated_header_name_names_the_column(self, tmp_path, header, name):
+        # A repeated target would otherwise be read from its first column
+        # only, and the second dropped without a word.
+        path = write(tmp_path / "t.csv", f"{header}\n1,2,0\n3,4,1\n")
+        with pytest.raises(FormatError, match=f"column '{name}' appears twice in the header"):
+            ingest_csv(path, target="label")
+
     def test_minimal_file(self, tmp_path):
         path = write(tmp_path / "t.csv", "a,b,y\n1.5,2,0\n3,4.25,1\n2,3,0\n")
         ds = ingest_csv(path, target="y", category_cutoff=2)

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tabcl import heads, ood
-from tabcl.exceptions import ConfigError, FormatError, NumericError, TrainingError
+from tabcl import heads
+from tabcl.exceptions import ConfigError, FormatError, NumericError
 from tabcl.heads import (
     Head,
     fit_head,
@@ -22,7 +20,6 @@ from tabcl.heads import (
     save_head,
 )
 from tabcl.numerics import RngStream, finite_diff_grad
-from tabcl.ood import _descend
 
 
 def bits_equal(a, b):
@@ -134,77 +131,6 @@ class TestFitHead:
             fit_head(X, y, task, kind)
 
 
-def two_pass_fit(X, y, n_classes, learning_rate, epochs, l2):
-    """Reference: the backbone's descent as first written, on row-major
-    weights and bias, with one softmax for the gradient and a second one
-    for the objective in every epoch."""
-    def softmax_rows(z):
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-    n, d = X.shape
-    W = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    for _ in range(epochs):
-        p = softmax_rows(X @ W + b)
-        W -= learning_rate * (X.T @ (p - onehot) / n + l2 * W)
-        b -= learning_rate * (p - onehot).sum(axis=0) / n
-    return W, b
-
-
-def class_major_fit(X, y, n_classes, learning_rate, epochs, l2, require_monotone=False):
-    """Reference: the backbone's descent on class-major parameters
-    ``theta = [W.T | b]`` and one-extended transposed features ``xt``, with
-    one softmax for the gradient and a second one for the objective in
-    every epoch.  It checks that the objective stays finite, and with
-    ``require_monotone`` that it falls."""
-    n, d = X.shape
-    xt = np.ascontiguousarray(np.vstack([X.T, np.ones((1, n))]))  # row-major, as the fit's
-    pen = np.full(d + 1, l2)
-    pen[d] = 0.0
-    theta = np.zeros((n_classes, d + 1))
-    onehot = np.zeros((n_classes, n))
-    onehot[y, np.arange(n)] = 1.0
-
-    # Fresh class-major arrays, so that the gradient product gets the
-    # operand layout the descent passes to BLAS.  The row-wise softmax of
-    # the transposed logits sums the classes in another order; it must
-    # agree to rounding, so that a reduction over the wrong axis fails.
-    def probabilities():
-        z = theta @ xt
-        z = z - z.max(axis=0)
-        e = np.exp(z)
-        p = e / e.sum(axis=0)
-        zt = np.ascontiguousarray(z.T)
-        et = np.exp(zt)
-        # atol: a subnormal probability is rounded to a fixed absolute step
-        np.testing.assert_allclose(p, (et / et.sum(axis=1, keepdims=True)).T,
-                                   rtol=1e-14, atol=1e-300)
-        return p
-
-    def objective():
-        p = probabilities()[y, np.arange(n)]
-        return -float(np.mean(np.log(p + 1e-300))) + 0.5 * float(np.vdot(pen * theta, theta))
-
-    prev_obj = objective()
-    for epoch in range(epochs):
-        theta -= learning_rate * ((probabilities() - onehot) @ xt.T / n + pen * theta)
-        obj = objective()
-        if not np.isfinite(obj):
-            raise NumericError("non-finite training objective")
-        if require_monotone and obj > prev_obj + 1e-12:
-            raise TrainingError(
-                f"objective rose at epoch {epoch} ({prev_obj:.6g} -> {obj:.6g}); the fixed "
-                "step needs z-scored features, such as `tabcl ingest` writes (largest "
-                f"feature standard deviation {float(X.std(axis=0).max()):.6g})"
-            )
-        prev_obj = obj
-    return theta[:, :d].T, theta[:, d]
-
-
 def softmax_problem(seed, n, d, classes, scale):
     """Labels from a noisy linear rule, so the fit has something to learn."""
     rng = RngStream(seed, 0)
@@ -213,65 +139,9 @@ def softmax_problem(seed, n, d, classes, scale):
     return X, y
 
 
-def assert_descent_bit_equal(X, y, classes, *args, monotone=True):
-    try:
-        expected = class_major_fit(X, y, classes, *args, require_monotone=monotone)
-    except (NumericError, TrainingError) as exc:
-        with pytest.raises(type(exc)) as info:
-            _descend(X, y, classes, *args)
-        assert str(info.value) == str(exc)
-        return
-    W, b = _descend(X, y, classes, *args)
-    assert bits_equal(W, np.ascontiguousarray(expected[0]))
-    assert bits_equal(b, np.ascontiguousarray(expected[1]))
-
-
-# 7, 8 and 9 classes straddle the width from which numpy unrolls a contiguous
-# row sum by 8, and 130 the width from which it sums in halves: there the
-# reference's row-major cross-check adds in another order.  One feature makes
-# the gradient product a rank-1 update, where a BLAS takes its shortest paths.
-# The descent always checks that its objective falls, so it is compared with
-# the reference that checks too.
-WORKLOAD_DESCENT_SHAPES = [
-    (4000, 44, 3), (700, 64, 4), (1200, 24, 10), (4000, 44, 7), (700, 64, 8), (1200, 24, 9),
-    (1500, 1, 3), (2, 1, 2), (900, 6, 130),
-]
-
-
 class TestSoftmaxRegression:
-    """The OOD backbone's descent (``ood._descend``) computes one softmax
-    per epoch on the Newton fit's class-major objective; it must return
-    exactly what the class-major two-pass reference returns, or raise the
-    same error, and agree with the row-major descent it replaced to
-    rounding.  The label checks are the Newton fit's."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 2**16), st.integers(2, 120), st.integers(1, 12), st.integers(2, 12),
-        st.sampled_from([0.5, 1.0, 5.0]), st.sampled_from([0.01, 0.1, 1.0, 30.0]),
-        st.integers(0, 40), st.sampled_from([0.0, 1e-4, 0.5]),
-    )
-    def test_matches_two_pass_reference(self, seed, n, d, classes, scale, lr, epochs, l2):
-        X, y = softmax_problem(seed, n, d, classes, scale)
-        assert_descent_bit_equal(X, y, classes, lr, epochs, l2)
-
-    @pytest.mark.parametrize("n, d, classes", WORKLOAD_DESCENT_SHAPES)
-    @pytest.mark.parametrize("monotone", [True])
-    def test_matches_two_pass_reference_at_workload_shapes(self, n, d, classes, monotone):
-        X, y = softmax_problem(n + d, n, d, classes, 1.0)
-        assert_descent_bit_equal(X, y, classes, 0.1, 100, 1e-4, monotone=monotone)
-
-    @pytest.mark.parametrize("n, d, classes", WORKLOAD_DESCENT_SHAPES)
-    def test_agrees_with_row_major_descent(self, n, d, classes):
-        # The class-major products add in another order, so the weights
-        # move in the last bits only.
-        X, y = softmax_problem(n + d, n, d, classes, 1.0)
-        args = (ood._STEP, ood._EPOCHS, ood._L2)
-        W_ref, b_ref = two_pass_fit(X, y, classes, *args)
-        W, b = _descend(X, y, classes, *args)
-        tol = 1e-12 * np.abs(W_ref).max()
-        assert np.abs(W - W_ref).max() <= tol
-        assert np.abs(b - b_ref).max() <= tol
+    """The label and feature checks of the Newton fit, which every logistic
+    head and the OOD backbone go through."""
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_label_outside_class_range_rejected(self, bad):
@@ -280,9 +150,8 @@ class TestSoftmaxRegression:
         X, y = softmax_problem(7, 30, 4, 3, 1.0)
         y = y.copy()
         y[5] = bad
-        for fit in (fit_softmax_regression, lambda X, y, C, l2: _descend(X, y, C, 0.1, 5, l2)):
-            with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-                fit(X, y, 3, 1e-4)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            fit_softmax_regression(X, y, 3, 1e-4)
 
     def test_labels_not_one_per_row_rejected(self):
         X, y = softmax_problem(7, 30, 4, 3, 1.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tabcl import ood
 from tabcl.data import Dataset, split
-from tabcl.exceptions import NumericError, TrainingError
+from tabcl.exceptions import NumericError
 from tabcl.heads import Head, logits, predict
 from tabcl.numerics import RngStream
 from tabcl.ood import (
@@ -69,31 +69,13 @@ class TestBackbone:
     def test_single_class_rejected(self):
         X = RngStream(52, 0).normal(20, 3)
         ds = Dataset(X, np.zeros(20, dtype=np.int64), numeric_schema(3), None)
-        with pytest.raises(ValueError, match="single class"):
+        with pytest.raises(ValueError, match="needs at least 2 classes present"):
             train_backbone(ds)
-
-    def test_oversized_step_raises(self):
-        ds = toy_dataset()
-        with mock.patch.object(ood, "_STEP", 50.0):
-            with pytest.raises(TrainingError):
-                train_backbone(ds)
-
-    def test_unscaled_features_name_the_cause(self):
-        # The fixed step needs z-scored features; at a standard deviation
-        # of about 10 it diverges at once, and no caller can change it.
-        ds, _ = shifted_cluster_data(900, 100)
-        wide = Dataset(10.0 * ds.features, ds.labels, ds.schema, None)
-        with pytest.raises(TrainingError, match=(
-            r"objective rose at epoch 0 .*; the fixed step needs z-scored features, such as "
-            r"`tabcl ingest` writes \(largest feature standard deviation "
-        )) as info:
-            train_backbone(wide)
-        assert str(info.value).endswith(f" {wide.features.std(axis=0).max():.6g})")
 
     def test_non_finite_feature_raises(self):
         ds = toy_dataset()
         ds.features[3, 2] = np.nan  # past the Dataset's own check
-        with pytest.raises(NumericError, match="^non-finite training objective$"):
+        with pytest.raises(NumericError, match="^non-finite values in softmax regression "):
             train_backbone(ds)
 
     def test_label_outside_class_range_rejected(self):
@@ -123,10 +105,10 @@ def regression_shaped_table(n, d, seed):
 
 class TestBackboneScale:
     """The detectors read the scale of the backbone's logits, which its
-    early-stopped descent sets.  On this table at seeds 0-3 the temperature
-    detector scores the gap cluster at AUROC 0.85-0.92; with a backbone
-    solved to its optimum (weights about twenty times larger), at
-    0.09-0.22."""
+    weight penalty (``ood._L2 = 0.2``) sets.  On this table at seeds 0-3
+    the temperature detector scores the gap cluster at AUROC 0.89-0.93;
+    with a backbone solved at the heads' own penalty of 1e-4 (largest
+    weight about 75 times larger), at 0.09-0.22."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_temperature_detector_finds_the_gap_cluster(self, seed):
