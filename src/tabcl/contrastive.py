@@ -1,8 +1,8 @@
 """Contrastive representation learning for tabular rows.
 
-Training duplicates each minibatch into two full-width noisy views (no
-column slicing), runs both through a narrow encoder/decoder, and minimizes
-an unweighted three-part loss:
+Training corrupts each minibatch into two full-width noisy views (no column
+slicing), stacks them into one batch of 2n rows, runs it through a narrow
+encoder/decoder, and minimizes an unweighted three-part loss:
 
 * reconstruction: mean squared error of each decoded view against the clean
   batch, averaged over the two views;
@@ -18,9 +18,9 @@ matrix.
 
 The encoder is Linear -> LeakyReLU -> LayerNorm -> Linear and the decoder
 Linear -> LeakyReLU -> Linear; gradients are computed analytically and are
-checked against central finite differences in the test suite.  The forward
-and backward pass write into per-view work arrays, which training allocates
-once and reuses for every step.
+checked against central finite differences in the test suite.  A training
+step is one forward and one backward pass over the stacked views, in work
+arrays that training allocates once and reuses for every step.
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ class LossComponents:
 class TrainTrace:
     """Per-epoch loss and wall-clock record, total seconds, the stop reason,
     and ``array_bytes``, the bytes of the float64 arrays that training
-    allocated once: parameters, gradients, gradient scratch, Adam's state
-    and both views' work arrays."""
+    allocated once: parameters, gradients, Adam's state and the work arrays
+    of the stacked views."""
 
     total: list[float] = field(default_factory=list)
     reconstruction: list[float] = field(default_factory=list)
@@ -196,20 +196,30 @@ def init_model(config: TclConfig) -> TclModel:
     return TclModel(config, params)
 
 
+def _views(x: np.ndarray, config: TclConfig, rng: RngStream) -> np.ndarray:
+    """Both noisy views of ``x`` as one (2n, d) matrix, view 1's rows first.
+    One 2n-row draw equals two successive n-row draws bit for bit, stream
+    state included; the draw becomes the views in place."""
+    n, d = x.shape
+    if config.noise == GAUSSIAN:
+        views = gaussian_noise(2 * n, d, config.sigma, rng)
+        halves = views.reshape(2, n, d)
+        halves += x
+    else:
+        views = rng.uniform(2 * n, d)
+        halves = views.reshape(2, n, d)
+        np.greater_equal(halves, config.mask_prob, out=halves)  # 1.0 keeps an entry
+        halves *= x
+    return views
+
+
 def augment(batch, config: TclConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Two independently corrupted full copies of the batch."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("batch must be a non-empty 2-D matrix")
-    n, d = x.shape
-    if config.noise == GAUSSIAN:
-        return (
-            x + gaussian_noise(n, d, config.sigma, rng),
-            x + gaussian_noise(n, d, config.sigma, rng),
-        )
-    keep1 = rng.uniform(n, d) >= config.mask_prob
-    keep2 = rng.uniform(n, d) >= config.mask_prob
-    return x * keep1, x * keep2
+    views = _views(x, config, rng)
+    return views[: x.shape[0]], views[x.shape[0] :]
 
 
 def _check_input(x, width: int, what: str) -> np.ndarray:
@@ -219,20 +229,18 @@ def _check_input(x, width: int, what: str) -> np.ndarray:
     return x
 
 
-# The forward and backward pass write every intermediate into per-view work
-# arrays, named in these tables.  Each array has one row per batch row and a
-# width of d (input_dim), h (hidden_dim), k (latent_dim) or 1.  Training
-# allocates all three tables for each view, once for the full batch, and
-# hands row-slices of them to a shorter last batch.  Inference (encode)
-# uses none of them: it runs the encoder in row blocks.
-_ENCODER_ARRAYS = {"z1": "h", "xhat": "h", "ln": "h", "e": "k", "mu": 1, "inv_std": 1}
+# The forward and backward pass write every intermediate into work arrays
+# named in these tables, one row per row of the stacked views and a width of
+# d (input_dim), h (hidden_dim), k (latent_dim) or 1.  Training allocates
+# them once, for two full batches, and hands row-slices of them to a shorter
+# last batch.  decode uses the decoder's arrays alone; inference (encode)
+# uses none: it runs the encoder in row blocks.
 _DECODER_ARRAYS = {"z3": "h", "a3": "h", "out": "d"}
-_BACKWARD_ARRAYS = {
+_WORK_ARRAYS = {
+    "z1": "h", "xhat": "h", "ln": "h", "e": "k", "mu": 1, "inv_std": 1, **_DECODER_ARRAYS,
     "d_out": "d", "d_e": "k", "t_k": "k", "d_h": "h", "t_h": "h",
     "dots": 1, "mean_dx": 1, "mean_dx_xhat": 1,
 }
-_FORWARD_ARRAYS = {**_ENCODER_ARRAYS, **_DECODER_ARRAYS}
-_TRAINING_ARRAYS = {**_FORWARD_ARRAYS, **_BACKWARD_ARRAYS}
 
 
 def _work_arrays(config: TclConfig, rows: int, table: dict) -> dict[str, np.ndarray]:
@@ -372,25 +380,26 @@ def loss_contrastive(e1, e2, temperature: float) -> float:
     return float(np.mean(dots * dots)) / temperature
 
 
-def _check_views(model: TclModel, x1, x2, x_clean):
+def _stack_views(model: TclModel, x1, x2, x_clean) -> tuple[np.ndarray, np.ndarray]:
+    """The checked views stacked into one matrix, and the clean batch."""
     d = model.config.input_dim
     x_clean = _check_input(x_clean, d, "clean batch")
     x1 = _check_input(x1, d, "view 1")
     x2 = _check_input(x2, d, "view 2")
     if x1.shape != x_clean.shape or x2.shape != x_clean.shape:
         raise ValueError("views and clean batch must share one shape")
-    return x1, x2, x_clean
+    return np.concatenate((x1, x2)), x_clean
 
 
-def _forward(model: TclModel, x1, x2, x_clean, w1: dict, w2: dict) -> LossComponents:
-    """Both views through encoder and decoder, and the three loss terms."""
-    p = model.params
-    e1, e2 = _encode(p, x1, w1), _encode(p, x2, w2)
-    out1, out2 = _decode(p, e1, w1), _decode(p, e2, w2)
+def _forward(model: TclModel, x: np.ndarray, x_clean: np.ndarray, w: dict) -> LossComponents:
+    """Stacked views through encoder and decoder, and the three loss terms."""
+    p, n = model.params, x_clean.shape[0]
+    e = _encode(p, x, w)
+    out = _decode(p, e, w)
     return LossComponents(
-        reconstruction=loss_reconstruction(out1, out2, x_clean),
-        contrastive=loss_contrastive(e1, e2, model.config.temperature),
-        distance=loss_distance(e1, e2),
+        reconstruction=loss_reconstruction(out[:n], out[n:], x_clean),
+        contrastive=loss_contrastive(e[:n], e[n:], model.config.temperature),
+        distance=loss_distance(e[:n], e[n:]),
     )
 
 
@@ -400,67 +409,52 @@ def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponen
     Pure in the parameters, which makes it the target for the
     finite-difference gradient oracle.
     """
-    x1, x2, x_clean = _check_views(model, x1, x2, x_clean)
-    w1, w2 = (_work_arrays(model.config, x_clean.shape[0], _FORWARD_ARRAYS) for _ in range(2))
-    comps = _forward(model, x1, x2, x_clean, w1, w2)
+    x, x_clean = _stack_views(model, x1, x2, x_clean)
+    comps = _forward(model, x, x_clean, _work_arrays(model.config, x.shape[0], _WORK_ARRAYS))
     return comps.total, comps
 
 
-def _zero_grads(model: TclModel) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in model.params.items()}
-
-
-def _seed(config: TclConfig, x_clean: np.ndarray, w1: dict, w2: dict) -> None:
-    """dL/d(out) and dL/d(e) of both views into their d_out and d_e arrays."""
+def _seed(config: TclConfig, x_clean: np.ndarray, w: dict) -> None:
+    """dL/d(out) and dL/d(e) of the stacked views into d_out and d_e."""
     n, d = x_clean.shape
-    k = config.latent_dim
-    tau = config.temperature
-    e1, e2 = w1["e"], w2["e"]
-    d_e1, d_e2 = w1["d_e"], w2["d_e"]
-    dots = w1["dots"]  # view 1's serves both views
+    k, tau = config.latent_dim, config.temperature
+    # (2, n, width) views: index 0 is view 1, index 1 is view 2
+    e, d_e, t_k = (w[name].reshape(2, n, k) for name in ("e", "d_e", "t_k"))
+    dots = w["dots"][:n]
 
     # reconstruction: L_r = (mse(out1, x) + mse(out2, x)) / 2
-    for w in (w1, w2):
-        np.subtract(w["out"], x_clean, out=w["d_out"])
-        w["d_out"] /= n * d
+    np.subtract(w["out"].reshape(2, n, d), x_clean, out=w["d_out"].reshape(2, n, d))
+    w["d_out"] /= n * d
     # distance: L_d = mean((e1 - e2)^2)
-    np.subtract(e1, e2, out=d_e1)
-    d_e1 *= 2.0
-    d_e1 /= n * k
-    np.negative(d_e1, out=d_e2)
-    # contrastive: L_c = mean(rowdot^2) / tau
-    np.multiply(e1, e2, out=w1["t_k"])
-    np.sum(w1["t_k"], axis=1, keepdims=True, out=dots)
+    np.subtract(e[0], e[1], out=d_e[0])
+    d_e[0] *= 2.0
+    d_e[0] /= n * k
+    np.negative(d_e[0], out=d_e[1])
+    # contrastive: L_c = mean(rowdot^2) / tau; each view gains dots * the other
+    np.multiply(e[0], e[1], out=t_k[0])
+    np.sum(t_k[0], axis=1, keepdims=True, out=dots)
     dots *= 2.0 / (n * tau)
-    d_e1 += np.multiply(dots, e2, out=w1["t_k"])
-    d_e2 += np.multiply(dots, e1, out=w2["t_k"])
+    d_e += np.multiply(dots, e[::-1], out=t_k)
 
 
-def _backward(p: dict, x: np.ndarray, w: dict, grads: dict, scratch: dict) -> None:
-    """Add one view's parameter gradients to ``grads``, from its seeds d_out
-    and d_e; ``scratch`` holds one product at a time before it is added."""
+def _backward(p: dict, x: np.ndarray, w: dict, grads: dict) -> None:
+    """Parameter gradients of the stacked views ``x`` into ``grads``, from the
+    seeds d_out and d_e; each is one product or column sum over all rows."""
     d_out, d_e, d_h, t_h, t_k = w["d_out"], w["d_e"], w["d_h"], w["t_h"], w["t_k"]
-
-    def add_product(key, a, b):
-        grads[key] += np.matmul(a.T, b, out=scratch[key])
-
-    def add_column_sums(key, a):
-        grads[key] += np.sum(a, axis=0, out=scratch[key])
-
     # decoder
-    add_product("w4", w["a3"], d_out)
-    add_column_sums("b4", d_out)
+    np.matmul(w["a3"].T, d_out, out=grads["w4"])
+    np.sum(d_out, axis=0, out=grads["b4"])
     np.matmul(d_out, p["w4"].T, out=d_h)
     d_h *= _leaky_slope(w["z3"], t_h)  # d_z3
-    add_product("w3", w["e"], d_h)
-    add_column_sums("b3", d_h)
+    np.matmul(w["e"].T, d_h, out=grads["w3"])
+    np.sum(d_h, axis=0, out=grads["b3"])
     d_e += np.matmul(d_h, p["w3"].T, out=t_k)
     # encoder
-    add_product("w2", w["ln"], d_e)
-    add_column_sums("b2", d_e)
+    np.matmul(w["ln"].T, d_e, out=grads["w2"])
+    np.sum(d_e, axis=0, out=grads["b2"])
     np.matmul(d_e, p["w2"].T, out=d_h)  # d_ln
-    add_column_sums("gamma", np.multiply(d_h, w["xhat"], out=t_h))
-    add_column_sums("beta", d_h)
+    np.sum(np.multiply(d_h, w["xhat"], out=t_h), axis=0, out=grads["gamma"])
+    np.sum(d_h, axis=0, out=grads["beta"])
     d_h *= p["gamma"]  # d_xhat
     # layernorm backward (per row, population variance):
     # d_a1 = (d_xhat - mean(d_xhat) - xhat * mean(d_xhat * xhat)) * inv_std
@@ -470,22 +464,15 @@ def _backward(p: dict, x: np.ndarray, w: dict, grads: dict, scratch: dict) -> No
     d_h -= np.multiply(w["xhat"], w["mean_dx_xhat"], out=t_h)
     d_h *= w["inv_std"]  # d_a1
     d_h *= _leaky_slope(w["z1"], t_h)  # d_z1
-    add_product("w1", x, d_h)
-    add_column_sums("b1", d_h)
+    np.matmul(x.T, d_h, out=grads["w1"])
+    np.sum(d_h, axis=0, out=grads["b1"])
 
 
-def _grad_into(
-    model: TclModel, x1, x2, x_clean, w1: dict, w2: dict, grads: dict, scratch: dict
-) -> LossComponents:
-    """Loss of two views, and its gradients written into ``grads``."""
-    comps = _forward(model, x1, x2, x_clean, w1, w2)
-    _seed(model.config, x_clean, w1, w2)
-    # each sum is 0.0 + view 1 + view 2, so a -0.0 comes out as it would
-    # from fresh zero arrays
-    for g in grads.values():
-        g.fill(0.0)
-    _backward(model.params, x1, w1, grads, scratch)
-    _backward(model.params, x2, w2, grads, scratch)
+def _grad_into(model: TclModel, x, x_clean, w: dict, grads: dict) -> LossComponents:
+    """Loss of the stacked views ``x``; its gradients go into ``grads``."""
+    comps = _forward(model, x, x_clean, w)
+    _seed(model.config, x_clean, w)
+    _backward(model.params, x, w, grads)
     for key, g in grads.items():
         check_finite(g, f"gradient of {key}")
     return comps
@@ -495,10 +482,10 @@ def grad_on_views(
     model: TclModel, x1, x2, x_clean
 ) -> tuple[float, LossComponents, dict[str, np.ndarray]]:
     """Loss and analytic parameter gradients for two fixed views."""
-    x1, x2, x_clean = _check_views(model, x1, x2, x_clean)
-    w1, w2 = (_work_arrays(model.config, x_clean.shape[0], _TRAINING_ARRAYS) for _ in range(2))
-    grads = _zero_grads(model)
-    comps = _grad_into(model, x1, x2, x_clean, w1, w2, grads, _zero_grads(model))
+    x, x_clean = _stack_views(model, x1, x2, x_clean)
+    w = _work_arrays(model.config, x.shape[0], _WORK_ARRAYS)
+    grads = {key: np.empty_like(v) for key, v in model.params.items()}
+    comps = _grad_into(model, x, x_clean, w, grads)
     return comps.total, comps, grads
 
 
@@ -572,8 +559,10 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     below ``config.tolerance``, or at ``config.max_epochs``.  An epoch-mean
     loss above ten times the first epoch's raises TrainingError.
 
-    The work arrays of both views, the gradients and Adam's state are
-    allocated once, before the first epoch.  The trace records their bytes,
+    Each step runs one forward and one backward pass over the batch's two
+    noisy views stacked into one matrix.  The work arrays (for two full
+    batches), the gradients and Adam's state are allocated once, before the
+    first epoch.  The trace records their bytes,
     per-epoch means of all loss components, each epoch's wall-clock
     seconds, and the wall-clock seconds spent inside this function.
     """
@@ -589,9 +578,9 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     model = init_model(config)
     rng = RngStream(config.seed, stream_id=1)
     adam = _Adam(model.params, config.learning_rate)
-    grads, scratch = _zero_grads(model), _zero_grads(model)
-    views = [_work_arrays(config, batch, _TRAINING_ARRAYS) for _ in range(2)]
-    held = (model.params, grads, scratch, adam.m, adam.v, adam._num, adam._den, *views)
+    grads = {key: np.empty_like(v) for key, v in model.params.items()}
+    work = _work_arrays(config, 2 * batch, _WORK_ARRAYS)
+    held = (model.params, grads, adam.m, adam.v, adam._num, adam._den, work)
     trace = TrainTrace(array_bytes=sum(a.nbytes for arrays in held for a in arrays.values()))
     stop_reason = "max-epochs"
     initial_loss = None  # first batch at the initial parameters
@@ -603,9 +592,8 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
         batches = 0
         for lo in range(0, n, batch):
             x = X[order[lo : lo + batch]]
-            x1, x2 = augment(x, config, rng)
-            w1, w2 = ({name: a[: x.shape[0]] for name, a in w.items()} for w in views)
-            comps = _grad_into(model, x1, x2, x, w1, w2, grads, scratch)
+            w = {name: a[: 2 * x.shape[0]] for name, a in work.items()}
+            comps = _grad_into(model, _views(x, config, rng), x, w, grads)
             if initial_loss is None:
                 initial_loss = comps.total
             adam.step(model.params, grads)

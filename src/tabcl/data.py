@@ -50,10 +50,19 @@ class Column:
         elif self.categories:
             raise ValueError(f"numeric column {self.name!r} cannot carry categories")
 
+    def encoded_names(self) -> tuple[str, ...]:
+        """The column's name if numeric, else one ``name=category`` each
+        and the unknown slot."""
+        if self.kind == NUMERIC:
+            return (self.name,)
+        return (*(f"{self.name}={c}" for c in self.categories), f"{self.name}={UNKNOWN_SLOT}")
+
 
 @dataclass(frozen=True)
 class Schema:
-    """Feature columns, the single target column, and the task kind."""
+    """Feature columns, the single target column, and the task kind.  Two
+    columns with one encoded name (``a`` of category ``b`` and ``a=b``) raise
+    FormatError naming both."""
 
     features: tuple[Column, ...]
     target: str
@@ -68,6 +77,13 @@ class Schema:
             raise ValueError("duplicate feature column names")
         if self.target in names:
             raise ValueError(f"target {self.target!r} also listed as a feature")
+        owner = {self.target: self.target}
+        for col in self.features:
+            for name in col.encoded_names():
+                if name in owner:
+                    raise FormatError(
+                        f"columns {owner[name]!r} and {col.name!r} both encode to {name!r}")
+                owner[name] = col.name
         if self.task == CLASSIFICATION:
             if len(self.classes) < 2:
                 raise ValueError("classification schema needs >= 2 classes")
@@ -76,14 +92,7 @@ class Schema:
 
     def encoded_names(self) -> tuple[str, ...]:
         """Names of the encoded feature columns, in encoding order."""
-        out: list[str] = []
-        for col in self.features:
-            if col.kind == NUMERIC:
-                out.append(col.name)
-            else:
-                out.extend(f"{col.name}={c}" for c in col.categories)
-                out.append(f"{col.name}={UNKNOWN_SLOT}")
-        return tuple(out)
+        return tuple(name for col in self.features for name in col.encoded_names())
 
     @property
     def encoded_dim(self) -> int:

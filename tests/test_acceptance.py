@@ -200,6 +200,24 @@ def test_criterion_04_ood_gate_end_to_end():
           f"{elapsed:.1f}s")
 
 
+def test_criterion_04_openmax_auroc_over_seeds():
+    # Criterion 04 reads one draw of the data, and a few other seeds fall
+    # below its floor; the mean over twelve draws tells a change to the
+    # detector from the luck of that one draw.
+    start = time.perf_counter()
+    aurocs = []
+    for seed in range(1234, 1246):
+        dataset, is_ood = shifted_cluster_data(
+            n_id=9000, n_ood=1000, d=6, sep=4.0, shift=4.0, seed=seed
+        )
+        om = fit_openmax(train_backbone(dataset), dataset, norm="l2", tail=50)
+        aurocs.append(auroc(openmax_score(om, dataset.features), is_ood))
+    mean = float(np.mean(aurocs))
+    elapsed = time.perf_counter() - start
+    _line(4, "OOD gate: mean openmax AUROC over seeds 1234-1245 is at least 0.92",
+          mean >= 0.92, f"mean {mean:.4f}, min {min(aurocs):.3f}, {elapsed:.1f}s")
+
+
 def test_criterion_05_weibull_fit_oracle():
     start = time.perf_counter()
     errors = []

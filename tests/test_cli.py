@@ -142,6 +142,22 @@ class TestExitCodes:
         assert run(["ingest", bad, "--target", "label", "--out", tmp_path / "out"]) == 3
         assert f"column '{name}' appears twice in the header" in capsys.readouterr().err
 
+    def test_colliding_encoded_names_are_3(self, tmp_path, capsys):
+        # categorical a, with categories b and c, encodes to a=b, the name of
+        # the numeric column next to it
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,a=b,label\n" + "".join(
+            f"{'bc'[i % 2]},{i / 2},{i % 2}\n" for i in range(25)))
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(bad), "target": "label", "out_dir": str(tmp_path / "exp"),
+        })
+        message = "columns 'a' and 'a=b' both encode to 'a=b'"
+        assert run(["ingest", bad, "--target", "label", "--out", tmp_path / "out"]) == 3
+        assert message in capsys.readouterr().err
+        assert run(["report", "--config", plan]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "exp" / "split").exists()
+
     def test_missing_artifact_is_3(self, tmp_path):
         assert run(["evaluate", tmp_path / "head.json", tmp_path / "nope"]) == 3
 

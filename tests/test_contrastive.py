@@ -31,7 +31,7 @@ from tabcl.contrastive import (
     train_tcl,
 )
 from tabcl.exceptions import FormatError, NumericError, TrainingError
-from tabcl.numerics import RngStream, finite_diff_grad
+from tabcl.numerics import RngStream, finite_diff_grad, gaussian_noise
 
 from conftest import two_cluster_matrix
 
@@ -110,6 +110,32 @@ class TestAugment:
         x1, x2 = augment(x, cfg, RngStream(5, 0))
         np.testing.assert_array_equal(x1, x)
         np.testing.assert_array_equal(x2, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=12),
+        noise=st.sampled_from(["gaussian", "mask"]),
+        level=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_two_per_view_draws(self, n, d, noise, level, seed):
+        # one stacked draw must give each view the bits of a draw of its
+        # own, over successive steps of one stream, signed zeros included
+        x = RngStream(seed, 4).normal(n, d)
+        x[:, 0] = -0.0
+        cfg = TclConfig(input_dim=d, noise=noise, sigma=level, mask_prob=level)
+        rng, ref = RngStream(seed, 1), RngStream(seed, 1)
+        for _ in range(3):
+            x1, x2 = augment(x, cfg, rng)
+            if noise == "gaussian":
+                r1 = x + gaussian_noise(n, d, level, ref)
+                r2 = x + gaussian_noise(n, d, level, ref)
+            else:
+                r1 = x * (ref.uniform(n, d) >= level)
+                r2 = x * (ref.uniform(n, d) >= level)
+            assert same_bits(x1, r1) and same_bits(x2, r2)
+        assert same_bits(rng.uniform(1, 3), ref.uniform(1, 3))
 
 
 class TestEncodeDecode:
@@ -397,8 +423,9 @@ class TestPersistence:
 
 
 # The training step as first written: np.where LeakyReLU, a fresh array for
-# every intermediate, and out-of-place Adam.  The module's step writes into
-# reused work arrays and must match it bit for bit.
+# every intermediate, and out-of-place Adam, over the two views stacked into
+# one matrix.  The module's step writes into reused work arrays and must
+# match it bit for bit.
 
 def ref_leaky(z):
     return np.where(z > 0.0, z, LEAKY_SLOPE * z)
@@ -426,51 +453,47 @@ def ref_decode(p, e):
     return {"z3": z3, "a3": a3, "out": a3 @ p["w4"] + p["b4"]}
 
 
-def ref_backward_view(p, enc, dec, d_out, d_e, grads):
-    grads["w4"] += dec["a3"].T @ d_out
-    grads["b4"] += d_out.sum(axis=0)
+def ref_backward(p, enc, dec, d_out, d_e):
+    grads = {"w4": dec["a3"].T @ d_out, "b4": d_out.sum(axis=0)}
     d_a3 = d_out @ p["w4"].T
     d_z3 = d_a3 * ref_leaky_grad(dec["z3"])
-    grads["w3"] += enc["e"].T @ d_z3
-    grads["b3"] += d_z3.sum(axis=0)
+    grads["w3"] = enc["e"].T @ d_z3
+    grads["b3"] = d_z3.sum(axis=0)
     d_e = d_e + d_z3 @ p["w3"].T
-    grads["w2"] += enc["ln"].T @ d_e
-    grads["b2"] += d_e.sum(axis=0)
+    grads["w2"] = enc["ln"].T @ d_e
+    grads["b2"] = d_e.sum(axis=0)
     d_ln = d_e @ p["w2"].T
-    grads["gamma"] += (d_ln * enc["xhat"]).sum(axis=0)
-    grads["beta"] += d_ln.sum(axis=0)
+    grads["gamma"] = (d_ln * enc["xhat"]).sum(axis=0)
+    grads["beta"] = d_ln.sum(axis=0)
     d_xhat = d_ln * p["gamma"]
     mean_dx = d_xhat.mean(axis=1, keepdims=True)
     mean_dx_xhat = (d_xhat * enc["xhat"]).mean(axis=1, keepdims=True)
     d_a1 = (d_xhat - mean_dx - enc["xhat"] * mean_dx_xhat) * enc["inv_std"]
     d_z1 = d_a1 * ref_leaky_grad(enc["z1"])
-    grads["w1"] += enc["x"].T @ d_z1
-    grads["b1"] += d_z1.sum(axis=0)
+    grads["w1"] = enc["x"].T @ d_z1
+    grads["b1"] = d_z1.sum(axis=0)
+    return grads
 
 
 def ref_grad_on_views(model, x1, x2, x):
     p, cfg = model.params, model.config
     n, d = x.shape
     k, tau = cfg.latent_dim, cfg.temperature
-    enc1, enc2 = ref_encode(p, x1), ref_encode(p, x2)
-    dec1, dec2 = ref_decode(p, enc1["e"]), ref_decode(p, enc2["e"])
-    e1, e2 = enc1["e"], enc2["e"]
+    enc = ref_encode(p, np.vstack([x1, x2]))
+    dec = ref_decode(p, enc["e"])
+    e1, e2 = enc["e"][:n], enc["e"][n:]
     comps = (
-        loss_reconstruction(dec1["out"], dec2["out"], x),
+        loss_reconstruction(dec["out"][:n], dec["out"][n:], x),
         loss_contrastive(e1, e2, tau),
         loss_distance(e1, e2),
     )
-    d_out1 = (dec1["out"] - x) / (n * d)
-    d_out2 = (dec2["out"] - x) / (n * d)
+    d_out = (dec["out"] - np.vstack([x, x])) / (n * d)
     d_e1 = 2.0 * (e1 - e2) / (n * k)
     d_e2 = -d_e1
     dots = (e1 * e2).sum(axis=1, keepdims=True)
     d_e1 = d_e1 + (2.0 / (n * tau)) * dots * e2
     d_e2 = d_e2 + (2.0 / (n * tau)) * dots * e1
-    grads = {key: np.zeros_like(v) for key, v in p.items()}
-    ref_backward_view(p, enc1, dec1, d_out1, d_e1, grads)
-    ref_backward_view(p, enc2, dec2, d_out2, d_e2, grads)
-    return comps, grads
+    return comps, ref_backward(p, enc, dec, d_out, np.vstack([d_e1, d_e2]))
 
 
 def ref_train(X, cfg):
@@ -533,6 +556,8 @@ class TestMatchesReferenceStep:
     # a partial last batch below 128 KiB, and a batch of the whole set
     @example(n=100, d=8, batch_size=64, noise="mask", epochs=3, seed=1)
     @example(n=40, d=4, batch_size=256, noise="gaussian", epochs=3, seed=6)
+    # a last batch of one row: two stacked rows in the sliced work arrays
+    @example(n=257, d=6, batch_size=256, noise="mask", epochs=2, seed=2)
     def test_training_is_bit_identical(self, n, d, batch_size, noise, epochs, seed):
         rng = RngStream(seed, 3)
         X = rng.normal(n, d) * (1.0 + 3.0 * rng.uniform(1, d))
@@ -666,14 +691,14 @@ class TestWorkArrays:
     @pytest.mark.parametrize("batch_size", [256, 32])
     def test_memory_estimate_counts_what_training_holds(self, batch_size):
         # the recorded bytes cover the arrays that live through training:
-        # parameters, gradients, gradient scratch and Adam's four sets, and
-        # both views' work arrays; the measured peak adds the per-step
-        # noise, batch and loss temporaries
+        # parameters, gradients and Adam's four sets, and the work arrays of
+        # the stacked views; the measured peak adds the per-step views,
+        # batch and loss temporaries
         X = two_cluster_matrix(n=300, d=24)
         cfg = TclConfig(input_dim=24, batch_size=batch_size, max_epochs=1, seed=10)
         batch = min(batch_size, 300)
-        per_view = sum(a.nbytes for a in contrastive._work_arrays(
-            cfg, batch, contrastive._TRAINING_ARRAYS).values())
+        work = sum(a.nbytes for a in contrastive._work_arrays(
+            cfg, 2 * batch, contrastive._WORK_ARRAYS).values())
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -682,7 +707,7 @@ class TestWorkArrays:
         finally:
             tracemalloc.stop()
         held = trace.array_bytes
-        assert held == 2 * per_view + 8 * 7 * parameter_count(init_model(cfg))
+        assert held == work + 8 * 6 * parameter_count(init_model(cfg))
         assert held <= peak <= 1.5 * held
 
 

@@ -103,6 +103,18 @@ class TestIngest:
         with pytest.raises(FormatError, match=f"column '{name}' appears twice in the header"):
             ingest_csv(path, target="label")
 
+    @pytest.mark.parametrize("header, target, message", [
+        ("a,a=b,label", "label", "columns 'a' and 'a=b' both encode to 'a=b'"),
+        ("a,label,a=b", "a=b", "columns 'a=b' and 'a' both encode to 'a=b'"),
+    ])
+    def test_colliding_encoded_names_name_both_columns(self, tmp_path, header, target, message):
+        # categorical a, with categories b and c, encodes to a=b, which is
+        # also the name of a numeric feature or of the target
+        rows = "".join(f"{'bc'[i % 2]},{i / 2},{i % 2}\n" for i in range(25))
+        path = write(tmp_path / "t.csv", f"{header}\n{rows}")
+        with pytest.raises(FormatError, match=message):
+            ingest_csv(path, target=target)
+
     def test_minimal_file(self, tmp_path):
         path = write(tmp_path / "t.csv", "a,b,y\n1.5,2,0\n3,4.25,1\n2,3,0\n")
         ds = ingest_csv(path, target="y", category_cutoff=2)
