@@ -21,6 +21,10 @@ Linear -> LeakyReLU -> Linear; gradients are computed analytically and are
 checked against central finite differences in the test suite.  A training
 step is one forward and one backward pass over the stacked views, in work
 arrays that training allocates once and reuses for every step.
+
+Every computation runs in the dtype of the model's parameters.  Training
+makes float32 models; a float64 model runs the same code, and the test
+suite uses one as the reference of the finite-difference checks.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ MASK = "mask"
 PARAM_KEYS = ("w1", "b1", "gamma", "beta", "w2", "b2", "w3", "b3", "w4", "b4")
 
 MODEL_FORMAT = "tcl-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+DTYPES = ("float32", "float64")
 
 
 def _clamp(v: int, lo: int, hi: int) -> int:
@@ -123,15 +128,33 @@ def _param_shapes(config: TclConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+def _cast(x, dtype) -> np.ndarray:
+    """``x`` as an array of ``dtype``, copied only if it is not one already.
+    A float64 value beyond the float32 range becomes inf, which the finite
+    checks downstream report."""
+    with np.errstate(over="ignore"):
+        return np.asarray(x, dtype=dtype)
+
+
+def _floats(*arrays) -> list[np.ndarray]:
+    """The arrays in one dtype: float32 if all are float32, else float64."""
+    arrays = [np.asarray(a) for a in arrays]
+    dtype = np.float32 if all(a.dtype == np.float32 for a in arrays) else np.float64
+    return [_cast(a, dtype) for a in arrays]
+
+
 @dataclass
 class TclModel:
-    """Encoder/decoder parameter sets plus the config that shaped them."""
+    """Encoder/decoder parameter sets plus the config that shaped them.
+
+    The parameters share one dtype, which every computation on the model
+    uses: float32 if all of them are float32, otherwise float64."""
 
     config: TclConfig
     params: dict[str, np.ndarray]
 
     def __post_init__(self):
-        self.params = {k: np.asarray(v, dtype=np.float64) for k, v in self.params.items()}
+        self.params = dict(zip(self.params, _floats(*self.params.values())))
         expected = _param_shapes(self.config)
         for key in PARAM_KEYS:
             if key not in self.params:
@@ -141,6 +164,10 @@ class TclModel:
                     f"parameter {key!r} has shape {self.params[key].shape}, "
                     f"expected {expected[key]}"
                 )
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params["w1"].dtype
 
 
 @dataclass
@@ -157,9 +184,9 @@ class LossComponents:
 @dataclass
 class TrainTrace:
     """Per-epoch loss and wall-clock record, total seconds, the stop reason,
-    and ``array_bytes``, the bytes of the float64 arrays that training
-    allocated once: parameters, gradients, Adam's state and the work arrays
-    of the stacked views."""
+    and ``array_bytes``, the bytes of the arrays, in the model's dtype, that
+    training allocated once: parameters, gradients, Adam's state and the
+    work arrays of the stacked views."""
 
     total: list[float] = field(default_factory=list)
     reconstruction: list[float] = field(default_factory=list)
@@ -173,7 +200,8 @@ class TrainTrace:
 
 
 def init_model(config: TclConfig) -> TclModel:
-    """Seeded parameter initialization (He-style for pre-activation layers).
+    """Seeded parameter initialization (He-style for pre-activation layers),
+    drawn in float64 and cast to float32.
 
     Pre-activation biases get a little noise so that an all-masked row
     cannot land exactly on the LeakyReLU kink, which would make the loss
@@ -193,20 +221,20 @@ def init_model(config: TclConfig) -> TclModel:
         "w4": rng.normal(h, d) * np.sqrt(1.0 / h),
         "b4": np.zeros(d),
     }
-    return TclModel(config, params)
+    return TclModel(config, {key: v.astype(np.float32) for key, v in params.items()})
 
 
 def _views(x: np.ndarray, config: TclConfig, rng: RngStream) -> np.ndarray:
-    """Both noisy views of ``x`` as one (2n, d) matrix, view 1's rows first.
-    One 2n-row draw equals two successive n-row draws bit for bit, stream
-    state included; the draw becomes the views in place."""
+    """Both noisy views of ``x`` as one (2n, d) matrix in ``x``'s dtype, view
+    1's rows first.  One 2n-row draw equals two successive n-row draws bit
+    for bit, stream state included; the draw becomes the views in place."""
     n, d = x.shape
     if config.noise == GAUSSIAN:
-        views = gaussian_noise(2 * n, d, config.sigma, rng)
+        views = gaussian_noise(2 * n, d, config.sigma, rng, x.dtype)
         halves = views.reshape(2, n, d)
         halves += x
     else:
-        views = rng.uniform(2 * n, d)
+        views = rng.uniform(2 * n, d, x.dtype)
         halves = views.reshape(2, n, d)
         np.greater_equal(halves, config.mask_prob, out=halves)  # 1.0 keeps an entry
         halves *= x
@@ -214,16 +242,17 @@ def _views(x: np.ndarray, config: TclConfig, rng: RngStream) -> np.ndarray:
 
 
 def augment(batch, config: TclConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently corrupted full copies of the batch."""
-    x = np.asarray(batch, dtype=np.float64)
+    """Two independently corrupted full copies of the batch, float32 for a
+    float32 batch and float64 otherwise."""
+    (x,) = _floats(batch)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("batch must be a non-empty 2-D matrix")
     views = _views(x, config, rng)
     return views[: x.shape[0]], views[x.shape[0] :]
 
 
-def _check_input(x, width: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _check_input(x, width: int, what: str, dtype) -> np.ndarray:
+    x = _cast(x, dtype)
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"{what} must be 2-D with {width} columns, got shape {x.shape}")
     return x
@@ -243,9 +272,10 @@ _WORK_ARRAYS = {
 }
 
 
-def _work_arrays(config: TclConfig, rows: int, table: dict) -> dict[str, np.ndarray]:
-    widths = {"d": config.input_dim, "h": config.hidden_dim, "k": config.latent_dim, 1: 1}
-    return {name: np.empty((rows, widths[w])) for name, w in table.items()}
+def _work_arrays(model: TclModel, rows: int, table: dict) -> dict[str, np.ndarray]:
+    c = model.config
+    widths = {"d": c.input_dim, "h": c.hidden_dim, "k": c.latent_dim, 1: 1}
+    return {name: np.empty((rows, widths[w]), model.dtype) for name, w in table.items()}
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -262,8 +292,8 @@ def _leaky(z: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _leaky_slope(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # 1 where z > 0, else LEAKY_SLOPE; 0.99 + 0.01 == 1.0 in binary64, and
-    # the arithmetic is several times faster than np.where
+    # 1 where z > 0, else LEAKY_SLOPE; 0.99 + 0.01 == 1.0 in binary64 and in
+    # binary32, and the arithmetic is several times faster than np.where
     np.greater(z, 0.0, out=out)
     out *= 1.0 - LEAKY_SLOPE
     out += LEAKY_SLOPE
@@ -319,15 +349,17 @@ def encode(model: TclModel, x) -> np.ndarray:
     Both matrix products run on the whole matrix, and the row-local
     LeakyReLU and LayerNorm run in row blocks of about ``_BLOCK_BYTES``, so
     the output is bit-identical to the training step's encoder on the same
-    matrix.  The blocks work in place on the first product's output; one
-    block of scratch rows is the only other temporary.
+    matrix.  The input is cast to the parameters' dtype once.  The blocks
+    work in place on the first product's output; one block of scratch rows
+    is the only other temporary.
     """
-    x = _check_input(x, model.config.input_dim, "input")
+    dtype = model.dtype
+    x = _check_input(x, model.config.input_dim, "input", dtype)
     p, n, h = model.params, x.shape[0], model.config.hidden_dim
-    rows = max(1, _BLOCK_BYTES // (8 * h))
+    rows = max(1, _BLOCK_BYTES // (dtype.itemsize * h))
     a = np.matmul(x, p["w1"])
-    xhat = np.empty((min(rows, n), h))
-    mu, inv_std = np.empty((2, min(rows, n), 1))
+    xhat = np.empty((min(rows, n), h), dtype)
+    mu, inv_std = np.empty((2, min(rows, n), 1), dtype)
     for lo in range(0, n, rows):
         block = a[lo : lo + rows]
         m = block.shape[0]
@@ -340,8 +372,8 @@ def encode(model: TclModel, x) -> np.ndarray:
 
 def decode(model: TclModel, e) -> np.ndarray:
     """Deterministic decoder forward pass (n x input_dim)."""
-    e = _check_input(e, model.config.latent_dim, "embedding")
-    return _decode(model.params, e, _work_arrays(model.config, e.shape[0], _DECODER_ARRAYS))
+    e = _check_input(e, model.config.latent_dim, "embedding", model.dtype)
+    return _decode(model.params, e, _work_arrays(model, e.shape[0], _DECODER_ARRAYS))
 
 
 def embed(model: TclModel, x) -> np.ndarray:
@@ -349,11 +381,11 @@ def embed(model: TclModel, x) -> np.ndarray:
     return encode(model, x)
 
 
+# The loss terms compute in their inputs' dtype and return a Python float.
+
 def loss_reconstruction(xhat1, xhat2, x_clean) -> float:
     """Mean over both views of the MSE against the clean batch."""
-    a = np.asarray(xhat1, dtype=np.float64)
-    b = np.asarray(xhat2, dtype=np.float64)
-    x = np.asarray(x_clean, dtype=np.float64)
+    a, b, x = _floats(xhat1, xhat2, x_clean)
     if a.shape != x.shape or b.shape != x.shape:
         raise ValueError("reconstructions and clean batch must share one shape")
     return 0.5 * (float(np.mean((a - x) ** 2)) + float(np.mean((b - x) ** 2)))
@@ -361,8 +393,7 @@ def loss_reconstruction(xhat1, xhat2, x_clean) -> float:
 
 def loss_distance(e1, e2) -> float:
     """MSE between the two embedded views."""
-    a = np.asarray(e1, dtype=np.float64)
-    b = np.asarray(e2, dtype=np.float64)
+    a, b = _floats(e1, e2)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.mean((a - b) ** 2))
@@ -370,10 +401,9 @@ def loss_distance(e1, e2) -> float:
 
 def loss_contrastive(e1, e2, temperature: float) -> float:
     """Mean squared per-row dot product of paired embeddings, over temperature."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    a = np.asarray(e1, dtype=np.float64)
-    b = np.asarray(e2, dtype=np.float64)
+    if not is_finite_number(temperature) or temperature <= 0:
+        raise ValueError(f"temperature must be a positive finite number, got {temperature!r}")
+    a, b = _floats(e1, e2)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     dots = (a * b).sum(axis=1)
@@ -382,10 +412,10 @@ def loss_contrastive(e1, e2, temperature: float) -> float:
 
 def _stack_views(model: TclModel, x1, x2, x_clean) -> tuple[np.ndarray, np.ndarray]:
     """The checked views stacked into one matrix, and the clean batch."""
-    d = model.config.input_dim
-    x_clean = _check_input(x_clean, d, "clean batch")
-    x1 = _check_input(x1, d, "view 1")
-    x2 = _check_input(x2, d, "view 2")
+    d, dtype = model.config.input_dim, model.dtype
+    x_clean = _check_input(x_clean, d, "clean batch", dtype)
+    x1 = _check_input(x1, d, "view 1", dtype)
+    x2 = _check_input(x2, d, "view 2", dtype)
     if x1.shape != x_clean.shape or x2.shape != x_clean.shape:
         raise ValueError("views and clean batch must share one shape")
     return np.concatenate((x1, x2)), x_clean
@@ -410,7 +440,7 @@ def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponen
     finite-difference gradient oracle.
     """
     x, x_clean = _stack_views(model, x1, x2, x_clean)
-    comps = _forward(model, x, x_clean, _work_arrays(model.config, x.shape[0], _WORK_ARRAYS))
+    comps = _forward(model, x, x_clean, _work_arrays(model, x.shape[0], _WORK_ARRAYS))
     return comps.total, comps
 
 
@@ -483,7 +513,7 @@ def grad_on_views(
 ) -> tuple[float, LossComponents, dict[str, np.ndarray]]:
     """Loss and analytic parameter gradients for two fixed views."""
     x, x_clean = _stack_views(model, x1, x2, x_clean)
-    w = _work_arrays(model.config, x.shape[0], _WORK_ARRAYS)
+    w = _work_arrays(model, x.shape[0], _WORK_ARRAYS)
     grads = {key: np.empty_like(v) for key, v in model.params.items()}
     comps = _grad_into(model, x, x_clean, w, grads)
     return comps.total, comps, grads
@@ -496,8 +526,9 @@ def param_vector(model: TclModel) -> np.ndarray:
 
 def replace_params(model: TclModel, vector: np.ndarray) -> TclModel:
     """New model with parameters taken from a flat vector (inverse of
-    :func:`param_vector`)."""
-    vector = np.asarray(vector, dtype=np.float64)
+    :func:`param_vector`); a float32 vector makes a float32 model, any
+    other a float64 one."""
+    vector = np.asarray(vector)
     params = {}
     offset = 0
     for key in PARAM_KEYS:
@@ -559,14 +590,15 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     below ``config.tolerance``, or at ``config.max_epochs``.  An epoch-mean
     loss above ten times the first epoch's raises TrainingError.
 
-    Each step runs one forward and one backward pass over the batch's two
-    noisy views stacked into one matrix.  The work arrays (for two full
-    batches), the gradients and Adam's state are allocated once, before the
-    first epoch.  The trace records their bytes,
-    per-epoch means of all loss components, each epoch's wall-clock
-    seconds, and the wall-clock seconds spent inside this function.
+    The model is float32, and the data is cast to float32 once.  Each step
+    runs one forward and one backward pass over the batch's two noisy views
+    stacked into one matrix.  The work arrays (for two full batches), the
+    gradients and Adam's state are allocated once, in the model's dtype,
+    before the first epoch.  The trace records their bytes, per-epoch means
+    of all loss components, each epoch's wall-clock seconds, and the
+    wall-clock seconds spent inside this function.
     """
-    X = np.asarray(data.features if hasattr(data, "features") else data, dtype=np.float64)
+    X = np.asarray(data.features if hasattr(data, "features") else data)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("training data must be a non-empty 2-D matrix")
     if X.shape[1] != config.input_dim:
@@ -576,10 +608,11 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
 
     start = time.perf_counter()
     model = init_model(config)
+    X = _cast(X, model.dtype)
     rng = RngStream(config.seed, stream_id=1)
     adam = _Adam(model.params, config.learning_rate)
     grads = {key: np.empty_like(v) for key, v in model.params.items()}
-    work = _work_arrays(config, 2 * batch, _WORK_ARRAYS)
+    work = _work_arrays(model, 2 * batch, _WORK_ARRAYS)
     held = (model.params, grads, adam.m, adam.v, adam._num, adam._den, work)
     trace = TrainTrace(array_bytes=sum(a.nbytes for arrays in held for a in arrays.values()))
     stop_reason = "max-epochs"
@@ -625,20 +658,27 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
 
 
 def save_model(model: TclModel, path) -> None:
-    """Write the model as a JSON container; floats round-trip bit-exactly."""
+    """Write the model as a JSON container with its dtype; floats round-trip
+    bit-exactly, float32 ones through the float64 values JSON holds."""
     write_json(path, {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
+        "dtype": model.dtype.name,
         "config": model.config.to_dict(),
         "params": {k: model.params[k].tolist() for k in PARAM_KEYS},
     })
 
 
 def load_model(path) -> TclModel:
+    """Read a model in the dtype its file records.  A value the dtype cannot
+    hold, finite in the JSON or not, is a format error."""
     payload = read_json(path, "model file", MODEL_FORMAT, MODEL_VERSION)
     with fields(path, "model file"):
         config = TclConfig.from_dict(payload["config"])
-        params = {k: np.asarray(payload["params"][k], dtype=np.float64) for k in PARAM_KEYS}
+        dtype = payload["dtype"]
+        if dtype not in DTYPES:
+            raise ValueError(f"model dtype must be float32 or float64, got {dtype!r}")
+        params = {k: _cast(payload["params"][k], dtype) for k in PARAM_KEYS}
         for key, value in params.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"model parameter {key!r} holds a non-finite value")

@@ -1,6 +1,7 @@
 """Dense numeric primitives shared by every other module.
 
-All public operations work on float64 arrays.  All but
+Public operations work on float64 arrays, except the random draws, which
+also come in float32 for the contrastive training step.  All but
 :func:`softmax_classes`, which sits on the training hot path, validate
 their inputs and guarantee finite outputs.  Randomness goes through
 :class:`RngStream` so that every stochastic operation is a pure function of
@@ -40,13 +41,13 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    def normal(self, rows: int, cols: int) -> Array:
-        """Standard-normal matrix of the given shape."""
-        return self._gen.standard_normal((rows, cols))
+    def normal(self, rows: int, cols: int, dtype=np.float64) -> Array:
+        """Standard-normal matrix of the given shape, float64 or float32."""
+        return self._gen.standard_normal((rows, cols), dtype=dtype)
 
-    def uniform(self, rows: int, cols: int) -> Array:
-        """Uniform [0, 1) matrix of the given shape."""
-        return self._gen.random((rows, cols))
+    def uniform(self, rows: int, cols: int, dtype=np.float64) -> Array:
+        """Uniform [0, 1) matrix of the given shape, float64 or float32."""
+        return self._gen.random((rows, cols), dtype=dtype)
 
     def permutation(self, n: int) -> Array:
         return self._gen.permutation(n)
@@ -82,13 +83,17 @@ def softmax_classes(p: Array, log: bool = False) -> Array:
     return p
 
 
-def gaussian_noise(rows: int, cols: int, sigma: float, rng: RngStream) -> Array:
-    """i.i.d. draws from N(0, sigma^2); sigma = 0 returns an exact zero matrix."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+def gaussian_noise(rows: int, cols: int, sigma: float, rng: RngStream,
+                   dtype=np.float64) -> Array:
+    """i.i.d. draws from N(0, sigma^2) in ``dtype`` (float64 or float32);
+    sigma = 0 returns an exact zero matrix and draws nothing."""
+    if not is_finite_number(sigma) or sigma < 0:
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
     if sigma == 0:
-        return np.zeros((rows, cols))
-    return sigma * rng.normal(rows, cols)
+        return np.zeros((rows, cols), dtype=dtype)
+    noise = rng.normal(rows, cols, dtype)
+    noise *= sigma
+    return noise
 
 
 def finite_diff_grad(f: Callable[[Array], float], theta, eps: float = 1e-5) -> Array:

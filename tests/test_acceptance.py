@@ -56,6 +56,13 @@ def _line(num, name, ok, detail=""):
     assert ok, f"criterion {num} failed: {name} {detail}"
 
 
+def _as_float64(model):
+    """The float64 copy of a model that criteria 02 and 03 check: training
+    makes float32 models, which run the same code, and float64 keeps the
+    finite-difference oracle and the bit-exact identities at full strength."""
+    return replace_params(model, param_vector(model).astype(np.float64))
+
+
 @pytest.fixture(scope="module")
 def xor_run():
     """Shared dataset/model for criteria 7 and 8: defaults, 15 epochs."""
@@ -100,7 +107,7 @@ def test_criterion_02_gradient_check_suite():
             input_dim=d, hidden_dim=h, latent_dim=k, noise=noise,
             sigma=0.3, mask_prob=0.3, temperature=1.5, seed=1000 + i,
         )
-        model = init_model(config)
+        model = _as_float64(init_model(config))
         stream = RngStream(2000 + i, 0)
         x = stream.normal(n, d)
         x1, x2 = augment(x, config, stream)
@@ -130,7 +137,7 @@ def test_criterion_03_loss_identities():
             temperature=float(rng.uniform(0.2, 3.0)),
             seed=3000 + j,
         )
-        models.append(init_model(config))
+        models.append(_as_float64(init_model(config)))
     checked = 0
     for case in range(1000):
         model = models[case % len(models)]

@@ -224,6 +224,13 @@ class TestExitCodes:
         assert run(["split", ds_dir, path, "--out", tmp_path / "split"]) == 3
         assert message in capsys.readouterr().err
 
+    # A well-formed model of width 4, which the cases below spoil.
+    MODEL = {"format": "tcl-model", "version": 2, "dtype": "float32",
+             "config": {"input_dim": 4, "hidden_dim": 1, "latent_dim": 1},
+             "params": {"w1": [[0.0]] * 4, "b1": [0.0], "gamma": [1.0], "beta": [0.0],
+                        "w2": [[1.0]], "b2": [0.0], "w3": [[1.0]], "b3": [0.0],
+                        "w4": [[0.0] * 4], "b4": [0.0] * 4}}
+
     # Each case is a JSON artifact that parses but does not hold what its
     # loader reads; the file name is what the subcommand is pointed at.
     MALFORMED = {
@@ -253,12 +260,18 @@ class TestExitCodes:
         ),
         "model holding a list": ("model.json", [1, 2], lambda f, ds: ["embed", f, ds]),
         "model with a NaN weight": (
-            "model.json", {"format": "tcl-model", "version": 1,
-                           "config": {"input_dim": 4, "hidden_dim": 1, "latent_dim": 1},
-                           "params": {"w1": [[0.0], [0.0], [float("nan")], [0.0]], "b1": [0.0],
-                                      "gamma": [1.0], "beta": [0.0], "w2": [[1.0]], "b2": [0.0],
-                                      "w3": [[1.0]], "b3": [0.0], "w4": [[0.0] * 4],
-                                      "b4": [0.0] * 4}},
+            "model.json", dict(MODEL, params=dict(MODEL["params"], w1=[[0.0], [float("nan")]] * 2)),
+            lambda f, ds: ["embed", f, ds],
+        ),
+        "model with a weight beyond float32": (
+            "model.json", dict(MODEL, params=dict(MODEL["params"], w1=[[0.0], [1e39]] * 2)),
+            lambda f, ds: ["embed", f, ds],
+        ),
+        "model of dtype float16": (
+            "model.json", dict(MODEL, dtype="float16"), lambda f, ds: ["embed", f, ds],
+        ),
+        "model of version 1": (
+            "model.json", {k: v for k, v in dict(MODEL, version=1).items() if k != "dtype"},
             lambda f, ds: ["embed", f, ds],
         ),
         "scores holding a list": ("scores.json", [0.1, 0.2], lambda f, ds: ["split", ds, f]),
@@ -270,6 +283,10 @@ class TestExitCodes:
             lambda f, ds: ["fit-head", f.parent],
         ),
     }
+
+    def test_well_formed_model_embeds(self, tmp_path, ds_dir):
+        path = write_json(tmp_path / "model.json", self.MODEL)
+        assert run(["embed", path, ds_dir, "--out", tmp_path / "out"]) == 0
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_artifact_is_3(self, tmp_path, ds_dir, case, capsys):

@@ -41,6 +41,19 @@ def small_model(d=4, h=6, k=3, seed=0, **kw):
     return init_model(cfg)
 
 
+def as_float64(model):
+    """A float64 copy of a model, holding exactly its parameter values."""
+    return replace_params(model, param_vector(model).astype(np.float64))
+
+
+# Each identity below holds in both dtypes the models compute in.
+DTYPES = [np.float64, np.float32]
+
+
+def in_dtype(model, dtype):
+    return model if dtype == np.float32 else as_float64(model)
+
+
 def flat_grads(grads):
     return np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
 
@@ -118,22 +131,24 @@ class TestAugment:
         noise=st.sampled_from(["gaussian", "mask"]),
         level=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dtype=st.sampled_from(DTYPES),
     )
-    def test_matches_two_per_view_draws(self, n, d, noise, level, seed):
+    def test_matches_two_per_view_draws(self, n, d, noise, level, seed, dtype):
         # one stacked draw must give each view the bits of a draw of its
-        # own, over successive steps of one stream, signed zeros included
-        x = RngStream(seed, 4).normal(n, d)
+        # own, in the batch's dtype, over successive steps of one stream,
+        # signed zeros included
+        x = RngStream(seed, 4).normal(n, d).astype(dtype)
         x[:, 0] = -0.0
         cfg = TclConfig(input_dim=d, noise=noise, sigma=level, mask_prob=level)
         rng, ref = RngStream(seed, 1), RngStream(seed, 1)
         for _ in range(3):
             x1, x2 = augment(x, cfg, rng)
             if noise == "gaussian":
-                r1 = x + gaussian_noise(n, d, level, ref)
-                r2 = x + gaussian_noise(n, d, level, ref)
+                r1 = x + gaussian_noise(n, d, level, ref, dtype)
+                r2 = x + gaussian_noise(n, d, level, ref, dtype)
             else:
-                r1 = x * (ref.uniform(n, d) >= level)
-                r2 = x * (ref.uniform(n, d) >= level)
+                r1 = x * (ref.uniform(n, d, dtype) >= level)
+                r2 = x * (ref.uniform(n, d, dtype) >= level)
             assert same_bits(x1, r1) and same_bits(x2, r2)
         assert same_bits(rng.uniform(1, 3), ref.uniform(1, 3))
 
@@ -163,6 +178,16 @@ class TestEncodeDecode:
             encode(model, np.zeros((2, 5)))
         with pytest.raises(ValueError):
             decode(model, np.zeros((2, 4)))
+
+    def test_parameters_share_one_dtype(self):
+        # float32 only when every parameter is float32; a mixed set is float64
+        model = small_model()
+        assert model.dtype == np.float32
+        mixed = dict(model.params, b4=model.params["b4"].astype(np.float64))
+        promoted = contrastive.TclModel(model.config, mixed)
+        assert promoted.dtype == np.float64
+        assert all(v.dtype == np.float64 for v in promoted.params.values())
+        assert same_bits(param_vector(promoted), param_vector(model).astype(np.float64))
 
     def test_embed_is_encode(self):
         model = small_model()
@@ -233,32 +258,81 @@ class TestLosses:
 
     def test_bad_temperature(self):
         e = np.ones((2, 2))
-        with pytest.raises(ValueError):
-            loss_contrastive(e, e, 0.0)
+        for tau in (0.0, -1.0, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="temperature"):
+                loss_contrastive(e, e, tau)
+
+    def test_float32_inputs_compute_in_float32(self):
+        # no float64 copy: each term equals its formula evaluated in float32
+        rng = RngStream(89, 0)
+        a, b, x = (rng.normal(6, 3).astype(np.float32) for _ in range(3))
+        assert loss_distance(a, b) == float(np.mean((a - b) ** 2))
+        assert loss_reconstruction(a, b, x) == 0.5 * (
+            float(np.mean((a - x) ** 2)) + float(np.mean((b - x) ** 2)))
+        dots = (a * b).sum(axis=1)
+        assert dots.dtype == np.float32
+        assert loss_contrastive(a, b, 1.7) == float(np.mean(dots * dots)) / 1.7
+
+
+# A float32 loss may move under a row permutation by the reordering of its
+# sums.  Each term is a mean over at most 7 * 6 = 42 non-negative float32
+# numbers here (rows times the wider of d and k), and summing m non-negative
+# numbers in another order moves the sum by at most (m - 1) * eps of it;
+# 64 eps covers that.
+F32_PERMUTATION_BOUND = 64 * np.finfo(np.float32).eps
+PERMUTATION_BOUND = {np.float64: 1e-12, np.float32: F32_PERMUTATION_BOUND}
 
 
 class TestTotalLoss:
     def test_decomposition_is_bit_exact(self):
-        model = small_model()
-        rng = RngStream(84, 0)
-        x = rng.normal(6, 4)
-        x1, x2 = augment(x, model.config, rng)
-        total, comps = loss_on_views(model, x1, x2, x)
-        e1, e2 = encode(model, x1), encode(model, x2)
-        r = loss_reconstruction(decode(model, e1), decode(model, e2), x)
-        c = loss_contrastive(e1, e2, model.config.temperature)
-        d = loss_distance(e1, e2)
-        assert total == r + c + d
+        for dtype in DTYPES:
+            model = in_dtype(small_model(), dtype)
+            rng = RngStream(84, 0)
+            x = rng.normal(6, 4).astype(dtype)
+            x1, x2 = augment(x, model.config, rng)
+            total, comps = loss_on_views(model, x1, x2, x)
+            e1, e2 = encode(model, x1), encode(model, x2)
+            assert e1.dtype == dtype
+            r = loss_reconstruction(decode(model, e1), decode(model, e2), x)
+            c = loss_contrastive(e1, e2, model.config.temperature)
+            d = loss_distance(e1, e2)
+            assert total == r + c + d, dtype
 
     def test_row_permutation_invariance(self):
-        model = small_model()
-        rng = RngStream(85, 0)
-        x = rng.normal(7, 4)
-        x1, x2 = augment(x, model.config, rng)
-        total, _ = loss_on_views(model, x1, x2, x)
-        perm = RngStream(86, 0).permutation(7)
-        total_p, _ = loss_on_views(model, x1[perm], x2[perm], x[perm])
-        assert abs(total - total_p) <= 1e-12 * max(1.0, abs(total))
+        for dtype in DTYPES:
+            model = in_dtype(small_model(), dtype)
+            rng = RngStream(85, 0)
+            x = rng.normal(7, 4).astype(dtype)
+            x1, x2 = augment(x, model.config, rng)
+            total, _ = loss_on_views(model, x1, x2, x)
+            perm = RngStream(86, 0).permutation(7)
+            total_p, _ = loss_on_views(model, x1[perm], x2[perm], x[perm])
+            assert abs(total - total_p) <= PERMUTATION_BOUND[dtype] * max(1.0, abs(total))
+
+    def test_float32_identities_over_random_models(self):
+        # criterion 03's identities (decomposition, temperature linearity,
+        # non-negativity, row-permutation invariance) on float32 models
+        rng = np.random.default_rng(778)
+        for case in range(200):
+            model = init_model(TclConfig(
+                input_dim=int(rng.integers(2, 7)), hidden_dim=int(rng.integers(4, 10)),
+                latent_dim=int(rng.integers(2, 5)), sigma=0.2,
+                temperature=float(rng.uniform(0.2, 3.0)), seed=4000 + case,
+            ))
+            tau, n = model.config.temperature, int(rng.integers(2, 8))
+            stream = RngStream(case, 6)
+            x = stream.normal(n, model.config.input_dim).astype(np.float32)
+            x1, x2 = augment(x, model.config, stream)
+            total, _ = loss_on_views(model, x1, x2, x)
+            e1, e2 = encode(model, x1), encode(model, x2)
+            r = loss_reconstruction(decode(model, e1), decode(model, e2), x)
+            c, dist = loss_contrastive(e1, e2, tau), loss_distance(e1, e2)
+            assert total == r + c + dist
+            assert r >= 0.0 and c >= 0.0 and dist >= 0.0
+            assert c == loss_contrastive(e1, e2, 1.0) / tau
+            perm = stream.permutation(n)
+            total_p, _ = loss_on_views(model, x1[perm], x2[perm], x[perm])
+            assert abs(total - total_p) <= F32_PERMUTATION_BOUND * max(1.0, abs(total))
 
     def test_loss_total_draws_from_stream(self):
         model = small_model()
@@ -288,11 +362,12 @@ class TestGradients:
                 input_dim=5, hidden_dim=8, latent_dim=4, noise=noise,
                 sigma=0.3, mask_prob=0.3, temperature=1.3, seed=seed,
             )
-            model = init_model(cfg)
+            model = as_float64(init_model(cfg))
             rng = RngStream(seed, 5)
             x = rng.normal(6, 5)
             x1, x2 = augment(x, cfg, rng)
             _, _, grads = grad_on_views(model, x1, x2, x)
+            assert grads["w1"].dtype == np.float64
             f = lambda t: loss_on_views(replace_params(model, t), x1, x2, x)[0]
             numeric = finite_diff_grad(f, param_vector(model), eps=1e-5)
             analytic = flat_grads(grads)
@@ -313,6 +388,25 @@ class TestGradients:
         for key in PARAM_KEYS:
             if key != "b4":
                 assert np.allclose(grads[key], 0.0, atol=1e-12)
+
+    def test_float32_step_matches_float64_step(self):
+        # the same parameters and views, one step in each dtype: the float32
+        # gradients carry the rounding of a float32 pass, measured within
+        # 6 eps of the float64 step's over 60 random shapes
+        bound = 64 * np.finfo(np.float32).eps
+        for noise, seed in (("gaussian", 110), ("mask", 111), ("gaussian", 112)):
+            cfg = TclConfig(input_dim=6, hidden_dim=12, latent_dim=5, noise=noise,
+                            sigma=0.3, mask_prob=0.3, temperature=0.7, seed=seed)
+            model = init_model(cfg)
+            rng = RngStream(seed, 5)
+            x = rng.normal(16, 6).astype(np.float32)
+            x1, x2 = augment(x, cfg, rng)
+            t32, _, g32 = grad_on_views(model, x1, x2, x)
+            t64, _, g64 = grad_on_views(as_float64(model), x1, x2, x)
+            assert flat_grads(g32).dtype == np.float32
+            g32, g64 = flat_grads(g32), flat_grads(g64)
+            assert np.abs(g32 - g64).max() <= bound * np.abs(g64).max()
+            assert abs(t32 - t64) <= bound * t64
 
     def test_contrastive_term_stationary_at_orthogonal_rows(self):
         # per-row dots of zero kill the contrastive gradient: perturbing one
@@ -370,6 +464,27 @@ class TestTraining:
         _, trace = train_tcl(X, cfg)
         assert trace.epochs == 3
 
+    def test_training_holds_float32_only(self, monkeypatch):
+        # an upcast array would pass silently: numpy casts float64 results
+        # into float32 out= arrays and in-place operands
+        adams = []
+
+        class RecordingAdam(contrastive._Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                adams.append(self)
+
+        monkeypatch.setattr(contrastive, "_Adam", RecordingAdam)
+        X = two_cluster_matrix(n=100, d=4)
+        model, _ = train_tcl(X, TclConfig(input_dim=4, batch_size=32, max_epochs=2, seed=12))
+        assert model.dtype == np.float32
+        (adam,) = adams
+        for arrays in (model.params, adam.m, adam.v, adam._num, adam._den):
+            for key in PARAM_KEYS:
+                assert arrays[key].dtype == np.float32, key
+        assert embed(model, X).dtype == np.float32
+        assert decode(model, embed(model, X)).dtype == np.float32
+
     def test_wall_clock_recorded(self):
         X = two_cluster_matrix(n=100, d=4)
         _, trace = train_tcl(X, TclConfig(input_dim=4, max_epochs=2, seed=8))
@@ -384,10 +499,64 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.config == model.config
+        assert json.loads(path.read_text())["dtype"] == "float32"
         for key in PARAM_KEYS:
-            np.testing.assert_array_equal(loaded.params[key], model.params[key])
+            assert loaded.params[key].dtype == np.float32, key
+            assert same_bits(loaded.params[key], model.params[key]), key
         x = RngStream(93, 0).normal(5, 4)
-        np.testing.assert_array_equal(embed(loaded, x), embed(model, x))
+        e = embed(loaded, x)
+        assert e.dtype == np.float32
+        assert same_bits(e, embed(model, x))
+
+    def test_float64_model_round_trips(self, tmp_path):
+        model = as_float64(small_model())
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.dtype == np.float64
+        assert same_bits(param_vector(loaded), param_vector(model))
+
+    def test_version_1_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        payload = json.loads(path.read_text())
+        del payload["dtype"]
+        payload["version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="version 1, expected 2"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dtype", ["float16", "int32", None, ["float32"]])
+    def test_bad_dtype_rejected(self, tmp_path, dtype):
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        payload = json.loads(path.read_text())
+        payload["dtype"] = dtype
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="dtype"):
+            load_model(path)
+
+    def test_missing_dtype_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        payload = json.loads(path.read_text())
+        del payload["dtype"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="dtype"):
+            load_model(path)
+
+    def test_value_beyond_float32_rejected(self, tmp_path):
+        # finite in the JSON and as float64, infinite once cast to float32
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        payload = json.loads(path.read_text())
+        payload["params"]["w3"][0][1] = -1e39
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="'w3' holds a non-finite value"):
+            load_model(path)
+        payload["dtype"] = "float64"
+        path.write_text(json.dumps(payload))
+        assert load_model(path).params["w3"][0, 1] == -1e39
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -424,18 +593,19 @@ class TestPersistence:
 
 # The training step as first written: np.where LeakyReLU, a fresh array for
 # every intermediate, and out-of-place Adam, over the two views stacked into
-# one matrix.  The module's step writes into reused work arrays and must
-# match it bit for bit.
+# one matrix, all in the parameters' dtype.  The module's step writes into
+# reused work arrays and must match it bit for bit.
 
 def ref_leaky(z):
     return np.where(z > 0.0, z, LEAKY_SLOPE * z)
 
 
 def ref_leaky_grad(z):
-    return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+    return np.where(z > 0.0, 1.0, LEAKY_SLOPE).astype(z.dtype)
 
 
 def ref_encode(p, x):
+    x = np.asarray(x, dtype=p["w1"].dtype)
     z1 = x @ p["w1"] + p["b1"]
     a1 = ref_leaky(z1)
     mu = a1.mean(axis=1, keepdims=True)
@@ -477,6 +647,7 @@ def ref_backward(p, enc, dec, d_out, d_e):
 
 def ref_grad_on_views(model, x1, x2, x):
     p, cfg = model.params, model.config
+    x1, x2, x = (np.asarray(a, dtype=model.dtype) for a in (x1, x2, x))
     n, d = x.shape
     k, tau = cfg.latent_dim, cfg.temperature
     enc = ref_encode(p, np.vstack([x1, x2]))
@@ -500,6 +671,7 @@ def ref_train(X, cfg):
     """Parameters, per-epoch losses and stop reason of the reference loop."""
     model = init_model(cfg)
     p = model.params
+    X = X.astype(model.dtype)
     rng = RngStream(cfg.seed, stream_id=1)
     m = {key: np.zeros_like(v) for key, v in p.items()}
     v = {key: np.zeros_like(a) for key, a in p.items()}
@@ -537,8 +709,8 @@ def ref_train(X, cfg):
 
 
 def same_bits(a, b):
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestMatchesReferenceStep:
@@ -551,9 +723,9 @@ class TestMatchesReferenceStep:
         epochs=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    # train-wide's shape: n x h x 8 bytes is 256 KiB for the full batch
+    # train-wide's shape: n x h x 4 bytes is 256 KiB for the stacked batch
     @example(n=504, d=64, batch_size=256, noise="gaussian", epochs=2, seed=3)
-    # a partial last batch below 128 KiB, and a batch of the whole set
+    # a partial last batch below 64 KiB, and a batch of the whole set
     @example(n=100, d=8, batch_size=64, noise="mask", epochs=3, seed=1)
     @example(n=40, d=4, batch_size=256, noise="gaussian", epochs=3, seed=6)
     # a last batch of one row: two stacked rows in the sliced work arrays
@@ -573,32 +745,40 @@ class TestMatchesReferenceStep:
 
     def test_gradients_at_exact_zeros_of_z1(self):
         cfg = TclConfig(input_dim=5, hidden_dim=8, latent_dim=4, seed=4)
-        model = init_model(cfg)
-        model.params["b1"][:4] = 0.0  # zero rows of x give z1 entries of exactly 0.0
-        x = RngStream(94, 0).normal(6, 5)
-        x[:3] = 0.0
-        x1, x2 = x.copy(), x + 0.01 * RngStream(95, 0).normal(6, 5)
-        x2[:3] = 0.0
-        z1 = ref_encode(model.params, x1)["z1"]
-        assert (z1 == 0.0).any()
-        total, comps, grads = grad_on_views(model, x1, x2, x)
-        ref_comps, ref_grads = ref_grad_on_views(model, x1, x2, x)
-        assert (comps.reconstruction, comps.contrastive, comps.distance) == ref_comps
-        for key in PARAM_KEYS:
-            assert same_bits(grads[key], ref_grads[key]), key
+        for dtype in DTYPES:
+            model = in_dtype(init_model(cfg), dtype)
+            model.params["b1"][:4] = 0.0  # zero rows of x give z1 entries of exactly 0.0
+            x = RngStream(94, 0).normal(6, 5)
+            x[:3] = 0.0
+            x1, x2 = x.copy(), x + 0.01 * RngStream(95, 0).normal(6, 5)
+            x2[:3] = 0.0
+            z1 = ref_encode(model.params, x1)["z1"]
+            assert (z1 == 0.0).any()
+            total, comps, grads = grad_on_views(model, x1, x2, x)
+            ref_comps, ref_grads = ref_grad_on_views(model, x1, x2, x)
+            assert (comps.reconstruction, comps.contrastive, comps.distance) == ref_comps
+            for key in PARAM_KEYS:
+                assert same_bits(grads[key], ref_grads[key]), (dtype, key)
 
     def test_leaky_and_its_slope_at_signed_zeros(self):
         # the matrix product never yields -0.0, so the element functions are
-        # checked on their own at both zeros, subnormals and large values
-        z = np.array([[0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1.5, -2.5]])
-        out = np.empty_like(z)
-        assert same_bits(contrastive._leaky(z, out), ref_leaky(z))
-        assert same_bits(contrastive._leaky_slope(z, out), ref_leaky_grad(z))
-        assert np.signbit(contrastive._leaky(z, out)[0, 1])
+        # checked on their own at both zeros, subnormals and large values,
+        # in each dtype
+        for z in (
+            np.array([[0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1.5, -2.5]]),
+            np.array([[0.0, -0.0, 1e-45, -1e-45, 1e-40, -1e-40, 3e38, -3e38, 1.5, -2.5]],
+                     dtype=np.float32),
+        ):
+            out = np.empty_like(z)
+            assert same_bits(contrastive._leaky(z, out), ref_leaky(z))
+            assert same_bits(contrastive._leaky_slope(z, out), ref_leaky_grad(z))
+            assert np.signbit(contrastive._leaky(z, out)[0, 1])
 
 
-def block_rows(hidden_dim):
-    return max(1, contrastive._BLOCK_BYTES // (8 * hidden_dim))
+def block_rows(model):
+    """Rows per inference block: the model's itemsize sets the row bytes."""
+    row_bytes = model.params["w1"].itemsize * model.config.hidden_dim
+    return max(1, contrastive._BLOCK_BYTES // row_bytes)
 
 
 class TestBlockedInference:
@@ -613,13 +793,17 @@ class TestBlockedInference:
         d=st.sampled_from([1, 3, 7, 24, 48, 64]),
         k=st.integers(min_value=1, max_value=64),
         seed=st.integers(min_value=0, max_value=2**16),
+        dtype=st.sampled_from(DTYPES),
     )
-    @example(h=96, blocks_extra=(3, 17), d=48, k=48, seed=0)  # gate-tall's widths
-    @example(h=16, blocks_extra=(1, 1), d=3, k=8, seed=1)
-    def test_bit_equal_to_reference_encoder(self, h, blocks_extra, d, k, seed):
+    @example(h=96, blocks_extra=(3, 17), d=48, k=48, seed=0,  # gate-tall's widths
+             dtype=np.float32)
+    @example(h=16, blocks_extra=(1, 1), d=3, k=8, seed=1, dtype=np.float32)
+    @example(h=16, blocks_extra=(1, 1), d=3, k=8, seed=1, dtype=np.float64)
+    def test_bit_equal_to_reference_encoder(self, h, blocks_extra, d, k, seed, dtype):
         blocks, extra = blocks_extra
-        n = blocks * block_rows(h) + extra
-        model = init_model(TclConfig(input_dim=d, hidden_dim=h, latent_dim=k, seed=seed))
+        model = in_dtype(init_model(TclConfig(input_dim=d, hidden_dim=h, latent_dim=k,
+                                              seed=seed)), dtype)
+        n = blocks * block_rows(model) + extra
         rng = RngStream(seed, 4)
         x = rng.normal(n, d) * (1.0 + 3.0 * rng.uniform(1, d))
         e = embed(model, x)
@@ -628,7 +812,7 @@ class TestBlockedInference:
 
     def test_non_finite_row_in_a_later_block(self):
         model = small_model(d=4, h=16, k=3)
-        rows = block_rows(16)
+        rows = block_rows(model)
         x = RngStream(101, 0).normal(2 * rows + 5, 4)
         x[rows + 3, 2] = np.nan
         with pytest.raises(NumericError, match="encoder linear 1"):
@@ -636,7 +820,7 @@ class TestBlockedInference:
 
     def test_input_and_parameters_untouched(self):
         model = small_model(d=5, h=16, k=4)
-        x = RngStream(102, 0).normal(3 * block_rows(16) + 2, 5)
+        x = RngStream(102, 0).normal(3 * block_rows(model) + 2, 5)
         x_before = x.copy()
         params_before = {key: v.copy() for key, v in model.params.items()}
         embed(model, x)
@@ -697,8 +881,10 @@ class TestWorkArrays:
         X = two_cluster_matrix(n=300, d=24)
         cfg = TclConfig(input_dim=24, batch_size=batch_size, max_epochs=1, seed=10)
         batch = min(batch_size, 300)
-        work = sum(a.nbytes for a in contrastive._work_arrays(
-            cfg, 2 * batch, contrastive._WORK_ARRAYS).values())
+        arrays = contrastive._work_arrays(
+            init_model(cfg), 2 * batch, contrastive._WORK_ARRAYS).values()
+        assert all(a.dtype == np.float32 for a in arrays)
+        work = sum(a.nbytes for a in arrays)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -707,7 +893,7 @@ class TestWorkArrays:
         finally:
             tracemalloc.stop()
         held = trace.array_bytes
-        assert held == work + 8 * 6 * parameter_count(init_model(cfg))
+        assert held == work + 4 * 6 * parameter_count(init_model(cfg))
         assert held <= peak <= 1.5 * held
 
 

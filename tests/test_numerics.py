@@ -143,6 +143,22 @@ class TestGaussianNoise:
         with pytest.raises(ValueError):
             gaussian_noise(2, 2, -0.1, RngStream(0, 0))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), True])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # NaN would fill the matrix with NaN, and inf with +-inf
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_noise(2, 3, sigma, RngStream(0, 0))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_draws_in_the_asked_dtype(self, dtype):
+        out = gaussian_noise(5, 4, 0.3, RngStream(9, 2), dtype)
+        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            9, spawn_key=(2,)))).standard_normal((5, 4), dtype=dtype)
+        expected *= 0.3
+        assert out.dtype == dtype and out.tobytes() == expected.tobytes()
+        zero = gaussian_noise(5, 4, 0.0, RngStream(9, 2), dtype)
+        assert zero.dtype == dtype and np.all(zero == 0.0)
+
 
 class TestFiniteDiff:
     def test_quadratic(self):
@@ -172,6 +188,15 @@ class TestRngStream:
         a, b = RngStream(100, 3), RngStream(100, 3)
         assert np.array_equal(a.normal(4, 4), b.normal(4, 4))
         assert np.array_equal(a.permutation(10), b.permutation(10))
+
+    def test_float32_draws_continue_one_stream(self):
+        # one draw of 2n rows holds the bits of two successive n-row draws
+        a, b = RngStream(101, 1), RngStream(101, 1)
+        for draw in ("normal", "uniform"):
+            whole = getattr(a, draw)(6, 5, np.float32)
+            halves = np.vstack([getattr(b, draw)(3, 5, np.float32) for _ in range(2)])
+            assert whole.dtype == np.float32 and whole.tobytes() == halves.tobytes()
+        assert np.array_equal(a.uniform(1, 3), b.uniform(1, 3))
 
     def test_different_stream_ids_differ(self):
         a, b = RngStream(100, 0), RngStream(100, 1)
