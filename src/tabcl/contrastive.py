@@ -37,7 +37,7 @@ import numpy as np
 
 from .artifacts import fields, read_json, write_json
 from .exceptions import TrainingError
-from .numerics import RngStream, check_finite, gaussian_noise, is_finite_number
+from .numerics import RngStream, check_finite, gaussian_noise, is_finite_number, largest_noise
 
 LEAKY_SLOPE = 0.01
 LN_EPS = 1e-5
@@ -108,6 +108,8 @@ class TclConfig:
             raise ValueError(f"unknown noise mode: {self.noise!r}")
         if self.sigma < 0 or not (0.0 <= self.mask_prob <= 1.0):
             raise ValueError("sigma must be >= 0 and mask_prob in [0, 1]")
+        if largest_noise(self.sigma, np.float32) > np.finfo(np.float32).max:
+            raise ValueError(f"sigma {self.sigma!r} makes noise beyond float32's range")
         if self.max_epochs < 1 or self.learning_rate <= 0 or self.tolerance < 0:
             raise ValueError("bad optimization settings")
 
@@ -185,8 +187,10 @@ class LossComponents:
 class TrainTrace:
     """Per-epoch loss and wall-clock record, total seconds, the stop reason,
     and ``array_bytes``, the bytes of the arrays, in the model's dtype, that
-    training allocated once: parameters, gradients, Adam's state and the
-    work arrays of the stacked views."""
+    training allocated once: the flat parameter, gradient and Adam vectors
+    (six of the parameter count) and the work arrays of the stacked views,
+    their views' buffer included.  The epoch losses are means of the terms
+    that each step's gradient seed computes."""
 
     total: list[float] = field(default_factory=list)
     reconstruction: list[float] = field(default_factory=list)
@@ -224,18 +228,25 @@ def init_model(config: TclConfig) -> TclModel:
     return TclModel(config, {key: v.astype(np.float32) for key, v in params.items()})
 
 
-def _views(x: np.ndarray, config: TclConfig, rng: RngStream) -> np.ndarray:
+def _views(x: np.ndarray, config: TclConfig, rng: RngStream,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Both noisy views of ``x`` as one (2n, d) matrix in ``x``'s dtype, view
-    1's rows first.  One 2n-row draw equals two successive n-row draws bit
-    for bit, stream state included; the draw becomes the views in place."""
+    1's rows first, written into ``out`` if given.
+
+    Gaussian noise is drawn by one :func:`gaussian_noise` call per view,
+    because a Box-Muller draw pairs its first half with its second; a mask
+    is one 2n-row uniform draw, which equals two n-row draws.  Either way
+    the views hold the bits of two successive per-view draws, stream state
+    included, and the draw becomes the views in place."""
     n, d = x.shape
+    views = np.empty((2 * n, d), x.dtype) if out is None else out
+    halves = views.reshape(2, n, d)
     if config.noise == GAUSSIAN:
-        views = gaussian_noise(2 * n, d, config.sigma, rng, x.dtype)
-        halves = views.reshape(2, n, d)
+        for half in halves:
+            gaussian_noise(n, d, config.sigma, rng, x.dtype, out=half)
         halves += x
     else:
-        views = rng.uniform(2 * n, d, x.dtype)
-        halves = views.reshape(2, n, d)
+        rng.uniform(2 * n, d, x.dtype, out=views)
         np.greater_equal(halves, config.mask_prob, out=halves)  # 1.0 keeps an entry
         halves *= x
     return views
@@ -262,10 +273,13 @@ def _check_input(x, width: int, what: str, dtype) -> np.ndarray:
 # named in these tables, one row per row of the stacked views and a width of
 # d (input_dim), h (hidden_dim), k (latent_dim) or 1.  Training allocates
 # them once, for two full batches, and hands row-slices of them to a shorter
-# last batch.  decode uses the decoder's arrays alone; inference (encode)
-# uses none: it runs the encoder in row blocks.
+# last batch; ``views`` receives each step's noisy views.  The loss seed
+# reads ``out`` once and then keeps squared residuals there.  decode uses the
+# decoder's arrays alone; inference (encode) uses none: it runs the encoder
+# in row blocks.
 _DECODER_ARRAYS = {"z3": "h", "a3": "h", "out": "d"}
 _WORK_ARRAYS = {
+    "views": "d",
     "z1": "h", "xhat": "h", "ln": "h", "e": "k", "mu": 1, "inv_std": 1, **_DECODER_ARRAYS,
     "d_out": "d", "d_e": "k", "t_k": "k", "d_h": "h", "t_h": "h",
     "dots": 1, "mean_dx": 1, "mean_dx_xhat": 1,
@@ -421,50 +435,63 @@ def _stack_views(model: TclModel, x1, x2, x_clean) -> tuple[np.ndarray, np.ndarr
     return np.concatenate((x1, x2)), x_clean
 
 
-def _forward(model: TclModel, x: np.ndarray, x_clean: np.ndarray, w: dict) -> LossComponents:
-    """Stacked views through encoder and decoder, and the three loss terms."""
-    p, n = model.params, x_clean.shape[0]
-    e = _encode(p, x, w)
-    out = _decode(p, e, w)
-    return LossComponents(
-        reconstruction=loss_reconstruction(out[:n], out[n:], x_clean),
-        contrastive=loss_contrastive(e[:n], e[n:], model.config.temperature),
-        distance=loss_distance(e[:n], e[n:]),
-    )
+def _forward(p: dict, x: np.ndarray, w: dict) -> None:
+    """Stacked views through encoder and decoder, into w["e"] and w["out"]."""
+    _decode(p, _encode(p, x, w), w)
 
 
 def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponents]:
-    """Total loss for two fixed noisy views against the clean batch.
+    """Total loss for two fixed noisy views against the clean batch, from
+    the loss functions.
 
     Pure in the parameters, which makes it the target for the
     finite-difference gradient oracle.
     """
     x, x_clean = _stack_views(model, x1, x2, x_clean)
-    comps = _forward(model, x, x_clean, _work_arrays(model, x.shape[0], _WORK_ARRAYS))
+    w = _work_arrays(model, x.shape[0], _WORK_ARRAYS)
+    _forward(model.params, x, w)
+    n, e, out = x_clean.shape[0], w["e"], w["out"]
+    comps = LossComponents(
+        reconstruction=loss_reconstruction(out[:n], out[n:], x_clean),
+        contrastive=loss_contrastive(e[:n], e[n:], model.config.temperature),
+        distance=loss_distance(e[:n], e[n:]),
+    )
     return comps.total, comps
 
 
-def _seed(config: TclConfig, x_clean: np.ndarray, w: dict) -> None:
-    """dL/d(out) and dL/d(e) of the stacked views into d_out and d_e."""
+def _seed(config: TclConfig, x_clean: np.ndarray, w: dict) -> LossComponents:
+    """dL/d(out) and dL/d(e) of the stacked views into d_out and d_e, and the
+    three loss terms.
+
+    Each term is the mean of the squares of an array the seed forms anyway:
+    the residuals out - x, e1 - e2 and the row dots.  The means run on
+    contiguous arrays of the shapes the loss functions reduce, so each term
+    holds the bits of its ``loss_*`` function."""
     n, d = x_clean.shape
     k, tau = config.latent_dim, config.temperature
     # (2, n, width) views: index 0 is view 1, index 1 is view 2
     e, d_e, t_k = (w[name].reshape(2, n, k) for name in ("e", "d_e", "t_k"))
-    dots = w["dots"][:n]
+    out, d_out = (w[name].reshape(2, n, d) for name in ("out", "d_out"))
+    dots, dots_sq = w["dots"][:n], w["dots"][n:]
 
     # reconstruction: L_r = (mse(out1, x) + mse(out2, x)) / 2
-    np.subtract(w["out"].reshape(2, n, d), x_clean, out=w["d_out"].reshape(2, n, d))
-    w["d_out"] /= n * d
+    np.subtract(out, x_clean, out=d_out)
+    np.square(d_out, out=out)
+    reconstruction = 0.5 * (float(np.mean(out[0])) + float(np.mean(out[1])))
+    d_out /= n * d
     # distance: L_d = mean((e1 - e2)^2)
     np.subtract(e[0], e[1], out=d_e[0])
+    distance = float(np.mean(np.square(d_e[0], out=t_k[0])))
     d_e[0] *= 2.0
     d_e[0] /= n * k
     np.negative(d_e[0], out=d_e[1])
     # contrastive: L_c = mean(rowdot^2) / tau; each view gains dots * the other
     np.multiply(e[0], e[1], out=t_k[0])
     np.sum(t_k[0], axis=1, keepdims=True, out=dots)
+    contrastive = float(np.mean(np.square(dots, out=dots_sq))) / tau
     dots *= 2.0 / (n * tau)
     d_e += np.multiply(dots, e[::-1], out=t_k)
+    return LossComponents(reconstruction, contrastive, distance)
 
 
 def _backward(p: dict, x: np.ndarray, w: dict, grads: dict) -> None:
@@ -498,13 +525,17 @@ def _backward(p: dict, x: np.ndarray, w: dict, grads: dict) -> None:
     np.sum(d_h, axis=0, out=grads["b1"])
 
 
-def _grad_into(model: TclModel, x, x_clean, w: dict, grads: dict) -> LossComponents:
-    """Loss of the stacked views ``x``; its gradients go into ``grads``."""
-    comps = _forward(model, x, x_clean, w)
-    _seed(model.config, x_clean, w)
+def _grad_into(model: TclModel, x, x_clean, w: dict, grad: np.ndarray,
+               grads: dict) -> LossComponents:
+    """Loss of the stacked views ``x``; its gradients go into ``grads``, the
+    per-key views of the flat vector ``grad``.  One finite check covers the
+    whole vector; only a failed one looks for the key to name."""
+    _forward(model.params, x, w)
+    comps = _seed(model.config, x_clean, w)
     _backward(model.params, x, w, grads)
-    for key, g in grads.items():
-        check_finite(g, f"gradient of {key}")
+    if not np.isfinite(grad).all():
+        for key, g in grads.items():
+            check_finite(g, f"gradient of {key}")
     return comps
 
 
@@ -514,8 +545,9 @@ def grad_on_views(
     """Loss and analytic parameter gradients for two fixed views."""
     x, x_clean = _stack_views(model, x1, x2, x_clean)
     w = _work_arrays(model, x.shape[0], _WORK_ARRAYS)
-    grads = {key: np.empty_like(v) for key, v in model.params.items()}
-    comps = _grad_into(model, x, x_clean, w, grads)
+    grad = np.empty(parameter_count(model), model.dtype)
+    grads = _split(grad, model.params)
+    comps = _grad_into(model, x, x_clean, w, grad, grads)
     return comps.total, comps, grads
 
 
@@ -524,21 +556,25 @@ def param_vector(model: TclModel) -> np.ndarray:
     return np.concatenate([model.params[k].ravel() for k in PARAM_KEYS])
 
 
+def _split(vector: np.ndarray, params: dict) -> dict[str, np.ndarray]:
+    """Per-key views, shaped like ``params``, into a flat vector laid out as
+    :func:`param_vector` lays out ``params``."""
+    views, offset = {}, 0
+    for key in PARAM_KEYS:
+        size = params[key].size
+        views[key] = vector[offset : offset + size].reshape(params[key].shape)
+        offset += size
+    if offset != vector.size:
+        raise ValueError(f"parameter vector has {vector.size} entries, expected {offset}")
+    return views
+
+
 def replace_params(model: TclModel, vector: np.ndarray) -> TclModel:
     """New model with parameters taken from a flat vector (inverse of
     :func:`param_vector`); a float32 vector makes a float32 model, any
     other a float64 one."""
-    vector = np.asarray(vector)
-    params = {}
-    offset = 0
-    for key in PARAM_KEYS:
-        shape = model.params[key].shape
-        size = model.params[key].size
-        params[key] = vector[offset : offset + size].reshape(shape).copy()
-        offset += size
-    if offset != vector.size:
-        raise ValueError(f"parameter vector has {vector.size} entries, expected {offset}")
-    return TclModel(model.config, params)
+    views = _split(np.asarray(vector), model.params)
+    return TclModel(model.config, {key: v.copy() for key, v in views.items()})
 
 
 def parameter_count(model: TclModel) -> int:
@@ -546,39 +582,45 @@ def parameter_count(model: TclModel) -> int:
 
 
 class _Adam:
-    """Minimal Adam optimizer over a parameter dict, updating it in place."""
+    """Minimal Adam optimizer over one flat parameter vector, updated in
+    place from a flat gradient of the same layout.
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
+    The moments ``m`` and ``v`` and two scratch vectors are flat vectors of
+    the parameters' dtype, so a step is a dozen whole-vector ufunc calls.
+    Every operation is elementwise, so the result holds the bits of the same
+    update applied key by key."""
+
+    def __init__(self, params: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._num = {k: np.empty_like(v) for k, v in params.items()}
-        self._den = {k: np.empty_like(v) for k, v in params.items()}
+        self.params = params
+        # four vectors, not one (4, P) block: with the block, the gate-tall
+        # benchmark's peak RSS read about 1 MiB higher (the block is past
+        # glibc's initial 128 KiB mmap threshold; the vectors are not)
+        self.m, self.v, self._num, self._den = (np.zeros_like(params) for _ in range(4))
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for k, p in params.items():
-            g, m, v, num, den = grads[k], self.m[k], self.v[k], self._num[k], self._den[k]
-            # m = beta1 * m + (1 - beta1) * g
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=num)
-            # v = beta2 * v + (1 - beta2) * (g * g)
-            v *= self.beta2
-            np.multiply(g, g, out=num)
-            num *= 1.0 - self.beta2
-            v += num
-            # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
-            np.divide(m, b1t, out=num)
-            num *= self.lr
-            np.divide(v, b2t, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            num /= den
-            p -= num
+        m, v, num, den = self.m, self.v, self._num, self._den
+        # m = beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=num)
+        # v = beta2 * v + (1 - beta2) * (g * g)
+        v *= self.beta2
+        np.multiply(grad, grad, out=num)
+        num *= 1.0 - self.beta2
+        v += num
+        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
+        np.divide(m, b1t, out=num)
+        num *= self.lr
+        np.divide(v, b2t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        self.params -= num
 
 
 def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
@@ -590,12 +632,15 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     below ``config.tolerance``, or at ``config.max_epochs``.  An epoch-mean
     loss above ten times the first epoch's raises TrainingError.
 
-    The model is float32, and the data is cast to float32 once.  Each step
-    runs one forward and one backward pass over the batch's two noisy views
-    stacked into one matrix.  The work arrays (for two full batches), the
-    gradients and Adam's state are allocated once, in the model's dtype,
-    before the first epoch.  The trace records their bytes, per-epoch means
-    of all loss components, each epoch's wall-clock seconds, and the
+    The model is float32, and the data is cast to float32 once; finite
+    data beyond float32's range is a ValueError.  Each step runs one
+    forward and one backward pass over the batch's two noisy views stacked
+    into one matrix.  The parameters, the gradient and Adam's state are
+    each one flat vector, and the model's parameters and the per-key
+    gradients are views into them.  These and the work arrays (for two full
+    batches, the views among them) are allocated once, in the model's
+    dtype, before the first epoch.  The trace records their bytes, per-epoch
+    means of all loss components, each epoch's wall-clock seconds, and the
     wall-clock seconds spent inside this function.
     """
     X = np.asarray(data.features if hasattr(data, "features") else data)
@@ -608,13 +653,18 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
 
     start = time.perf_counter()
     model = init_model(config)
-    X = _cast(X, model.dtype)
+    cast = _cast(X, model.dtype)
+    if not np.isfinite(cast).all() and np.isfinite(X).all():
+        raise ValueError(f"training data holds values beyond the {model.dtype.name} range")
+    X = cast
     rng = RngStream(config.seed, stream_id=1)
-    adam = _Adam(model.params, config.learning_rate)
-    grads = {key: np.empty_like(v) for key, v in model.params.items()}
+    adam = _Adam(param_vector(model), config.learning_rate)
+    model = TclModel(config, _split(adam.params, model.params))
+    grad = np.empty_like(adam.params)
+    grads = _split(grad, model.params)
     work = _work_arrays(model, 2 * batch, _WORK_ARRAYS)
-    held = (model.params, grads, adam.m, adam.v, adam._num, adam._den, work)
-    trace = TrainTrace(array_bytes=sum(a.nbytes for arrays in held for a in arrays.values()))
+    held = (adam.params, grad, adam.m, adam.v, adam._num, adam._den, *work.values())
+    trace = TrainTrace(array_bytes=sum(a.nbytes for a in held))
     stop_reason = "max-epochs"
     initial_loss = None  # first batch at the initial parameters
 
@@ -625,11 +675,13 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
         batches = 0
         for lo in range(0, n, batch):
             x = X[order[lo : lo + batch]]
-            w = {name: a[: 2 * x.shape[0]] for name, a in work.items()}
-            comps = _grad_into(model, _views(x, config, rng), x, w, grads)
+            rows = 2 * x.shape[0]
+            w = work if rows == 2 * batch else {name: a[:rows] for name, a in work.items()}
+            views = _views(x, config, rng, out=w["views"])
+            comps = _grad_into(model, views, x, w, grad, grads)
             if initial_loss is None:
                 initial_loss = comps.total
-            adam.step(model.params, grads)
+            adam.step(grad)
             sums += (comps.reconstruction, comps.contrastive, comps.distance)
             batches += 1
         means = sums / batches

@@ -13,6 +13,8 @@ class-major (C, n) matrix, so every step walks rows of length n.
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 import sys
 from typing import Callable
@@ -45,9 +47,10 @@ class RngStream:
         """Standard-normal matrix of the given shape, float64 or float32."""
         return self._gen.standard_normal((rows, cols), dtype=dtype)
 
-    def uniform(self, rows: int, cols: int, dtype=np.float64) -> Array:
-        """Uniform [0, 1) matrix of the given shape, float64 or float32."""
-        return self._gen.random((rows, cols), dtype=dtype)
+    def uniform(self, rows: int, cols: int, dtype=np.float64, out: Array | None = None) -> Array:
+        """Uniform [0, 1) matrix of the given shape, float64 or float32,
+        written into ``out`` if given."""
+        return self._gen.random((rows, cols), dtype=dtype, out=out)
 
     def permutation(self, n: int) -> Array:
         return self._gen.permutation(n)
@@ -83,17 +86,65 @@ def softmax_classes(p: Array, log: bool = False) -> Array:
     return p
 
 
+# The largest uniform draw in each dtype: numpy draws k * 2**-24 (float32)
+# and k * 2**-53 (float64) for an integer k, so 1 - u is never 0.
+_LARGEST_UNIFORM = {np.dtype(np.float32): 1.0 - 2.0**-24, np.dtype(np.float64): 1.0 - 2.0**-53}
+
+
+def _radii(u: Array, sigma: float) -> Array:
+    """The Box-Muller radii ``sigma * sqrt(-2 ln(1 - u))``, in place."""
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    u *= -2.0
+    np.sqrt(u, out=u)
+    u *= sigma
+    return u
+
+
+@functools.lru_cache(maxsize=64)  # every draw checks its sigma
+def largest_noise(sigma: float, dtype=np.float64) -> float:
+    """The largest magnitude :func:`gaussian_noise` can return at ``sigma``
+    in ``dtype``, computed as the sampler computes it; inf if it overflows
+    the dtype.  About 5.77 sigma in float32 and 8.57 sigma in float64."""
+    u = np.array([_LARGEST_UNIFORM[np.dtype(dtype)]], dtype=dtype)
+    with np.errstate(over="ignore"):
+        return float(_radii(u, sigma)[0])
+
+
 def gaussian_noise(rows: int, cols: int, sigma: float, rng: RngStream,
-                   dtype=np.float64) -> Array:
-    """i.i.d. draws from N(0, sigma^2) in ``dtype`` (float64 or float32);
-    sigma = 0 returns an exact zero matrix and draws nothing."""
+                   dtype=np.float64, out: Array | None = None) -> Array:
+    """i.i.d. draws from N(0, sigma^2) in ``dtype`` (float64 or float32),
+    written into ``out`` if given.
+
+    Box-Muller transform (Box & Muller, 1958), computed in ``dtype``: one
+    uniform draw of ``2 * ceil(m / 2)`` values for ``m = rows * cols``.
+    The first half gives the radii ``sigma * sqrt(-2 ln(1 - u))`` and the
+    second the angles ``2 pi u``.  The output, read in C order, holds the
+    radii times the cosines, then the radii times the sines; an odd ``m``
+    drops the last sine.  Each value is at most :func:`largest_noise` in
+    magnitude.  A sigma whose largest draw overflows the dtype is a
+    ValueError.  sigma = 0 returns exact zeros and draws nothing.
+    """
     if not is_finite_number(sigma) or sigma < 0:
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
+    if out is None:
+        out = np.empty((rows, cols), dtype)
+    elif out.shape != (rows, cols) or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {rows} x {cols} {np.dtype(dtype).name} array")
     if sigma == 0:
-        return np.zeros((rows, cols), dtype=dtype)
-    noise = rng.normal(rows, cols, dtype)
-    noise *= sigma
-    return noise
+        out.fill(0.0)
+        return out
+    if not math.isfinite(largest_noise(sigma, dtype)):
+        raise ValueError(f"sigma {sigma!r} overflows {np.dtype(dtype).name} noise")
+    m = rows * cols
+    half = (m + 1) // 2
+    radius, angle = rng.uniform(2, half, dtype)
+    _radii(radius, sigma)
+    angle *= 2.0 * math.pi
+    flat = out.reshape(m)
+    np.multiply(radius, np.cos(angle, out=flat[:half]), out=flat[:half])
+    np.multiply(radius[: m - half], np.sin(angle[: m - half], out=flat[half:]), out=flat[half:])
+    return out
 
 
 def finite_diff_grad(f: Callable[[Array], float], theta, eps: float = 1e-5) -> Array:

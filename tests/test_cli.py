@@ -539,6 +539,7 @@ TCL_CASES = [
     *bad_values("batch_size", "int"), *bad_values("max_epochs", "int"),
     *bad_values("tolerance", "real"), *bad_values("learning_rate", "real"),
     *bad_values("seed", "int"), ("sigma", float("nan")), ("learning_rate", float("inf")),
+    ("sigma", 1e39),  # finite, but its noise overflows float32
 ]
 
 

@@ -80,6 +80,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             TclConfig(input_dim=3, mask_prob=1.5)
 
+    def test_sigma_beyond_float32_rejected(self):
+        # the largest float32 draw is about 5.77 sigma; pytest turns the
+        # cast's overflow warning into an error, so the check warns nothing
+        with pytest.raises(ValueError, match="float32's range"):
+            TclConfig(input_dim=3, sigma=1e39)
+        with pytest.raises(ValueError, match="float32's range"):
+            TclConfig(input_dim=3, sigma=5.9e37)
+        TclConfig(input_dim=3, sigma=5.8e37)
+
     def test_round_trip(self):
         cfg = TclConfig(input_dim=5, sigma=0.3, noise="mask")
         assert TclConfig.from_dict(cfg.to_dict()) == cfg
@@ -467,23 +476,63 @@ class TestTraining:
     def test_training_holds_float32_only(self, monkeypatch):
         # an upcast array would pass silently: numpy casts float64 results
         # into float32 out= arrays and in-place operands
-        adams = []
+        adams, steps = [], []
 
         class RecordingAdam(contrastive._Adam):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 adams.append(self)
 
+        grad_into = contrastive._grad_into
+
+        def recording_grad_into(model, x, x_clean, w, grad, grads):
+            steps.append((grad, grads))
+            return grad_into(model, x, x_clean, w, grad, grads)
+
         monkeypatch.setattr(contrastive, "_Adam", RecordingAdam)
+        monkeypatch.setattr(contrastive, "_grad_into", recording_grad_into)
         X = two_cluster_matrix(n=100, d=4)
         model, _ = train_tcl(X, TclConfig(input_dim=4, batch_size=32, max_epochs=2, seed=12))
         assert model.dtype == np.float32
         (adam,) = adams
-        for arrays in (model.params, adam.m, adam.v, adam._num, adam._den):
+        grad, grads = steps[0]
+        assert all(step[0] is grad for step in steps)
+        # the parameters, the gradient and Adam's four sets are flat vectors,
+        # and every per-key array is a view of its vector
+        for flat in (adam.params, grad, adam.m, adam.v, adam._num, adam._den):
+            assert flat.dtype == np.float32 and flat.shape == (parameter_count(model),)
+        for views, flat in ((model.params, adam.params), (grads, grad)):
             for key in PARAM_KEYS:
-                assert arrays[key].dtype == np.float32, key
+                assert views[key].dtype == np.float32 and views[key].base is flat, key
+        assert same_bits(param_vector(model), adam.params)
         assert embed(model, X).dtype == np.float32
         assert decode(model, embed(model, X)).dtype == np.float32
+
+    def test_non_finite_gradient_names_its_key(self, monkeypatch):
+        backward = contrastive._backward
+
+        def poisoned(p, x, w, grads):
+            backward(p, x, w, grads)
+            grads["w3"][1, 0] = np.nan
+
+        monkeypatch.setattr(contrastive, "_backward", poisoned)
+        X = two_cluster_matrix(n=40, d=4)
+        with pytest.raises(NumericError, match="gradient of w3"):
+            train_tcl(X, TclConfig(input_dim=4, max_epochs=1, seed=13))
+        x = X[:6]
+        with pytest.raises(NumericError, match="gradient of w3"):
+            grad_on_views(small_model(), x, x, x)
+
+    def test_data_beyond_float32_rejected(self):
+        # finite in float64, inf after the one cast; pytest turns the cast's
+        # overflow warning into an error, so the check warns nothing
+        X = two_cluster_matrix(n=20, d=3)
+        X[7, 1] = 1e39
+        with pytest.raises(ValueError, match="float32 range"):
+            train_tcl(X, TclConfig(input_dim=3, max_epochs=1))
+        X[7, 1] = np.nan  # not finite to begin with: caught where it appears
+        with pytest.raises(NumericError, match="encoder linear 1"):
+            train_tcl(X, TclConfig(input_dim=3, max_epochs=1))
 
     def test_wall_clock_recorded(self):
         X = two_cluster_matrix(n=100, d=4)

@@ -11,6 +11,7 @@ from tabcl.numerics import (
     RngStream,
     finite_diff_grad,
     gaussian_noise,
+    largest_noise,
     softmax_classes,
 )
 
@@ -151,13 +152,96 @@ class TestGaussianNoise:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_draws_in_the_asked_dtype(self, dtype):
+        # the Box-Muller formula in the asked dtype on the same stream's
+        # uniforms: radii times cosines, then radii times sines
         out = gaussian_noise(5, 4, 0.3, RngStream(9, 2), dtype)
-        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            9, spawn_key=(2,)))).standard_normal((5, 4), dtype=dtype)
-        expected *= 0.3
+        u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            9, spawn_key=(2,)))).random((2, 10), dtype=dtype)
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[0])) * 0.3
+        angle = 2.0 * math.pi * u[1]
+        expected = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
         assert out.dtype == dtype and out.tobytes() == expected.tobytes()
         zero = gaussian_noise(5, 4, 0.0, RngStream(9, 2), dtype)
         assert zero.dtype == dtype and np.all(zero == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_distribution(self, dtype):
+        m = 2**20
+        z = gaussian_noise(1, m, 1.0, RngStream(12, 0), dtype)[0].astype(np.float64)
+        # moments, each within five standard errors of N(0, 1)'s
+        c = z - z.mean()
+        var = np.mean(c * c)
+        assert abs(z.mean()) < 5 / math.sqrt(m)
+        assert abs(var - 1.0) < 5 * math.sqrt(2 / m)
+        assert abs(np.mean(c**4) / var**2 - 3.0) < 5 * math.sqrt(24 / m)
+        # Kolmogorov-Smirnov distance to the normal CDF; 1.95 / sqrt(m) is
+        # the 0.1% critical value
+        z.sort()
+        cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(np.float64))
+        ranks = np.arange(m + 1) / m
+        ks = max(np.max(ranks[1:] - cdf), np.max(cdf - ranks[:-1]))
+        assert ks < 1.95 / math.sqrt(m)
+        assert np.max(np.abs(z)) <= largest_noise(1.0, dtype)
+        # each cosine and its paired sine, and their squares, are uncorrelated
+        pairs = gaussian_noise(2, m // 2, 1.0, RngStream(13, 0), dtype).astype(np.float64)
+        for a, b in (pairs, pairs**2):
+            assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(m // 2)
+
+    def test_float32_tail_bound(self):
+        # the largest float32 uniform is 1 - 2**-24, so no draw exceeds
+        # sigma * sqrt(-2 ln 2**-24), about 5.77 sigma
+        bound = largest_noise(1.0, np.float32)
+        assert bound == pytest.approx(math.sqrt(48 * math.log(2)), rel=1e-6)
+        assert largest_noise(2.5, np.float32) == pytest.approx(2.5 * bound, rel=1e-6)
+        assert largest_noise(1e39, np.float32) == math.inf
+        assert math.isfinite(largest_noise(1e39, np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigma_beyond_the_dtype_rejected(self, dtype):
+        sigma = np.finfo(dtype).max / 4
+        with pytest.raises(ValueError, match="overflows"):
+            gaussian_noise(2, 3, float(sigma), RngStream(0, 0), dtype)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (7, 9)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_odd_count_drops_the_last_sine(self, rows, cols, dtype):
+        # an odd count draws one pair more than it needs; the stream then
+        # stands where a draw of rows * cols + 1 values leaves it
+        m = rows * cols
+        out = gaussian_noise(rows, cols, 0.5, RngStream(14, 3), dtype)
+        rng = RngStream(14, 3)
+        whole = gaussian_noise(1, m + 1, 0.5, rng, dtype)[0]
+        half = (m + 1) // 2
+        assert out.shape == (rows, cols) and out.dtype == dtype
+        assert out.tobytes() == np.concatenate([whole[:half], whole[half : m]]).tobytes()
+        fresh, after = RngStream(14, 3), RngStream(14, 3)
+        gaussian_noise(rows, cols, 0.5, after, dtype)
+        fresh.uniform(2, half, dtype)
+        assert same_stream_state(after, fresh)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_writes_into_out(self, dtype):
+        out = np.empty((4, 6), dtype)
+        assert gaussian_noise(4, 6, 0.2, RngStream(15, 0), dtype, out=out) is out
+        assert out.tobytes() == gaussian_noise(4, 6, 0.2, RngStream(15, 0), dtype).tobytes()
+        for bad in (np.empty((6, 4), dtype), np.empty((4, 12), dtype)[:, ::2],
+                    np.empty((4, 6), np.float16)):
+            with pytest.raises(ValueError, match="out must be"):
+                gaussian_noise(4, 6, 0.2, RngStream(15, 0), dtype, out=bad)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_sigma_leaves_the_stream_untouched(self, dtype):
+        rng = RngStream(16, 2)
+        out = np.full((3, 4), 7.0, dtype)
+        gaussian_noise(3, 4, 0.0, rng, dtype, out=out)
+        assert np.all(out == 0.0) and not np.signbit(out).any()
+        after = gaussian_noise(3, 4, 0.4, rng, dtype)
+        assert after.tobytes() == gaussian_noise(3, 4, 0.4, RngStream(16, 2), dtype).tobytes()
+
+
+def same_stream_state(a: RngStream, b: RngStream) -> bool:
+    """The next draws of both streams agree."""
+    return a.uniform(1, 4).tobytes() == b.uniform(1, 4).tobytes()
 
 
 class TestFiniteDiff:
