@@ -22,6 +22,15 @@ checked against central finite differences in the test suite.  A training
 step is one forward and one backward pass over the stacked views, in work
 arrays that training allocates once and reuses for every step.
 
+LayerNorm's affine is folded into the second encoder layer:
+``(xhat * gamma + beta) @ w2 + b2`` is computed as
+``xhat @ (gamma[:, None] * w2) + (beta @ w2 + b2)``, and the gradients of
+``w2``, ``gamma`` and ``beta`` come from the one (h, k) product
+``xhat.T @ d_e``.  So the affine costs (h, k) work per step instead of
+passes over the (rows, h) activations; ``gamma`` and ``beta`` stay
+parameters.  LayerNorm's row means are einsum row sums, which depend on
+their row alone, and each bias gradient is a row of ones times its seed.
+
 Every computation runs in the dtype of the model's parameters.  Training
 makes float32 models; a float64 model runs the same code, and the test
 suite uses one as the reference of the finite-difference checks.
@@ -189,8 +198,9 @@ class TrainTrace:
     and ``array_bytes``, the bytes of the arrays, in the model's dtype, that
     training allocated once: the flat parameter, gradient and Adam vectors
     (six of the parameter count) and the work arrays of the stacked views,
-    their views' buffer included.  The epoch losses are means of the terms
-    that each step's gradient seed computes."""
+    their views' buffer and the folded (h, k) second encoder layer
+    included.  The epoch losses are means of the terms that each step's
+    gradient seed computes."""
 
     total: list[float] = field(default_factory=list)
     reconstruction: list[float] = field(default_factory=list)
@@ -270,26 +280,43 @@ def _check_input(x, width: int, what: str, dtype) -> np.ndarray:
 
 
 # The forward and backward pass write every intermediate into work arrays
-# named in these tables, one row per row of the stacked views and a width of
-# d (input_dim), h (hidden_dim), k (latent_dim) or 1.  Training allocates
-# them once, for two full batches, and hands row-slices of them to a shorter
-# last batch; ``views`` receives each step's noisy views.  The loss seed
+# named in these tables.  A width of d (input_dim), h (hidden_dim), k
+# (latent_dim) or 1 makes an array of one row per row of the stacked views;
+# a tuple of widths makes one whole array of that shape.  Training allocates
+# them once, for two full batches, and hands row-slices of the row arrays to
+# a shorter last batch; ``views`` receives each step's noisy views, ``ones``
+# holds 1.0 in every row, and ``w2f`` and ``b2f`` hold the second encoder
+# layer with LayerNorm's affine folded in (see :func:`_fold`).  The loss seed
 # reads ``out`` once and then keeps squared residuals there.  decode uses the
 # decoder's arrays alone; inference (encode) uses none: it runs the encoder
 # in row blocks.
 _DECODER_ARRAYS = {"z3": "h", "a3": "h", "out": "d"}
 _WORK_ARRAYS = {
     "views": "d",
-    "z1": "h", "xhat": "h", "ln": "h", "e": "k", "mu": 1, "inv_std": 1, **_DECODER_ARRAYS,
+    "z1": "h", "xhat": "h", "e": "k", "mu": 1, "inv_std": 1, **_DECODER_ARRAYS,
     "d_out": "d", "d_e": "k", "t_k": "k", "d_h": "h", "t_h": "h",
-    "dots": 1, "mean_dx": 1, "mean_dx_xhat": 1,
+    "dots": 1, "mean_dx": 1, "mean_dx_xhat": 1, "ones": 1,
+    "w2f": ("h", "k"), "b2f": ("k",),
 }
 
 
 def _work_arrays(model: TclModel, rows: int, table: dict) -> dict[str, np.ndarray]:
     c = model.config
     widths = {"d": c.input_dim, "h": c.hidden_dim, "k": c.latent_dim, 1: 1}
-    return {name: np.empty((rows, widths[w]), model.dtype) for name, w in table.items()}
+    arrays = {
+        name: np.empty(tuple(widths[x] for x in width) if isinstance(width, tuple)
+                       else (rows, widths[width]), model.dtype)
+        for name, width in table.items()
+    }
+    if "ones" in arrays:
+        arrays["ones"].fill(1.0)
+    return arrays
+
+
+def _rows(work: dict, rows: int) -> dict[str, np.ndarray]:
+    """The work arrays of a step over the first ``rows`` stacked rows."""
+    return {name: a if isinstance(_WORK_ARRAYS[name], tuple) else a[:rows]
+            for name, a in work.items()}
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -314,34 +341,60 @@ def _leaky_slope(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hidden(p: dict, z1: np.ndarray, xhat: np.ndarray, ln: np.ndarray,
-            mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
-    """LeakyReLU then LayerNorm of the pre-activations ``z1`` into ``ln``.
+def _row_mean(out: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Mean of each row of ``a`` (of ``a * b``) into the (rows, 1) ``out``.
 
-    ``xhat`` receives the normalized rows; ``ln`` holds their squares until
-    it is written, so it may be ``z1`` itself."""
+    einsum sums each row on its own, with no temporary, so a row's mean does
+    not depend on the rows stacked with it or on where the rows start in
+    memory.  A BLAS matrix-vector product would: its blocking spans rows."""
+    if b is None:
+        np.einsum("ij->i", a, out=out[:, 0])
+    else:
+        np.einsum("ij,ij->i", a, b, out=out[:, 0])
+    out /= a.shape[1]
+    return out
+
+
+def _hidden(z1: np.ndarray, xhat: np.ndarray, mu: np.ndarray, inv_std: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """LeakyReLU then LayerNorm, without its affine, of the pre-activations
+    ``z1`` into ``out``.
+
+    ``xhat`` is scratch for the centred rows; ``out`` may be ``xhat`` or
+    ``z1``.  The affine is folded into the next layer (see :func:`_fold`)."""
     check_finite(z1, "encoder linear 1")
     _leaky(z1, xhat)
     # layernorm per row: the population variance is the mean square of the
     # centred row, as np.var computes it
-    np.mean(xhat, axis=1, keepdims=True, out=mu)
-    xhat -= mu
-    np.square(xhat, out=ln)
-    np.mean(ln, axis=1, keepdims=True, out=inv_std)
+    xhat -= _row_mean(mu, xhat)
+    _row_mean(inv_std, xhat, xhat)
     inv_std += LN_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
-    xhat *= inv_std
-    np.multiply(xhat, p["gamma"], out=ln)
-    ln += p["beta"]
-    return check_finite(ln, "encoder layernorm")
+    np.multiply(xhat, inv_std, out=out)
+    return check_finite(out, "encoder layernorm")
+
+
+def _fold(p: dict, w2f: np.ndarray, b2f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The second encoder layer with LayerNorm's affine folded in, into
+    ``w2f`` and ``b2f``:
+
+        (xhat * gamma + beta) @ w2 + b2 == xhat @ (gamma[:, None] * w2) + (beta @ w2 + b2)
+
+    Both are (h, k) work or less, once per step, in place of (rows, h)
+    passes for the affine forward and backward."""
+    np.multiply(p["gamma"][:, None], p["w2"], out=w2f)
+    np.matmul(p["beta"], p["w2"], out=b2f)
+    b2f += p["b2"]
+    return w2f, b2f
 
 
 def _encode(p: dict, x: np.ndarray, w: dict) -> np.ndarray:
     """Encoder forward pass of ``x`` into the work arrays ``w``."""
     z1 = _linear(x, p["w1"], p["b1"], w["z1"])
-    ln = _hidden(p, z1, w["xhat"], w["ln"], w["mu"], w["inv_std"])
-    return check_finite(_linear(ln, p["w2"], p["b2"], w["e"]), "encoder linear 2")
+    xhat = _hidden(z1, w["xhat"], w["mu"], w["inv_std"], w["xhat"])
+    w2f, b2f = _fold(p, w["w2f"], w["b2f"])
+    return check_finite(_linear(xhat, w2f, b2f, w["e"]), "encoder linear 2")
 
 
 def _decode(p: dict, e: np.ndarray, w: dict) -> np.ndarray:
@@ -365,7 +418,7 @@ def encode(model: TclModel, x) -> np.ndarray:
     the output is bit-identical to the training step's encoder on the same
     matrix.  The input is cast to the parameters' dtype once.  The blocks
     work in place on the first product's output; one block of scratch rows
-    is the only other temporary.
+    and the folded second layer are the only other temporaries.
     """
     dtype = model.dtype
     x = _check_input(x, model.config.input_dim, "input", dtype)
@@ -378,10 +431,10 @@ def encode(model: TclModel, x) -> np.ndarray:
         block = a[lo : lo + rows]
         m = block.shape[0]
         block += p["b1"]
-        _hidden(p, block, xhat[:m], block, mu[:m], inv_std[:m])
-    e = np.matmul(a, p["w2"])
-    e += p["b2"]
-    return check_finite(e, "encoder linear 2")
+        _hidden(block, xhat[:m], mu[:m], inv_std[:m], block)
+    w2f, b2f = _fold(p, np.empty_like(p["w2"]), np.empty_like(p["b2"]))
+    return check_finite(_linear(a, w2f, b2f, np.empty((n, w2f.shape[1]), dtype)),
+                        "encoder linear 2")
 
 
 def decode(model: TclModel, e) -> np.ndarray:
@@ -496,33 +549,39 @@ def _seed(config: TclConfig, x_clean: np.ndarray, w: dict) -> LossComponents:
 
 def _backward(p: dict, x: np.ndarray, w: dict, grads: dict) -> None:
     """Parameter gradients of the stacked views ``x`` into ``grads``, from the
-    seeds d_out and d_e; each is one product or column sum over all rows."""
+    seeds d_out and d_e.  Each weight gradient is one product over all rows;
+    each bias gradient is the product of a row of ones with its seed, as
+    gradients sum over every row."""
     d_out, d_e, d_h, t_h, t_k = w["d_out"], w["d_e"], w["d_h"], w["t_h"], w["t_k"]
+    ones = w["ones"][:, 0]
     # decoder
     np.matmul(w["a3"].T, d_out, out=grads["w4"])
-    np.sum(d_out, axis=0, out=grads["b4"])
+    np.matmul(ones, d_out, out=grads["b4"])
     np.matmul(d_out, p["w4"].T, out=d_h)
     d_h *= _leaky_slope(w["z3"], t_h)  # d_z3
     np.matmul(w["e"].T, d_h, out=grads["w3"])
-    np.sum(d_h, axis=0, out=grads["b3"])
+    np.matmul(ones, d_h, out=grads["b3"])
     d_e += np.matmul(d_h, p["w3"].T, out=t_k)
-    # encoder
-    np.matmul(w["ln"].T, d_e, out=grads["w2"])
-    np.sum(d_e, axis=0, out=grads["b2"])
-    np.matmul(d_e, p["w2"].T, out=d_h)  # d_ln
-    np.sum(np.multiply(d_h, w["xhat"], out=t_h), axis=0, out=grads["gamma"])
-    np.sum(d_h, axis=0, out=grads["beta"])
-    d_h *= p["gamma"]  # d_xhat
+    # encoder, through the folded layer e = xhat @ w2f + b2f: from
+    # G = xhat^T d_e, d_w2 = gamma * G + beta (x) d_b2, d_gamma = rowsum(w2 * G)
+    # and d_beta = w2 d_b2, all (h, k) work
+    g = np.matmul(w["xhat"].T, d_e, out=grads["w2"])  # G
+    np.matmul(ones, d_e, out=grads["b2"])
+    np.einsum("ij,ij->i", p["w2"], g, out=grads["gamma"])
+    np.matmul(p["w2"], grads["b2"], out=grads["beta"])
+    np.matmul(d_e, w["w2f"].T, out=d_h)  # d_xhat
+    g *= p["gamma"][:, None]
+    g += np.multiply.outer(p["beta"], grads["b2"], out=w["w2f"])  # w2f is spent
     # layernorm backward (per row, population variance):
     # d_a1 = (d_xhat - mean(d_xhat) - xhat * mean(d_xhat * xhat)) * inv_std
-    np.mean(d_h, axis=1, keepdims=True, out=w["mean_dx"])
-    np.mean(np.multiply(d_h, w["xhat"], out=t_h), axis=1, keepdims=True, out=w["mean_dx_xhat"])
+    _row_mean(w["mean_dx"], d_h)
+    _row_mean(w["mean_dx_xhat"], d_h, w["xhat"])
     d_h -= w["mean_dx"]
     d_h -= np.multiply(w["xhat"], w["mean_dx_xhat"], out=t_h)
     d_h *= w["inv_std"]  # d_a1
     d_h *= _leaky_slope(w["z1"], t_h)  # d_z1
     np.matmul(x.T, d_h, out=grads["w1"])
-    np.sum(d_h, axis=0, out=grads["b1"])
+    np.matmul(ones, d_h, out=grads["b1"])
 
 
 def _grad_into(model: TclModel, x, x_clean, w: dict, grad: np.ndarray,
@@ -676,7 +735,7 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
         for lo in range(0, n, batch):
             x = X[order[lo : lo + batch]]
             rows = 2 * x.shape[0]
-            w = work if rows == 2 * batch else {name: a[:rows] for name, a in work.items()}
+            w = work if rows == 2 * batch else _rows(work, rows)
             views = _views(x, config, rng, out=w["views"])
             comps = _grad_into(model, views, x, w, grad, grads)
             if initial_loss is None:

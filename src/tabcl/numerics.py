@@ -173,10 +173,20 @@ def finite_diff_grad(f: Callable[[Array], float], theta, eps: float = 1e-5) -> A
     return grad
 
 
+_FLOAT_MAX = np.float64(sys.float_info.max)
+
+
 def is_finite_number(value) -> bool:
-    """A real number, not a bool, within the float range (so not NaN)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+    """A real number, not a bool, within the float range (so not NaN).
+
+    An integer is compared exactly with the largest float.  Any other value
+    is compared with it as a numpy float64, so a float16 or float32 scalar
+    is widened to float64 instead of the bound being cast down to its type,
+    which overflows with a warning."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    bound = sys.float_info.max if isinstance(value, numbers.Integral) else _FLOAT_MAX
+    return bool(abs(value) <= bound)
 
 
 def check_finite(a: Array, where: str) -> Array:

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from tabcl.numerics import (
     RngStream,
     finite_diff_grad,
     gaussian_noise,
+    is_finite_number,
     largest_noise,
     softmax_classes,
 )
@@ -289,3 +292,30 @@ class TestRngStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngStream(-1, 0)
+
+
+class TestIsFiniteNumber:
+    # pytest turns warnings into errors, so a cast that overflows on the way
+    # fails these tests even where the answer is right
+    @pytest.mark.parametrize("value", [
+        np.float16(2.0), np.float32(2.0), np.float32(-3.4e38), np.float64(1e308),
+        np.int64(-5), np.uint64(2**64 - 1), 0, 2.5, -sys.float_info.max,
+        int(sys.float_info.max), Fraction(1, 3),
+    ])
+    def test_finite_numbers(self, value):
+        assert is_finite_number(value) is True
+
+    @pytest.mark.parametrize("value", [
+        True, False, np.bool_(True), None, "1.0", [1.0], complex(1.0),
+        np.float16(np.inf), np.float32(np.nan), np.float64(-np.inf), float("nan"),
+        # integers beyond the float range, the first just past the largest float
+        int(sys.float_info.max) + 1, -(10**400), Fraction(10**400, 3),
+    ])
+    def test_everything_else(self, value):
+        assert is_finite_number(value) is False
+
+    def test_sigma_as_a_numpy_scalar(self):
+        from tabcl.contrastive import TclConfig
+
+        for sigma in (np.float16(2.0), np.float32(2.0)):
+            assert TclConfig(input_dim=2, sigma=sigma).sigma == 2.0
