@@ -71,13 +71,15 @@ DISCRETIZE_BINS = 10  # detection-only quantile bins for regression targets
 
 def tradeoff(p: float, t: float, task: str) -> float:
     """Speed/accuracy trade-off: P/t for classification, (1/P)/t for regression."""
-    if t <= 0:
-        raise ValueError(f"training time must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"training time must be positive and finite, got {t}")
     if task == CLASSIFICATION:
+        if not 0 <= p <= 1:
+            raise ValueError(f"classification metric must lie in [0, 1], got {p}")
         return p / t
     if task == "regression":
-        if p <= 0:
-            raise ValueError(f"regression metric must be positive, got {p}")
+        if not 0 < p < np.inf:
+            raise ValueError(f"regression metric must be positive and finite, got {p}")
         return (1.0 / p) / t
     raise ValueError(f"unknown task: {task!r}")
 
@@ -152,7 +154,7 @@ def check_tcl(tcl: dict) -> None:
 class ExperimentPlan:
     """Everything needed to re-run one experiment deterministically."""
 
-    dataset: str
+    dataset: str | os.PathLike
     target: str
     task: str | None = None
     model_name: str = "tcl"
@@ -160,13 +162,21 @@ class ExperimentPlan:
     tcl: dict = field(default_factory=dict)
     head: str | None = None  # "logistic" | "linear"; default picked by task
     seed: int = 0
-    out_dir: str = "out"
+    out_dir: str | os.PathLike = "out"
     delta: float | None = None  # declared OOD degradation budget (recorded only)
     fractions: tuple[float, float] = (0.8, 0.2)
 
     def __post_init__(self):
         check_detector(self.detector)
         check_tcl(self.tcl)
+        for name in ("dataset", "out_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, (str, os.PathLike)):
+                raise ConfigError(f"{name} must be a path, got {value!r}")
+            setattr(self, name, os.fspath(value))  # reports hold it as JSON
+        for name in ("target", "model_name"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.task not in (None, CLASSIFICATION, REGRESSION):
             raise ConfigError(f"unknown task: {self.task!r}")
         if self.head not in (None, LOGISTIC, LINEAR):

@@ -1,7 +1,10 @@
 """Command-line pipeline: each subcommand is one stage, `report` runs them all.
 
 Each stage subcommand parses its arguments and calls the stage function
-in :mod:`tabcl.bench` that ``run_experiment`` calls too.
+in :mod:`tabcl.bench` that ``run_experiment`` calls too.  A shared flag goes
+only to the subcommands that read it: ``--out <dir>`` to all but ``tradeoff``,
+``--config <file>`` (JSON or TOML) to ``detect``, ``split``, ``train`` and
+``report``, and ``--seed`` to ``detect``, ``train`` and ``report``.
 
 Exit codes: 0 success, 2 configuration error, 3 data/format error
 (including an unreadable or unwritable file), 4 numeric/training error.
@@ -58,7 +61,7 @@ def _settings(args, block: str, flags) -> dict:
     else:
         settings = {} if "dataset" in cfg else dict(cfg)
     for key in flags:
-        if getattr(args, key, None) is not None:
+        if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
     return settings
 
@@ -202,74 +205,69 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument("--config", default=None, help="JSON/TOML config file")
-    common.add_argument("--out", default=None, help="output directory")
-
     parser = argparse.ArgumentParser(
         prog="tabcl",
         description="Tabular contrastive learning with OOD gating and benchmarking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {"seed": dict(type=int, help="random seed"),
+              "config": dict(help="JSON/TOML config file"), "out": dict(help="output directory")}
 
-    p = sub.add_parser("ingest", parents=[common], help="encode a CSV into a dataset artifact")
+    def command(name, func, help, *flags):
+        """The subcommand that runs ``func``, with the shared flags ``func`` reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
+        return p
+
+    p = command("ingest", cmd_ingest, "encode a CSV into a dataset artifact", "out")
     p.add_argument("csv")
     p.add_argument("--target", required=True, help="target column name")
     p.add_argument("--task", choices=["classification", "regression"], default=None)
     p.add_argument("--delimiter", default=",")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("detect", parents=[common], help="score rows with an OOD detector")
+    p = command("detect", cmd_detect, "score rows with an OOD detector", "seed", "config", "out")
     p.add_argument("data", help="dataset artifact directory")
     p.add_argument("--detector", choices=[OPENMAX, TEMPERATURE], default=None)
     p.add_argument("--norm", choices=["l1", "l2"], default=None)
     p.add_argument("--tail", type=int, default=None)
     p.add_argument("--bins", type=int, default=None)
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("split", parents=[common], help="split a dataset at a score threshold")
+    p = command("split", cmd_split, "split a dataset at a score threshold", "config", "out")
     p.add_argument("data")
     p.add_argument("scores", help="scores.json from `detect`")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--quantile", type=float, default=None)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", parents=[common], help="train the contrastive encoder")
+    p = command("train", cmd_train, "train the contrastive encoder", "seed", "config", "out")
     p.add_argument("data", help="dataset artifact or split directory")
     for f in dataclasses.fields(TclConfig):
-        if f.name not in ("input_dim", "seed"):  # the data's width; --seed is common
+        if f.name not in ("input_dim", "seed"):  # the data's width; --seed is shared
             kind = {"int": int, "float": float, "str": str}[f.type.removesuffix(" | None")]
             p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=kind, default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("embed", parents=[common], help="encode a dataset into the latent space")
+    p = command("embed", cmd_embed, "encode a dataset into the latent space", "out")
     p.add_argument("model", help="model.json from `train`")
     p.add_argument("data")
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("fit-head", parents=[common], help="fit a prediction head")
+    p = command("fit-head", cmd_fit_head, "fit a prediction head", "out")
     p.add_argument("data", help="dataset (or embeddings) artifact directory")
     p.add_argument("--kind", choices=["logistic", "linear"], default=None)
-    p.set_defaults(func=cmd_fit_head)
 
-    p = sub.add_parser("evaluate", parents=[common], help="evaluate a head on a dataset")
+    p = command("evaluate", cmd_evaluate, "evaluate a head on a dataset", "out")
     p.add_argument("head", help="head.json from `fit-head`")
     p.add_argument("data")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("tradeoff", parents=[common], help="speed/accuracy trade-off")
+    p = command("tradeoff", cmd_tradeoff, "speed/accuracy trade-off")
     p.add_argument("--p", type=float, required=True, help="task metric (F1 or RMSE)")
     p.add_argument("--t", type=float, required=True, help="training seconds")
     p.add_argument("--task", choices=["classification", "regression"], required=True)
-    p.set_defaults(func=cmd_tradeoff)
 
-    p = sub.add_parser("report", parents=[common], help="run a full experiment plan")
-    p.set_defaults(func=cmd_report)
+    command("report", cmd_report, "run a full experiment plan", "seed", "config", "out")
 
-    p = sub.add_parser("compare", parents=[common], help="rank reports by trade-off")
+    p = command("compare", cmd_compare, "rank reports by trade-off", "out")
     p.add_argument("reports", nargs="+", help="report.json files")
-    p.set_defaults(func=cmd_compare)
 
     return parser
 

@@ -50,6 +50,9 @@ from .numerics import RngStream, check_finite, gaussian_noise, is_finite_number,
 
 LEAKY_SLOPE = 0.01
 LN_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 STABLE_WINDOW = 3  # epochs over which relative improvement is measured
 
 GAUSSIAN = "gaussian"
@@ -649,9 +652,8 @@ class _Adam:
     Every operation is elementwise, so the result holds the bits of the same
     update applied key by key."""
 
-    def __init__(self, params: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params: np.ndarray, lr: float):
+        self.lr = lr
         self.params = params
         # four vectors, not one (4, P) block: with the block, the gate-tall
         # benchmark's peak RSS read about 1 MiB higher (the block is past
@@ -661,23 +663,23 @@ class _Adam:
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         m, v, num, den = self.m, self.v, self._num, self._den
         # m = beta1 * m + (1 - beta1) * g
-        m *= self.beta1
-        m += np.multiply(grad, 1.0 - self.beta1, out=num)
+        m *= ADAM_BETA1
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=num)
         # v = beta2 * v + (1 - beta2) * (g * g)
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.multiply(grad, grad, out=num)
-        num *= 1.0 - self.beta2
+        num *= 1.0 - ADAM_BETA2
         v += num
         # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
         np.divide(m, b1t, out=num)
         num *= self.lr
         np.divide(v, b2t, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += ADAM_EPS
         num /= den
         self.params -= num
 

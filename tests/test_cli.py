@@ -1,13 +1,17 @@
+import argparse
 import io
 import json
 import pickle
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tabcl.bench import DETECTOR_KEYS, TCL_KEYS, ExperimentPlan, run_experiment
-from tabcl.cli import main
+from tabcl.cli import build_parser, main
 from tabcl.data import (
     SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
 )
@@ -92,6 +96,9 @@ class TestStagedPipeline:
         assert run(["tradeoff", "--p", 0.831, "--t", 15, "--task", "classification"]) == 0
         out = capsys.readouterr().out
         assert "0.055" in out
+        for p, t in (("nan", 1), (0.5, "nan"), (-3, 1), (1.5, 1), (0.5, "inf")):
+            assert run(["tradeoff", "--p", p, "--t", t, "--task", "classification"]) == 2
+        assert run(["tradeoff", "--p", "inf", "--t", 1, "--task", "regression"]) == 2
 
     def test_report_and_compare(self, tmp_path, data_csv, capsys):
         plan = {
@@ -502,6 +509,18 @@ class TestPlanChecks:
         assert run(["report", "--config", plan, "--seed", -1, "--out", out]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["dataset", "out_dir"])
+    def test_null_path_is_2_before_any_directory_is_made(self, tmp_path, data_csv, monkeypatch,
+                                                         field, capsys):
+        monkeypatch.chdir(tmp_path)  # where the default out_dir would be made
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(tmp_path / "exp"),
+            field: None,
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert f"{field} must be a path, got None" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
+
     def test_head_that_does_not_fit_the_task_is_2_before_training(self, tmp_path, data_csv,
                                                                   capsys):
         out = tmp_path / "exp"
@@ -736,3 +755,75 @@ class TestConfig:
         no_tcl = write_json(tmp_path / "no-tcl.json", {"dataset": str(data_csv), "target": "label"})
         assert run(["train", ds_dir, "--config", no_tcl, "--max-epochs", 1,
                     "--out", tmp_path / "m2"]) == 0
+
+
+TRAIN_FLAGS = {"--hidden-dim", "--latent-dim", "--noise", "--sigma", "--mask-prob",
+               "--temperature", "--batch-size", "--max-epochs", "--tolerance", "--learning-rate"}
+# each subcommand's options: the shared --seed, --config and --out only where
+# its cmd_* function reads them
+OPTIONS = {
+    "ingest": {"--out", "--target", "--task", "--delimiter"},
+    "detect": {"--seed", "--config", "--out", "--detector", "--norm", "--tail", "--bins"},
+    "split": {"--config", "--out", "--threshold", "--quantile"},
+    "train": {"--seed", "--config", "--out", *TRAIN_FLAGS},
+    "embed": {"--out"},
+    "fit-head": {"--out", "--kind"},
+    "evaluate": {"--out"},
+    "tradeoff": {"--p", "--t", "--task"},
+    "report": {"--seed", "--config", "--out"},
+    "compare": {"--out"},
+}
+# a valid argv for each subcommand that lost a shared flag
+ARGV = {
+    "ingest": ["ingest", "t.csv", "--target", "y"],
+    "split": ["split", "ds", "scores.json"],
+    "embed": ["embed", "model.json", "ds"],
+    "fit-head": ["fit-head", "emb"],
+    "evaluate": ["evaluate", "head.json", "emb"],
+    "tradeoff": ["tradeoff", "--p", "0.5", "--t", "1", "--task", "classification"],
+    "compare": ["compare", "report.json"],
+}
+REMOVED = [
+    *((command, flag) for command in ("ingest", "embed", "fit-head", "evaluate", "compare")
+      for flag in ("--seed", "--config")),
+    ("split", "--seed"), ("tradeoff", "--seed"), ("tradeoff", "--config"), ("tradeoff", "--out"),
+]
+
+
+def subparsers() -> dict:
+    (action,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """Every ``tabcl ...`` line of README's CLI block, split into words
+    after its trailing ``# ...`` comment is stripped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    return [shlex.split(re.sub(r"\s+#.*$", "", line))[1:]
+            for line in block.splitlines() if line.startswith("tabcl ")]
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_options(self, command):
+        parser = subparsers()[command]
+        declared = {s for action in parser._actions for s in action.option_strings}
+        assert declared == OPTIONS[command] | {"-h", "--help"}
+
+    def test_every_subcommand_is_pinned(self):
+        assert set(subparsers()) == set(OPTIONS)
+
+    @pytest.mark.parametrize("command, flag", REMOVED)
+    def test_removed_flag_is_a_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([*ARGV[command], flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_readme_examples_parse(self):
+        examples = readme_cli_examples()
+        assert {argv[0] for argv in examples} == set(OPTIONS)
+        parser = build_parser()
+        for argv in examples:
+            parser.parse_args(argv)  # a flag the parser does not take exits 2
