@@ -73,15 +73,12 @@ def tradeoff(p: float, t: float, task: str) -> float:
     """Speed/accuracy trade-off: P/t for classification, (1/P)/t for regression."""
     if not 0 < t < np.inf:
         raise ValueError(f"training time must be positive and finite, got {t}")
-    if task == CLASSIFICATION:
-        if not 0 <= p <= 1:
-            raise ValueError(f"classification metric must lie in [0, 1], got {p}")
+    if task == CLASSIFICATION and 0 <= p <= 1:
         return p / t
-    if task == "regression":
-        if not 0 < p < np.inf:
-            raise ValueError(f"regression metric must be positive and finite, got {p}")
+    if task == REGRESSION and 0 < p < np.inf:
         return (1.0 / p) / t
-    raise ValueError(f"unknown task: {task!r}")
+    raise ValueError(f"no trade-off for a {task!r} metric of {p}: classification "
+                     "takes P in [0, 1], regression a positive finite P")
 
 
 def load_config(path) -> dict:
@@ -154,7 +151,7 @@ def check_tcl(tcl: dict) -> None:
 class ExperimentPlan:
     """Everything needed to re-run one experiment deterministically."""
 
-    dataset: str | os.PathLike
+    dataset: str
     target: str
     task: str | None = None
     model_name: str = "tcl"
@@ -162,19 +159,14 @@ class ExperimentPlan:
     tcl: dict = field(default_factory=dict)
     head: str | None = None  # "logistic" | "linear"; default picked by task
     seed: int = 0
-    out_dir: str | os.PathLike = "out"
+    out_dir: str = "out"
     delta: float | None = None  # declared OOD degradation budget (recorded only)
     fractions: tuple[float, float] = (0.8, 0.2)
 
     def __post_init__(self):
         check_detector(self.detector)
         check_tcl(self.tcl)
-        for name in ("dataset", "out_dir"):
-            value = getattr(self, name)
-            if not isinstance(value, (str, os.PathLike)):
-                raise ConfigError(f"{name} must be a path, got {value!r}")
-            setattr(self, name, os.fspath(value))  # reports hold it as JSON
-        for name in ("target", "model_name"):
+        for name in ("dataset", "target", "model_name", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.task not in (None, CLASSIFICATION, REGRESSION):

@@ -96,11 +96,8 @@ def cmd_detect(args) -> int:
 
 def cmd_split(args) -> int:
     det = _settings(args, "detector", ("threshold", "quantile"))
-    # a --threshold or --quantile flag replaces both of the file's keys
-    if args.threshold is not None and args.quantile is None:
-        det.pop("quantile", None)
-    if args.quantile is not None and args.threshold is None:
-        det.pop("threshold", None)
+    if (args.threshold is None) != (args.quantile is None):  # one flag replaces both file keys
+        det.pop("quantile" if args.quantile is None else "threshold", None)
     check_detector(det)
     dataset = load_dataset(args.data)
     scores, settings = load_scores(args.scores)

@@ -518,7 +518,7 @@ class TestPlanChecks:
             field: None,
         })
         assert run(["report", "--config", plan]) == 2
-        assert f"{field} must be a path, got None" in capsys.readouterr().err
+        assert f"{field} must be a string, got None" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
 
     def test_head_that_does_not_fit_the_task_is_2_before_training(self, tmp_path, data_csv,
