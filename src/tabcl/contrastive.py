@@ -38,6 +38,8 @@ suite uses one as the reference of the finite-difference checks.
 
 from __future__ import annotations
 
+import binascii
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
@@ -61,7 +63,7 @@ MASK = "mask"
 PARAM_KEYS = ("w1", "b1", "gamma", "beta", "w2", "b2", "w3", "b3", "w4", "b4")
 
 MODEL_FORMAT = "tcl-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 DTYPES = ("float32", "float64")
 
 
@@ -608,7 +610,7 @@ def grad_on_views(
     x, x_clean = _stack_views(model, x1, x2, x_clean)
     w = _work_arrays(model, x.shape[0], _WORK_ARRAYS)
     grad = np.empty(parameter_count(model), model.dtype)
-    grads = _split(grad, model.params)
+    grads = _split(grad, _param_shapes(model.config))
     comps = _grad_into(model, x, x_clean, w, grad, grads)
     return comps.total, comps, grads
 
@@ -618,24 +620,21 @@ def param_vector(model: TclModel) -> np.ndarray:
     return np.concatenate([model.params[k].ravel() for k in PARAM_KEYS])
 
 
-def _split(vector: np.ndarray, params: dict) -> dict[str, np.ndarray]:
-    """Per-key views, shaped like ``params``, into a flat vector laid out as
-    :func:`param_vector` lays out ``params``."""
-    views, offset = {}, 0
-    for key in PARAM_KEYS:
-        size = params[key].size
-        views[key] = vector[offset : offset + size].reshape(params[key].shape)
-        offset += size
-    if offset != vector.size:
-        raise ValueError(f"parameter vector has {vector.size} entries, expected {offset}")
-    return views
+def _split(vector: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """Per-key views, of the ``shapes`` that :func:`_param_shapes` gives,
+    into a flat vector laid out as :func:`param_vector` lays it out."""
+    ends = np.cumsum([math.prod(shapes[key]) for key in PARAM_KEYS])
+    if vector.size != ends[-1]:
+        raise ValueError(f"parameter vector has {vector.size} entries, expected {ends[-1]}")
+    parts = np.split(vector, ends[:-1])
+    return {key: part.reshape(shapes[key]) for key, part in zip(PARAM_KEYS, parts)}
 
 
 def replace_params(model: TclModel, vector: np.ndarray) -> TclModel:
     """New model with parameters taken from a flat vector (inverse of
     :func:`param_vector`); a float32 vector makes a float32 model, any
     other a float64 one."""
-    views = _split(np.asarray(vector), model.params)
+    views = _split(np.asarray(vector), _param_shapes(model.config))
     return TclModel(model.config, {key: v.copy() for key, v in views.items()})
 
 
@@ -720,9 +719,9 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     X = cast
     rng = RngStream(config.seed, stream_id=1)
     adam = _Adam(param_vector(model), config.learning_rate)
-    model = TclModel(config, _split(adam.params, model.params))
+    model = TclModel(config, _split(adam.params, _param_shapes(config)))
     grad = np.empty_like(adam.params)
-    grads = _split(grad, model.params)
+    grads = _split(grad, _param_shapes(config))
     work = _work_arrays(model, 2 * batch, _WORK_ARRAYS)
     held = (adam.params, grad, adam.m, adam.v, adam._num, adam._den, *work.values())
     trace = TrainTrace(array_bytes=sum(a.nbytes for a in held))
@@ -771,27 +770,35 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
 
 
 def save_model(model: TclModel, path) -> None:
-    """Write the model as a JSON container with its dtype; floats round-trip
-    bit-exactly, float32 ones through the float64 values JSON holds."""
+    """Write the model as a JSON container with its dtype and config.  Its
+    ``params`` is one base64 string of the little-endian bytes of
+    :func:`param_vector`, so every value round-trips bit-exactly and two
+    saves of one model write the same bytes."""
+    block = param_vector(model).astype(model.dtype.newbyteorder("<"), copy=False)
     write_json(path, {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "dtype": model.dtype.name,
         "config": model.config.to_dict(),
-        "params": {k: model.params[k].tolist() for k in PARAM_KEYS},
+        "params": binascii.b2a_base64(block.tobytes(), newline=False).decode("ascii"),
     })
 
 
 def load_model(path) -> TclModel:
-    """Read a model in the dtype its file records.  A value the dtype cannot
-    hold, finite in the JSON or not, is a format error."""
+    """Read a model in the dtype its file records, each parameter a view of
+    one decoded vector.  A block that is not a string of strict base64,
+    that holds other than the config's parameter count or a non-finite
+    value is a format error."""
     payload = read_json(path, "model file", MODEL_FORMAT, MODEL_VERSION)
     with fields(path, "model file"):
         config = TclConfig.from_dict(payload["config"])
         dtype = payload["dtype"]
         if dtype not in DTYPES:
             raise ValueError(f"model dtype must be float32 or float64, got {dtype!r}")
-        params = {k: _cast(payload["params"][k], dtype) for k in PARAM_KEYS}
+        # a block that is not a string is a TypeError, bad base64 a binascii.Error (ValueError)
+        raw = binascii.a2b_base64(payload["params"], strict_mode=True)
+        vector = np.frombuffer(raw, np.dtype(dtype).newbyteorder("<")).astype(dtype)
+        params = _split(vector, _param_shapes(config))
         for key, value in params.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"model parameter {key!r} holds a non-finite value")

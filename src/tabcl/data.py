@@ -14,6 +14,7 @@ import csv
 import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -293,43 +294,30 @@ def infer_schema(
     if len(raw.rows) < 1:
         raise FormatError("need at least one data row to infer a schema")
 
-    def column_cells(name: str) -> list[str]:
-        j = raw.header.index(name)
-        return [row[j] for row in raw.rows]
-
-    def classify(name: str, cells: list[str]) -> tuple[str, bool]:
-        present = [c for c in cells if c not in MISSING_TOKENS]
-        has_missing = len(present) < len(cells)
-        if present and len(set(present)) > category_cutoff:
-            values = _floats(present)
+    def classify(name: str, cells) -> Column:
+        distinct = set(cells)
+        has_missing = not MISSING_TOKENS.isdisjoint(distinct)
+        distinct -= MISSING_TOKENS
+        if distinct and len(distinct) > category_cutoff:
+            values = _floats([c for c in cells if c not in MISSING_TOKENS] if has_missing else cells)
             if values is not None:
                 if raw._numbers is not None:
                     raw._numbers[name] = values
-                return NUMERIC, has_missing
-        return CATEGORICAL, has_missing
+                return Column(name, NUMERIC)
+        if has_missing:
+            distinct.add(MISSING_CATEGORY)
+        return Column(name, CATEGORICAL, tuple(sorted(distinct)))
 
-    features = []
-    for name in raw.header:
-        if name == target:
-            continue
-        cells = column_cells(name)
-        kind, has_missing = classify(name, cells)
-        if kind == NUMERIC:
-            features.append(Column(name, NUMERIC))
-        else:
-            vocab = sorted(set(c for c in cells if c not in MISSING_TOKENS))
-            if has_missing:
-                vocab = sorted(set(vocab) | {MISSING_CATEGORY})
-            features.append(Column(name, CATEGORICAL, tuple(vocab)))
-
-    target_cells = column_cells(target)
-    if any(c in MISSING_TOKENS for c in target_cells):
+    columns = list(zip(*raw.rows, strict=True))  # one transpose; ValueError if ragged
+    features = tuple(classify(name, cells)
+                     for name, cells in zip(raw.header, columns, strict=True) if name != target)
+    target_cells = columns[raw.header.index(target)]
+    if not MISSING_TOKENS.isdisjoint(target_cells):
         raise FormatError(f"target column {target!r} has missing values")
     if task is None:
-        kind, _ = classify(target, target_cells)
-        task = REGRESSION if kind == NUMERIC else CLASSIFICATION
+        task = REGRESSION if classify(target, target_cells).kind == NUMERIC else CLASSIFICATION
     classes = tuple(sorted(set(target_cells))) if task == CLASSIFICATION else ()
-    return Schema(tuple(features), target, task, classes)
+    return Schema(features, target, task, classes)
 
 
 def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) -> Dataset:
@@ -357,14 +345,16 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
     fitted: dict[str, dict[str, float]] = {}
     blocks: list[np.ndarray] = []
 
+    columns = list(zip(*raw.rows, strict=True))
     for col in schema.features:
-        j = raw.header.index(col.name)
-        cells = [row[j] for row in raw.rows]
+        cells = columns[raw.header.index(col.name)]
         if col.kind == NUMERIC:
-            keep = [i for i, cell in enumerate(cells) if cell not in MISSING_TOKENS]
-            parsed = _take_floats(raw, col.name, [cells[i] for i in keep])
+            complete = MISSING_TOKENS.isdisjoint(cells)
+            keep = slice(None) if complete else [
+                i for i, cell in enumerate(cells) if cell not in MISSING_TOKENS]
+            parsed = _take_floats(raw, col.name, cells if complete else [cells[i] for i in keep])
             if parsed is None:
-                for i in keep:
+                for i in range(n) if complete else keep:
                     _parse_number(cells[i], col.name, i + 2)
             values = np.full(n, np.nan)
             values[keep] = parsed
@@ -388,13 +378,12 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
             unknown = len(col.categories)
             index = {c: k for k, c in enumerate(col.categories)}
             index.update(dict.fromkeys(MISSING_TOKENS, index.get(MISSING_CATEGORY, unknown)))
-            codes = np.fromiter((index.get(cell, unknown) for cell in cells), np.intp, n)
+            codes = np.fromiter(map(index.get, cells, repeat(unknown)), np.intp, n)
             onehot = np.zeros((n, unknown + 1))
             onehot[np.arange(n), codes] = 1.0
             blocks.append(onehot)
 
-    jt = raw.header.index(schema.target)
-    target_cells = [row[jt] for row in raw.rows]
+    target_cells = columns[raw.header.index(schema.target)]
     if schema.task == CLASSIFICATION:
         lookup = {c: k for k, c in enumerate(schema.classes)}
         try:

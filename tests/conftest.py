@@ -1,5 +1,6 @@
 """Shared synthetic-data builders and scoring helpers for the test suite."""
 
+import base64
 import csv
 
 import numpy as np
@@ -99,3 +100,12 @@ def write_regression_csv(path, X, y, target="value"):
         writer.writerow([f"x{i}" for i in range(X.shape[1])] + [target])
         for i in range(len(X)):
             writer.writerow([repr(float(v)) for v in X[i]] + [repr(float(y[i]))])
+
+
+def params_block(values, dtype="<f4"):
+    """``values`` as a model file's ``params``: the base64 text of their
+    bytes in ``dtype``.  A value beyond a float32 ``dtype``'s range is
+    written as the infinity the cast makes of it."""
+    with np.errstate(over="ignore"):
+        data = np.asarray(values, np.float64).astype(dtype).tobytes()
+    return base64.b64encode(data).decode("ascii")

@@ -16,7 +16,7 @@ from tabcl.data import (
     SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
 )
 
-from conftest import shifted_cluster_data, write_classification_csv
+from conftest import params_block, shifted_cluster_data, write_classification_csv
 
 
 @pytest.fixture(scope="module")
@@ -231,12 +231,13 @@ class TestExitCodes:
         assert run(["split", ds_dir, path, "--out", tmp_path / "split"]) == 3
         assert message in capsys.readouterr().err
 
-    # A well-formed model of width 4, which the cases below spoil.
-    MODEL = {"format": "tcl-model", "version": 2, "dtype": "float32",
+    # A well-formed model of width 4, which the cases below spoil.  PARAMS
+    # is its flat parameter vector: w1 (4 x 1), b1, gamma, beta, w2, b2, w3,
+    # b3, w4 (1 x 4) and b4 (4).
+    PARAMS = [0.0] * 4 + [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0] + [0.0] * 8
+    MODEL = {"format": "tcl-model", "version": 3, "dtype": "float32",
              "config": {"input_dim": 4, "hidden_dim": 1, "latent_dim": 1},
-             "params": {"w1": [[0.0]] * 4, "b1": [0.0], "gamma": [1.0], "beta": [0.0],
-                        "w2": [[1.0]], "b2": [0.0], "w3": [[1.0]], "b3": [0.0],
-                        "w4": [[0.0] * 4], "b4": [0.0] * 4}}
+             "params": params_block(PARAMS)}
 
     # Each case is a JSON artifact that parses but does not hold what its
     # loader reads; the file name is what the subcommand is pointed at.
@@ -267,11 +268,26 @@ class TestExitCodes:
         ),
         "model holding a list": ("model.json", [1, 2], lambda f, ds: ["embed", f, ds]),
         "model with a NaN weight": (
-            "model.json", dict(MODEL, params=dict(MODEL["params"], w1=[[0.0], [float("nan")]] * 2)),
+            "model.json", dict(MODEL, params=params_block([0.0, float("nan")] + PARAMS[2:])),
             lambda f, ds: ["embed", f, ds],
         ),
         "model with a weight beyond float32": (
-            "model.json", dict(MODEL, params=dict(MODEL["params"], w1=[[0.0], [1e39]] * 2)),
+            "model.json", dict(MODEL, params=params_block([0.0, 1e39] + PARAMS[2:])),
+            lambda f, ds: ["embed", f, ds],
+        ),
+        "model whose params are not a string": (
+            "model.json", dict(MODEL, params=PARAMS), lambda f, ds: ["embed", f, ds],
+        ),
+        "model whose params are not strict base64": (
+            "model.json", dict(MODEL, params=MODEL["params"][:4] + "\n" + MODEL["params"][4:]),
+            lambda f, ds: ["embed", f, ds],
+        ),
+        "model one value short": (
+            "model.json", dict(MODEL, params=params_block(PARAMS[:-1])),
+            lambda f, ds: ["embed", f, ds],
+        ),
+        "model of float64 bytes labelled float32": (
+            "model.json", dict(MODEL, params=params_block(PARAMS, "<f8")),
             lambda f, ds: ["embed", f, ds],
         ),
         "model of dtype float16": (
@@ -279,6 +295,10 @@ class TestExitCodes:
         ),
         "model of version 1": (
             "model.json", {k: v for k, v in dict(MODEL, version=1).items() if k != "dtype"},
+            lambda f, ds: ["embed", f, ds],
+        ),
+        "model of version 2": (
+            "model.json", dict(MODEL, version=2, params={"w1": [[0.0]] * 4, "b1": [0.0]}),
             lambda f, ds: ["embed", f, ds],
         ),
         "scores holding a list": ("scores.json", [0.1, 0.2], lambda f, ds: ["split", ds, f]),

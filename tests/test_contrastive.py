@@ -1,4 +1,6 @@
+import base64
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,7 +35,7 @@ from tabcl.contrastive import (
 from tabcl.exceptions import FormatError, NumericError, TrainingError
 from tabcl.numerics import RngStream, finite_diff_grad, gaussian_noise
 
-from conftest import two_cluster_matrix
+from conftest import params_block, two_cluster_matrix
 
 
 def small_model(d=4, h=6, k=3, seed=0, **kw):
@@ -593,14 +595,54 @@ class TestPersistence:
         assert loaded.dtype == np.float64
         assert same_bits(param_vector(loaded), param_vector(model))
 
-    def test_version_1_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_save_is_deterministic(self, tmp_path, dtype):
+        # the benchmark's digest hashes model.json, so its bytes must repeat
+        model = in_dtype(small_model(seed=5), dtype)
+        first, second, again = (tmp_path / f"{name}.json" for name in ("a", "b", "c"))
+        save_model(model, first)
+        save_model(model, second)
+        assert first.read_bytes() == second.read_bytes()
+        loaded = load_model(first)
+        for key in PARAM_KEYS:
+            assert same_bits(loaded.params[key], model.params[key]), key
+            assert loaded.params[key].flags.c_contiguous and loaded.params[key].flags.writeable
+        save_model(loaded, again)
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_block_is_the_little_endian_param_vector(self, tmp_path, dtype):
+        model = in_dtype(small_model(), dtype)
         path = tmp_path / "model.json"
-        save_model(small_model(), path)
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 3
+        assert payload["dtype"] == np.dtype(dtype).name
+        expected = param_vector(model).astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+        assert base64.b64decode(payload["params"], validate=True) == expected
+
+    def test_version_1_file_rejected(self, tmp_path):
+        model = small_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
         payload = json.loads(path.read_text())
         del payload["dtype"]
         payload["version"] = 1
+        payload["params"] = {k: v.astype(np.float64).tolist() for k, v in model.params.items()}
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="version 1, expected 2"):
+        with pytest.raises(FormatError, match="version 1, expected 3"):
+            load_model(path)
+
+    def test_version_2_file_rejected(self, tmp_path):
+        # version 2 held the same fields, with params as nested lists
+        model = small_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["version"] = 2
+        payload["params"] = {k: v.tolist() for k, v in model.params.items()}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="version 2, expected 3"):
             load_model(path)
 
     @pytest.mark.parametrize("dtype", ["float16", "int32", None, ["float32"]])
@@ -623,17 +665,18 @@ class TestPersistence:
             load_model(path)
 
     def test_value_beyond_float32_rejected(self, tmp_path):
-        # finite in the JSON and as float64, infinite once cast to float32
+        # -1e39 is finite as float64 and infinite once cast to float32
+        model = as_float64(small_model())
+        model.params["w3"][0, 1] = -1e39
         path = tmp_path / "model.json"
-        save_model(small_model(), path)
+        save_model(model, path)
+        assert load_model(path).params["w3"][0, 1] == -1e39
         payload = json.loads(path.read_text())
-        payload["params"]["w3"][0][1] = -1e39
+        payload["dtype"] = "float32"
+        payload["params"] = params_block(param_vector(model), "<f4")
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="'w3' holds a non-finite value"):
             load_model(path)
-        payload["dtype"] = "float64"
-        path.write_text(json.dumps(payload))
-        assert load_model(path).params["w3"][0, 1] == -1e39
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -653,13 +696,44 @@ class TestPersistence:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_parameter_rejected(self, tmp_path, value):
+        model = small_model()
+        model.params["w2"][1, 2] = value  # written as NaN or inf bytes in the block
         path = tmp_path / "model.json"
-        save_model(small_model(), path)
-        payload = json.loads(path.read_text())
-        payload["params"]["w2"][1][2] = value  # json writes NaN and Infinity
-        path.write_text(json.dumps(payload))
+        save_model(model, path)
         with pytest.raises(FormatError, match="'w2' holds a non-finite value"):
             load_model(path)
+
+    # Each case turns a saved float32 model's payload into one whose params
+    # block cannot be read; small_model() has 115 parameters.
+    BAD_BLOCKS = {
+        "a list of numbers": (lambda p, v: v.tolist(), "ASCII string, not 'list'"),
+        "the lists of version 2": (lambda p, v: {"w1": v[:24].tolist()}, "not 'dict'"),
+        "a number": (lambda p, v: 7, "not 'int'"),
+        "a line break inside": (lambda p, v: p[:8] + "\n" + p[8:], "Only base64 data"),
+        "a character outside the alphabet": (lambda p, v: p[:8] + "*" + p[8:], "Only base64 data"),
+        "a non-ASCII character": (lambda p, v: p[:8] + "\u00e9" + p[8:], "ASCII"),
+        "padding missing": (lambda p, v: p.rstrip("="), "Incorrect padding"),
+        "data after the padding": (lambda p, v: p + "AAAA", "Excess data after padding"),
+        "one value short": (lambda p, v: params_block(v[:-1]), "114 entries, expected 115"),
+        "one value long": (lambda p, v: params_block(np.append(v, 1.0)), "116 entries"),
+        "one byte short": (
+            lambda p, v: base64.b64encode(base64.b64decode(p)[:-1]).decode("ascii"),
+            "multiple of element size"),
+        "float64 bytes": (lambda p, v: params_block(v, "<f8"), "230 entries, expected 115"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_BLOCKS))
+    def test_unreadable_block_rejected(self, tmp_path, case):
+        spoil, message = self.BAD_BLOCKS[case]
+        model = small_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["params"] = spoil(payload["params"], param_vector(model).astype(np.float64))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape(str(path))) as exc:
+            load_model(path)
+        assert message in str(exc.value)
 
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "model.json"

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import statistics
@@ -208,6 +209,238 @@ class TestIngest:
         rows[4][0] = "100.0"
         ds = encode_features(raw, schema)
         assert ds.features[:, 0].argmax() == 4
+
+
+# The row-major ingest that the column pass replaced: each function pulls a
+# column out of the rows with its own comprehension and walks it cell by
+# cell.  It parses through data._floats and data._parse_number, as the
+# package does, and keeps no parsed columns between the two calls.
+
+def ref_infer_schema(raw, target, task=None, category_cutoff=data.DEFAULT_CATEGORY_CUTOFF):
+    if not target:
+        raise ConfigError("no target column designated")
+    if target not in raw.header:
+        raise ConfigError(f"target column {target!r} not in header {raw.header}")
+    if len(raw.rows) < 1:
+        raise FormatError("need at least one data row to infer a schema")
+
+    def column_cells(name):
+        j = raw.header.index(name)
+        return [row[j] for row in raw.rows]
+
+    def classify(cells):
+        present = [c for c in cells if c not in MISSING_TOKENS]
+        has_missing = len(present) < len(cells)
+        if present and len(set(present)) > category_cutoff:
+            if data._floats(present) is not None:
+                return data.NUMERIC, has_missing
+        return data.CATEGORICAL, has_missing
+
+    features = []
+    for name in raw.header:
+        if name == target:
+            continue
+        cells = column_cells(name)
+        kind, has_missing = classify(cells)
+        if kind == data.NUMERIC:
+            features.append(Column(name, data.NUMERIC))
+        else:
+            vocab = sorted(set(c for c in cells if c not in MISSING_TOKENS))
+            if has_missing:
+                vocab = sorted(set(vocab) | {data.MISSING_CATEGORY})
+            features.append(Column(name, data.CATEGORICAL, tuple(vocab)))
+
+    target_cells = column_cells(target)
+    if any(c in MISSING_TOKENS for c in target_cells):
+        raise FormatError(f"target column {target!r} has missing values")
+    if task is None:
+        kind, _ = classify(target_cells)
+        task = data.REGRESSION if kind == data.NUMERIC else data.CLASSIFICATION
+    classes = tuple(sorted(set(target_cells))) if task == data.CLASSIFICATION else ()
+    return Schema(tuple(features), target, task, classes)
+
+
+def ref_encode_features(raw, schema, stats=None):
+    for col in schema.features:
+        if col.name not in raw.header:
+            raise ValueError(f"schema column {col.name!r} missing from header")
+    if schema.target not in raw.header:
+        raise ValueError(f"target column {schema.target!r} missing from header")
+    if stats is not None:
+        expected = {c.name for c in schema.features if c.kind == data.NUMERIC}
+        if set(stats) != expected:
+            raise ValueError("stats do not match the schema's numeric columns")
+    n = len(raw.rows)
+    if n < 1:
+        raise ValueError("cannot encode an empty table")
+    fitting = stats is None
+    fitted = {}
+    blocks = []
+    for col in schema.features:
+        j = raw.header.index(col.name)
+        cells = [row[j] for row in raw.rows]
+        if col.kind == data.NUMERIC:
+            keep = [i for i, cell in enumerate(cells) if cell not in MISSING_TOKENS]
+            parsed = data._floats([cells[i] for i in keep])
+            if parsed is None:
+                for i in keep:
+                    data._parse_number(cells[i], col.name, i + 2)
+            values = np.full(n, np.nan)
+            values[keep] = parsed
+            if fitting:
+                present = values[~np.isnan(values)]
+                if present.size == 0:
+                    raise FormatError(f"column {col.name!r} is entirely missing")
+                median = float(np.median(present))
+                values[np.isnan(values)] = median
+                mean = float(values.mean())
+                std = float(values.std())
+                if std == 0.0:
+                    std = 1.0
+                fitted[col.name] = {"median": median, "mean": mean, "std": std}
+            else:
+                s = stats[col.name]
+                values[np.isnan(values)] = s["median"]
+                mean, std = s["mean"], s["std"]
+            blocks.append(((values - mean) / std)[:, None])
+        else:
+            unknown = len(col.categories)
+            index = {c: k for k, c in enumerate(col.categories)}
+            index.update(dict.fromkeys(MISSING_TOKENS, index.get(data.MISSING_CATEGORY, unknown)))
+            codes = np.fromiter((index.get(cell, unknown) for cell in cells), np.intp, n)
+            onehot = np.zeros((n, unknown + 1))
+            onehot[np.arange(n), codes] = 1.0
+            blocks.append(onehot)
+    jt = raw.header.index(schema.target)
+    target_cells = [row[jt] for row in raw.rows]
+    if schema.task == data.CLASSIFICATION:
+        lookup = {c: k for k, c in enumerate(schema.classes)}
+        try:
+            labels = np.fromiter(map(lookup.__getitem__, target_cells), np.int64, n)
+        except KeyError:
+            i = next(i for i, cell in enumerate(target_cells) if cell not in lookup)
+            raise FormatError(f"row {i + 2}: unknown target class {target_cells[i]!r}") from None
+    else:
+        labels = data._floats(target_cells)
+        if labels is None:
+            for i, cell in enumerate(target_cells):
+                data._parse_number(cell, schema.target, i + 2)
+    features = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    return Dataset(features, labels, schema, fitted if fitting else dict(stats))
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and text of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ConfigError, FormatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_ingest(got, want):
+    """The same error, or datasets equal in schema, stats and every bit."""
+    if not isinstance(want, Dataset):
+        assert got == want
+        return
+    assert isinstance(got, Dataset), got
+    assert got.schema == want.schema
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert json.dumps(got.stats) == json.dumps(want.stats)
+
+
+def assert_ingest_matches_reference(raw_rows, header, path, target, task, cutoff):
+    """The public functions on a fresh table, and ingest_csv on the file,
+    against the reference on a fresh table of the same cells."""
+    def fresh():
+        return RawTable(list(header), [list(r) for r in raw_rows])
+
+    want_schema = outcome(ref_infer_schema, fresh(), target, task, cutoff)
+    got_schema = outcome(infer_schema, fresh(), target, task, cutoff)
+    assert got_schema == want_schema
+    if isinstance(want_schema, Schema):
+        want = outcome(ref_encode_features, fresh(), want_schema)
+        assert_same_ingest(outcome(encode_features, fresh(), want_schema), want)
+        if isinstance(want, Dataset):  # and again with the fitted stats
+            assert_same_ingest(outcome(encode_features, fresh(), want_schema, want.stats),
+                               outcome(ref_encode_features, fresh(), want_schema, want.stats))
+    if path is not None:
+        stored = read_csv(path)
+        ref_raw = RawTable(stored.header, stored.rows)
+        want = outcome(ref_infer_schema, ref_raw, target, task, cutoff)
+        if isinstance(want, Schema):
+            want = outcome(ref_encode_features, ref_raw, want)
+        got = outcome(ingest_csv, path, target=target, task=task, category_cutoff=cutoff)
+        assert_same_ingest(got, want)
+
+
+# Cells of the table generator below, by column kind.  A missing cell may
+# carry whitespace: read_csv strips it, a RawTable built directly keeps it.
+# Numbers stay below 1e100, whose squares the z-score moments can sum.
+PADDED_MISSING = st.sampled_from(sorted(MISSING_TOKENS) + [" NA", "? ", " nan ", "\tNone"])
+COLUMN_CELLS = {
+    "numeric": st.floats(-1e100, 1e100, allow_nan=False).map(repr),
+    "low-cardinality numeric": st.sampled_from(["0", "1", "2", "-3.5"]),
+    "categorical": st.sampled_from(["a", "b", "Zed", "a b", "<missing>", "1x"]),
+    "numeric with a stray word": st.one_of(st.integers(-99, 99).map(str), st.just("x")),
+}
+TARGET_CELLS = {
+    "classes": st.sampled_from(["0", "1", "2", "c"]),
+    "numbers": st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+}
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 25))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), max_size=4))
+    columns = []
+    for kind in kinds:
+        cell = COLUMN_CELLS[kind]
+        if draw(st.booleans()):
+            cell = st.one_of(cell, PADDED_MISSING)
+        columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    target = TARGET_CELLS[draw(st.sampled_from(sorted(TARGET_CELLS)))]
+    if draw(st.integers(0, 9)) == 0:
+        target = st.one_of(target, PADDED_MISSING)
+    at = draw(st.integers(0, len(kinds)))
+    columns.insert(at, draw(st.lists(target, min_size=n, max_size=n)))
+    header = [f"c{j}" for j in range(len(kinds))]
+    header.insert(at, "y")
+    task = draw(st.sampled_from([None, data.CLASSIFICATION, data.REGRESSION]))
+    cutoff = draw(st.integers(0, 6))
+    return header, [list(r) for r in zip(*columns)], task, cutoff
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestColumnPassMatchesRowMajor:
+    @settings(max_examples=150, deadline=None)
+    @given(tables())
+    def test_random_tables(self, table):
+        header, rows, task, cutoff = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_rows(path, header, rows)
+            assert_ingest_matches_reference(rows, header, path, "y", task, cutoff)
+
+    @pytest.mark.parametrize("workload", ["train-wide", "gate-tall", "cli-regression"])
+    def test_benchmark_tables(self, tmp_path, workload):
+        workloads = load_workloads()
+        path, _ = workloads.generate(workload, 3, str(tmp_path))
+        spec = workloads.WORKLOADS[workload]
+        raw = read_csv(path)
+        for task in (None, spec["task"]):
+            assert_ingest_matches_reference(raw.rows, raw.header, path, spec["target"], task,
+                                            data.DEFAULT_CATEGORY_CUTOFF)
 
 
 class TestEncode:
