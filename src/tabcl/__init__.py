@@ -13,14 +13,10 @@ from .contrastive import (
     TclModel,
     TrainTrace,
     augment,
-    decode,
     embed,
     encode,
     init_model,
     load_model,
-    loss_contrastive,
-    loss_distance,
-    loss_reconstruction,
     save_model,
     train_tcl,
 )
@@ -53,7 +49,7 @@ from .heads import (
     predict,
     save_head,
 )
-from .numerics import RngStream, finite_diff_grad, gaussian_noise, softmax_classes
+from .numerics import RngStream, gaussian_noise, softmax_classes
 from .ood import (
     Histogram,
     OpenMaxModel,
@@ -70,6 +66,6 @@ from .ood import (
     validate_split,
     write_histogram_csv,
 )
-from .weibull import weibull_cdf, weibull_mle, weibull_sample
+from .weibull import weibull_cdf, weibull_mle
 
 __version__ = "0.1.0"

@@ -284,37 +284,35 @@ def _check_input(x, width: int, what: str, dtype) -> np.ndarray:
     return x
 
 
-# The forward and backward pass write every intermediate into work arrays
-# named in these tables.  A width of d (input_dim), h (hidden_dim), k
+# The forward and backward pass write every intermediate into the work
+# arrays named in this table.  A width of d (input_dim), h (hidden_dim), k
 # (latent_dim) or 1 makes an array of one row per row of the stacked views;
 # a tuple of widths makes one whole array of that shape.  Training allocates
 # them once, for two full batches, and hands row-slices of the row arrays to
 # a shorter last batch; ``views`` receives each step's noisy views, ``ones``
 # holds 1.0 in every row, and ``w2f`` and ``b2f`` hold the second encoder
 # layer with LayerNorm's affine folded in (see :func:`_fold`).  The loss seed
-# reads ``out`` once and then keeps squared residuals there.  decode uses the
-# decoder's arrays alone; inference (encode) uses none: it runs the encoder
-# in row blocks.
-_DECODER_ARRAYS = {"z3": "h", "a3": "h", "out": "d"}
+# reads ``out`` once and then keeps squared residuals there.  Inference
+# (encode) uses none of them: it runs the encoder in row blocks.
 _WORK_ARRAYS = {
     "views": "d",
-    "z1": "h", "xhat": "h", "e": "k", "mu": 1, "inv_std": 1, **_DECODER_ARRAYS,
+    "z1": "h", "xhat": "h", "e": "k", "mu": 1, "inv_std": 1,
+    "z3": "h", "a3": "h", "out": "d",
     "d_out": "d", "d_e": "k", "t_k": "k", "d_h": "h", "t_h": "h",
     "dots": 1, "mean_dx": 1, "mean_dx_xhat": 1, "ones": 1,
     "w2f": ("h", "k"), "b2f": ("k",),
 }
 
 
-def _work_arrays(model: TclModel, rows: int, table: dict) -> dict[str, np.ndarray]:
+def _work_arrays(model: TclModel, rows: int) -> dict[str, np.ndarray]:
     c = model.config
     widths = {"d": c.input_dim, "h": c.hidden_dim, "k": c.latent_dim, 1: 1}
     arrays = {
         name: np.empty(tuple(widths[x] for x in width) if isinstance(width, tuple)
                        else (rows, widths[width]), model.dtype)
-        for name, width in table.items()
+        for name, width in _WORK_ARRAYS.items()
     }
-    if "ones" in arrays:
-        arrays["ones"].fill(1.0)
+    arrays["ones"].fill(1.0)
     return arrays
 
 
@@ -442,44 +440,8 @@ def encode(model: TclModel, x) -> np.ndarray:
                         "encoder linear 2")
 
 
-def decode(model: TclModel, e) -> np.ndarray:
-    """Deterministic decoder forward pass (n x input_dim)."""
-    e = _check_input(e, model.config.latent_dim, "embedding", model.dtype)
-    return _decode(model.params, e, _work_arrays(model, e.shape[0], _DECODER_ARRAYS))
-
-
-def embed(model: TclModel, x) -> np.ndarray:
-    """Encoder-only inference: no noise, no decoder."""
-    return encode(model, x)
-
-
-# The loss terms compute in their inputs' dtype and return a Python float.
-
-def loss_reconstruction(xhat1, xhat2, x_clean) -> float:
-    """Mean over both views of the MSE against the clean batch."""
-    a, b, x = _floats(xhat1, xhat2, x_clean)
-    if a.shape != x.shape or b.shape != x.shape:
-        raise ValueError("reconstructions and clean batch must share one shape")
-    return 0.5 * (float(np.mean((a - x) ** 2)) + float(np.mean((b - x) ** 2)))
-
-
-def loss_distance(e1, e2) -> float:
-    """MSE between the two embedded views."""
-    a, b = _floats(e1, e2)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
-
-
-def loss_contrastive(e1, e2, temperature: float) -> float:
-    """Mean squared per-row dot product of paired embeddings, over temperature."""
-    if not is_finite_number(temperature) or temperature <= 0:
-        raise ValueError(f"temperature must be a positive finite number, got {temperature!r}")
-    a, b = _floats(e1, e2)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    dots = (a * b).sum(axis=1)
-    return float(np.mean(dots * dots)) / temperature
+# Encoder-only inference: no noise, no decoder.
+embed = encode
 
 
 def _stack_views(model: TclModel, x1, x2, x_clean) -> tuple[np.ndarray, np.ndarray]:
@@ -499,21 +461,13 @@ def _forward(p: dict, x: np.ndarray, w: dict) -> None:
 
 
 def loss_on_views(model: TclModel, x1, x2, x_clean) -> tuple[float, LossComponents]:
-    """Total loss for two fixed noisy views against the clean batch, from
-    the loss functions.
-
-    Pure in the parameters, which makes it the target for the
-    finite-difference gradient oracle.
-    """
+    """Total loss for two fixed noisy views against the clean batch: the
+    forward pass and the loss terms of a training step, with no backward
+    pass.  Pure in the parameters."""
     x, x_clean = _stack_views(model, x1, x2, x_clean)
-    w = _work_arrays(model, x.shape[0], _WORK_ARRAYS)
+    w = _work_arrays(model, x.shape[0])
     _forward(model.params, x, w)
-    n, e, out = x_clean.shape[0], w["e"], w["out"]
-    comps = LossComponents(
-        reconstruction=loss_reconstruction(out[:n], out[n:], x_clean),
-        contrastive=loss_contrastive(e[:n], e[n:], model.config.temperature),
-        distance=loss_distance(e[:n], e[n:]),
-    )
+    comps = _seed(model.config, x_clean, w)
     return comps.total, comps
 
 
@@ -523,8 +477,8 @@ def _seed(config: TclConfig, x_clean: np.ndarray, w: dict) -> LossComponents:
 
     Each term is the mean of the squares of an array the seed forms anyway:
     the residuals out - x, e1 - e2 and the row dots.  The means run on
-    contiguous arrays of the shapes the loss functions reduce, so each term
-    holds the bits of its ``loss_*`` function."""
+    contiguous arrays of the shapes that the loss formulas reduce, so each
+    term holds the bits of its ``loss_*`` oracle in ``tests/oracles.py``."""
     n, d = x_clean.shape
     k, tau = config.latent_dim, config.temperature
     # (2, n, width) views: index 0 is view 1, index 1 is view 2
@@ -608,7 +562,7 @@ def grad_on_views(
 ) -> tuple[float, LossComponents, dict[str, np.ndarray]]:
     """Loss and analytic parameter gradients for two fixed views."""
     x, x_clean = _stack_views(model, x1, x2, x_clean)
-    w = _work_arrays(model, x.shape[0], _WORK_ARRAYS)
+    w = _work_arrays(model, x.shape[0])
     grad = np.empty(parameter_count(model), model.dtype)
     grads = _split(grad, _param_shapes(model.config))
     comps = _grad_into(model, x, x_clean, w, grad, grads)
@@ -628,14 +582,6 @@ def _split(vector: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
         raise ValueError(f"parameter vector has {vector.size} entries, expected {ends[-1]}")
     parts = np.split(vector, ends[:-1])
     return {key: part.reshape(shapes[key]) for key, part in zip(PARAM_KEYS, parts)}
-
-
-def replace_params(model: TclModel, vector: np.ndarray) -> TclModel:
-    """New model with parameters taken from a flat vector (inverse of
-    :func:`param_vector`); a float32 vector makes a float32 model, any
-    other a float64 one."""
-    views = _split(np.asarray(vector), _param_shapes(model.config))
-    return TclModel(model.config, {key: v.copy() for key, v in views.items()})
 
 
 def parameter_count(model: TclModel) -> int:
@@ -722,7 +668,7 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     model = TclModel(config, _split(adam.params, _param_shapes(config)))
     grad = np.empty_like(adam.params)
     grads = _split(grad, _param_shapes(config))
-    work = _work_arrays(model, 2 * batch, _WORK_ARRAYS)
+    work = _work_arrays(model, 2 * batch)
     held = (adam.params, grad, adam.m, adam.v, adam._num, adam._den, *work.values())
     trace = TrainTrace(array_bytes=sum(a.nbytes for a in held))
     stop_reason = "max-epochs"

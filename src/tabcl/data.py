@@ -362,10 +362,14 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
                 present = values[~np.isnan(values)]
                 if present.size == 0:
                     raise FormatError(f"column {col.name!r} is entirely missing")
-                median = float(np.median(present))
-                values[np.isnan(values)] = median
-                mean = float(values.mean())
-                std = float(values.std())
+                # large values overflow the sums and squares behind these
+                with np.errstate(over="ignore", invalid="ignore"):
+                    median = float(np.median(present))
+                    values[np.isnan(values)] = median
+                    mean = float(values.mean())
+                    std = float(values.std())
+                if not np.isfinite([median, mean, std]).all():
+                    raise FormatError(f"column {col.name!r}: values too large to standardize")
                 if std == 0.0:
                     std = 1.0  # constant column: leave it centred at zero
                 fitted[col.name] = {"median": median, "mean": mean, "std": std}

@@ -35,6 +35,7 @@ HEAD_FORMAT = "tcl-head"
 HEAD_VERSION = 1
 
 L2 = 1e-4  # fit_logistic's default weight penalty
+RIDGE = 1e-6  # fit_linear's weight penalty
 _TOL = 1e-6  # a fit stops once no gradient entry is larger in magnitude
 _NEWTON_STEPS = 100
 _CG_STEPS = 100  # Hessian-vector products per Newton step, at most
@@ -196,24 +197,17 @@ def fit_logistic(X, y, l2: float = L2) -> Head:
     return Head(LOGISTIC, W, b, classes)
 
 
-def fit_linear(X, y, ridge: float = 1e-6) -> Head:
-    """Closed-form ridge regression (normal equations, intercept unpenalized).
-
-    ``ridge=0`` solves plain least squares and raises NumericError when the
-    system is singular.
-    """
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+def fit_linear(X, y) -> Head:
+    """Closed-form ridge regression at the penalty ``RIDGE`` (normal
+    equations, intercept unpenalized)."""
     X = _check_features(X)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.shape[0],):
         raise ValueError("targets must be one per row")
     n, d = X.shape
-    if ridge == 0 and n <= d:
-        raise ValueError("need n > d rows for an unregularized fit")
     Xa = np.hstack([X, np.ones((n, 1))])
     gram = Xa.T @ Xa
-    penalty = ridge * np.eye(d + 1)
+    penalty = RIDGE * np.eye(d + 1)
     penalty[d, d] = 0.0
     try:
         coef = np.linalg.solve(gram + penalty, Xa.T @ y)

@@ -17,7 +17,6 @@ import functools
 import math
 import numbers
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -145,32 +144,6 @@ def gaussian_noise(rows: int, cols: int, sigma: float, rng: RngStream,
     np.multiply(radius, np.cos(angle, out=flat[:half]), out=flat[:half])
     np.multiply(radius[: m - half], np.sin(angle[: m - half], out=flat[half:]), out=flat[half:])
     return out
-
-
-def finite_diff_grad(f: Callable[[Array], float], theta, eps: float = 1e-5) -> Array:
-    """Central-difference gradient of a scalar function.
-
-    Evaluates ``(f(theta + eps*e_i) - f(theta - eps*e_i)) / (2*eps)`` per
-    coordinate.  This is the independent oracle used to verify analytic
-    gradients elsewhere in the package.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    t = np.asarray(theta, dtype=np.float64).copy()
-    if t.ndim != 1:
-        raise ValueError("theta must be a 1-D parameter vector")
-    grad = np.zeros_like(t)
-    for i in range(t.size):
-        orig = t[i]
-        t[i] = orig + eps
-        hi = float(f(t))
-        t[i] = orig - eps
-        lo = float(f(t))
-        t[i] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError(f"non-finite function value at coordinate {i}")
-        grad[i] = (hi - lo) / (2.0 * eps)
-    return grad
 
 
 _FLOAT_MAX = np.float64(sys.float_info.max)

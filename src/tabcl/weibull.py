@@ -1,4 +1,4 @@
-"""Two-parameter Weibull distribution: CDF, sampling, and maximum likelihood.
+"""Two-parameter Weibull distribution: CDF and maximum likelihood.
 
 The shape parameter is found by safeguarded Newton iteration on the profile
 likelihood score; the scale then follows in closed form.  Samples must be
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import NumericError
-from .numerics import RngStream
 
 _SHAPE_LO = 1e-3
 _SHAPE_HI = 1e3
@@ -34,14 +33,6 @@ def weibull_cdf(x, shape, scale):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def weibull_sample(n: int, shape: float, scale: float, rng: RngStream) -> np.ndarray:
-    """Inverse-CDF sampling: ``scale * (-log(1-u))**(1/shape)``."""
-    if shape <= 0 or scale <= 0:
-        raise ValueError("shape and scale must be positive")
-    u = rng.uniform(1, n)[0]
-    return scale * (-np.log1p(-u)) ** (1.0 / shape)
 
 
 def _profile_score(k: float, z: np.ndarray, ln_z: np.ndarray, mean_ln: float):

@@ -109,3 +109,13 @@ def params_block(values, dtype="<f4"):
     with np.errstate(over="ignore"):
         data = np.asarray(values, np.float64).astype(dtype).tobytes()
     return base64.b64encode(data).decode("ascii")
+
+
+# Numeric columns whose z-score moments overflow float64: the squares inside
+# the std of 1e200 ... 3e201, and the sums inside the mean (and the median's
+# middle pair) of 1.00e308 ... 1.29e308.  Thirty distinct values each, so
+# schema inference calls them numeric.
+TOO_LARGE_COLUMNS = {
+    "std overflows": [k * 1e200 for k in range(1, 31)],
+    "mean overflows": [1e308 + k * 1e306 for k in range(30)],
+}

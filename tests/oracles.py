@@ -1,0 +1,112 @@
+"""Reference implementations that the tests check the package against.
+
+None of these runs in the pipeline.  The three ``loss_*`` functions are the
+loss terms as written down, each on its own arrays; the training step's
+gradient seed (``contrastive._seed``) computes the same terms from the
+residuals and row dots it forms anyway, and the tests hold it to their bits.
+:func:`oracle_loss` sums them on :func:`tabcl.contrastive.encode` and
+:func:`ref_decode`, so the finite-difference checks of the analytic
+gradients do not run the code they check.
+"""
+
+from typing import Callable
+
+import numpy as np
+
+from tabcl.contrastive import LEAKY_SLOPE, TclModel, _floats, _param_shapes, _split, encode
+from tabcl.exceptions import NumericError
+from tabcl.numerics import RngStream, is_finite_number
+
+Array = np.ndarray
+
+
+# The loss terms compute in their inputs' dtype and return a Python float.
+
+def loss_reconstruction(xhat1, xhat2, x_clean) -> float:
+    """Mean over both views of the MSE against the clean batch."""
+    a, b, x = _floats(xhat1, xhat2, x_clean)
+    if a.shape != x.shape or b.shape != x.shape:
+        raise ValueError("reconstructions and clean batch must share one shape")
+    return 0.5 * (float(np.mean((a - x) ** 2)) + float(np.mean((b - x) ** 2)))
+
+
+def loss_distance(e1, e2) -> float:
+    """MSE between the two embedded views."""
+    a, b = _floats(e1, e2)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.mean((a - b) ** 2))
+
+
+def loss_contrastive(e1, e2, temperature: float) -> float:
+    """Mean squared per-row dot product of paired embeddings, over temperature."""
+    if not is_finite_number(temperature) or temperature <= 0:
+        raise ValueError(f"temperature must be a positive finite number, got {temperature!r}")
+    a, b = _floats(e1, e2)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    dots = (a * b).sum(axis=1)
+    return float(np.mean(dots * dots)) / temperature
+
+
+def ref_leaky(z):
+    return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+
+
+def ref_decode(p, e):
+    """The decoder Linear -> LeakyReLU -> Linear on fresh arrays."""
+    z3 = e @ p["w3"] + p["b3"]
+    a3 = ref_leaky(z3)
+    return {"z3": z3, "a3": a3, "out": a3 @ p["w4"] + p["b4"]}
+
+
+def oracle_loss(model: TclModel, x1, x2, x_clean) -> float:
+    """Total loss of two fixed views: the sum of the ``loss_*`` terms on
+    :func:`encode` and :func:`ref_decode`."""
+    e1, e2 = encode(model, x1), encode(model, x2)
+    out1, out2 = (ref_decode(model.params, e)["out"] for e in (e1, e2))
+    return (loss_reconstruction(out1, out2, x_clean)
+            + loss_contrastive(e1, e2, model.config.temperature)
+            + loss_distance(e1, e2))
+
+
+def finite_diff_grad(f: Callable[[Array], float], theta, eps: float = 1e-5) -> Array:
+    """Central-difference gradient of a scalar function.
+
+    Evaluates ``(f(theta + eps*e_i) - f(theta - eps*e_i)) / (2*eps)`` per
+    coordinate.  This is the independent oracle used to verify analytic
+    gradients.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    t = np.asarray(theta, dtype=np.float64).copy()
+    if t.ndim != 1:
+        raise ValueError("theta must be a 1-D parameter vector")
+    grad = np.zeros_like(t)
+    for i in range(t.size):
+        orig = t[i]
+        t[i] = orig + eps
+        hi = float(f(t))
+        t[i] = orig - eps
+        lo = float(f(t))
+        t[i] = orig
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise NumericError(f"non-finite function value at coordinate {i}")
+        grad[i] = (hi - lo) / (2.0 * eps)
+    return grad
+
+
+def weibull_sample(n: int, shape: float, scale: float, rng: RngStream) -> np.ndarray:
+    """Inverse-CDF sampling: ``scale * (-log(1-u))**(1/shape)``."""
+    if shape <= 0 or scale <= 0:
+        raise ValueError("shape and scale must be positive")
+    u = rng.uniform(1, n)[0]
+    return scale * (-np.log1p(-u)) ** (1.0 / shape)
+
+
+def replace_params(model: TclModel, vector: np.ndarray) -> TclModel:
+    """New model with parameters taken from a flat vector (inverse of
+    :func:`tabcl.contrastive.param_vector`); a float32 vector makes a
+    float32 model, any other a float64 one."""
+    views = _split(np.asarray(vector), _param_shapes(model.config))
+    return TclModel(model.config, {key: v.copy() for key, v in views.items()})

@@ -16,7 +16,9 @@ from tabcl.data import (
     SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
 )
 
-from conftest import params_block, shifted_cluster_data, write_classification_csv
+from conftest import (
+    TOO_LARGE_COLUMNS, params_block, shifted_cluster_data, write_classification_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +166,15 @@ class TestExitCodes:
         assert run(["report", "--config", plan]) == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "exp" / "split").exists()
+
+    @pytest.mark.parametrize("case", sorted(TOO_LARGE_COLUMNS))
+    def test_column_too_large_to_standardize_is_3(self, tmp_path, capsys, case):
+        bad = tmp_path / "big.csv"
+        bad.write_text("a,label\n" + "".join(
+            f"{v!r},{i % 2}\n" for i, v in enumerate(TOO_LARGE_COLUMNS[case])))
+        assert run(["ingest", bad, "--target", "label", "--out", tmp_path / "out"]) == 3
+        assert "column 'a': values too large to standardize" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_artifact_is_3(self, tmp_path):
         assert run(["evaluate", tmp_path / "head.json", tmp_path / "nope"]) == 3

@@ -16,26 +16,31 @@ from tabcl.contrastive import (
     STABLE_WINDOW,
     TclConfig,
     augment,
-    decode,
     embed,
     encode,
     grad_on_views,
     init_model,
     load_model,
-    loss_contrastive,
-    loss_distance,
     loss_on_views,
-    loss_reconstruction,
     param_vector,
     parameter_count,
-    replace_params,
     save_model,
     train_tcl,
 )
 from tabcl.exceptions import FormatError, NumericError, TrainingError
-from tabcl.numerics import RngStream, finite_diff_grad, gaussian_noise
+from tabcl.numerics import RngStream, gaussian_noise
 
 from conftest import params_block, two_cluster_matrix
+from oracles import (
+    finite_diff_grad,
+    loss_contrastive,
+    loss_distance,
+    loss_reconstruction,
+    oracle_loss,
+    ref_decode,
+    ref_leaky,
+    replace_params,
+)
 
 
 def small_model(d=4, h=6, k=3, seed=0, **kw):
@@ -177,12 +182,14 @@ class TestEncodeDecode:
         zeros = replace_params(model, np.zeros(param_vector(model).size))
         x = RngStream(75, 0).normal(3, 4)
         assert np.all(encode(zeros, x) == 0.0)
-        assert np.all(decode(zeros, np.ones((3, 3))) == 0.0)
+        # the training step decodes zeros, so each view's residual is -x
+        _, comps = loss_on_views(zeros, x, x, x)
+        assert comps.reconstruction == float(np.mean(x * x))
+        assert comps.contrastive == comps.distance == 0.0
 
     def test_shapes(self):
         model = small_model()
         assert encode(model, np.zeros((1, 4))).shape == (1, 3)
-        assert decode(model, np.zeros((1, 3))).shape == (1, 4)
 
     def test_equal_rows_encode_equally(self):
         model = small_model()
@@ -195,7 +202,7 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             encode(model, np.zeros((2, 5)))
         with pytest.raises(ValueError):
-            decode(model, np.zeros((2, 4)))
+            loss_on_views(model, np.zeros((2, 5)), np.zeros((2, 4)), np.zeros((2, 4)))
 
     def test_parameters_share_one_dtype(self):
         # float32 only when every parameter is float32; a mixed set is float64
@@ -208,6 +215,7 @@ class TestEncodeDecode:
         assert same_bits(param_vector(promoted), param_vector(model).astype(np.float64))
 
     def test_embed_is_encode(self):
+        assert embed is encode
         model = small_model()
         x = RngStream(77, 0).normal(6, 4)
         np.testing.assert_array_equal(embed(model, x), encode(model, x))
@@ -303,6 +311,8 @@ PERMUTATION_BOUND = {np.float64: 1e-12, np.float32: F32_PERMUTATION_BOUND}
 
 class TestTotalLoss:
     def test_decomposition_is_bit_exact(self):
+        # the training step's terms hold the bits of the loss_* oracles,
+        # each term and not just their sum
         for dtype in DTYPES:
             model = in_dtype(small_model(), dtype)
             rng = RngStream(84, 0)
@@ -311,10 +321,12 @@ class TestTotalLoss:
             total, comps = loss_on_views(model, x1, x2, x)
             e1, e2 = encode(model, x1), encode(model, x2)
             assert e1.dtype == dtype
-            r = loss_reconstruction(decode(model, e1), decode(model, e2), x)
+            r = loss_reconstruction(ref_decode(model.params, e1)["out"],
+                                    ref_decode(model.params, e2)["out"], x)
             c = loss_contrastive(e1, e2, model.config.temperature)
             d = loss_distance(e1, e2)
             assert total == r + c + d, dtype
+            assert (comps.reconstruction, comps.contrastive, comps.distance) == (r, c, d), dtype
 
     def test_row_permutation_invariance(self):
         for dtype in DTYPES:
@@ -341,11 +353,13 @@ class TestTotalLoss:
             stream = RngStream(case, 6)
             x = stream.normal(n, model.config.input_dim).astype(np.float32)
             x1, x2 = augment(x, model.config, stream)
-            total, _ = loss_on_views(model, x1, x2, x)
+            total, comps = loss_on_views(model, x1, x2, x)
             e1, e2 = encode(model, x1), encode(model, x2)
-            r = loss_reconstruction(decode(model, e1), decode(model, e2), x)
+            r = loss_reconstruction(ref_decode(model.params, e1)["out"],
+                                    ref_decode(model.params, e2)["out"], x)
             c, dist = loss_contrastive(e1, e2, tau), loss_distance(e1, e2)
             assert total == r + c + dist
+            assert (comps.reconstruction, comps.contrastive, comps.distance) == (r, c, dist)
             assert r >= 0.0 and c >= 0.0 and dist >= 0.0
             assert c == loss_contrastive(e1, e2, 1.0) / tau
             perm = stream.permutation(n)
@@ -367,9 +381,9 @@ class TestTotalLoss:
         x = RngStream(88, 0).normal(5, 2)
         e = encode(model, x)
         # build a fake perfect decoder by evaluating against its own output
-        _, comps = loss_on_views(model, x, x, decode(model, e))
+        _, comps = loss_on_views(model, x, x, ref_decode(model.params, e)["out"])
         assert comps.distance == 0.0
-        # reconstruction compares decode(e) with itself
+        # reconstruction compares the decoded e with itself
         assert comps.reconstruction == 0.0
 
 
@@ -386,7 +400,7 @@ class TestGradients:
             x1, x2 = augment(x, cfg, rng)
             _, _, grads = grad_on_views(model, x1, x2, x)
             assert grads["w1"].dtype == np.float64
-            f = lambda t: loss_on_views(replace_params(model, t), x1, x2, x)[0]
+            f = lambda t: oracle_loss(replace_params(model, t), x1, x2, x)
             numeric = finite_diff_grad(f, param_vector(model), eps=1e-5)
             analytic = flat_grads(grads)
             scale = max(np.abs(analytic).max(), np.abs(numeric).max())
@@ -407,7 +421,7 @@ class TestGradients:
             x = rng.normal(6, 5)
             x1, x2 = augment(x, cfg, rng)
             _, _, grads = grad_on_views(model, x1, x2, x)
-            f = lambda t: loss_on_views(replace_params(model, t), x1, x2, x)[0]
+            f = lambda t: oracle_loss(replace_params(model, t), x1, x2, x)
             numeric = finite_diff_grad(f, param_vector(model), eps=1e-5)
             analytic = flat_grads(grads)
             scale = max(np.abs(analytic).max(), np.abs(numeric).max())
@@ -536,7 +550,6 @@ class TestTraining:
                 assert views[key].dtype == np.float32 and views[key].base is flat, key
         assert same_bits(param_vector(model), adam.params)
         assert embed(model, X).dtype == np.float32
-        assert decode(model, embed(model, X)).dtype == np.float32
 
     def test_non_finite_gradient_names_its_key(self, monkeypatch):
         backward = contrastive._backward
@@ -749,10 +762,6 @@ class TestPersistence:
 # the module's step writes into reused work arrays and must match it bit for
 # bit.  plain_encode and plain_backward below are the unfolded formula.
 
-def ref_leaky(z):
-    return np.where(z > 0.0, z, LEAKY_SLOPE * z)
-
-
 def ref_leaky_grad(z):
     return np.where(z > 0.0, 1.0, LEAKY_SLOPE).astype(z.dtype)
 
@@ -772,12 +781,6 @@ def ref_encode(p, x):
     w2f = p["gamma"][:, None] * p["w2"]
     e = xhat @ w2f + (p["beta"] @ p["w2"] + p["b2"])
     return {"x": x, "z1": z1, "xhat": xhat, "inv_std": inv_std, "w2f": w2f, "e": e}
-
-
-def ref_decode(p, e):
-    z3 = e @ p["w3"] + p["b3"]
-    a3 = ref_leaky(z3)
-    return {"z3": z3, "a3": a3, "out": a3 @ p["w4"] + p["b4"]}
 
 
 def ref_backward(p, enc, dec, d_out, d_e):
@@ -1066,13 +1069,9 @@ class TestWorkArrays:
         rng = RngStream(96, 0)
         x, y = rng.normal(5, 4), rng.normal(5, 4)
         e, e_again = embed(model, x), encode(model, x).copy()
-        out = decode(model, e)
-        out_again = out.copy()
         embed(model, y)
         encode(model, y)
-        decode(model, encode(model, y))
         assert same_bits(e, e_again)
-        assert same_bits(out, out_again)
 
     def test_gradients_survive_a_second_call(self):
         model = small_model()
@@ -1112,8 +1111,7 @@ class TestWorkArrays:
         X = two_cluster_matrix(n=300, d=24)
         cfg = TclConfig(input_dim=24, batch_size=batch_size, max_epochs=1, seed=10)
         batch = min(batch_size, 300)
-        arrays = contrastive._work_arrays(
-            init_model(cfg), 2 * batch, contrastive._WORK_ARRAYS).values()
+        arrays = contrastive._work_arrays(init_model(cfg), 2 * batch).values()
         assert all(a.dtype == np.float32 for a in arrays)
         work = sum(a.nbytes for a in arrays)
         tracemalloc.start()

@@ -32,7 +32,7 @@ from tabcl.data import (
 from tabcl.exceptions import ConfigError, FormatError
 from tabcl.numerics import RngStream
 
-from conftest import numeric_schema
+from conftest import TOO_LARGE_COLUMNS, numeric_schema
 
 
 def write(path, text):
@@ -488,6 +488,22 @@ class TestEncode:
         ds = encode_features(raw, schema)
         assert np.all(ds.features == 0.0)
         assert ds.stats["a"]["std"] == 1.0
+
+    @pytest.mark.parametrize("case", sorted(TOO_LARGE_COLUMNS))
+    def test_column_too_large_to_standardize(self, case):
+        # a moment that overflows would z-score every cell to -0.0 and store
+        # an infinite std; pytest turns any overflow warning into an error
+        rows = [[repr(v), str(i % 2)] for i, v in enumerate(TOO_LARGE_COLUMNS[case])]
+        schema = Schema((Column("a", "numeric"),), "y", "classification", ("0", "1"))
+        with pytest.raises(FormatError, match="column 'a': values too large to standardize"):
+            encode_features(RawTable(["a", "y"], rows), schema)
+
+    def test_large_column_below_the_overflow_standardizes(self):
+        rows = [[repr(k * 1e150), str(k % 2)] for k in range(1, 31)]
+        schema = Schema((Column("a", "numeric"),), "y", "classification", ("0", "1"))
+        ds = encode_features(RawTable(["a", "y"], rows), schema)
+        assert np.isfinite(ds.stats["a"]["std"])
+        assert abs(ds.features[:, 0].std() - 1.0) < 1e-12
 
     def test_stats_schema_mismatch(self):
         raw = RawTable(["a", "y"], [["1", "0"], ["2", "1"]])

@@ -11,12 +11,13 @@ from hypothesis.extra.numpy import arrays
 from tabcl.exceptions import NumericError
 from tabcl.numerics import (
     RngStream,
-    finite_diff_grad,
     gaussian_noise,
     is_finite_number,
     largest_noise,
     softmax_classes,
 )
+
+from oracles import finite_diff_grad
 
 finite_floats = st.floats(min_value=-20, max_value=20, allow_nan=False)
 
