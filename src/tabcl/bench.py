@@ -63,7 +63,6 @@ from .ood import (
     write_histogram_csv,
 )
 
-DETECTOR_KEYS = {"detector", "norm", "tail", "bins", "threshold", "quantile", "seed"}
 # every TclConfig field but input_dim, which is the data's encoded width
 TCL_KEYS = {f.name for f in dataclasses.fields(TclConfig)} - {"input_dim"}
 DISCRETIZE_BINS = 10  # detection-only quantile bins for regression targets
@@ -102,49 +101,49 @@ def load_config(path) -> dict:
     return doc
 
 
-def _check_int(det: dict, key: str, low: int) -> None:
-    value = det.get(key, low)  # an absent key takes its stage's default
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"detector {key} must be an integer >= {low}, got {value!r}")
+@dataclass(frozen=True)
+class DetectorConfig:
+    """Settings of the detect and split stages.  A ``quantile`` of None
+    means 0.95 unless a ``threshold`` is set; a ``seed`` of None, the run's."""
+
+    detector: str = OPENMAX
+    norm: str = "l2"
+    tail: int = 20
+    bins: int = 50
+    threshold: float | None = None
+    quantile: float | None = None
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.detector not in (OPENMAX, TEMPERATURE):
+            raise ValueError(f"unknown detector: {self.detector!r}")
+        if not (isinstance(self.norm, str) and self.norm.lower() in ("l1", "l2")):
+            raise ValueError(f"unknown norm: {self.norm!r}; use l1 or l2")
+        if self.threshold is not None and self.quantile is not None:
+            raise ValueError("give either a threshold or a quantile, not both")
+        if self.threshold is not None and not is_finite_number(self.threshold):
+            raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
+        for key, low in (("seed", 0), ("tail", 2), ("bins", 1)):
+            value = getattr(self, key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)
+                                      or value < low):
+                raise ValueError(f"detector {key} must be an integer >= {low}, got {value!r}")
+        q = self.quantile
+        if q is not None and not (is_finite_number(q) and 0.0 < q < 1.0):
+            raise ValueError(f"quantile must lie in (0, 1), got {q!r}")
 
 
-def check_detector(det: dict) -> None:
-    """Reject detector settings no stage reads, an unknown detector or norm,
-    a threshold given together with a quantile, a threshold that is not a
-    finite number, and a ``seed``, ``tail``, ``bins`` or ``quantile`` out of
-    range, before any stage runs."""
-    unknown = set(det) - DETECTOR_KEYS
+def build_config(cls, block: dict, what: str, **fixed):
+    """The ``cls`` dataclass that the ``what`` settings ``block`` describes,
+    with the ``fixed`` fields set by the caller, which the block may not set.
+    Unknown keys and rejected values are configuration errors."""
+    unknown = set(block) - ({f.name for f in dataclasses.fields(cls)} - set(fixed))
     if unknown:
-        raise ConfigError(f"unknown detector config keys: {sorted(unknown)}")
-    name = det.get("detector", OPENMAX)
-    if name not in (OPENMAX, TEMPERATURE):
-        raise ConfigError(f"unknown detector: {name!r}")
-    norm = det.get("norm", "l2")
-    if not (isinstance(norm, str) and norm.lower() in ("l1", "l2")):
-        raise ConfigError(f"unknown norm: {norm!r}; use l1 or l2")
-    if "threshold" in det and "quantile" in det:
-        raise ConfigError("give either a threshold or a quantile, not both")
-    if not is_finite_number(det.get("threshold", 0.0)):
-        raise ConfigError(f"threshold must be a finite number, got {det['threshold']!r}")
-    _check_int(det, "seed", 0)
-    _check_int(det, "tail", 2)
-    _check_int(det, "bins", 1)
-    q = det.get("quantile", 0.95)
-    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0.0 < q < 1.0:
-        raise ConfigError(f"quantile must lie in (0, 1), got {q!r}")
-
-
-def check_tcl(tcl: dict) -> None:
-    """Reject TCL settings that :class:`TclConfig` does not take or rejects."""
-    if "input_dim" in tcl:
-        raise ConfigError("the tcl config cannot set input_dim: it is the data's encoded width")
-    unknown = set(tcl) - TCL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown tcl config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
     try:
-        TclConfig(input_dim=1, **tcl)
+        return cls(**fixed, **block)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tcl config: {exc}") from exc
+        raise ConfigError(f"bad {what} config: {exc}") from exc
 
 
 @dataclass
@@ -164,8 +163,8 @@ class ExperimentPlan:
     fractions: tuple[float, float] = (0.8, 0.2)
 
     def __post_init__(self):
-        check_detector(self.detector)
-        check_tcl(self.tcl)
+        build_config(DetectorConfig, self.detector, "detector")
+        build_config(TclConfig, self.tcl, "tcl", input_dim=1)
         for name in ("dataset", "target", "model_name", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
@@ -257,18 +256,15 @@ class _Stage:
         return False
 
 
-def detect(dataset: Dataset, det: dict, seed: int, out_dir) -> tuple[np.ndarray, dict]:
+def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[np.ndarray, dict]:
     """Detect stage: train the backbone, fit the configured detector, score
     every row, and write ``histogram.csv`` into ``out_dir``.
 
     A regression target is discretized into quantile bins for detection
-    only.  ``det["seed"]``, when given, overrides ``seed``.  Returns the
-    scores and the settings that produced them, which the split records.
+    only.  ``det.seed``, when set, overrides ``seed``.  Returns the scores
+    and the settings that produced them, which the split records.
     """
-    name = det.get("detector", OPENMAX)
-    norm = det.get("norm", "l2")
-    tail = int(det.get("tail", 20))
-    det_seed = int(det.get("seed", seed))
+    det_seed = seed if det.seed is None else det.seed
 
     if dataset.schema.task != CLASSIFICATION:
         schema = Schema(dataset.schema.features, dataset.schema.target, CLASSIFICATION,
@@ -276,9 +272,9 @@ def detect(dataset: Dataset, det: dict, seed: int, out_dir) -> tuple[np.ndarray,
         labels = discretize_target(dataset.labels, DISCRETIZE_BINS)
         dataset = Dataset(dataset.features, labels, schema, dataset.stats)
 
-    if name == OPENMAX:
+    if det.detector == OPENMAX:
         backbone = train_backbone(dataset)
-        model = fit_openmax(backbone, dataset, norm=norm, tail=tail)
+        model = fit_openmax(backbone, dataset, norm=det.norm, tail=det.tail)
         scores = openmax_score(model, dataset.features)
         norm = model.norm
     else:
@@ -288,9 +284,10 @@ def detect(dataset: Dataset, det: dict, seed: int, out_dir) -> tuple[np.ndarray,
         scores = temp_score(model, dataset.features)
         norm = "none"
 
-    hist = score_histogram(scores, bins=int(det.get("bins", 50)))
+    hist = score_histogram(scores, bins=det.bins)
     write_histogram_csv(hist, os.path.join(out_dir, "histogram.csv"))
-    return np.asarray(scores), {"detector": name, "norm": norm, "tail": tail, "seed": det_seed}
+    return np.asarray(scores), {"detector": det.detector, "norm": norm, "tail": det.tail,
+                                "seed": det_seed}
 
 
 def save_scores(path, scores: np.ndarray, settings: dict) -> None:
@@ -319,25 +316,16 @@ def load_scores(path) -> tuple[np.ndarray, dict]:
     return scores, settings
 
 
-def resolve_threshold(scores: np.ndarray, det: dict) -> float:
-    """Explicit threshold if configured, else a quantile of the scores
-    (default: the 95th percentile)."""
-    if "threshold" in det:
-        return float(det["threshold"])
-    q = float(det.get("quantile", 0.95))
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"quantile must lie in (0, 1), got {q}")
-    return float(np.quantile(scores, q))
-
-
 def split_at_threshold(
-    dataset: Dataset, scores: np.ndarray, det: dict, settings: dict, out_dir
+    dataset: Dataset, scores: np.ndarray, det: DetectorConfig, settings: dict, out_dir
 ) -> SplitPair:
-    """Split stage: rows scoring at most the threshold that ``det`` sets
-    stay in-distribution; the split is written into ``out_dir``."""
+    """Split stage: rows scoring at most ``det.threshold``, or else at most
+    the ``det.quantile`` (default 0.95) of the scores, stay in-distribution;
+    the split is written into ``out_dir``."""
     if scores.shape != (dataset.n,):
         raise FormatError(f"{scores.size} scores for {dataset.n} rows: need one score per row")
-    threshold = resolve_threshold(scores, det)
+    q = 0.95 if det.quantile is None else det.quantile
+    threshold = float(np.quantile(scores, q) if det.threshold is None else det.threshold)
     pair = split_by_threshold(
         dataset, scores, threshold,
         detector=settings["detector"], norm=settings["norm"], seed=settings["seed"],
@@ -353,8 +341,8 @@ def train(data: Dataset, tcl: dict, seed: int, out_dir) -> tuple[TclModel, Train
     ``tcl`` holds :class:`TclConfig` fields; its ``seed``, when given,
     overrides ``seed``.
     """
-    check_tcl(tcl)
-    model, trace = train_tcl(data, TclConfig(input_dim=data.d, **{"seed": seed, **tcl}))
+    config = build_config(TclConfig, {"seed": seed, **tcl}, "tcl", input_dim=data.d)
+    model, trace = train_tcl(data, config)
     save_model(model, os.path.join(out_dir, "model.json"))
     write_json(os.path.join(out_dir, "trace.json"), dataclasses.asdict(trace), indent=1)
     return model, trace
@@ -386,12 +374,13 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         task = dataset.schema.task
         head_kind(task, plan.head)  # a head that does not fit the task fails before training
 
+    det = build_config(DetectorConfig, plan.detector, "detector")
     with _Stage("detect", clock):
-        scores, settings = detect(dataset, plan.detector, plan.seed, plan.out_dir)
+        scores, settings = detect(dataset, det, plan.seed, plan.out_dir)
 
     with _Stage("split", clock):
         pair = split_at_threshold(
-            dataset, scores, plan.detector, settings, os.path.join(plan.out_dir, "split")
+            dataset, scores, det, settings, os.path.join(plan.out_dir, "split")
         )
         grid = validate_split(pair, RngStream(plan.seed, 21), plan.fractions)
         id_train, id_test = split(pair.d_in, plan.fractions, RngStream(plan.seed, 22))

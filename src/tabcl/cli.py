@@ -21,9 +21,9 @@ from .artifacts import atomic_write, write_json
 from .bench import (
     TCL_KEYS,
     BenchReport,
+    DetectorConfig,
     ExperimentPlan,
-    check_detector,
-    check_tcl,
+    build_config,
     compare_models,
     comparison_markdown,
     detect,
@@ -83,8 +83,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    det = _settings(args, "detector", ("detector", "norm", "tail", "bins", "seed"))
-    check_detector(det)
+    flags = ("detector", "norm", "tail", "bins", "seed")
+    det = build_config(DetectorConfig, _settings(args, "detector", flags), "detector")
     dataset = load_dataset(args.data)
     out = _out_dir(args)
     scores, settings = detect(dataset, det, 0, out)  # seed 0 unless --seed or the config sets one
@@ -98,7 +98,7 @@ def cmd_split(args) -> int:
     det = _settings(args, "detector", ("threshold", "quantile"))
     if (args.threshold is None) != (args.quantile is None):  # one flag replaces both file keys
         det.pop("quantile" if args.quantile is None else "threshold", None)
-    check_detector(det)
+    det = build_config(DetectorConfig, det, "detector")
     dataset = load_dataset(args.data)
     scores, settings = load_scores(args.scores)
     out = _out_dir(args)
@@ -110,7 +110,7 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     tcl = _settings(args, "tcl", TCL_KEYS)
-    check_tcl(tcl)
+    build_config(TclConfig, tcl, "tcl", input_dim=1)  # before any artifact is read
     path = os.path.join(args.data, "d_in.csv")
     data = load_split(args.data).d_in if os.path.exists(path) else load_dataset(args.data)
     out = _out_dir(args)

@@ -205,12 +205,16 @@ class SplitPair:
 
 
 def read_csv(path, delimiter: str = ",") -> RawTable:
-    """Parse a headered CSV, enforcing uniform row arity.
+    """Parse a headered UTF-8 CSV, with or without a byte-order mark,
+    enforcing uniform row arity.
 
-    Raises FormatError naming the offending row when arity differs.
+    Raises FormatError naming the offending row when arity differs, and
+    naming the file when it cannot be read, decoded or parsed as CSV.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValueError(f"the delimiter must be one character, got {delimiter!r}")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             try:
                 header = next(reader)
@@ -226,8 +230,10 @@ def read_csv(path, delimiter: str = ",") -> RawTable:
                         f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
                     )
                 rows.append(list(map(str.strip, row)))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     return RawTable(header, rows)
 
 

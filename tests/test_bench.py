@@ -1,6 +1,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,18 +10,23 @@ import pytest
 
 from tabcl.bench import (
     BenchReport,
+    DetectorConfig,
     ExperimentPlan,
+    build_config,
     compare_models,
     comparison_markdown,
     emit_report,
-    resolve_threshold,
     run_experiment,
+    split_at_threshold,
     tradeoff,
 )
+from tabcl.contrastive import TclConfig
+from tabcl.data import Dataset
 from tabcl.exceptions import ConfigError
 from tabcl.numerics import RngStream
 
-from conftest import shifted_cluster_data, write_classification_csv, write_regression_csv
+from conftest import (numeric_schema, shifted_cluster_data, write_classification_csv,
+                      write_regression_csv)
 
 
 class TestTradeoff:
@@ -160,23 +167,55 @@ class TestPlan:
         with pytest.raises(ConfigError, match=message):
             ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", "tcl": tcl})
 
+    def test_null_detector_value_means_unset(self):
+        null = {"threshold": None, "quantile": None, "seed": None}
+        assert build_config(DetectorConfig, null, "detector") == DetectorConfig()
+        plan = ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", "detector": null})
+        assert plan.detector == null  # the plan keeps the block as written
+
+    @pytest.mark.parametrize("cls, what, block, message", [
+        (DetectorConfig, "detector", {"tail": 5, "bogus": 1},
+         r"unknown detector config keys: \['bogus'\]"),
+        (TclConfig, "tcl", {"input_dim": 4}, r"unknown tcl config keys: \['input_dim'\]"),
+        (DetectorConfig, "detector", {"detector": "knn"},
+         "bad detector config: unknown detector: 'knn'"),
+    ])
+    def test_build_config_names_what_it_rejects(self, cls, what, block, message):
+        fixed = {"input_dim": 1} if cls is TclConfig else {}  # a fixed field counts as unknown
+        with pytest.raises(ConfigError, match=message):
+            build_config(cls, block, what, **fixed)
+
     def test_fractions_stored_as_a_float_pair(self):
         plan = ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y",
                                          "fractions": [0.75, 0.25]})
         assert plan.fractions == (0.75, 0.25)
 
 
-class TestResolveThreshold:
-    def test_explicit_threshold_wins(self):
-        assert resolve_threshold(np.linspace(0, 1, 11), {"threshold": 0.25}) == 0.25
+class TestSplitThreshold:
+    """The split stage cuts at the configured threshold, else at the
+    configured quantile of the scores, else at their 95th percentile."""
 
-    def test_default_quantile(self):
-        scores = np.linspace(0, 1, 101)
-        assert resolve_threshold(scores, {}) == pytest.approx(0.95)
+    @staticmethod
+    def threshold(tmp_path, scores, det):
+        dataset = Dataset(np.zeros((scores.size, 1)), np.zeros(scores.size, dtype=np.int64),
+                          numeric_schema(1), None)
+        settings = {"detector": det.detector, "norm": det.norm, "seed": None}
+        return split_at_threshold(dataset, scores, det, settings, tmp_path).threshold
+
+    def test_explicit_threshold_wins(self, tmp_path):
+        det = DetectorConfig(threshold=0.25)
+        assert self.threshold(tmp_path, np.linspace(0, 1, 11), det) == 0.25
+
+    @pytest.mark.parametrize("det, cut", [
+        (DetectorConfig(), 0.95),
+        (DetectorConfig(quantile=0.5), 0.5),
+    ], ids=["default", "configured"])
+    def test_quantile(self, tmp_path, det, cut):
+        assert self.threshold(tmp_path, np.linspace(0, 1, 101), det) == pytest.approx(cut)
 
     def test_bad_quantile(self):
-        with pytest.raises(ConfigError):
-            resolve_threshold(np.zeros(5), {"quantile": 1.5})
+        with pytest.raises(ValueError, match=r"quantile must lie in \(0, 1\)"):
+            DetectorConfig(quantile=1.5)
 
 
 def small_plan(tmp_path, run_name="run", **overrides):
@@ -372,3 +411,34 @@ class TestCompare:
         text = comparison_markdown(rows)
         assert text.splitlines()[0].startswith("| rank |")
         assert "| 1 | a |" in text
+
+
+class TestBlasThreads:
+    """Runs reproduce bit-exactly at a fixed BLAS thread count, not across
+    thread counts: for some inner lengths of a matrix product, one and two
+    OpenBLAS threads give different bits.  Two runs of one plan at two
+    threads write the same bytes."""
+
+    def test_two_runs_at_two_threads_write_the_same_bytes(self, tmp_path):
+        ds, _ = shifted_cluster_data(n_id=900, n_ood=100, d=64, seed=202)
+        write_classification_csv(tmp_path / "data.csv", ds.features, ds.labels)
+        # About 720 training rows: two batches of 248 and a short one.  Two
+        # views of 248 rows make products of inner length 496, where one and
+        # two threads give different models for this plan.
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "dataset": str(tmp_path / "data.csv"), "target": "label", "seed": 3,
+            "detector": {"quantile": 0.9}, "tcl": {"max_epochs": 3, "batch_size": 248},
+        }))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        outputs = []
+        for name in ("first", "second"):
+            subprocess.run([sys.executable, "-m", "tabcl.cli", "report", "--config", str(plan),
+                            "--out", str(tmp_path / name)], env=env, check=True,
+                           capture_output=True, timeout=300)
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            metrics = [report[key] for key in ("p", "threshold", "m", "n", "split_grid")]
+            outputs.append(((tmp_path / name / "model.json").read_bytes(),
+                            json.dumps([*metrics, report["constraints"]["ood_metric"]])))
+        assert outputs[0] == outputs[1]

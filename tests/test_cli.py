@@ -1,20 +1,23 @@
 import argparse
+import dataclasses
 import io
 import json
 import pickle
 import re
 import shlex
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tabcl.bench import DETECTOR_KEYS, TCL_KEYS, ExperimentPlan, run_experiment
+from tabcl.bench import TCL_KEYS, DetectorConfig, ExperimentPlan, run_experiment
 from tabcl.cli import build_parser, main
 from tabcl.data import (
     SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
 )
+from tabcl.numerics import RngStream
 
 from conftest import (
     TOO_LARGE_COLUMNS, params_block, shifted_cluster_data, write_classification_csv,
@@ -174,6 +177,35 @@ class TestExitCodes:
             f"{v!r},{i % 2}\n" for i, v in enumerate(TOO_LARGE_COLUMNS[case])))
         assert run(["ingest", bad, "--target", "label", "--out", tmp_path / "out"]) == 3
         assert "column 'a': values too large to standardize" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"a,b,label\n1,\xff,0\n", "cannot read"),
+        (f"a,label\n{'x' * 131073},0\n".encode(), "line 2: field larger than field limit"),
+    ], ids=["not-utf8", "cell-too-long"])
+    def test_unreadable_table_is_3(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        assert run(["ingest", bad, "--target", "label", "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_is_not_part_of_a_column_name(self, tmp_path, data_csv):
+        table = tmp_path / "bom.csv"
+        table.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
+        assert run(["ingest", table, "--target", "label", "--out", tmp_path / "bom"]) == 0
+        assert run(["ingest", data_csv, "--target", "label", "--out", tmp_path / "plain"]) == 0
+        bom, plain = tmp_path / "bom", tmp_path / "plain"
+        for name in ("meta.json", "features.npy", "labels.npy"):
+            assert (bom / name).read_bytes() == (plain / name).read_bytes(), name
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_of_other_than_one_character_is_2(self, tmp_path, capsys, delimiter):
+        missing = tmp_path / "missing.csv"  # the delimiter is checked before the file is read
+        assert run(["ingest", missing, "--target", "label", "--delimiter", delimiter,
+                    "--out", tmp_path / "out"]) == 2
+        assert "the delimiter must be one character" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_artifact_is_3(self, tmp_path):
@@ -656,7 +688,8 @@ class TestBadSettingValues:
         assert no_file_in(tmp_path / "out")
 
     def test_every_setting_is_covered(self):
-        assert {key for key, _ in DETECTOR_CASES} == DETECTOR_KEYS
+        assert {key for key, _ in DETECTOR_CASES} == {
+            f.name for f in dataclasses.fields(DetectorConfig)}
         assert {key for key, _ in TCL_CASES} == TCL_KEYS
 
     def test_detect_records_the_norm_it_fitted_with(self, tmp_path, data_csv, ds_dir):
@@ -764,6 +797,9 @@ class TestConfig:
         assert split_bytes("q", "--config", config, "--quantile", 0.95) == split_bytes("default")
         threshold = json.loads((tmp_path / "flag" / "meta.json").read_text())["threshold"]
         assert split_bytes("t", "--config", config, "--threshold", threshold) == by_flag
+        # null means unset: a null threshold leaves the quantile to decide
+        unset = write_json(tmp_path / "unset.json", {"threshold": None, "quantile": 0.5})
+        assert split_bytes("unset", "--config", unset) == by_flag
 
     def test_plan_without_a_stage_block_sets_nothing_for_it(self, tmp_path, data_csv, ds_dir):
         # a plan document has a dataset key; its other top-level keys are not
@@ -858,3 +894,50 @@ class TestCliSurface:
         parser = build_parser()
         for argv in examples:
             parser.parse_args(argv)  # a flag the parser does not take exits 2
+
+
+class TestStreams:
+    """Every stochastic step draws from a stream keyed by ``(seed, stream_id)``.
+    A run builds each key it uses once, at one call site: two steps sharing a
+    key would draw the same numbers."""
+
+    @staticmethod
+    def call_sites(monkeypatch, action) -> dict:
+        """The call sites of every stream that ``action`` builds, by key."""
+        built: dict[tuple[int, int], list[tuple[str, int]]] = {}
+        init = RngStream.__init__
+
+        def recording_init(self, seed, stream_id=0):
+            caller = sys._getframe(1)
+            built.setdefault((seed, stream_id), []).append(
+                (caller.f_code.co_filename, caller.f_lineno))
+            init(self, seed, stream_id)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RngStream, "__init__", recording_init)
+            action()
+        return built
+
+    @pytest.mark.parametrize("detector, tcl, keys", [
+        ({"detector": "openmax"}, {}, [(3, 0), (3, 1), (3, 21), (3, 22)]),
+        ({"detector": "temperature", "seed": 5}, {"seed": 9},
+         [(5, 11), (3, 21), (3, 22), (9, 0), (9, 1)]),
+    ], ids=["openmax", "temperature-own-seeds"])
+    def test_plan_builds_each_key_once(self, tmp_path, monkeypatch, data_csv, detector, tcl,
+                                       keys):
+        plan = ExperimentPlan(dataset=str(data_csv), target="label", seed=3,
+                              detector={**detector, "quantile": 0.9},
+                              tcl={"max_epochs": 1, **tcl}, out_dir=str(tmp_path / "exp"))
+        sites = self.call_sites(monkeypatch, lambda: run_experiment(plan))
+        assert {key: len(at) for key, at in sites.items()} == dict.fromkeys(keys, 1), sites
+
+    def test_cli_detect_and_train_build_each_key_once(self, tmp_path, monkeypatch, ds_dir):
+        def stages():
+            assert run(["detect", ds_dir, "--detector", "temperature", "--seed", 4,
+                        "--out", tmp_path / "det"]) == 0
+            assert run(["train", ds_dir, "--max-epochs", 1, "--seed", 4,
+                        "--out", tmp_path / "m"]) == 0
+
+        sites = self.call_sites(monkeypatch, stages)
+        assert {key: len(at) for key, at in sites.items()} == dict.fromkeys(
+            [(4, 11), (4, 0), (4, 1)], 1), sites

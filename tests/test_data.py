@@ -62,6 +62,30 @@ class TestReadCsv:
         raw = read_csv(path, delimiter=";")
         assert raw.header == ["a", "b", "y"]
 
+    @pytest.mark.parametrize("delimiter", [";;", "", None])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        with pytest.raises(ValueError, match="the delimiter must be one character"):
+            read_csv(tmp_path / "nope.csv", delimiter=delimiter)  # before the file is read
+
+    @pytest.mark.parametrize("header", ["label,a,b", "a,b,label"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, header):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(f"{header}\n0,1,2\n1,3,4\n".encode("utf-8-sig"))
+        plain = write(tmp_path / "plain.csv", f"{header}\n0,1,2\n1,3,4\n")
+        assert read_csv(path) == read_csv(plain)
+        assert read_csv(path).header == header.split(",")
+
+    def test_byte_that_is_not_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b,y\n1,caf\xe9,0\n")
+        with pytest.raises(FormatError, match=r"cannot read .*latin1\.csv: 'utf-8' codec"):
+            read_csv(path)
+
+    def test_cell_beyond_the_field_limit_is_format_error(self, tmp_path):
+        path = write(tmp_path / "long.csv", f"a,y\n1,0\n{'x' * (csv.field_size_limit() + 1)},1\n")
+        with pytest.raises(FormatError, match=r"long\.csv: line 3: field larger than"):
+            read_csv(path)
+
 
 class TestInferSchema:
     def test_low_cardinality_numbers_are_categorical(self):
