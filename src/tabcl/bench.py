@@ -29,7 +29,6 @@ from .contrastive import (
     TclModel,
     TrainTrace,
     embed,
-    parameter_count,
     save_model,
     train_tcl,
 )
@@ -47,7 +46,7 @@ from .heads import (
     metric_rmse,
     predict,
 )
-from .numerics import RngStream, is_finite_number
+from .numerics import STREAMS, RngStream, is_finite_number, is_integer, plain_number
 from .ood import (
     OPENMAX,
     TEMPERATURE,
@@ -91,7 +90,7 @@ def load_config(path) -> dict:
         if str(path).endswith(".toml"):
             import tomllib  # only TOML configs pay for the import
 
-            doc = tomllib.loads(raw.decode("utf-8"))
+            doc = tomllib.loads(raw.decode("utf-8-sig"))
         else:
             doc = json.loads(raw)
     except ValueError as exc:  # bad JSON, bad TOML or bad UTF-8
@@ -104,7 +103,8 @@ def load_config(path) -> dict:
 @dataclass(frozen=True)
 class DetectorConfig:
     """Settings of the detect and split stages.  A ``quantile`` of None
-    means 0.95 unless a ``threshold`` is set; a ``seed`` of None, the run's."""
+    means 0.95 unless a ``threshold`` is set; a ``seed`` of None, the run's.
+    Every number is stored as a Python ``int`` or ``float``."""
 
     detector: str = OPENMAX
     norm: str = "l2"
@@ -125,12 +125,13 @@ class DetectorConfig:
             raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
         for key, low in (("seed", 0), ("tail", 2), ("bins", 1)):
             value = getattr(self, key)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)
-                                      or value < low):
+            if value is not None and not (is_integer(value) and value >= low):
                 raise ValueError(f"detector {key} must be an integer >= {low}, got {value!r}")
         q = self.quantile
         if q is not None and not (is_finite_number(q) and 0.0 < q < 1.0):
             raise ValueError(f"quantile must lie in (0, 1), got {q!r}")
+        for key in ("seed", "tail", "bins", "threshold", "quantile"):
+            object.__setattr__(self, key, plain_number(getattr(self, key)))
 
 
 def build_config(cls, block: dict, what: str, **fixed):
@@ -174,8 +175,9 @@ class ExperimentPlan:
             raise ConfigError(f"unknown head kind: {self.head!r}")
         if self.delta is not None and not is_finite_number(self.delta):
             raise ConfigError(f"delta must be a finite number, got {self.delta!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        self.seed, self.delta = int(self.seed), plain_number(self.delta)
         try:
             self.fractions = check_fractions(self.fractions)
         except (TypeError, ValueError) as exc:
@@ -278,7 +280,8 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
         scores = openmax_score(model, dataset.features)
         norm = model.norm
     else:
-        fit_part, cal_part = split(dataset, (0.8, 0.2), RngStream(det_seed, 11))
+        rng = RngStream(det_seed, STREAMS["calibration"])
+        fit_part, cal_part = split(dataset, (0.8, 0.2), rng)
         backbone = train_backbone(fit_part)
         model = fit_temperature(backbone, cal_part)
         scores = temp_score(model, dataset.features)
@@ -382,8 +385,9 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         pair = split_at_threshold(
             dataset, scores, det, settings, os.path.join(plan.out_dir, "split")
         )
-        grid = validate_split(pair, RngStream(plan.seed, 21), plan.fractions)
-        id_train, id_test = split(pair.d_in, plan.fractions, RngStream(plan.seed, 22))
+        grid = validate_split(pair, RngStream(plan.seed, STREAMS["validate"]), plan.fractions)
+        id_train, id_test = split(pair.d_in, plan.fractions,
+                                  RngStream(plan.seed, STREAMS["id-split"]))
 
     with _Stage("train", clock):
         model, trace = train(id_train, plan.tcl, plan.seed, plan.out_dir)
@@ -405,7 +409,6 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         p_ood = evaluate(task, pair.d_ood.labels, predict(head, e_ood))[metric_name]
 
     t_train = trace.seconds
-    n_params = parameter_count(model)
     report = BenchReport(
         model=plan.model_name,
         dataset=plan.dataset,
@@ -418,7 +421,7 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         constraints={
             "t_train_seconds": t_train,
             "memory_estimate_bytes": trace.array_bytes,
-            "parameter_count": n_params,
+            "parameter_count": model.vector.size,
             "t_inference_seconds": t_inference,
             "ood_degradation": p - p_ood if task == CLASSIFICATION else p_ood - p,
             "ood_metric": p_ood,

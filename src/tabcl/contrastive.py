@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import binascii
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -48,7 +47,8 @@ import numpy as np
 
 from .artifacts import fields, read_json, write_json
 from .exceptions import TrainingError
-from .numerics import RngStream, check_finite, gaussian_noise, is_finite_number, largest_noise
+from .numerics import (STREAMS, RngStream, check_finite, gaussian_noise, is_finite_number,
+                       is_integer, largest_noise, plain_number)
 
 LEAKY_SLOPE = 0.01
 LN_EPS = 1e-5
@@ -71,17 +71,14 @@ def _clamp(v: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, v))
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class TclConfig:
     """Architecture, noise, and optimization settings.
 
     ``hidden_dim`` defaults to clamp(2d, 16, 256) and ``latent_dim`` to
     clamp(d, 8, 128).  ``noise`` is "gaussian" (additive, std ``sigma``) or
-    "mask" (entries zeroed with probability ``mask_prob``).
+    "mask" (entries zeroed with probability ``mask_prob``).  Every number
+    is stored as a Python ``int`` or ``float``.
     """
 
     input_dim: int
@@ -98,18 +95,20 @@ class TclConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_integer(self.input_dim) or self.input_dim < 1:
+        if not is_integer(self.input_dim) or self.input_dim < 1:
             raise ValueError(f"input_dim must be an integer >= 1, got {self.input_dim!r}")
         if self.hidden_dim is None:
             object.__setattr__(self, "hidden_dim", _clamp(2 * self.input_dim, 16, 256))
         if self.latent_dim is None:
             object.__setattr__(self, "latent_dim", _clamp(self.input_dim, 8, 128))
-        for name in ("hidden_dim", "latent_dim", "batch_size", "max_epochs", "seed"):
-            if not _is_integer(getattr(self, name)):
+        for name in ("input_dim", "hidden_dim", "latent_dim", "batch_size", "max_epochs", "seed"):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("sigma", "mask_prob", "temperature", "tolerance", "learning_rate"):
             if not is_finite_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, plain_number(getattr(self, name)))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.hidden_dim < 1 or self.latent_dim < 1:
@@ -135,13 +134,17 @@ class TclConfig:
         return TclConfig(**d)
 
 
-def _param_shapes(config: TclConfig) -> dict[str, tuple[int, ...]]:
+def _split(vector: np.ndarray, config: TclConfig) -> dict[str, np.ndarray]:
+    """Per-key views into a flat vector of ``config``'s parameters, laid out
+    as :attr:`TclModel.vector` is: the keys in ``PARAM_KEYS`` order."""
     d, h, k = config.input_dim, config.hidden_dim, config.latent_dim
-    return {
-        "w1": (d, h), "b1": (h,), "gamma": (h,), "beta": (h,),
-        "w2": (h, k), "b2": (k,),
-        "w3": (k, h), "b3": (h,), "w4": (h, d), "b4": (d,),
-    }
+    shapes = {"w1": (d, h), "b1": (h,), "gamma": (h,), "beta": (h,), "w2": (h, k), "b2": (k,),
+              "w3": (k, h), "b3": (h,), "w4": (h, d), "b4": (d,)}
+    ends = np.cumsum([math.prod(shapes[key]) for key in PARAM_KEYS])
+    if vector.size != ends[-1]:
+        raise ValueError(f"parameter vector has {vector.size} entries, expected {ends[-1]}")
+    parts = np.split(vector, ends[:-1])
+    return {key: part.reshape(shapes[key]) for key, part in zip(PARAM_KEYS, parts)}
 
 
 def _cast(x, dtype) -> np.ndarray:
@@ -152,38 +155,26 @@ def _cast(x, dtype) -> np.ndarray:
         return np.asarray(x, dtype=dtype)
 
 
-def _floats(*arrays) -> list[np.ndarray]:
-    """The arrays in one dtype: float32 if all are float32, else float64."""
-    arrays = [np.asarray(a) for a in arrays]
-    dtype = np.float32 if all(a.dtype == np.float32 for a in arrays) else np.float64
-    return [_cast(a, dtype) for a in arrays]
-
-
 @dataclass
 class TclModel:
-    """Encoder/decoder parameter sets plus the config that shaped them.
-
-    The parameters share one dtype, which every computation on the model
-    uses: float32 if all of them are float32, otherwise float64."""
+    """The config and one flat parameter vector, float32 or float64, laid out
+    key by key in ``PARAM_KEYS`` order.  ``params`` holds each key's view of
+    the vector; every computation on the model runs in its dtype."""
 
     config: TclConfig
-    params: dict[str, np.ndarray]
+    vector: np.ndarray
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = dict(zip(self.params, _floats(*self.params.values())))
-        expected = _param_shapes(self.config)
-        for key in PARAM_KEYS:
-            if key not in self.params:
-                raise ValueError(f"missing parameter {key!r}")
-            if self.params[key].shape != expected[key]:
-                raise ValueError(
-                    f"parameter {key!r} has shape {self.params[key].shape}, "
-                    f"expected {expected[key]}"
-                )
+        v = self.vector
+        if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype in DTYPES):
+            raise ValueError("parameters must be one float32 or float64 vector, got shape "
+                             f"{np.shape(v)} of {np.asarray(v).dtype}")
+        self.params = _split(v, self.config)
 
     @property
     def dtype(self) -> np.dtype:
-        return self.params["w1"].dtype
+        return self.vector.dtype
 
 
 @dataclass
@@ -226,7 +217,7 @@ def init_model(config: TclConfig) -> TclModel:
     cannot land exactly on the LeakyReLU kink, which would make the loss
     non-differentiable at the starting point.
     """
-    rng = RngStream(config.seed, stream_id=0)
+    rng = RngStream(config.seed, STREAMS["init"])
     d, h, k = config.input_dim, config.hidden_dim, config.latent_dim
     params = {
         "w1": rng.normal(d, h) * np.sqrt(2.0 / d),
@@ -240,7 +231,8 @@ def init_model(config: TclConfig) -> TclModel:
         "w4": rng.normal(h, d) * np.sqrt(1.0 / h),
         "b4": np.zeros(d),
     }
-    return TclModel(config, {key: v.astype(np.float32) for key, v in params.items()})
+    return TclModel(config, np.concatenate([params[key].ravel() for key in PARAM_KEYS])
+                    .astype(np.float32))
 
 
 def _views(x: np.ndarray, config: TclConfig, rng: RngStream,
@@ -270,7 +262,7 @@ def _views(x: np.ndarray, config: TclConfig, rng: RngStream,
 def augment(batch, config: TclConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Two independently corrupted full copies of the batch, float32 for a
     float32 batch and float64 otherwise."""
-    (x,) = _floats(batch)
+    x = _cast(batch, np.float32 if np.asarray(batch).dtype == np.float32 else np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("batch must be a non-empty 2-D matrix")
     views = _views(x, config, rng)
@@ -563,29 +555,10 @@ def grad_on_views(
     """Loss and analytic parameter gradients for two fixed views."""
     x, x_clean = _stack_views(model, x1, x2, x_clean)
     w = _work_arrays(model, x.shape[0])
-    grad = np.empty(parameter_count(model), model.dtype)
-    grads = _split(grad, _param_shapes(model.config))
+    grad = np.empty_like(model.vector)
+    grads = _split(grad, model.config)
     comps = _grad_into(model, x, x_clean, w, grad, grads)
     return comps.total, comps, grads
-
-
-def param_vector(model: TclModel) -> np.ndarray:
-    """Flatten all parameters in declared layer order."""
-    return np.concatenate([model.params[k].ravel() for k in PARAM_KEYS])
-
-
-def _split(vector: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
-    """Per-key views, of the ``shapes`` that :func:`_param_shapes` gives,
-    into a flat vector laid out as :func:`param_vector` lays it out."""
-    ends = np.cumsum([math.prod(shapes[key]) for key in PARAM_KEYS])
-    if vector.size != ends[-1]:
-        raise ValueError(f"parameter vector has {vector.size} entries, expected {ends[-1]}")
-    parts = np.split(vector, ends[:-1])
-    return {key: part.reshape(shapes[key]) for key, part in zip(PARAM_KEYS, parts)}
-
-
-def parameter_count(model: TclModel) -> int:
-    return sum(v.size for v in model.params.values())
 
 
 class _Adam:
@@ -641,9 +614,9 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     The model is float32, and the data is cast to float32 once; finite
     data beyond float32's range is a ValueError.  Each step runs one
     forward and one backward pass over the batch's two noisy views stacked
-    into one matrix.  The parameters, the gradient and Adam's state are
-    each one flat vector, and the model's parameters and the per-key
-    gradients are views into them.  These and the work arrays (for two full
+    into one matrix.  The gradient and Adam's state are flat vectors like
+    the model's, which Adam updates in place; the per-key gradients are
+    views of the gradient.  These and the work arrays (for two full
     batches, the views among them) are allocated once, in the model's
     dtype, before the first epoch.  The trace records their bytes, per-epoch
     means of all loss components, each epoch's wall-clock seconds, and the
@@ -663,11 +636,10 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     if not np.isfinite(cast).all() and np.isfinite(X).all():
         raise ValueError(f"training data holds values beyond the {model.dtype.name} range")
     X = cast
-    rng = RngStream(config.seed, stream_id=1)
-    adam = _Adam(param_vector(model), config.learning_rate)
-    model = TclModel(config, _split(adam.params, _param_shapes(config)))
-    grad = np.empty_like(adam.params)
-    grads = _split(grad, _param_shapes(config))
+    rng = RngStream(config.seed, STREAMS["views"])
+    adam = _Adam(model.vector, config.learning_rate)
+    grad = np.empty_like(model.vector)
+    grads = _split(grad, config)
     work = _work_arrays(model, 2 * batch)
     held = (adam.params, grad, adam.m, adam.v, adam._num, adam._den, *work.values())
     trace = TrainTrace(array_bytes=sum(a.nbytes for a in held))
@@ -718,9 +690,9 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
 def save_model(model: TclModel, path) -> None:
     """Write the model as a JSON container with its dtype and config.  Its
     ``params`` is one base64 string of the little-endian bytes of
-    :func:`param_vector`, so every value round-trips bit-exactly and two
+    :attr:`TclModel.vector`, so every value round-trips bit-exactly and two
     saves of one model write the same bytes."""
-    block = param_vector(model).astype(model.dtype.newbyteorder("<"), copy=False)
+    block = model.vector.astype(model.dtype.newbyteorder("<"), copy=False)
     write_json(path, {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -744,8 +716,8 @@ def load_model(path) -> TclModel:
         # a block that is not a string is a TypeError, bad base64 a binascii.Error (ValueError)
         raw = binascii.a2b_base64(payload["params"], strict_mode=True)
         vector = np.frombuffer(raw, np.dtype(dtype).newbyteorder("<")).astype(dtype)
-        params = _split(vector, _param_shapes(config))
-        for key, value in params.items():
+        model = TclModel(config, vector)
+        for key, value in model.params.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"model parameter {key!r} holds a non-finite value")
-        return TclModel(config, params)
+        return model

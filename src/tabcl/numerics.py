@@ -24,6 +24,9 @@ from .exceptions import NumericError
 
 Array = np.ndarray
 
+# The stream id of each stochastic step; every RngStream in the package names its id here.
+STREAMS = {"init": 0, "views": 1, "calibration": 11, "validate": 21, "id-split": 22}
+
 
 class RngStream:
     """Deterministic random stream keyed by ``(seed, stream_id)``.
@@ -160,6 +163,17 @@ def is_finite_number(value) -> bool:
         return False
     bound = sys.float_info.max if isinstance(value, numbers.Integral) else _FLOAT_MAX
     return bool(abs(value) <= bound)
+
+
+def is_integer(value) -> bool:
+    """An integral number (a numpy integer too), not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def plain_number(value):
+    """A checked number as a Python ``int`` if integral, else ``float`` (None
+    stays None), so that settings holding numpy scalars can be written as JSON."""
+    return value if value is None else int(value) if is_integer(value) else float(value)
 
 
 def check_finite(a: Array, where: str) -> Array:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from tabcl.contrastive import LEAKY_SLOPE, TclModel, _floats, _param_shapes, _split, encode
+from tabcl.contrastive import LEAKY_SLOPE, TclModel, encode
 from tabcl.exceptions import NumericError
 from tabcl.numerics import RngStream, is_finite_number
 
@@ -21,6 +21,13 @@ Array = np.ndarray
 
 
 # The loss terms compute in their inputs' dtype and return a Python float.
+
+def _floats(*arrays) -> list[Array]:
+    """The arrays in one dtype: float32 if all are float32, else float64."""
+    arrays = [np.asarray(a) for a in arrays]
+    dtype = np.float32 if all(a.dtype == np.float32 for a in arrays) else np.float64
+    return [a.astype(dtype, copy=False) for a in arrays]
+
 
 def loss_reconstruction(xhat1, xhat2, x_clean) -> float:
     """Mean over both views of the MSE against the clean batch."""
@@ -105,8 +112,6 @@ def weibull_sample(n: int, shape: float, scale: float, rng: RngStream) -> np.nda
 
 
 def replace_params(model: TclModel, vector: np.ndarray) -> TclModel:
-    """New model with parameters taken from a flat vector (inverse of
-    :func:`tabcl.contrastive.param_vector`); a float32 vector makes a
-    float32 model, any other a float64 one."""
-    views = _split(np.asarray(vector), _param_shapes(model.config))
-    return TclModel(model.config, {key: v.copy() for key, v in views.items()})
+    """New model of ``model``'s config holding a copy of the flat ``vector``
+    (laid out as :attr:`TclModel.vector`), in the vector's dtype."""
+    return TclModel(model.config, np.array(vector))

@@ -21,7 +21,6 @@ from tabcl.contrastive import (
     grad_on_views,
     init_model,
     loss_on_views,
-    param_vector,
     train_tcl,
 )
 from tabcl.heads import fit_logistic, metric_accuracy, predict
@@ -65,7 +64,7 @@ def _as_float64(model):
     """The float64 copy of a model that criteria 02 and 03 check: training
     makes float32 models, which run the same code, and float64 keeps the
     finite-difference oracle and the bit-exact identities at full strength."""
-    return replace_params(model, param_vector(model).astype(np.float64))
+    return replace_params(model, model.vector.astype(np.float64))
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +118,7 @@ def test_criterion_02_gradient_check_suite():
         _, _, grads = grad_on_views(model, x1, x2, x)
         analytic = np.concatenate([grads[key].ravel() for key in PARAM_KEYS])
         f = lambda t: oracle_loss(replace_params(model, t), x1, x2, x)
-        numeric = finite_diff_grad(f, param_vector(model), eps=1e-5)
+        numeric = finite_diff_grad(f, model.vector, eps=1e-5)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max())
         rel = float(np.abs(analytic - numeric).max() / scale)
         worst = max(worst, rel)

@@ -185,6 +185,18 @@ class TestPlan:
         with pytest.raises(ConfigError, match=message):
             build_config(cls, block, what, **fixed)
 
+    def test_numbers_stored_as_python_numbers(self):
+        # numpy scalars are accepted where plain numbers are, and stored as
+        # int or float, so that the model file and the report can hold them
+        tcl = TclConfig(input_dim=np.int64(4), batch_size=np.int64(32), sigma=np.float32(0.25))
+        det = DetectorConfig(tail=np.int64(20), bins=np.int32(9), quantile=np.float64(0.9))
+        plan = ExperimentPlan(dataset="d.csv", target="y", seed=np.int64(1),
+                              delta=np.float32(0.5))
+        stored = [tcl.input_dim, tcl.hidden_dim, tcl.latent_dim, tcl.batch_size, tcl.sigma,
+                  det.tail, det.bins, det.quantile, plan.seed, plan.delta]
+        assert [type(v) for v in stored] == [int] * 4 + [float] + [int] * 2 + [float, int, float]
+        assert stored == [4, 16, 8, 32, 0.25, 20, 9, 0.9, 1, 0.5]
+
     def test_fractions_stored_as_a_float_pair(self):
         plan = ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y",
                                          "fractions": [0.75, 0.25]})
@@ -261,6 +273,28 @@ class TestRunExperiment:
         assert r1.p == r2.p
         assert r1.threshold == r2.threshold
         assert (r1.m, r1.n) == (r2.m, r2.n)
+
+    def test_numpy_scalars_write_what_plain_numbers_write(self, tmp_path):
+        def plan(kind, as_int, as_float):
+            return small_plan(
+                tmp_path, run_name=kind, seed=as_int(5), delta=as_float(0.5),
+                detector={"detector": "openmax", "tail": as_int(30), "quantile": 0.9},
+                tcl={"max_epochs": 2, "batch_size": as_int(128), "sigma": as_float(0.25)})
+
+        run_experiment(plan("plain", int, float))
+        run_experiment(plan("numpy", np.int64, np.float32))
+        plain, numpy = tmp_path / "plain", tmp_path / "numpy"
+        assert (plain / "model.json").read_bytes() == (numpy / "model.json").read_bytes()
+        reports = []
+        for out in (plain, numpy):
+            report = json.loads((out / "report.json").read_text())
+            for key in ("t_seconds", "tradeoff", "stage_seconds"):
+                del report[key]
+            for key in ("t_train_seconds", "t_inference_seconds"):
+                del report["constraints"][key]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["constraints"]["delta_declared"] == 0.5
 
     def test_tcl_seed_overrides_plan_seed(self, tmp_path):
         run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2, "batch_size": 128, "seed": 9}))

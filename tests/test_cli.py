@@ -17,7 +17,7 @@ from tabcl.cli import build_parser, main
 from tabcl.data import (
     SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
 )
-from tabcl.numerics import RngStream
+from tabcl.numerics import STREAMS, RngStream
 
 from conftest import (
     TOO_LARGE_COLUMNS, params_block, shifted_cluster_data, write_classification_csv,
@@ -724,6 +724,18 @@ class TestConfig:
         assert by_config == (tmp_path / "flags" / "scores.json").read_bytes()
         assert json.loads(by_config)["norm"] == "l1"
 
+    @pytest.mark.parametrize("suffix", ["json", "toml"])
+    def test_config_with_a_byte_order_mark(self, tmp_path, ds_dir, suffix):
+        text = (json.dumps(self.DETECTOR) if suffix == "json"
+                else '[detector]\ndetector = "openmax"\nnorm = "l1"\ntail = 25\n')
+        config = tmp_path / f"bom.{suffix}"
+        config.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "bom"]) == 0
+        assert run(["detect", ds_dir, "--detector", "openmax", "--norm", "l1", "--tail", 25,
+                    "--out", tmp_path / "flags"]) == 0
+        assert (tmp_path / "bom" / "scores.json").read_bytes() == \
+            (tmp_path / "flags" / "scores.json").read_bytes()
+
     @pytest.mark.parametrize("cfg", [
         {"detector": "openmax", "bogus": 1},
         {"detector": {"detektor": "openmax"}},
@@ -899,7 +911,11 @@ class TestCliSurface:
 class TestStreams:
     """Every stochastic step draws from a stream keyed by ``(seed, stream_id)``.
     A run builds each key it uses once, at one call site: two steps sharing a
-    key would draw the same numbers."""
+    key would draw the same numbers.  Every stream id comes from
+    ``numerics.STREAMS``, whose ids are distinct."""
+
+    def test_stream_ids_are_distinct(self):
+        assert len(set(STREAMS.values())) == len(STREAMS)
 
     @staticmethod
     def call_sites(monkeypatch, action) -> dict:
@@ -916,6 +932,7 @@ class TestStreams:
         with monkeypatch.context() as patch:
             patch.setattr(RngStream, "__init__", recording_init)
             action()
+        assert {stream_id for _, stream_id in built} <= set(STREAMS.values()), built
         return built
 
     @pytest.mark.parametrize("detector, tcl, keys", [

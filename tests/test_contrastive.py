@@ -22,8 +22,6 @@ from tabcl.contrastive import (
     init_model,
     load_model,
     loss_on_views,
-    param_vector,
-    parameter_count,
     save_model,
     train_tcl,
 )
@@ -50,7 +48,7 @@ def small_model(d=4, h=6, k=3, seed=0, **kw):
 
 def as_float64(model):
     """A float64 copy of a model, holding exactly its parameter values."""
-    return replace_params(model, param_vector(model).astype(np.float64))
+    return replace_params(model, model.vector.astype(np.float64))
 
 
 # Each identity below holds in both dtypes the models compute in.
@@ -65,10 +63,16 @@ def flat_grads(grads):
     return np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
 
 
+def assert_views_of(model):
+    """Every per-key parameter of ``model`` is a view of its vector."""
+    for key in PARAM_KEYS:
+        assert model.params[key].base is model.vector, key
+
+
 def perturbed(model, seed, scale=0.3):
     """A float64 copy of the model with every parameter moved by scale * N(0, 1):
     gamma leaves 1, and beta and the biases leave 0."""
-    vector = param_vector(model).astype(np.float64)
+    vector = model.vector.astype(np.float64)
     return replace_params(model, vector + scale * RngStream(seed, 7).normal(1, vector.size)[0])
 
 
@@ -179,7 +183,7 @@ class TestAugment:
 class TestEncodeDecode:
     def test_zero_parameters_give_zero_outputs(self):
         model = small_model()
-        zeros = replace_params(model, np.zeros(param_vector(model).size))
+        zeros = replace_params(model, np.zeros(model.vector.size))
         x = RngStream(75, 0).normal(3, 4)
         assert np.all(encode(zeros, x) == 0.0)
         # the training step decodes zeros, so each view's residual is -x
@@ -204,15 +208,24 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             loss_on_views(model, np.zeros((2, 5)), np.zeros((2, 4)), np.zeros((2, 4)))
 
-    def test_parameters_share_one_dtype(self):
-        # float32 only when every parameter is float32; a mixed set is float64
-        model = small_model()
-        assert model.dtype == np.float32
-        mixed = dict(model.params, b4=model.params["b4"].astype(np.float64))
-        promoted = contrastive.TclModel(model.config, mixed)
-        assert promoted.dtype == np.float64
-        assert all(v.dtype == np.float64 for v in promoted.params.values())
-        assert same_bits(param_vector(promoted), param_vector(model).astype(np.float64))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_params_are_views_of_the_vector(self, dtype):
+        model = in_dtype(small_model(), dtype)
+        assert model.dtype == dtype and model.vector.shape == (115,)
+        assert_views_of(model)
+        assert same_bits(flat_grads(model.params), model.vector)
+
+    @pytest.mark.parametrize("vector, message", [
+        (np.zeros((1, 115)), "shape (1, 115)"),
+        (np.zeros(115, np.int64), "of int64"),
+        (np.zeros(115, np.float16), "of float16"),
+        (list(np.zeros(115)), "float32 or float64 vector"),
+        (np.zeros(114), "114 entries, expected 115"),
+        (np.zeros(116), "116 entries, expected 115"),
+    ], ids=["2-d", "integer", "float16", "list", "one-short", "one-long"])
+    def test_bad_vector_rejected(self, vector, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            contrastive.TclModel(small_model().config, vector)
 
     def test_embed_is_encode(self):
         assert embed is encode
@@ -401,7 +414,7 @@ class TestGradients:
             _, _, grads = grad_on_views(model, x1, x2, x)
             assert grads["w1"].dtype == np.float64
             f = lambda t: oracle_loss(replace_params(model, t), x1, x2, x)
-            numeric = finite_diff_grad(f, param_vector(model), eps=1e-5)
+            numeric = finite_diff_grad(f, model.vector, eps=1e-5)
             analytic = flat_grads(grads)
             scale = max(np.abs(analytic).max(), np.abs(numeric).max())
             assert np.abs(analytic - numeric).max() / scale < 1e-4
@@ -422,7 +435,7 @@ class TestGradients:
             x1, x2 = augment(x, cfg, rng)
             _, _, grads = grad_on_views(model, x1, x2, x)
             f = lambda t: oracle_loss(replace_params(model, t), x1, x2, x)
-            numeric = finite_diff_grad(f, param_vector(model), eps=1e-5)
+            numeric = finite_diff_grad(f, model.vector, eps=1e-5)
             analytic = flat_grads(grads)
             scale = max(np.abs(analytic).max(), np.abs(numeric).max())
             assert np.abs(analytic - numeric).max() / scale < 1e-4
@@ -431,7 +444,7 @@ class TestGradients:
         # zero parameters, zero noise: out = b4 = 0, so the reconstruction
         # gradient of the final bias is -(2/(n*d)) * column sums of x
         cfg = TclConfig(input_dim=3, hidden_dim=4, latent_dim=2, sigma=0.0, seed=0)
-        model = replace_params(init_model(cfg), np.zeros(param_vector(init_model(cfg)).size))
+        model = replace_params(init_model(cfg), np.zeros(init_model(cfg).vector.size))
         x = RngStream(92, 0).normal(5, 3)
         x1, x2 = augment(x, cfg, RngStream(0, 0))
         _, _, grads = grad_on_views(model, x1, x2, x)
@@ -542,13 +555,16 @@ class TestTraining:
         grad, grads = steps[0]
         assert all(step[0] is grad for step in steps)
         # the parameters, the gradient and Adam's four sets are flat vectors,
-        # and every per-key array is a view of its vector
+        # and every per-key array is a view of its vector; Adam updates the
+        # model's own vector in place
+        assert adam.params is model.vector
+        assert_views_of(model)
         for flat in (adam.params, grad, adam.m, adam.v, adam._num, adam._den):
-            assert flat.dtype == np.float32 and flat.shape == (parameter_count(model),)
+            assert flat.dtype == np.float32 and flat.shape == (model.vector.size,)
         for views, flat in ((model.params, adam.params), (grads, grad)):
             for key in PARAM_KEYS:
                 assert views[key].dtype == np.float32 and views[key].base is flat, key
-        assert same_bits(param_vector(model), adam.params)
+        assert same_bits(model.vector, adam.params)
         assert embed(model, X).dtype == np.float32
 
     def test_non_finite_gradient_names_its_key(self, monkeypatch):
@@ -592,6 +608,7 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.config == model.config
         assert json.loads(path.read_text())["dtype"] == "float32"
+        assert_views_of(loaded)
         for key in PARAM_KEYS:
             assert loaded.params[key].dtype == np.float32, key
             assert same_bits(loaded.params[key], model.params[key]), key
@@ -606,7 +623,7 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.dtype == np.float64
-        assert same_bits(param_vector(loaded), param_vector(model))
+        assert same_bits(loaded.vector, model.vector)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_save_is_deterministic(self, tmp_path, dtype):
@@ -631,7 +648,7 @@ class TestPersistence:
         payload = json.loads(path.read_text())
         assert payload["version"] == 3
         assert payload["dtype"] == np.dtype(dtype).name
-        expected = param_vector(model).astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+        expected = model.vector.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
         assert base64.b64decode(payload["params"], validate=True) == expected
 
     def test_version_1_file_rejected(self, tmp_path):
@@ -686,7 +703,7 @@ class TestPersistence:
         assert load_model(path).params["w3"][0, 1] == -1e39
         payload = json.loads(path.read_text())
         payload["dtype"] = "float32"
-        payload["params"] = params_block(param_vector(model), "<f4")
+        payload["params"] = params_block(model.vector, "<f4")
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="'w3' holds a non-finite value"):
             load_model(path)
@@ -742,7 +759,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        payload["params"] = spoil(payload["params"], param_vector(model).astype(np.float64))
+        payload["params"] = spoil(payload["params"], model.vector.astype(np.float64))
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match=re.escape(str(path))) as exc:
             load_model(path)
@@ -932,7 +949,7 @@ class TestMatchesReferenceStep:
                         mask_prob=0.3, max_epochs=epochs, tolerance=1e-3, seed=seed)
         model, trace = train_tcl(X, cfg)
         ref_model, losses, stop = ref_train(X, cfg)
-        assert same_bits(param_vector(model), param_vector(ref_model))
+        assert same_bits(model.vector, ref_model.vector)
         for name, values in losses.items():
             assert same_bits(getattr(trace, name), values), name
         assert (trace.epochs, trace.stop_reason) == (len(losses["total"]), stop)
@@ -1122,7 +1139,7 @@ class TestWorkArrays:
         finally:
             tracemalloc.stop()
         held = trace.array_bytes
-        assert held == work + 4 * 6 * parameter_count(init_model(cfg))
+        assert held == work + 4 * 6 * init_model(cfg).vector.size
         assert held <= peak <= 1.5 * held
 
 

@@ -36,10 +36,11 @@ EXPORTS = {
 }
 
 # Names the package no longer defines: the test-only oracles now live in
-# tests/oracles.py, and the decoder runs only inside a training step.
+# tests/oracles.py, the decoder runs only inside a training step, and a
+# model's flat parameter vector and its size are ``TclModel.vector``.
 GONE = {
     contrastive: ("decode", "_DECODER_ARRAYS", "loss_reconstruction", "loss_contrastive",
-                  "loss_distance", "replace_params"),
+                  "loss_distance", "replace_params", "param_vector", "parameter_count"),
     numerics: ("finite_diff_grad",),
     weibull: ("weibull_sample",),
 }
