@@ -345,7 +345,7 @@ def train(data: Dataset, tcl: dict, seed: int, out_dir) -> tuple[TclModel, Train
     overrides ``seed``.
     """
     config = build_config(TclConfig, {"seed": seed, **tcl}, "tcl", input_dim=data.d)
-    model, trace = train_tcl(data, config)
+    model, trace = train_tcl(data.features, config)
     save_model(model, os.path.join(out_dir, "model.json"))
     write_json(os.path.join(out_dir, "trace.json"), dataclasses.asdict(trace), indent=1)
     return model, trace

@@ -155,7 +155,7 @@ def _cast(x, dtype) -> np.ndarray:
         return np.asarray(x, dtype=dtype)
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: compared by identity
 class TclModel:
     """The config and one flat parameter vector, float32 or float64, laid out
     key by key in ``PARAM_KEYS`` order.  ``params`` holds each key's view of
@@ -602,8 +602,9 @@ class _Adam:
         self.params -= num
 
 
-def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
-    """Minibatch training loop with loss-stabilization early stopping.
+def train_tcl(X, config: TclConfig) -> tuple[TclModel, TrainTrace]:
+    """Minibatch training loop with loss-stabilization early stopping, on
+    the n x ``config.input_dim`` feature matrix ``X``.
 
     Each epoch shuffles the rows, walks them in batches, and applies Adam
     updates from the analytic gradients.  Training stops once the relative
@@ -622,7 +623,7 @@ def train_tcl(data, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     means of all loss components, each epoch's wall-clock seconds, and the
     wall-clock seconds spent inside this function.
     """
-    X = np.asarray(data.features if hasattr(data, "features") else data)
+    X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("training data must be a non-empty 2-D matrix")
     if X.shape[1] != config.input_dim:

@@ -2,10 +2,13 @@
 
 The pipeline turns a headered CSV into a :class:`Dataset`: an n x d float64
 feature matrix (z-scored numerics, one-hot categoricals with an extra
-"unknown" slot) plus a label vector.  Standardization statistics are fitted
-on one split and can be re-applied to any other.  A dataset round-trips
-through a directory of two ``.npy`` arrays plus a JSON sidecar, a split
-through a directory of full-precision CSVs plus a JSON sidecar.
+"unknown" slot) plus a label vector.  :func:`ingest_csv` infers the schema
+and fits the standardization statistics on the file's rows;
+``encode_features(read_csv(path), schema, stats)`` re-applies a saved
+schema and statistics to another file.  :func:`read_csv` rejects a header
+that names a column twice.  A dataset round-trips through a directory of
+two ``.npy`` arrays plus a JSON sidecar, a split through a directory of
+full-precision CSVs plus a JSON sidecar.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ class RawTable:
     _numbers: dict | None = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: compared by identity
 class Dataset:
     """Encoded feature matrix, labels, schema, and (optional) fit statistics.
 
@@ -175,7 +178,7 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.schema, self.stats)
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: compared by identity
 class SplitPair:
     """An in-distribution / out-of-distribution partition of one dataset."""
 
@@ -206,10 +209,11 @@ class SplitPair:
 
 def read_csv(path, delimiter: str = ",") -> RawTable:
     """Parse a headered UTF-8 CSV, with or without a byte-order mark,
-    enforcing uniform row arity.
+    enforcing one name per column and uniform row arity.
 
-    Raises FormatError naming the offending row when arity differs, and
-    naming the file when it cannot be read, decoded or parsed as CSV.
+    Raises FormatError naming the first repeated column name, the offending
+    row when arity differs, and the file when it cannot be read, decoded or
+    parsed as CSV.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"the delimiter must be one character, got {delimiter!r}")
@@ -221,6 +225,9 @@ def read_csv(path, delimiter: str = ",") -> RawTable:
             except StopIteration:
                 raise FormatError(f"{path}: empty file") from None
             header = list(map(str.strip, header))
+            if len(set(header)) < len(header):
+                name = next(h for i, h in enumerate(header) if h in header[:i])
+                raise FormatError(f"{path}: column {name!r} appears twice in the header")
             rows = []
             for i, row in enumerate(reader, start=2):
                 if not row:
@@ -413,26 +420,19 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
 
 def ingest_csv(
     path,
-    schema: Schema | None = None,
-    target: str | None = None,
+    target: str,
     task: str | None = None,
-    stats: dict | None = None,
     delimiter: str = ",",
     category_cutoff: int = DEFAULT_CATEGORY_CUTOFF,
 ) -> Dataset:
-    """Read a CSV and encode it.  Infers the schema when none is given,
-    which requires an explicit ``target`` column name.  A header that names
-    a column twice raises FormatError naming the column."""
+    """Read a CSV, infer its schema around the ``target`` column and encode
+    it, fitting the statistics on its rows.  A saved schema and statistics
+    are re-applied to another file by
+    ``encode_features(read_csv(path), schema, stats)``."""
     raw = read_csv(path, delimiter=delimiter)
-    seen = set()
-    for name in raw.header:
-        if name in seen:
-            raise FormatError(f"{path}: column {name!r} appears twice in the header")
-        seen.add(name)
-    if schema is None:
-        raw._numbers = {}  # nothing else sees raw, so its cells cannot change
-        schema = infer_schema(raw, target=target, task=task, category_cutoff=category_cutoff)
-    return encode_features(raw, schema, stats=stats)
+    raw._numbers = {}  # nothing else sees raw, so its cells cannot change
+    schema = infer_schema(raw, target=target, task=task, category_cutoff=category_cutoff)
+    return encode_features(raw, schema)
 
 
 def check_fractions(fractions) -> tuple[float, float]:
@@ -448,38 +448,27 @@ def check_fractions(fractions) -> tuple[float, float]:
 def split(dataset: Dataset, fractions, rng: RngStream) -> tuple[Dataset, Dataset]:
     """Deterministic two-way row split, stratified by class for classification.
 
-    ``fractions`` are two positive proportions summing to 1.  Falls back to
-    an unstratified split (with a warning) when some class has fewer rows
-    than splits.
+    ``fractions`` are two positive proportions summing to 1.  Each group of
+    rows, one per class or else all rows, is permuted and cut in turn.
+    Classification falls back to one group (with a warning) when some class
+    has fewer rows than splits.
     """
     f = check_fractions(fractions)
-    n = dataset.n
-
-    stratify = dataset.schema.task == CLASSIFICATION
-    if stratify:
-        _, counts = np.unique(dataset.labels, return_counts=True)
+    groups = [np.arange(dataset.n)]
+    if dataset.schema.task == CLASSIFICATION:
+        classes, counts = np.unique(dataset.labels, return_counts=True)
         if counts.min() < 2:
             warnings.warn("a class has fewer rows than splits; splitting unstratified")
-            stratify = False
-
-    if stratify:
-        first_idx: list[int] = []
-        second_idx: list[int] = []
-        for cls in np.unique(dataset.labels):
-            rows = np.flatnonzero(dataset.labels == cls)
-            order = rows[rng.permutation(rows.size)]
-            k = int(round(f[0] * rows.size))
-            k = min(max(k, 1), rows.size - 1)  # keep every class on both sides
-            first_idx.extend(order[:k])
-            second_idx.extend(order[k:])
-        first = np.sort(np.asarray(first_idx, dtype=np.int64))
-        second = np.sort(np.asarray(second_idx, dtype=np.int64))
-    else:
-        order = rng.permutation(n)
-        k = int(round(f[0] * n))
-        k = min(max(k, 1), n - 1)
-        first = np.sort(order[:k])
-        second = np.sort(order[k:])
+        else:
+            groups = [np.flatnonzero(dataset.labels == cls) for cls in classes]
+    sides = ([], [])
+    for rows in groups:
+        order = rows[rng.permutation(rows.size)]
+        k = int(round(f[0] * rows.size))
+        k = min(max(k, 1), rows.size - 1)  # keep every group on both sides
+        sides[0].append(order[:k])
+        sides[1].append(order[k:])
+    first, second = (np.sort(np.concatenate(side)) for side in sides)
     return dataset.take(first), dataset.take(second)
 
 

@@ -43,7 +43,7 @@ _ARMIJO = 1e-4  # share of the predicted decrease a step must achieve
 _MIN_STEP = 2.0 ** -30  # the line search gives up below this step length
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: compared by identity
 class Head:
     """Fitted prediction head.  ``classes`` is None for regression."""
 

@@ -34,12 +34,14 @@ class RngStream:
     Two streams constructed from the same pair produce bit-identical draw
     sequences on every run (same numpy version and floating-point settings).
     A stream is stateful and must not be shared across threads without
-    external coordination.
+    external coordination.  Both keys are non-negative integers (numpy
+    integers too, not bools); any other key raises ValueError.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be non-negative")
+        if not (is_integer(seed) and is_integer(stream_id) and seed >= 0 and stream_id >= 0):
+            raise ValueError(
+                f"seed and stream_id must be non-negative integers, got {seed!r} and {stream_id!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))

@@ -83,7 +83,7 @@ def discretize_target(y, bins: int) -> np.ndarray:
     return labels
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: compared by identity
 class OpenMaxModel:
     """Per-class MAVs plus Weibull tail fits in logit space."""
 
@@ -151,7 +151,7 @@ def openmax_score(model: OpenMaxModel, X) -> np.ndarray:
     return weibull_cdf(dist, model.shapes[pred], model.scales[pred])
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: compared by identity
 class TemperatureModel:
     """Single scalar temperature fitted on a calibration split."""
 
@@ -214,7 +214,7 @@ def temp_score(model: TemperatureModel, X) -> np.ndarray:
     return -softmax_classes(np.divide(logits.T, model.temperature, order="C")).max(axis=0)
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: compared by identity
 class Histogram:
     """Equal-width score histogram used for manual threshold picking."""
 

@@ -4,6 +4,7 @@ import json
 import math
 import statistics
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,14 @@ class TestIngest:
         with pytest.raises(FormatError, match=f"column '{name}' appears twice in the header"):
             ingest_csv(path, target="label")
 
+    def test_reapplied_schema_rejects_a_repeated_header_name(self, tmp_path):
+        # the schema's one column would otherwise be read from the first 'a'
+        schema = Schema((Column("a", "numeric"),), "y", "classification", ("0", "1"))
+        stats = {"a": {"median": 0.0, "mean": 0.0, "std": 1.0}}
+        path = write(tmp_path / "t.csv", "a,a,y\n1,5,0\n2,6,1\n")
+        with pytest.raises(FormatError, match="column 'a' appears twice in the header"):
+            encode_features(read_csv(path), schema, stats)
+
     @pytest.mark.parametrize("header, target, message", [
         ("a,a=b,label", "label", "columns 'a' and 'a=b' both encode to 'a=b'"),
         ("a,label,a=b", "a=b", "columns 'a=b' and 'a' both encode to 'a=b'"),
@@ -199,7 +208,7 @@ class TestIngest:
         schema = Schema((Column("a", "numeric"),), "y", "classification", ("0", "1"))
         path = write(tmp_path / "t.csv", "a,y\n1,0\nbad,1\n")
         with pytest.raises(FormatError, match="row 3"):
-            ingest_csv(path, schema=schema)
+            encode_features(read_csv(path), schema)
 
     def test_numeric_columns_are_parsed_once(self, tmp_path, monkeypatch):
         feature = [repr(0.25 * i) for i in range(40)]
@@ -351,6 +360,36 @@ def ref_encode_features(raw, schema, stats=None):
                 data._parse_number(cell, schema.target, i + 2)
     features = np.hstack(blocks) if blocks else np.zeros((n, 0))
     return Dataset(features, labels, schema, fitted if fitting else dict(stats))
+
+
+# The two-branch split that the one grouped loop replaced: a stratified
+# branch that walks the classes and a separate branch over all rows.
+
+def ref_split(dataset, fractions, rng):
+    f = data.check_fractions(fractions)
+    n = dataset.n
+    stratify = dataset.schema.task == data.CLASSIFICATION
+    if stratify:
+        _, counts = np.unique(dataset.labels, return_counts=True)
+        if counts.min() < 2:
+            warnings.warn("a class has fewer rows than splits; splitting unstratified")
+            stratify = False
+    if stratify:
+        first_idx, second_idx = [], []
+        for cls in np.unique(dataset.labels):
+            rows = np.flatnonzero(dataset.labels == cls)
+            order = rows[rng.permutation(rows.size)]
+            k = min(max(int(round(f[0] * rows.size)), 1), rows.size - 1)
+            first_idx.extend(order[:k])
+            second_idx.extend(order[k:])
+        first = np.sort(np.asarray(first_idx, dtype=np.int64))
+        second = np.sort(np.asarray(second_idx, dtype=np.int64))
+    else:
+        order = rng.permutation(n)
+        k = min(max(int(round(f[0] * n)), 1), n - 1)
+        first = np.sort(order[:k])
+        second = np.sort(order[k:])
+    return dataset.take(first), dataset.take(second)
 
 
 def outcome(fn, *args, **kwargs):
@@ -579,6 +618,32 @@ class TestSplit:
             a, b = split(ds, (0.8, 0.2), RngStream(7, 0))
         assert a.n + b.n == 10
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_rows_match_the_two_branch_reference(self, draws):
+        n = draws.draw(st.integers(2, 40), label="n")
+        if draws.draw(st.booleans(), label="regression"):
+            schema = numeric_schema(1, task="regression")
+            labels = draws.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        else:
+            schema = numeric_schema(1, classes=("0", "1", "2", "3", "4"))
+            labels = draws.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            if draws.draw(st.booleans(), label="class of one row"):
+                labels[draws.draw(st.integers(0, n - 1))] = 4
+        fractions = draws.draw(st.sampled_from([(0.5, 0.5), (0.8, 0.2), (0.25, 0.75),
+                                                (0.9, 0.1)]))
+        seed = draws.draw(st.integers(0, 2**32), label="seed")
+        # the one feature is the row index, so each side's rows can be read back
+        ds = Dataset(np.arange(n, dtype=np.float64)[:, None], np.asarray(labels), schema, None)
+        runs = []
+        for fn in (split, ref_split):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sides = fn(ds, fractions, RngStream(seed, 22))
+            runs.append(([str(w.message) for w in caught],
+                         [(bits(side.features), side.labels.tobytes()) for side in sides]))
+        assert runs[0] == runs[1]
+
     def test_bad_fractions(self):
         ds = self.build(10)
         with pytest.raises(ValueError):
@@ -777,7 +842,7 @@ class TestBulkParse:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             write_rows(path, HEADER, rows)
-            ds = ingest_csv(path, schema=REGRESSION, stats=IDENTITY_STATS)
+            ds = encode_features(read_csv(path), REGRESSION, IDENTITY_STATS)
         # identity stats: a missing cell imputes 0.0, a present one keeps its bits
         expected = [[0.0 if c.strip() in MISSING_TOKENS else float(c) for c in r[:3]]
                     for r in rows]
@@ -805,10 +870,10 @@ class TestBulkParse:
             path = Path(tmp) / "t.csv"
             write_rows(path, HEADER, rows)
             if expected is None:  # only "nan" in features: imputed as missing
-                ingest_csv(path, schema=REGRESSION, stats=IDENTITY_STATS)
+                encode_features(read_csv(path), REGRESSION, IDENTITY_STATS)
                 return
             with pytest.raises(FormatError) as exc:
-                ingest_csv(path, schema=REGRESSION, stats=IDENTITY_STATS)
+                encode_features(read_csv(path), REGRESSION, IDENTITY_STATS)
         assert str(exc.value) == expected
 
     @settings(max_examples=60, deadline=None)

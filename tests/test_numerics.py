@@ -272,6 +272,19 @@ class TestFiniteDiff:
 
 
 class TestRngStream:
+    @pytest.mark.parametrize("seed, stream_id", [
+        (1.5, 0.7), (1.0, 0), (3, 1.0), (True, 0), (3, False), (np.float64(3), 1), (3, None),
+    ], ids=repr)
+    def test_key_that_is_not_an_integer_is_rejected(self, seed, stream_id):
+        with pytest.raises(ValueError, match="seed and stream_id must be non-negative integers"):
+            RngStream(seed, stream_id)
+
+    def test_numpy_integer_keys_draw_as_python_ints(self):
+        stream = RngStream(np.int64(3), np.int32(1))
+        assert (stream.seed, stream.stream_id) == (3, 1)
+        assert type(stream.seed) is int and type(stream.stream_id) is int
+        assert stream.normal(4, 3).tobytes() == RngStream(3, 1).normal(4, 3).tobytes()
+
     def test_same_key_means_same_draws(self):
         a, b = RngStream(100, 3), RngStream(100, 3)
         assert np.array_equal(a.normal(4, 4), b.normal(4, 4))

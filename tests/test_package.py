@@ -1,12 +1,16 @@
 """The library surface: the names ``import tabcl`` gives, pinned as
 ``TestCliSurface`` pins the subcommands and their flags."""
 
+import inspect
 import types
 
+import numpy as np
 import pytest
 
 import tabcl
 from tabcl import contrastive, numerics, weibull
+
+from conftest import numeric_schema
 
 EXPORTS = {
     # bench
@@ -45,6 +49,36 @@ GONE = {
     weibull: ("weibull_sample",),
 }
 
+# Parameter names of the functions that lost a second route: ``ingest_csv``
+# only infers and fits (a saved schema is re-applied through
+# ``encode_features``), and ``train_tcl`` takes the feature matrix.
+PARAMETERS = {
+    "ingest_csv": ("path", "target", "task", "delimiter", "category_cutoff"),
+    "train_tcl": ("X", "config"),
+}
+
+
+def _dataset():
+    return tabcl.Dataset(np.zeros((2, 1)), np.array([0, 1]), numeric_schema(1), None)
+
+
+def _head():
+    return tabcl.Head("logistic", np.zeros((1, 2)), np.zeros(2), 2)
+
+
+# One constructor per dataclass that holds arrays, directly or through a field.
+ARRAY_HOLDERS = {
+    "TclModel": lambda: tabcl.init_model(tabcl.TclConfig(input_dim=3)),
+    "Dataset": _dataset,
+    "SplitPair": lambda: tabcl.SplitPair(_dataset(), _dataset(), threshold=0.5,
+                                         detector="openmax", norm="l2"),
+    "Head": _head,
+    "OpenMaxModel": lambda: tabcl.OpenMaxModel(_head(), np.zeros((2, 2)), np.ones(2),
+                                               np.ones(2), 20, "l2"),
+    "TemperatureModel": lambda: tabcl.TemperatureModel(_head(), 1.0, 0.5, 0.6),
+    "Histogram": lambda: tabcl.Histogram(np.linspace(0.0, 1.0, 3), np.array([1, 1])),
+}
+
 
 class TestLibrarySurface:
     def test_exports(self):
@@ -57,3 +91,14 @@ class TestLibrarySurface:
     def test_removed_name_is_gone(self, module, name):
         assert not hasattr(module, name)
         assert not hasattr(tabcl, name)
+
+    @pytest.mark.parametrize("name", sorted(PARAMETERS))
+    def test_parameters(self, name):
+        assert tuple(inspect.signature(getattr(tabcl, name)).parameters) == PARAMETERS[name]
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+    def test_array_holder_compares_by_identity(self, name):
+        a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+        assert type(a).__name__ == name
+        assert a == a
+        assert not a == b and a != b
