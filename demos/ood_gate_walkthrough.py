@@ -64,10 +64,10 @@ print(f"temperature fitted on a held-out slice: tau = {temp_gate.temperature:.3f
 #    library hands you bins and counts rather than choosing for you.
 # ---------------------------------------------------------------------------
 for name, scores in (("weibull-recalibration", scores_w), ("temperature", scores_t)):
-    hist = score_histogram(scores, bins=20)
+    counts, edges = score_histogram(scores, bins=20)
     print(f"\nscore histogram ({name}):")
-    peak = hist.counts.max()
-    for lo, hi, count in hist.rows():
+    peak = counts.max()
+    for lo, hi, count in zip(edges[:-1], edges[1:], counts):
         bar = "#" * max(1, int(40 * count / peak)) if count else ""
         print(f"  [{lo:+.3f}, {hi:+.3f})  {count:5d} {bar}")
 

@@ -51,7 +51,6 @@ from .heads import (
 )
 from .numerics import RngStream, gaussian_noise, softmax_classes
 from .ood import (
-    Histogram,
     OpenMaxModel,
     SplitReport,
     TemperatureModel,

@@ -6,7 +6,9 @@ regression (lower RMSE is better).  ``run_experiment`` drives the whole
 pipeline on one CSV: ingest, OOD detection and split, timed contrastive
 training, embedding, head fitting, and evaluation on the ID-test and OOD
 portions.  Only the unsupervised training time enters the trade-off; the
-other stages are recorded separately.
+other stages are recorded separately.  A :class:`BenchReport` records each
+fact once: the split's detector, norm, threshold and sizes are top-level
+fields, and ``split_grid`` holds the four probe cells and their degradation.
 
 The stage functions (:func:`detect`, :func:`split_at_threshold`,
 :func:`train`, :func:`tabcl.heads.fit_head`, :func:`evaluate`) are the
@@ -18,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -210,7 +213,7 @@ class BenchReport:
     p: float
     t_seconds: float
     tradeoff: float
-    split_grid: dict  # four-cell validation grid + split settings
+    split_grid: dict  # SplitReport.to_dict(): the four probe cells and their degradation
     constraints: dict  # recorded budget fields, never enforced
     stage_seconds: dict
     detector: str
@@ -225,10 +228,23 @@ class BenchReport:
 
     @staticmethod
     def from_dict(d: dict) -> "BenchReport":
+        """The report a :meth:`to_dict` dict describes; a missing, unknown or
+        ill-typed field is a :class:`FormatError`."""
         try:
-            return BenchReport(**d)
+            report = BenchReport(**d)
         except TypeError as exc:
             raise FormatError(f"malformed report: {exc}") from exc
+        for f in dataclasses.fields(BenchReport):
+            value = getattr(report, f.name)
+            ok, what = {
+                "str": (isinstance(value, str), "a string"),
+                "float": (is_finite_number(value), "a finite number"),
+                "int": (is_integer(value) and value >= 0, "a non-negative integer"),
+                "dict": (isinstance(value, dict), "an object"),
+            }[f.type]
+            if not ok:
+                raise FormatError(f"malformed report: {f.name} must be {what}, got {value!r}")
+        return report
 
     @staticmethod
     def from_file(path) -> "BenchReport":
@@ -287,8 +303,8 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
         scores = temp_score(model, dataset.features)
         norm = "none"
 
-    hist = score_histogram(scores, bins=det.bins)
-    write_histogram_csv(hist, os.path.join(out_dir, "histogram.csv"))
+    write_histogram_csv(*score_histogram(scores, bins=det.bins),
+                        os.path.join(out_dir, "histogram.csv"))
     return np.asarray(scores), {"detector": det.detector, "norm": norm, "tail": det.tail,
                                 "seed": det_seed}
 
@@ -299,23 +315,34 @@ def save_scores(path, scores: np.ndarray, settings: dict) -> None:
 
 
 def load_scores(path) -> tuple[np.ndarray, dict]:
-    """Inverse of :func:`save_scores`.  Only ``scores`` is required, so
-    scores from any other source can be split too."""
+    """Inverse of :func:`save_scores`.  Only ``scores``, a list of JSON
+    numbers, is required, so scores from any other source can be split too;
+    a ``detector`` or ``norm`` must be a string and a ``seed`` a
+    non-negative integer or null."""
     payload = read_json(path, "scores file")
     with fields(path, "scores file"):
-        scores = np.asarray(payload["scores"], dtype=np.float64)
-        if scores.ndim != 1:
-            raise ValueError(f"scores must be a flat list, got {scores.ndim} dimensions")
-    if scores.size == 0:
+        values = payload["scores"]
+    if not isinstance(values, list):
+        raise FormatError(f"{path}: scores must be a list, got {type(values).__name__}")
+    if not values:
         raise FormatError(f"{path}: the scores file holds no scores")
-    if not np.isfinite(scores).all():
-        bad = int(np.flatnonzero(~np.isfinite(scores))[0])
-        raise FormatError(f"{path}: non-finite score {float(scores[bad])!r} at index {bad}")
+    for i, value in enumerate(values):
+        if type(value) not in (int, float):  # JSON numbers decode to these, true/false to bool
+            raise FormatError(f"{path}: score {value!r} at index {i} is not a number")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinity or an integer beyond float64
+            raise FormatError(f"{path}: non-finite score {value!r} at index {i}")
+    scores = np.asarray(values, dtype=np.float64)
     settings = {
         "detector": payload.get("detector", "unknown"),
         "norm": payload.get("norm", "none"),
         "seed": payload.get("seed"),
     }
+    for key in ("detector", "norm"):
+        if not isinstance(settings[key], str):
+            raise FormatError(f"{path}: {key} must be a string, got {settings[key]!r}")
+    seed = settings["seed"]
+    if seed is not None and not (is_integer(seed) and seed >= 0):
+        raise FormatError(f"{path}: seed must be a non-negative integer or null, got {seed!r}")
     return scores, settings
 
 
@@ -419,7 +446,6 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         tradeoff=tradeoff(p, t_train, task),
         split_grid=grid.to_dict(),
         constraints={
-            "t_train_seconds": t_train,
             "memory_estimate_bytes": trace.array_bytes,
             "parameter_count": model.vector.size,
             "t_inference_seconds": t_inference,

@@ -24,8 +24,10 @@ detectors lose the shifted rows: on the regression benchmark
 from 0.88 to 0.18, and on ``train-wide`` the openmax AUROC from 0.95 to
 0.86.
 
-Rows are then split at a threshold and the split is validated with the
-task's head (:func:`tabcl.heads.fit_head`) trained on the ID side.
+A threshold is picked from the scores' histogram, numpy's ``(counts,
+edges)`` (:func:`score_histogram`).  Rows are then split at it and the split
+is validated with the task's head (:func:`tabcl.heads.fit_head`) trained on
+the ID side; the :class:`SplitReport` holds only the four probe cells.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ class OpenMaxModel:
     mavs: np.ndarray  # (C, C) mean logit vector per class
     shapes: np.ndarray  # (C,)
     scales: np.ndarray  # (C,)
-    tail: int
     norm: str
 
 
@@ -140,7 +141,7 @@ def fit_openmax(
         except NumericError as exc:
             raise NumericError(f"class {cls}: Weibull fit failed: {exc}") from exc
         mavs[cls] = mav
-    return OpenMaxModel(backbone, mavs, shapes, scales, tail, norm.lower())
+    return OpenMaxModel(backbone, mavs, shapes, scales, norm.lower())
 
 
 def openmax_score(model: OpenMaxModel, X) -> np.ndarray:
@@ -214,34 +215,22 @@ def temp_score(model: TemperatureModel, X) -> np.ndarray:
     return -softmax_classes(np.divide(logits.T, model.temperature, order="C")).max(axis=0)
 
 
-@dataclass(eq=False)  # holds arrays: compared by identity
-class Histogram:
-    """Equal-width score histogram used for manual threshold picking."""
-
-    edges: np.ndarray  # (bins + 1,)
-    counts: np.ndarray  # (bins,)
-
-    def rows(self) -> list[tuple[float, float, int]]:
-        return [
-            (float(self.edges[i]), float(self.edges[i + 1]), int(self.counts[i]))
-            for i in range(self.counts.size)
-        ]
-
-
-def score_histogram(scores, bins: int = 50) -> Histogram:
+def score_histogram(scores, bins: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-width histogram of the scores for picking a threshold by hand:
+    numpy's ``(counts, edges)``, ``bins`` counts and ``bins + 1`` edges."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("scores must be non-empty")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    counts, edges = np.histogram(scores, bins=bins)
-    return Histogram(edges, counts)
+    return np.histogram(scores, bins=bins)
 
 
-def write_histogram_csv(hist: Histogram, path) -> None:
+def write_histogram_csv(counts, edges, path) -> None:
+    """Write one ``bin_lo,bin_hi,count`` row per bin of :func:`score_histogram`."""
     with atomic_write(path) as fh:
         fh.write("bin_lo,bin_hi,count\n")
-        for lo, hi, count in hist.rows():
+        for lo, hi, count in zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()):
             fh.write(f"{lo!r},{hi!r},{count}\n")
 
 
@@ -285,19 +274,15 @@ class SplitReport:
 
     The probe, the task's head (logistic regression for classification,
     ridge regression for regression), is trained on the ID-train portion
-    only; the metric is accuracy or r-squared respectively.
+    only; the metric is accuracy or r-squared respectively.  The split's
+    own facts (task, sizes, threshold, detector, norm) are those of the
+    :class:`~tabcl.data.SplitPair` it was computed from.
     """
 
-    task: str
     id_train: float
     id_test: float
     ood_train: float
     ood_test: float
-    m: int
-    n: int
-    threshold: float
-    detector: str
-    norm: str
 
     @property
     def degradation(self) -> float:
@@ -314,10 +299,11 @@ def validate_split(
     """Probe a split: train on ID-train, evaluate on all four portions.
 
     A sound OOD split shows id_test close to id_train and ood_test well
-    below id_test.
+    below id_test.  Each side needs at least 10 rows.
     """
-    if pair.d_ood.n < 10:
-        raise ValueError(f"OOD side too small to validate ({pair.d_ood.n} rows < 10)")
+    for side, part in (("ID", pair.d_in), ("OOD", pair.d_ood)):
+        if part.n < 10:
+            raise ValueError(f"{side} side too small to validate ({part.n} rows < 10)")
     id_train, id_test = split(pair.d_in, fractions, rng)
     ood_train, ood_test = split(pair.d_ood, fractions, rng)
 
@@ -328,15 +314,4 @@ def validate_split(
     def score(ds: Dataset) -> float:
         return metric(ds.labels, predict(probe, ds.features))
 
-    return SplitReport(
-        task=task,
-        id_train=score(id_train),
-        id_test=score(id_test),
-        ood_train=score(ood_train),
-        ood_test=score(ood_test),
-        m=pair.m,
-        n=pair.n,
-        threshold=pair.threshold,
-        detector=pair.detector,
-        norm=pair.norm,
-    )
+    return SplitReport(score(id_train), score(id_test), score(ood_train), score(ood_test))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tabcl import bench
 from tabcl.bench import (
     BenchReport,
     DetectorConfig,
@@ -290,11 +291,17 @@ class TestRunExperiment:
             report = json.loads((out / "report.json").read_text())
             for key in ("t_seconds", "tradeoff", "stage_seconds"):
                 del report[key]
-            for key in ("t_train_seconds", "t_inference_seconds"):
-                del report["constraints"][key]
+            del report["constraints"]["t_inference_seconds"]
             reports.append(report)
         assert reports[0] == reports[1]
         assert reports[0]["constraints"]["delta_declared"] == 0.5
+
+    def test_report_records_each_split_fact_once(self, tmp_path):
+        run_experiment(small_plan(tmp_path))
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert list(report["split_grid"]) == ["id_train", "id_test", "ood_train", "ood_test",
+                                              "degradation"]
+        assert "t_train_seconds" not in report["constraints"]
 
     def test_tcl_seed_overrides_plan_seed(self, tmp_path):
         run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2, "batch_size": 128, "seed": 9}))
@@ -358,6 +365,22 @@ class TestRunExperiment:
         assert info.value.errno == errno.EEXIST
         assert info.value.filename == blocker
         assert info.value.__notes__ == ["[stage=split]"]
+
+
+class TestDetect:
+    def test_scores_are_looked_up_in_bench(self, tmp_path, monkeypatch):
+        # perfbench reads each run's scores by replacing these two names in
+        # tabcl.bench, so detect must call them through that module.
+        calls = {"openmax_score": 0, "temp_score": 0}
+        for name in calls:
+            def counted(*args, _name=name, _score=getattr(bench, name)):
+                calls[_name] += 1
+                return _score(*args)
+            monkeypatch.setattr(bench, name, counted)
+        ds, _ = shifted_cluster_data(n_id=450, n_ood=50, d=4, seed=205)
+        for detector in ("openmax", "temperature"):
+            bench.detect(ds, DetectorConfig(detector=detector), 0, tmp_path)
+        assert calls == {"openmax_score": 1, "temp_score": 1}
 
 
 class TestEmitReport:

@@ -268,6 +268,7 @@ class TestExitCodes:
         ([0.5, 0.25, 0.75], "3 scores for 500 rows"),
         ([], "holds no scores"),
         ([float("nan")] * 500, "non-finite score nan at index 0"),
+        ([0.5, 10 ** 400] + [0.5] * 498, "non-finite score 1000"),  # beyond float64
     ])
     def test_bad_scores_is_3(self, tmp_path, ds_dir, scores, message, capsys):
         path = write_json(tmp_path / "scores.json", {"scores": scores})
@@ -281,6 +282,9 @@ class TestExitCodes:
     MODEL = {"format": "tcl-model", "version": 3, "dtype": "float32",
              "config": {"input_dim": 4, "hidden_dim": 1, "latent_dim": 1},
              "params": params_block(PARAMS)}
+
+    # One score per row of ds_dir, which would split cleanly.
+    SCORES = np.linspace(0.0, 1.0, 500).tolist()
 
     # Each case is a JSON artifact that parses but does not hold what its
     # loader reads; the file name is what the subcommand is pointed at.
@@ -348,11 +352,45 @@ class TestExitCodes:
         "scores without scores": (
             "scores.json", {"detector": "openmax"}, lambda f, ds: ["split", ds, f],
         ),
+        "scores held as strings": (
+            "scores.json", {"scores": [str(v) for v in SCORES]}, lambda f, ds: ["split", ds, f],
+        ),
+        "scores held as bools": (
+            "scores.json", {"scores": [True, False] * 250}, lambda f, ds: ["split", ds, f],
+        ),
+        "scores with a numeric detector": (
+            "scores.json", {"scores": SCORES, "detector": 7}, lambda f, ds: ["split", ds, f],
+        ),
+        "scores with a string seed": (
+            "scores.json", {"scores": SCORES, "seed": "x"}, lambda f, ds: ["split", ds, f],
+        ),
         "dataset sidecar without schema": (
             "meta.json", {"schema-version": SCHEMA_VERSION, "stats": None},
             lambda f, ds: ["fit-head", f.parent],
         ),
     }
+
+    # A report as written before its split_grid lost the split's facts and its
+    # constraints lost t_train_seconds: it still loads.
+    REPORT = {
+        "model": "tcl", "dataset": "d.csv", "task": "classification", "metric_name": "f1_macro",
+        "p": 0.8, "t_seconds": 10.0, "tradeoff": 0.08,
+        "split_grid": {"task": "classification", "id_train": 0.9, "id_test": 0.9,
+                       "ood_train": 0.5, "ood_test": 0.5, "m": 90, "n": 10, "threshold": 0.5,
+                       "detector": "openmax", "norm": "l2", "degradation": 0.4},
+        "constraints": {"t_train_seconds": 10.0}, "stage_seconds": {"train": 10.0},
+        "detector": "openmax", "norm": "l2", "threshold": 0.5, "m": 90, "n": 10, "seed": 0,
+    }
+
+    @pytest.mark.parametrize("key, value", [
+        ("tradeoff", "fast"), ("threshold", None), ("p", [1]), ("m", "10"),
+    ])
+    def test_ill_typed_report_is_3(self, tmp_path, key, value, capsys):
+        good = write_json(tmp_path / "good.json", self.REPORT)
+        bad = write_json(tmp_path / "bad.json", dict(self.REPORT, **{key: value}))
+        assert run(["compare", good, good]) == 0
+        assert run(["compare", good, bad]) == 3
+        assert f"malformed report: {key} must be" in capsys.readouterr().err
 
     def test_well_formed_model_embeds(self, tmp_path, ds_dir):
         path = write_json(tmp_path / "model.json", self.MODEL)
@@ -705,7 +743,7 @@ class TestBadSettingValues:
         })
         assert run(["report", "--config", plan]) == 0
         report = json.loads((tmp_path / "exp" / "report.json").read_text())
-        assert report["norm"] == report["split_grid"]["norm"] == "l2"
+        assert report["norm"] == "l2"
 
 
 class TestConfig:

@@ -171,7 +171,7 @@ class TestOpenMax:
     def test_score_zero_at_mav_and_one_far_away(self):
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
         model = OpenMaxModel(eye_backbone(), mavs, np.array([2.0, 2.0]), np.array([1.0, 1.0]),
-                             10, "l2")
+                             "l2")
         scores = openmax_score(model, np.array([[3.0, 0.0], [300.0, 0.0]]))
         assert scores[0] == 0.0
         assert scores[1] == pytest.approx(1.0)
@@ -179,7 +179,7 @@ class TestOpenMax:
     def test_score_at_scale_distance(self):
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
         model = OpenMaxModel(eye_backbone(), mavs, np.array([1.3, 1.3]), np.array([2.0, 2.0]),
-                             10, "l2")
+                             "l2")
         # distance from class-0 MAV exactly equals the scale parameter
         (score,) = openmax_score(model, np.array([[5.0, 0.0]]))
         assert score == pytest.approx(1 - np.exp(-1), abs=1e-12)
@@ -187,14 +187,14 @@ class TestOpenMax:
     def test_score_monotone_in_distance(self):
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
         model = OpenMaxModel(eye_backbone(), mavs, np.array([1.7, 1.7]), np.array([0.8, 0.8]),
-                             10, "l2")
+                             "l2")
         xs = np.array([[3.0 + t, 0.0] for t in np.linspace(0, 20, 40)])
         scores = openmax_score(model, xs)
         assert np.all(np.diff(scores) >= 0)
 
     def test_single_row_vector_rejected(self):
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
-        model = OpenMaxModel(eye_backbone(), mavs, np.ones(2), np.ones(2), 10, "l2")
+        model = OpenMaxModel(eye_backbone(), mavs, np.ones(2), np.ones(2), "l2")
         with pytest.raises(ValueError, match="2-D matrix"):
             openmax_score(model, np.array([3.0, 0.0]))
 
@@ -242,7 +242,7 @@ class TestOpenMaxMatchesReference:
     def test_overflowing_power_scores_exactly_one(self):
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
         model = OpenMaxModel(eye_backbone(), mavs, np.array([500.0, 500.0]),
-                             np.array([1.0, 1.0]), 10, "l2")
+                             np.array([1.0, 1.0]), "l2")
         x = np.array([[1e3, 0.0], [3.0, 0.0], [0.0, 1e3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -256,7 +256,7 @@ class TestOpenMaxMatchesReference:
     def test_non_positive_parameters_rejected(self):
         mavs = np.array([[3.0, 0.0], [0.0, 3.0]])
         model = OpenMaxModel(eye_backbone(), mavs, np.array([1.0, 0.0]), np.array([1.0, 1.0]),
-                             10, "l2")
+                             "l2")
         assert openmax_score(model, np.array([[4.0, 0.0]]))[0] > 0.0  # class 0 is sound
         with pytest.raises(ValueError, match="must be positive"):
             openmax_score(model, np.array([[0.0, 4.0]]))
@@ -404,31 +404,37 @@ class TestTemperature:
 
 class TestHistogram:
     def test_identical_scores_occupy_one_bin(self):
-        hist = score_histogram(np.full(10, 0.3), bins=10)
-        assert hist.counts.sum() == 10
-        assert (hist.counts > 0).sum() == 1
+        counts, edges = score_histogram(np.full(10, 0.3), bins=10)
+        assert counts.sum() == 10
+        assert (counts > 0).sum() == 1
+        assert edges.shape == (11,)
 
     def test_uniform_grid(self):
-        hist = score_histogram(np.linspace(0.0, 1.0, 100), bins=10)
-        np.testing.assert_array_equal(hist.counts, np.full(10, 10))
+        counts, _ = score_histogram(np.linspace(0.0, 1.0, 100), bins=10)
+        np.testing.assert_array_equal(counts, np.full(10, 10))
 
     def test_bimodal_scores_show_a_valley(self):
         rng = RngStream(59, 0)
         scores = np.concatenate(
             [rng.normal(500, 1)[:, 0] * 0.05, rng.normal(500, 1)[:, 0] * 0.05 + 1.0]
         )
-        hist = score_histogram(scores, bins=30)
-        mid = hist.counts[10:20]
+        counts, _ = score_histogram(scores, bins=30)
+        mid = counts[10:20]
         assert mid.min() <= 2
 
     def test_csv_emission(self, tmp_path):
-        hist = score_histogram(np.linspace(0, 1, 50), bins=5)
+        counts, edges = score_histogram(np.linspace(0, 1, 50), bins=5)
         path = tmp_path / "hist.csv"
-        write_histogram_csv(hist, path)
+        write_histogram_csv(counts, edges, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 6
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 50
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(*score_histogram(np.linspace(0, 1, 5), bins=2), path)
+        assert path.read_bytes() == b"bin_lo,bin_hi,count\n0.0,0.5,2\n0.5,1.0,3\n"
 
 
 class TestSplitByThreshold:
@@ -499,13 +505,23 @@ class TestValidateSplit:
         with pytest.raises(ValueError, match="too small"):
             validate_split(pair, RngStream(67, 0))
 
+    @pytest.mark.parametrize("task, rows", [("regression", 1), ("classification", 9)])
+    def test_small_id_side_rejected(self, task, rows):
+        ds = toy_dataset(n=rows + 20)
+        if task == "regression":
+            ds = Dataset(ds.features, ds.features[:, 1], numeric_schema(ds.d, task=task), None)
+        scores = (np.arange(ds.n) >= rows).astype(float)  # the first rows stay ID
+        pair = split_by_threshold(ds, scores, 0.5)
+        assert pair.m == rows
+        with pytest.raises(ValueError,
+                           match=rf"^ID side too small to validate \({rows} rows < 10\)$"):
+            validate_split(pair, RngStream(67, 0))
+
     def test_report_fields_complete(self):
         ds = toy_dataset(n=300)
         scores = RngStream(68, 0).uniform(300, 1)[:, 0]
         pair = split_by_threshold(ds, scores, float(np.quantile(scores, 0.9)), detector="t")
         report = validate_split(pair, RngStream(69, 0))
         d = report.to_dict()
-        assert list(d) == ["task", "id_train", "id_test", "ood_train", "ood_test", "m", "n",
-                           "threshold", "detector", "norm", "degradation"]
+        assert list(d) == ["id_train", "id_test", "ood_train", "ood_test", "degradation"]
         assert d["degradation"] == report.id_test - report.ood_test
-        assert d["m"] + d["n"] == 300

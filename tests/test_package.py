@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tabcl
-from tabcl import contrastive, numerics, weibull
+from tabcl import contrastive, numerics, ood, weibull
 
 from conftest import numeric_schema
 
@@ -31,7 +31,7 @@ EXPORTS = {
     # numerics
     "RngStream", "gaussian_noise", "softmax_classes",
     # ood
-    "Histogram", "OpenMaxModel", "SplitReport", "TemperatureModel", "discretize_target",
+    "OpenMaxModel", "SplitReport", "TemperatureModel", "discretize_target",
     "fit_openmax", "fit_temperature", "openmax_score", "score_histogram",
     "split_by_threshold", "temp_score", "train_backbone", "validate_split",
     "write_histogram_csv",
@@ -40,12 +40,14 @@ EXPORTS = {
 }
 
 # Names the package no longer defines: the test-only oracles now live in
-# tests/oracles.py, the decoder runs only inside a training step, and a
-# model's flat parameter vector and its size are ``TclModel.vector``.
+# tests/oracles.py, the decoder runs only inside a training step, a
+# model's flat parameter vector and its size are ``TclModel.vector``, and a
+# score histogram is numpy's ``(counts, edges)``.
 GONE = {
     contrastive: ("decode", "_DECODER_ARRAYS", "loss_reconstruction", "loss_contrastive",
                   "loss_distance", "replace_params", "param_vector", "parameter_count"),
     numerics: ("finite_diff_grad",),
+    ood: ("Histogram",),
     weibull: ("weibull_sample",),
 }
 
@@ -74,9 +76,8 @@ ARRAY_HOLDERS = {
                                          detector="openmax", norm="l2"),
     "Head": _head,
     "OpenMaxModel": lambda: tabcl.OpenMaxModel(_head(), np.zeros((2, 2)), np.ones(2),
-                                               np.ones(2), 20, "l2"),
+                                               np.ones(2), "l2"),
     "TemperatureModel": lambda: tabcl.TemperatureModel(_head(), 1.0, 0.5, 0.6),
-    "Histogram": lambda: tabcl.Histogram(np.linspace(0.0, 1.0, 3), np.array([1, 1])),
 }
 
 
