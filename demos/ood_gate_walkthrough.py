@@ -78,7 +78,7 @@ for name, scores in (("weibull-recalibration", scores_w), ("temperature", scores
 # ---------------------------------------------------------------------------
 for name, scores in (("weibull-recalibration", scores_w), ("temperature", scores_t)):
     threshold = float(np.quantile(scores, 0.90))
-    pair = split_by_threshold(data, scores, threshold, detector=name, norm="l2")
+    pair = split_by_threshold(data, scores, threshold)
     report = validate_split(pair, RngStream(17, 0))
     print(f"\n{name}: threshold {threshold:+.4f} -> M={pair.m}, N={pair.n}")
     print(f"  probe accuracy   train    test")

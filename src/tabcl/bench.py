@@ -248,7 +248,13 @@ class BenchReport:
 
     @staticmethod
     def from_file(path) -> "BenchReport":
-        return BenchReport.from_dict(read_json(path, "report"))
+        """The report stored at ``path``; a malformed one is a
+        :class:`FormatError` naming the file."""
+        payload = read_json(path, "report")
+        try:
+            return BenchReport.from_dict(payload)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
     def split_signature(self) -> tuple:
         return (self.dataset, self.detector, self.norm, round(self.threshold, 12),
@@ -280,7 +286,8 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
 
     A regression target is discretized into quantile bins for detection
     only.  ``det.seed``, when set, overrides ``seed``.  Returns the scores
-    and the settings that produced them, which the split records.
+    and the settings that produced them, which ``scores.json`` and the
+    report record.
     """
     det_seed = seed if det.seed is None else det.seed
 
@@ -314,11 +321,10 @@ def save_scores(path, scores: np.ndarray, settings: dict) -> None:
     write_json(path, {**settings, "scores": np.asarray(scores).tolist()})
 
 
-def load_scores(path) -> tuple[np.ndarray, dict]:
-    """Inverse of :func:`save_scores`.  Only ``scores``, a list of JSON
-    numbers, is required, so scores from any other source can be split too;
-    a ``detector`` or ``norm`` must be a string and a ``seed`` a
-    non-negative integer or null."""
+def load_scores(path) -> np.ndarray:
+    """The scores of a :func:`save_scores` file.  Only ``scores``, a list of
+    JSON numbers, is read, so scores from any other source can be split
+    too."""
     payload = read_json(path, "scores file")
     with fields(path, "scores file"):
         values = payload["scores"]
@@ -331,23 +337,11 @@ def load_scores(path) -> tuple[np.ndarray, dict]:
             raise FormatError(f"{path}: score {value!r} at index {i} is not a number")
         if not abs(value) <= sys.float_info.max:  # NaN, infinity or an integer beyond float64
             raise FormatError(f"{path}: non-finite score {value!r} at index {i}")
-    scores = np.asarray(values, dtype=np.float64)
-    settings = {
-        "detector": payload.get("detector", "unknown"),
-        "norm": payload.get("norm", "none"),
-        "seed": payload.get("seed"),
-    }
-    for key in ("detector", "norm"):
-        if not isinstance(settings[key], str):
-            raise FormatError(f"{path}: {key} must be a string, got {settings[key]!r}")
-    seed = settings["seed"]
-    if seed is not None and not (is_integer(seed) and seed >= 0):
-        raise FormatError(f"{path}: seed must be a non-negative integer or null, got {seed!r}")
-    return scores, settings
+    return np.asarray(values, dtype=np.float64)
 
 
 def split_at_threshold(
-    dataset: Dataset, scores: np.ndarray, det: DetectorConfig, settings: dict, out_dir
+    dataset: Dataset, scores: np.ndarray, det: DetectorConfig, out_dir
 ) -> SplitPair:
     """Split stage: rows scoring at most ``det.threshold``, or else at most
     the ``det.quantile`` (default 0.95) of the scores, stay in-distribution;
@@ -356,10 +350,7 @@ def split_at_threshold(
         raise FormatError(f"{scores.size} scores for {dataset.n} rows: need one score per row")
     q = 0.95 if det.quantile is None else det.quantile
     threshold = float(np.quantile(scores, q) if det.threshold is None else det.threshold)
-    pair = split_by_threshold(
-        dataset, scores, threshold,
-        detector=settings["detector"], norm=settings["norm"], seed=settings["seed"],
-    )
+    pair = split_by_threshold(dataset, scores, threshold)
     save_split(pair, out_dir)
     return pair
 
@@ -409,9 +400,7 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         scores, settings = detect(dataset, det, plan.seed, plan.out_dir)
 
     with _Stage("split", clock):
-        pair = split_at_threshold(
-            dataset, scores, det, settings, os.path.join(plan.out_dir, "split")
-        )
+        pair = split_at_threshold(dataset, scores, det, os.path.join(plan.out_dir, "split"))
         grid = validate_split(pair, RngStream(plan.seed, STREAMS["validate"]), plan.fractions)
         id_train, id_test = split(pair.d_in, plan.fractions,
                                   RngStream(plan.seed, STREAMS["id-split"]))

@@ -100,9 +100,9 @@ def cmd_split(args) -> int:
         det.pop("quantile" if args.quantile is None else "threshold", None)
     det = build_config(DetectorConfig, det, "detector")
     dataset = load_dataset(args.data)
-    scores, settings = load_scores(args.scores)
+    scores = load_scores(args.scores)
     out = _out_dir(args)
-    pair = split_at_threshold(dataset, scores, det, settings, out)
+    pair = split_at_threshold(dataset, scores, det, out)
     flag = "  (anomalous: M <= N)" if pair.anomalous else ""
     print(f"split at {pair.threshold!r}: M={pair.m} in-distribution, N={pair.n} OOD -> {out}{flag}")
     return 0
@@ -134,8 +134,11 @@ def cmd_embed(args) -> int:
     dataset = load_dataset(args.data)
     _same_width(args.model, model.config.input_dim, args.data, dataset)
     e = embed(model, dataset.features)
+    # A target named like a latent column ("e1") moves the latents to "e_0", ...
+    latent = range(e.shape[1])
+    prefix = "e_" if dataset.schema.target in {f"e{i}" for i in latent} else "e"
     schema = Schema(
-        tuple(Column(f"e{i}", "numeric") for i in range(e.shape[1])),
+        tuple(Column(f"{prefix}{i}", "numeric") for i in latent),
         dataset.schema.target,
         dataset.schema.task,
         dataset.schema.classes,

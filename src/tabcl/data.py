@@ -23,7 +23,7 @@ import numpy as np
 
 from .artifacts import atomic_write, fields, read_json, write_json
 from .exceptions import ConfigError, FormatError
-from .numerics import RngStream, is_finite_number
+from .numerics import RngStream, is_finite_number, is_integer
 
 SCHEMA_VERSION = 2
 MISSING_TOKENS = frozenset({"", "?", "NA", "N/A", "nan", "NaN", "null", "None"})
@@ -180,14 +180,13 @@ class Dataset:
 
 @dataclass(eq=False)  # holds arrays: compared by identity
 class SplitPair:
-    """An in-distribution / out-of-distribution partition of one dataset."""
+    """An in-distribution / out-of-distribution partition of one dataset and
+    the score threshold that made it.  The detector's settings are not part
+    of it: ``scores.json`` and the report record them."""
 
     d_in: Dataset
     d_ood: Dataset
     threshold: float
-    detector: str
-    norm: str
-    seed: int | None = None
 
     def __post_init__(self):
         if self.d_in.schema != self.d_ood.schema:
@@ -603,9 +602,6 @@ def save_split(pair: SplitPair, path) -> None:
     meta = {
         "schema-version": SCHEMA_VERSION,
         "threshold": pair.threshold,
-        "detector": pair.detector,
-        "norm": pair.norm,
-        "seed": pair.seed,
         "m": pair.m,
         "n": pair.n,
         "schema": pair.d_in.schema.to_dict(),
@@ -615,22 +611,22 @@ def save_split(pair: SplitPair, path) -> None:
 
 
 def load_split(path) -> SplitPair:
-    """Inverse of :func:`save_split`; features, labels, threshold, and
-    detector id round-trip bit-exactly."""
+    """Inverse of :func:`save_split`; features, labels and threshold
+    round-trip bit-exactly.  The sidecar's ``threshold`` must be a finite
+    number and its ``m`` and ``n`` the CSVs' row counts."""
     sidecar = os.path.join(path, "meta.json")
     meta, schema = _load_meta(sidecar)
+    with fields(sidecar, "dataset sidecar"):
+        threshold, counts = meta["threshold"], (meta["m"], meta["n"])
+    if not is_finite_number(threshold):
+        raise FormatError(f"{sidecar}: threshold must be a finite number, got {threshold!r}")
+    for count in counts:
+        if not is_integer(count):  # 40.0 would pass the comparison with the CSVs' counts
+            raise FormatError(f"{sidecar}: row counts must be integers, got {count!r}")
     stats = meta.get("stats")
     d_in = _read_dataset_csv(os.path.join(path, "d_in.csv"), schema, stats)
     d_ood = _read_dataset_csv(os.path.join(path, "d_ood.csv"), schema, stats)
-    with fields(sidecar, "dataset sidecar"):
-        pair = SplitPair(
-            d_in,
-            d_ood,
-            threshold=float(meta["threshold"]),
-            detector=str(meta["detector"]),
-            norm=str(meta["norm"]),
-            seed=meta.get("seed"),
-        )
-        if pair.m != meta["m"] or pair.n != meta["n"]:
-            raise FormatError(f"{path}: row counts disagree with the sidecar")
+    pair = SplitPair(d_in, d_ood, threshold=float(threshold))
+    if (pair.m, pair.n) != counts:
+        raise FormatError(f"{path}: row counts disagree with the sidecar")
     return pair

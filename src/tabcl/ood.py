@@ -234,15 +234,9 @@ def write_histogram_csv(counts, edges, path) -> None:
             fh.write(f"{lo!r},{hi!r},{count}\n")
 
 
-def split_by_threshold(
-    dataset: Dataset,
-    scores,
-    threshold: float,
-    detector: str = "unknown",
-    norm: str = "none",
-    seed: int | None = None,
-) -> SplitPair:
+def split_by_threshold(dataset: Dataset, scores, threshold: float) -> SplitPair:
     """Rows with score <= threshold stay in-distribution; the rest go OOD.
+    The pair records the threshold as a float.
 
     Raises ValueError when either side would be empty, suggesting a new
     threshold.
@@ -262,9 +256,6 @@ def split_by_threshold(
         dataset.take(np.flatnonzero(in_mask)),
         dataset.take(np.flatnonzero(~in_mask)),
         threshold=float(threshold),
-        detector=detector,
-        norm=norm,
-        seed=seed,
     )
 
 
@@ -275,7 +266,7 @@ class SplitReport:
     The probe, the task's head (logistic regression for classification,
     ridge regression for regression), is trained on the ID-train portion
     only; the metric is accuracy or r-squared respectively.  The split's
-    own facts (task, sizes, threshold, detector, norm) are those of the
+    own facts (task, sizes, threshold) are those of the
     :class:`~tabcl.data.SplitPair` it was computed from.
     """
 

@@ -212,8 +212,7 @@ class TestSplitThreshold:
     def threshold(tmp_path, scores, det):
         dataset = Dataset(np.zeros((scores.size, 1)), np.zeros(scores.size, dtype=np.int64),
                           numeric_schema(1), None)
-        settings = {"detector": det.detector, "norm": det.norm, "seed": None}
-        return split_at_threshold(dataset, scores, det, settings, tmp_path).threshold
+        return split_at_threshold(dataset, scores, det, tmp_path).threshold
 
     def test_explicit_threshold_wins(self, tmp_path):
         det = DetectorConfig(threshold=0.25)

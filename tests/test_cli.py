@@ -69,7 +69,11 @@ class TestStagedPipeline:
                     "--quantile", 0.9, "--out", split_dir]) == 0
         meta = json.loads((split_dir / "meta.json").read_text())
         assert meta["m"] + meta["n"] == 500
-        assert meta["detector"] == "openmax"
+        # The split records what it decided; the detector's settings stay in scores.json.
+        assert set(meta) == {"schema-version", "threshold", "m", "n", "schema", "stats"}
+        scores = json.loads((det_dir / "scores.json").read_text())
+        assert {k: scores[k] for k in ("detector", "norm", "tail", "seed")} == {
+            "detector": "openmax", "norm": "l2", "tail": 25, "seed": 1}
 
         train_dir = tmp_path / "model"
         assert run(["train", split_dir, "--max-epochs", 5, "--batch-size", 64,
@@ -96,6 +100,17 @@ class TestStagedPipeline:
         metrics = json.loads((eval_dir / "metrics.json").read_text())
         assert 0.0 <= metrics["accuracy"] <= 1.0
         assert "f1_macro" in metrics
+
+    def test_embed_keeps_a_target_named_like_a_latent(self, tmp_path):
+        ds, _ = shifted_cluster_data(n_id=90, n_ood=10, d=4, seed=301)
+        write_classification_csv(tmp_path / "data.csv", ds.features, ds.labels, target="e1")
+        assert run(["ingest", tmp_path / "data.csv", "--target", "e1", "--out", tmp_path / "ds"]) == 0
+        assert run(["train", tmp_path / "ds", "--max-epochs", 1, "--out", tmp_path / "run"]) == 0
+        assert run(["embed", tmp_path / "run" / "model.json", tmp_path / "ds",
+                    "--out", tmp_path / "emb"]) == 0
+        schema = json.loads((tmp_path / "emb" / "meta.json").read_text())["schema"]
+        assert schema["target"] == "e1"
+        assert [c["name"] for c in schema["features"]] == [f"e_{i}" for i in range(8)]
 
     def test_tradeoff_command(self, capsys):
         assert run(["tradeoff", "--p", 0.831, "--t", 15, "--task", "classification"]) == 0
@@ -358,12 +373,6 @@ class TestExitCodes:
         "scores held as bools": (
             "scores.json", {"scores": [True, False] * 250}, lambda f, ds: ["split", ds, f],
         ),
-        "scores with a numeric detector": (
-            "scores.json", {"scores": SCORES, "detector": 7}, lambda f, ds: ["split", ds, f],
-        ),
-        "scores with a string seed": (
-            "scores.json", {"scores": SCORES, "seed": "x"}, lambda f, ds: ["split", ds, f],
-        ),
         "dataset sidecar without schema": (
             "meta.json", {"schema-version": SCHEMA_VERSION, "stats": None},
             lambda f, ds: ["fit-head", f.parent],
@@ -390,7 +399,24 @@ class TestExitCodes:
         bad = write_json(tmp_path / "bad.json", dict(self.REPORT, **{key: value}))
         assert run(["compare", good, good]) == 0
         assert run(["compare", good, bad]) == 3
-        assert f"malformed report: {key} must be" in capsys.readouterr().err
+        assert f"{bad}: malformed report: {key} must be" in capsys.readouterr().err
+
+    # The detector's settings beside the scores are for the reader: split
+    # reads only the scores.
+    @pytest.mark.parametrize("settings", [{"detector": 7}, {"seed": "x"}],
+                             ids=["scores with a numeric detector", "scores with a string seed"])
+    def test_scores_settings_are_not_read(self, tmp_path, ds_dir, settings):
+        path = write_json(tmp_path / "scores.json", {"scores": self.SCORES, **settings})
+        assert run(["split", ds_dir, path, "--out", tmp_path / "split"]) == 0
+
+    def test_ill_typed_split_sidecar_is_3(self, tmp_path, ds_dir, capsys):
+        split_dir = tmp_path / "split"
+        scores = write_json(tmp_path / "scores.json", {"scores": self.SCORES})
+        assert run(["split", ds_dir, scores, "--out", split_dir]) == 0
+        meta = json.loads((split_dir / "meta.json").read_text())
+        write_json(split_dir / "meta.json", dict(meta, m=float(meta["m"])))
+        assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
+        assert f"{split_dir / 'meta.json'}: row counts must be integers" in capsys.readouterr().err
 
     def test_well_formed_model_embeds(self, tmp_path, ds_dir):
         path = write_json(tmp_path / "model.json", self.MODEL)
@@ -734,9 +760,6 @@ class TestBadSettingValues:
         config = write_json(tmp_path / "det.json", {"detector": {"norm": "L2", "tail": 25}})
         assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "det"]) == 0
         assert json.loads((tmp_path / "det" / "scores.json").read_text())["norm"] == "l2"
-        assert run(["split", ds_dir, tmp_path / "det" / "scores.json",
-                    "--out", tmp_path / "split"]) == 0
-        assert json.loads((tmp_path / "split" / "meta.json").read_text())["norm"] == "l2"
         plan = write_json(tmp_path / "plan.json", {
             "dataset": str(data_csv), "target": "label", "out_dir": str(tmp_path / "exp"),
             "detector": {"norm": "L2", "tail": 25}, "tcl": {"max_epochs": 1},

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import math
+import re
 import statistics
 import tempfile
 import warnings
@@ -657,7 +658,7 @@ def build_pair(seed=8, m=40, n_ood=12):
     schema = numeric_schema(3)
     d_in = Dataset(rng.normal(m, 3), (np.arange(m) % 2).astype(np.int64), schema, None)
     d_ood = Dataset(rng.normal(n_ood, 3), (np.arange(n_ood) % 2).astype(np.int64), schema, None)
-    return SplitPair(d_in, d_ood, threshold=0.1628, detector="openmax", norm="l2", seed=seed)
+    return SplitPair(d_in, d_ood, threshold=0.1628)
 
 
 class TestSplitPersistence:
@@ -669,17 +670,38 @@ class TestSplitPersistence:
         np.testing.assert_array_equal(loaded.d_ood.features, pair.d_ood.features)
         np.testing.assert_array_equal(loaded.d_in.labels, pair.d_in.labels)
         assert loaded.threshold == 0.1628
-        assert loaded.detector == "openmax"
-        assert loaded.norm == "l2"
         assert loaded.d_in.schema == pair.d_in.schema
 
     def test_sidecar_keys(self, tmp_path):
         pair = build_pair()
         save_split(pair, tmp_path / "split")
         meta = json.loads((tmp_path / "split" / "meta.json").read_text())
-        for key in ("threshold", "detector", "norm", "seed", "m", "n", "schema-version"):
-            assert key in meta
+        assert set(meta) == {"schema-version", "threshold", "m", "n", "schema", "stats"}
+        assert meta["threshold"] == 0.1628
         assert meta["m"] == 40 and meta["n"] == 12
+
+    def test_sidecar_with_detector_settings_still_loads(self, tmp_path):
+        pair = build_pair()
+        save_split(pair, tmp_path / "split")
+        meta_path = tmp_path / "split" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        # the keys an older writer added, which nothing reads off a split
+        meta.update(detector="openmax", norm="l2", seed=8)
+        meta_path.write_text(json.dumps(meta))
+        loaded = load_split(tmp_path / "split")
+        assert (loaded.threshold, loaded.m, loaded.n) == (0.1628, 40, 12)
+
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", "0.1628"), ("threshold", True), ("threshold", float("nan")),
+        ("threshold", None), ("m", 40.0), ("m", True), ("n", "12"), ("n", None),
+    ])
+    def test_ill_typed_sidecar_field_is_format_error(self, tmp_path, key, value):
+        save_split(build_pair(), tmp_path / "split")
+        meta_path = tmp_path / "split" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps(dict(meta, **{key: value})))
+        with pytest.raises(FormatError, match=rf"meta.json: .*got {re.escape(repr(value))}$"):
+            load_split(tmp_path / "split")
 
     def test_truncated_sidecar_is_format_error(self, tmp_path):
         pair = build_pair()
@@ -823,8 +845,7 @@ def stored_split(directory, schema, header, rows):
     width = len(header) - 1
     labels = np.zeros(1) if schema.task == "regression" else np.zeros(1, np.int64)
     side = Dataset(np.zeros((1, width)), labels, schema, None)
-    pair = SplitPair(side.take([0] * len(rows)), side, threshold=0.5, detector="openmax",
-                     norm="l2")
+    pair = SplitPair(side.take([0] * len(rows)), side, threshold=0.5)
     save_split(pair, directory)
     write_rows(Path(directory) / "d_in.csv", header, rows)
     return directory
@@ -923,7 +944,7 @@ class TestWriter:
     def test_bytes_match_csv_writer_reference(self, tmp_path, case, task):
         ds = writer_case(case, task)
         reference_write(ds, tmp_path / "reference.csv")
-        pair = SplitPair(ds, ds.take([0]), threshold=0.5, detector="openmax", norm="l1")
+        pair = SplitPair(ds, ds.take([0]), threshold=0.5)
         save_split(pair, tmp_path / "split")
         stored = (tmp_path / "split" / "d_in.csv").read_bytes()
         assert stored == (tmp_path / "reference.csv").read_bytes()
@@ -934,8 +955,7 @@ class TestWriter:
     @pytest.mark.parametrize("task", ["classification", "regression"])
     def test_split_round_trip_is_bit_exact(self, tmp_path, task):
         ds = writer_case("edge values", task)
-        pair = SplitPair(ds.take([0, 1]), ds.take([2]), threshold=0.5, detector="openmax",
-                         norm="l1", seed=1)
+        pair = SplitPair(ds.take([0, 1]), ds.take([2]), threshold=0.5)
         save_split(pair, tmp_path / "split")
         reference_write(pair.d_in, tmp_path / "reference.csv")
         assert (tmp_path / "split" / "d_in.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -454,15 +454,12 @@ class TestSplitByThreshold:
         assert pair.m + pair.n == 1000
         assert abs(pair.m / pair.n - 9.0) < 0.2
 
-    def test_settings_are_recorded(self):
+    def test_threshold_is_recorded(self):
         ds = toy_dataset(n=30)
         scores = np.linspace(0, 1, 30) * 0.3
-        pair = split_by_threshold(ds, scores, 0.1628, detector="openmax", norm="l2", seed=9)
-        assert pair.threshold == 0.1628
-        assert pair.detector == "openmax"
-        assert pair.norm == "l2"
-        assert pair.seed == 9
-        assert pair.m + pair.n == 30
+        pair = split_by_threshold(ds, scores, np.float32(0.25))
+        assert type(pair.threshold) is float and pair.threshold == 0.25
+        assert (pair.m, pair.n) == (25, 5)
 
     def test_raising_threshold_is_monotone(self):
         ds = toy_dataset(n=80)
@@ -520,7 +517,7 @@ class TestValidateSplit:
     def test_report_fields_complete(self):
         ds = toy_dataset(n=300)
         scores = RngStream(68, 0).uniform(300, 1)[:, 0]
-        pair = split_by_threshold(ds, scores, float(np.quantile(scores, 0.9)), detector="t")
+        pair = split_by_threshold(ds, scores, float(np.quantile(scores, 0.9)))
         report = validate_split(pair, RngStream(69, 0))
         d = report.to_dict()
         assert list(d) == ["id_train", "id_test", "ood_train", "ood_test", "degradation"]

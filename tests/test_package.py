@@ -1,6 +1,7 @@
 """The library surface: the names ``import tabcl`` gives, pinned as
 ``TestCliSurface`` pins the subcommands and their flags."""
 
+import dataclasses
 import inspect
 import types
 
@@ -53,10 +54,13 @@ GONE = {
 
 # Parameter names of the functions that lost a second route: ``ingest_csv``
 # only infers and fits (a saved schema is re-applied through
-# ``encode_features``), and ``train_tcl`` takes the feature matrix.
+# ``encode_features``), ``train_tcl`` takes the feature matrix, and
+# ``split_by_threshold`` takes no detector settings, which stay in
+# ``scores.json`` and the report.
 PARAMETERS = {
     "ingest_csv": ("path", "target", "task", "delimiter", "category_cutoff"),
     "train_tcl": ("X", "config"),
+    "split_by_threshold": ("dataset", "scores", "threshold"),
 }
 
 
@@ -72,8 +76,7 @@ def _head():
 ARRAY_HOLDERS = {
     "TclModel": lambda: tabcl.init_model(tabcl.TclConfig(input_dim=3)),
     "Dataset": _dataset,
-    "SplitPair": lambda: tabcl.SplitPair(_dataset(), _dataset(), threshold=0.5,
-                                         detector="openmax", norm="l2"),
+    "SplitPair": lambda: tabcl.SplitPair(_dataset(), _dataset(), threshold=0.5),
     "Head": _head,
     "OpenMaxModel": lambda: tabcl.OpenMaxModel(_head(), np.zeros((2, 2)), np.ones(2),
                                                np.ones(2), "l2"),
@@ -96,6 +99,10 @@ class TestLibrarySurface:
     @pytest.mark.parametrize("name", sorted(PARAMETERS))
     def test_parameters(self, name):
         assert tuple(inspect.signature(getattr(tabcl, name)).parameters) == PARAMETERS[name]
+
+    def test_split_pair_is_its_rows_and_threshold(self):
+        fields = tuple(f.name for f in dataclasses.fields(tabcl.SplitPair))
+        assert fields == ("d_in", "d_ood", "threshold")
 
     @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
     def test_array_holder_compares_by_identity(self, name):
