@@ -287,7 +287,8 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
     A regression target is discretized into quantile bins for detection
     only.  ``det.seed``, when set, overrides ``seed``.  Returns the scores
     and the settings that produced them, which ``scores.json`` and the
-    report record.
+    report record: ``tail`` only for openmax, the one detector that fits a
+    Weibull tail.
     """
     det_seed = seed if det.seed is None else det.seed
 
@@ -301,19 +302,18 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
         backbone = train_backbone(dataset)
         model = fit_openmax(backbone, dataset, norm=det.norm, tail=det.tail)
         scores = openmax_score(model, dataset.features)
-        norm = model.norm
+        settings = {"detector": det.detector, "norm": model.norm, "tail": det.tail}
     else:
         rng = RngStream(det_seed, STREAMS["calibration"])
         fit_part, cal_part = split(dataset, (0.8, 0.2), rng)
         backbone = train_backbone(fit_part)
         model = fit_temperature(backbone, cal_part)
         scores = temp_score(model, dataset.features)
-        norm = "none"
+        settings = {"detector": det.detector, "norm": "none"}
 
     write_histogram_csv(*score_histogram(scores, bins=det.bins),
                         os.path.join(out_dir, "histogram.csv"))
-    return np.asarray(scores), {"detector": det.detector, "norm": norm, "tail": det.tail,
-                                "seed": det_seed}
+    return np.asarray(scores), {**settings, "seed": det_seed}
 
 
 def save_scores(path, scores: np.ndarray, settings: dict) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import os
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -130,11 +131,19 @@ class RawTable:
     values of each numeric column that :func:`infer_schema` parsed, keyed by
     column name, and :func:`encode_features` takes them over instead of
     parsing the column again.  It is None on every other table.
+    For each blank line that :func:`read_csv` left out of ``rows``,
+    ``_blanks`` holds the index in ``rows`` of the row after it, so that an
+    error can name the row of the file.
     """
 
     header: list[str]
     rows: list[list[str]]
     _numbers: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _blanks: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def _row_number(self, i: int) -> int:
+        """The row of the file that ``rows[i]`` came from; the header is row 1."""
+        return i + 2 + bisect_right(self._blanks, i)
 
 
 @dataclass(eq=False)  # holds arrays: compared by identity
@@ -208,7 +217,8 @@ class SplitPair:
 
 def read_csv(path, delimiter: str = ",") -> RawTable:
     """Parse a headered UTF-8 CSV, with or without a byte-order mark,
-    enforcing one name per column and uniform row arity.
+    enforcing one name per column and uniform row arity.  Blank lines are
+    skipped but keep their row numbers: the header is row 1.
 
     Raises FormatError naming the first repeated column name, the offending
     row when arity differs, and the file when it cannot be read, decoded or
@@ -227,9 +237,10 @@ def read_csv(path, delimiter: str = ",") -> RawTable:
             if len(set(header)) < len(header):
                 name = next(h for i, h in enumerate(header) if h in header[:i])
                 raise FormatError(f"{path}: column {name!r} appears twice in the header")
-            rows = []
+            rows, blanks = [], []
             for i, row in enumerate(reader, start=2):
                 if not row:
+                    blanks.append(len(rows))
                     continue
                 if len(row) != len(header):
                     raise FormatError(
@@ -240,7 +251,9 @@ def read_csv(path, delimiter: str = ",") -> RawTable:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-    return RawTable(header, rows)
+    table = RawTable(header, rows)
+    table._blanks = blanks
+    return table
 
 
 def _parse_number(cell: str, col: str, row: int) -> float:
@@ -367,7 +380,7 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
             parsed = _take_floats(raw, col.name, cells if complete else [cells[i] for i in keep])
             if parsed is None:
                 for i in range(n) if complete else keep:
-                    _parse_number(cells[i], col.name, i + 2)
+                    _parse_number(cells[i], col.name, raw._row_number(i))
             values = np.full(n, np.nan)
             values[keep] = parsed
             if fitting:
@@ -406,12 +419,13 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
             labels = np.fromiter(map(lookup.__getitem__, target_cells), np.int64, n)
         except KeyError:
             i = next(i for i, cell in enumerate(target_cells) if cell not in lookup)
-            raise FormatError(f"row {i + 2}: unknown target class {target_cells[i]!r}") from None
+            raise FormatError(
+                f"row {raw._row_number(i)}: unknown target class {target_cells[i]!r}") from None
     else:
         labels = _take_floats(raw, schema.target, target_cells)
         if labels is None:
             for i, cell in enumerate(target_cells):
-                _parse_number(cell, schema.target, i + 2)
+                _parse_number(cell, schema.target, raw._row_number(i))
 
     features = np.hstack(blocks) if blocks else np.zeros((n, 0))
     return Dataset(features, labels, schema, fitted if fitting else dict(stats))
@@ -504,16 +518,17 @@ def _read_dataset_csv(path, schema: Schema, stats: dict | None) -> Dataset:
     else:
         labels = _floats(label_cells)
     if features is None or labels is None:
-        _raise_first_bad_cell(path, raw.rows, schema)
+        _raise_first_bad_cell(path, raw, schema)
     return Dataset(features.reshape(n, d), labels, schema, stats)
 
 
-def _raise_first_bad_cell(path, rows, schema: Schema) -> None:
+def _raise_first_bad_cell(path, raw: RawTable, schema: Schema) -> None:
     """Raise the FormatError for the first bad cell of a dataset CSV,
     scanning row by row, each row's features before its label."""
     names = schema.encoded_names()
     k = len(schema.classes)
-    for i, row in enumerate(rows, start=2):
+    for index, row in enumerate(raw.rows):
+        i = raw._row_number(index)
         for j, name in enumerate(names):
             _parse_number(row[j], name, i)
         label = row[len(names)]

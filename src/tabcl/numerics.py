@@ -59,9 +59,6 @@ class RngStream:
     def permutation(self, n: int) -> Array:
         return self._gen.permutation(n)
 
-    def integers(self, low: int, high: int, size: int) -> Array:
-        return self._gen.integers(low, high, size=size)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 

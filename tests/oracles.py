@@ -111,6 +111,12 @@ def weibull_sample(n: int, shape: float, scale: float, rng: RngStream) -> np.nda
     return scale * (-np.log1p(-u)) ** (1.0 / shape)
 
 
+def draw_integers(rng: RngStream, low: int, high: int, size: int) -> np.ndarray:
+    """``size`` integers in ``[low, high)`` from ``rng``'s generator, such as
+    random class labels; the pipeline draws none."""
+    return rng._gen.integers(low, high, size=size)
+
+
 def replace_params(model: TclModel, vector: np.ndarray) -> TclModel:
     """New model of ``model``'s config holding a copy of the flat ``vector``
     (laid out as :attr:`TclModel.vector`), in the vector's dtype."""

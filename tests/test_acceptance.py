@@ -41,6 +41,7 @@ from tabcl.weibull import weibull_mle
 
 from conftest import auroc, shifted_cluster_data, write_classification_csv, xor_data
 from oracles import (
+    draw_integers,
     finite_diff_grad,
     loss_contrastive,
     loss_distance,
@@ -259,7 +260,7 @@ def test_criterion_06_temperature_calibration():
     for trial in range(25):
         stream = RngStream(600 + trial, 0)
         trial_logits = stream.normal(300, 3) * (0.3 + trial * 0.4)
-        trial_y = stream.integers(0, 3, 300).astype(np.int64)
+        trial_y = draw_integers(stream, 0, 3, 300).astype(np.int64)
         trial_tau = fit_temperature_on_logits(trial_logits, trial_y)
         if _nll_at_temperature(trial_logits, trial_y, trial_tau) > _nll_at_temperature(
             trial_logits, trial_y, 1.0

@@ -206,6 +206,17 @@ class TestExitCodes:
         assert err.startswith("data error:") and str(bad) in err and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (b"", "empty file"),
+        (b"a,label\n", "need at least one data row"),
+    ], ids=["0-byte", "header-only"])
+    def test_table_without_rows_is_3(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        assert run(["ingest", bad, "--target", "label", "--out", tmp_path / "out"]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_byte_order_mark_is_not_part_of_a_column_name(self, tmp_path, data_csv):
         table = tmp_path / "bom.csv"
         table.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
@@ -417,6 +428,15 @@ class TestExitCodes:
         write_json(split_dir / "meta.json", dict(meta, m=float(meta["m"])))
         assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
         assert f"{split_dir / 'meta.json'}: row counts must be integers" in capsys.readouterr().err
+
+    def test_split_sidecar_row_count_mismatch_is_3(self, tmp_path, ds_dir, capsys):
+        split_dir = tmp_path / "split"
+        scores = write_json(tmp_path / "scores.json", {"scores": self.SCORES})
+        assert run(["split", ds_dir, scores, "--out", split_dir]) == 0
+        meta = json.loads((split_dir / "meta.json").read_text())
+        write_json(split_dir / "meta.json", dict(meta, m=meta["m"] + 1))
+        assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
+        assert f"{split_dir}: row counts disagree with the sidecar" in capsys.readouterr().err
 
     def test_well_formed_model_embeds(self, tmp_path, ds_dir):
         path = write_json(tmp_path / "model.json", self.MODEL)
@@ -767,6 +787,18 @@ class TestBadSettingValues:
         assert run(["report", "--config", plan]) == 0
         report = json.loads((tmp_path / "exp" / "report.json").read_text())
         assert report["norm"] == "l2"
+
+    @pytest.mark.parametrize("detector, settings", [
+        ("openmax", {"detector": "openmax", "norm": "l2", "tail": 25, "seed": 4}),
+        ("temperature", {"detector": "temperature", "norm": "none", "seed": 4}),
+    ])
+    def test_detect_records_a_tail_only_for_openmax(self, tmp_path, ds_dir, detector, settings):
+        # The temperature detector fits no Weibull tail, so none is recorded.
+        assert run(["detect", ds_dir, "--detector", detector, "--tail", 25, "--seed", 4,
+                    "--out", tmp_path / "det"]) == 0
+        scores = json.loads((tmp_path / "det" / "scores.json").read_text())
+        assert list(scores) == [*settings, "scores"]
+        assert {k: scores[k] for k in settings} == settings
 
 
 class TestConfig:

@@ -569,6 +569,18 @@ class TestEncode:
         assert np.isfinite(ds.stats["a"]["std"])
         assert abs(ds.features[:, 0].std() - 1.0) < 1e-12
 
+    def test_empty_table_is_value_error(self, tmp_path):
+        schema = Schema((Column("a", "numeric"),), "y", "classification", ("0", "1"))
+        path = write(tmp_path / "t.csv", "a,y\n")
+        with pytest.raises(ValueError, match="cannot encode an empty table"):
+            encode_features(read_csv(path), schema)
+
+    def test_entirely_missing_numeric_column_is_format_error(self):
+        raw = RawTable(["a", "y"], [["NA", "0"], ["?", "1"], ["", "0"]])
+        schema = Schema((Column("a", "numeric"),), "y", "classification", ("0", "1"))
+        with pytest.raises(FormatError, match="column 'a' is entirely missing"):
+            encode_features(raw, schema)
+
     def test_stats_schema_mismatch(self):
         raw = RawTable(["a", "y"], [["1", "0"], ["2", "1"]])
         schema = Schema((Column("a", "numeric"),), "y", "classification", ("0", "1"))
@@ -913,6 +925,62 @@ class TestBulkParse:
         stored_split(tmp_path, numeric_schema(2), ["x0", "x1", "y"],
                      [["1", "2", "0"], ["3", "4", "x"], ["bad", "5", "1"]])
         with pytest.raises(FormatError, match=r"d_in.csv: row 3: bad class index 'x'"):
+            load_split(tmp_path)
+
+
+class TestRowNumbers:
+    """Every error names the row of the file, blank lines counted: the
+    header is row 1, as in read_csv's own errors."""
+
+    SCHEMA = Schema((Column("a", "numeric"),), "y", "classification", ("c0", "c1"))
+    STATS = {"a": {"median": 0.0, "mean": 0.0, "std": 1.0}}
+
+    def table(self, tmp_path, line21):
+        """A table with a blank line 6 and ``line21`` on line 21."""
+        lines = ["a,y"] + [f"{i},c{i % 2}" for i in range(25)]
+        lines.insert(5, "")
+        lines[20] = line21
+        return write(tmp_path / "t.csv", "\n".join(lines) + "\n")
+
+    def test_blank_lines_are_left_out_of_the_rows(self, tmp_path):
+        raw = read_csv(write(tmp_path / "t.csv", "a,y\n1,c0\n\n\n2,c1\n\n"))
+        assert raw.rows == [["1", "c0"], ["2", "c1"]]
+        assert raw == RawTable(["a", "y"], [["1", "c0"], ["2", "c1"]])
+
+    def test_ragged_row(self, tmp_path):
+        with pytest.raises(FormatError, match="row 21 has 1 fields"):
+            read_csv(self.table(tmp_path, "3"))
+
+    def test_reapplied_bad_number(self, tmp_path):
+        raw = read_csv(self.table(tmp_path, "oops,c0"))
+        with pytest.raises(FormatError,
+                           match="^column 'a', row 21: cannot parse 'oops' as a number$"):
+            encode_features(raw, self.SCHEMA, self.STATS)
+
+    def test_reapplied_unknown_class(self, tmp_path):
+        raw = read_csv(self.table(tmp_path, "3,c9"))
+        with pytest.raises(FormatError, match="^row 21: unknown target class 'c9'$"):
+            encode_features(raw, self.SCHEMA, self.STATS)
+
+    def test_blank_lines_do_not_change_the_encoding(self, tmp_path):
+        lines = ["a,y"] + [f"{0.5 * i},c{i % 2}" for i in range(25)]
+        plain = encode_features(read_csv(write(tmp_path / "a.csv", "\n".join(lines))),
+                                self.SCHEMA, self.STATS)
+        lines.insert(5, "")
+        blank = encode_features(read_csv(write(tmp_path / "b.csv", "\n".join(lines))),
+                                self.SCHEMA, self.STATS)
+        assert bits(blank.features) == bits(plain.features)
+        assert blank.labels.tobytes() == plain.labels.tobytes()
+
+    def test_split_file(self, tmp_path):
+        rows = [[repr(0.5 * i), repr(i / 3), str(i % 2)] for i in range(10)]
+        stored_split(tmp_path, numeric_schema(2), ["x0", "x1", "y"], rows)
+        rows[6][0] = "oops"
+        lines = [",".join(r) for r in [["x0", "x1", "y"], *rows]]
+        lines.insert(3, "")  # a blank line 4 puts rows[6] on line 9
+        (tmp_path / "d_in.csv").write_text("\r\n".join(lines) + "\r\n")
+        with pytest.raises(FormatError,
+                           match="^column 'x0', row 9: cannot parse 'oops' as a number$"):
             load_split(tmp_path)
 
 

@@ -28,6 +28,7 @@ from tabcl.ood import (
 )
 
 from conftest import auroc, numeric_schema, shifted_cluster_data
+from oracles import draw_integers
 
 
 def toy_dataset(n=200, d=4, sep=5.0, seed=50):
@@ -281,7 +282,7 @@ def row_major_nll(logits, y, tau):
 
 def calibration_problem(seed, n, classes, scale):
     rng = RngStream(seed, 0)
-    return scale * rng.normal(n, classes), rng.integers(0, classes, n).astype(np.int64)
+    return scale * rng.normal(n, classes), draw_integers(rng, 0, classes, n).astype(np.int64)
 
 
 class TestTemperatureMatchesReference:
@@ -347,7 +348,7 @@ class TestTemperature:
         rng = RngStream(57, 0)
         for trial in range(20):
             logits = rng.normal(200, 3) * (0.5 + trial)
-            y = rng.integers(0, 3, 200).astype(np.int64)
+            y = draw_integers(rng, 0, 3, 200).astype(np.int64)
             tau = fit_temperature_on_logits(logits, y)
             from tabcl.ood import _nll_at_temperature
 

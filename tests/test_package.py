@@ -42,14 +42,17 @@ EXPORTS = {
 
 # Names the package no longer defines: the test-only oracles now live in
 # tests/oracles.py, the decoder runs only inside a training step, a
-# model's flat parameter vector and its size are ``TclModel.vector``, and a
-# score histogram is numpy's ``(counts, edges)``.
+# model's flat parameter vector and its size are ``TclModel.vector``, a
+# score histogram is numpy's ``(counts, edges)``, the Weibull shape is fitted
+# by bisection with no tolerance or step cap, and the pipeline draws no
+# integers (the tests draw theirs through ``oracles.draw_integers``).
 GONE = {
     contrastive: ("decode", "_DECODER_ARRAYS", "loss_reconstruction", "loss_contrastive",
                   "loss_distance", "replace_params", "param_vector", "parameter_count"),
     numerics: ("finite_diff_grad",),
+    numerics.RngStream: ("integers",),
     ood: ("Histogram",),
-    weibull: ("weibull_sample",),
+    weibull: ("weibull_sample", "_MLE_TOL", "_MLE_MAX_ITER"),
 }
 
 # Parameter names of the functions that lost a second route: ``ingest_csv``
@@ -91,7 +94,8 @@ class TestLibrarySurface:
         assert public == EXPORTS
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in GONE.items() for n in names],
-                             ids=lambda v: v.__name__ if isinstance(v, types.ModuleType) else v)
+                             ids=lambda v: v.__name__ if isinstance(v, (types.ModuleType, type))
+                             else v)
     def test_removed_name_is_gone(self, module, name):
         assert not hasattr(module, name)
         assert not hasattr(tabcl, name)

@@ -127,3 +127,26 @@ class TestMle:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             weibull_mle(np.array([1.0]))
+
+    def test_near_degenerate_sample_rejected(self):
+        # distinct values so close together that the shape passes 1e3
+        with pytest.raises(NumericError, match="shape parameter out of range"):
+            weibull_mle(1.0 + 1e-9 * np.arange(20))
+
+    def test_shape_is_the_root_of_the_score_to_rounding(self):
+        # The profile score changes sign within 1e-12 (relative) of every
+        # fitted shape: the bisection runs to adjacent floats.  A fit that
+        # stops on a step tolerance misses this on some tails.
+        def score(k, x):
+            ln_z = np.log(x) - np.log(x).mean()
+            w = np.exp(k * ln_z)
+            return w @ ln_z / w.sum() - 1.0 / k - ln_z.mean()
+
+        shapes = 0.3 + 9.7 * RngStream(25, 0).uniform(1, 200)[0]
+        missed = []
+        for i, k in enumerate(shapes):
+            x = weibull_sample((20, 30, 50)[i % 3], k, 1.0 + i % 5, RngStream(26, i))
+            k_hat, _ = weibull_mle(x)
+            if not score(k_hat * (1 - 1e-12), x) < 0 < score(k_hat * (1 + 1e-12), x):
+                missed.append((i, k_hat))
+        assert missed == []
