@@ -502,9 +502,54 @@ def _write_dataset_csv(dataset: Dataset, path) -> None:
         )
 
 
+def _bulk_read(path, expected: list[str], schema: Schema):
+    """The features and labels of a dataset CSV, parsed by numpy's C reader
+    in one call, or None when numpy refuses the file or the per-cell reader
+    of :func:`_read_dataset_csv` might not accept it as read.
+
+    The header goes through ``csv.reader``, so a quoted encoded name matches.
+    numpy takes a strict subset of the tokens that ``float`` and ``int``
+    take (not ``1_0``, non-ASCII digits or quoted numbers) and reads each
+    to the same bits.  It is given no quote character and splits lines at
+    ``\\n`` and ``\\r\\n`` only, so wherever it succeeds ``csv.reader``
+    splits the body into the same cells.
+    """
+    classification = schema.task == CLASSIFICATION
+    label_type = np.int64 if classification else np.float64
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            if [name.strip() for name in next(csv.reader(fh), ())] != expected:
+                return None
+            body = fh.read()
+        lines = body.split("\n")
+        # A body without rows is left to read_csv, which names the file (numpy
+        # would only warn), and so is a line long enough to hold a cell beyond
+        # csv's field limit, which read_csv refuses.
+        if not body.strip() or max(map(len, lines)) > csv.field_size_limit():
+            return None
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                           dtype=[("f", np.float64, (len(expected) - 1,)), ("y", label_type)])
+    except (OSError, ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+        return None
+    features, labels = table["f"], table["y"]
+    if classification:
+        valid = (labels >= 0) & (labels < len(schema.classes))
+    else:
+        valid = np.isfinite(labels)
+    if not (valid.all() and np.isfinite(features).all()):
+        return None
+    return features.copy(), labels.copy()  # contiguous, as the per-cell reader's are
+
+
 def _read_dataset_csv(path, schema: Schema, stats: dict | None) -> Dataset:
-    raw = read_csv(path)
+    """One side of a stored split.  :func:`_bulk_read` parses it when it
+    can; otherwise ``read_csv`` and the per-cell parsers read it, and they
+    alone decide whether the file is accepted and with which error."""
     expected = list(schema.encoded_names()) + [schema.target]
+    arrays = _bulk_read(path, expected, schema)
+    if arrays is not None:
+        return Dataset(*arrays, schema, stats)
+    raw = read_csv(path)
     if raw.header != expected:
         raise FormatError(f"{path}: header does not match the stored schema")
     n = len(raw.rows)
@@ -524,23 +569,27 @@ def _read_dataset_csv(path, schema: Schema, stats: dict | None) -> Dataset:
 
 def _raise_first_bad_cell(path, raw: RawTable, schema: Schema) -> None:
     """Raise the FormatError for the first bad cell of a dataset CSV,
-    scanning row by row, each row's features before its label."""
+    scanning row by row, each row's features before its label.  Every
+    message names the file, as a split has two."""
     names = schema.encoded_names()
     k = len(schema.classes)
-    for index, row in enumerate(raw.rows):
-        i = raw._row_number(index)
-        for j, name in enumerate(names):
-            _parse_number(row[j], name, i)
-        label = row[len(names)]
-        if schema.task != CLASSIFICATION:
-            _parse_number(label, schema.target, i)
-            continue
-        try:
-            index = int(label)
-        except ValueError:
-            raise FormatError(f"{path}: row {i}: bad class index {label!r}") from None
-        if not 0 <= index < k:
-            raise FormatError(f"{path}: row {i}: class index {index} outside [0, {k})")
+    try:
+        for index, row in enumerate(raw.rows):
+            i = raw._row_number(index)
+            for j, name in enumerate(names):
+                _parse_number(row[j], name, i)
+            label = row[len(names)]
+            if schema.task != CLASSIFICATION:
+                _parse_number(label, schema.target, i)
+                continue
+            try:
+                index = int(label)
+            except ValueError:
+                raise FormatError(f"row {i}: bad class index {label!r}") from None
+            if not 0 <= index < k:
+                raise FormatError(f"row {i}: class index {index} outside [0, {k})")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -628,7 +677,9 @@ def save_split(pair: SplitPair, path) -> None:
 def load_split(path) -> SplitPair:
     """Inverse of :func:`save_split`; features, labels and threshold
     round-trip bit-exactly.  The sidecar's ``threshold`` must be a finite
-    number and its ``m`` and ``n`` the CSVs' row counts."""
+    number and its ``m`` and ``n`` the CSVs' row counts.  Each CSV's body is
+    parsed by numpy's C reader in one call; a file it refuses is read cell
+    by cell, which alone decides the error (see :func:`_read_dataset_csv`)."""
     sidecar = os.path.join(path, "meta.json")
     meta, schema = _load_meta(sidecar)
     with fields(sidecar, "dataset sidecar"):

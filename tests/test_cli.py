@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tabcl import cli
 from tabcl.bench import TCL_KEYS, DetectorConfig, ExperimentPlan, run_experiment
 from tabcl.cli import build_parser, main
 from tabcl.data import (
@@ -100,6 +101,23 @@ class TestStagedPipeline:
         metrics = json.loads((eval_dir / "metrics.json").read_text())
         assert 0.0 <= metrics["accuracy"] <= 1.0
         assert "f1_macro" in metrics
+
+    def test_repeated_calls_in_one_process(self, tmp_path, ds_dir, scores_json, monkeypatch):
+        """One process builds one parser, and each call runs the ``cmd_*``
+        bound at that moment: a tracer rebinds them between calls."""
+        for side in ("a", "b"):
+            assert run(["split", ds_dir, scores_json, "--quantile", 0.9,
+                        "--out", tmp_path / side]) == 0
+            assert run(["train", tmp_path / side, "--max-epochs", 1,
+                        "--out", tmp_path / side / "run"]) == 0
+        for name in ("d_in.csv", "d_ood.csv", "meta.json", "run/model.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert build_parser() is build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_split", lambda args: calls.append(args.quantile) or 7)
+        assert run(["split", ds_dir, scores_json, "--quantile", 0.5,
+                    "--out", tmp_path / "c"]) == 7
+        assert calls == [0.5] and not (tmp_path / "c").exists()
 
     def test_embed_keeps_a_target_named_like_a_latent(self, tmp_path):
         ds, _ = shifted_cluster_data(n_id=90, n_ood=10, d=4, seed=301)

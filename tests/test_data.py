@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
 import statistics
 import tempfile
@@ -733,6 +734,20 @@ class TestSplitPersistence:
         with pytest.raises(FormatError, match="schema-version"):
             load_split(tmp_path / "split")
 
+    @pytest.mark.parametrize("text, message", [
+        ("x0,x1,x2,y\r\n", r"d_ood\.csv: no data rows"),
+        ("x0,x1,x2,y\r\n\r\n\r\n", r"d_ood\.csv: no data rows"),
+        ("x0,x1,x3,y\r\n1,2,3,0\r\n", r"d_ood\.csv: header does not match the stored schema"),
+        # numpy reads this cell as 0.0, but it is longer than csv's field limit
+        ("x0,x1,x2,y\r\n0." + "0" * csv.field_size_limit() + "1,0,0,0\r\n",
+         r"d_ood\.csv: line 2: field larger than field limit"),
+    ], ids=["header-only", "blank-lines-only", "other-header", "cell-beyond-field-limit"])
+    def test_side_the_per_cell_reader_refuses(self, tmp_path, text, message):
+        save_split(build_pair(), tmp_path)
+        (tmp_path / "d_ood.csv").write_bytes(text.encode())
+        with pytest.raises(FormatError, match=message):
+            load_split(tmp_path)
+
     def test_anomalous_flag(self):
         pair = build_pair(m=10, n_ood=30)
         assert pair.anomalous
@@ -835,7 +850,10 @@ REGRESSION = numeric_schema(3, task="regression")
 IDENTITY_STATS = {f"x{j}": {"median": 0.0, "mean": 0.0, "std": 1.0} for j in range(3)}
 VALUE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from([" 2 ", "+.5", "1_0", "1e5", "-0", "5e-324", "1E-5", "\t-3.25"]),
+    # "1.5\n" is a cell that csv.writer quotes; numpy's reader refuses it and
+    # "１", so the per-cell reader of a stored split reads them.
+    st.sampled_from([" 2 ", "+.5", "1_0", "1e5", "-0", "5e-324", "1E-5", "\t-3.25", "１",
+                     "1.5\n"]),
 )
 CELL = st.one_of(VALUE, st.sampled_from(sorted(MISSING_TOKENS)))
 BAD = st.lists(
@@ -919,7 +937,19 @@ class TestBulkParse:
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(FormatError) as exc:
                 load_split(saved_regression(tmp, rows))
-        assert str(exc.value) == expected
+        assert str(exc.value) == f"{os.path.join(tmp, 'd_in.csv')}: {expected}"
+
+    @pytest.mark.parametrize("schema, label, message", [
+        (REGRESSION, "inf", "column 'y', row 3: non-finite value 'inf'"),
+        (REGRESSION, "nan", "column 'y', row 3: non-finite value 'nan'"),
+        (numeric_schema(3), "2", "row 3: class index 2 outside [0, 2)"),
+        (numeric_schema(3), "-1", "row 3: class index -1 outside [0, 2)"),
+    ], ids=["inf-target", "nan-target", "class-2-of-2", "class-minus-1"])
+    def test_label_that_numpy_reads_is_still_refused(self, tmp_path, schema, label, message):
+        stored_split(tmp_path, schema, HEADER, [["1", "2", "3", "0"], ["4", "5", "6", label]])
+        path = re.escape(str(tmp_path / "d_in.csv"))
+        with pytest.raises(FormatError, match=f"^{path}: {re.escape(message)}$"):
+            load_split(tmp_path)
 
     def test_bad_class_index_comes_after_its_row_features(self, tmp_path):
         stored_split(tmp_path, numeric_schema(2), ["x0", "x1", "y"],
@@ -979,14 +1009,24 @@ class TestRowNumbers:
         lines = [",".join(r) for r in [["x0", "x1", "y"], *rows]]
         lines.insert(3, "")  # a blank line 4 puts rows[6] on line 9
         (tmp_path / "d_in.csv").write_text("\r\n".join(lines) + "\r\n")
-        with pytest.raises(FormatError,
-                           match="^column 'x0', row 9: cannot parse 'oops' as a number$"):
+        message = "column 'x0', row 9: cannot parse 'oops' as a number"
+        with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path / 'd_in.csv'))}: {message}$"):
+            load_split(tmp_path)
+
+    def test_split_file_names_the_ood_side(self, tmp_path):
+        rows = [[repr(0.5 * i), str(i % 2)] for i in range(10)]
+        side = Dataset(np.zeros((1, 1)), np.zeros(1, np.int64), numeric_schema(1), None)
+        save_split(SplitPair(side, side.take([0] * len(rows)), threshold=0.5), tmp_path)
+        rows[1][0] = "oops"
+        write_rows(tmp_path / "d_ood.csv", ["x0", "y"], rows)
+        message = "column 'x0', row 3: cannot parse 'oops' as a number"
+        with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path / 'd_ood.csv'))}: {message}$"):
             load_split(tmp_path)
 
 
 EDGE_VALUES = [-0.0, 1e-05, 1e16, 5e-324]
 QUOTED = Schema(
-    (Column("c", "categorical", ("a,b", 'say "hi"')), Column("x", "numeric")),
+    (Column("c", "categorical", ("a,b", 'say "hi"', "two\nlines")), Column("x", "numeric")),
     "y", "classification", ("0", "1"),
 )
 
@@ -995,7 +1035,8 @@ def writer_case(case, task):
     classification = task == "classification"
     if case == "quoted levels":
         schema = QUOTED if classification else Schema(QUOTED.features, "y", "regression")
-        features = [[1.0, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, -1.25], [0.0, 0.0, 1.0, 2.0 / 3.0]]
+        features = [[1.0, 0.0, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0, -1.25],
+                    [0.0, 0.0, 1.0, 0.0, 2.0 / 3.0]]
     elif case == "no features":
         schema = Schema((), "y", task, ("0", "1") if classification else ())
         features = np.zeros((3, 0))
@@ -1009,13 +1050,20 @@ def writer_case(case, task):
 class TestWriter:
     @pytest.mark.parametrize("task", ["classification", "regression"])
     @pytest.mark.parametrize("case", ["quoted levels", "no features", "edge values"])
-    def test_bytes_match_csv_writer_reference(self, tmp_path, case, task):
+    def test_bytes_match_csv_writer_reference(self, tmp_path, monkeypatch, case, task):
         ds = writer_case(case, task)
         reference_write(ds, tmp_path / "reference.csv")
         pair = SplitPair(ds, ds.take([0]), threshold=0.5)
         save_split(pair, tmp_path / "split")
         stored = (tmp_path / "split" / "d_in.csv").read_bytes()
         assert stored == (tmp_path / "reference.csv").read_bytes()
+
+        def per_cell_reader(path):
+            raise AssertionError(f"the writer's output {path} went to the per-cell reader")
+
+        # numpy's reader takes every file the writer makes: the gain of the bulk
+        # path would be lost without a sound if it fell back here
+        monkeypatch.setattr(data, "read_csv", per_cell_reader)
         loaded = load_split(tmp_path / "split").d_in
         assert bits(loaded.features) == bits(ds.features)
         assert bits(loaded.labels) == bits(ds.labels)
