@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import os
 import sys
 
@@ -205,11 +204,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process and shared by
-    every caller: parsing does not change it.  A parsed ``command`` names
-    its ``cmd_*`` function, which :func:`main` looks up on this module."""
     parser = argparse.ArgumentParser(
         prog="tabcl",
         description="Tabular contrastive learning with OOD gating and benchmarking.",
@@ -218,59 +213,60 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {"seed": dict(type=int, help="random seed"),
               "config": dict(help="JSON/TOML config file"), "out": dict(help="output directory")}
 
-    def command(name, help, *flags):
-        """The subcommand ``name``, with the shared flags its ``cmd_*`` reads."""
+    def command(name, func, help, *flags):
+        """The subcommand that runs ``func``, with the shared flags ``func`` reads."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         for flag in flags:
             p.add_argument(f"--{flag}", **shared[flag])
         return p
 
-    p = command("ingest", "encode a CSV into a dataset artifact", "out")
+    p = command("ingest", cmd_ingest, "encode a CSV into a dataset artifact", "out")
     p.add_argument("csv")
     p.add_argument("--target", required=True, help="target column name")
     p.add_argument("--task", choices=["classification", "regression"], default=None)
     p.add_argument("--delimiter", default=",")
 
-    p = command("detect", "score rows with an OOD detector", "seed", "config", "out")
+    p = command("detect", cmd_detect, "score rows with an OOD detector", "seed", "config", "out")
     p.add_argument("data", help="dataset artifact directory")
     p.add_argument("--detector", choices=[OPENMAX, TEMPERATURE], default=None)
     p.add_argument("--norm", choices=["l1", "l2"], default=None)
     p.add_argument("--tail", type=int, default=None)
     p.add_argument("--bins", type=int, default=None)
 
-    p = command("split", "split a dataset at a score threshold", "config", "out")
+    p = command("split", cmd_split, "split a dataset at a score threshold", "config", "out")
     p.add_argument("data")
     p.add_argument("scores", help="scores.json from `detect`")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--quantile", type=float, default=None)
 
-    p = command("train", "train the contrastive encoder", "seed", "config", "out")
+    p = command("train", cmd_train, "train the contrastive encoder", "seed", "config", "out")
     p.add_argument("data", help="dataset artifact or split directory")
     for f in dataclasses.fields(TclConfig):
         if f.name not in ("input_dim", "seed"):  # the data's width; --seed is shared
             kind = {"int": int, "float": float, "str": str}[f.type.removesuffix(" | None")]
             p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=kind, default=None)
 
-    p = command("embed", "encode a dataset into the latent space", "out")
+    p = command("embed", cmd_embed, "encode a dataset into the latent space", "out")
     p.add_argument("model", help="model.json from `train`")
     p.add_argument("data")
 
-    p = command("fit-head", "fit a prediction head", "out")
+    p = command("fit-head", cmd_fit_head, "fit a prediction head", "out")
     p.add_argument("data", help="dataset (or embeddings) artifact directory")
     p.add_argument("--kind", choices=["logistic", "linear"], default=None)
 
-    p = command("evaluate", "evaluate a head on a dataset", "out")
+    p = command("evaluate", cmd_evaluate, "evaluate a head on a dataset", "out")
     p.add_argument("head", help="head.json from `fit-head`")
     p.add_argument("data")
 
-    p = command("tradeoff", "speed/accuracy trade-off")
+    p = command("tradeoff", cmd_tradeoff, "speed/accuracy trade-off")
     p.add_argument("--p", type=float, required=True, help="task metric (F1 or RMSE)")
     p.add_argument("--t", type=float, required=True, help="training seconds")
     p.add_argument("--task", choices=["classification", "regression"], required=True)
 
-    command("report", "run a full experiment plan", "seed", "config", "out")
+    command("report", cmd_report, "run a full experiment plan", "seed", "config", "out")
 
-    p = command("compare", "rank reports by trade-off", "out")
+    p = command("compare", cmd_compare, "rank reports by trade-off", "out")
     p.add_argument("reports", nargs="+", help="report.json files")
 
     return parser
@@ -282,14 +278,10 @@ def _message(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.  The parser is built on
-    the first call only; the ``cmd_*`` function is looked up on this module
-    at every call, so one rebound after the first call (as a tracer does)
-    is the one that runs."""
-    args = build_parser().parse_args(argv)
-    run = globals()["cmd_" + args.command.replace("-", "_")]
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return run(args)
+        return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {_message(exc)}", file=sys.stderr)
         return 2

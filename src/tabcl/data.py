@@ -270,9 +270,10 @@ def _floats(cells) -> np.ndarray | None:
     """``cells`` parsed by Python's ``float`` into one float64 array, or None
     when a cell does not parse or is not finite.
 
-    This is the only parser of numeric cells.  A caller that must name the
-    bad cell scans the cells again with :func:`_parse_number`, in the order
-    its errors are reported, only after this has failed.
+    This is the only Python-side parser of numeric cells (numpy's reader in
+    :func:`_bulk_read` may parse a stored split first).  A caller that must
+    name the bad cell scans the cells again with :func:`_parse_number`, in
+    the order its errors are reported, only after this has failed.
     """
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
@@ -512,7 +513,9 @@ def _bulk_read(path, expected: list[str], schema: Schema):
     take (not ``1_0``, non-ASCII digits or quoted numbers) and reads each
     to the same bits.  It is given no quote character and splits lines at
     ``\\n`` and ``\\r\\n`` only, so wherever it succeeds ``csv.reader``
-    splits the body into the same cells.
+    splits the body into the same cells.  Any warning numpy gives counts as
+    a refusal: numpy 1.x's loadtxt reads a class label such as ``1.0``
+    through ``float`` and only warns, where ``int`` refuses it.
     """
     classification = schema.task == CLASSIFICATION
     label_type = np.int64 if classification else np.float64
@@ -527,9 +530,11 @@ def _bulk_read(path, expected: list[str], schema: Schema):
         # csv's field limit, which read_csv refuses.
         if not body.strip() or max(map(len, lines)) > csv.field_size_limit():
             return None
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
-                           dtype=[("f", np.float64, (len(expected) - 1,)), ("y", label_type)])
-    except (OSError, ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                               dtype=[("f", np.float64, (len(expected) - 1,)), ("y", label_type)])
+    except (OSError, ValueError, csv.Error, Warning):  # a UnicodeDecodeError is a ValueError
         return None
     features, labels = table["f"], table["y"]
     if classification:

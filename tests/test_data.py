@@ -944,11 +944,31 @@ class TestBulkParse:
         (REGRESSION, "nan", "column 'y', row 3: non-finite value 'nan'"),
         (numeric_schema(3), "2", "row 3: class index 2 outside [0, 2)"),
         (numeric_schema(3), "-1", "row 3: class index -1 outside [0, 2)"),
-    ], ids=["inf-target", "nan-target", "class-2-of-2", "class-minus-1"])
+        # numpy 1.x reads these through float as 1, with a DeprecationWarning
+        (numeric_schema(3), "1.0", "row 3: bad class index '1.0'"),
+        (numeric_schema(3), "1e0", "row 3: bad class index '1e0'"),
+    ], ids=["inf-target", "nan-target", "class-2-of-2", "class-minus-1", "class-1.0", "class-1e0"])
     def test_label_that_numpy_reads_is_still_refused(self, tmp_path, schema, label, message):
         stored_split(tmp_path, schema, HEADER, [["1", "2", "3", "0"], ["4", "5", "6", label]])
         path = re.escape(str(tmp_path / "d_in.csv"))
         with pytest.raises(FormatError, match=f"^{path}: {re.escape(message)}$"):
+            load_split(tmp_path)
+
+    def test_a_warning_from_numpy_sends_the_file_to_the_per_cell_reader(self, tmp_path,
+                                                                        monkeypatch):
+        """A numpy that reads a class label ``1.0`` as 1 and only warns (as
+        numpy 1.x does) must not make the file acceptable."""
+        stored_split(tmp_path, numeric_schema(3), HEADER,
+                     [["1", "2", "3", "0"], ["4", "5", "6", "1.0"]])
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(lines, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return loadtxt([line.replace("1.0", "1") for line in lines], **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        with pytest.raises(FormatError, match=r"d_in\.csv: row 3: bad class index '1\.0'$"):
             load_split(tmp_path)
 
     def test_bad_class_index_comes_after_its_row_features(self, tmp_path):
