@@ -72,16 +72,17 @@ for name, scores in (("weibull-recalibration", scores_w), ("temperature", scores
         print(f"  [{lo:+.3f}, {hi:+.3f})  {count:5d} {bar}")
 
 # ---------------------------------------------------------------------------
-# 4. Cut each score distribution at its 90th percentile and validate.
-#    A sound split keeps train/test agreement on the in-distribution side
-#    and collapses on the out-of-distribution side.
+# 4. Cut each score distribution at its 90th percentile and validate: split
+#    the kept rows into train and test, fit a probe on the train rows, and
+#    score it on the test rows and on every split-off row.  A sound split
+#    keeps train/test agreement and collapses on the out-of-distribution side.
 # ---------------------------------------------------------------------------
 for name, scores in (("weibull-recalibration", scores_w), ("temperature", scores_t)):
     threshold = float(np.quantile(scores, 0.90))
     pair = split_by_threshold(data, scores, threshold)
-    report = validate_split(pair, RngStream(17, 0))
-    print(f"\n{name}: threshold {threshold:+.4f} -> M={pair.m}, N={pair.n}")
-    print(f"  probe accuracy   train    test")
-    print(f"  in-distribution  {report.id_train:.4f}  {report.id_test:.4f}")
-    print(f"  out-of-dist.     {report.ood_train:.4f}  {report.ood_test:.4f}")
-    print(f"  degradation (id_test - ood_test): {report.degradation:+.4f}")
+    report, id_train, id_test = validate_split(pair, RngStream(17, 0))
+    print(f"\n{name}: threshold {threshold:+.4f} -> M={pair.m} "
+          f"({id_train.n} train, {id_test.n} test), N={pair.n}")
+    print("  probe macro-F1   ID train  ID test  OOD")
+    print(f"                   {report.id_train:.4f}    {report.id_test:.4f}   {report.ood:.4f}")
+    print(f"  degradation (ID test - OOD): {report.degradation:+.4f}")

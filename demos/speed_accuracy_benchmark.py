@@ -71,8 +71,9 @@ for name, tcl_overrides in (
     grid = report.split_grid
     print(f"\n{name}:")
     print(f"  split: M={report.m} N={report.n} at threshold {report.threshold:.4f}")
-    print(f"  probe grid: id {grid['id_train']:.3f}/{grid['id_test']:.3f}, "
-          f"ood {grid['ood_train']:.3f}/{grid['ood_test']:.3f}")
+    print(f"  {report.metric_name}     ID test  OOD")
+    print(f"  raw features {grid['id_test']:.3f}    {grid['ood']:.3f}")
+    print(f"  embedding    {report.p:.3f}    {report.constraints['ood_metric']:.3f}")
     print(f"  {report.metric_name}={report.p:.4f} in t={report.t_seconds:.2f}s "
           f"-> trade-off {report.tradeoff:.3g}")
     print(f"  stage seconds: " + ", ".join(f"{k}={v:.2f}" for k, v in report.stage_seconds.items()))

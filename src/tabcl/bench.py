@@ -8,7 +8,8 @@ training, embedding, head fitting, and evaluation on the ID-test and OOD
 portions.  Only the unsupervised training time enters the trade-off; the
 other stages are recorded separately.  A :class:`BenchReport` records each
 fact once: the split's detector, norm, threshold and sizes are top-level
-fields, and ``split_grid`` holds the four probe cells and their degradation.
+fields.  ``split_grid`` holds the raw-feature probe's cells, fitted and
+tested on the rows that the embedding's head (``p``) is, in the same metric.
 
 The stage functions (:func:`detect`, :func:`split_at_threshold`,
 :func:`train`, :func:`tabcl.heads.fit_head`, :func:`evaluate`) are the
@@ -48,11 +49,13 @@ from .heads import (
     metric_r2,
     metric_rmse,
     predict,
+    task_metric,
 )
 from .numerics import STREAMS, RngStream, is_finite_number, is_integer, plain_number
 from .ood import (
     OPENMAX,
     TEMPERATURE,
+    degradation,
     discretize_target,
     fit_openmax,
     fit_temperature,
@@ -163,7 +166,6 @@ class ExperimentPlan:
     head: str | None = None  # "logistic" | "linear"; default picked by task
     seed: int = 0
     out_dir: str = "out"
-    delta: float | None = None  # declared OOD degradation budget (recorded only)
     fractions: tuple[float, float] = (0.8, 0.2)
 
     def __post_init__(self):
@@ -176,11 +178,9 @@ class ExperimentPlan:
             raise ConfigError(f"unknown task: {self.task!r}")
         if self.head not in (None, LOGISTIC, LINEAR):
             raise ConfigError(f"unknown head kind: {self.head!r}")
-        if self.delta is not None and not is_finite_number(self.delta):
-            raise ConfigError(f"delta must be a finite number, got {self.delta!r}")
         if not (is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        self.seed, self.delta = int(self.seed), plain_number(self.delta)
+        self.seed = int(self.seed)
         try:
             self.fractions = check_fractions(self.fractions)
         except (TypeError, ValueError) as exc:
@@ -213,7 +213,7 @@ class BenchReport:
     p: float
     t_seconds: float
     tradeoff: float
-    split_grid: dict  # SplitReport.to_dict(): the four probe cells and their degradation
+    split_grid: dict  # the SplitReport's fields: the raw-feature probe's cells
     constraints: dict  # recorded budget fields, never enforced
     stage_seconds: dict
     detector: str
@@ -401,9 +401,8 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
 
     with _Stage("split", clock):
         pair = split_at_threshold(dataset, scores, det, os.path.join(plan.out_dir, "split"))
-        grid = validate_split(pair, RngStream(plan.seed, STREAMS["validate"]), plan.fractions)
-        id_train, id_test = split(pair.d_in, plan.fractions,
-                                  RngStream(plan.seed, STREAMS["id-split"]))
+        grid, id_train, id_test = validate_split(
+            pair, RngStream(plan.seed, STREAMS["id-split"]), plan.fractions)
 
     with _Stage("train", clock):
         model, trace = train(id_train, plan.tcl, plan.seed, plan.out_dir)
@@ -416,13 +415,13 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
     with _Stage("fit-head", clock):
         head = fit_head(e_train, id_train.labels, task, plan.head)
 
-    metric_name = "f1_macro" if task == CLASSIFICATION else "rmse"
+    metric_name, metric = task_metric(task)
     with _Stage("evaluate", clock):
         t0 = time.perf_counter()
         pred_test = predict(head, e_test)
         t_inference = time.perf_counter() - t0
-        p = evaluate(task, id_test.labels, pred_test)[metric_name]
-        p_ood = evaluate(task, pair.d_ood.labels, predict(head, e_ood))[metric_name]
+        p = metric(id_test.labels, pred_test)
+        p_ood = metric(pair.d_ood.labels, predict(head, e_ood))
 
     t_train = trace.seconds
     report = BenchReport(
@@ -433,14 +432,13 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         p=p,
         t_seconds=t_train,
         tradeoff=tradeoff(p, t_train, task),
-        split_grid=grid.to_dict(),
+        split_grid=dataclasses.asdict(grid),
         constraints={
             "memory_estimate_bytes": trace.array_bytes,
             "parameter_count": model.vector.size,
             "t_inference_seconds": t_inference,
-            "ood_degradation": p - p_ood if task == CLASSIFICATION else p_ood - p,
+            "ood_degradation": degradation(task, p, p_ood),
             "ood_metric": p_ood,
-            "delta_declared": plan.delta,
         },
         stage_seconds=clock,
         detector=settings["detector"],
@@ -470,10 +468,10 @@ def _markdown(report: BenchReport) -> str:
         f"Detector `{report.detector}` (norm `{report.norm}`), threshold "
         f"{_sig(report.threshold, 4)}; M={report.m}, N={report.n}.",
         "",
-        "| portion | train | test |",
+        f"| {report.metric_name} | ID test | OOD |",
         "| --- | --- | --- |",
-        f"| in-distribution | {_sig(g['id_train'], 4)} | {_sig(g['id_test'], 4)} |",
-        f"| out-of-distribution | {_sig(g['ood_train'], 4)} | {_sig(g['ood_test'], 4)} |",
+        f"| raw features | {_sig(g['id_test'], 4)} | {_sig(g['ood'], 4)} |",
+        f"| embedding | {_sig(report.p, 4)} | {_sig(report.constraints['ood_metric'], 4)} |",
         "",
         "## Speed/accuracy",
         "",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import os
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -131,19 +130,18 @@ class RawTable:
     values of each numeric column that :func:`infer_schema` parsed, keyed by
     column name, and :func:`encode_features` takes them over instead of
     parsing the column again.  It is None on every other table.
-    For each blank line that :func:`read_csv` left out of ``rows``,
-    ``_blanks`` holds the index in ``rows`` of the row after it, so that an
-    error can name the row of the file.
+    On a table from :func:`read_csv`, ``_lines`` holds the line of the file
+    that each of ``rows`` starts on, which errors name as its row.
     """
 
     header: list[str]
     rows: list[list[str]]
     _numbers: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _blanks: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _lines: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def _row_number(self, i: int) -> int:
-        """The row of the file that ``rows[i]`` came from; the header is row 1."""
-        return i + 2 + bisect_right(self._blanks, i)
+        """The row of the file that ``rows[i]`` starts on; the header is row 1."""
+        return i + 2 if self._lines is None else self._lines[i]
 
 
 @dataclass(eq=False)  # holds arrays: compared by identity
@@ -218,7 +216,7 @@ class SplitPair:
 def read_csv(path, delimiter: str = ",") -> RawTable:
     """Parse a headered UTF-8 CSV, with or without a byte-order mark,
     enforcing one name per column and uniform row arity.  Blank lines are
-    skipped but keep their row numbers: the header is row 1.
+    skipped; a row is numbered by the line it starts on, the header's being 1.
 
     Raises FormatError naming the first repeated column name, the offending
     row when arity differs, and the file when it cannot be read, decoded or
@@ -237,22 +235,23 @@ def read_csv(path, delimiter: str = ",") -> RawTable:
             if len(set(header)) < len(header):
                 name = next(h for i, h in enumerate(header) if h in header[:i])
                 raise FormatError(f"{path}: column {name!r} appears twice in the header")
-            rows, blanks = [], []
-            for i, row in enumerate(reader, start=2):
+            rows, lines, line = [], [], reader.line_num
+            for row in reader:
+                first, line = line + 1, reader.line_num
                 if not row:
-                    blanks.append(len(rows))
                     continue
                 if len(row) != len(header):
                     raise FormatError(
-                        f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
+                        f"{path}: row {first} has {len(row)} fields, expected {len(header)}"
                     )
                 rows.append(list(map(str.strip, row)))
+                lines.append(first)
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     table = RawTable(header, rows)
-    table._blanks = blanks
+    table._lines = lines
     return table
 
 

@@ -225,6 +225,11 @@ def head_kind(task: str, kind: str | None = None) -> str:
     return fits
 
 
+def task_metric(task: str):
+    """``(name, function)`` of the report's metric for ``task``: macro-F1 or RMSE."""
+    return ("f1_macro", metric_f1_macro) if task == CLASSIFICATION else ("rmse", metric_rmse)
+
+
 def fit_head(X, y, task: str, kind: str | None = None) -> Head:
     """Fit the head of :func:`head_kind` for ``task``."""
     if head_kind(task, kind) == LOGISTIC:

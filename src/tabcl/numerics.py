@@ -25,7 +25,7 @@ from .exceptions import NumericError
 Array = np.ndarray
 
 # The stream id of each stochastic step; every RngStream in the package names its id here.
-STREAMS = {"init": 0, "views": 1, "calibration": 11, "validate": 21, "id-split": 22}
+STREAMS = {"init": 0, "views": 1, "calibration": 11, "id-split": 22}
 
 
 class RngStream:

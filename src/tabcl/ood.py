@@ -25,14 +25,14 @@ from 0.88 to 0.18, and on ``train-wide`` the openmax AUROC from 0.95 to
 0.86.
 
 A threshold is picked from the scores' histogram, numpy's ``(counts,
-edges)`` (:func:`score_histogram`).  Rows are then split at it and the split
-is validated with the task's head (:func:`tabcl.heads.fit_head`) trained on
-the ID side; the :class:`SplitReport` holds only the four probe cells.
+edges)`` (:func:`score_histogram`).  Rows are then split at it, and
+:func:`validate_split` draws the run's one ID-train/ID-test split and probes
+it with the task's head (:func:`tabcl.heads.fit_head`) on the raw features.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from . import heads
 from .artifacts import atomic_write
 from .data import CLASSIFICATION, Dataset, SplitPair, split
 from .exceptions import NumericError
-from .heads import Head, fit_head, metric_accuracy, metric_r2, predict
+from .heads import Head, fit_head, predict, task_metric
 from .numerics import RngStream, _class_index, softmax_classes
 from .weibull import weibull_cdf, weibull_mle
 
@@ -259,50 +259,48 @@ def split_by_threshold(dataset: Dataset, scores, threshold: float) -> SplitPair:
     )
 
 
+def degradation(task: str, id_value: float, ood_value: float) -> float:
+    """How much worse ``task``'s metric (:func:`tabcl.heads.task_metric`) is
+    on OOD rows than on ID rows; positive when worse."""
+    return id_value - ood_value if task == CLASSIFICATION else ood_value - id_value
+
+
 @dataclass
 class SplitReport:
-    """Four-cell validation grid for one ID/OOD split.
-
-    The probe, the task's head (logistic regression for classification,
-    ridge regression for regression), is trained on the ID-train portion
-    only; the metric is accuracy or r-squared respectively.  The split's
-    own facts (task, sizes, threshold) are those of the
-    :class:`~tabcl.data.SplitPair` it was computed from.
+    """Validation cells for one ID/OOD split: the task's head on the raw
+    features, trained on ID-train only and scored by the task's metric on
+    ID-train, ID-test and every OOD row, and the :func:`degradation` from
+    ID-test to OOD.  The split's own facts (task, sizes, threshold) are
+    those of the :class:`~tabcl.data.SplitPair` it was computed from.
     """
 
     id_train: float
     id_test: float
-    ood_train: float
-    ood_test: float
-
-    @property
-    def degradation(self) -> float:
-        """ID-test metric minus OOD-test metric."""
-        return self.id_test - self.ood_test
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "degradation": self.degradation}
+    ood: float
+    degradation: float
 
 
 def validate_split(
     pair: SplitPair, rng: RngStream, fractions=(0.8, 0.2)
-) -> SplitReport:
-    """Probe a split: train on ID-train, evaluate on all four portions.
+) -> tuple[SplitReport, Dataset, Dataset]:
+    """Split the ID side into ID-train and ID-test and probe the split; returns
+    the report and the two portions, on which a run trains and tests.
 
-    A sound OOD split shows id_test close to id_train and ood_test well
-    below id_test.  Each side needs at least 10 rows.
+    A sound OOD split shows id_test close to id_train and a clearly positive
+    degradation.  Each side needs at least 10 rows, checked before any draw.
     """
     for side, part in (("ID", pair.d_in), ("OOD", pair.d_ood)):
         if part.n < 10:
             raise ValueError(f"{side} side too small to validate ({part.n} rows < 10)")
     id_train, id_test = split(pair.d_in, fractions, rng)
-    ood_train, ood_test = split(pair.d_ood, fractions, rng)
 
     task = pair.d_in.schema.task
     probe = fit_head(id_train.features, id_train.labels, task)
-    metric = metric_accuracy if task == CLASSIFICATION else metric_r2
+    _, metric = task_metric(task)
 
     def score(ds: Dataset) -> float:
         return metric(ds.labels, predict(probe, ds.features))
 
-    return SplitReport(score(id_train), score(id_test), score(ood_train), score(ood_test))
+    on_test, on_ood = score(id_test), score(pair.d_ood)
+    report = SplitReport(score(id_train), on_test, on_ood, degradation(task, on_test, on_ood))
+    return report, id_train, id_test

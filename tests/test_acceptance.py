@@ -195,7 +195,7 @@ def test_criterion_04_ood_gate_end_to_end():
     for name, scores in (("openmax", scores_om), ("temperature", scores_t)):
         threshold = float(np.quantile(scores, 0.90))
         pair = split_by_threshold(dataset, scores, threshold)
-        report = validate_split(pair, RngStream(17, 0))
+        report, _, _ = validate_split(pair, RngStream(17, 0))
         degradations[name] = report.degradation
 
     elapsed = time.perf_counter() - start

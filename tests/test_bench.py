@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tabcl import bench
+from tabcl import bench, ood
 from tabcl.bench import (
     BenchReport,
     DetectorConfig,
@@ -22,7 +22,7 @@ from tabcl.bench import (
     tradeoff,
 )
 from tabcl.contrastive import TclConfig
-from tabcl.data import Dataset
+from tabcl.data import Dataset, split
 from tabcl.exceptions import ConfigError
 from tabcl.numerics import RngStream
 
@@ -85,7 +85,7 @@ class TestPlan:
         assert json.dumps(plan.to_dict()) == (
             '{"dataset": "d.csv", "target": "y", "task": null, "model_name": "tcl", '
             '"detector": {"detector": "openmax", "quantile": 0.9}, "tcl": {"max_epochs": 5}, '
-            '"head": null, "seed": 3, "out_dir": "out", "delta": null, "fractions": [0.8, 0.2]}'
+            '"head": null, "seed": 3, "out_dir": "out", "fractions": [0.8, 0.2]}'
         )
 
     def test_unknown_detector_key_rejected(self):
@@ -128,9 +128,11 @@ class TestPlan:
         ("seed", True, "non-negative integer"),
         ("task", "clasification", "unknown task"),
         ("task", 1, "unknown task"),
-        ("delta", "abc", "delta must be a finite number"),
-        ("delta", True, "delta must be a finite number"),
-        ("delta", float("nan"), "delta must be a finite number"),
+        # delta was recorded and never read: a plan holding it, even the old
+        # default None, is refused by name
+        ("delta", 0.5, "unexpected keyword argument 'delta'"),
+        ("delta", None, "unexpected keyword argument 'delta'"),
+        ("delta", "abc", "unexpected keyword argument 'delta'"),
         ("dataset", None, "dataset must be a string, got None"),
         ("dataset", 7, "dataset must be a string, got 7"),
         ("out_dir", None, "out_dir must be a string, got None"),
@@ -191,12 +193,11 @@ class TestPlan:
         # int or float, so that the model file and the report can hold them
         tcl = TclConfig(input_dim=np.int64(4), batch_size=np.int64(32), sigma=np.float32(0.25))
         det = DetectorConfig(tail=np.int64(20), bins=np.int32(9), quantile=np.float64(0.9))
-        plan = ExperimentPlan(dataset="d.csv", target="y", seed=np.int64(1),
-                              delta=np.float32(0.5))
+        plan = ExperimentPlan(dataset="d.csv", target="y", seed=np.int64(1))
         stored = [tcl.input_dim, tcl.hidden_dim, tcl.latent_dim, tcl.batch_size, tcl.sigma,
-                  det.tail, det.bins, det.quantile, plan.seed, plan.delta]
-        assert [type(v) for v in stored] == [int] * 4 + [float] + [int] * 2 + [float, int, float]
-        assert stored == [4, 16, 8, 32, 0.25, 20, 9, 0.9, 1, 0.5]
+                  det.tail, det.bins, det.quantile, plan.seed]
+        assert [type(v) for v in stored] == [int] * 4 + [float] + [int] * 2 + [float, int]
+        assert stored == [4, 16, 8, 32, 0.25, 20, 9, 0.9, 1]
 
     def test_fractions_stored_as_a_float_pair(self):
         plan = ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y",
@@ -277,7 +278,7 @@ class TestRunExperiment:
     def test_numpy_scalars_write_what_plain_numbers_write(self, tmp_path):
         def plan(kind, as_int, as_float):
             return small_plan(
-                tmp_path, run_name=kind, seed=as_int(5), delta=as_float(0.5),
+                tmp_path, run_name=kind, seed=as_int(5),
                 detector={"detector": "openmax", "tail": as_int(30), "quantile": 0.9},
                 tcl={"max_epochs": 2, "batch_size": as_int(128), "sigma": as_float(0.25)})
 
@@ -293,14 +294,42 @@ class TestRunExperiment:
             del report["constraints"]["t_inference_seconds"]
             reports.append(report)
         assert reports[0] == reports[1]
-        assert reports[0]["constraints"]["delta_declared"] == 0.5
 
     def test_report_records_each_split_fact_once(self, tmp_path):
         run_experiment(small_plan(tmp_path))
         report = json.loads((tmp_path / "run" / "report.json").read_text())
-        assert list(report["split_grid"]) == ["id_train", "id_test", "ood_train", "ood_test",
-                                              "degradation"]
+        assert list(report["split_grid"]) == ["id_train", "id_test", "ood", "degradation"]
         assert "t_train_seconds" not in report["constraints"]
+        assert "delta_declared" not in report["constraints"]
+
+    def test_one_split_of_the_id_side(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def counting_split(dataset, fractions, rng):
+            sizes.append(dataset.n)
+            return split(dataset, fractions, rng)
+
+        monkeypatch.setattr(bench, "split", counting_split)
+        monkeypatch.setattr(ood, "split", counting_split)
+        report = run_experiment(small_plan(tmp_path))
+        assert sizes == [report.m]  # the openmax detector splits nothing
+
+    def test_markdown_sets_raw_features_beside_the_embedding(self, tmp_path):
+        report = run_experiment(small_plan(tmp_path))
+        emit_report(report, "markdown", tmp_path / "report.md")
+        text = (tmp_path / "report.md").read_text()
+        g, ood_metric = report.split_grid, report.constraints["ood_metric"]
+        assert ("| f1_macro | ID test | OOD |\n| --- | --- | --- |\n"
+                f"| raw features | {g['id_test']:.4g} | {g['ood']:.4g} |\n"
+                f"| embedding | {report.p:.4g} | {ood_metric:.4g} |\n") in text
+
+    def test_one_id_row_is_too_small_to_validate(self, tmp_path):
+        plan = small_plan(tmp_path, detector={"detector": "openmax", "tail": 30,
+                                              "quantile": 1e-6})
+        with pytest.raises(ValueError) as exc:
+            run_experiment(plan)
+        assert str(exc.value) == "ID side too small to validate (1 rows < 10)"
+        assert exc.value.__notes__ == ["[stage=split]"]
 
     def test_tcl_seed_overrides_plan_seed(self, tmp_path):
         run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2, "batch_size": 128, "seed": 9}))
@@ -333,6 +362,10 @@ class TestRunExperiment:
         assert report.task == "regression"
         assert report.metric_name == "rmse"
         assert report.tradeoff == pytest.approx((1.0 / report.p) / report.t_seconds)
+        # one sign rule: positive degradation is a larger RMSE on the OOD rows
+        g = report.split_grid
+        assert g["degradation"] == g["ood"] - g["id_test"]
+        assert report.constraints["ood_degradation"] == report.constraints["ood_metric"] - report.p
 
     @pytest.mark.parametrize("head", ["linear", "logistic"])
     def test_head_must_fit_the_task_before_training(self, tmp_path, head):

@@ -419,6 +419,23 @@ class TestExitCodes:
         "detector": "openmax", "norm": "l2", "threshold": 0.5, "m": 90, "n": 10, "seed": 0,
     }
 
+    # A report as written while the grid split the OOD rows in two and the
+    # plan declared a delta: it still loads.
+    FOUR_CELL_REPORT = dict(
+        REPORT, split_grid={"id_train": 0.9, "id_test": 0.9, "ood_train": 0.5, "ood_test": 0.5,
+                            "degradation": 0.4},
+        constraints={"memory_estimate_bytes": 1024, "parameter_count": 100,
+                     "t_inference_seconds": 0.001, "ood_degradation": 0.3, "ood_metric": 0.5,
+                     "delta_declared": 0.2})
+
+    def test_four_cell_report_compares(self, tmp_path, capsys):
+        old = write_json(tmp_path / "old.json", self.FOUR_CELL_REPORT)
+        new = write_json(tmp_path / "new.json", dict(
+            self.FOUR_CELL_REPORT, model="tcl-new",
+            split_grid={"id_train": 0.9, "id_test": 0.9, "ood": 0.5, "degradation": 0.4}))
+        assert run(["compare", old, new]) == 0
+        assert "| 1 | tcl |" in capsys.readouterr().out
+
     @pytest.mark.parametrize("key, value", [
         ("tradeoff", "fast"), ("threshold", None), ("p", [1]), ("m", "10"),
     ])
@@ -666,6 +683,17 @@ class TestPlanChecks:
         assert run(["report", "--config", plan]) == 2
         assert "[stage=" not in capsys.readouterr().err
         assert not (out / "histogram.csv").exists() and not (out / "split").exists()
+
+    def test_plan_with_delta_is_2(self, tmp_path, data_csv, capsys):
+        """``delta`` was recorded and never read; a plan that still sets it
+        is refused, by name."""
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out), "delta": 0.1,
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert "unexpected keyword argument 'delta'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_flag_is_2_before_any_stage(self, tmp_path, data_csv):
         out = tmp_path / "exp"
@@ -1045,18 +1073,30 @@ class TestStreams:
         assert {stream_id for _, stream_id in built} <= set(STREAMS.values()), built
         return built
 
-    @pytest.mark.parametrize("detector, tcl, keys", [
-        ({"detector": "openmax"}, {}, [(3, 0), (3, 1), (3, 21), (3, 22)]),
-        ({"detector": "temperature", "seed": 5}, {"seed": 9},
-         [(5, 11), (3, 21), (3, 22), (9, 0), (9, 1)]),
-    ], ids=["openmax", "temperature-own-seeds"])
-    def test_plan_builds_each_key_once(self, tmp_path, monkeypatch, data_csv, detector, tcl,
-                                       keys):
-        plan = ExperimentPlan(dataset=str(data_csv), target="label", seed=3,
+    PLANS = {
+        "openmax": ({"detector": "openmax"}, {}, [(3, 0), (3, 1), (3, 22)]),
+        "temperature-own-seeds": ({"detector": "temperature", "seed": 5}, {"seed": 9},
+                                  [(5, 11), (3, 22), (9, 0), (9, 1)]),
+    }
+
+    @staticmethod
+    def plan(tmp_path, data_csv, detector, tcl) -> ExperimentPlan:
+        return ExperimentPlan(dataset=str(data_csv), target="label", seed=3,
                               detector={**detector, "quantile": 0.9},
                               tcl={"max_epochs": 1, **tcl}, out_dir=str(tmp_path / "exp"))
+
+    @pytest.mark.parametrize("detector, tcl, keys", list(PLANS.values()), ids=list(PLANS))
+    def test_plan_builds_each_key_once(self, tmp_path, monkeypatch, data_csv, detector, tcl,
+                                       keys):
+        plan = self.plan(tmp_path, data_csv, detector, tcl)
         sites = self.call_sites(monkeypatch, lambda: run_experiment(plan))
         assert {key: len(at) for key, at in sites.items()} == dict.fromkeys(keys, 1), sites
+
+    def test_every_stream_is_built_by_a_plan(self):
+        """A stream that no step builds is dead.  Each plan builds exactly its
+        keys (above), and the two together build every stream."""
+        built = {stream_id for *_, keys in self.PLANS.values() for _, stream_id in keys}
+        assert built == set(STREAMS.values())
 
     def test_cli_detect_and_train_build_each_key_once(self, tmp_path, monkeypatch, ds_dir):
         def stages():

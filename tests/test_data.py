@@ -822,6 +822,16 @@ def first_error(located):
     return next(filter(None, (cell_error(*c) for c in located)), None)
 
 
+def first_lines(rows):
+    """The line each of ``rows`` starts on, written by csv.writer under a
+    header: a quoted line break in a cell moves every later row down."""
+    lines, line = [], 2
+    for r in rows:
+        lines.append(line)
+        line += 1 + sum(c.count("\n") for c in r)
+    return lines
+
+
 def write_rows(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -912,8 +922,9 @@ class TestBulkParse:
     @given(st.lists(st.tuples(VALUE, VALUE, VALUE, VALUE), min_size=1, max_size=15), BAD)
     def test_ingest_names_first_bad_cell_column_by_column(self, rows, bad):
         rows = with_bad(rows, bad)
+        at = first_lines(rows)
         expected = first_error(
-            (r[j], HEADER[j], i + 2)
+            (r[j], HEADER[j], at[i])
             for j in range(4) for i, r in enumerate(rows)
             if j == 3 or r[j] not in MISSING_TOKENS
         )
@@ -931,8 +942,9 @@ class TestBulkParse:
     @given(st.lists(st.tuples(VALUE, VALUE, VALUE, VALUE), min_size=1, max_size=15), BAD)
     def test_load_names_first_bad_cell_row_by_row(self, rows, bad):
         rows = with_bad(rows, bad)
+        at = first_lines(rows)
         expected = first_error(
-            (c, HEADER[j], i + 2) for i, r in enumerate(rows) for j, c in enumerate(r)
+            (c, HEADER[j], at[i]) for i, r in enumerate(rows) for j, c in enumerate(r)
         )
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(FormatError) as exc:
@@ -1021,6 +1033,17 @@ class TestRowNumbers:
                                 self.SCHEMA, self.STATS)
         assert bits(blank.features) == bits(plain.features)
         assert blank.labels.tobytes() == plain.labels.tobytes()
+
+    def test_quoted_line_break_counts(self, tmp_path):
+        raw = read_csv(write(tmp_path / "t.csv", 'a,y\n"1\n",0\nbad,1\n'))
+        assert raw.rows == [["1", "0"], ["bad", "1"]]
+        with pytest.raises(FormatError,
+                           match="^column 'a', row 4: cannot parse 'bad' as a number$"):
+            encode_features(raw, self.SCHEMA, self.STATS)
+
+    def test_quoted_line_break_and_blank_lines_name_the_ragged_row(self, tmp_path):
+        with pytest.raises(FormatError, match="row 6 has 1 fields"):
+            read_csv(write(tmp_path / "t.csv", 'a,y\n"1\n",0\n\n2,c1\nbad\n'))
 
     def test_split_file(self, tmp_path):
         rows = [[repr(0.5 * i), repr(i / 3), str(i % 2)] for i in range(10)]

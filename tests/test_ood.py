@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from tabcl import ood
 from tabcl.data import Dataset, split
 from tabcl.exceptions import NumericError
-from tabcl.heads import Head, logits, predict
+from tabcl.heads import Head, fit_head, logits, metric_f1_macro, predict
 from tabcl.numerics import RngStream
 from tabcl.ood import (
     OpenMaxModel,
@@ -484,14 +485,14 @@ class TestValidateSplit:
         ds = Dataset(X, y, numeric_schema(d), None)
         fake_scores = rng.uniform(n, 1)[:, 0]  # split carries no signal
         pair = split_by_threshold(ds, fake_scores, float(np.quantile(fake_scores, 0.9)))
-        report = validate_split(pair, RngStream(63, 0))
+        report, _, _ = validate_split(pair, RngStream(63, 0))
         assert abs(report.degradation) < 0.05
 
     def test_shifted_cluster_degrades(self):
         ds, is_ood = shifted_cluster_data(n_id=1800, n_ood=200, d=5, seed=64)
         scores = is_ood.astype(float) + RngStream(65, 0).uniform(len(is_ood), 1)[:, 0] * 0.1
         pair = split_by_threshold(ds, scores, float(np.quantile(scores, 0.9)))
-        report = validate_split(pair, RngStream(66, 0))
+        report, _, _ = validate_split(pair, RngStream(66, 0))
         assert report.degradation >= 0.10
         assert report.id_test > 0.9
 
@@ -519,7 +520,31 @@ class TestValidateSplit:
         ds = toy_dataset(n=300)
         scores = RngStream(68, 0).uniform(300, 1)[:, 0]
         pair = split_by_threshold(ds, scores, float(np.quantile(scores, 0.9)))
-        report = validate_split(pair, RngStream(69, 0))
-        d = report.to_dict()
-        assert list(d) == ["id_train", "id_test", "ood_train", "ood_test", "degradation"]
-        assert d["degradation"] == report.id_test - report.ood_test
+        report, id_train, id_test = validate_split(pair, RngStream(69, 0))
+        d = dataclasses.asdict(report)
+        assert list(d) == ["id_train", "id_test", "ood", "degradation"]
+        assert d["degradation"] == report.id_test - report.ood
+
+    def test_probe_scores_the_returned_split_and_every_ood_row(self):
+        """The cells are macro-F1 of a raw-feature head fitted on the ID-train
+        rows it returns: the rows a run trains its embedding on."""
+        ds = toy_dataset(n=300)
+        scores = RngStream(68, 0).uniform(300, 1)[:, 0]
+        pair = split_by_threshold(ds, scores, float(np.quantile(scores, 0.9)))
+        report, id_train, id_test = validate_split(pair, RngStream(69, 0))
+        assert (id_train.n, id_test.n) == (216, 54)
+        probe = fit_head(id_train.features, id_train.labels, "classification")
+
+        def f1(part):
+            return metric_f1_macro(part.labels, predict(probe, part.features))
+
+        assert (report.id_train, report.id_test, report.ood) == (
+            f1(id_train), f1(id_test), f1(pair.d_ood))
+
+    def test_regression_degradation_is_the_rmse_increase(self):
+        ds = toy_dataset(n=200)
+        ds = Dataset(ds.features, ds.features[:, 1] + ds.features[:, 0] ** 2,
+                     numeric_schema(ds.d, task="regression"), None)
+        pair = split_by_threshold(ds, ds.features[:, 0], float(np.quantile(ds.features[:, 0], 0.9)))
+        report, _, _ = validate_split(pair, RngStream(70, 0))
+        assert report.degradation == report.ood - report.id_test > 0

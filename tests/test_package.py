@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tabcl
-from tabcl import contrastive, numerics, ood, weibull
+from tabcl import bench, contrastive, numerics, ood, weibull
 
 from conftest import numeric_schema
 
@@ -44,14 +44,18 @@ EXPORTS = {
 # tests/oracles.py, the decoder runs only inside a training step, a
 # model's flat parameter vector and its size are ``TclModel.vector``, a
 # score histogram is numpy's ``(counts, edges)``, the Weibull shape is fitted
-# by bisection with no tolerance or step cap, and the pipeline draws no
-# integers (the tests draw theirs through ``oracles.draw_integers``).
+# by bisection with no tolerance or step cap, the pipeline draws no
+# integers (the tests draw theirs through ``oracles.draw_integers``), a
+# plan declares no OOD degradation budget, which nothing read, and a split
+# report is a plain dataclass, read through ``dataclasses.asdict``.
 GONE = {
     contrastive: ("decode", "_DECODER_ARRAYS", "loss_reconstruction", "loss_contrastive",
                   "loss_distance", "replace_params", "param_vector", "parameter_count"),
     numerics: ("finite_diff_grad",),
     numerics.RngStream: ("integers",),
     ood: ("Histogram",),
+    ood.SplitReport: ("to_dict",),
+    bench.ExperimentPlan: ("delta",),
     weibull: ("weibull_sample", "_MLE_TOL", "_MLE_MAX_ITER"),
 }
 
@@ -59,11 +63,13 @@ GONE = {
 # only infers and fits (a saved schema is re-applied through
 # ``encode_features``), ``train_tcl`` takes the feature matrix, and
 # ``split_by_threshold`` takes no detector settings, which stay in
-# ``scores.json`` and the report.
+# ``scores.json`` and the report.  ``validate_split`` draws the run's one
+# ID split, with the run's stream and fractions.
 PARAMETERS = {
     "ingest_csv": ("path", "target", "task", "delimiter", "category_cutoff"),
     "train_tcl": ("X", "config"),
     "split_by_threshold": ("dataset", "scores", "threshold"),
+    "validate_split": ("pair", "rng", "fractions"),
 }
 
 
@@ -107,6 +113,10 @@ class TestLibrarySurface:
     def test_split_pair_is_its_rows_and_threshold(self):
         fields = tuple(f.name for f in dataclasses.fields(tabcl.SplitPair))
         assert fields == ("d_in", "d_ood", "threshold")
+
+    def test_split_report_is_the_raw_probes_cells(self):
+        fields = tuple(f.name for f in dataclasses.fields(tabcl.SplitReport))
+        assert fields == ("id_train", "id_test", "ood", "degradation")
 
     @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
     def test_array_holder_compares_by_identity(self, name):
