@@ -44,6 +44,7 @@ from .heads import (
     LOGISTIC,
     fit_head,
     head_kind,
+    higher_is_better,
     metric_accuracy,
     metric_f1_macro,
     metric_r2,
@@ -74,12 +75,14 @@ DISCRETIZE_BINS = 10  # detection-only quantile bins for regression targets
 
 
 def tradeoff(p: float, t: float, task: str) -> float:
-    """Speed/accuracy trade-off: P/t for classification, (1/P)/t for regression."""
+    """Speed/accuracy trade-off: P/t for classification, (1/P)/t for
+    regression, whose metric is better when lower (:func:`higher_is_better`)."""
     if not 0 < t < np.inf:
         raise ValueError(f"training time must be positive and finite, got {t}")
-    if task == CLASSIFICATION and 0 <= p <= 1:
-        return p / t
-    if task == REGRESSION and 0 < p < np.inf:
+    if higher_is_better(task):
+        if 0 <= p <= 1:
+            return p / t
+    elif 0 < p < np.inf:
         return (1.0 / p) / t
     raise ValueError(f"no trade-off for a {task!r} metric of {p}: classification "
                      "takes P in [0, 1], regression a positive finite P")
@@ -531,16 +534,18 @@ def compare_models(reports: list[BenchReport]) -> list[dict]:
     """Rank reports over one dataset/split by trade-off, best first.
 
     Ties break by the better task metric, then by model name.  All reports
-    must describe the same dataset and split.
+    must describe the same dataset, split and task.
     """
     if len(reports) < 2:
         raise ValueError("need at least 2 reports to compare")
     signatures = {r.split_signature() for r in reports}
     if len(signatures) > 1:
         raise ValueError(f"reports cover different datasets/splits: {sorted(signatures)}")
-    task = reports[0].task
-    better_p = (lambda r: -r.p) if task == CLASSIFICATION else (lambda r: r.p)
-    ranked = sorted(reports, key=lambda r: (-r.tradeoff, better_p(r), r.model))
+    tasks = {r.task for r in reports}
+    if len(tasks) > 1:
+        raise ValueError(f"reports cover different tasks: {sorted(tasks)}")
+    sign = -1 if higher_is_better(tasks.pop()) else 1
+    ranked = sorted(reports, key=lambda r: (-r.tradeoff, sign * r.p, r.model))
     return [
         {
             "rank": i + 1,

@@ -8,7 +8,9 @@ and fits the standardization statistics on the file's rows;
 schema and statistics to another file.  :func:`read_csv` rejects a header
 that names a column twice.  A dataset round-trips through a directory of
 two ``.npy`` arrays plus a JSON sidecar, a split through a directory of
-full-precision CSVs plus a JSON sidecar.
+full-precision CSVs plus a JSON sidecar.  Input tables are parsed with
+Python's ``float``; a split CSV is parsed by numpy alone, and what its
+writer would not write is refused.
 """
 
 from __future__ import annotations
@@ -144,9 +146,23 @@ class RawTable:
         return i + 2 if self._lines is None else self._lines[i]
 
 
+def _label_error(labels: np.ndarray, schema: Schema) -> str | None:
+    """Why ``labels`` cannot label rows of ``schema``'s task, or None.  A
+    class label is an integral class index in ``[0, number of classes)``,
+    of any numeric dtype; a regression target is finite."""
+    if schema.task == REGRESSION:
+        return None if np.isfinite(labels).all() else "non-finite target"
+    k = len(schema.classes)
+    bad = labels[~np.isin(labels, np.arange(k))]
+    return f"class index {bad[0]} outside [0, {k})" if bad.size else None
+
+
 @dataclass(eq=False)  # holds arrays: compared by identity
 class Dataset:
     """Encoded feature matrix, labels, schema, and (optional) fit statistics.
+
+    The features must be finite and the labels those :func:`_label_error`
+    allows, or construction raises ValueError.
 
     ``stats`` maps each numeric column name to its imputation median and the
     mean/std used for z-scoring, all fitted on the split the stats came from.
@@ -171,6 +187,9 @@ class Dataset:
         self.labels = np.asarray(self.labels)
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels length must equal the number of rows")
+        error = _label_error(self.labels, self.schema)
+        if error:
+            raise ValueError(error)
 
     @property
     def n(self) -> int:
@@ -269,10 +288,10 @@ def _floats(cells) -> np.ndarray | None:
     """``cells`` parsed by Python's ``float`` into one float64 array, or None
     when a cell does not parse or is not finite.
 
-    This is the only Python-side parser of numeric cells (numpy's reader in
-    :func:`_bulk_read` may parse a stored split first).  A caller that must
-    name the bad cell scans the cells again with :func:`_parse_number`, in
-    the order its errors are reported, only after this has failed.
+    This parses the numeric cells of input tables; a stored split is parsed
+    by numpy alone (:func:`_read_side`).  A caller that must name the bad
+    cell scans the cells again with :func:`_parse_number`, in the order its
+    errors are reported, only after this has failed.
     """
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
@@ -287,16 +306,6 @@ def _take_floats(raw: RawTable, name: str, cells: list[str]) -> np.ndarray | Non
     if raw._numbers and name in raw._numbers:
         return raw._numbers.pop(name)
     return _floats(cells)
-
-
-def _class_indices(cells, n_classes: int) -> np.ndarray | None:
-    """``cells`` parsed by Python's ``int`` into class indices, or None when
-    a cell does not parse or lies outside ``[0, n_classes)``."""
-    try:
-        labels = np.fromiter(map(int, cells), np.int64, len(cells))
-    except (ValueError, OverflowError):
-        return None
-    return labels if ((labels >= 0) & (labels < n_classes)).all() else None
 
 
 def infer_schema(
@@ -502,98 +511,33 @@ def _write_dataset_csv(dataset: Dataset, path) -> None:
         )
 
 
-def _bulk_read(path, expected: list[str], schema: Schema):
-    """The features and labels of a dataset CSV, parsed by numpy's C reader
-    in one call, or None when numpy refuses the file or the per-cell reader
-    of :func:`_read_dataset_csv` might not accept it as read.
+def _read_side(path, schema: Schema, stats: dict | None) -> Dataset:
+    """One side of a stored split, which must be as :func:`_write_dataset_csv`
+    writes it; anything else is a FormatError naming the file.
 
-    The header goes through ``csv.reader``, so a quoted encoded name matches.
-    numpy takes a strict subset of the tokens that ``float`` and ``int``
-    take (not ``1_0``, non-ASCII digits or quoted numbers) and reads each
-    to the same bits.  It is given no quote character and splits lines at
-    ``\\n`` and ``\\r\\n`` only, so wherever it succeeds ``csv.reader``
-    splits the body into the same cells.  Any warning numpy gives counts as
-    a refusal: numpy 1.x's loadtxt reads a class label such as ``1.0``
-    through ``float`` and only warns, where ``int`` refuses it.
+    ``csv.reader`` reads the header, so a quoted encoded name matches.  One
+    ``np.loadtxt`` call parses the body, and any warning it gives is an
+    error: numpy 1.x reads a class label such as ``1.0`` as 1 and only
+    warns.  :class:`Dataset` then checks the labels and the features.
     """
-    classification = schema.task == CLASSIFICATION
-    label_type = np.int64 if classification else np.float64
+    label_type = np.int64 if schema.task == CLASSIFICATION else np.float64
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            if [name.strip() for name in next(csv.reader(fh), ())] != expected:
-                return None
+            header = [name.strip() for name in next(csv.reader(fh), ())]
+            if header != [*schema.encoded_names(), schema.target]:
+                raise FormatError(f"{path}: header does not match the stored schema")
             body = fh.read()
-        lines = body.split("\n")
-        # A body without rows is left to read_csv, which names the file (numpy
-        # would only warn), and so is a line long enough to hold a cell beyond
-        # csv's field limit, which read_csv refuses.
-        if not body.strip() or max(map(len, lines)) > csv.field_size_limit():
-            return None
+        if not body.strip():
+            raise FormatError(f"{path}: no data rows")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
-                               dtype=[("f", np.float64, (len(expected) - 1,)), ("y", label_type)])
-    except (OSError, ValueError, csv.Error, Warning):  # a UnicodeDecodeError is a ValueError
-        return None
-    features, labels = table["f"], table["y"]
-    if classification:
-        valid = (labels >= 0) & (labels < len(schema.classes))
-    else:
-        valid = np.isfinite(labels)
-    if not (valid.all() and np.isfinite(features).all()):
-        return None
-    return features.copy(), labels.copy()  # contiguous, as the per-cell reader's are
-
-
-def _read_dataset_csv(path, schema: Schema, stats: dict | None) -> Dataset:
-    """One side of a stored split.  :func:`_bulk_read` parses it when it
-    can; otherwise ``read_csv`` and the per-cell parsers read it, and they
-    alone decide whether the file is accepted and with which error."""
-    expected = list(schema.encoded_names()) + [schema.target]
-    arrays = _bulk_read(path, expected, schema)
-    if arrays is not None:
-        return Dataset(*arrays, schema, stats)
-    raw = read_csv(path)
-    if raw.header != expected:
-        raise FormatError(f"{path}: header does not match the stored schema")
-    n = len(raw.rows)
-    if n == 0:
-        raise FormatError(f"{path}: no data rows")
-    d = len(expected) - 1
-    features = _floats([cell for row in raw.rows for cell in row[:d]])
-    label_cells = [row[d] for row in raw.rows]
-    if schema.task == CLASSIFICATION:
-        labels = _class_indices(label_cells, len(schema.classes))
-    else:
-        labels = _floats(label_cells)
-    if features is None or labels is None:
-        _raise_first_bad_cell(path, raw, schema)
-    return Dataset(features.reshape(n, d), labels, schema, stats)
-
-
-def _raise_first_bad_cell(path, raw: RawTable, schema: Schema) -> None:
-    """Raise the FormatError for the first bad cell of a dataset CSV,
-    scanning row by row, each row's features before its label.  Every
-    message names the file, as a split has two."""
-    names = schema.encoded_names()
-    k = len(schema.classes)
-    try:
-        for index, row in enumerate(raw.rows):
-            i = raw._row_number(index)
-            for j, name in enumerate(names):
-                _parse_number(row[j], name, i)
-            label = row[len(names)]
-            if schema.task != CLASSIFICATION:
-                _parse_number(label, schema.target, i)
-                continue
-            try:
-                index = int(label)
-            except ValueError:
-                raise FormatError(f"row {i}: bad class index {label!r}") from None
-            if not 0 <= index < k:
-                raise FormatError(f"row {i}: class index {index} outside [0, {k})")
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+            table = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=1,
+                               dtype=[("f", np.float64, (len(header) - 1,)), ("y", label_type)])
+        return Dataset(table["f"].copy(), table["y"].copy(), schema, stats)  # C-contiguous
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, csv.Error, Warning) as exc:  # numpy's parse or a Dataset check
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -646,16 +590,11 @@ def load_dataset(path) -> Dataset:
     meta, schema = _load_meta(os.path.join(path, "meta.json"))
     features = _load_array(os.path.join(path, "features.npy"), "feature matrix", np.float64, 2)
     labels_path = os.path.join(path, "labels.npy")
-    if schema.task == CLASSIFICATION:
-        labels = _load_array(labels_path, "label vector", np.int64, 1)
-        k = len(schema.classes)
-        bad = labels[(labels < 0) | (labels >= k)]
-        if bad.size:
-            raise FormatError(f"{labels_path}: class index {bad[0]} outside [0, {k})")
-    else:
-        labels = _load_array(labels_path, "label vector", np.float64, 1)
-        if not np.isfinite(labels).all():
-            raise FormatError(f"{labels_path}: non-finite target")
+    kind = np.int64 if schema.task == CLASSIFICATION else np.float64
+    labels = _load_array(labels_path, "label vector", kind, 1)
+    error = _label_error(labels, schema)
+    if error:
+        raise FormatError(f"{labels_path}: {error}")
     # Dataset checks the row counts, the width against the schema and the
     # finiteness of the features.
     with fields(path, "dataset"):
@@ -681,9 +620,9 @@ def save_split(pair: SplitPair, path) -> None:
 def load_split(path) -> SplitPair:
     """Inverse of :func:`save_split`; features, labels and threshold
     round-trip bit-exactly.  The sidecar's ``threshold`` must be a finite
-    number and its ``m`` and ``n`` the CSVs' row counts.  Each CSV's body is
-    parsed by numpy's C reader in one call; a file it refuses is read cell
-    by cell, which alone decides the error (see :func:`_read_dataset_csv`)."""
+    number and its ``m`` and ``n`` the CSVs' row counts.  Each CSV is read
+    by :func:`_read_side`: one numpy call parses its body, and a file that
+    the writer would not have written is a FormatError naming it."""
     sidecar = os.path.join(path, "meta.json")
     meta, schema = _load_meta(sidecar)
     with fields(sidecar, "dataset sidecar"):
@@ -694,8 +633,8 @@ def load_split(path) -> SplitPair:
         if not is_integer(count):  # 40.0 would pass the comparison with the CSVs' counts
             raise FormatError(f"{sidecar}: row counts must be integers, got {count!r}")
     stats = meta.get("stats")
-    d_in = _read_dataset_csv(os.path.join(path, "d_in.csv"), schema, stats)
-    d_ood = _read_dataset_csv(os.path.join(path, "d_ood.csv"), schema, stats)
+    d_in = _read_side(os.path.join(path, "d_in.csv"), schema, stats)
+    d_ood = _read_side(os.path.join(path, "d_ood.csv"), schema, stats)
     pair = SplitPair(d_in, d_ood, threshold=float(threshold))
     if (pair.m, pair.n) != counts:
         raise FormatError(f"{path}: row counts disagree with the sidecar")

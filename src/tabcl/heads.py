@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import fields, read_json, write_json
-from .data import CLASSIFICATION
+from .data import CLASSIFICATION, REGRESSION
 from .exceptions import ConfigError, NumericError
 from .numerics import _class_index, check_finite, softmax_classes
 
@@ -228,6 +228,15 @@ def head_kind(task: str, kind: str | None = None) -> str:
 def task_metric(task: str):
     """``(name, function)`` of the report's metric for ``task``: macro-F1 or RMSE."""
     return ("f1_macro", metric_f1_macro) if task == CLASSIFICATION else ("rmse", metric_rmse)
+
+
+def higher_is_better(task: str) -> bool:
+    """Whether a larger value of ``task``'s metric (:func:`task_metric`) is
+    the better one: true of macro-F1, false of RMSE.  ValueError for a task
+    that is neither classification nor regression."""
+    if task not in (CLASSIFICATION, REGRESSION):
+        raise ValueError(f"unknown task: {task!r}")
+    return task == CLASSIFICATION
 
 
 def fit_head(X, y, task: str, kind: str | None = None) -> Head:

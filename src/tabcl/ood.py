@@ -40,7 +40,7 @@ from . import heads
 from .artifacts import atomic_write
 from .data import CLASSIFICATION, Dataset, SplitPair, split
 from .exceptions import NumericError
-from .heads import Head, fit_head, predict, task_metric
+from .heads import Head, fit_head, higher_is_better, predict, task_metric
 from .numerics import RngStream, _class_index, softmax_classes
 from .weibull import weibull_cdf, weibull_mle
 
@@ -262,7 +262,7 @@ def split_by_threshold(dataset: Dataset, scores, threshold: float) -> SplitPair:
 def degradation(task: str, id_value: float, ood_value: float) -> float:
     """How much worse ``task``'s metric (:func:`tabcl.heads.task_metric`) is
     on OOD rows than on ID rows; positive when worse."""
-    return id_value - ood_value if task == CLASSIFICATION else ood_value - id_value
+    return id_value - ood_value if higher_is_better(task) else ood_value - id_value
 
 
 @dataclass

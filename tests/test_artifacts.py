@@ -36,7 +36,8 @@ def payloads(monkeypatch):
 
 def test_write_json_bytes_match_json_dump(tmp_path, payloads):
     rng = RngStream(3, 0)
-    ds = Dataset(rng.normal(60, 24), (np.arange(60) % 3).astype(np.int64), numeric_schema(24), None)
+    ds = Dataset(rng.normal(60, 24), (np.arange(60) % 3).astype(np.int64),
+                 numeric_schema(24, classes=("0", "1", "2")), None)
     bench.train(ds, {"max_epochs": 2}, 0, tmp_path)  # a model at input_dim 24 and its trace
     heads.save_head(heads.fit_logistic(ds.features, ds.labels), tmp_path / "head.json")
     bench.save_scores(tmp_path / "scores.json", rng.normal(60, 1)[:, 0],

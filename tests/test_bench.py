@@ -489,6 +489,18 @@ class TestCompare:
         rows = compare_models([a, b])
         assert [r["model"] for r in rows] == ["a", "b"]
 
+    def test_regression_tie_breaks_by_lower_rmse(self):
+        a = fake_report("a", 2.0, 5.0, task="regression", metric_name="rmse")
+        b = fake_report("b", 1.0, 10.0, task="regression", metric_name="rmse")  # same 0.1
+        rows = compare_models([a, b])
+        assert [r["model"] for r in rows] == ["b", "a"]
+
+    def test_mixed_tasks_rejected(self):
+        f1 = fake_report("f1", 0.5, 10.0)
+        rmse = fake_report("rmse", 0.5, 10.0, task="regression", metric_name="rmse")
+        with pytest.raises(ValueError, match=r"different tasks: \['classification', 'regression'\]"):
+            compare_models([f1, rmse])
+
     def test_mismatched_splits_rejected(self):
         a = fake_report("a", 0.8, 10.0)
         b = fake_report("b", 0.7, 10.0, threshold=0.9)

@@ -472,6 +472,21 @@ class TestExitCodes:
         assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
         assert f"{split_dir}: row counts disagree with the sidecar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["oops", "1_0", "１", '"1.5"', "inf", "nan", "1e400",
+                                       "1.0", "2", "-1"])
+    def test_hand_changed_split_cell_is_3(self, tmp_path, ds_dir, token, capsys):
+        split_dir = tmp_path / "split"
+        scores = write_json(tmp_path / "scores.json", {"scores": self.SCORES})
+        assert run(["split", ds_dir, scores, "--out", split_dir]) == 0
+        path = split_dir / "d_ood.csv"
+        lines = path.read_bytes().decode().split("\r\n")
+        cells = lines[1].split(",")
+        cells[-1 if token in ("1.0", "2", "-1") else 0] = token  # a label of 2 classes, or x0
+        lines[1] = ",".join(cells)
+        path.write_bytes("\r\n".join(lines).encode())
+        assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+
     def test_well_formed_model_embeds(self, tmp_path, ds_dir):
         path = write_json(tmp_path / "model.json", self.MODEL)
         assert run(["embed", path, ds_dir, "--out", tmp_path / "out"]) == 0

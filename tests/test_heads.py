@@ -10,6 +10,7 @@ from tabcl.heads import (
     fit_logistic,
     fit_softmax_regression,
     head_kind,
+    higher_is_better,
     load_head,
     logits,
     metric_accuracy,
@@ -114,6 +115,16 @@ class TestLogits:
         with pytest.raises(ValueError, match="2-D matrix"):
             logits(head, X[0])
         assert logits(head, X[:1]).shape == (1, 2)
+
+
+class TestMetricDirection:
+    @pytest.mark.parametrize("task, higher", [("classification", True), ("regression", False)])
+    def test_each_task(self, task, higher):
+        assert higher_is_better(task) is higher
+
+    def test_unknown_task_is_value_error(self):
+        with pytest.raises(ValueError, match="^unknown task: 'ranking'$"):
+            higher_is_better("ranking")
 
 
 class TestFitHead:

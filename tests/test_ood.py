@@ -548,3 +548,11 @@ class TestValidateSplit:
         pair = split_by_threshold(ds, ds.features[:, 0], float(np.quantile(ds.features[:, 0], 0.9)))
         report, _, _ = validate_split(pair, RngStream(70, 0))
         assert report.degradation == report.ood - report.id_test > 0
+
+    @pytest.mark.parametrize("task, id_value, ood_value", [
+        ("classification", 0.9, 0.6), ("regression", 1.0, 1.5),
+    ])
+    def test_degradation_is_positive_when_the_ood_metric_is_worse(self, task, id_value,
+                                                                 ood_value):
+        assert ood.degradation(task, id_value, ood_value) == abs(id_value - ood_value)
+        assert ood.degradation(task, ood_value, id_value) == -abs(id_value - ood_value)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tabcl
-from tabcl import bench, contrastive, numerics, ood, weibull
+from tabcl import bench, contrastive, data, numerics, ood, weibull
 
 from conftest import numeric_schema
 
@@ -51,6 +51,7 @@ EXPORTS = {
 GONE = {
     contrastive: ("decode", "_DECODER_ARRAYS", "loss_reconstruction", "loss_contrastive",
                   "loss_distance", "replace_params", "param_vector", "parameter_count"),
+    data: ("_bulk_read", "_read_dataset_csv", "_raise_first_bad_cell", "_class_indices"),
     numerics: ("finite_diff_grad",),
     numerics.RngStream: ("integers",),
     ood: ("Histogram",),
