@@ -28,46 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import atomic_write, fields, read_json, write_json
-from .contrastive import (
-    TclConfig,
-    TclModel,
-    TrainTrace,
-    embed,
-    save_model,
-    train_tcl,
-)
-from .data import (CLASSIFICATION, REGRESSION, Dataset, Schema, SplitPair, check_fractions,
-                   ingest_csv, save_split, split)
+from .contrastive import TclConfig, TclModel, TrainTrace, embed, save_model, train_tcl
+from .data import (CLASSIFICATION, Dataset, Schema, SplitPair, check_fractions, ingest_csv,
+                   save_split, split)
 from .exceptions import ConfigError, FormatError
-from .heads import (
-    LINEAR,
-    LOGISTIC,
-    fit_head,
-    head_kind,
-    higher_is_better,
-    metric_accuracy,
-    metric_f1_macro,
-    metric_r2,
-    metric_rmse,
-    predict,
-    task_metric,
-)
+from .heads import TASKS, fit_head, predict, task_rules
 from .numerics import STREAMS, RngStream, is_finite_number, is_integer, plain_number
-from .ood import (
-    OPENMAX,
-    TEMPERATURE,
-    degradation,
-    discretize_target,
-    fit_openmax,
-    fit_temperature,
-    openmax_score,
-    score_histogram,
-    split_by_threshold,
-    temp_score,
-    train_backbone,
-    validate_split,
-    write_histogram_csv,
-)
+from .ood import (OPENMAX, TEMPERATURE, degradation, discretize_target, fit_openmax,
+                  fit_temperature, openmax_score, score_histogram, split_by_threshold,
+                  temp_score, train_backbone, validate_split, write_histogram_csv)
 
 # every TclConfig field but input_dim, which is the data's encoded width
 TCL_KEYS = {f.name for f in dataclasses.fields(TclConfig)} - {"input_dim"}
@@ -76,10 +45,10 @@ DISCRETIZE_BINS = 10  # detection-only quantile bins for regression targets
 
 def tradeoff(p: float, t: float, task: str) -> float:
     """Speed/accuracy trade-off: P/t for classification, (1/P)/t for
-    regression, whose metric is better when lower (:func:`higher_is_better`)."""
+    regression, whose metric is better when lower (:func:`tabcl.heads.task_rules`)."""
     if not 0 < t < np.inf:
         raise ValueError(f"training time must be positive and finite, got {t}")
-    if higher_is_better(task):
+    if task_rules(task).higher_is_better:
         if 0 <= p <= 1:
             return p / t
     elif 0 < p < np.inf:
@@ -177,9 +146,9 @@ class ExperimentPlan:
         for name in ("dataset", "target", "model_name", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
-        if self.task not in (None, CLASSIFICATION, REGRESSION):
+        if self.task not in (None, *TASKS):
             raise ConfigError(f"unknown task: {self.task!r}")
-        if self.head not in (None, LOGISTIC, LINEAR):
+        if self.head not in (None, *(rules.head for rules in TASKS.values())):
             raise ConfigError(f"unknown head kind: {self.head!r}")
         if not (is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -373,14 +342,9 @@ def train(data: Dataset, tcl: dict, seed: int, out_dir) -> tuple[TclModel, Train
 
 
 def evaluate(task: str, labels, pred) -> dict:
-    """Evaluate stage: accuracy and macro-F1 for classification, RMSE and
-    r-squared for regression."""
-    if task == CLASSIFICATION:
-        return {
-            "accuracy": metric_accuracy(labels, pred),
-            "f1_macro": metric_f1_macro(labels, pred),
-        }
-    return {"rmse": metric_rmse(labels, pred), "r2": metric_r2(labels, pred)}
+    """Evaluate stage: the task's metrics (:func:`tabcl.heads.task_rules`),
+    accuracy and macro-F1 for classification, RMSE and r-squared for regression."""
+    return {name: metric(labels, pred) for name, metric in task_rules(task).metrics}
 
 
 def run_experiment(plan: ExperimentPlan) -> BenchReport:
@@ -396,7 +360,8 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
     with _Stage("ingest", clock):
         dataset = ingest_csv(plan.dataset, target=plan.target, task=plan.task)
         task = dataset.schema.task
-        head_kind(task, plan.head)  # a head that does not fit the task fails before training
+        rules = task_rules(task)
+        rules.check_head(plan.head)  # a head that does not fit the task fails before training
 
     det = build_config(DetectorConfig, plan.detector, "detector")
     with _Stage("detect", clock):
@@ -418,20 +383,19 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
     with _Stage("fit-head", clock):
         head = fit_head(e_train, id_train.labels, task, plan.head)
 
-    metric_name, metric = task_metric(task)
     with _Stage("evaluate", clock):
         t0 = time.perf_counter()
         pred_test = predict(head, e_test)
         t_inference = time.perf_counter() - t0
-        p = metric(id_test.labels, pred_test)
-        p_ood = metric(pair.d_ood.labels, predict(head, e_ood))
+        p = rules.metric(id_test.labels, pred_test)
+        p_ood = rules.metric(pair.d_ood.labels, predict(head, e_ood))
 
     t_train = trace.seconds
     report = BenchReport(
         model=plan.model_name,
         dataset=plan.dataset,
         task=task,
-        metric_name=metric_name,
+        metric_name=rules.metric_name,
         p=p,
         t_seconds=t_train,
         tradeoff=tradeoff(p, t_train, task),
@@ -544,7 +508,7 @@ def compare_models(reports: list[BenchReport]) -> list[dict]:
     tasks = {r.task for r in reports}
     if len(tasks) > 1:
         raise ValueError(f"reports cover different tasks: {sorted(tasks)}")
-    sign = -1 if higher_is_better(tasks.pop()) else 1
+    sign = -1 if task_rules(tasks.pop()).higher_is_better else 1
     ranked = sorted(reports, key=lambda r: (-r.tradeoff, sign * r.p, r.model))
     return [
         {

@@ -38,9 +38,9 @@ from .bench import (
     train,
 )
 from .contrastive import TclConfig, embed, load_model
-from .data import Column, Dataset, Schema, ingest_csv, load_dataset, load_split, save_dataset
+from .data import Column, Dataset, ingest_csv, load_dataset, load_split, save_dataset
 from .exceptions import ConfigError, FormatError, NumericError
-from .heads import fit_head, head_kind, load_head, predict, save_head
+from .heads import TASKS, fit_head, load_head, predict, save_head, task_rules
 from .ood import OPENMAX, TEMPERATURE
 
 # No stage calls this alias any more, but perfbench/test_tracer.py checks
@@ -137,12 +137,8 @@ def cmd_embed(args) -> int:
     # A target named like a latent column ("e1") moves the latents to "e_0", ...
     latent = range(e.shape[1])
     prefix = "e_" if dataset.schema.target in {f"e{i}" for i in latent} else "e"
-    schema = Schema(
-        tuple(Column(f"{prefix}{i}", "numeric") for i in latent),
-        dataset.schema.target,
-        dataset.schema.task,
-        dataset.schema.classes,
-    )
+    schema = dataclasses.replace(
+        dataset.schema, features=tuple(Column(f"{prefix}{i}", "numeric") for i in latent))
     out = _out_dir(args)
     save_dataset(Dataset(e, dataset.labels, schema, None), out)
     print(f"embedded {e.shape[0]} rows -> {out} ({e.shape[1]} latent features)")
@@ -162,7 +158,7 @@ def cmd_evaluate(args) -> int:
     head = load_head(args.head)
     dataset = load_dataset(args.data)
     _same_width(args.head, head.input_dim, args.data, dataset)
-    head_kind(dataset.schema.task, head.kind)  # the head must fit the dataset's task
+    task_rules(dataset.schema.task).check_head(head.kind)  # the head must fit the task
     metrics = evaluate(dataset.schema.task, dataset.labels, predict(head, dataset.features))
     write_json(os.path.join(_out_dir(args), "metrics.json"), metrics, indent=1)
     for key, value in metrics.items():
@@ -224,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ingest", cmd_ingest, "encode a CSV into a dataset artifact", "out")
     p.add_argument("csv")
     p.add_argument("--target", required=True, help="target column name")
-    p.add_argument("--task", choices=["classification", "regression"], default=None)
+    p.add_argument("--task", choices=list(TASKS), default=None)
     p.add_argument("--delimiter", default=",")
 
     p = command("detect", cmd_detect, "score rows with an OOD detector", "seed", "config", "out")
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("tradeoff", cmd_tradeoff, "speed/accuracy trade-off")
     p.add_argument("--p", type=float, required=True, help="task metric (F1 or RMSE)")
     p.add_argument("--t", type=float, required=True, help="training seconds")
-    p.add_argument("--task", choices=["classification", "regression"], required=True)
+    p.add_argument("--task", choices=list(TASKS), required=True)
 
     command("report", cmd_report, "run a full experiment plan", "seed", "config", "out")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -37,6 +38,8 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+# Each task's stored label type: class indices or real targets.
+LABEL_TYPES = {CLASSIFICATION: np.int64, REGRESSION: np.float64}
 
 
 @dataclass(frozen=True)
@@ -497,16 +500,13 @@ def split(dataset: Dataset, fractions, rng: RngStream) -> tuple[Dataset, Dataset
 def _write_dataset_csv(dataset: Dataset, path) -> None:
     """Write the header through ``csv.writer``, which quotes encoded names
     such as ``c=a,b``, and each body row whole: ``repr`` of every feature,
-    then the label, ending in ``csv.writer``'s ``\\r\\n``.  No body cell
-    needs quoting."""
-    if dataset.schema.task == CLASSIFICATION:
-        labels = [str(int(v)) for v in dataset.labels.tolist()]
-    else:
-        labels = [repr(float(v)) for v in dataset.labels.tolist()]
+    then of the label cast to its task's type, ending in ``csv.writer``'s
+    ``\\r\\n``.  No body cell needs quoting."""
+    labels = dataset.labels.astype(LABEL_TYPES[dataset.schema.task]).tolist()
     with atomic_write(path) as fh:
         csv.writer(fh).writerow(list(dataset.schema.encoded_names()) + [dataset.schema.target])
         fh.writelines(
-            ",".join([*map(repr, row), label]) + "\r\n"
+            ",".join([*map(repr, row), repr(label)]) + "\r\n"
             for row, label in zip(dataset.features.tolist(), labels)
         )
 
@@ -518,26 +518,46 @@ def _read_side(path, schema: Schema, stats: dict | None) -> Dataset:
     ``csv.reader`` reads the header, so a quoted encoded name matches.  One
     ``np.loadtxt`` call parses the body, and any warning it gives is an
     error: numpy 1.x reads a class label such as ``1.0`` as 1 and only
-    warns.  :class:`Dataset` then checks the labels and the features.
+    warns.  A refusal names the line of the file (:func:`_refusal_at_line`).
+    :class:`Dataset` then checks the labels and the features.
     """
-    label_type = np.int64 if schema.task == CLASSIFICATION else np.float64
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            header = [name.strip() for name in next(csv.reader(fh), ())]
+            reader = csv.reader(fh)
+            header = [name.strip() for name in next(reader, ())]
             if header != [*schema.encoded_names(), schema.target]:
                 raise FormatError(f"{path}: header does not match the stored schema")
             body = fh.read()
         if not body.strip():
             raise FormatError(f"{path}: no data rows")
+        lines = body.split("\n")
+        dtype = [("f", np.float64, (len(header) - 1,)), ("y", LABEL_TYPES[schema.task])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=1,
-                               dtype=[("f", np.float64, (len(header) - 1,)), ("y", label_type)])
+            try:
+                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+            except (ValueError, Warning) as exc:
+                message = _refusal_at_line(str(exc), lines, reader.line_num + 1, dtype)
+                raise FormatError(f"{path}: {message}") from exc
         return Dataset(table["f"].copy(), table["y"].copy(), schema, stats)  # C-contiguous
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, csv.Error, Warning) as exc:  # numpy's parse or a Dataset check
+    except (ValueError, csv.Error) as exc:  # a bad header or a Dataset check
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _refusal_at_line(message: str, lines: list[str], first: int, dtype) -> str:
+    """numpy's ``message`` on refusing ``lines``, the body from line ``first``
+    of the file on, naming the first line that numpy refuses alone in place
+    of numpy's row, which counts from 0 or 1 by the error."""
+    for i, line in enumerate(lines):
+        if line.strip("\r"):  # numpy skips a line holding only its ending
+            try:
+                np.loadtxt([line], delimiter=",", comments=None, ndmin=1, dtype=dtype)
+            except (ValueError, Warning):
+                message, found = re.subn(r"\bat row \d+", f"at line {first + i}", message)
+                return message if found else f"{message} (line {first + i})"
+    return message
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -545,8 +565,8 @@ def save_dataset(dataset: Dataset, path) -> None:
     ``meta.json`` in directory ``path``.  Labels are stored as int64 class
     indices for classification and as float64 targets for regression."""
     os.makedirs(path, exist_ok=True)
-    kind = np.int64 if dataset.schema.task == CLASSIFICATION else np.float64
-    arrays = {"features.npy": dataset.features, "labels.npy": dataset.labels.astype(kind)}
+    labels = dataset.labels.astype(LABEL_TYPES[dataset.schema.task])
+    arrays = {"features.npy": dataset.features, "labels.npy": labels}
     for name, array in arrays.items():
         with atomic_write(os.path.join(path, name), binary=True) as fh:
             np.save(fh, array, allow_pickle=False)
@@ -590,8 +610,7 @@ def load_dataset(path) -> Dataset:
     meta, schema = _load_meta(os.path.join(path, "meta.json"))
     features = _load_array(os.path.join(path, "features.npy"), "feature matrix", np.float64, 2)
     labels_path = os.path.join(path, "labels.npy")
-    kind = np.int64 if schema.task == CLASSIFICATION else np.float64
-    labels = _load_array(labels_path, "label vector", kind, 1)
+    labels = _load_array(labels_path, "label vector", LABEL_TYPES[schema.task], 1)
     error = _label_error(labels, schema)
     if error:
         raise FormatError(f"{labels_path}: {error}")

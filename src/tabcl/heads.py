@@ -2,9 +2,10 @@
 
 A head is a small linear model fitted on either raw features or learned
 embeddings: multinomial logistic regression (L2 penalty) for
-classification, closed-form ridge regression for real targets.
-:func:`fit_head` picks the one that fits a task.  The OOD gate's scoring
-backbone is a logistic head too; :func:`logits` gives its class scores.
+classification, closed-form ridge regression for real targets, as the
+table :data:`TASKS` (read by :func:`task_rules`) decides for each task.
+The OOD gate's scoring backbone is a logistic head too; :func:`logits`
+gives its class scores.
 
 The logistic head is solved to the optimum of its objective by truncated
 Newton (:func:`fit_softmax_regression`): conjugate gradients on
@@ -19,6 +20,7 @@ penalty 0.2, which sets the scale of the logits its detectors read.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,34 +218,12 @@ def fit_linear(X, y) -> Head:
     return Head(LINEAR, coef[:d], np.array([coef[d]]), None)
 
 
-def head_kind(task: str, kind: str | None = None) -> str:
-    """The head kind that fits ``task``: logistic for classification, linear
-    for regression.  Any other ``kind`` given raises ConfigError."""
-    fits = LOGISTIC if task == CLASSIFICATION else LINEAR
-    if kind not in (None, fits):
-        raise ConfigError(f"a {kind!r} head does not fit a {task} task; use {fits}")
-    return fits
-
-
-def task_metric(task: str):
-    """``(name, function)`` of the report's metric for ``task``: macro-F1 or RMSE."""
-    return ("f1_macro", metric_f1_macro) if task == CLASSIFICATION else ("rmse", metric_rmse)
-
-
-def higher_is_better(task: str) -> bool:
-    """Whether a larger value of ``task``'s metric (:func:`task_metric`) is
-    the better one: true of macro-F1, false of RMSE.  ValueError for a task
-    that is neither classification nor regression."""
-    if task not in (CLASSIFICATION, REGRESSION):
-        raise ValueError(f"unknown task: {task!r}")
-    return task == CLASSIFICATION
-
-
 def fit_head(X, y, task: str, kind: str | None = None) -> Head:
-    """Fit the head of :func:`head_kind` for ``task``."""
-    if head_kind(task, kind) == LOGISTIC:
-        return fit_logistic(X, y)
-    return fit_linear(X, y)
+    """Fit the head that :func:`task_rules` gives ``task``; any other
+    ``kind`` raises ConfigError."""
+    rules = task_rules(task)
+    rules.check_head(kind)
+    return fit_logistic(X, y) if rules.head == LOGISTIC else fit_linear(X, y)
 
 
 def logits(head: Head, X) -> np.ndarray:
@@ -340,3 +320,36 @@ def metric_r2(y_true, y_pred) -> float:
     if ss_tot == 0.0:
         return 0.0  # constant truth: r2 is undefined, report 0
     return 1.0 - ss_res / ss_tot
+
+
+@dataclass(frozen=True)
+class TaskRules:
+    """A task's head kind, its report metric (name, function, and whether
+    higher is better) and the metrics that ``bench.evaluate`` writes."""
+
+    task: str
+    head: str
+    metric_name: str
+    metric: Callable
+    higher_is_better: bool
+    metrics: tuple[tuple[str, Callable], ...]
+
+    def check_head(self, kind: str | None) -> None:
+        """ConfigError unless ``kind`` is None or this task's head kind."""
+        if kind not in (None, self.head):
+            raise ConfigError(f"a {kind!r} head does not fit a {self.task} task; use {self.head}")
+
+
+TASKS = {
+    CLASSIFICATION: TaskRules(CLASSIFICATION, LOGISTIC, "f1_macro", metric_f1_macro, True,
+                              (("accuracy", metric_accuracy), ("f1_macro", metric_f1_macro))),
+    REGRESSION: TaskRules(REGRESSION, LINEAR, "rmse", metric_rmse, False,
+                          (("rmse", metric_rmse), ("r2", metric_r2))),
+}
+
+
+def task_rules(task) -> TaskRules:
+    """The :data:`TASKS` entry of ``task``; ValueError for any other name."""
+    if isinstance(task, str) and task in TASKS:
+        return TASKS[task]
+    raise ValueError(f"unknown task: {task!r}")

@@ -40,7 +40,7 @@ from . import heads
 from .artifacts import atomic_write
 from .data import CLASSIFICATION, Dataset, SplitPair, split
 from .exceptions import NumericError
-from .heads import Head, fit_head, higher_is_better, predict, task_metric
+from .heads import Head, fit_head, predict, task_rules
 from .numerics import RngStream, _class_index, softmax_classes
 from .weibull import weibull_cdf, weibull_mle
 
@@ -260,9 +260,9 @@ def split_by_threshold(dataset: Dataset, scores, threshold: float) -> SplitPair:
 
 
 def degradation(task: str, id_value: float, ood_value: float) -> float:
-    """How much worse ``task``'s metric (:func:`tabcl.heads.task_metric`) is
+    """How much worse ``task``'s metric (:func:`tabcl.heads.task_rules`) is
     on OOD rows than on ID rows; positive when worse."""
-    return id_value - ood_value if higher_is_better(task) else ood_value - id_value
+    return id_value - ood_value if task_rules(task).higher_is_better else ood_value - id_value
 
 
 @dataclass
@@ -296,7 +296,7 @@ def validate_split(
 
     task = pair.d_in.schema.task
     probe = fit_head(id_train.features, id_train.labels, task)
-    _, metric = task_metric(task)
+    metric = task_rules(task).metric
 
     def score(ds: Dataset) -> float:
         return metric(ds.labels, predict(probe, ds.features))

@@ -1001,6 +1001,19 @@ class TestBulkParse:
         with pytest.raises(FormatError, match=r"d_in\.csv: .*'x'"):  # numpy reads row by row
             load_split(tmp_path)
 
+    @pytest.mark.parametrize("rows, line", [
+        ([["1.0", "2.0", "0"], ["3.0", "oops", "1"]], 3),
+        ([["1.0", "2.0", "0"], ["3.0", "1"]], 3),
+        ([["1.0", "2.0", "0"], [], ["3.0", "oops", "1"]], 4),
+    ], ids=["bad-cell", "short-row", "after-a-blank-line"])
+    def test_refusal_names_the_line_of_the_file(self, tmp_path, rows, line):
+        """numpy counts a bad cell's row from 0 and a short row's from 1,
+        both from the first body line; the error names the file's line."""
+        stored_split(tmp_path, numeric_schema(2), ["x0", "x1", "y"], rows)
+        with pytest.raises(FormatError, match=rf"d_in\.csv: .* at line {line}\b") as exc:
+            load_split(tmp_path)
+        assert "row" not in str(exc.value)
+
 
 # Cells a hand edit may leave in a stored split side, every one refused.
 # The label tokens are numbers that are not a class index of 2 classes.

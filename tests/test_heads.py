@@ -9,8 +9,6 @@ from tabcl.heads import (
     fit_linear,
     fit_logistic,
     fit_softmax_regression,
-    head_kind,
-    higher_is_better,
     load_head,
     logits,
     metric_accuracy,
@@ -19,6 +17,7 @@ from tabcl.heads import (
     metric_rmse,
     predict,
     save_head,
+    task_rules,
 )
 from tabcl.numerics import RngStream
 
@@ -120,11 +119,11 @@ class TestLogits:
 class TestMetricDirection:
     @pytest.mark.parametrize("task, higher", [("classification", True), ("regression", False)])
     def test_each_task(self, task, higher):
-        assert higher_is_better(task) is higher
+        assert task_rules(task).higher_is_better is higher
 
     def test_unknown_task_is_value_error(self):
         with pytest.raises(ValueError, match="^unknown task: 'ranking'$"):
-            higher_is_better("ranking")
+            task_rules("ranking")
 
 
 class TestFitHead:
@@ -132,8 +131,10 @@ class TestFitHead:
         X, y = separable_toy()
         assert fit_head(X, y, "classification").kind == "logistic"
         assert fit_head(X, y.astype(np.float64), "regression").kind == "linear"
-        assert head_kind("classification", "logistic") == "logistic"
-        assert head_kind("regression", "linear") == "linear"
+        assert task_rules("classification").head == "logistic"
+        assert task_rules("regression").head == "linear"
+        task_rules("classification").check_head("logistic")  # the kind that fits passes
+        task_rules("regression").check_head("linear")
 
     @pytest.mark.parametrize("task, kind", [
         ("classification", "linear"), ("regression", "logistic"), ("classification", "ridge"),

@@ -1,15 +1,19 @@
 """The library surface: the names ``import tabcl`` gives, pinned as
 ``TestCliSurface`` pins the subcommands and their flags."""
 
+import ast
 import dataclasses
 import inspect
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tabcl
-from tabcl import bench, contrastive, data, numerics, ood, weibull
+import tabcl.cli
+from tabcl import bench, contrastive, data, heads, numerics, ood, weibull
+from tabcl.exceptions import ConfigError
 
 from conftest import numeric_schema
 
@@ -46,12 +50,15 @@ EXPORTS = {
 # score histogram is numpy's ``(counts, edges)``, the Weibull shape is fitted
 # by bisection with no tolerance or step cap, the pipeline draws no
 # integers (the tests draw theirs through ``oracles.draw_integers``), a
-# plan declares no OOD degradation budget, which nothing read, and a split
-# report is a plain dataclass, read through ``dataclasses.asdict``.
+# plan declares no OOD degradation budget, which nothing read, a split
+# report is a plain dataclass, read through ``dataclasses.asdict``, and a
+# task's head kind, metric and metric direction are read from
+# ``heads.TASKS`` through ``heads.task_rules``.
 GONE = {
     contrastive: ("decode", "_DECODER_ARRAYS", "loss_reconstruction", "loss_contrastive",
                   "loss_distance", "replace_params", "param_vector", "parameter_count"),
     data: ("_bulk_read", "_read_dataset_csv", "_raise_first_bad_cell", "_class_indices"),
+    heads: ("head_kind", "task_metric", "higher_is_better"),
     numerics: ("finite_diff_grad",),
     numerics.RngStream: ("integers",),
     ood: ("Histogram",),
@@ -125,3 +132,78 @@ class TestLibrarySurface:
         assert type(a).__name__ == name
         assert a == a
         assert not a == b and a != b
+
+
+# Every public entry point that takes a task name, called with one it does
+# not know.  None of them may treat it as regression.
+UNKNOWN_TASK = {
+    "task_rules": lambda: heads.task_rules("ranking"),
+    "fit_head": lambda: heads.fit_head(np.zeros((4, 1)), np.array([0, 1, 0, 1]), "ranking"),
+    "evaluate": lambda: bench.evaluate("ranking", [0, 1], [0, 1]),
+    "tradeoff": lambda: bench.tradeoff(0.5, 1.0, "ranking"),
+    "degradation": lambda: ood.degradation("ranking", 0.9, 0.8),
+    "Schema": lambda: data.Schema((), "y", "ranking"),
+}
+
+
+class TestUnknownTask:
+    @pytest.mark.parametrize("name", sorted(UNKNOWN_TASK))
+    def test_value_error_names_the_task(self, name):
+        with pytest.raises(ValueError, match="^unknown task: 'ranking'$"):
+            UNKNOWN_TASK[name]()
+
+    def test_plan_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^unknown task: 'ranking'$"):
+            bench.ExperimentPlan(dataset="d.csv", target="y", task="ranking")
+
+    @pytest.mark.parametrize("argv", [
+        ["tradeoff", "--p", "0.5", "--t", "1", "--task", "ranking"],
+        ["ingest", "t.csv", "--target", "y", "--task", "ranking"],
+    ], ids=["tradeoff", "ingest"])
+    def test_cli_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            tabcl.cli.main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'ranking'" in capsys.readouterr().err
+
+
+# The only functions that may compare a task with CLASSIFICATION or
+# REGRESSION: the steps that need class labels.  Every other choice made by
+# task name reads one of two tables, ``heads.TASKS`` (head, metrics) or
+# ``data.LABEL_TYPES`` (the stored label type).
+TASK_COMPARISONS = {
+    "data.Schema.__post_init__", "data._label_error", "data.infer_schema",
+    "data.encode_features", "data.split", "bench.detect", "ood.train_backbone",
+    "ood.fit_temperature",
+}
+TASK_NAMES = {"CLASSIFICATION", "REGRESSION", "classification", "regression"}
+
+
+def _names_a_task(node) -> bool:
+    return any((isinstance(n, ast.Name) and n.id in TASK_NAMES)
+               or (isinstance(n, ast.Attribute) and n.attr in TASK_NAMES)
+               or (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and n.value in TASK_NAMES)
+               for n in ast.walk(node))
+
+
+def task_comparisons() -> set[str]:
+    """``module.scope`` of every comparison in ``src/tabcl`` that names a task."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Compare) and _names_a_task(child):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in sorted(Path(tabcl.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_tasks_are_compared_only_where_class_labels_are_needed():
+    assert task_comparisons() - TASK_COMPARISONS == set()
