@@ -150,6 +150,8 @@ class ExperimentPlan:
             raise ConfigError(f"unknown task: {self.task!r}")
         if self.head not in (None, *(rules.head for rules in TASKS.values())):
             raise ConfigError(f"unknown head kind: {self.head!r}")
+        if self.task is not None:  # else ingest infers the task, and checks the head then
+            task_rules(self.task).check_head(self.head)
         if not (is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.seed = int(self.seed)

@@ -20,7 +20,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import filterfalse, repeat
 
 import numpy as np
 
@@ -303,12 +303,18 @@ def _floats(cells) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _take_floats(raw: RawTable, name: str, cells: list[str]) -> np.ndarray | None:
-    """``_floats(cells)`` of column ``name``, taken over when
-    :func:`infer_schema` already parsed it."""
+def _present(cells) -> list[str]:
+    """The cells that are not a missing token, in order."""
+    return list(filterfalse(MISSING_TOKENS.__contains__, cells))
+
+
+def _take_floats(raw: RawTable, name: str, cells, complete: bool = True) -> np.ndarray | None:
+    """``_floats`` of column ``name``'s present cells, all of them when
+    ``complete``, taken over when :func:`infer_schema` already parsed them.
+    Only a column parsed here builds the list of its present cells."""
     if raw._numbers and name in raw._numbers:
         return raw._numbers.pop(name)
-    return _floats(cells)
+    return _floats(cells if complete else _present(cells))
 
 
 def infer_schema(
@@ -336,7 +342,7 @@ def infer_schema(
         has_missing = not MISSING_TOKENS.isdisjoint(distinct)
         distinct -= MISSING_TOKENS
         if distinct and len(distinct) > category_cutoff:
-            values = _floats([c for c in cells if c not in MISSING_TOKENS] if has_missing else cells)
+            values = _floats(_present(cells) if has_missing else cells)
             if values is not None:
                 if raw._numbers is not None:
                     raw._numbers[name] = values
@@ -361,7 +367,11 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
     """Encode a raw table against a schema.
 
     Numeric columns are median-imputed and z-scored; categorical columns are
-    one-hot with a trailing unknown slot.  When ``stats`` is None the
+    one-hot with a trailing unknown slot.  A numeric column that holds a
+    missing token finds its missing cells with one mask, one C-level pass
+    over the column; a column without one skips the mask.  A cell that
+    does not parse is named by its row of the file, even after missing
+    cells.  When ``stats`` is None the
     imputation medians and standardization moments are fitted on this table
     and attached to the result for reuse on test/OOD data.
     """
@@ -387,11 +397,11 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
         cells = columns[raw.header.index(col.name)]
         if col.kind == NUMERIC:
             complete = MISSING_TOKENS.isdisjoint(cells)
-            keep = slice(None) if complete else [
-                i for i, cell in enumerate(cells) if cell not in MISSING_TOKENS]
-            parsed = _take_floats(raw, col.name, cells if complete else [cells[i] for i in keep])
+            keep = slice(None) if complete else ~np.fromiter(
+                map(MISSING_TOKENS.__contains__, cells), bool, n)
+            parsed = _take_floats(raw, col.name, cells, complete)
             if parsed is None:
-                for i in range(n) if complete else keep:
+                for i in np.arange(n)[keep].tolist():
                     _parse_number(cells[i], col.name, raw._row_number(i))
             values = np.full(n, np.nan)
             values[keep] = parsed
@@ -497,18 +507,54 @@ def split(dataset: Dataset, fractions, rng: RngStream) -> tuple[Dataset, Dataset
     return dataset.take(first), dataset.take(second)
 
 
+def _encoded_blocks(schema: Schema) -> list[tuple[int, int, bool]]:
+    """``(start, stop, categorical)`` spans of the encoded columns, in order:
+    each run of adjacent numeric columns, and each categorical column's
+    one-hot block."""
+    spans, start = [], 0
+    for col in schema.features:
+        stop = start + len(col.encoded_names())
+        if col.kind == NUMERIC and spans and not spans[-1][2]:
+            spans[-1] = (spans[-1][0], stop, False)
+        else:
+            spans.append((start, stop, col.kind == CATEGORICAL))
+        start = stop
+    return spans
+
+
+def _block_texts(block: np.ndarray, categorical: bool):
+    """One text per row of ``block``: the ``repr`` of each of its cells,
+    joined by commas.  A numeric run is ``repr``'d cell by cell, lazily.  A
+    categorical block's row whose cells are bit for bit +0.0 but for one 1.0
+    takes its text from a table of the block's one-hot rows; any other row
+    (a -0.0, a 0.5, two 1.0s or none) is ``repr``'d cell by cell."""
+    if not categorical:
+        return (",".join(map(repr, row)) for row in block.tolist())
+    ones = block == 1.0
+    zeros = (block == 0.0) & ~np.signbit(block)
+    exact = (ones.sum(axis=1) == 1) & (zeros.sum(axis=1) == block.shape[1] - 1)
+    table = [",".join(map(repr, row)) for row in np.eye(block.shape[1]).tolist()]
+    texts = list(map(table.__getitem__, ones.argmax(axis=1).tolist()))
+    for i in np.flatnonzero(~exact).tolist():
+        texts[i] = ",".join(map(repr, block[i].tolist()))
+    return texts
+
+
 def _write_dataset_csv(dataset: Dataset, path) -> None:
     """Write the header through ``csv.writer``, which quotes encoded names
-    such as ``c=a,b``, and each body row whole: ``repr`` of every feature,
-    then of the label cast to its task's type, ending in ``csv.writer``'s
-    ``\\r\\n``.  No body cell needs quoting."""
-    labels = dataset.labels.astype(LABEL_TYPES[dataset.schema.task]).tolist()
+    such as ``c=a,b``, then stream the body one line per row: ``repr`` of
+    every feature, then of the label cast to its task's type, ending in
+    ``csv.writer``'s ``\\r\\n``.  A line is joined from the texts of the
+    row's blocks (:func:`_encoded_blocks`, :func:`_block_texts`), so a
+    one-hot block costs one table lookup instead of a ``repr`` per cell; the
+    bytes are the same.  No body cell needs quoting."""
+    schema = dataset.schema
+    labels = dataset.labels.astype(LABEL_TYPES[schema.task]).tolist()
+    blocks = [_block_texts(dataset.features[:, start:stop], categorical)
+              for start, stop, categorical in _encoded_blocks(schema)]
     with atomic_write(path) as fh:
-        csv.writer(fh).writerow(list(dataset.schema.encoded_names()) + [dataset.schema.target])
-        fh.writelines(
-            ",".join([*map(repr, row), repr(label)]) + "\r\n"
-            for row, label in zip(dataset.features.tolist(), labels)
-        )
+        csv.writer(fh).writerow(list(schema.encoded_names()) + [schema.target])
+        fh.writelines(map(",".join, zip(*blocks, map("{!r}\r\n".format, labels))))
 
 
 def _read_side(path, schema: Schema, stats: dict | None) -> Dataset:

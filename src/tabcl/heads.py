@@ -183,8 +183,13 @@ def fit_softmax_regression(
     return np.ascontiguousarray(theta[:, :d].T), theta[:, d].copy()
 
 
-def fit_logistic(X, y, l2: float = L2) -> Head:
-    """Multinomial logistic regression head; requires >= 2 classes present."""
+def fit_logistic(X, y, l2: float = L2, classes: int | None = None) -> Head:
+    """Multinomial logistic regression head; requires >= 2 classes present.
+
+    The head has ``classes`` outputs, one per class of the schema, so that
+    it scores rows of a class its fit rows lack; by default, the largest
+    label plus one.
+    """
     if l2 < 0:
         raise ValueError("l2 must be >= 0")
     X = _check_features(X)
@@ -192,7 +197,8 @@ def fit_logistic(X, y, l2: float = L2) -> Head:
     if y.shape != (X.shape[0],):
         raise ValueError("labels must be one per row")
     y = y.astype(np.int64)
-    classes = int(y.max()) + 1 if y.size else 0
+    if classes is None:
+        classes = int(y.max()) + 1 if y.size else 0
     if np.unique(y).size < 2:
         raise ValueError("logistic head needs at least 2 classes present")
     W, b = fit_softmax_regression(X, y, classes, l2)

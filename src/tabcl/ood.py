@@ -57,12 +57,14 @@ _L2 = 0.2
 def train_backbone(train: Dataset) -> Head:
     """Fit the scoring backbone on a classification dataset: the logistic
     head solved at the weight penalty ``_L2``, which sets the scale of the
-    logits the detectors read.  Regression targets have to be discretized
-    first (see :func:`discretize_target`).
+    logits the detectors read.  The backbone has one output per class of
+    the schema, present in ``train`` or not.  Regression targets have to be
+    discretized first (see :func:`discretize_target`).
     """
     if train.schema.task != CLASSIFICATION:
         raise ValueError("backbone training needs classification labels; discretize first")
-    return heads.fit_logistic(train.features, train.labels, l2=_L2)
+    return heads.fit_logistic(train.features, train.labels, l2=_L2,
+                              classes=len(train.schema.classes))
 
 
 def discretize_target(y, bins: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from tabcl.bench import (
 from tabcl.contrastive import TclConfig
 from tabcl.data import Dataset, split
 from tabcl.exceptions import ConfigError
-from tabcl.numerics import RngStream
+from tabcl.numerics import STREAMS, RngStream
 
 from conftest import (numeric_schema, shifted_cluster_data, write_classification_csv,
                       write_regression_csv)
@@ -87,6 +87,14 @@ class TestPlan:
             '"detector": {"detector": "openmax", "quantile": 0.9}, "tcl": {"max_epochs": 5}, '
             '"head": null, "seed": 3, "out_dir": "out", "fractions": [0.8, 0.2]}'
         )
+
+    def test_head_that_does_not_fit_the_declared_task_is_refused(self):
+        with pytest.raises(ConfigError, match="a 'linear' head does not fit a classification"):
+            ExperimentPlan(dataset="d.csv", target="y", task="classification", head="linear")
+        with pytest.raises(ConfigError, match="a 'logistic' head does not fit a regression"):
+            ExperimentPlan(dataset="d.csv", target="y", task="regression", head="logistic")
+        ExperimentPlan(dataset="d.csv", target="y", task="regression", head="linear")
+        ExperimentPlan(dataset="d.csv", target="y", head="linear")  # checked after ingest
 
     def test_unknown_detector_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -413,6 +421,25 @@ class TestDetect:
         for detector in ("openmax", "temperature"):
             bench.detect(ds, DetectorConfig(detector=detector), 0, tmp_path)
         assert calls == {"openmax_score": 1, "temp_score": 1}
+
+    def test_temperature_calibrates_a_bin_its_fit_part_lacks(self, tmp_path):
+        """A 12-row regression table in 10 bins: the backbone is fitted on
+        80% of the rows, which lack the top bin, and calibrated on the rest,
+        which hold it.  The backbone keeps one output per bin."""
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((12, 2))
+        ds = Dataset(X, X[:, 0] + 0.1 * rng.standard_normal(12),
+                     numeric_schema(2, task="regression"), None)
+        bins = ood.discretize_target(ds.labels, bench.DISCRETIZE_BINS)
+        as_classes = Dataset(X, bins, numeric_schema(2, classes=tuple("0123456789")), None)
+        with pytest.warns(UserWarning, match="splitting unstratified"):
+            fit_part, _ = split(as_classes, (0.8, 0.2), RngStream(5, STREAMS["calibration"]))
+        assert fit_part.labels.max() < bench.DISCRETIZE_BINS - 1
+        with pytest.warns(UserWarning, match="splitting unstratified"):
+            scores, settings = bench.detect(ds, DetectorConfig(detector="temperature"), 5,
+                                            tmp_path)
+        assert scores.shape == (12,) and np.isfinite(scores).all()
+        assert scores.min() >= -1.0 and scores.max() <= -1.0 / bench.DISCRETIZE_BINS
 
 
 class TestEmitReport:

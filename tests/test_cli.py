@@ -738,6 +738,21 @@ class TestPlanChecks:
         assert "does not fit a classification task" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_head_that_does_not_fit_the_declared_task_is_2_before_any_stage(self, tmp_path,
+                                                                            capsys):
+        """The plan names the task, so the head is checked with the plan:
+        the dataset, which does not exist, is never read."""
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(tmp_path / "missing.csv"), "target": "label", "out_dir": str(out),
+            "task": "classification", "head": "linear",
+        })
+        assert run(["report", "--config", plan]) == 2
+        err = capsys.readouterr().err
+        assert "a 'linear' head does not fit a classification task" in err
+        assert "[stage=" not in err and "missing.csv" not in err
+        assert not out.exists()
+
 
 def bad_values(key, kind):
     """A list, a string, a bool, a float where an integer is due, and a

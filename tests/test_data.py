@@ -508,6 +508,54 @@ class TestColumnPassMatchesRowMajor:
                                             data.DEFAULT_CATEGORY_CUTOFF)
 
 
+class TestMissingMask:
+    """A numeric column finds its missing cells with one mask; every
+    spelling of a missing token is one, wherever it stands."""
+
+    TOKENS = sorted(MISSING_TOKENS)
+
+    def rows(self, n=48):
+        """A numeric column ``a`` (more distinct values than the cutoff)
+        holding each missing spelling twice, a clean column ``b`` and a class
+        target; the first missing cell is on row 2 of the file."""
+        rows = [[repr(0.25 * i - 3.0), repr(1.0 / (i + 1)), f"c{i % 3}"] for i in range(n)]
+        for k, token in enumerate(self.TOKENS * 2):
+            rows[3 * k][0] = token
+        return rows
+
+    def test_every_spelling_matches_the_row_major_reference(self, tmp_path):
+        rows, header = self.rows(), ["a", "b", "y"]
+        path = tmp_path / "t.csv"
+        write_rows(path, header, rows)
+        ds = ingest_csv(path, target="y")
+        assert [c.kind for c in ds.schema.features] == ["numeric", "numeric"]
+        a = [float(r[0]) for r in rows if r[0] not in MISSING_TOKENS]
+        assert ds.stats["a"]["median"] == statistics.median(a)
+        assert_ingest_matches_reference(rows, header, path, "y", None,
+                                        data.DEFAULT_CATEGORY_CUTOFF)
+        # each missing cell is imputed with the median, then z-scored
+        s = ds.stats["a"]
+        imputed = (s["median"] - s["mean"]) / s["std"]
+        missing = [i for i, r in enumerate(rows) if r[0] in MISSING_TOKENS]
+        assert bits(ds.features[missing, 0]) == bits([imputed] * len(missing))
+
+    @pytest.mark.parametrize("blank_lines", [0, 3])
+    def test_bad_cell_after_missing_cells_names_its_row(self, tmp_path, blank_lines):
+        rows, header = self.rows(), ["a", "b", "y"]
+        write_rows(tmp_path / "fit.csv", header, rows)
+        fitted = ingest_csv(tmp_path / "fit.csv", target="y")
+        rows[40][0] = "oops"  # after 14 of the 16 missing cells
+        lines = ["a,b,y"] + [",".join(r) for r in rows]
+        for _ in range(blank_lines):
+            lines.insert(2, "")
+        path = write(tmp_path / "t.csv", "\n".join(lines) + "\n")
+        with pytest.raises(FormatError,
+                           match=f"^column 'a', row {42 + blank_lines}: cannot parse 'oops'"):
+            encode_features(read_csv(path), fitted.schema, fitted.stats)
+        want = outcome(ref_encode_features, RawTable(header, rows), fitted.schema, fitted.stats)
+        assert want == (FormatError, "column 'a', row 42: cannot parse 'oops' as a number")
+
+
 class TestEncode:
     def test_zscore_analytic(self):
         raw = RawTable(["a", "y"], [["1", "0"], ["2", "1"], ["3", "0"]])
@@ -1199,3 +1247,90 @@ class TestWriter:
         for side in ("d_in", "d_ood"):
             assert bits(getattr(loaded, side).features) == bits(getattr(pair, side).features)
             assert bits(getattr(loaded, side).labels) == bits(getattr(pair, side).labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["classification", "regression"]))
+    def test_bytes_match_reference_on_mixed_schemas(self, draws, task):
+        """Numeric runs before, between and after one-hot blocks; a block's
+        row is exactly one-hot or not (a -0.0, a 0.5, two 1.0s, none)."""
+        ds = draws.draw(mixed_dataset(task))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_split(SplitPair(ds, ds.take([0]), threshold=0.5), tmp)
+            reference_write(ds, os.path.join(tmp, "reference.csv"))
+            with open(os.path.join(tmp, "d_in.csv"), "rb") as got, \
+                    open(os.path.join(tmp, "reference.csv"), "rb") as want:
+                assert got.read() == want.read()
+
+    def test_pipeline_sides_match_reference(self, tmp_path):
+        """run_experiment on a small gate-tall-shaped table: numeric
+        columns with 1% missing cells and categorical columns."""
+        from tabcl.bench import ExperimentPlan, run_experiment
+
+        path = gate_tall_like(tmp_path / "input.csv")
+        out = tmp_path / "out"
+        run_experiment(ExperimentPlan(
+            dataset=str(path), target="label", seed=3, out_dir=str(out),
+            detector={"detector": "openmax", "tail": 20, "quantile": 0.9},
+            tcl={"max_epochs": 2},
+        ))
+        pair = load_split(out / "split")
+        kinds = [c.kind for c in pair.d_in.schema.features]
+        assert kinds.count("numeric") == 4 and kinds.count("categorical") == 2
+        for name, side in (("d_in.csv", pair.d_in), ("d_ood.csv", pair.d_ood)):
+            reference_write(side, tmp_path / name)
+            assert (out / "split" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+BLOCK_CELL = st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0, 5e-324])
+
+
+@st.composite
+def mixed_dataset(draw, task):
+    """A dataset of numeric and categorical columns in random order, 1-12
+    rows; a categorical block's row is one-hot in most rows."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), max_size=7))
+    columns = tuple(
+        Column(f"x{j}", "numeric") if kind == "numeric"
+        else Column(f"c{j}", "categorical", tuple(f"L{k}" for k in range(draw(st.integers(0, 4)))))
+        for j, kind in enumerate(kinds)
+    )
+    classes = ("a", "b", "c") if task == "classification" else ()
+    schema = Schema(columns, "y", task, classes)
+    n = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(n):
+        row = []
+        for col in columns:
+            if col.kind == "numeric":
+                row.append(draw(stored_value()))
+                continue
+            width = len(col.encoded_names())
+            if draw(st.integers(0, 3)):
+                hot = draw(st.integers(0, width - 1))
+                row.extend(1.0 if k == hot else 0.0 for k in range(width))
+            else:
+                row.extend(draw(st.lists(BLOCK_CELL, min_size=width, max_size=width)))
+        rows.append(row)
+    features = np.array(rows, np.float64).reshape(n, schema.encoded_dim)
+    label = st.integers(0, 2) if task == "classification" else stored_value()
+    return Dataset(features, draw(st.lists(label, min_size=n, max_size=n)), schema, None)
+
+
+def gate_tall_like(path, n=900, seed=36):
+    """A table shaped like the gate-tall benchmark's, smaller: four numeric
+    columns with 1% of cells missing (spelled as several tokens), two
+    categorical columns leaning on the class, and three classes."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 3, n)
+    X = rng.standard_normal((n, 4))
+    X[:, 0] += 4.0 * np.cos(2 * np.pi * y / 3)
+    X[:, 1] += 4.0 * np.sin(2 * np.pi * y / 3)
+    cells = [[f"{v:.6g}" for v in row] for row in X.tolist()]
+    for i, j in zip(*np.nonzero(rng.random((n, 4)) < 0.01)):
+        cells[i][j] = ["", "NA", "?", "nan"][(i + j) % 4]
+    c0 = np.where(rng.random(n) < 0.6, y, rng.integers(0, 5, n))
+    c1 = rng.integers(0, 7, n)
+    rows = [[*r, f"L{a}", f"M{b}", f"c{k}"] for r, a, b, k in zip(cells, c0, c1, y)]
+    write_rows(path, ["x0", "x1", "x2", "x3", "c0", "c1", "label"], rows)
+    assert sum(c in MISSING_TOKENS for r in rows for c in r[:4]) > 0
+    return path

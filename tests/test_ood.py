@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tabcl import ood
 from tabcl.data import Dataset, split
 from tabcl.exceptions import NumericError
-from tabcl.heads import Head, fit_head, logits, metric_f1_macro, predict
+from tabcl.heads import Head, fit_head, fit_logistic, logits, metric_f1_macro, predict
 from tabcl.numerics import RngStream
 from tabcl.ood import (
     OpenMaxModel,
@@ -67,6 +67,21 @@ class TestBackbone:
         b1 = train_backbone(ds)
         b2 = train_backbone(ds)
         np.testing.assert_array_equal(b1.weights, b2.weights)
+
+    @pytest.mark.parametrize("absent", [0, 1, 2])
+    def test_one_output_per_class_of_the_schema(self, absent):
+        """A class the fit rows lack keeps its output, so rows of it can be
+        scored and calibrated; where every class is present, nothing moves."""
+        ds = toy_dataset()
+        three = Dataset(ds.features, np.where(ds.features[:, 2] > 0.5, 2, ds.labels),
+                        numeric_schema(ds.d, classes=("0", "1", "2")), None)
+        lacking = three.take(np.flatnonzero(three.labels != absent))
+        backbone = train_backbone(lacking)
+        assert backbone.classes == 3 and logits(backbone, three.features).shape == (three.n, 3)
+        assert np.isfinite(fit_temperature(backbone, three).temperature)
+        full = train_backbone(three)  # the class count the labels imply, as before
+        assert full.weights.tobytes() == fit_logistic(three.features, three.labels,
+                                                      l2=ood._L2).weights.tobytes()
 
     def test_single_class_rejected(self):
         X = RngStream(52, 0).normal(20, 3)
