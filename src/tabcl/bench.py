@@ -383,7 +383,8 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         e_ood = embed(model, pair.d_ood.features)
 
     with _Stage("fit-head", clock):
-        head = fit_head(e_train, id_train.labels, task, plan.head)
+        head = fit_head(e_train, id_train.labels, task, plan.head,
+                        classes=len(id_train.schema.classes))
 
     with _Stage("evaluate", clock):
         t0 = time.perf_counter()

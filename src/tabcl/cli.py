@@ -147,7 +147,9 @@ def cmd_embed(args) -> int:
 
 def cmd_fit_head(args) -> int:
     dataset = load_dataset(args.data)
-    head = fit_head(dataset.features, dataset.labels, dataset.schema.task, args.kind)
+    schema = dataset.schema
+    head = fit_head(dataset.features, dataset.labels, schema.task, args.kind,
+                    classes=len(schema.classes))
     out = _out_dir(args)
     save_head(head, os.path.join(out, "head.json"))
     print(f"fitted {head.kind} head on {dataset.n} rows -> {out}/head.json")

@@ -33,6 +33,7 @@ MISSING_TOKENS = frozenset({"", "?", "NA", "N/A", "nan", "NaN", "null", "None"})
 MISSING_CATEGORY = "<missing>"
 UNKNOWN_SLOT = "<unknown>"
 DEFAULT_CATEGORY_CUTOFF = 20
+_PREFIX = 64  # cells infer_schema reads first to settle a column's distinct count
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -328,7 +329,9 @@ def infer_schema(
     A column is numeric iff every non-missing cell parses as a finite number
     AND it has more than ``category_cutoff`` distinct values; otherwise it is
     categorical.  The target column must be named explicitly; the task is
-    inferred from the target by the same rule unless given.
+    inferred from the target by the same rule unless given.  When a
+    column's first 64 cells already hold more distinct values than the
+    cutoff, the set of all its cells is built only if it stays categorical.
     """
     if not target:
         raise ConfigError("no target column designated")
@@ -338,15 +341,20 @@ def infer_schema(
         raise FormatError("need at least one data row to infer a schema")
 
     def classify(name: str, cells) -> Column:
-        distinct = set(cells)
-        has_missing = not MISSING_TOKENS.isdisjoint(distinct)
-        distinct -= MISSING_TOKENS
+        # More distinct values than the cutoff among the first cells settle
+        # the count, so only a column that may stay categorical builds the
+        # set of all its cells.
+        distinct = set(cells[:_PREFIX]) - MISSING_TOKENS
+        if not distinct or len(distinct) <= category_cutoff:
+            distinct = set(cells) - MISSING_TOKENS
+        has_missing = not MISSING_TOKENS.isdisjoint(cells)
         if distinct and len(distinct) > category_cutoff:
             values = _floats(_present(cells) if has_missing else cells)
             if values is not None:
                 if raw._numbers is not None:
                     raw._numbers[name] = values
                 return Column(name, NUMERIC)
+            distinct = set(cells) - MISSING_TOKENS
         if has_missing:
             distinct.add(MISSING_CATEGORY)
         return Column(name, CATEGORICAL, tuple(sorted(distinct)))

@@ -13,7 +13,11 @@ Hessian-vector products for each step's direction, and a backtracking
 line search.  Its objective computes the class-major (C, n) logits and
 probabilities from the parameters, in buffers allocated once per fit, so
 all but its matrix products walk rows of length n, and a Hessian-vector
-product costs two matrix products and no ``exp``.  The OOD backbone
+product costs two matrix products and no ``exp``.  Those products take
+float32 copies of the features and probabilities, which halves the bytes
+they stream; the objective, its gradient, the line search and the stop
+rule stay float64, so the cheaper products change the path to the
+optimum and not the optimum.  The OOD backbone
 (:func:`tabcl.ood.train_backbone`) is this head solved at the larger
 penalty 0.2, which sets the scale of the logits its detectors read.
 """
@@ -59,8 +63,8 @@ class Head:
         return self.weights.shape[0]
 
 
-def _check_features(X, head: Head | None = None) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+def _check_features(X, head: Head | None = None, dtype=np.float64) -> np.ndarray:
+    X = np.asarray(X, dtype=dtype)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     if head is not None and X.shape[1] != head.input_dim:
@@ -79,6 +83,14 @@ class _Objective:
     are taken at the probabilities ``p`` that the last :meth:`value` left
     behind.  The Newton fit (:func:`fit_softmax_regression`) minimizes it
     for every logistic head, the OOD backbone among them.
+
+    ``xt`` is float64, whatever the features' float dtype, and so are the
+    value and the gradient.  The Hessian-vector product, which only steers
+    the conjugate-gradient directions, is float32: it reads ``xt32``, a
+    float32 copy of ``xt`` made once, and ``p32``, a float32 copy of ``p``
+    that each :meth:`value` refreshes, so it streams half the bytes.
+    Finite features beyond float32's range are a ValueError, non-finite
+    ones NumericError.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, l2: float):
@@ -88,17 +100,24 @@ class _Objective:
         self.xt = np.empty((d + 1, n))
         self.xt[:d] = X.T
         self.xt[d] = 1.0
+        with np.errstate(over="ignore"):
+            self.xt32 = self.xt.astype(np.float32)
+        if not np.isfinite(self.xt32).all():
+            check_finite(X, "softmax regression features")
+            raise ValueError("softmax regression features hold values beyond the float32 range")
         self.pen = np.full(d + 1, float(l2))
         self.pen[d] = 0.0
         self.p = np.empty((n_classes, n))
         self.q = np.empty((n_classes, n))
-        self.zv = np.empty((n_classes, n))
-        self.m = np.empty(n)
+        self.p32 = np.empty((n_classes, n), np.float32)
+        self.zv32 = np.empty((n_classes, n), np.float32)
+        self.q32 = np.empty((n_classes, n), np.float32)
 
     def value(self, theta: np.ndarray) -> float:
         """The objective at ``theta``."""
         np.matmul(theta, self.xt, out=self.p)
         g = softmax_classes(self.p).reshape(-1)[self.flat]
+        np.copyto(self.p32, self.p, casting="same_kind")
         return (-float(np.mean(np.log(g + 1e-300)))
                 + 0.5 * float(np.vdot(self.pen * theta, theta)))
 
@@ -108,14 +127,14 @@ class _Objective:
         return self.q @ self.xt.T / self.n + self.pen * theta
 
     def hessian_product(self, v: np.ndarray) -> np.ndarray:
-        """``H @ v``: each row's block of H is ``diag(p) - p p^T``, so the
-        product is two matrix products and no ``exp``."""
-        zv = np.matmul(v, self.xt, out=self.zv)
-        np.multiply(self.p, zv, out=self.q)
-        np.sum(self.q, axis=0, out=self.m)
-        np.subtract(zv, self.m, out=self.q)
-        self.q *= self.p
-        return self.q @ self.xt.T / self.n + self.pen * v
+        """``H @ v``, in float32 but for the penalty: each row's block of H
+        is ``diag(p) - p p^T``, so the product is two matrix products and
+        no ``exp``."""
+        zv = np.matmul(v.astype(np.float32), self.xt32, out=self.zv32)
+        q = np.multiply(self.p32, zv, out=self.q32)
+        zv -= q.sum(axis=0)
+        zv *= self.p32
+        return (zv @ self.xt32.T) / self.n + self.pen * v
 
 
 def _newton_step(obj: _Objective, g: np.ndarray) -> np.ndarray:
@@ -157,11 +176,11 @@ def fit_softmax_regression(
     stops once every gradient entry is at most ``_TOL`` in magnitude, after
     ``_NEWTON_STEPS`` steps, or when no step lowers the objective.  Returns
     weights (d, C) and bias (C,).  Labels not one per row or outside
-    ``[0, n_classes)`` raise ValueError, non-finite features NumericError.
+    ``[0, n_classes)`` and finite features beyond float32's range raise
+    ValueError, non-finite features NumericError.
     """
     d = X.shape[1]
     obj = _Objective(X, y, n_classes, l2)
-    check_finite(X, "softmax regression features")
     theta = np.zeros((n_classes, d + 1))
     f = obj.value(theta)
     for _ in range(_NEWTON_STEPS):
@@ -192,7 +211,8 @@ def fit_logistic(X, y, l2: float = L2, classes: int | None = None) -> Head:
     """
     if l2 < 0:
         raise ValueError("l2 must be >= 0")
-    X = _check_features(X)
+    X = np.asarray(X)  # the fit widens float32 features, such as embeddings, itself
+    X = _check_features(X, dtype=np.float32 if X.dtype == np.float32 else np.float64)
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ValueError("labels must be one per row")
@@ -224,12 +244,13 @@ def fit_linear(X, y) -> Head:
     return Head(LINEAR, coef[:d], np.array([coef[d]]), None)
 
 
-def fit_head(X, y, task: str, kind: str | None = None) -> Head:
+def fit_head(X, y, task: str, kind: str | None = None, classes: int | None = None) -> Head:
     """Fit the head that :func:`task_rules` gives ``task``; any other
-    ``kind`` raises ConfigError."""
+    ``kind`` raises ConfigError.  A logistic head has ``classes`` outputs
+    (see :func:`fit_logistic`); a linear head ignores it."""
     rules = task_rules(task)
     rules.check_head(kind)
-    return fit_logistic(X, y) if rules.head == LOGISTIC else fit_linear(X, y)
+    return fit_logistic(X, y, classes=classes) if rules.head == LOGISTIC else fit_linear(X, y)
 
 
 def logits(head: Head, X) -> np.ndarray:

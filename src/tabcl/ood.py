@@ -297,7 +297,8 @@ def validate_split(
     id_train, id_test = split(pair.d_in, fractions, rng)
 
     task = pair.d_in.schema.task
-    probe = fit_head(id_train.features, id_train.labels, task)
+    probe = fit_head(id_train.features, id_train.labels, task,
+                     classes=len(id_train.schema.classes))
     metric = task_rules(task).metric
 
     def score(ds: Dataset) -> float:

@@ -2,6 +2,8 @@
 
 import base64
 import csv
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
@@ -35,6 +37,16 @@ def auroc(scores, is_positive):
     n_pos = int(is_positive.sum())
     n_neg = scores.size - n_pos
     return float((ranks[is_positive].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+def load_workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``: its input
+    generators and settings."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def numeric_schema(d, classes=("0", "1"), task="classification", target="y"):

@@ -6,7 +6,9 @@ gradient seed (``contrastive._seed``) computes the same terms from the
 residuals and row dots it forms anyway, and the tests hold it to their bits.
 :func:`oracle_loss` sums them on :func:`tabcl.contrastive.encode` and
 :func:`ref_decode`, so the finite-difference checks of the analytic
-gradients do not run the code they check.
+gradients do not run the code they check.  :func:`hessian_product` is the
+logistic fit's Hessian-vector product in float64, the reference for the
+package's float32 one.
 """
 
 from typing import Callable
@@ -75,6 +77,16 @@ def oracle_loss(model: TclModel, x1, x2, x_clean) -> float:
     return (loss_reconstruction(out1, out2, x_clean)
             + loss_contrastive(e1, e2, model.config.temperature)
             + loss_distance(e1, e2))
+
+
+def hessian_product(obj, v) -> Array:
+    """The Hessian-vector product of a ``tabcl.heads._Objective`` in float64
+    throughout, at the probabilities its last ``value`` left: each row's
+    block of H is ``diag(p) - p p^T``.  The package takes the same product
+    in float32."""
+    zv = v @ obj.xt
+    q = (zv - (obj.p * zv).sum(axis=0)) * obj.p
+    return q @ obj.xt.T / obj.n + obj.pen * v
 
 
 def finite_diff_grad(f: Callable[[Array], float], theta, eps: float = 1e-5) -> Array:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tabcl import bench, ood
+from tabcl import bench, heads, ood
 from tabcl.bench import (
     BenchReport,
     DetectorConfig,
@@ -269,6 +269,21 @@ class TestRunExperiment:
         assert report.constraints["parameter_count"] > 0
         for stage in ("ingest", "detect", "split", "train", "embed", "fit-head", "evaluate"):
             assert stage in report.stage_seconds
+
+    def test_every_logistic_fit_has_one_output_per_class_of_the_schema(self, tmp_path,
+                                                                       monkeypatch):
+        """The backbone, the split probe and the head are each given the
+        schema's class count, not the count their fit rows imply."""
+        fits = []
+        fit = heads.fit_logistic
+
+        def spy(X, y, l2=heads.L2, classes=None):
+            fits.append(classes)
+            return fit(X, y, l2, classes)
+
+        monkeypatch.setattr(heads, "fit_logistic", spy)
+        run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2, "batch_size": 128}))
+        assert fits == [2, 2, 2]
 
     def test_quantile_sets_split_sizes(self, tmp_path):
         plan = small_plan(tmp_path, detector={"detector": "openmax", "norm": "l2",

@@ -8,7 +8,6 @@ determinism digest, so a change that breaks a call the benchmark makes
 fails here rather than as a failed benchmark run.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -17,17 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_workloads
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 workloads = load_workloads()
 

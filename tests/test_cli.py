@@ -18,10 +18,12 @@ from tabcl.cli import build_parser, main
 from tabcl.data import (
     SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
 )
+from tabcl.heads import load_head
 from tabcl.numerics import STREAMS, RngStream
 
 from conftest import (
-    TOO_LARGE_COLUMNS, params_block, shifted_cluster_data, write_classification_csv,
+    TOO_LARGE_COLUMNS, numeric_schema, params_block, shifted_cluster_data,
+    write_classification_csv,
 )
 
 
@@ -669,6 +671,25 @@ class TestHeadKind:
                     "--out", tmp_path / "eval"]) == 2
         assert "does not fit" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+
+class TestHeadClasses:
+    def test_head_fitted_without_the_top_class_scores_it(self, tmp_path):
+        """fit-head gives a logistic head one output per class of the
+        dataset's schema, so it evaluates rows of a class its fit rows lack."""
+        X = RngStream(61, 0).normal(90, 3)
+        y = np.arange(90) % 3
+        X[:, 0] += 3.0 * y
+        schema = numeric_schema(3, classes=("a", "b", "c"))
+        save_dataset(Dataset(X[y < 2], y[y < 2], schema, None), tmp_path / "fit")
+        save_dataset(Dataset(X, y, schema, None), tmp_path / "all")
+        assert run(["fit-head", tmp_path / "fit", "--out", tmp_path / "head"]) == 0
+        head = load_head(tmp_path / "head" / "head.json")
+        assert head.classes == 3 and head.weights.shape == (3, 3)
+        assert run(["evaluate", tmp_path / "head" / "head.json", tmp_path / "all",
+                    "--out", tmp_path / "eval"]) == 0
+        metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert metrics["accuracy"] <= 2 / 3
 
 
 class TestPlanChecks:

@@ -1,5 +1,4 @@
 import csv
-import importlib.util
 import json
 import math
 import os
@@ -35,7 +34,7 @@ from tabcl.data import (
 from tabcl.exceptions import ConfigError, FormatError
 from tabcl.numerics import RngStream
 
-from conftest import TOO_LARGE_COLUMNS, numeric_schema
+from conftest import TOO_LARGE_COLUMNS, load_workloads, numeric_schema
 
 
 def write(path, text):
@@ -111,6 +110,40 @@ class TestInferSchema:
             infer_schema(RawTable(["a", "y"], [["1", "0"]]), target=None)
         with pytest.raises(ConfigError):
             infer_schema(RawTable(["a", "y"], [["1", "0"]]), target="missing")
+
+    @staticmethod
+    def late_columns(n=200):
+        """Columns whose first 64 cells tell a different story from the rest:
+        ``few_first`` repeats three numbers and then turns distinct,
+        ``missing_first`` is missing throughout its first 64 cells, and
+        ``word_late`` is distinct numbers with a word and missing cells
+        after its first 64."""
+        few_first = [str(i % 3) for i in range(64)] + [repr(0.25 * i) for i in range(n - 64)]
+        missing_first = [["NA", "", "?", "nan"][i % 4] for i in range(64)] + [
+            repr(-1.5 * i) for i in range(n - 64)]
+        word_late = [repr(i / 7) for i in range(n)]
+        word_late[150], word_late[90], word_late[170] = "x", "None", ""
+        y = [f"c{i % 2}" for i in range(n)]
+        header = ["few_first", "missing_first", "word_late", "y"]
+        return header, [list(r) for r in zip(few_first, missing_first, word_late, y)]
+
+    @pytest.mark.parametrize("cutoff", [0, 2, 3, 20, 63, 64, 135, 136, 137, 300])
+    def test_distinct_count_settled_past_the_first_cells(self, cutoff):
+        header, rows = self.late_columns()
+        schema = infer_schema(RawTable(header, rows), target="y", category_cutoff=cutoff)
+        assert schema == ref_infer_schema(RawTable(header, rows), "y", None, cutoff)
+
+    def test_late_values_decide_kind_and_categories(self):
+        header, rows = self.late_columns()
+        few_first, missing_first, word_late = infer_schema(RawTable(header, rows),
+                                                            target="y").features
+        assert few_first == Column("few_first", "numeric")
+        assert missing_first == Column("missing_first", "numeric")
+        cells = {r[2] for r in rows} - MISSING_TOKENS
+        assert word_late.kind == "categorical"
+        assert word_late.categories == tuple(sorted(cells | {data.MISSING_CATEGORY}))
+        assert word_late.categories[-2:] == (data.MISSING_CATEGORY, "x")
+        assert len(word_late.categories) == 197 + 2  # the numbers left, "x" and missing
 
     def test_target_kind_sets_task(self):
         rows = [[repr(i * 1.0), repr(i * 2.0)] for i in range(40)]
@@ -477,14 +510,6 @@ def tables(draw):
     task = draw(st.sampled_from([None, data.CLASSIFICATION, data.REGRESSION]))
     cutoff = draw(st.integers(0, 6))
     return header, [list(r) for r in zip(*columns)], task, cutoff
-
-
-def load_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestColumnPassMatchesRowMajor:

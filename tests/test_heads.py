@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tabcl import heads
+from tabcl.data import ingest_csv
 from tabcl.exceptions import ConfigError, FormatError, NumericError
 from tabcl.heads import (
     Head,
@@ -21,7 +22,8 @@ from tabcl.heads import (
 )
 from tabcl.numerics import RngStream
 
-from oracles import draw_integers, finite_diff_grad
+from conftest import load_workloads
+from oracles import draw_integers, finite_diff_grad, hessian_product
 
 
 def bits_equal(a, b):
@@ -84,6 +86,13 @@ class TestLogistic:
         assert np.array_equal(np.unique(pred), np.unique(y))
         assert metric_accuracy(y, pred) == 1.0
 
+    def test_float32_features_fit_as_their_float64_widening(self):
+        # Embeddings are float32; the fit widens them itself, bit for bit.
+        X, y = softmax_problem(43, 400, 6, 4, 2.0)
+        X32 = X.astype(np.float32)
+        narrow, wide = fit_logistic(X32, y), fit_logistic(X32.astype(np.float64), y)
+        assert bits_equal(narrow.weights, wide.weights) and bits_equal(narrow.bias, wide.bias)
+
     def test_shape_mismatch_never_truncates(self):
         X, y = separable_toy()
         head = fit_logistic(X, y)
@@ -114,6 +123,16 @@ class TestLogits:
         with pytest.raises(ValueError, match="2-D matrix"):
             logits(head, X[0])
         assert logits(head, X[:1]).shape == (1, 2)
+
+
+class TestHeadClasses:
+    def test_head_fitted_without_the_top_class_has_one_output_per_class(self):
+        X, y = separable_toy()
+        head = fit_head(X, y, "classification", classes=3)
+        assert head.classes == 3 and head.weights.shape == (2, 3) and head.bias.shape == (3,)
+        assert set(predict(head, X)) <= {0, 1}
+        assert fit_head(X, y, "classification").classes == 2  # the labels' count, by default
+        assert fit_head(X, y.astype(np.float64), "regression", classes=3).classes is None
 
 
 class TestMetricDirection:
@@ -180,6 +199,17 @@ class TestSoftmaxRegression:
         X[3, 2] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
             fit_softmax_regression(X, y, 3, 1e-4)
+
+    @pytest.mark.parametrize("big", [1e39, -3.5e38, 1e300])
+    def test_features_beyond_float32_range_rejected(self, big):
+        # The Hessian-vector products read the features in float32, where
+        # such a value would be infinite.
+        X, y = softmax_problem(7, 30, 4, 3, 1.0)
+        X[3, 2] = big
+        with pytest.raises(ValueError, match="beyond the float32 range"):
+            fit_softmax_regression(X, y, 3, 1e-4)
+        with pytest.raises(ValueError, match="beyond the float32 range"):
+            fit_logistic(X, y)
 
 
 def plain_objective(X, y, classes, l2, W, b):
@@ -299,6 +329,62 @@ class TestNewton:
         assert values[0] == pytest.approx(np.log(4))
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] < values[0] / 2
+
+
+class TestMixedPrecision:
+    """The fit takes its Hessian-vector products in float32, and all else in
+    float64; the float64 product (``oracles.hessian_product``) is the
+    reference."""
+
+    @pytest.mark.parametrize("l2", [1e-4, 0.2])
+    @pytest.mark.parametrize("n, d, classes", WORKLOAD_SHAPES)
+    def test_product_matches_the_float64_reference(self, n, d, classes, l2):
+        # Within 1e-5 of the largest entry, about 80 float32 epsilons; these
+        # cases read 6e-7 at most.
+        X, y = softmax_problem(n + d, n, d, classes, 1.0)
+        obj = heads._Objective(X, y, classes, l2)
+        rng = RngStream(n, 3)
+        for theta in (np.zeros((classes, d + 1)), rng.normal(classes, d + 1)):
+            obj.value(theta)
+            for _ in range(3):
+                v = rng.normal(classes, d + 1)
+                got, want = obj.hessian_product(v), hessian_product(obj, v)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, d, classes", WORKLOAD_SHAPES)
+    def test_fit_predicts_as_with_the_float64_product(self, n, d, classes, monkeypatch):
+        X, y = softmax_problem(n + d, n, d, classes, 1.0)
+        mixed = fit_softmax_regression(X, y, classes, 1e-4)
+        monkeypatch.setattr(heads._Objective, "hessian_product", hessian_product)
+        double = fit_softmax_regression(X, y, classes, 1e-4)
+        for W, b in (mixed, double):
+            assert np.abs(plain_gradient(X, y, classes, 1e-4, W, b)).max() <= heads._TOL
+        (W1, b1), (W2, b2) = mixed, double
+        assert bits_equal(np.argmax(X @ W1 + b1, axis=1), np.argmax(X @ W2 + b2, axis=1))
+
+    def test_products_per_fit_on_a_gate_tall_table(self, tmp_path, monkeypatch):
+        """The Hessian-vector products that the backbone's and the heads'
+        penalties take on the gate-tall benchmark's input 0 (4000 rows, 48
+        encoded columns, 3 classes).  A change to the solver or its forcing
+        term shows here as a new count."""
+        workloads = load_workloads()
+        path, _ = workloads.generate("gate-tall", 0, str(tmp_path))
+        ds = ingest_csv(path, target="label")
+        products = []
+        product = heads._Objective.hessian_product
+
+        def counted(obj, v):
+            products.append(1)
+            return product(obj, v)
+
+        monkeypatch.setattr(heads._Objective, "hessian_product", counted)
+        counts = []
+        for l2 in (0.2, heads.L2):
+            products.clear()
+            fit_logistic(ds.features, ds.labels, l2=l2)
+            counts.append(len(products))
+        assert counts == [12, 79]
 
 
 class TestLinear:

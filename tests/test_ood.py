@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabcl import ood
+from tabcl import heads, ood
 from tabcl.data import Dataset, split
 from tabcl.exceptions import NumericError
 from tabcl.heads import Head, fit_head, fit_logistic, logits, metric_f1_macro, predict
@@ -555,6 +555,27 @@ class TestValidateSplit:
 
         assert (report.id_train, report.id_test, report.ood) == (
             f1(id_train), f1(id_test), f1(pair.d_ood))
+
+    def test_probe_has_one_output_per_class_of_the_schema(self, monkeypatch):
+        """The ID side lacks the top class and the OOD side holds it: the
+        probe keeps an output for it and scores the OOD rows."""
+        ds = toy_dataset(n=300)
+        scores = RngStream(68, 0).uniform(300, 1)[:, 0]
+        labels = np.where(scores > 0.9, 2, ds.labels)
+        three = Dataset(ds.features, labels, numeric_schema(ds.d, classes=("0", "1", "2")), None)
+        pair = split_by_threshold(three, scores, 0.9)
+        assert set(pair.d_in.labels) == {0, 1} and 2 in pair.d_ood.labels
+        probes = []
+        fit = heads.fit_logistic
+
+        def spy(*args, **kwargs):
+            probes.append(fit(*args, **kwargs))
+            return probes[-1]
+
+        monkeypatch.setattr(heads, "fit_logistic", spy)
+        report, _, _ = validate_split(pair, RngStream(69, 0))
+        assert [p.classes for p in probes] == [3]
+        assert 0.0 <= report.ood < report.id_test
 
     def test_regression_degradation_is_the_rmse_increase(self):
         ds = toy_dataset(n=200)
