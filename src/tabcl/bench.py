@@ -314,6 +314,20 @@ def load_scores(path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``float(np.quantile(values, q))`` bit for bit, for a non-empty float64
+    vector without NaN and a float ``q`` in (0, 1): numpy's ``linear``
+    virtual index and ``_lerp``, on the partition numpy makes.  numpy's own
+    imports ``numpy.ma``."""
+    last = values.size - 1
+    v = last * q
+    lo = -1 if v >= last else int(v)  # v >= 0: int() is the floor
+    hi = lo if lo < 0 else lo + 1
+    part = np.partition(values, sorted({0, -1, lo, hi}))
+    a, b, t = part[lo], part[hi], v - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def split_at_threshold(
     dataset: Dataset, scores: np.ndarray, det: DetectorConfig, out_dir
 ) -> SplitPair:
@@ -323,7 +337,7 @@ def split_at_threshold(
     if scores.shape != (dataset.n,):
         raise FormatError(f"{scores.size} scores for {dataset.n} rows: need one score per row")
     q = 0.95 if det.quantile is None else det.quantile
-    threshold = float(np.quantile(scores, q) if det.threshold is None else det.threshold)
+    threshold = _quantile(scores, q) if det.threshold is None else float(det.threshold)
     pair = split_by_threshold(dataset, scores, threshold)
     save_split(pair, out_dir)
     return pair

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import types
 
 from .artifacts import atomic_write, write_json
 from .bench import (
@@ -38,7 +39,7 @@ from .bench import (
     train,
 )
 from .contrastive import TclConfig, embed, load_model
-from .data import Column, Dataset, ingest_csv, load_dataset, load_split, save_dataset
+from .data import Column, Dataset, ingest_csv, load_dataset, load_split_in, save_dataset
 from .exceptions import ConfigError, FormatError, NumericError
 from .heads import TASKS, fit_head, load_head, predict, save_head, task_rules
 from .ood import OPENMAX, TEMPERATURE
@@ -112,7 +113,7 @@ def cmd_train(args) -> int:
     tcl = _settings(args, "tcl", TCL_KEYS)
     build_config(TclConfig, tcl, "tcl", input_dim=1)  # before any artifact is read
     path = os.path.join(args.data, "d_in.csv")
-    data = load_split(args.data).d_in if os.path.exists(path) else load_dataset(args.data)
+    data = load_split_in(args.data) if os.path.exists(path) else load_dataset(args.data)
     out = _out_dir(args)
     model, trace = train(data, tcl, 0, out)  # seed 0 unless --seed or the config sets one
     print(
@@ -202,7 +203,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``tabcl`` parser; given ``only``, only that subcommand gets its
+    arguments, which no other subcommand's usage, help or errors show."""
     parser = argparse.ArgumentParser(
         prog="tabcl",
         description="Tabular contrastive learning with OOD gating and benchmarking.",
@@ -210,11 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {"seed": dict(type=int, help="random seed"),
               "config": dict(help="JSON/TOML config file"), "out": dict(help="output directory")}
+    skip = types.SimpleNamespace(add_argument=lambda *args, **kwargs: None)
 
     def command(name, func, help, *flags):
         """The subcommand that runs ``func``, with the shared flags ``func`` reads."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
+        if only not in (None, name):
+            return skip
         for flag in flags:
             p.add_argument(f"--{flag}", **shared[flag])
         return p
@@ -276,8 +282,9 @@ def _message(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # tabcl itself takes no option with a value: its first other word names the subcommand
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -156,8 +156,11 @@ def _label_error(labels: np.ndarray, schema: Schema) -> str | None:
     of any numeric dtype; a regression target is finite."""
     if schema.task == REGRESSION:
         return None if np.isfinite(labels).all() else "non-finite target"
+    if labels.dtype.kind not in "biuf":
+        return f"class labels must be numbers, not {labels.dtype}"
     k = len(schema.classes)
-    bad = labels[~np.isin(labels, np.arange(k))]
+    # np.isin(labels, np.arange(k)), which may import numpy.ma
+    bad = labels[~((labels >= 0) & (labels < k) & (np.floor(labels) == labels))]
     return f"class index {bad[0]} outside [0, {k})" if bad.size else None
 
 
@@ -419,7 +422,7 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
                     raise FormatError(f"column {col.name!r} is entirely missing")
                 # large values overflow the sums and squares behind these
                 with np.errstate(over="ignore", invalid="ignore"):
-                    median = float(np.median(present))
+                    median = _median(present)
                     values[np.isnan(values)] = median
                     mean = float(values.mean())
                     std = float(values.std())
@@ -459,6 +462,17 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
 
     features = np.hstack(blocks) if blocks else np.zeros((n, 0))
     return Dataset(features, labels, schema, fitted if fitting else dict(stats))
+
+
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` bit for bit, for a non-empty float64
+    vector without NaN: numpy's mean of the middle one or two values, a sum
+    from ``+0.0``, which also makes the sign of a zero median the same
+    whichever zero the partition puts there.  numpy's own imports
+    ``numpy.ma``."""
+    h, odd = divmod(values.size, 2)
+    part = np.partition(values, [h - 1 + odd, h])
+    return float(0.0 + part[h] if odd else (0.0 + part[h - 1] + part[h]) / 2)
 
 
 def ingest_csv(
@@ -693,22 +707,34 @@ def save_split(pair: SplitPair, path) -> None:
 def load_split(path) -> SplitPair:
     """Inverse of :func:`save_split`; features, labels and threshold
     round-trip bit-exactly.  The sidecar's ``threshold`` must be a finite
-    number and its ``m`` and ``n`` the CSVs' row counts.  Each CSV is read
-    by :func:`_read_side`: one numpy call parses its body, and a file that
-    the writer would not have written is a FormatError naming it."""
+    number and its ``m`` and ``n`` the row counts of ``d_in.csv`` and
+    ``d_ood.csv``.  Each CSV is read by :func:`_read_side`: one numpy call
+    parses its body, and a file that the writer would not have written is
+    a FormatError naming it."""
+    threshold, sides = _load_sides(path, ("d_in", "d_ood"))
+    return SplitPair(*sides, threshold=threshold)
+
+
+def load_split_in(path) -> Dataset:
+    """:func:`load_split`'s ``d_in`` side, checked against ``m``, without
+    reading ``d_ood.csv``."""
+    return _load_sides(path, ("d_in",))[1][0]
+
+
+def _load_sides(path, sides) -> tuple[float, list[Dataset]]:
     sidecar = os.path.join(path, "meta.json")
     meta, schema = _load_meta(sidecar)
     with fields(sidecar, "dataset sidecar"):
-        threshold, counts = meta["threshold"], (meta["m"], meta["n"])
+        threshold, counts = meta["threshold"], {"d_in": meta["m"], "d_ood": meta["n"]}
     if not is_finite_number(threshold):
         raise FormatError(f"{sidecar}: threshold must be a finite number, got {threshold!r}")
-    for count in counts:
+    for count in counts.values():
         if not is_integer(count):  # 40.0 would pass the comparison with the CSVs' counts
             raise FormatError(f"{sidecar}: row counts must be integers, got {count!r}")
-    stats = meta.get("stats")
-    d_in = _read_side(os.path.join(path, "d_in.csv"), schema, stats)
-    d_ood = _read_side(os.path.join(path, "d_ood.csv"), schema, stats)
-    pair = SplitPair(d_in, d_ood, threshold=float(threshold))
-    if (pair.m, pair.n) != counts:
-        raise FormatError(f"{path}: row counts disagree with the sidecar")
-    return pair
+    read = [_read_side(os.path.join(path, f"{side}.csv"), schema, meta.get("stats"))
+            for side in sides]
+    for side, dataset in zip(sides, read):
+        if dataset.n != counts[side]:
+            raise FormatError(f"{path}: row counts disagree with the sidecar: "
+                              f"{side}.csv holds {dataset.n} rows, not {counts[side]}")
+    return float(threshold), read

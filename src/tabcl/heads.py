@@ -219,7 +219,7 @@ def fit_logistic(X, y, l2: float = L2, classes: int | None = None) -> Head:
     y = y.astype(np.int64)
     if classes is None:
         classes = int(y.max()) + 1 if y.size else 0
-    if np.unique(y).size < 2:
+    if not y.size or (y == y[0]).all():  # np.unique imports numpy.ma
         raise ValueError("logistic head needs at least 2 classes present")
     W, b = fit_softmax_regression(X, y, classes, l2)
     return Head(LOGISTIC, W, b, classes)
@@ -321,8 +321,9 @@ def metric_f1_macro(y_true, y_pred) -> float:
     """Unweighted mean of per-class F1; classes absent from both truth and
     prediction are skipped."""
     t, p = _check_pair(y_true, y_pred)
+    seen = np.sort(np.concatenate([t, p]))  # np.unique's classes, without its numpy.ma import
     scores = []
-    for cls in np.unique(np.concatenate([t, p])):
+    for cls in seen[np.insert(seen[1:] != seen[:-1], 0, True)]:
         tp = float(np.sum((t == cls) & (p == cls)))
         fp = float(np.sum((t != cls) & (p == cls)))
         fn = float(np.sum((t == cls) & (p != cls)))

@@ -477,10 +477,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("token", ["oops", "1_0", "１", '"1.5"', "inf", "nan", "1e400",
                                        "1.0", "2", "-1"])
     def test_hand_changed_split_cell_is_3(self, tmp_path, ds_dir, token, capsys):
+        # train reads d_in.csv alone; test_data covers load_split on d_ood.csv
         split_dir = tmp_path / "split"
         scores = write_json(tmp_path / "scores.json", {"scores": self.SCORES})
         assert run(["split", ds_dir, scores, "--out", split_dir]) == 0
-        path = split_dir / "d_ood.csv"
+        path = split_dir / "d_in.csv"
         lines = path.read_bytes().decode().split("\r\n")
         cells = lines[1].split(",")
         cells[-1 if token in ("1.0", "2", "-1") else 0] = token  # a label of 2 classes, or x0
@@ -1095,6 +1096,97 @@ class TestCliSurface:
         parser = build_parser()
         for argv in examples:
             parser.parse_args(argv)  # a flag the parser does not take exits 2
+
+
+def outcome(argv, capsys) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``, usage errors too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# argv whose exit code and text must not depend on which subcommands got their arguments
+TEXT_ARGV = [
+    ["-h"], *([command, "-h"] for command in OPTIONS), ["nosuch"], ["nosuch", "--out", "x"],
+    ["ingest", "t.csv"], ["split", "ds"], ["tradeoff", "--p", "0.5"], ["compare"],
+    ["ingest", "t.csv", "--target", "y", "--nosuch"], ["train", "ds", "--hidden_dim", "3"],
+    ["ingest", "t.csv", "--target", "y", "--task", "ranking"],
+    ["tradeoff", "--p", "0.5", "--t", "1", "--task", "ranking"],
+    ["--out", "x", "ingest"], ["--seed", "3", "detect", "ds"], ["-1", "ingest"], [],
+    ["detect", "ds", "--tail", "x"], ["split", "ds", "s.json", "--quantile", "1.5"],
+]
+
+
+class TestOneSubcommandParser:
+    """``main`` builds the arguments of the subcommand its argv names alone;
+    what it prints and returns is what the parser with every subcommand's
+    arguments gives."""
+
+    @pytest.fixture
+    def full_parser(self, monkeypatch):
+        full = cli.build_parser
+        return lambda: monkeypatch.setattr(cli, "build_parser", lambda only=None: full())
+
+    @pytest.mark.parametrize("argv", TEXT_ARGV + readme_cli_examples(), ids=shlex.join)
+    def test_same_exit_code_and_text_as_the_full_parser(self, argv, tmp_path, monkeypatch,
+                                                         capsys, full_parser):
+        monkeypatch.chdir(tmp_path)  # README's examples name files that are not there
+        one = outcome(argv, capsys)
+        full_parser()
+        assert outcome(argv, capsys) == one
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=shlex.join)
+    def test_readme_example_parses_as_with_the_full_parser(self, argv):
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        (action,) = (a for a in build_parser("split")._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        assert set(action.choices) == set(OPTIONS)
+        for command, parser in action.choices.items():
+            declared = {s for a in parser._actions for s in a.option_strings}
+            assert declared == (OPTIONS[command] if command == "split" else set()) | {"-h", "--help"}
+
+
+class TestTrainReadsTheIdSide:
+    """``train`` on a split directory reads ``d_in.csv`` and the sidecar,
+    and never ``d_ood.csv``."""
+
+    @pytest.fixture
+    def split_dir(self, tmp_path, ds_dir, scores_json):
+        out = tmp_path / "split"
+        assert run(["split", ds_dir, scores_json, "--quantile", 0.9, "--out", out]) == 0
+        return out
+
+    @staticmethod
+    def trained(split_dir, out) -> bytes:
+        assert run(["train", split_dir, "--max-epochs", 2, "--seed", 4, "--out", out]) == 0
+        return (out / "model.json").read_bytes()
+
+    def test_model_without_d_ood_or_with_a_bad_cell_in_it(self, tmp_path, split_dir):
+        want = self.trained(split_dir, tmp_path / "intact")
+        path = split_dir / "d_ood.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        lines[1] = b"oops," + lines[1].split(b",", 1)[1]
+        path.write_bytes(b"\r\n".join(lines))
+        assert self.trained(split_dir, tmp_path / "bad-cell") == want
+        path.unlink()
+        assert self.trained(split_dir, tmp_path / "no-d_ood") == want
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_d_in_rows_other_than_m_is_3_naming_the_file(self, tmp_path, split_dir, extra,
+                                                         capsys):
+        meta = json.loads((split_dir / "meta.json").read_text())
+        write_json(split_dir / "meta.json", dict(meta, m=meta["m"] + extra))
+        (split_dir / "d_ood.csv").unlink()
+        assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {split_dir}: row counts disagree with the sidecar: d_in.csv holds "
+            f"{meta['m']} rows, not {meta['m'] + extra}\n")
 
 
 class TestStreams:
