@@ -38,8 +38,8 @@ from .ood import (OPENMAX, TEMPERATURE, degradation, discretize_target, fit_open
                   fit_temperature, openmax_score, score_histogram, split_by_threshold,
                   temp_score, train_backbone, validate_split, write_histogram_csv)
 
-# every TclConfig field but input_dim, which is the data's encoded width
-TCL_KEYS = {f.name for f in dataclasses.fields(TclConfig)} - {"input_dim"}
+# the TclConfig fields a tcl block sets: input_dim is the data's width, seed the run's
+TCL_KEYS = {f.name for f in dataclasses.fields(TclConfig)} - {"input_dim", "seed"}
 DISCRETIZE_BINS = 10  # detection-only quantile bins for regression targets
 
 
@@ -80,9 +80,9 @@ def load_config(path) -> dict:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Settings of the detect and split stages.  A ``quantile`` of None
-    means 0.95 unless a ``threshold`` is set; a ``seed`` of None, the run's.
-    Every number is stored as a Python ``int`` or ``float``."""
+    """Settings of the detect and split stages (the seed is the run's).  A
+    ``quantile`` of None means 0.95 unless a ``threshold`` is set.  Every
+    number is stored as a Python ``int`` or ``float``."""
 
     detector: str = OPENMAX
     norm: str = "l2"
@@ -90,25 +90,24 @@ class DetectorConfig:
     bins: int = 50
     threshold: float | None = None
     quantile: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.detector not in (OPENMAX, TEMPERATURE):
             raise ValueError(f"unknown detector: {self.detector!r}")
-        if not (isinstance(self.norm, str) and self.norm.lower() in ("l1", "l2")):
+        if self.norm not in ("l1", "l2"):
             raise ValueError(f"unknown norm: {self.norm!r}; use l1 or l2")
         if self.threshold is not None and self.quantile is not None:
             raise ValueError("give either a threshold or a quantile, not both")
         if self.threshold is not None and not is_finite_number(self.threshold):
             raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
-        for key, low in (("seed", 0), ("tail", 2), ("bins", 1)):
+        for key, low in (("tail", 2), ("bins", 1)):
             value = getattr(self, key)
-            if value is not None and not (is_integer(value) and value >= low):
+            if not (is_integer(value) and value >= low):
                 raise ValueError(f"detector {key} must be an integer >= {low}, got {value!r}")
         q = self.quantile
         if q is not None and not (is_finite_number(q) and 0.0 < q < 1.0):
             raise ValueError(f"quantile must lie in (0, 1), got {q!r}")
-        for key in ("seed", "tail", "bins", "threshold", "quantile"):
+        for key in ("tail", "bins", "threshold", "quantile"):
             object.__setattr__(self, key, plain_number(getattr(self, key)))
 
 
@@ -142,7 +141,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         build_config(DetectorConfig, self.detector, "detector")
-        build_config(TclConfig, self.tcl, "tcl", input_dim=1)
+        build_config(TclConfig, self.tcl, "tcl", input_dim=1, seed=0)
         for name in ("dataset", "target", "model_name", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
@@ -259,13 +258,11 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
     every row, and write ``histogram.csv`` into ``out_dir``.
 
     A regression target is discretized into quantile bins for detection
-    only.  ``det.seed``, when set, overrides ``seed``.  Returns the scores
-    and the settings that produced them, which ``scores.json`` and the
-    report record: ``tail`` only for openmax, the one detector that fits a
-    Weibull tail.
+    only.  ``seed`` keys the temperature detector's calibration split.
+    Returns the scores and the settings that produced them, which
+    ``scores.json`` and the report record: ``tail`` only for openmax, the
+    one detector that fits a Weibull tail.
     """
-    det_seed = seed if det.seed is None else det.seed
-
     if dataset.schema.task != CLASSIFICATION:
         schema = Schema(dataset.schema.features, dataset.schema.target, CLASSIFICATION,
                         tuple(str(i) for i in range(DISCRETIZE_BINS)))
@@ -278,7 +275,7 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
         scores = openmax_score(model, dataset.features)
         settings = {"detector": det.detector, "norm": model.norm, "tail": det.tail}
     else:
-        rng = RngStream(det_seed, STREAMS["calibration"])
+        rng = RngStream(seed, STREAMS["calibration"])
         fit_part, cal_part = split(dataset, (0.8, 0.2), rng)
         backbone = train_backbone(fit_part)
         model = fit_temperature(backbone, cal_part)
@@ -287,7 +284,7 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
 
     write_histogram_csv(*score_histogram(scores, bins=det.bins),
                         os.path.join(out_dir, "histogram.csv"))
-    return np.asarray(scores), {**settings, "seed": det_seed}
+    return np.asarray(scores), {**settings, "seed": seed}
 
 
 def save_scores(path, scores: np.ndarray, settings: dict) -> None:
@@ -347,10 +344,10 @@ def train(data: Dataset, tcl: dict, seed: int, out_dir) -> tuple[TclModel, Train
     """Train stage: fit the contrastive encoder on ``data`` and write
     ``model.json`` and ``trace.json`` into ``out_dir``.
 
-    ``tcl`` holds :class:`TclConfig` fields; its ``seed``, when given,
-    overrides ``seed``.
+    ``tcl`` holds the :class:`TclConfig` fields of :data:`TCL_KEYS`; the
+    data's width and ``seed`` set the other two.
     """
-    config = build_config(TclConfig, {"seed": seed, **tcl}, "tcl", input_dim=data.d)
+    config = build_config(TclConfig, tcl, "tcl", input_dim=data.d, seed=seed)
     model, trace = train_tcl(data.features, config)
     save_model(model, os.path.join(out_dir, "model.json"))
     write_json(os.path.join(out_dir, "trace.json"), dataclasses.asdict(trace), indent=1)

@@ -3,8 +3,9 @@
 Each stage subcommand parses its arguments and calls the stage function
 in :mod:`tabcl.bench` that ``run_experiment`` calls too.  A shared flag goes
 only to the subcommands that read it: ``--out <dir>`` to all but ``tradeoff``,
-``--config <file>`` (JSON or TOML) to ``detect``, ``split``, ``train`` and
-``report``, and ``--seed`` to ``detect``, ``train`` and ``report``.
+``--config <file>`` (an experiment plan, JSON or TOML) to ``detect``, ``split``,
+``train`` and ``report``, and ``--seed`` (the run's one seed) to ``detect``,
+``train`` and ``report``.  Options go after the subcommand.
 
 Exit codes: 0 success, 2 configuration error, 3 data/format error
 (including an unreadable or unwritable file), 4 numeric/training error.
@@ -49,22 +50,18 @@ from .ood import OPENMAX, TEMPERATURE
 from .data import split as split_rows  # noqa: F401
 
 def _settings(args, block: str, flags) -> dict:
-    """One stage's settings, with the given flags laid over them.
-
-    They are the ``block`` table of ``--config`` when it has one.  Without
-    one, a document with a ``dataset`` key is an experiment plan, which
-    sets nothing for this stage; any other document is a flat table of the
-    stage's keys.
-    """
+    """The ``block`` table of the ``--config`` experiment plan, whose other
+    fields set nothing for the stage, with the given flags laid over it.  A
+    key that is not a plan field, or a ``block`` that is no table, is refused."""
     cfg = load_config(args.config) if args.config else {}
-    if isinstance(cfg.get(block), dict):
-        settings = dict(cfg[block])
-    else:
-        settings = {} if "dataset" in cfg else dict(cfg)
-    for key in flags:
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    return settings
+    unknown = set(cfg) - {f.name for f in dataclasses.fields(ExperimentPlan)}
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown experiment plan keys: {sorted(unknown)}")
+    settings = cfg.get(block, {})
+    if not isinstance(settings, dict):
+        raise ConfigError(f"{args.config}: {block} must be a table, got {settings!r}")
+    return {**settings, **{key: getattr(args, key) for key in flags
+                           if getattr(args, key) is not None}}
 
 
 def _out_dir(args) -> str:
@@ -84,11 +81,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    flags = ("detector", "norm", "tail", "bins", "seed")
+    flags = ("detector", "norm", "tail", "bins")
     det = build_config(DetectorConfig, _settings(args, "detector", flags), "detector")
+    if args.seed < 0:  # argparse made it an int
+        raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
     dataset = load_dataset(args.data)
     out = _out_dir(args)
-    scores, settings = detect(dataset, det, 0, out)  # seed 0 unless --seed or the config sets one
+    scores, settings = detect(dataset, det, args.seed, out)
     save_scores(os.path.join(out, "scores.json"), scores, settings)
     print(f"scored {len(scores)} rows with {settings['detector']} "
           f"-> {out}/scores.json, {out}/histogram.csv")
@@ -111,15 +110,13 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     tcl = _settings(args, "tcl", TCL_KEYS)
-    build_config(TclConfig, tcl, "tcl", input_dim=1)  # before any artifact is read
+    build_config(TclConfig, tcl, "tcl", input_dim=1, seed=args.seed)  # before any artifact is read
     path = os.path.join(args.data, "d_in.csv")
     data = load_split_in(args.data) if os.path.exists(path) else load_dataset(args.data)
     out = _out_dir(args)
-    model, trace = train(data, tcl, 0, out)  # seed 0 unless --seed or the config sets one
-    print(
-        f"trained {trace.epochs} epochs in {trace.seconds:.2f}s "
-        f"(stop: {trace.stop_reason}, final loss {trace.total[-1]:.4g}) -> {out}/model.json"
-    )
+    model, trace = train(data, tcl, args.seed, out)
+    print(f"trained {trace.epochs} epochs in {trace.seconds:.2f}s (stop: {trace.stop_reason}, "
+          f"final loss {trace.total[-1]:.4g}) -> {out}/model.json")
     return 0
 
 
@@ -211,7 +208,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         description="Tabular contrastive learning with OOD gating and benchmarking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    shared = {"seed": dict(type=int, help="random seed"),
+    shared = {"seed": dict(type=int, default=0, help="random seed (default 0)"),
               "config": dict(help="JSON/TOML config file"), "out": dict(help="output directory")}
     skip = types.SimpleNamespace(add_argument=lambda *args, **kwargs: None)
 
@@ -247,7 +244,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     p = command("train", cmd_train, "train the contrastive encoder", "seed", "config", "out")
     p.add_argument("data", help="dataset artifact or split directory")
     for f in dataclasses.fields(TclConfig):
-        if f.name not in ("input_dim", "seed"):  # the data's width; --seed is shared
+        if f.name in TCL_KEYS:
             kind = {"int": int, "float": float, "str": str}[f.type.removesuffix(" | None")]
             p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=kind, default=None)
 
@@ -268,7 +265,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True, help="training seconds")
     p.add_argument("--task", choices=list(TASKS), required=True)
 
-    command("report", cmd_report, "run a full experiment plan", "seed", "config", "out")
+    p = command("report", cmd_report, "run a full experiment plan", "config", "out")
+    p.add_argument("--seed", type=int, help="random seed (default: the plan's)")
 
     p = command("compare", cmd_compare, "rank reports by trade-off", "out")
     p.add_argument("reports", nargs="+", help="report.json files")
@@ -284,7 +282,12 @@ def _message(exc: Exception) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # tabcl itself takes no option with a value: its first other word names the subcommand
-    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), len(argv))
+    parser = build_parser(next(iter(argv[at:]), None))
+    for flag in (word.split("=")[0] for word in argv[:at]):
+        if flag.startswith("--") and not "--help".startswith(flag):  # tabcl's one option
+            parser.error(f"{flag} comes before the subcommand: options go after it")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -99,10 +99,9 @@ class OpenMaxModel:
 
 
 def _distances(diff: np.ndarray, norm: str) -> np.ndarray:
-    k = norm.lower()
-    if k == "l1":
+    if norm == "l1":
         return np.abs(diff).sum(axis=1)
-    if k == "l2":
+    if norm == "l2":
         return np.sqrt((diff * diff).sum(axis=1))
     raise ValueError(f"unknown norm kind: {norm!r}")
 
@@ -143,7 +142,7 @@ def fit_openmax(
         except NumericError as exc:
             raise NumericError(f"class {cls}: Weibull fit failed: {exc}") from exc
         mavs[cls] = mav
-    return OpenMaxModel(backbone, mavs, shapes, scales, norm.lower())
+    return OpenMaxModel(backbone, mavs, shapes, scales, norm)
 
 
 def openmax_score(model: OpenMaxModel, X) -> np.ndarray:

@@ -157,13 +157,16 @@ class TestPlan:
             ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", field: value})
 
     @pytest.mark.parametrize("detector, message", [
-        ({"seed": -1}, "seed must be an integer >= 0"),
-        ({"seed": 1.5}, "seed must be an integer >= 0"),
+        ({"seed": -1}, "unknown detector config keys"),  # the seed is the run's alone
+        ({"seed": 3}, "unknown detector config keys"),
         ({"tail": 1}, "tail must be an integer >= 2"),
         ({"bins": 0}, "bins must be an integer >= 1"),
         ({"quantile": 1.0}, r"quantile must lie in \(0, 1\)"),
         ({"quantile": "0.9"}, r"quantile must lie in \(0, 1\)"),
         ({"norm": "l3"}, "unknown norm"),
+        ({"norm": "L2"}, "unknown norm: 'L2'; use l1 or l2"),
+        ({"tail": None}, "tail must be an integer >= 2, got None"),
+        ({"bins": None}, "bins must be an integer >= 1, got None"),
     ])
     def test_bad_detector_value_rejected_when_built(self, detector, message):
         with pytest.raises(ConfigError, match=message):
@@ -179,10 +182,17 @@ class TestPlan:
             ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", "tcl": tcl})
 
     def test_null_detector_value_means_unset(self):
-        null = {"threshold": None, "quantile": None, "seed": None}
+        null = {"threshold": None, "quantile": None}
         assert build_config(DetectorConfig, null, "detector") == DetectorConfig()
         plan = ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", "detector": null})
         assert plan.detector == null  # the plan keeps the block as written
+
+    @pytest.mark.parametrize("block", ["detector", "tcl"])
+    def test_seed_in_a_block_is_refused(self, block):
+        """The run's seed, the plan's ``seed``, is the one seed: a block
+        that sets its own is refused, by name."""
+        with pytest.raises(ConfigError, match=rf"unknown {block} config keys: \['seed'\]"):
+            ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", block: {"seed": 3}})
 
     @pytest.mark.parametrize("cls, what, block, message", [
         (DetectorConfig, "detector", {"tail": 5, "bogus": 1},
@@ -354,10 +364,10 @@ class TestRunExperiment:
         assert str(exc.value) == "ID side too small to validate (1 rows < 10)"
         assert exc.value.__notes__ == ["[stage=split]"]
 
-    def test_tcl_seed_overrides_plan_seed(self, tmp_path):
-        run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2, "batch_size": 128, "seed": 9}))
+    def test_model_and_report_record_the_plan_seed(self, tmp_path):
+        report = run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2, "batch_size": 128}))
         model = json.loads((tmp_path / "run" / "model.json").read_text())
-        assert model["config"]["seed"] == 9
+        assert model["config"]["seed"] == report.seed == 5
 
     def test_temperature_detector_path(self, tmp_path):
         plan = small_plan(

@@ -709,7 +709,7 @@ class TestPlanChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("tcl", {"batch_size": 1}), ("detector", {"seed": -1}),
+        ("tcl", {"batch_size": 1}), ("detector", {"tail": 1}),
     ])
     def test_bad_stage_setting_is_2_before_any_stage(self, tmp_path, data_csv, field, value,
                                                      capsys):
@@ -790,10 +790,13 @@ def bad_values(key, kind):
     return [(key, value) for value in cases]
 
 
+# ``seed`` is no setting: the seed is the run's, and a block that sets one
+# exits 2 whatever its value, as a bad value does.
 DETECTOR_CASES = [
     *bad_values("detector", "name"), *bad_values("norm", "name"), *bad_values("tail", "int"),
     *bad_values("bins", "int"), *bad_values("seed", "int"),
     *bad_values("threshold", "threshold"), *bad_values("quantile", "real"),
+    ("norm", "L2"), ("tail", None), ("bins", None),  # only threshold and quantile take null
 ]
 TCL_CASES = [
     *bad_values("hidden_dim", "int"), *bad_values("latent_dim", "int"),
@@ -820,7 +823,7 @@ def scores_json(tmp_path_factory, ds_dir):
 class TestBadSettingValues:
     """Every detector and tcl setting with a value no stage can use exits 2
     before any stage runs, through the experiment plan and through each CLI
-    stage that reads it."""
+    stage that reads it.  So does a ``seed`` in either block."""
 
     @pytest.mark.parametrize("key, value", DETECTOR_CASES)
     def test_detector_value_is_2(self, tmp_path, data_csv, ds_dir, scores_json, key, value,
@@ -857,33 +860,40 @@ class TestBadSettingValues:
         assert err.count("configuration error") == 2 and "[stage=" not in err
 
     @pytest.mark.parametrize("argv, setting", [
-        (["split", "ds", "missing.json"], {"quantile": 7}),
-        (["train", "missing"], {"max_epochs": 2.5}),
+        (["split", "ds", "missing.json"], {"detector": {"quantile": 7}}),
+        (["train", "missing"], {"tcl": {"max_epochs": 2.5}}),
     ])
     def test_setting_is_checked_before_any_artifact_is_read(self, tmp_path, argv, setting,
                                                             capsys):
         config = write_json(tmp_path / "config.json", setting)
         paths = [tmp_path / name for name in argv[1:]]
         assert run([argv[0], *paths, "--config", config, "--out", tmp_path / "out"]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        ((key, _),) = next(iter(setting.values())).items()
+        assert f"{key} must" in capsys.readouterr().err
+        assert no_file_in(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["detect", "train"])
+    def test_negative_seed_is_2_before_any_artifact_is_read(self, tmp_path, command, capsys):
+        assert run([command, tmp_path / "missing", "--seed", -1, "--out", tmp_path / "out"]) == 2
+        assert "seed must be" in capsys.readouterr().err
         assert no_file_in(tmp_path / "out")
 
     def test_every_setting_is_covered(self):
         assert {key for key, _ in DETECTOR_CASES} == {
-            f.name for f in dataclasses.fields(DetectorConfig)}
-        assert {key for key, _ in TCL_CASES} == TCL_KEYS
+            f.name for f in dataclasses.fields(DetectorConfig)} | {"seed"}
+        assert {key for key, _ in TCL_CASES} == TCL_KEYS | {"seed"}
 
     def test_detect_records_the_norm_it_fitted_with(self, tmp_path, data_csv, ds_dir):
-        config = write_json(tmp_path / "det.json", {"detector": {"norm": "L2", "tail": 25}})
+        config = write_json(tmp_path / "det.json", {"detector": {"norm": "l1", "tail": 25}})
         assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "det"]) == 0
-        assert json.loads((tmp_path / "det" / "scores.json").read_text())["norm"] == "l2"
+        assert json.loads((tmp_path / "det" / "scores.json").read_text())["norm"] == "l1"
         plan = write_json(tmp_path / "plan.json", {
             "dataset": str(data_csv), "target": "label", "out_dir": str(tmp_path / "exp"),
-            "detector": {"norm": "L2", "tail": 25}, "tcl": {"max_epochs": 1},
+            "detector": {"norm": "l1", "tail": 25}, "tcl": {"max_epochs": 1},
         })
         assert run(["report", "--config", plan]) == 0
         report = json.loads((tmp_path / "exp" / "report.json").read_text())
-        assert report["norm"] == "l2"
+        assert report["norm"] == "l1"
 
     @pytest.mark.parametrize("detector, settings", [
         ("openmax", {"detector": "openmax", "norm": "l2", "tail": 25, "seed": 4}),
@@ -898,14 +908,63 @@ class TestBadSettingValues:
         assert {k: scores[k] for k in settings} == settings
 
 
+class TestOneSpelling:
+    """Each setting has one spelling.  The seed is set by ``--seed`` or the
+    plan's ``seed`` alone, and a stage's ``--config`` is an experiment plan
+    whose ``detector`` or ``tcl`` table it reads.  Any other spelling exits
+    2, naming it, before any file is written."""
+
+    @staticmethod
+    def stages(block, ds_dir, scores_json) -> list:
+        """The stages that read ``block``."""
+        return ([["detect", ds_dir], ["split", ds_dir, scores_json]] if block == "detector"
+                else [["train", ds_dir]])
+
+    @pytest.mark.parametrize("block", ["detector", "tcl"])
+    def test_seed_in_a_block_is_2(self, tmp_path, data_csv, ds_dir, scores_json, block, capsys):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out), block: {"seed": 3},
+        })
+        stages = self.stages(block, ds_dir, scores_json)
+        assert run(["report", "--config", plan]) == 2
+        for stage in stages:
+            assert run([*stage, "--config", plan, "--out", tmp_path / "stage"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"unknown {block} config keys: ['seed']") == 1 + len(stages)
+        assert not out.exists() and not (tmp_path / "stage").exists()
+
+    @pytest.mark.parametrize("command, flat", [
+        ("detect", {"norm": "l1"}), ("split", {"quantile": 0.5}), ("train", {"max_epochs": 2}),
+    ])
+    def test_flat_stage_config_is_2(self, tmp_path, ds_dir, scores_json, command, flat, capsys):
+        config = write_json(tmp_path / "flat.json", flat)
+        inputs = [ds_dir, scores_json] if command == "split" else [ds_dir]
+        assert run([command, *inputs, "--config", config, "--out", tmp_path / "out"]) == 2
+        assert f"unknown experiment plan keys: {list(flat)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block", ["detector", "tcl"])
+    def test_block_that_is_not_a_table_is_2(self, tmp_path, ds_dir, scores_json, block, capsys):
+        config = write_json(tmp_path / "config.json", {block: 5})
+        for stage in self.stages(block, ds_dir, scores_json):
+            assert run([*stage, "--config", config, "--out", tmp_path / "out"]) == 2
+            assert f"{block} must be a table, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfig:
     """One config document drives the CLI stages and the experiment plan."""
 
     DETECTOR = {"detector": "openmax", "norm": "l1", "tail": 25}
 
-    @pytest.mark.parametrize("form", ["flat", "nested"])
-    def test_detector_config_forms(self, tmp_path, ds_dir, form):
-        cfg = self.DETECTOR if form == "flat" else {"detector": self.DETECTOR}
+    @pytest.mark.parametrize("form", ["nested", "plan"])
+    def test_detector_config_forms(self, tmp_path, data_csv, ds_dir, form):
+        """A stage reads its table alone: a whole plan's other fields, its
+        ``seed`` among them, set nothing for it."""
+        cfg = {"detector": self.DETECTOR}
+        if form == "plan":
+            cfg.update(dataset=str(data_csv), target="label", seed=9, tcl={"max_epochs": 2})
         config = write_json(tmp_path / "det.json", cfg)
         assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "cfg"]) == 0
         assert run(["detect", ds_dir, "--detector", "openmax", "--norm", "l1", "--tail", 25,
@@ -916,7 +975,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("suffix", ["json", "toml"])
     def test_config_with_a_byte_order_mark(self, tmp_path, ds_dir, suffix):
-        text = (json.dumps(self.DETECTOR) if suffix == "json"
+        text = (json.dumps({"detector": self.DETECTOR}) if suffix == "json"
                 else '[detector]\ndetector = "openmax"\nnorm = "l1"\ntail = 25\n')
         config = tmp_path / f"bom.{suffix}"
         config.write_bytes(b"\xef\xbb\xbf" + text.encode())
@@ -927,7 +986,7 @@ class TestConfig:
             (tmp_path / "flags" / "scores.json").read_bytes()
 
     @pytest.mark.parametrize("cfg", [
-        {"detector": "openmax", "bogus": 1},
+        {"detector": {"detector": "openmax", "bogus": 1}},
         {"detector": {"detektor": "openmax"}},
     ])
     def test_unknown_detector_key_is_2(self, tmp_path, ds_dir, cfg, capsys):
@@ -954,7 +1013,7 @@ class TestConfig:
         values = {"hidden_dim": 12, "latent_dim": 5, "noise": "mask", "sigma": 0.25,
                   "mask_prob": 0.2, "temperature": 2.0, "batch_size": 64, "max_epochs": 2,
                   "tolerance": 0.5, "learning_rate": 0.002}
-        assert set(values) == TCL_KEYS - {"seed"}
+        assert set(values) == TCL_KEYS
         flags = [a for key, value in values.items() for a in (f"--{key.replace('_', '-')}", value)]
         assert run(["train", ds_dir, *flags, "--seed", 3, "--out", tmp_path / "m"]) == 0
         config = json.loads((tmp_path / "m" / "model.json").read_text())["config"]
@@ -1000,12 +1059,12 @@ class TestConfig:
         threshold = json.loads((tmp_path / "flag" / "meta.json").read_text())["threshold"]
         assert split_bytes("t", "--config", config, "--threshold", threshold) == by_flag
         # null means unset: a null threshold leaves the quantile to decide
-        unset = write_json(tmp_path / "unset.json", {"threshold": None, "quantile": 0.5})
+        unset = write_json(tmp_path / "unset.json",
+                           {"detector": {"threshold": None, "quantile": 0.5}})
         assert split_bytes("unset", "--config", unset) == by_flag
 
     def test_plan_without_a_stage_block_sets_nothing_for_it(self, tmp_path, data_csv, ds_dir):
-        # a plan document has a dataset key; its other top-level keys are not
-        # settings of the stage whose block it lacks
+        # a plan's other fields are not settings of the stage whose block it lacks
         plan = write_json(tmp_path / "plan.json", {
             "dataset": str(data_csv), "target": "label", "tcl": {"max_epochs": 2},
         })
@@ -1089,6 +1148,25 @@ class TestCliSurface:
             run([*ARGV[command], flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "3", "detect", "ds"], ["--out", "x", "ingest", "t.csv", "--target", "y"],
+        ["--config=plan.json", "report"], ["--seed", "3"],
+    ], ids=shlex.join)
+    def test_option_before_the_subcommand_is_2_naming_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        flag = argv[0].split("=")[0]
+        assert f"{flag} comes before the subcommand: options go after it" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--he", "detect"], ["-h", "detect"]])
+    def test_help_before_the_subcommand_is_tabcls_own(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tabcl [-h]\n")
 
     def test_readme_examples_parse(self):
         examples = readme_cli_examples()
@@ -1216,29 +1294,24 @@ class TestStreams:
         assert {stream_id for _, stream_id in built} <= set(STREAMS.values()), built
         return built
 
-    PLANS = {
-        "openmax": ({"detector": "openmax"}, {}, [(3, 0), (3, 1), (3, 22)]),
-        "temperature-own-seeds": ({"detector": "temperature", "seed": 5}, {"seed": 9},
-                                  [(5, 11), (3, 22), (9, 0), (9, 1)]),
+    PLANS = {  # detector: the keys its plan builds, at the plan's seed 3
+        "openmax": [(3, 0), (3, 1), (3, 22)],
+        "temperature": [(3, 11), (3, 22), (3, 0), (3, 1)],
     }
 
-    @staticmethod
-    def plan(tmp_path, data_csv, detector, tcl) -> ExperimentPlan:
-        return ExperimentPlan(dataset=str(data_csv), target="label", seed=3,
-                              detector={**detector, "quantile": 0.9},
-                              tcl={"max_epochs": 1, **tcl}, out_dir=str(tmp_path / "exp"))
-
-    @pytest.mark.parametrize("detector, tcl, keys", list(PLANS.values()), ids=list(PLANS))
-    def test_plan_builds_each_key_once(self, tmp_path, monkeypatch, data_csv, detector, tcl,
-                                       keys):
-        plan = self.plan(tmp_path, data_csv, detector, tcl)
+    @pytest.mark.parametrize("detector, keys", list(PLANS.items()), ids=list(PLANS))
+    def test_plan_builds_each_key_once(self, tmp_path, monkeypatch, data_csv, detector, keys):
+        plan = ExperimentPlan(dataset=str(data_csv), target="label", seed=3,
+                              detector={"detector": detector, "quantile": 0.9},
+                              tcl={"max_epochs": 1}, out_dir=str(tmp_path / "exp"))
         sites = self.call_sites(monkeypatch, lambda: run_experiment(plan))
+        assert {seed for seed, _ in sites} == {plan.seed}  # the run's seed is the one seed
         assert {key: len(at) for key, at in sites.items()} == dict.fromkeys(keys, 1), sites
 
     def test_every_stream_is_built_by_a_plan(self):
         """A stream that no step builds is dead.  Each plan builds exactly its
         keys (above), and the two together build every stream."""
-        built = {stream_id for *_, keys in self.PLANS.values() for _, stream_id in keys}
+        built = {stream_id for keys in self.PLANS.values() for _, stream_id in keys}
         assert built == set(STREAMS.values())
 
     def test_cli_detect_and_train_build_each_key_once(self, tmp_path, monkeypatch, ds_dir):
@@ -1249,5 +1322,6 @@ class TestStreams:
                         "--out", tmp_path / "m"]) == 0
 
         sites = self.call_sites(monkeypatch, stages)
+        assert {seed for seed, _ in sites} == {4}
         assert {key: len(at) for key, at in sites.items()} == dict.fromkeys(
             [(4, 11), (4, 0), (4, 1)], 1), sites
