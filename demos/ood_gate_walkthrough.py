@@ -54,7 +54,7 @@ backbone = train_backbone(data)
 weibull_gate = fit_openmax(backbone, data, norm="l2", tail=50)
 scores_w = openmax_score(weibull_gate, data.features)
 
-fit_part, cal_part = split(data, (0.8, 0.2), RngStream(5, 0))
+fit_part, cal_part = split(data, RngStream(5, 0))
 temp_gate = fit_temperature(train_backbone(fit_part), cal_part)
 scores_t = temp_score(temp_gate, data.features)
 print(f"temperature fitted on a held-out slice: tau = {temp_gate.temperature:.3f}")

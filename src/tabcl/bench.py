@@ -29,8 +29,7 @@ import numpy as np
 
 from .artifacts import atomic_write, fields, read_json, write_json
 from .contrastive import TclConfig, TclModel, TrainTrace, embed, save_model, train_tcl
-from .data import (CLASSIFICATION, Dataset, Schema, SplitPair, check_fractions, ingest_csv,
-                   save_split, split)
+from .data import CLASSIFICATION, Dataset, Schema, SplitPair, ingest_csv, save_split, split
 from .exceptions import ConfigError, FormatError
 from .heads import TASKS, fit_head, predict, task_rules
 from .numerics import STREAMS, RngStream, is_finite_number, is_integer, plain_number
@@ -87,7 +86,6 @@ class DetectorConfig:
     detector: str = OPENMAX
     norm: str = "l2"
     tail: int = 20
-    bins: int = 50
     threshold: float | None = None
     quantile: float | None = None
 
@@ -100,22 +98,38 @@ class DetectorConfig:
             raise ValueError("give either a threshold or a quantile, not both")
         if self.threshold is not None and not is_finite_number(self.threshold):
             raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
-        for key, low in (("tail", 2), ("bins", 1)):
-            value = getattr(self, key)
-            if not (is_integer(value) and value >= low):
-                raise ValueError(f"detector {key} must be an integer >= {low}, got {value!r}")
+        if not (is_integer(self.tail) and self.tail >= 2):
+            raise ValueError(f"detector tail must be an integer >= 2, got {self.tail!r}")
         q = self.quantile
         if q is not None and not (is_finite_number(q) and 0.0 < q < 1.0):
             raise ValueError(f"quantile must lie in (0, 1), got {q!r}")
-        for key in ("tail", "bins", "threshold", "quantile"):
+        for key in ("tail", "threshold", "quantile"):
             object.__setattr__(self, key, plain_number(getattr(self, key)))
+
+
+def check_table(block, what: str) -> dict:
+    """``block``, the ``what`` settings; a configuration error unless it is a
+    table."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be a table, got {block!r}")
+    return block
+
+
+def check_seed(seed) -> int:
+    """The run's seed as an ``int``; a configuration error unless it is a
+    non-negative integer."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def build_config(cls, block: dict, what: str, **fixed):
     """The ``cls`` dataclass that the ``what`` settings ``block`` describes,
     with the ``fixed`` fields set by the caller, which the block may not set.
-    Unknown keys and rejected values are configuration errors."""
-    unknown = set(block) - ({f.name for f in dataclasses.fields(cls)} - set(fixed))
+    A block that is not a table, unknown keys and rejected values are
+    configuration errors."""
+    allowed = {f.name for f in dataclasses.fields(cls)} - set(fixed)
+    unknown = set(check_table(block, what)) - allowed
     if unknown:
         raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
     try:
@@ -137,7 +151,6 @@ class ExperimentPlan:
     head: str | None = None  # "logistic" | "linear"; default picked by task
     seed: int = 0
     out_dir: str = "out"
-    fractions: tuple[float, float] = (0.8, 0.2)
 
     def __post_init__(self):
         build_config(DetectorConfig, self.detector, "detector")
@@ -151,13 +164,7 @@ class ExperimentPlan:
             raise ConfigError(f"unknown head kind: {self.head!r}")
         if self.task is not None:  # else ingest infers the task, and checks the head then
             task_rules(self.task).check_head(self.head)
-        if not (is_integer(self.seed) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        self.seed = int(self.seed)
-        try:
-            self.fractions = check_fractions(self.fractions)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad fractions {self.fractions!r}: {exc}") from exc
+        self.seed = check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -255,7 +262,8 @@ class _Stage:
 
 def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[np.ndarray, dict]:
     """Detect stage: train the backbone, fit the configured detector, score
-    every row, and write ``histogram.csv`` into ``out_dir``.
+    every row, and write ``histogram.csv``, 50 bins of the scores, into
+    ``out_dir``.
 
     A regression target is discretized into quantile bins for detection
     only.  ``seed`` keys the temperature detector's calibration split.
@@ -264,8 +272,9 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
     one detector that fits a Weibull tail.
     """
     if dataset.schema.task != CLASSIFICATION:
+        width = len(str(DISCRETIZE_BINS - 1))  # zero-padded, the names sort as the bins do
         schema = Schema(dataset.schema.features, dataset.schema.target, CLASSIFICATION,
-                        tuple(str(i) for i in range(DISCRETIZE_BINS)))
+                        tuple(f"{i:0{width}d}" for i in range(DISCRETIZE_BINS)))
         labels = discretize_target(dataset.labels, DISCRETIZE_BINS)
         dataset = Dataset(dataset.features, labels, schema, dataset.stats)
 
@@ -276,13 +285,13 @@ def detect(dataset: Dataset, det: DetectorConfig, seed: int, out_dir) -> tuple[n
         settings = {"detector": det.detector, "norm": model.norm, "tail": det.tail}
     else:
         rng = RngStream(seed, STREAMS["calibration"])
-        fit_part, cal_part = split(dataset, (0.8, 0.2), rng)
+        fit_part, cal_part = split(dataset, rng)
         backbone = train_backbone(fit_part)
         model = fit_temperature(backbone, cal_part)
         scores = temp_score(model, dataset.features)
         settings = {"detector": det.detector, "norm": "none"}
 
-    write_histogram_csv(*score_histogram(scores, bins=det.bins),
+    write_histogram_csv(*score_histogram(scores),
                         os.path.join(out_dir, "histogram.csv"))
     return np.asarray(scores), {**settings, "seed": seed}
 
@@ -383,7 +392,7 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
     with _Stage("split", clock):
         pair = split_at_threshold(dataset, scores, det, os.path.join(plan.out_dir, "split"))
         grid, id_train, id_test = validate_split(
-            pair, RngStream(plan.seed, STREAMS["id-split"]), plan.fractions)
+            pair, RngStream(plan.seed, STREAMS["id-split"]))
 
     with _Stage("train", clock):
         model, trace = train(id_train, plan.tcl, plan.seed, plan.out_dir)

@@ -26,6 +26,8 @@ from .bench import (
     DetectorConfig,
     ExperimentPlan,
     build_config,
+    check_seed,
+    check_table,
     compare_models,
     comparison_markdown,
     detect,
@@ -57,11 +59,8 @@ def _settings(args, block: str, flags) -> dict:
     unknown = set(cfg) - {f.name for f in dataclasses.fields(ExperimentPlan)}
     if unknown:
         raise ConfigError(f"{args.config}: unknown experiment plan keys: {sorted(unknown)}")
-    settings = cfg.get(block, {})
-    if not isinstance(settings, dict):
-        raise ConfigError(f"{args.config}: {block} must be a table, got {settings!r}")
-    return {**settings, **{key: getattr(args, key) for key in flags
-                           if getattr(args, key) is not None}}
+    flagged = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
+    return {**check_table(cfg.get(block, {}), block), **flagged}
 
 
 def _out_dir(args) -> str:
@@ -81,10 +80,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    flags = ("detector", "norm", "tail", "bins")
+    flags = ("detector", "norm", "tail")
     det = build_config(DetectorConfig, _settings(args, "detector", flags), "detector")
-    if args.seed < 0:  # argparse made it an int
-        raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
     dataset = load_dataset(args.data)
     out = _out_dir(args)
     scores, settings = detect(dataset, det, args.seed, out)
@@ -233,7 +230,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=[OPENMAX, TEMPERATURE], default=None)
     p.add_argument("--norm", choices=["l1", "l2"], default=None)
     p.add_argument("--tail", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
 
     p = command("split", cmd_split, "split a dataset at a score threshold", "config", "out")
     p.add_argument("data")
@@ -289,6 +285,8 @@ def main(argv=None) -> int:
             parser.error(f"{flag} comes before the subcommand: options go after it")
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # before any file is read, as a plan's is
+            check_seed(args.seed)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {_message(exc)}", file=sys.stderr)

@@ -7,7 +7,7 @@ encoder/decoder, and minimizes an unweighted three-part loss:
 * reconstruction: mean squared error of each decoded view against the clean
   batch, averaged over the two views;
 * contrastive: per-row dot product of the paired embeddings, squared,
-  averaged, divided by the temperature;
+  averaged;
 * distance: mean squared error between the two embedded views.
 
 At inference only the encoder runs: :func:`embed` maps rows to the latent
@@ -63,7 +63,7 @@ MASK = "mask"
 PARAM_KEYS = ("w1", "b1", "gamma", "beta", "w2", "b2", "w3", "b3", "w4", "b4")
 
 MODEL_FORMAT = "tcl-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 DTYPES = ("float32", "float64")
 
 
@@ -87,7 +87,6 @@ class TclConfig:
     noise: str = GAUSSIAN
     sigma: float = 0.1
     mask_prob: float = 0.1
-    temperature: float = 1.0
     batch_size: int = 256
     max_epochs: int = 100
     tolerance: float = 1e-4
@@ -105,7 +104,7 @@ class TclConfig:
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
             object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("sigma", "mask_prob", "temperature", "tolerance", "learning_rate"):
+        for name in ("sigma", "mask_prob", "tolerance", "learning_rate"):
             if not is_finite_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
             object.__setattr__(self, name, plain_number(getattr(self, name)))
@@ -113,8 +112,6 @@ class TclConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.hidden_dim < 1 or self.latent_dim < 1:
             raise ValueError("hidden_dim and latent_dim must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.noise not in (GAUSSIAN, MASK):
@@ -472,7 +469,7 @@ def _seed(config: TclConfig, x_clean: np.ndarray, w: dict) -> LossComponents:
     contiguous arrays of the shapes that the loss formulas reduce, so each
     term holds the bits of its ``loss_*`` oracle in ``tests/oracles.py``."""
     n, d = x_clean.shape
-    k, tau = config.latent_dim, config.temperature
+    k = config.latent_dim
     # (2, n, width) views: index 0 is view 1, index 1 is view 2
     e, d_e, t_k = (w[name].reshape(2, n, k) for name in ("e", "d_e", "t_k"))
     out, d_out = (w[name].reshape(2, n, d) for name in ("out", "d_out"))
@@ -489,11 +486,11 @@ def _seed(config: TclConfig, x_clean: np.ndarray, w: dict) -> LossComponents:
     d_e[0] *= 2.0
     d_e[0] /= n * k
     np.negative(d_e[0], out=d_e[1])
-    # contrastive: L_c = mean(rowdot^2) / tau; each view gains dots * the other
+    # contrastive: L_c = mean(rowdot^2); each view gains dots * the other
     np.multiply(e[0], e[1], out=t_k[0])
     np.sum(t_k[0], axis=1, keepdims=True, out=dots)
-    contrastive = float(np.mean(np.square(dots, out=dots_sq))) / tau
-    dots *= 2.0 / (n * tau)
+    contrastive = float(np.mean(np.square(dots, out=dots_sq)))
+    dots *= 2.0 / n
     d_e += np.multiply(dots, e[::-1], out=t_k)
     return LossComponents(reconstruction, contrastive, distance)
 

@@ -32,7 +32,8 @@ SCHEMA_VERSION = 2
 MISSING_TOKENS = frozenset({"", "?", "NA", "N/A", "nan", "NaN", "null", "None"})
 MISSING_CATEGORY = "<missing>"
 UNKNOWN_SLOT = "<unknown>"
-DEFAULT_CATEGORY_CUTOFF = 20
+CATEGORY_CUTOFF = 20  # a column with at most this many distinct values is categorical
+SPLIT_SHARE = 0.8  # the share of each group's rows that :func:`split` puts on its first side
 _PREFIX = 64  # cells infer_schema reads first to settle a column's distinct count
 
 NUMERIC = "numeric"
@@ -321,16 +322,11 @@ def _take_floats(raw: RawTable, name: str, cells, complete: bool = True) -> np.n
     return _floats(cells if complete else _present(cells))
 
 
-def infer_schema(
-    raw: RawTable,
-    target: str,
-    task: str | None = None,
-    category_cutoff: int = DEFAULT_CATEGORY_CUTOFF,
-) -> Schema:
+def infer_schema(raw: RawTable, target: str, task: str | None = None) -> Schema:
     """Infer column kinds from a raw table.
 
     A column is numeric iff every non-missing cell parses as a finite number
-    AND it has more than ``category_cutoff`` distinct values; otherwise it is
+    AND it has more than ``CATEGORY_CUTOFF`` distinct values; otherwise it is
     categorical.  The target column must be named explicitly; the task is
     inferred from the target by the same rule unless given.  When a
     column's first 64 cells already hold more distinct values than the
@@ -348,10 +344,10 @@ def infer_schema(
         # the count, so only a column that may stay categorical builds the
         # set of all its cells.
         distinct = set(cells[:_PREFIX]) - MISSING_TOKENS
-        if not distinct or len(distinct) <= category_cutoff:
+        if not distinct or len(distinct) <= CATEGORY_CUTOFF:
             distinct = set(cells) - MISSING_TOKENS
         has_missing = not MISSING_TOKENS.isdisjoint(cells)
-        if distinct and len(distinct) > category_cutoff:
+        if distinct and len(distinct) > CATEGORY_CUTOFF:
             values = _floats(_present(cells) if has_missing else cells)
             if values is not None:
                 if raw._numbers is not None:
@@ -475,42 +471,24 @@ def _median(values: np.ndarray) -> float:
     return float(0.0 + part[h] if odd else (0.0 + part[h - 1] + part[h]) / 2)
 
 
-def ingest_csv(
-    path,
-    target: str,
-    task: str | None = None,
-    delimiter: str = ",",
-    category_cutoff: int = DEFAULT_CATEGORY_CUTOFF,
-) -> Dataset:
+def ingest_csv(path, target: str, task: str | None = None, delimiter: str = ",") -> Dataset:
     """Read a CSV, infer its schema around the ``target`` column and encode
     it, fitting the statistics on its rows.  A saved schema and statistics
     are re-applied to another file by
     ``encode_features(read_csv(path), schema, stats)``."""
     raw = read_csv(path, delimiter=delimiter)
     raw._numbers = {}  # nothing else sees raw, so its cells cannot change
-    schema = infer_schema(raw, target=target, task=task, category_cutoff=category_cutoff)
+    schema = infer_schema(raw, target=target, task=task)
     return encode_features(raw, schema)
 
 
-def check_fractions(fractions) -> tuple[float, float]:
-    """``fractions`` as two floats; ValueError unless they are two positive
-    proportions summing to 1, each a real number and not a bool."""
-    f = tuple(fractions)
-    if (len(f) != 2 or not all(is_finite_number(x) for x in f) or any(x <= 0 for x in f)
-            or abs(sum(f) - 1.0) > 1e-9):
-        raise ValueError("fractions must be two positive values summing to 1")
-    return tuple(float(x) for x in f)
-
-
-def split(dataset: Dataset, fractions, rng: RngStream) -> tuple[Dataset, Dataset]:
+def split(dataset: Dataset, rng: RngStream) -> tuple[Dataset, Dataset]:
     """Deterministic two-way row split, stratified by class for classification.
 
-    ``fractions`` are two positive proportions summing to 1.  Each group of
-    rows, one per class or else all rows, is permuted and cut in turn.
-    Classification falls back to one group (with a warning) when some class
-    has fewer rows than splits.
+    Each group of rows, one per class or else all rows, is permuted and cut
+    at :data:`SPLIT_SHARE` of its rows.  Classification falls back to one
+    group (with a warning) when some class has fewer rows than splits.
     """
-    f = check_fractions(fractions)
     groups = [np.arange(dataset.n)]
     if dataset.schema.task == CLASSIFICATION:
         classes, counts = np.unique(dataset.labels, return_counts=True)
@@ -521,7 +499,7 @@ def split(dataset: Dataset, fractions, rng: RngStream) -> tuple[Dataset, Dataset
     sides = ([], [])
     for rows in groups:
         order = rows[rng.permutation(rows.size)]
-        k = int(round(f[0] * rows.size))
+        k = int(round(SPLIT_SHARE * rows.size))
         k = min(max(k, 1), rows.size - 1)  # keep every group on both sides
         sides[0].append(order[:k])
         sides[1].append(order[k:])

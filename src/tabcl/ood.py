@@ -281,9 +281,7 @@ class SplitReport:
     degradation: float
 
 
-def validate_split(
-    pair: SplitPair, rng: RngStream, fractions=(0.8, 0.2)
-) -> tuple[SplitReport, Dataset, Dataset]:
+def validate_split(pair: SplitPair, rng: RngStream) -> tuple[SplitReport, Dataset, Dataset]:
     """Split the ID side into ID-train and ID-test and probe the split; returns
     the report and the two portions, on which a run trains and tests.
 
@@ -293,7 +291,7 @@ def validate_split(
     for side, part in (("ID", pair.d_in), ("OOD", pair.d_ood)):
         if part.n < 10:
             raise ValueError(f"{side} side too small to validate ({part.n} rows < 10)")
-    id_train, id_test = split(pair.d_in, fractions, rng)
+    id_train, id_test = split(pair.d_in, rng)
 
     task = pair.d_in.schema.task
     probe = fit_head(id_train.features, id_train.labels, task,

@@ -3,7 +3,7 @@
 Usage::
 
     python tests/golden.py            # print the digests as JSON
-    python tests/golden.py --write    # rewrite tests/golden.json
+    python tests/golden.py --write    # rewrite tests/golden.json, printing what moved
 
 Each case runs one perfbench workload's input (seeds 0-2) through
 ``run_experiment`` and through the seven-subcommand CLI chain that
@@ -139,6 +139,11 @@ def main() -> int:
            "digests": {key: value for part in parts for key, value in part.items()}}
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if sys.argv[1:] == ["--write"]:
+        old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
+        for key in sorted(old.keys() | doc["digests"].keys()):
+            before, after = old.get(key, "(none)"), doc["digests"].get(key, "(none)")
+            if before != after:  # one line per changed, added or removed output
+                print(f"{key}: {before} -> {after}")
         GOLDEN.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)

@@ -17,7 +17,7 @@ import numpy as np
 
 from tabcl.contrastive import LEAKY_SLOPE, TclModel, encode
 from tabcl.exceptions import NumericError
-from tabcl.numerics import RngStream, is_finite_number
+from tabcl.numerics import RngStream
 
 Array = np.ndarray
 
@@ -47,15 +47,13 @@ def loss_distance(e1, e2) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def loss_contrastive(e1, e2, temperature: float) -> float:
-    """Mean squared per-row dot product of paired embeddings, over temperature."""
-    if not is_finite_number(temperature) or temperature <= 0:
-        raise ValueError(f"temperature must be a positive finite number, got {temperature!r}")
+def loss_contrastive(e1, e2) -> float:
+    """Mean squared per-row dot product of paired embeddings."""
     a, b = _floats(e1, e2)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     dots = (a * b).sum(axis=1)
-    return float(np.mean(dots * dots)) / temperature
+    return float(np.mean(dots * dots))
 
 
 def ref_leaky(z):
@@ -75,7 +73,7 @@ def oracle_loss(model: TclModel, x1, x2, x_clean) -> float:
     e1, e2 = encode(model, x1), encode(model, x2)
     out1, out2 = (ref_decode(model.params, e)["out"] for e in (e1, e2))
     return (loss_reconstruction(out1, out2, x_clean)
-            + loss_contrastive(e1, e2, model.config.temperature)
+            + loss_contrastive(e1, e2)
             + loss_distance(e1, e2))
 
 

@@ -110,7 +110,7 @@ def test_criterion_02_gradient_check_suite():
         noise = "gaussian" if i % 2 == 0 else "mask"
         config = TclConfig(
             input_dim=d, hidden_dim=h, latent_dim=k, noise=noise,
-            sigma=0.3, mask_prob=0.3, temperature=1.5, seed=1000 + i,
+            sigma=0.3, mask_prob=0.3, seed=1000 + i,
         )
         model = _as_float64(init_model(config))
         stream = RngStream(2000 + i, 0)
@@ -139,7 +139,6 @@ def test_criterion_03_loss_identities():
             hidden_dim=int(rng.integers(4, 10)),
             latent_dim=int(rng.integers(2, 6)),
             sigma=0.2,
-            temperature=float(rng.uniform(0.2, 3.0)),
             seed=3000 + j,
         )
         models.append(_as_float64(init_model(config)))
@@ -147,8 +146,6 @@ def test_criterion_03_loss_identities():
     for case in range(1000):
         model = models[case % len(models)]
         d = model.config.input_dim
-        k = model.config.latent_dim
-        tau = model.config.temperature
         n = int(rng.integers(2, 7))
         stream = RngStream(case, 3)
         x = stream.normal(n, d)
@@ -158,19 +155,18 @@ def test_criterion_03_loss_identities():
         e1, e2 = encode(model, x1), encode(model, x2)
         r = loss_reconstruction(ref_decode(model.params, e1)["out"],
                                 ref_decode(model.params, e2)["out"], x)
-        c = loss_contrastive(e1, e2, tau)
+        c = loss_contrastive(e1, e2)
         dist = loss_distance(e1, e2)
         assert total == r + c + dist  # decomposition, bit-exact
         assert r >= 0.0 and c >= 0.0 and dist >= 0.0
-        assert loss_contrastive(e1, e2, tau) == loss_contrastive(e1, e2, 1.0) / tau
 
         perm = stream.permutation(n)
         total_p, _ = loss_on_views(model, x1[perm], x2[perm], x[perm])
         assert abs(total - total_p) <= 1e-12 * max(1.0, abs(total))
         checked += 1
     elapsed = time.perf_counter() - start
-    _line(3, "loss identities hold (decomposition, temperature linearity, "
-             "non-negativity, row-permutation invariance)",
+    _line(3, "loss identities hold (decomposition, non-negativity, "
+             "row-permutation invariance)",
           checked == 1000 and elapsed < 10.0, f"{checked} random cases, {elapsed:.1f}s")
 
 
@@ -185,7 +181,7 @@ def test_criterion_04_ood_gate_end_to_end():
     scores_om = openmax_score(om, dataset.features)
     auroc_om = auroc(scores_om, is_ood)
 
-    fit_part, cal_part = split_rows(dataset, (0.8, 0.2), RngStream(5, 0))
+    fit_part, cal_part = split_rows(dataset, RngStream(5, 0))
     backbone_t = train_backbone(fit_part)
     tm = fit_temperature(backbone_t, cal_part)
     scores_t = temp_score(tm, dataset.features)

@@ -85,7 +85,7 @@ class TestPlan:
         assert json.dumps(plan.to_dict()) == (
             '{"dataset": "d.csv", "target": "y", "task": null, "model_name": "tcl", '
             '"detector": {"detector": "openmax", "quantile": 0.9}, "tcl": {"max_epochs": 5}, '
-            '"head": null, "seed": 3, "out_dir": "out", "fractions": [0.8, 0.2]}'
+            '"head": null, "seed": 3, "out_dir": "out"}'
         )
 
     def test_head_that_does_not_fit_the_declared_task_is_refused(self):
@@ -125,9 +125,11 @@ class TestPlan:
 
     @pytest.mark.parametrize("field, value, message", [
         ("head", "ridge", "unknown head kind"),
-        ("fractions", [0.5, 0.6], "summing to 1"),
-        ("fractions", [0.0, 1.0], "positive"),
-        ("fractions", [0.2, 0.3, 0.5], "two positive"),
+        # every split is 80/20: a plan that sets fractions, even the old
+        # default, is refused by name
+        ("fractions", [0.8, 0.2], "unexpected keyword argument 'fractions'"),
+        ("fractions", (0.8, 0.2), "unexpected keyword argument 'fractions'"),
+        ("fractions", None, "unexpected keyword argument 'fractions'"),
         ("fractions", 0.8, "fractions"),
         ("fractions", ["a", "b"], "fractions"),
         ("fractions", ["0.5", "0.5"], "fractions"),
@@ -160,13 +162,12 @@ class TestPlan:
         ({"seed": -1}, "unknown detector config keys"),  # the seed is the run's alone
         ({"seed": 3}, "unknown detector config keys"),
         ({"tail": 1}, "tail must be an integer >= 2"),
-        ({"bins": 0}, "bins must be an integer >= 1"),
+        ({"bins": 50}, r"unknown detector config keys: \['bins'\]"),  # detect draws 50
         ({"quantile": 1.0}, r"quantile must lie in \(0, 1\)"),
         ({"quantile": "0.9"}, r"quantile must lie in \(0, 1\)"),
         ({"norm": "l3"}, "unknown norm"),
         ({"norm": "L2"}, "unknown norm: 'L2'; use l1 or l2"),
         ({"tail": None}, "tail must be an integer >= 2, got None"),
-        ({"bins": None}, "bins must be an integer >= 1, got None"),
     ])
     def test_bad_detector_value_rejected_when_built(self, detector, message):
         with pytest.raises(ConfigError, match=message):
@@ -175,7 +176,8 @@ class TestPlan:
     @pytest.mark.parametrize("tcl, message", [
         ({"batch_size": 1}, "batch_size must be >= 2"),
         ({"noise": "salt"}, "unknown noise mode"),
-        ({"temperature": "hot"}, "bad tcl config"),
+        ({"sigma": "hot"}, "bad tcl config"),
+        ({"temperature": 1.0}, r"unknown tcl config keys: \['temperature'\]"),
     ])
     def test_bad_tcl_value_rejected_when_built(self, tcl, message):
         with pytest.raises(ConfigError, match=message):
@@ -210,17 +212,19 @@ class TestPlan:
         # numpy scalars are accepted where plain numbers are, and stored as
         # int or float, so that the model file and the report can hold them
         tcl = TclConfig(input_dim=np.int64(4), batch_size=np.int64(32), sigma=np.float32(0.25))
-        det = DetectorConfig(tail=np.int64(20), bins=np.int32(9), quantile=np.float64(0.9))
+        det = DetectorConfig(tail=np.int64(20), quantile=np.float64(0.9))
         plan = ExperimentPlan(dataset="d.csv", target="y", seed=np.int64(1))
         stored = [tcl.input_dim, tcl.hidden_dim, tcl.latent_dim, tcl.batch_size, tcl.sigma,
-                  det.tail, det.bins, det.quantile, plan.seed]
-        assert [type(v) for v in stored] == [int] * 4 + [float] + [int] * 2 + [float, int]
-        assert stored == [4, 16, 8, 32, 0.25, 20, 9, 0.9, 1]
+                  det.tail, det.quantile, plan.seed]
+        assert [type(v) for v in stored] == [int] * 4 + [float, int, float, int]
+        assert stored == [4, 16, 8, 32, 0.25, 20, 0.9, 1]
 
-    def test_fractions_stored_as_a_float_pair(self):
-        plan = ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y",
-                                         "fractions": [0.75, 0.25]})
-        assert plan.fractions == (0.75, 0.25)
+    @pytest.mark.parametrize("block", [5, "openmax", ["tail"]], ids=["int", "str", "list"])
+    @pytest.mark.parametrize("what", ["detector", "tcl"])
+    def test_block_that_is_not_a_table_is_refused(self, what, block):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", what: block})
+        assert str(exc.value) == f"{what} must be a table, got {block!r}"
 
 
 class TestSplitThreshold:
@@ -338,9 +342,9 @@ class TestRunExperiment:
     def test_one_split_of_the_id_side(self, tmp_path, monkeypatch):
         sizes = []
 
-        def counting_split(dataset, fractions, rng):
+        def counting_split(dataset, rng):
             sizes.append(dataset.n)
-            return split(dataset, fractions, rng)
+            return split(dataset, rng)
 
         monkeypatch.setattr(bench, "split", counting_split)
         monkeypatch.setattr(ood, "split", counting_split)
@@ -458,13 +462,25 @@ class TestDetect:
         bins = ood.discretize_target(ds.labels, bench.DISCRETIZE_BINS)
         as_classes = Dataset(X, bins, numeric_schema(2, classes=tuple("0123456789")), None)
         with pytest.warns(UserWarning, match="splitting unstratified"):
-            fit_part, _ = split(as_classes, (0.8, 0.2), RngStream(5, STREAMS["calibration"]))
+            fit_part, _ = split(as_classes, RngStream(5, STREAMS["calibration"]))
         assert fit_part.labels.max() < bench.DISCRETIZE_BINS - 1
         with pytest.warns(UserWarning, match="splitting unstratified"):
             scores, settings = bench.detect(ds, DetectorConfig(detector="temperature"), 5,
                                             tmp_path)
         assert scores.shape == (12,) and np.isfinite(scores).all()
         assert scores.min() >= -1.0 and scores.max() <= -1.0 / bench.DISCRETIZE_BINS
+
+    def test_more_than_ten_bins_are_named_in_bin_order(self, tmp_path, monkeypatch):
+        """Bin names are zero-padded ("00" .. "11"), so they sort as the bins
+        do and make a valid class list; "10" would sort before "2"."""
+        monkeypatch.setattr(bench, "DISCRETIZE_BINS", 12)
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((240, 3))
+        ds = Dataset(X, X[:, 0] + 0.1 * rng.standard_normal(240),
+                     numeric_schema(3, task="regression"), None)
+        scores, _ = bench.detect(ds, DetectorConfig(detector="temperature"), 0, tmp_path)
+        assert scores.shape == (240,) and np.isfinite(scores).all()
+        assert scores.max() <= -1.0 / 12  # one backbone output per bin
 
 
 class TestEmitReport:

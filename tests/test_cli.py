@@ -18,6 +18,7 @@ from tabcl.cli import build_parser, main
 from tabcl.data import (
     SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
 )
+from tabcl.exceptions import ConfigError
 from tabcl.heads import load_head
 from tabcl.numerics import STREAMS, RngStream
 
@@ -324,7 +325,7 @@ class TestExitCodes:
     # is its flat parameter vector: w1 (4 x 1), b1, gamma, beta, w2, b2, w3,
     # b3, w4 (1 x 4) and b4 (4).
     PARAMS = [0.0] * 4 + [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0] + [0.0] * 8
-    MODEL = {"format": "tcl-model", "version": 3, "dtype": "float32",
+    MODEL = {"format": "tcl-model", "version": 4, "dtype": "float32",
              "config": {"input_dim": 4, "hidden_dim": 1, "latent_dim": 1},
              "params": params_block(PARAMS)}
 
@@ -391,6 +392,10 @@ class TestExitCodes:
         ),
         "model of version 2": (
             "model.json", dict(MODEL, version=2, params={"w1": [[0.0]] * 4, "b1": [0.0]}),
+            lambda f, ds: ["embed", f, ds],
+        ),
+        "model of version 3": (  # its config held the contrastive temperature
+            "model.json", dict(MODEL, version=3, config={**MODEL["config"], "temperature": 1.0}),
             lambda f, ds: ["embed", f, ds],
         ),
         "scores holding a list": ("scores.json", [0.1, 0.2], lambda f, ds: ["split", ds, f]),
@@ -790,8 +795,9 @@ def bad_values(key, kind):
     return [(key, value) for value in cases]
 
 
-# ``seed`` is no setting: the seed is the run's, and a block that sets one
-# exits 2 whatever its value, as a bad value does.
+# ``seed``, ``bins`` and ``temperature`` are no settings: the seed is the
+# run's, detect draws 50 histogram bins and the loss takes no temperature.
+# A block that sets one exits 2 whatever its value, as a bad value does.
 DETECTOR_CASES = [
     *bad_values("detector", "name"), *bad_values("norm", "name"), *bad_values("tail", "int"),
     *bad_values("bins", "int"), *bad_values("seed", "int"),
@@ -874,14 +880,20 @@ class TestBadSettingValues:
 
     @pytest.mark.parametrize("command", ["detect", "train"])
     def test_negative_seed_is_2_before_any_artifact_is_read(self, tmp_path, command, capsys):
+        """Both stages refuse it as a plan refuses its ``seed``: the seed is
+        the run's, not a detector or tcl setting."""
         assert run([command, tmp_path / "missing", "--seed", -1, "--out", tmp_path / "out"]) == 2
-        assert "seed must be" in capsys.readouterr().err
+        with pytest.raises(ConfigError) as plan_error:
+            ExperimentPlan(dataset="d.csv", target="y", seed=-1)
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {plan_error.value}\n"
+        assert "tcl config" not in err
         assert no_file_in(tmp_path / "out")
 
     def test_every_setting_is_covered(self):
         assert {key for key, _ in DETECTOR_CASES} == {
-            f.name for f in dataclasses.fields(DetectorConfig)} | {"seed"}
-        assert {key for key, _ in TCL_CASES} == TCL_KEYS | {"seed"}
+            f.name for f in dataclasses.fields(DetectorConfig)} | {"seed", "bins"}
+        assert {key for key, _ in TCL_CASES} == TCL_KEYS | {"seed", "temperature"}
 
     def test_detect_records_the_norm_it_fitted_with(self, tmp_path, data_csv, ds_dir):
         config = write_json(tmp_path / "det.json", {"detector": {"norm": "l1", "tail": 25}})
@@ -952,6 +964,68 @@ class TestOneSpelling:
             assert f"{block} must be a table, got 5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [5, "openmax", ["tail"]], ids=["int", "str", "list"])
+    @pytest.mark.parametrize("block", ["detector", "tcl"])
+    def test_plan_block_that_is_not_a_table_is_2(self, tmp_path, data_csv, ds_dir, scores_json,
+                                                 block, value, capsys):
+        """The plan and each stage refuse it with one message, naming the
+        block and the value."""
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out), block: value,
+        })
+        stages = self.stages(block, ds_dir, scores_json)
+        assert run(["report", "--config", plan]) == 2
+        for stage in stages:
+            assert run([*stage, "--config", plan, "--out", tmp_path / "stage"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{block} must be a table, got {value!r}") == 1 + len(stages)
+        assert not out.exists() and not (tmp_path / "stage").exists()
+
+
+class TestRemovedSettings:
+    """The split share, the histogram's bins and the contrastive loss are
+    fixed: a plan, a stage table or a flag that sets the split
+    ``fractions``, the detector's ``bins`` or the tcl ``temperature`` exits
+    2, naming it, before any file is written."""
+
+    def test_fractions_in_a_plan_is_2(self, tmp_path, data_csv, ds_dir, capsys):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out),
+            "fractions": [0.8, 0.2],
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert "unexpected keyword argument 'fractions'" in capsys.readouterr().err
+        assert run(["train", ds_dir, "--config", plan, "--out", tmp_path / "m"]) == 2
+        assert "unknown experiment plan keys: ['fractions']" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("detector", "bins", 50), ("tcl", "temperature", 1.0),  # the old defaults
+    ])
+    def test_key_in_a_block_is_2(self, tmp_path, data_csv, ds_dir, scores_json, block, key,
+                                 value, capsys):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out), block: {key: value},
+        })
+        stages = TestOneSpelling.stages(block, ds_dir, scores_json)
+        assert run(["report", "--config", plan]) == 2
+        for stage in stages:
+            assert run([*stage, "--config", plan, "--out", tmp_path / "stage"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"unknown {block} config keys: ['{key}']") == 1 + len(stages)
+        assert not out.exists() and not (tmp_path / "stage").exists()
+
+    @pytest.mark.parametrize("command, flag", [("detect", "--bins"), ("train", "--temperature")])
+    def test_flag_is_2(self, tmp_path, ds_dir, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, ds_dir, flag, 2, "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfig:
     """One config document drives the CLI stages and the experiment plan."""
@@ -1011,7 +1085,7 @@ class TestConfig:
 
     def test_every_tcl_flag_reaches_the_model_config(self, tmp_path, ds_dir):
         values = {"hidden_dim": 12, "latent_dim": 5, "noise": "mask", "sigma": 0.25,
-                  "mask_prob": 0.2, "temperature": 2.0, "batch_size": 64, "max_epochs": 2,
+                  "mask_prob": 0.2, "batch_size": 64, "max_epochs": 2,
                   "tolerance": 0.5, "learning_rate": 0.002}
         assert set(values) == TCL_KEYS
         flags = [a for key, value in values.items() for a in (f"--{key.replace('_', '-')}", value)]
@@ -1023,7 +1097,7 @@ class TestConfig:
     def test_cli_and_plan_write_the_same_split(self, tmp_path, data_csv, detector):
         plan = ExperimentPlan(
             dataset=str(data_csv), target="label",
-            detector={"detector": detector, "norm": "l1", "tail": 25, "bins": 20},
+            detector={"detector": detector, "norm": "l1", "tail": 25},
             tcl={"max_epochs": 1, "batch_size": 128}, seed=7, out_dir=str(tmp_path / "plan"),
         )
         config = write_json(tmp_path / "plan.json", plan.to_dict())
@@ -1086,12 +1160,12 @@ class TestConfig:
 
 
 TRAIN_FLAGS = {"--hidden-dim", "--latent-dim", "--noise", "--sigma", "--mask-prob",
-               "--temperature", "--batch-size", "--max-epochs", "--tolerance", "--learning-rate"}
+               "--batch-size", "--max-epochs", "--tolerance", "--learning-rate"}
 # each subcommand's options: the shared --seed, --config and --out only where
 # its cmd_* function reads them
 OPTIONS = {
     "ingest": {"--out", "--target", "--task", "--delimiter"},
-    "detect": {"--seed", "--config", "--out", "--detector", "--norm", "--tail", "--bins"},
+    "detect": {"--seed", "--config", "--out", "--detector", "--norm", "--tail"},
     "split": {"--config", "--out", "--threshold", "--quantile"},
     "train": {"--seed", "--config", "--out", *TRAIN_FLAGS},
     "embed": {"--out"},

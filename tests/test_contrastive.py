@@ -90,8 +90,6 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TclConfig(input_dim=3, temperature=0.0)
-        with pytest.raises(ValueError):
             TclConfig(input_dim=3, batch_size=1)
         with pytest.raises(ValueError):
             TclConfig(input_dim=3, noise="salt")
@@ -112,7 +110,7 @@ class TestConfig:
         assert TclConfig.from_dict(cfg.to_dict()) == cfg
         assert list(cfg.to_dict()) == [  # the key order of model.json
             "input_dim", "hidden_dim", "latent_dim", "noise", "sigma", "mask_prob",
-            "temperature", "batch_size", "max_epochs", "tolerance", "learning_rate", "seed",
+            "batch_size", "max_epochs", "tolerance", "learning_rate", "seed",
         ]
 
 
@@ -264,10 +262,9 @@ class TestLosses:
     def test_contrastive_trivials(self):
         e1 = np.array([[1.0, 0.0]])
         e2 = np.array([[0.0, 1.0]])
-        assert loss_contrastive(e1, e2, 1.0) == 0.0  # orthogonal rows
+        assert loss_contrastive(e1, e2) == 0.0  # orthogonal rows
         both = np.array([[1.0, 1.0]])
-        assert loss_contrastive(both, both, 1.0) == 4.0  # dot = 2, squared = 4
-        assert loss_contrastive(both, both, 2.0) == 2.0  # halved by temperature
+        assert loss_contrastive(both, both) == 4.0  # dot = 2, squared = 4
 
     def test_contrastive_matches_loop_oracle(self):
         rng = RngStream(82, 0)
@@ -276,14 +273,7 @@ class TestLosses:
         for i in range(5):
             dot = sum(a[i, j] * b[i, j] for j in range(3))
             acc += dot * dot
-        assert abs(loss_contrastive(a, b, 1.7) - acc / 5 / 1.7) < 1e-12
-
-    def test_temperature_linearity_is_exact(self):
-        rng = RngStream(83, 0)
-        for _ in range(100):
-            a, b = rng.normal(4, 3), rng.normal(4, 3)
-            tau = float(rng.uniform(1, 1)[0, 0] * 5 + 0.1)
-            assert loss_contrastive(a, b, tau) == loss_contrastive(a, b, 1.0) / tau
+        assert abs(loss_contrastive(a, b) - acc / 5) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=5),
@@ -293,13 +283,7 @@ class TestLosses:
         a, b, x = rng.normal(n, k), rng.normal(n, k), rng.normal(n, k)
         assert loss_reconstruction(a, b, x) >= 0.0
         assert loss_distance(a, b) >= 0.0
-        assert loss_contrastive(a, b, 0.5) >= 0.0
-
-    def test_bad_temperature(self):
-        e = np.ones((2, 2))
-        for tau in (0.0, -1.0, float("nan"), float("inf"), True):
-            with pytest.raises(ValueError, match="temperature"):
-                loss_contrastive(e, e, tau)
+        assert loss_contrastive(a, b) >= 0.0
 
     def test_float32_inputs_compute_in_float32(self):
         # no float64 copy: each term equals its formula evaluated in float32
@@ -310,7 +294,7 @@ class TestLosses:
             float(np.mean((a - x) ** 2)) + float(np.mean((b - x) ** 2)))
         dots = (a * b).sum(axis=1)
         assert dots.dtype == np.float32
-        assert loss_contrastive(a, b, 1.7) == float(np.mean(dots * dots)) / 1.7
+        assert loss_contrastive(a, b) == float(np.mean(dots * dots))
 
 
 # A float32 loss may move under a row permutation by the reordering of its
@@ -336,7 +320,7 @@ class TestTotalLoss:
             assert e1.dtype == dtype
             r = loss_reconstruction(ref_decode(model.params, e1)["out"],
                                     ref_decode(model.params, e2)["out"], x)
-            c = loss_contrastive(e1, e2, model.config.temperature)
+            c = loss_contrastive(e1, e2)
             d = loss_distance(e1, e2)
             assert total == r + c + d, dtype
             assert (comps.reconstruction, comps.contrastive, comps.distance) == (r, c, d), dtype
@@ -353,16 +337,15 @@ class TestTotalLoss:
             assert abs(total - total_p) <= PERMUTATION_BOUND[dtype] * max(1.0, abs(total))
 
     def test_float32_identities_over_random_models(self):
-        # criterion 03's identities (decomposition, temperature linearity,
-        # non-negativity, row-permutation invariance) on float32 models
+        # criterion 03's identities (decomposition, non-negativity,
+        # row-permutation invariance) on float32 models
         rng = np.random.default_rng(778)
         for case in range(200):
             model = init_model(TclConfig(
                 input_dim=int(rng.integers(2, 7)), hidden_dim=int(rng.integers(4, 10)),
-                latent_dim=int(rng.integers(2, 5)), sigma=0.2,
-                temperature=float(rng.uniform(0.2, 3.0)), seed=4000 + case,
+                latent_dim=int(rng.integers(2, 5)), sigma=0.2, seed=4000 + case,
             ))
-            tau, n = model.config.temperature, int(rng.integers(2, 8))
+            n = int(rng.integers(2, 8))
             stream = RngStream(case, 6)
             x = stream.normal(n, model.config.input_dim).astype(np.float32)
             x1, x2 = augment(x, model.config, stream)
@@ -370,11 +353,10 @@ class TestTotalLoss:
             e1, e2 = encode(model, x1), encode(model, x2)
             r = loss_reconstruction(ref_decode(model.params, e1)["out"],
                                     ref_decode(model.params, e2)["out"], x)
-            c, dist = loss_contrastive(e1, e2, tau), loss_distance(e1, e2)
+            c, dist = loss_contrastive(e1, e2), loss_distance(e1, e2)
             assert total == r + c + dist
             assert (comps.reconstruction, comps.contrastive, comps.distance) == (r, c, dist)
             assert r >= 0.0 and c >= 0.0 and dist >= 0.0
-            assert c == loss_contrastive(e1, e2, 1.0) / tau
             perm = stream.permutation(n)
             total_p, _ = loss_on_views(model, x1[perm], x2[perm], x[perm])
             assert abs(total - total_p) <= F32_PERMUTATION_BOUND * max(1.0, abs(total))
@@ -405,7 +387,7 @@ class TestGradients:
         for noise, seed in (("gaussian", 90), ("mask", 91)):
             cfg = TclConfig(
                 input_dim=5, hidden_dim=8, latent_dim=4, noise=noise,
-                sigma=0.3, mask_prob=0.3, temperature=1.3, seed=seed,
+                sigma=0.3, mask_prob=0.3, seed=seed,
             )
             model = as_float64(init_model(cfg))
             rng = RngStream(seed, 5)
@@ -425,7 +407,7 @@ class TestGradients:
         for noise, seed in (("gaussian", 120), ("mask", 121)):
             cfg = TclConfig(
                 input_dim=5, hidden_dim=8, latent_dim=4, noise=noise,
-                sigma=0.3, mask_prob=0.3, temperature=1.3, seed=seed,
+                sigma=0.3, mask_prob=0.3, seed=seed,
             )
             model = perturbed(init_model(cfg), seed)
             for key in ("gamma", "beta", "b1", "b2", "b3", "b4"):
@@ -462,7 +444,7 @@ class TestGradients:
         bound = 64 * np.finfo(np.float32).eps
         for noise, seed in (("gaussian", 110), ("mask", 111), ("gaussian", 112)):
             cfg = TclConfig(input_dim=6, hidden_dim=12, latent_dim=5, noise=noise,
-                            sigma=0.3, mask_prob=0.3, temperature=0.7, seed=seed)
+                            sigma=0.3, mask_prob=0.3, seed=seed)
             model = init_model(cfg)
             rng = RngStream(seed, 5)
             x = rng.normal(16, 6).astype(np.float32)
@@ -479,12 +461,12 @@ class TestGradients:
         # embedding changes the loss only at second order
         e1 = np.array([[1.0, 0.0], [0.0, 2.0]])
         e2 = np.array([[0.0, 3.0], [1.0, 0.0]])
-        base = loss_contrastive(e1, e2, 1.0)
+        base = loss_contrastive(e1, e2)
         assert base == 0.0
         eps = 1e-6
         bumped = e1.copy()
         bumped[0, 0] += eps
-        assert abs(loss_contrastive(bumped, e2, 1.0) - base) < 1e-10
+        assert abs(loss_contrastive(bumped, e2) - base) < 1e-10
 
 
 class TestTraining:
@@ -646,7 +628,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert payload["dtype"] == np.dtype(dtype).name
         expected = model.vector.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
         assert base64.b64decode(payload["params"], validate=True) == expected
@@ -660,7 +642,7 @@ class TestPersistence:
         payload["version"] = 1
         payload["params"] = {k: v.astype(np.float64).tolist() for k, v in model.params.items()}
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="version 1, expected 3"):
+        with pytest.raises(FormatError, match="version 1, expected 4"):
             load_model(path)
 
     def test_version_2_file_rejected(self, tmp_path):
@@ -672,7 +654,18 @@ class TestPersistence:
         payload["version"] = 2
         payload["params"] = {k: v.tolist() for k, v in model.params.items()}
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="version 2, expected 3"):
+        with pytest.raises(FormatError, match="version 2, expected 4"):
+            load_model(path)
+
+    def test_version_3_file_rejected(self, tmp_path):
+        # version 3 held the same fields, with a temperature in the config
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        payload = json.loads(path.read_text())
+        payload["version"] = 3
+        payload["config"]["temperature"] = 1.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="version 3, expected 4"):
             load_model(path)
 
     @pytest.mark.parametrize("dtype", ["float16", "int32", None, ["float32"]])
@@ -861,21 +854,21 @@ def ref_grad_on_views(model, x1, x2, x, encoder=ref_encode, backward=ref_backwar
     p, cfg = model.params, model.config
     x1, x2, x = (np.asarray(a, dtype=model.dtype) for a in (x1, x2, x))
     n, d = x.shape
-    k, tau = cfg.latent_dim, cfg.temperature
+    k = cfg.latent_dim
     enc = encoder(p, np.vstack([x1, x2]))
     dec = ref_decode(p, enc["e"])
     e1, e2 = enc["e"][:n], enc["e"][n:]
     comps = (
         loss_reconstruction(dec["out"][:n], dec["out"][n:], x),
-        loss_contrastive(e1, e2, tau),
+        loss_contrastive(e1, e2),
         loss_distance(e1, e2),
     )
     d_out = (dec["out"] - np.vstack([x, x])) / (n * d)
     d_e1 = 2.0 * (e1 - e2) / (n * k)
     d_e2 = -d_e1
     dots = (e1 * e2).sum(axis=1, keepdims=True)
-    d_e1 = d_e1 + (2.0 / (n * tau)) * dots * e2
-    d_e2 = d_e2 + (2.0 / (n * tau)) * dots * e1
+    d_e1 = d_e1 + (2.0 / n) * dots * e2
+    d_e2 = d_e2 + (2.0 / n) * dots * e1
     return comps, backward(p, enc, dec, d_out, np.vstack([d_e1, d_e2]))
 
 
@@ -1008,7 +1001,7 @@ class TestFoldedLayerNorm:
     )
     def test_matches_unfolded_formula(self, n, d, h, k, noise, seed):
         cfg = TclConfig(input_dim=d, hidden_dim=h, latent_dim=k, noise=noise, sigma=0.3,
-                        mask_prob=0.3, temperature=0.8, seed=seed)
+                        mask_prob=0.3, seed=seed)
         model = perturbed(init_model(cfg), seed)
         rng = RngStream(seed, 8)
         x = rng.normal(n, d)

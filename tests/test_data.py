@@ -7,6 +7,7 @@ import statistics
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ class TestReadCsv:
 class TestInferSchema:
     def test_low_cardinality_numbers_are_categorical(self):
         rows = [[str(i % 2), "x", str(i % 3)] for i in range(30)]
-        schema = infer_schema(RawTable(["a", "b", "y"], rows), target="y", category_cutoff=10)
+        schema = infer_schema(RawTable(["a", "b", "y"], rows), target="y")
         assert schema.features[0].kind == "categorical"
 
     def test_high_cardinality_numbers_are_numeric(self):
@@ -128,9 +129,10 @@ class TestInferSchema:
         return header, [list(r) for r in zip(few_first, missing_first, word_late, y)]
 
     @pytest.mark.parametrize("cutoff", [0, 2, 3, 20, 63, 64, 135, 136, 137, 300])
-    def test_distinct_count_settled_past_the_first_cells(self, cutoff):
+    def test_distinct_count_settled_past_the_first_cells(self, cutoff, monkeypatch):
         header, rows = self.late_columns()
-        schema = infer_schema(RawTable(header, rows), target="y", category_cutoff=cutoff)
+        monkeypatch.setattr(data, "CATEGORY_CUTOFF", cutoff)
+        schema = infer_schema(RawTable(header, rows), target="y")
         assert schema == ref_infer_schema(RawTable(header, rows), "y", None, cutoff)
 
     def test_late_values_decide_kind_and_categories(self):
@@ -184,17 +186,19 @@ class TestIngest:
         with pytest.raises(FormatError, match=message):
             ingest_csv(path, target=target)
 
-    def test_minimal_file(self, tmp_path):
+    def test_minimal_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CATEGORY_CUTOFF", 2)  # three distinct values make a number
         path = write(tmp_path / "t.csv", "a,b,y\n1.5,2,0\n3,4.25,1\n2,3,0\n")
-        ds = ingest_csv(path, target="y", category_cutoff=2)
+        ds = ingest_csv(path, target="y")
         assert ds.n == 3
         assert ds.d == 2
         assert ds.schema.task == "classification"
         assert [c.kind for c in ds.schema.features] == ["numeric", "numeric"]
 
-    def test_missing_numeric_cell_gets_column_median(self, tmp_path):
+    def test_missing_numeric_cell_gets_column_median(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CATEGORY_CUTOFF", 2)
         path = write(tmp_path / "t.csv", "a,y\n1,0\n2,1\n,0\n10,1\n4,0\n")
-        ds = ingest_csv(path, target="y", category_cutoff=2)
+        ds = ingest_csv(path, target="y")
         median = statistics.median([1.0, 2.0, 10.0, 4.0])
         imputed = [1.0, 2.0, median, 10.0, 4.0]
         mean = statistics.mean(imputed)
@@ -284,7 +288,7 @@ class TestIngest:
 # cell.  It parses through data._floats and data._parse_number, as the
 # package does, and keeps no parsed columns between the two calls.
 
-def ref_infer_schema(raw, target, task=None, category_cutoff=data.DEFAULT_CATEGORY_CUTOFF):
+def ref_infer_schema(raw, target, task=None, category_cutoff=data.CATEGORY_CUTOFF):
     if not target:
         raise ConfigError("no target column designated")
     if target not in raw.header:
@@ -400,8 +404,7 @@ def ref_encode_features(raw, schema, stats=None):
 # The two-branch split that the one grouped loop replaced: a stratified
 # branch that walks the classes and a separate branch over all rows.
 
-def ref_split(dataset, fractions, rng):
-    f = data.check_fractions(fractions)
+def ref_split(dataset, rng):
     n = dataset.n
     stratify = dataset.schema.task == data.CLASSIFICATION
     if stratify:
@@ -414,14 +417,14 @@ def ref_split(dataset, fractions, rng):
         for cls in np.unique(dataset.labels):
             rows = np.flatnonzero(dataset.labels == cls)
             order = rows[rng.permutation(rows.size)]
-            k = min(max(int(round(f[0] * rows.size)), 1), rows.size - 1)
+            k = min(max(int(round(data.SPLIT_SHARE * rows.size)), 1), rows.size - 1)
             first_idx.extend(order[:k])
             second_idx.extend(order[k:])
         first = np.sort(np.asarray(first_idx, dtype=np.int64))
         second = np.sort(np.asarray(second_idx, dtype=np.int64))
     else:
         order = rng.permutation(n)
-        k = min(max(int(round(f[0] * n)), 1), n - 1)
+        k = min(max(int(round(data.SPLIT_SHARE * n)), 1), n - 1)
         first = np.sort(order[:k])
         second = np.sort(order[k:])
     return dataset.take(first), dataset.take(second)
@@ -451,12 +454,14 @@ def assert_same_ingest(got, want):
 
 def assert_ingest_matches_reference(raw_rows, header, path, target, task, cutoff):
     """The public functions on a fresh table, and ingest_csv on the file,
-    against the reference on a fresh table of the same cells."""
+    against the reference on a fresh table of the same cells, at the category
+    cutoff ``cutoff``."""
     def fresh():
         return RawTable(list(header), [list(r) for r in raw_rows])
 
     want_schema = outcome(ref_infer_schema, fresh(), target, task, cutoff)
-    got_schema = outcome(infer_schema, fresh(), target, task, cutoff)
+    with mock.patch.object(data, "CATEGORY_CUTOFF", cutoff):
+        got_schema = outcome(infer_schema, fresh(), target, task)
     assert got_schema == want_schema
     if isinstance(want_schema, Schema):
         want = outcome(ref_encode_features, fresh(), want_schema)
@@ -470,7 +475,8 @@ def assert_ingest_matches_reference(raw_rows, header, path, target, task, cutoff
         want = outcome(ref_infer_schema, ref_raw, target, task, cutoff)
         if isinstance(want, Schema):
             want = outcome(ref_encode_features, ref_raw, want)
-        got = outcome(ingest_csv, path, target=target, task=task, category_cutoff=cutoff)
+        with mock.patch.object(data, "CATEGORY_CUTOFF", cutoff):
+            got = outcome(ingest_csv, path, target=target, task=task)
         assert_same_ingest(got, want)
 
 
@@ -530,7 +536,7 @@ class TestColumnPassMatchesRowMajor:
         raw = read_csv(path)
         for task in (None, spec["task"]):
             assert_ingest_matches_reference(raw.rows, raw.header, path, spec["target"], task,
-                                            data.DEFAULT_CATEGORY_CUTOFF)
+                                            data.CATEGORY_CUTOFF)
 
 
 class TestMissingMask:
@@ -557,7 +563,7 @@ class TestMissingMask:
         a = [float(r[0]) for r in rows if r[0] not in MISSING_TOKENS]
         assert ds.stats["a"]["median"] == statistics.median(a)
         assert_ingest_matches_reference(rows, header, path, "y", None,
-                                        data.DEFAULT_CATEGORY_CUTOFF)
+                                        data.CATEGORY_CUTOFF)
         # each missing cell is imputed with the median, then z-scored
         s = ds.stats["a"]
         imputed = (s["median"] - s["mean"]) / s["std"]
@@ -671,19 +677,19 @@ class TestSplit:
 
     def test_sizes(self):
         ds = self.build(10)
-        a, b = split(ds, (0.8, 0.2), RngStream(2, 0))
+        a, b = split(ds, RngStream(2, 0))
         assert (a.n, b.n) == (8, 2)
 
     def test_deterministic(self):
         ds = self.build(40)
-        a1, b1 = split(ds, (0.75, 0.25), RngStream(3, 0))
-        a2, b2 = split(ds, (0.75, 0.25), RngStream(3, 0))
+        a1, b1 = split(ds, RngStream(3, 0))
+        a2, b2 = split(ds, RngStream(3, 0))
         np.testing.assert_array_equal(a1.features, a2.features)
         np.testing.assert_array_equal(b1.labels, b2.labels)
 
     def test_stratified_balance(self):
         ds = self.build(100)
-        a, b = split(ds, (0.8, 0.2), RngStream(4, 0))
+        a, b = split(ds, RngStream(4, 0))
         assert (a.n, b.n) == (80, 20)
         for part in (a, b):
             counts = np.bincount(part.labels)
@@ -692,7 +698,7 @@ class TestSplit:
     def test_partition(self):
         ds = self.build(57)
         key = ds.features[:, 0]
-        a, b = split(ds, (0.6, 0.4), RngStream(5, 0))
+        a, b = split(ds, RngStream(5, 0))
         merged = np.sort(np.concatenate([a.features[:, 0], b.features[:, 0]]))
         np.testing.assert_array_equal(merged, np.sort(key))
         assert not np.intersect1d(a.features[:, 0], b.features[:, 0]).size
@@ -702,7 +708,7 @@ class TestSplit:
         y = np.array([0] * 9 + [1], dtype=np.int64)
         ds = Dataset(X, y, numeric_schema(2), None)
         with pytest.warns(UserWarning):
-            a, b = split(ds, (0.8, 0.2), RngStream(7, 0))
+            a, b = split(ds, RngStream(7, 0))
         assert a.n + b.n == 10
 
     @settings(max_examples=120, deadline=None)
@@ -717,8 +723,6 @@ class TestSplit:
             labels = draws.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
             if draws.draw(st.booleans(), label="class of one row"):
                 labels[draws.draw(st.integers(0, n - 1))] = 4
-        fractions = draws.draw(st.sampled_from([(0.5, 0.5), (0.8, 0.2), (0.25, 0.75),
-                                                (0.9, 0.1)]))
         seed = draws.draw(st.integers(0, 2**32), label="seed")
         # the one feature is the row index, so each side's rows can be read back
         ds = Dataset(np.arange(n, dtype=np.float64)[:, None], np.asarray(labels), schema, None)
@@ -726,17 +730,10 @@ class TestSplit:
         for fn in (split, ref_split):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                sides = fn(ds, fractions, RngStream(seed, 22))
+                sides = fn(ds, RngStream(seed, 22))
             runs.append(([str(w.message) for w in caught],
                          [(bits(side.features), side.labels.tobytes()) for side in sides]))
         assert runs[0] == runs[1]
-
-    def test_bad_fractions(self):
-        ds = self.build(10)
-        with pytest.raises(ValueError):
-            split(ds, (0.7, 0.2), RngStream(0, 0))
-        with pytest.raises(ValueError):
-            split(ds, (1.0, -0.0), RngStream(0, 0))
 
 
 class TestDatasetLabels:

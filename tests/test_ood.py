@@ -130,7 +130,7 @@ class TestBackboneScale:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_temperature_detector_finds_the_gap_cluster(self, seed):
         ds, is_ood = regression_shaped_table(600, 8, seed)
-        fit_part, cal_part = split(ds, (0.8, 0.2), RngStream(seed, 11))
+        fit_part, cal_part = split(ds, RngStream(seed, 11))
         model = fit_temperature(train_backbone(fit_part), cal_part)
         assert auroc(temp_score(model, ds.features), is_ood) >= 0.65
 
@@ -373,7 +373,7 @@ class TestTemperature:
 
     def test_dataset_level_wrapper(self):
         ds = toy_dataset(n=400)
-        fit_part, cal_part = split(ds, (0.7, 0.3), RngStream(58, 0))
+        fit_part, cal_part = split(ds, RngStream(58, 0))
         backbone = train_backbone(fit_part)
         model = fit_temperature(backbone, cal_part)
         assert model.nll_calibrated <= model.nll_uncalibrated + 1e-9

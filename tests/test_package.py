@@ -57,13 +57,16 @@ EXPORTS = {
 GONE = {
     contrastive: ("decode", "_DECODER_ARRAYS", "loss_reconstruction", "loss_contrastive",
                   "loss_distance", "replace_params", "param_vector", "parameter_count"),
-    data: ("_bulk_read", "_read_dataset_csv", "_raise_first_bad_cell", "_class_indices"),
+    data: ("_bulk_read", "_read_dataset_csv", "_raise_first_bad_cell", "_class_indices",
+           "check_fractions", "DEFAULT_CATEGORY_CUTOFF"),
     heads: ("head_kind", "task_metric", "higher_is_better"),
     numerics: ("finite_diff_grad",),
     numerics.RngStream: ("integers",),
     ood: ("Histogram",),
     ood.SplitReport: ("to_dict",),
-    bench.ExperimentPlan: ("delta",),
+    bench.ExperimentPlan: ("delta", "fractions"),
+    bench.DetectorConfig: ("bins",),
+    contrastive.TclConfig: ("temperature",),
     weibull: ("weibull_sample", "_MLE_TOL", "_MLE_MAX_ITER"),
 }
 
@@ -72,12 +75,15 @@ GONE = {
 # ``encode_features``), ``train_tcl`` takes the feature matrix, and
 # ``split_by_threshold`` takes no detector settings, which stay in
 # ``scores.json`` and the report.  ``validate_split`` draws the run's one
-# ID split, with the run's stream and fractions.
+# ID split with the run's stream.  The category cutoff and the split share
+# are constants of ``tabcl.data``.
 PARAMETERS = {
-    "ingest_csv": ("path", "target", "task", "delimiter", "category_cutoff"),
+    "ingest_csv": ("path", "target", "task", "delimiter"),
+    "infer_schema": ("raw", "target", "task"),
+    "split": ("dataset", "rng"),
     "train_tcl": ("X", "config"),
     "split_by_threshold": ("dataset", "scores", "threshold"),
-    "validate_split": ("pair", "rng", "fractions"),
+    "validate_split": ("pair", "rng"),
 }
 
 
