@@ -108,8 +108,10 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     tcl = _settings(args, "tcl", TCL_KEYS)
     build_config(TclConfig, tcl, "tcl", input_dim=1, seed=args.seed)  # before any artifact is read
-    path = os.path.join(args.data, "d_in.csv")
-    data = load_split_in(args.data) if os.path.exists(path) else load_dataset(args.data)
+    # a split holds the arrays of its ID side, d_in_features.npy and d_in_labels.npy
+    split = any(os.path.exists(os.path.join(args.data, f"d_in_{name}.npy"))
+                for name in ("features", "labels"))
+    data = load_split_in(args.data) if split else load_dataset(args.data)
     out = _out_dir(args)
     model, trace = train(data, tcl, args.seed, out)
     print(f"trained {trace.epochs} epochs in {trace.seconds:.2f}s (stop: {trace.stop_reason}, "
@@ -197,10 +199,27 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Unparsed(Exception):
+    """A one-subcommand parser met an error or a help request, whose text
+    the full parser prints."""
+
+
+class _OneSubcommandParser(argparse.ArgumentParser):
+    """Raises :class:`_Unparsed` where a parser would print and exit: what it
+    would print could name the subcommands it lacks."""
+
+    def error(self, message):
+        raise _Unparsed
+
+    def print_help(self, file=None):
+        raise _Unparsed
+
+
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The ``tabcl`` parser; given ``only``, only that subcommand gets its
-    arguments, which no other subcommand's usage, help or errors show."""
-    parser = argparse.ArgumentParser(
+    """The ``tabcl`` parser; given ``only``, a parser of that subcommand
+    alone, which raises :class:`_Unparsed` instead of printing an error or
+    help, so that the caller parses again with the full parser."""
+    parser = (argparse.ArgumentParser if only is None else _OneSubcommandParser)(
         prog="tabcl",
         description="Tabular contrastive learning with OOD gating and benchmarking.",
     )
@@ -211,10 +230,10 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
     def command(name, func, help, *flags):
         """The subcommand that runs ``func``, with the shared flags ``func`` reads."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
         if only not in (None, name):
             return skip
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         for flag in flags:
             p.add_argument(f"--{flag}", **shared[flag])
         return p
@@ -279,11 +298,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # tabcl itself takes no option with a value: its first other word names the subcommand
     at = next((i for i, a in enumerate(argv) if not a.startswith("-")), len(argv))
-    parser = build_parser(next(iter(argv[at:]), None))
     for flag in (word.split("=")[0] for word in argv[:at]):
         if flag.startswith("--") and not "--help".startswith(flag):  # tabcl's one option
-            parser.error(f"{flag} comes before the subcommand: options go after it")
-    args = parser.parse_args(argv)
+            build_parser().error(f"{flag} comes before the subcommand: options go after it")
+    try:
+        args = build_parser(next(iter(argv[at:]), None)).parse_args(argv)
+    except _Unparsed:
+        args = build_parser().parse_args(argv)  # prints the error or help, and exits
     try:
         if getattr(args, "seed", None) is not None:  # before any file is read, as a plan's is
             check_seed(args.seed)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import binascii
 import math
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -348,13 +349,15 @@ def _row_mean(out: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> np
 
 
 def _hidden(z1: np.ndarray, xhat: np.ndarray, mu: np.ndarray, inv_std: np.ndarray,
-            out: np.ndarray) -> np.ndarray:
+            out: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """LeakyReLU then LayerNorm, without its affine, of the pre-activations
     ``z1`` into ``out``.
 
     ``xhat`` is scratch for the centred rows; ``out`` may be ``xhat`` or
-    ``z1``.  The affine is folded into the next layer (see :func:`_fold`)."""
-    check_finite(z1, "encoder linear 1")
+    ``z1``.  ``mask`` is scratch for the finite checks (see
+    :func:`check_finite`).  The affine is folded into the next layer (see
+    :func:`_fold`)."""
+    check_finite(z1, "encoder linear 1", mask)
     _leaky(z1, xhat)
     # layernorm per row: the population variance is the mean square of the
     # centred row, as np.var computes it
@@ -364,7 +367,7 @@ def _hidden(z1: np.ndarray, xhat: np.ndarray, mu: np.ndarray, inv_std: np.ndarra
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     np.multiply(xhat, inv_std, out=out)
-    return check_finite(out, "encoder layernorm")
+    return check_finite(out, "encoder layernorm", mask)
 
 
 def _fold(p: dict, w2f: np.ndarray, b2f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,6 +403,32 @@ def _decode(p: dict, e: np.ndarray, w: dict) -> np.ndarray:
 # this many bytes, so the LeakyReLU and LayerNorm passes over it stay in the
 # per-core cache instead of streaming n x h arrays through memory.
 _BLOCK_BYTES = 256 * 1024
+_ALIGN = 64  # bytes: where each scratch array of inference starts
+_scratch = threading.local()
+
+
+def _scratch_arrays(*specs) -> list[np.ndarray]:
+    """One array per ``(shape, dtype)`` of ``specs``, carved from this
+    thread's inference scratch.
+
+    The scratch is one byte buffer per thread that grows to the largest
+    request and is kept for the thread's next call.  Repeated calls then
+    reuse its pages; fresh temporaries of this size would be handed back to
+    the operating system and faulted in again on every call, as the heap
+    that earlier code left behind decides.  The arrays of the last request
+    are kept too, and a request of the same specs gets them again."""
+    if getattr(_scratch, "specs", None) == specs:
+        return _scratch.arrays
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    starts = np.cumsum([0] + [-(-size // _ALIGN) * _ALIGN for size in sizes]).tolist()
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None or buffer.size < starts[-1] + _ALIGN:
+        buffer = _scratch.buffer = np.empty(starts[-1] + _ALIGN, np.uint8)
+    base = -buffer.ctypes.data % _ALIGN
+    _scratch.specs, _scratch.arrays = specs, [
+        buffer[base + start : base + start + size].view(dtype).reshape(shape)
+        for (shape, dtype), start, size in zip(specs, starts, sizes)]
+    return _scratch.arrays
 
 
 def encode(model: TclModel, x) -> np.ndarray:
@@ -409,24 +438,35 @@ def encode(model: TclModel, x) -> np.ndarray:
     LeakyReLU and LayerNorm run in row blocks of about ``_BLOCK_BYTES``, so
     the output is bit-identical to the training step's encoder on the same
     matrix.  The input is cast to the parameters' dtype once.  The blocks
-    work in place on the first product's output; one block of scratch rows
-    and the folded second layer are the only other temporaries.
+    work in place on the first product's output.  Every array but the
+    output is carved from the thread's scratch (:func:`_scratch_arrays`):
+    the cast input, the first product, one block of scratch rows, the folded
+    second layer and the finite checks' mask.  The output is a fresh array.
     """
     dtype = model.dtype
-    x = _check_input(x, model.config.input_dim, "input", dtype)
-    p, n, h = model.params, x.shape[0], model.config.hidden_dim
+    c, p = model.config, model.params
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != c.input_dim:
+        raise ValueError(f"input must be 2-D with {c.input_dim} columns, got shape {x.shape}")
+    n, h, k = x.shape[0], c.hidden_dim, c.latent_dim
     rows = max(1, _BLOCK_BYTES // (dtype.itemsize * h))
-    a = np.matmul(x, p["w1"])
-    xhat = np.empty((min(rows, n), h), dtype)
-    mu, inv_std = np.empty((2, min(rows, n), 1), dtype)
+    r = min(rows, n)
+    cast, a, xhat, stats, w2f, b2f, mask = _scratch_arrays(
+        (x.shape if x.dtype != dtype else (0,), dtype), ((n, h), dtype), ((r, h), dtype),
+        ((2, r, 1), dtype), ((h, k), dtype), ((k,), dtype), ((max(r * h, n * k),), bool))
+    if x.dtype != dtype:
+        with np.errstate(over="ignore"):  # beyond float32's range: inf, which the checks report
+            np.copyto(cast, x, casting="unsafe")
+        x = cast
+    mu, inv_std = stats
+    np.matmul(x, p["w1"], out=a)
     for lo in range(0, n, rows):
         block = a[lo : lo + rows]
         m = block.shape[0]
         block += p["b1"]
-        _hidden(block, xhat[:m], mu[:m], inv_std[:m], block)
-    w2f, b2f = _fold(p, np.empty_like(p["w2"]), np.empty_like(p["b2"]))
-    return check_finite(_linear(a, w2f, b2f, np.empty((n, w2f.shape[1]), dtype)),
-                        "encoder linear 2")
+        _hidden(block, xhat[:m], mu[:m], inv_std[:m], block, mask)
+    _fold(p, w2f, b2f)
+    return check_finite(_linear(a, w2f, b2f, np.empty((n, k), dtype)), "encoder linear 2", mask)
 
 
 # Encoder-only inference: no noise, no decoder.

@@ -8,16 +8,15 @@ and fits the standardization statistics on the file's rows;
 schema and statistics to another file.  :func:`read_csv` rejects a header
 that names a column twice.  A dataset round-trips through a directory of
 two ``.npy`` arrays plus a JSON sidecar, a split through a directory of
-full-precision CSVs plus a JSON sidecar.  Input tables are parsed with
-Python's ``float``; a split CSV is parsed by numpy alone, and what its
-writer would not write is refused.
+four ``.npy`` arrays, two per side, plus a JSON sidecar.  Input tables are
+parsed with Python's ``float``.  A split also writes each side as a
+full-precision CSV, an export that nothing here reads back.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import filterfalse, repeat
@@ -296,10 +295,9 @@ def _floats(cells) -> np.ndarray | None:
     """``cells`` parsed by Python's ``float`` into one float64 array, or None
     when a cell does not parse or is not finite.
 
-    This parses the numeric cells of input tables; a stored split is parsed
-    by numpy alone (:func:`_read_side`).  A caller that must name the bad
-    cell scans the cells again with :func:`_parse_number`, in the order its
-    errors are reported, only after this has failed.
+    A caller that must name the bad cell scans the cells again with
+    :func:`_parse_number`, in the order its errors are reported, only after
+    this has failed.
     """
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
@@ -557,65 +555,22 @@ def _write_dataset_csv(dataset: Dataset, path) -> None:
         fh.writelines(map(",".join, zip(*blocks, map("{!r}\r\n".format, labels))))
 
 
-def _read_side(path, schema: Schema, stats: dict | None) -> Dataset:
-    """One side of a stored split, which must be as :func:`_write_dataset_csv`
-    writes it; anything else is a FormatError naming the file.
-
-    ``csv.reader`` reads the header, so a quoted encoded name matches.  One
-    ``np.loadtxt`` call parses the body, and any warning it gives is an
-    error: numpy 1.x reads a class label such as ``1.0`` as 1 and only
-    warns.  A refusal names the line of the file (:func:`_refusal_at_line`).
-    :class:`Dataset` then checks the labels and the features.
-    """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = [name.strip() for name in next(reader, ())]
-            if header != [*schema.encoded_names(), schema.target]:
-                raise FormatError(f"{path}: header does not match the stored schema")
-            body = fh.read()
-        if not body.strip():
-            raise FormatError(f"{path}: no data rows")
-        lines = body.split("\n")
-        dtype = [("f", np.float64, (len(header) - 1,)), ("y", LABEL_TYPES[schema.task])]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
-            except (ValueError, Warning) as exc:
-                message = _refusal_at_line(str(exc), lines, reader.line_num + 1, dtype)
-                raise FormatError(f"{path}: {message}") from exc
-        return Dataset(table["f"].copy(), table["y"].copy(), schema, stats)  # C-contiguous
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, csv.Error) as exc:  # a bad header or a Dataset check
-        raise FormatError(f"{path}: {exc}") from exc
-
-
-def _refusal_at_line(message: str, lines: list[str], first: int, dtype) -> str:
-    """numpy's ``message`` on refusing ``lines``, the body from line ``first``
-    of the file on, naming the first line that numpy refuses alone in place
-    of numpy's row, which counts from 0 or 1 by the error."""
-    for i, line in enumerate(lines):
-        if line.strip("\r"):  # numpy skips a line holding only its ending
-            try:
-                np.loadtxt([line], delimiter=",", comments=None, ndmin=1, dtype=dtype)
-            except (ValueError, Warning):
-                message, found = re.subn(r"\bat row \d+", f"at line {first + i}", message)
-                return message if found else f"{message} (line {first + i})"
-    return message
+def _save_arrays(dataset: Dataset, path, prefix: str = "") -> None:
+    """Write ``dataset``'s features and labels as ``<prefix>features.npy``
+    and ``<prefix>labels.npy`` in directory ``path``.  Labels are stored as
+    int64 class indices for classification and as float64 targets for
+    regression."""
+    labels = dataset.labels.astype(LABEL_TYPES[dataset.schema.task])
+    for name, array in (("features", dataset.features), ("labels", labels)):
+        with atomic_write(os.path.join(path, f"{prefix}{name}.npy"), binary=True) as fh:
+            np.save(fh, array, allow_pickle=False)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Persist one dataset as ``features.npy``, ``labels.npy`` and
-    ``meta.json`` in directory ``path``.  Labels are stored as int64 class
-    indices for classification and as float64 targets for regression."""
+    ``meta.json`` in directory ``path``."""
     os.makedirs(path, exist_ok=True)
-    labels = dataset.labels.astype(LABEL_TYPES[dataset.schema.task])
-    arrays = {"features.npy": dataset.features, "labels.npy": labels}
-    for name, array in arrays.items():
-        with atomic_write(os.path.join(path, name), binary=True) as fh:
-            np.save(fh, array, allow_pickle=False)
+    _save_arrays(dataset, path)
     meta = {
         "schema-version": SCHEMA_VERSION,
         "schema": dataset.schema.to_dict(),
@@ -650,27 +605,43 @@ def _load_array(path, what: str, dtype, ndim: int) -> np.ndarray:
     return array
 
 
+def _load_arrays(path, schema: Schema, stats: dict | None, prefix: str = "",
+                 rows: int | None = None) -> Dataset:
+    """The dataset that :func:`_save_arrays` wrote under ``prefix``, each
+    array of ``rows`` rows when given; every malformed file is a FormatError
+    naming it."""
+    arrays = []
+    for name, what, dtype, ndim in (("features", "feature matrix", np.float64, 2),
+                                    ("labels", "label vector", LABEL_TYPES[schema.task], 1)):
+        arrays.append(_load_array(os.path.join(path, f"{prefix}{name}.npy"), what, dtype, ndim))
+        if rows is not None and len(arrays[-1]) != rows:
+            raise FormatError(f"{path}: row counts disagree with the sidecar: "
+                              f"{prefix}{name}.npy holds {len(arrays[-1])} rows, not {rows}")
+    features, labels = arrays
+    error = _label_error(labels, schema)
+    if error:
+        raise FormatError(f"{os.path.join(path, f'{prefix}labels.npy')}: {error}")
+    # Dataset checks the row counts, the width against the schema and the
+    # finiteness of the features.
+    with fields(os.path.join(path, f"{prefix}features.npy"), "dataset"):
+        return Dataset(features, labels, schema, stats)
+
+
 def load_dataset(path) -> Dataset:
     """Inverse of :func:`save_dataset`; features and labels round-trip
     bit-exactly, and every malformed file is a FormatError."""
     meta, schema = _load_meta(os.path.join(path, "meta.json"))
-    features = _load_array(os.path.join(path, "features.npy"), "feature matrix", np.float64, 2)
-    labels_path = os.path.join(path, "labels.npy")
-    labels = _load_array(labels_path, "label vector", LABEL_TYPES[schema.task], 1)
-    error = _label_error(labels, schema)
-    if error:
-        raise FormatError(f"{labels_path}: {error}")
-    # Dataset checks the row counts, the width against the schema and the
-    # finiteness of the features.
-    with fields(path, "dataset"):
-        return Dataset(features, labels, schema, meta.get("stats"))
+    return _load_arrays(path, schema, meta.get("stats"))
 
 
 def save_split(pair: SplitPair, path) -> None:
-    """Persist a split as two CSVs plus a JSON sidecar in one directory."""
+    """Persist a split in one directory: each side's features and labels as
+    ``<side>_features.npy`` and ``<side>_labels.npy``, and a JSON sidecar.
+    Each side is also exported as ``<side>.csv``, which nothing reads back."""
     os.makedirs(path, exist_ok=True)
-    _write_dataset_csv(pair.d_in, os.path.join(path, "d_in.csv"))
-    _write_dataset_csv(pair.d_ood, os.path.join(path, "d_ood.csv"))
+    for side, dataset in (("d_in", pair.d_in), ("d_ood", pair.d_ood)):
+        _save_arrays(dataset, path, f"{side}_")
+        _write_dataset_csv(dataset, os.path.join(path, f"{side}.csv"))
     meta = {
         "schema-version": SCHEMA_VERSION,
         "threshold": pair.threshold,
@@ -684,18 +655,17 @@ def save_split(pair: SplitPair, path) -> None:
 
 def load_split(path) -> SplitPair:
     """Inverse of :func:`save_split`; features, labels and threshold
-    round-trip bit-exactly.  The sidecar's ``threshold`` must be a finite
-    number and its ``m`` and ``n`` the row counts of ``d_in.csv`` and
-    ``d_ood.csv``.  Each CSV is read by :func:`_read_side`: one numpy call
-    parses its body, and a file that the writer would not have written is
-    a FormatError naming it."""
+    round-trip bit-exactly.  Only the sidecar and the ``.npy`` arrays are
+    read.  The sidecar's ``threshold`` must be a finite number and its ``m``
+    and ``n`` the row counts of the ``d_in`` and ``d_ood`` sides; every
+    malformed file is a FormatError naming it."""
     threshold, sides = _load_sides(path, ("d_in", "d_ood"))
     return SplitPair(*sides, threshold=threshold)
 
 
 def load_split_in(path) -> Dataset:
     """:func:`load_split`'s ``d_in`` side, checked against ``m``, without
-    reading ``d_ood.csv``."""
+    reading the ``d_ood`` files."""
     return _load_sides(path, ("d_in",))[1][0]
 
 
@@ -707,12 +677,7 @@ def _load_sides(path, sides) -> tuple[float, list[Dataset]]:
     if not is_finite_number(threshold):
         raise FormatError(f"{sidecar}: threshold must be a finite number, got {threshold!r}")
     for count in counts.values():
-        if not is_integer(count):  # 40.0 would pass the comparison with the CSVs' counts
+        if not is_integer(count):  # 40.0 would pass the comparison with the arrays' rows
             raise FormatError(f"{sidecar}: row counts must be integers, got {count!r}")
-    read = [_read_side(os.path.join(path, f"{side}.csv"), schema, meta.get("stats"))
-            for side in sides]
-    for side, dataset in zip(sides, read):
-        if dataset.n != counts[side]:
-            raise FormatError(f"{path}: row counts disagree with the sidecar: "
-                              f"{side}.csv holds {dataset.n} rows, not {counts[side]}")
-    return float(threshold), read
+    return float(threshold), [_load_arrays(path, schema, meta.get("stats"), f"{side}_",
+                                           counts[side]) for side in sides]

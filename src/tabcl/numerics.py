@@ -175,8 +175,10 @@ def plain_number(value):
     return value if value is None else int(value) if is_integer(value) else float(value)
 
 
-def check_finite(a: Array, where: str) -> Array:
-    """Raise :class:`NumericError` naming ``where`` if any entry is non-finite."""
-    if not np.isfinite(a).all():
+def check_finite(a: Array, where: str, mask: Array | None = None) -> Array:
+    """Raise :class:`NumericError` naming ``where`` if any entry is non-finite.
+    ``mask``, a 1-D bool array of at least ``a.size`` entries, takes the
+    test's result instead of a fresh array."""
+    if not np.isfinite(a, out=None if mask is None else mask[: a.size].reshape(a.shape)).all():
         raise NumericError(f"non-finite values in {where}")
     return a

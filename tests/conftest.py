@@ -3,6 +3,7 @@
 import base64
 import csv
 import importlib.util
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -131,3 +132,53 @@ TOO_LARGE_COLUMNS = {
     "std overflows": [k * 1e200 for k in range(1, 31)],
     "mean overflows": [1e308 + k * 1e306 for k in range(30)],
 }
+
+
+def _resave(change):
+    """A change that stores ``change(array)`` in place of a file's array."""
+    return lambda path: np.save(path, change(np.load(path)), allow_pickle=True)
+
+
+def _first_set_to(value):
+    def change(a):
+        a = a.copy()
+        a.flat[0] = value
+        return a
+    return change
+
+
+# Changes to one array of a stored split side, each refused with a
+# FormatError naming the file: case -> (the array, its change, error text).
+SPLIT_SIDE_CASES = {
+    "features missing": ("features", Path.unlink, "cannot read feature matrix"),
+    "labels missing": ("labels", Path.unlink, "cannot read label vector"),
+    "features truncated": ("features", lambda p: p.write_bytes(p.read_bytes()[:-8]),
+                           "corrupt feature matrix"),
+    "labels cut in header": ("labels", lambda p: p.write_bytes(p.read_bytes()[:20]),
+                             "corrupt label vector"),
+    "features pickled": ("features", lambda p: p.write_bytes(pickle.dumps(np.load(p))),
+                         "corrupt feature matrix"),
+    "labels object dtype": ("labels", _resave(lambda a: a.astype(object)), "corrupt label vector"),
+    "features float32": ("features", _resave(lambda a: a.astype(np.float32)),
+                         "is 2-D float32, expected 2-D float64"),
+    "labels float64": ("labels", _resave(lambda a: a.astype(np.float64)),
+                       "is 1-D float64, expected 1-D int64"),
+    "features 1-D": ("features", _resave(lambda a: a[:, 0]), "is 1-D float64, expected 2-D"),
+    "labels 2-D": ("labels", _resave(lambda a: a[:, None]), "is 2-D int64, expected 1-D"),
+    "features one row more": ("features", _resave(lambda a: a[[0, *range(len(a))]]),
+                              "row counts disagree with the sidecar"),
+    "labels one row fewer": ("labels", _resave(lambda a: a[1:]),
+                             "row counts disagree with the sidecar"),
+    "class index out of range": ("labels", _resave(_first_set_to(-1)), "class index -1 outside"),
+    "features non-finite": ("features", _resave(_first_set_to(np.nan)), "non-finite"),
+}
+
+
+def spoil_split_side(directory, side: str, case: str) -> tuple[str, str]:
+    """Make ``SPLIT_SIDE_CASES[case]``'s change to ``side``'s arrays in the
+    stored split ``directory``: the changed file's name, and the text that
+    its refusal holds."""
+    array, change, text = SPLIT_SIDE_CASES[case]
+    name = f"{side}_{array}.npy"
+    change(Path(directory) / name)
+    return name, text

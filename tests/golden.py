@@ -10,9 +10,10 @@ Each case runs one perfbench workload's input (seeds 0-2) through
 ``perfbench/child.py`` runs, on the sources under ``src`` and at one BLAS
 thread.  Timing fields are dropped from ``trace.json`` (``seconds``,
 ``epoch_seconds``) and ``report.json`` (``t_seconds``, ``tradeoff``,
-``stage_seconds``, ``constraints.t_inference_seconds``).  A split side is
-hashed by the arrays it decodes to, so a change of its file format alone
-keeps its digest.  Every other file is hashed as its bytes.
+``stage_seconds``, ``constraints.t_inference_seconds``).  A split side's
+CSV export is hashed by the arrays it decodes to (``oracles.read_split_csv``).
+Every other file, the split's ``.npy`` arrays among them, is hashed as its
+bytes.
 
 The digests hold on one host only: the file records the numpy version, the
 BLAS build and the CPU model they were written with (``fingerprint``).
@@ -73,14 +74,16 @@ def file_digest(path: Path) -> str:
 
 
 def split_digests(split_dir: Path, rel: str) -> dict:
-    """Each side of a stored split, by the arrays it decodes to."""
-    from tabcl.data import load_split
+    """Each side's CSV export of a stored split, by the arrays it decodes to."""
+    from oracles import read_split_csv
 
-    pair = load_split(split_dir)
+    from tabcl.data import load_split_in
+
+    schema = load_split_in(split_dir).schema
     out = {}
-    for side, dataset in (("d_in.csv", pair.d_in), ("d_ood.csv", pair.d_ood)):
+    for side in ("d_in.csv", "d_ood.csv"):
         h = hashlib.sha256()
-        for a in (dataset.features, dataset.labels):
+        for a in read_split_csv(split_dir / side, schema):
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(np.ascontiguousarray(a).tobytes())
         out[f"{rel}/{side}"] = h.hexdigest()

@@ -8,14 +8,18 @@ residuals and row dots it forms anyway, and the tests hold it to their bits.
 :func:`ref_decode`, so the finite-difference checks of the analytic
 gradients do not run the code they check.  :func:`hessian_product` is the
 logistic fit's Hessian-vector product in float64, the reference for the
-package's float32 one.
+package's float32 one.  :func:`read_split_csv` reads a split side's CSV
+export, which the package writes and never reads back.
 """
 
+import csv
+import warnings
 from typing import Callable
 
 import numpy as np
 
 from tabcl.contrastive import LEAKY_SLOPE, TclModel, encode
+from tabcl.data import LABEL_TYPES
 from tabcl.exceptions import NumericError
 from tabcl.numerics import RngStream
 
@@ -131,3 +135,24 @@ def replace_params(model: TclModel, vector: np.ndarray) -> TclModel:
     """New model of ``model``'s config holding a copy of the flat ``vector``
     (laid out as :attr:`TclModel.vector`), in the vector's dtype."""
     return TclModel(model.config, np.array(vector))
+
+
+def read_split_csv(path, schema) -> tuple[Array, Array]:
+    """The features and labels of a split side's CSV export, as strictly as
+    the writer writes it; anything else raises ValueError or numpy's warning.
+
+    ``csv.reader`` reads the header, so a quoted encoded name matches, and
+    the header must be the schema's encoded names and target.  One
+    ``np.loadtxt`` call parses the body, and any warning it gives is an
+    error: numpy 1.x reads a class label such as ``1.0`` as 1 and only
+    warns."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = [name.strip() for name in next(csv.reader(fh), ())]
+        if header != [*schema.encoded_names(), schema.target]:
+            raise ValueError(f"{path}: header does not match the stored schema")
+        lines = fh.read().split("\n")
+    dtype = [("f", np.float64, (len(header) - 1,)), ("y", LABEL_TYPES[schema.task])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+    return table["f"].copy(), table["y"].copy()  # C-contiguous

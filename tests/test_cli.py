@@ -23,8 +23,8 @@ from tabcl.heads import load_head
 from tabcl.numerics import STREAMS, RngStream
 
 from conftest import (
-    TOO_LARGE_COLUMNS, numeric_schema, params_block, shifted_cluster_data,
-    write_classification_csv,
+    SPLIT_SIDE_CASES, TOO_LARGE_COLUMNS, numeric_schema, params_block, shifted_cluster_data,
+    spoil_split_side, write_classification_csv,
 )
 
 
@@ -478,22 +478,6 @@ class TestExitCodes:
         write_json(split_dir / "meta.json", dict(meta, m=meta["m"] + 1))
         assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
         assert f"{split_dir}: row counts disagree with the sidecar" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("token", ["oops", "1_0", "１", '"1.5"', "inf", "nan", "1e400",
-                                       "1.0", "2", "-1"])
-    def test_hand_changed_split_cell_is_3(self, tmp_path, ds_dir, token, capsys):
-        # train reads d_in.csv alone; test_data covers load_split on d_ood.csv
-        split_dir = tmp_path / "split"
-        scores = write_json(tmp_path / "scores.json", {"scores": self.SCORES})
-        assert run(["split", ds_dir, scores, "--out", split_dir]) == 0
-        path = split_dir / "d_in.csv"
-        lines = path.read_bytes().decode().split("\r\n")
-        cells = lines[1].split(",")
-        cells[-1 if token in ("1.0", "2", "-1") else 0] = token  # a label of 2 classes, or x0
-        lines[1] = ",".join(cells)
-        path.write_bytes("\r\n".join(lines).encode())
-        assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
-        assert capsys.readouterr().err.startswith(f"data error: {path}: ")
 
     def test_well_formed_model_embeds(self, tmp_path, ds_dir):
         path = write_json(tmp_path / "model.json", self.MODEL)
@@ -1296,17 +1280,21 @@ class TestOneSubcommandParser:
         assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
     def test_only_the_named_subcommand_gets_arguments(self):
-        (action,) = (a for a in build_parser("split")._actions
-                     if isinstance(a, argparse._SubParsersAction))
-        assert set(action.choices) == set(OPTIONS)
-        for command, parser in action.choices.items():
-            declared = {s for a in parser._actions for s in a.option_strings}
-            assert declared == (OPTIONS[command] if command == "split" else set()) | {"-h", "--help"}
+        """The other subcommands are not built at all, and what the full
+        parser would print is left to it."""
+        parser = build_parser("split")
+        (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(action.choices) == ["split"]
+        declared = {s for a in action.choices["split"]._actions for s in a.option_strings}
+        assert declared == OPTIONS["split"] | {"-h", "--help"}
+        for argv in (["train", "ds"], ["split", "ds"], ["split", "-h"], ["-h"]):
+            with pytest.raises(cli._Unparsed):
+                parser.parse_args(argv)
 
 
 class TestTrainReadsTheIdSide:
-    """``train`` on a split directory reads ``d_in.csv`` and the sidecar,
-    and never ``d_ood.csv``."""
+    """``train`` on a split directory reads the ``d_in`` arrays and the
+    sidecar, and never the ``d_ood`` arrays or either CSV export."""
 
     @pytest.fixture
     def split_dir(self, tmp_path, ds_dir, scores_json):
@@ -1321,12 +1309,13 @@ class TestTrainReadsTheIdSide:
 
     def test_model_without_d_ood_or_with_a_bad_cell_in_it(self, tmp_path, split_dir):
         want = self.trained(split_dir, tmp_path / "intact")
-        path = split_dir / "d_ood.csv"
-        lines = path.read_bytes().split(b"\r\n")
-        lines[1] = b"oops," + lines[1].split(b",", 1)[1]
-        path.write_bytes(b"\r\n".join(lines))
+        for name in ("d_in.csv", "d_ood.csv"):
+            (split_dir / name).unlink()
+        assert self.trained(split_dir, tmp_path / "no-csv") == want
+        spoil_split_side(split_dir, "d_ood", "features non-finite")
         assert self.trained(split_dir, tmp_path / "bad-cell") == want
-        path.unlink()
+        for name in ("d_ood_features.npy", "d_ood_labels.npy"):
+            (split_dir / name).unlink()
         assert self.trained(split_dir, tmp_path / "no-d_ood") == want
 
     @pytest.mark.parametrize("extra", [1, -1])
@@ -1334,11 +1323,28 @@ class TestTrainReadsTheIdSide:
                                                          capsys):
         meta = json.loads((split_dir / "meta.json").read_text())
         write_json(split_dir / "meta.json", dict(meta, m=meta["m"] + extra))
-        (split_dir / "d_ood.csv").unlink()
+        for name in ("d_ood_features.npy", "d_ood_labels.npy"):
+            (split_dir / name).unlink()
         assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
         assert capsys.readouterr().err == (
-            f"data error: {split_dir}: row counts disagree with the sidecar: d_in.csv holds "
-            f"{meta['m']} rows, not {meta['m'] + extra}\n")
+            f"data error: {split_dir}: row counts disagree with the sidecar: d_in_features.npy "
+            f"holds {meta['m']} rows, not {meta['m'] + extra}\n")
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_SIDE_CASES))
+    def test_bad_d_in_array_is_3_naming_the_file(self, tmp_path, split_dir, case, capsys):
+        name, text = spoil_split_side(split_dir, "d_in", case)
+        assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and name in err and text in err
+        assert not (tmp_path / "run").exists()
+
+    def test_split_of_csvs_alone_is_3_naming_a_missing_array(self, tmp_path, split_dir, capsys):
+        """A split stored before its sides were ``.npy`` arrays."""
+        for path in split_dir.glob("*.npy"):
+            path.unlink()
+        assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: cannot read feature matrix {split_dir / 'features.npy'}: ")
 
 
 class TestStreams:

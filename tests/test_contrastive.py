@@ -1,6 +1,7 @@
 import base64
 import json
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1071,6 +1072,46 @@ class TestBlockedInference:
         assert same_bits(x, x_before)
         for key in PARAM_KEYS:
             assert same_bits(model.params[key], params_before[key]), key
+
+    def test_threads_get_the_bits_of_sequential_calls(self):
+        """Each thread has its own scratch: two threads embedding inputs of
+        different shapes with one model, over and over, get the bits that
+        one thread gets."""
+        model = small_model(d=7, h=50, k=9)
+        rng = RngStream(103, 0)
+        xs = [rng.normal(3 * block_rows(model) + 17, 7), rng.normal(block_rows(model) - 1, 7)]
+        want = [embed(model, x) for x in xs]
+        start, same = threading.Barrier(2), [[], []]
+
+        def work(i):
+            start.wait()
+            same[i] = [same_bits(embed(model, xs[i]), want[i]) for _ in range(30)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert same == [[True] * 30, [True] * 30]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_second_call_of_a_shape_allocates_only_its_output(self, dtype):
+        """The cast input, the first product, the block scratch and the
+        finite checks' mask are kept from the first call."""
+        model = in_dtype(init_model(TclConfig(input_dim=48, seed=0)), dtype)
+        x = RngStream(104, 0).normal(4 * block_rows(model) + 17, 48).astype(np.float32)
+        embed(model, x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            e = embed(model, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert e.base is None  # no view of the scratch
+        # besides the output: numpy's buffer of 8192 items for an in-place
+        # broadcast, and small objects
+        assert e.nbytes <= peak <= e.nbytes + 8192 * e.itemsize + 16 * 1024
 
 
 class TestWorkArrays:

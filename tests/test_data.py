@@ -35,7 +35,10 @@ from tabcl.data import (
 from tabcl.exceptions import ConfigError, FormatError
 from tabcl.numerics import RngStream
 
-from conftest import TOO_LARGE_COLUMNS, load_workloads, numeric_schema
+from conftest import (
+    SPLIT_SIDE_CASES, TOO_LARGE_COLUMNS, load_workloads, numeric_schema, spoil_split_side,
+)
+from oracles import read_split_csv
 
 
 def write(path, text):
@@ -822,24 +825,53 @@ class TestSplitPersistence:
         with pytest.raises(FormatError, match="schema-version"):
             load_split(tmp_path / "split")
 
+    def test_directory_holds_the_arrays_the_sidecar_and_the_csv_export(self, tmp_path):
+        save_split(build_pair(), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "d_in.csv", "d_in_features.npy", "d_in_labels.npy",
+            "d_ood.csv", "d_ood_features.npy", "d_ood_labels.npy", "meta.json",
+        ]
+
+    def test_csv_export_is_never_read(self, tmp_path):
+        pair = build_pair()
+        save_split(pair, tmp_path)
+        for side in ("d_in", "d_ood"):
+            (tmp_path / f"{side}.csv").unlink()
+        loaded = load_split(tmp_path)
+        for side in ("d_in", "d_ood"):
+            assert bits(getattr(loaded, side).features) == bits(getattr(pair, side).features)
+            assert getattr(loaded, side).labels.tobytes() == getattr(pair, side).labels.tobytes()
+
+    def test_split_of_csvs_alone_names_the_missing_array(self, tmp_path):
+        """A split stored before its sides were ``.npy`` arrays."""
+        save_split(build_pair(), tmp_path)
+        for path in tmp_path.glob("*.npy"):
+            path.unlink()
+        missing = re.escape(str(tmp_path / "d_in_features.npy"))
+        with pytest.raises(FormatError, match=f"^cannot read feature matrix {missing}: "):
+            load_split(tmp_path)
+
+    @pytest.mark.parametrize("side", ["d_in", "d_ood"])
+    @pytest.mark.parametrize("case", sorted(SPLIT_SIDE_CASES))
+    def test_bad_side_array_is_refused_naming_the_file(self, tmp_path, case, side):
+        save_split(build_pair(), tmp_path)
+        name, text = spoil_split_side(tmp_path, side, case)
+        with pytest.raises(FormatError) as exc:
+            load_split(tmp_path)
+        assert name in str(exc.value) and text in str(exc.value)
+
     @pytest.mark.parametrize("text, message", [
-        ("x0,x1,x2,y\r\n", r"d_ood\.csv: no data rows"),
-        ("x0,x1,x2,y\r\n\r\n\r\n", r"d_ood\.csv: no data rows"),
+        ("x0,x1,x2,y\r\n", "input contained no data"),
+        ("x0,x1,x2,y\r\n\r\n\r\n", "input contained no data"),
         ("x0,x1,x3,y\r\n1,2,3,0\r\n", r"d_ood\.csv: header does not match the stored schema"),
     ], ids=["header-only", "blank-lines-only", "other-header"])
     def test_side_without_rows_or_with_another_header_is_refused(self, tmp_path, text, message):
-        save_split(build_pair(), tmp_path)
+        """By the CSV export's reader in tests/oracles.py."""
+        pair = build_pair()
+        save_split(pair, tmp_path)
         (tmp_path / "d_ood.csv").write_bytes(text.encode())
-        with pytest.raises(FormatError, match=message):
-            load_split(tmp_path)
-
-    def test_body_line_beyond_csv_field_limit_loads(self, tmp_path):
-        save_split(build_pair(n_ood=1), tmp_path)
-        long_zero = "0." + "0" * csv.field_size_limit() + "1"  # numpy reads it as 0.0
-        (tmp_path / "d_ood.csv").write_text(f"x0,x1,x2,y\r\n{long_zero},0,0,1\r\n")
-        loaded = load_split(tmp_path).d_ood
-        assert bits(loaded.features) == bits([[0.0, 0.0, 0.0]])
-        assert loaded.labels.tolist() == [1]
+        with pytest.raises((ValueError, UserWarning), match=message):
+            read_split_csv(tmp_path / "d_ood.csv", pair.d_ood.schema)
 
     def test_anomalous_flag(self):
         pair = build_pair(m=10, n_ood=30)
@@ -955,8 +987,8 @@ NUMPY_VALUE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from([" 2 ", "+.5", "1e5", "-0", "5e-324", "1E-5", "\t-3.25"]),
 )
-# Python's float reads these too, and so does ingest; a stored split, read
-# by numpy, refuses them.  "1.5\n" is a cell that csv.writer quotes.
+# Python's float reads these too, and so does ingest; the CSV export's
+# reader, numpy's, refuses them.  "1.5\n" is a cell that csv.writer quotes.
 VALUE = st.one_of(NUMPY_VALUE, st.sampled_from(["1_0", "１", "1.5\n"]))
 CELL = st.one_of(VALUE, st.sampled_from(sorted(MISSING_TOKENS)))
 BAD = st.lists(
@@ -972,21 +1004,11 @@ def with_bad(rows, bad):
     return rows
 
 
-def stored_split(directory, schema, header, rows):
-    """A split directory whose ``d_in.csv`` holds ``rows`` as written and
-    whose sidecar agrees with their count."""
-    width = len(header) - 1
-    labels = np.zeros(1) if schema.task == "regression" else np.zeros(1, np.int64)
-    side = Dataset(np.zeros((1, width)), labels, schema, None)
-    pair = SplitPair(side.take([0] * len(rows)), side, threshold=0.5)
-    save_split(pair, directory)
-    write_rows(Path(directory) / "d_in.csv", header, rows)
-    return directory
-
-
-def saved_regression(directory, rows):
-    """A split directory whose ``d_in.csv`` holds ``rows`` as written."""
-    return stored_split(directory, REGRESSION, HEADER, rows)
+def stored_csv(directory, header, rows):
+    """``rows`` as written under ``header``, in ``directory``'s ``d_in.csv``."""
+    path = Path(directory) / "d_in.csv"
+    write_rows(path, header, rows)
+    return path
 
 
 class TestBulkParse:
@@ -1007,10 +1029,11 @@ class TestBulkParse:
     @given(st.lists(st.tuples(NUMPY_VALUE, NUMPY_VALUE, NUMPY_VALUE, NUMPY_VALUE),
                     min_size=1, max_size=15))
     def test_load_matches_per_cell_reference(self, rows):
+        """The CSV export's reader in tests/oracles.py reads what ``float`` reads."""
         with tempfile.TemporaryDirectory() as tmp:
-            ds = load_split(saved_regression(tmp, rows)).d_in
-        assert bits(ds.features) == bits([[float(c) for c in r[:3]] for r in rows])
-        assert bits(ds.labels) == bits([float(r[3]) for r in rows])
+            features, labels = read_split_csv(stored_csv(tmp, HEADER, rows), REGRESSION)
+        assert bits(features) == bits([[float(c) for c in r[:3]] for r in rows])
+        assert bits(labels) == bits([float(r[3]) for r in rows])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(VALUE, VALUE, VALUE, VALUE), min_size=1, max_size=15), BAD)
@@ -1032,28 +1055,28 @@ class TestBulkParse:
                 encode_features(read_csv(path), REGRESSION, IDENTITY_STATS)
         assert str(exc.value) == expected
 
-    @pytest.mark.parametrize("schema, label, message", [
-        (REGRESSION, "inf", "non-finite target"),
-        (REGRESSION, "nan", "non-finite target"),
-        (numeric_schema(3), "2", "class index 2 outside [0, 2)"),
-        (numeric_schema(3), "-1", "class index -1 outside [0, 2)"),
-        # numpy 2 refuses these in its own words; numpy 1.x reads them through
-        # float as 1, with a DeprecationWarning
-        (numeric_schema(3), "1.0", None),
-        (numeric_schema(3), "1e0", None),
+    @pytest.mark.parametrize("schema, labels, message", [
+        (REGRESSION, [0.0, np.inf], "non-finite target"),
+        (REGRESSION, [0.0, np.nan], "non-finite target"),
+        (numeric_schema(3), np.array([0, 2]), "class index 2 outside [0, 2)"),
+        (numeric_schema(3), np.array([0, -1]), "class index -1 outside [0, 2)"),
+        # class indices of another dtype than int64
+        (numeric_schema(3), np.array([0.0, 1.0]), "is 1-D float64, expected 1-D int64"),
+        (numeric_schema(3), np.array([0, 1e0], np.float32), "is 1-D float32, expected 1-D int64"),
     ], ids=["inf-target", "nan-target", "class-2-of-2", "class-minus-1", "class-1.0", "class-1e0"])
-    def test_label_that_numpy_reads_is_still_refused(self, tmp_path, schema, label, message):
-        stored_split(tmp_path, schema, HEADER, [["1", "2", "3", "0"], ["4", "5", "6", label]])
-        path = re.escape(str(tmp_path / "d_in.csv"))
-        expected = re.escape(message) + "$" if message else ""
-        with pytest.raises(FormatError, match=f"^{path}: {expected}"):
+    def test_label_that_numpy_reads_is_still_refused(self, tmp_path, schema, labels, message):
+        side = Dataset(np.zeros((2, 3)), np.zeros(2), schema, None)
+        save_split(SplitPair(side, side, threshold=0.5), tmp_path)
+        path = tmp_path / "d_in_labels.npy"
+        np.save(path, np.asarray(labels))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}$"):
             load_split(tmp_path)
 
     def test_a_warning_from_numpy_refuses_the_file(self, tmp_path, monkeypatch):
         """A numpy that reads a class label ``1.0`` as 1 and only warns (as
-        numpy 1.x does) must not make the file acceptable."""
-        stored_split(tmp_path, numeric_schema(3), HEADER,
-                     [["1", "2", "3", "0"], ["4", "5", "6", "1.0"]])
+        numpy 1.x does) must not make the CSV export's reader in
+        tests/oracles.py accept it."""
+        path = stored_csv(tmp_path, HEADER, [["1", "2", "3", "0"], ["4", "5", "6", "1.0"]])
         loadtxt = np.loadtxt
 
         def warning_loadtxt(lines, **kwargs):
@@ -1062,33 +1085,8 @@ class TestBulkParse:
             return loadtxt([line.replace("1.0", "1") for line in lines], **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
-        with pytest.raises(FormatError, match=r"d_in\.csv: loadtxt\(\): Parsing an integer via a float"):
-            load_split(tmp_path)
-
-    def test_bad_class_index_comes_after_its_row_features(self, tmp_path):
-        stored_split(tmp_path, numeric_schema(2), ["x0", "x1", "y"],
-                     [["1", "2", "0"], ["3", "4", "x"], ["bad", "5", "1"]])
-        with pytest.raises(FormatError, match=r"d_in\.csv: .*'x'"):  # numpy reads row by row
-            load_split(tmp_path)
-
-    @pytest.mark.parametrize("rows, line", [
-        ([["1.0", "2.0", "0"], ["3.0", "oops", "1"]], 3),
-        ([["1.0", "2.0", "0"], ["3.0", "1"]], 3),
-        ([["1.0", "2.0", "0"], [], ["3.0", "oops", "1"]], 4),
-    ], ids=["bad-cell", "short-row", "after-a-blank-line"])
-    def test_refusal_names_the_line_of_the_file(self, tmp_path, rows, line):
-        """numpy counts a bad cell's row from 0 and a short row's from 1,
-        both from the first body line; the error names the file's line."""
-        stored_split(tmp_path, numeric_schema(2), ["x0", "x1", "y"], rows)
-        with pytest.raises(FormatError, match=rf"d_in\.csv: .* at line {line}\b") as exc:
-            load_split(tmp_path)
-        assert "row" not in str(exc.value)
-
-
-# Cells a hand edit may leave in a stored split side, every one refused.
-# The label tokens are numbers that are not a class index of 2 classes.
-CHANGED_CELL = ["oops", "1_0", "１", '"1.5"', "inf", "nan", "1e400"]
-CHANGED_LABEL = ["1.0", "2", "-1"]
+        with pytest.raises(DeprecationWarning, match=r"loadtxt\(\): Parsing an integer via a float"):
+            read_split_csv(path, numeric_schema(3))
 
 
 def stored_value():
@@ -1113,9 +1111,10 @@ def drawn_pair(draws, task, max_width=5):
 
 
 class TestSplitSide:
-    """A stored split side is read by one numpy parse: what the writer
-    writes loads bit-exactly, and a hand-changed cell is refused with a
-    FormatError that names the side."""
+    """A stored split side is two ``.npy`` arrays: what the writer writes
+    loads bit-exactly, its CSV export decodes to the same bits, and a
+    changed cell that the dataset checks refuse is a FormatError naming
+    the file."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.sampled_from(["classification", "regression"]))
@@ -1134,29 +1133,61 @@ class TestSplitSide:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.sampled_from(["classification", "regression"]),
-           st.sampled_from(["d_in.csv", "d_ood.csv"]))
+           st.sampled_from(["d_in", "d_ood"]))
     def test_changed_cell_is_refused_naming_the_side(self, draws, task, side):
         pair = drawn_pair(draws, task, max_width=3)
-        dataset = pair.d_in if side == "d_in.csv" else pair.d_ood
+        dataset = getattr(pair, side)
         row = draws.draw(st.integers(0, dataset.n - 1), label="row")
         column = draws.draw(st.integers(0, dataset.d), label="column")  # d: the label
-        tokens = CHANGED_CELL
-        if column == dataset.d and task == "classification":
-            tokens = CHANGED_CELL + CHANGED_LABEL
-        token = draws.draw(st.sampled_from(tokens), label="token")
+        if column < dataset.d or task == "regression":
+            values = [np.nan, np.inf, -np.inf]
+        else:
+            values = [-1, 2]
+        value = draws.draw(st.sampled_from(values), label="value")
+        name = "labels" if column == dataset.d else "features"
         with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, f"{side}_{name}.npy")
             save_split(pair, tmp)
-            path = os.path.join(tmp, side)
-            with open(path, encoding="utf-8", newline="") as fh:
-                lines = fh.read().split("\r\n")
-            cells = lines[1 + row].split(",")
-            cells[column] = token
-            lines[1 + row] = ",".join(cells)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\r\n".join(lines))
+            array = np.load(path)
+            if name == "labels":
+                array[row] = value
+            else:
+                array[row, column] = value
+            np.save(path, array)
             with pytest.raises(FormatError) as exc:
                 load_split(tmp)
         assert str(exc.value).startswith(f"{path}: ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["classification", "regression"]))
+    def test_csv_export_decodes_to_the_arrays(self, draws, task):
+        """tests/oracles.py reads the export as strictly as it is written."""
+        ds = draws.draw(mixed_dataset(task))
+        for pair in (SplitPair(ds, ds.take([0]), threshold=0.5), drawn_pair(draws, task)):
+            with tempfile.TemporaryDirectory() as tmp:
+                save_split(pair, tmp)
+                assert_export_decodes_to_the_arrays(tmp)
+
+    @pytest.mark.parametrize("workload", ["train-wide", "gate-tall", "cli-regression"])
+    def test_csv_export_of_the_benchmark_tables(self, tmp_path, workload):
+        workloads = load_workloads()
+        path, _ = workloads.generate(workload, 3, str(tmp_path))
+        dataset = ingest_csv(path, target=workloads.WORKLOADS[workload]["target"])
+        save_split(SplitPair(*split(dataset, RngStream(3, 0)), threshold=0.5), tmp_path / "split")
+        assert_export_decodes_to_the_arrays(tmp_path / "split")
+
+
+def assert_export_decodes_to_the_arrays(directory):
+    """Each side's CSV export in the stored split ``directory`` decodes to
+    the bits of the side's ``.npy`` arrays."""
+    pair = load_split(directory)
+    for side in ("d_in", "d_ood"):
+        dataset = getattr(pair, side)
+        features, labels = read_split_csv(Path(directory) / f"{side}.csv", dataset.schema)
+        assert features.dtype == dataset.features.dtype and labels.dtype == dataset.labels.dtype
+        assert features.shape == dataset.features.shape
+        assert features.tobytes() == dataset.features.tobytes()
+        assert labels.tobytes() == dataset.labels.tobytes()
 
 
 class TestRowNumbers:
