@@ -108,9 +108,8 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     tcl = _settings(args, "tcl", TCL_KEYS)
     build_config(TclConfig, tcl, "tcl", input_dim=1, seed=args.seed)  # before any artifact is read
-    # a split holds the arrays of its ID side, d_in_features.npy and d_in_labels.npy
-    split = any(os.path.exists(os.path.join(args.data, f"d_in_{name}.npy"))
-                for name in ("features", "labels"))
+    # a split holds its ID side as the dataset directory d_in
+    split = os.path.isdir(os.path.join(args.data, "d_in"))
     data = load_split_in(args.data) if split else load_dataset(args.data)
     out = _out_dir(args)
     model, trace = train(data, tcl, args.seed, out)

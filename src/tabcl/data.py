@@ -7,10 +7,11 @@ and fits the standardization statistics on the file's rows;
 ``encode_features(read_csv(path), schema, stats)`` re-applies a saved
 schema and statistics to another file.  :func:`read_csv` rejects a header
 that names a column twice.  A dataset round-trips through a directory of
-two ``.npy`` arrays plus a JSON sidecar, a split through a directory of
-four ``.npy`` arrays, two per side, plus a JSON sidecar.  Input tables are
-parsed with Python's ``float``.  A split also writes each side as a
-full-precision CSV, an export that nothing here reads back.
+two ``.npy`` arrays plus a JSON sidecar.  A split round-trips through a
+directory holding one such dataset directory per side, ``d_in`` and
+``d_ood``, plus a JSON sidecar of its threshold and row counts.  Input
+tables are parsed with Python's ``float``.  A split also writes each side
+as a full-precision CSV, an export that nothing here reads back.
 """
 
 from __future__ import annotations
@@ -555,35 +556,21 @@ def _write_dataset_csv(dataset: Dataset, path) -> None:
         fh.writelines(map(",".join, zip(*blocks, map("{!r}\r\n".format, labels))))
 
 
-def _save_arrays(dataset: Dataset, path, prefix: str = "") -> None:
-    """Write ``dataset``'s features and labels as ``<prefix>features.npy``
-    and ``<prefix>labels.npy`` in directory ``path``.  Labels are stored as
-    int64 class indices for classification and as float64 targets for
-    regression."""
-    labels = dataset.labels.astype(LABEL_TYPES[dataset.schema.task])
-    for name, array in (("features", dataset.features), ("labels", labels)):
-        with atomic_write(os.path.join(path, f"{prefix}{name}.npy"), binary=True) as fh:
-            np.save(fh, array, allow_pickle=False)
-
-
 def save_dataset(dataset: Dataset, path) -> None:
     """Persist one dataset as ``features.npy``, ``labels.npy`` and
-    ``meta.json`` in directory ``path``."""
+    ``meta.json`` in directory ``path``.  Labels are stored as int64 class
+    indices for classification and as float64 targets for regression."""
     os.makedirs(path, exist_ok=True)
-    _save_arrays(dataset, path)
+    labels = dataset.labels.astype(LABEL_TYPES[dataset.schema.task])
+    for name, array in (("features", dataset.features), ("labels", labels)):
+        with atomic_write(os.path.join(path, f"{name}.npy"), binary=True) as fh:
+            np.save(fh, array, allow_pickle=False)
     meta = {
         "schema-version": SCHEMA_VERSION,
         "schema": dataset.schema.to_dict(),
         "stats": dataset.stats,
     }
     write_json(os.path.join(path, "meta.json"), meta, indent=1)
-
-
-def _load_meta(path) -> tuple[dict, Schema]:
-    """A dataset or split sidecar and the schema it stores."""
-    meta = read_json(path, "dataset sidecar", version=SCHEMA_VERSION)
-    with fields(path, "dataset sidecar"):
-        return meta, Schema.from_dict(meta["schema"])
 
 
 def _load_array(path, what: str, dtype, ndim: int) -> np.ndarray:
@@ -605,79 +592,74 @@ def _load_array(path, what: str, dtype, ndim: int) -> np.ndarray:
     return array
 
 
-def _load_arrays(path, schema: Schema, stats: dict | None, prefix: str = "",
-                 rows: int | None = None) -> Dataset:
-    """The dataset that :func:`_save_arrays` wrote under ``prefix``, each
-    array of ``rows`` rows when given; every malformed file is a FormatError
-    naming it."""
-    arrays = []
-    for name, what, dtype, ndim in (("features", "feature matrix", np.float64, 2),
-                                    ("labels", "label vector", LABEL_TYPES[schema.task], 1)):
-        arrays.append(_load_array(os.path.join(path, f"{prefix}{name}.npy"), what, dtype, ndim))
-        if rows is not None and len(arrays[-1]) != rows:
-            raise FormatError(f"{path}: row counts disagree with the sidecar: "
-                              f"{prefix}{name}.npy holds {len(arrays[-1])} rows, not {rows}")
-    features, labels = arrays
-    error = _label_error(labels, schema)
-    if error:
-        raise FormatError(f"{os.path.join(path, f'{prefix}labels.npy')}: {error}")
-    # Dataset checks the row counts, the width against the schema and the
-    # finiteness of the features.
-    with fields(os.path.join(path, f"{prefix}features.npy"), "dataset"):
-        return Dataset(features, labels, schema, stats)
-
-
 def load_dataset(path) -> Dataset:
     """Inverse of :func:`save_dataset`; features and labels round-trip
-    bit-exactly, and every malformed file is a FormatError."""
-    meta, schema = _load_meta(os.path.join(path, "meta.json"))
-    return _load_arrays(path, schema, meta.get("stats"))
+    bit-exactly, and every malformed file is a FormatError naming it."""
+    sidecar = os.path.join(path, "meta.json")
+    meta = read_json(sidecar, "dataset sidecar", version=SCHEMA_VERSION)
+    if "schema" not in meta and "threshold" in meta:
+        raise FormatError(f"{path} is a split, not a dataset: pass its side "
+                          f"{os.path.join(path, 'd_in')} or {os.path.join(path, 'd_ood')}")
+    with fields(sidecar, "dataset sidecar"):
+        schema = Schema.from_dict(meta["schema"])
+    features_path = os.path.join(path, "features.npy")
+    labels_path = os.path.join(path, "labels.npy")
+    features = _load_array(features_path, "feature matrix", np.float64, 2)
+    labels = _load_array(labels_path, "label vector", LABEL_TYPES[schema.task], 1)
+    error = _label_error(labels, schema)
+    if error:
+        raise FormatError(f"{labels_path}: {error}")
+    # Dataset checks the row counts, the width against the schema and the
+    # finiteness of the features.
+    with fields(features_path, "dataset"):
+        return Dataset(features, labels, schema, meta.get("stats"))
 
 
 def save_split(pair: SplitPair, path) -> None:
-    """Persist a split in one directory: each side's features and labels as
-    ``<side>_features.npy`` and ``<side>_labels.npy``, and a JSON sidecar.
-    Each side is also exported as ``<side>.csv``, which nothing reads back."""
-    os.makedirs(path, exist_ok=True)
+    """Persist a split in directory ``path``: each side as the dataset
+    directory ``d_in`` or ``d_ood`` (:func:`save_dataset`), and a sidecar
+    ``meta.json`` holding the threshold and the sides' row counts ``m`` and
+    ``n``.  Each side is also exported as ``<side>.csv``, which nothing
+    reads back."""
     for side, dataset in (("d_in", pair.d_in), ("d_ood", pair.d_ood)):
-        _save_arrays(dataset, path, f"{side}_")
+        save_dataset(dataset, os.path.join(path, side))
         _write_dataset_csv(dataset, os.path.join(path, f"{side}.csv"))
-    meta = {
-        "schema-version": SCHEMA_VERSION,
-        "threshold": pair.threshold,
-        "m": pair.m,
-        "n": pair.n,
-        "schema": pair.d_in.schema.to_dict(),
-        "stats": pair.d_in.stats,
-    }
+    meta = {"schema-version": SCHEMA_VERSION, "threshold": pair.threshold, "m": pair.m, "n": pair.n}
     write_json(os.path.join(path, "meta.json"), meta, indent=1)
 
 
 def load_split(path) -> SplitPair:
-    """Inverse of :func:`save_split`; features, labels and threshold
-    round-trip bit-exactly.  Only the sidecar and the ``.npy`` arrays are
-    read.  The sidecar's ``threshold`` must be a finite number and its ``m``
-    and ``n`` the row counts of the ``d_in`` and ``d_ood`` sides; every
-    malformed file is a FormatError naming it."""
-    threshold, sides = _load_sides(path, ("d_in", "d_ood"))
-    return SplitPair(*sides, threshold=threshold)
+    """Inverse of :func:`save_split`: the threshold, and each side as
+    :func:`load_dataset` reads it, round-trip bit-exactly.  The sidecar's
+    ``threshold`` must be a finite number, its ``m`` and ``n`` the row
+    counts of the ``d_in`` and ``d_ood`` sides, and the two sides' schemas
+    one schema; every malformed file is a FormatError naming it."""
+    threshold, (d_in, d_ood) = _load_sides(path, ("d_in", "d_ood"))
+    with fields(path, "split"):  # sides of different schemas
+        return SplitPair(d_in, d_ood, threshold)
 
 
 def load_split_in(path) -> Dataset:
     """:func:`load_split`'s ``d_in`` side, checked against ``m``, without
-    reading the ``d_ood`` files."""
+    reading the ``d_ood`` directory."""
     return _load_sides(path, ("d_in",))[1][0]
 
 
 def _load_sides(path, sides) -> tuple[float, list[Dataset]]:
+    """The split sidecar's threshold, and each of ``sides`` as
+    :func:`load_dataset` reads it, whose rows must be the sidecar's count."""
     sidecar = os.path.join(path, "meta.json")
-    meta, schema = _load_meta(sidecar)
-    with fields(sidecar, "dataset sidecar"):
+    meta = read_json(sidecar, "split sidecar", version=SCHEMA_VERSION)
+    with fields(sidecar, "split sidecar"):
         threshold, counts = meta["threshold"], {"d_in": meta["m"], "d_ood": meta["n"]}
     if not is_finite_number(threshold):
         raise FormatError(f"{sidecar}: threshold must be a finite number, got {threshold!r}")
     for count in counts.values():
-        if not is_integer(count):  # 40.0 would pass the comparison with the arrays' rows
+        if not is_integer(count):  # 40.0 would pass the comparison with the sides' rows
             raise FormatError(f"{sidecar}: row counts must be integers, got {count!r}")
-    return float(threshold), [_load_arrays(path, schema, meta.get("stats"), f"{side}_",
-                                           counts[side]) for side in sides]
+    loaded = [load_dataset(os.path.join(path, side)) for side in sides]
+    for side, dataset in zip(sides, loaded):
+        if dataset.n != counts[side]:
+            raise FormatError(f"{path}: row counts disagree with the sidecar: "
+                              f"{side} holds {dataset.n} rows, not {counts[side]}")
+    return float(threshold), loaded

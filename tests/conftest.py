@@ -3,13 +3,16 @@
 import base64
 import csv
 import importlib.util
+import io
+import json
 import pickle
+import shutil
 from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 
-from tabcl.data import Column, Dataset, Schema
+from tabcl.data import Column, Dataset, Schema, _write_dataset_csv, load_dataset
 from tabcl.numerics import RngStream
 
 # Every run draws the same examples: the draws derive from each test's own
@@ -134,12 +137,57 @@ TOO_LARGE_COLUMNS = {
 }
 
 
-def _resave(change):
-    """A change that stores ``change(array)`` in place of a file's array."""
-    return lambda path: np.save(path, change(np.load(path)), allow_pickle=True)
+def _resave(name, change, names=None):
+    """A change that loads ``name``, changes the array, or casts it when
+    ``change`` is a type, and saves it back with pickling allowed.  Its
+    refusal names ``names``, by default the changed file."""
+    def apply(directory):
+        path = directory / name
+        array = np.load(path)
+        array = array.astype(change) if isinstance(change, type) else change(array)
+        np.save(path, array, allow_pickle=True)
+        return directory / (names or name)
+    return apply
 
 
-def _first_set_to(value):
+def _unlink(name):
+    def apply(directory):
+        (directory / name).unlink()
+        return directory / name
+    return apply
+
+
+def _rewrite(name, change):
+    """A change that replaces the bytes of ``name`` with ``change(bytes)``."""
+    def apply(directory):
+        path = directory / name
+        path.write_bytes(change(path.read_bytes()))
+        return path
+    return apply
+
+
+def _as_v1(directory):
+    """The directory as the CSV format of schema-version 1 stored it."""
+    dataset = load_dataset(directory)
+    for name in ("features.npy", "labels.npy"):
+        (directory / name).unlink()
+    _write_dataset_csv(dataset, directory / "data.csv")
+    meta = json.loads((directory / "meta.json").read_text())
+    (directory / "meta.json").write_text(json.dumps(dict(meta, **{"schema-version": 1})))
+    return directory / "meta.json"
+
+
+def _as_pickle(npy: bytes) -> bytes:
+    return pickle.dumps(np.load(io.BytesIO(npy)))
+
+
+def _as_npz(npy: bytes) -> bytes:
+    out = io.BytesIO()
+    np.savez(out, features=np.load(io.BytesIO(npy)))
+    return out.getvalue()
+
+
+def _set_first(value):
     def change(a):
         a = a.copy()
         a.flat[0] = value
@@ -147,38 +195,71 @@ def _first_set_to(value):
     return change
 
 
-# Changes to one array of a stored split side, each refused with a
-# FormatError naming the file: case -> (the array, its change, error text).
-SPLIT_SIDE_CASES = {
-    "features missing": ("features", Path.unlink, "cannot read feature matrix"),
-    "labels missing": ("labels", Path.unlink, "cannot read label vector"),
-    "features truncated": ("features", lambda p: p.write_bytes(p.read_bytes()[:-8]),
-                           "corrupt feature matrix"),
-    "labels cut in header": ("labels", lambda p: p.write_bytes(p.read_bytes()[:20]),
-                             "corrupt label vector"),
-    "features pickled": ("features", lambda p: p.write_bytes(pickle.dumps(np.load(p))),
-                         "corrupt feature matrix"),
-    "labels object dtype": ("labels", _resave(lambda a: a.astype(object)), "corrupt label vector"),
-    "features float32": ("features", _resave(lambda a: a.astype(np.float32)),
+def _width_text(extra: int):
+    """The refusal of a feature matrix ``extra`` columns wider than the
+    schema that the directory's sidecar stores."""
+    def text(directory):
+        schema = Schema.from_dict(json.loads((directory / "meta.json").read_text())["schema"])
+        dim = schema.encoded_dim
+        return f"feature width {dim + extra} does not match schema encoded dim {dim}"
+    return text
+
+
+# Changes to a stored dataset directory of a classification task, whether
+# ingested or one side of a split, each refused with a FormatError:
+# case -> (the change, which returns the file its refusal names; text the
+# refusal holds, or a function of the directory that gives it).
+DATASET_CASES = {
+    "features missing": (_unlink("features.npy"), "cannot read feature matrix"),
+    "labels missing": (_unlink("labels.npy"), "cannot read label vector"),
+    "features empty": (_rewrite("features.npy", lambda b: b""), "corrupt feature matrix"),
+    "labels empty": (_rewrite("labels.npy", lambda b: b""), "corrupt label vector"),
+    "features truncated": (_rewrite("features.npy", lambda b: b[:-8]), "corrupt feature matrix"),
+    "labels cut in header": (_rewrite("labels.npy", lambda b: b[:20]), "corrupt label vector"),
+    "features pickled": (_rewrite("features.npy", _as_pickle), "corrupt feature matrix"),
+    "features object dtype": (_resave("features.npy", object), "corrupt feature matrix"),
+    "labels object dtype": (_resave("labels.npy", object), "corrupt label vector"),
+    "features npz archive": (_rewrite("features.npy", _as_npz), "not a .npy feature matrix"),
+    "features 1-D": (_resave("features.npy", lambda a: a[:, 0]),
+                     "is 1-D float64, expected 2-D float64"),
+    "features float32": (_resave("features.npy", np.float32),
                          "is 2-D float32, expected 2-D float64"),
-    "labels float64": ("labels", _resave(lambda a: a.astype(np.float64)),
-                       "is 1-D float64, expected 1-D int64"),
-    "features 1-D": ("features", _resave(lambda a: a[:, 0]), "is 1-D float64, expected 2-D"),
-    "labels 2-D": ("labels", _resave(lambda a: a[:, None]), "is 2-D int64, expected 1-D"),
-    "features one row more": ("features", _resave(lambda a: a[[0, *range(len(a))]]),
-                              "row counts disagree with the sidecar"),
-    "labels one row fewer": ("labels", _resave(lambda a: a[1:]),
-                             "row counts disagree with the sidecar"),
-    "class index out of range": ("labels", _resave(_first_set_to(-1)), "class index -1 outside"),
-    "features non-finite": ("features", _resave(_first_set_to(np.nan)), "non-finite"),
+    "features too narrow": (_resave("features.npy", lambda a: a[:, 1:]), _width_text(-1)),
+    "features too wide": (_resave("features.npy", lambda a: a[:, [0, *range(a.shape[1])]]),
+                          _width_text(1)),
+    "features no rows": (_resave("features.npy", lambda a: a[:0]), "non-empty"),
+    "features one row more": (_resave("features.npy", lambda a: a[[0, *range(len(a))]]),
+                              "labels length"),
+    "features non-finite": (_resave("features.npy", _set_first(np.nan)), "non-finite"),
+    "features infinite": (_resave("features.npy", _set_first(-np.inf)), "non-finite"),
+    "labels 2-D": (_resave("labels.npy", lambda a: a[:, None]),
+                   "is 2-D int64, expected 1-D int64"),
+    "labels one short": (_resave("labels.npy", lambda a: a[:-1], names="features.npy"),
+                         "labels length"),
+    "labels float64": (_resave("labels.npy", np.float64), "is 1-D float64, expected 1-D int64"),
+    "labels int32": (_resave("labels.npy", np.int32), "is 1-D int32, expected 1-D int64"),
+    "class index out of range": (_resave("labels.npy", _set_first(-1)), "class index -1 outside"),
+    "schema-version 1 with data.csv": (_as_v1, "schema-version 1, expected 2"),
 }
 
 
-def spoil_split_side(directory, side: str, case: str) -> tuple[str, str]:
-    """Make ``SPLIT_SIDE_CASES[case]``'s change to ``side``'s arrays in the
-    stored split ``directory``: the changed file's name, and the text that
-    its refusal holds."""
-    array, change, text = SPLIT_SIDE_CASES[case]
-    name = f"{side}_{array}.npy"
-    change(Path(directory) / name)
-    return name, text
+def spoil(directory, case: str) -> tuple[Path, str]:
+    """Make ``DATASET_CASES[case]``'s change to the dataset ``directory``:
+    the file that its refusal names, and the text that the refusal holds."""
+    change, text = DATASET_CASES[case]
+    directory = Path(directory)
+    return change(directory), text if isinstance(text, str) else text(directory)
+
+
+def as_prefixed_arrays(split_dir: Path) -> None:
+    """Rewrite the stored split ``split_dir`` as a split was stored when its
+    sides were prefixed arrays, ``d_in_features.npy`` and the like, beside
+    one sidecar that also held the schema and the statistics."""
+    side_meta = json.loads((split_dir / "d_in" / "meta.json").read_text())
+    for side in ("d_in", "d_ood"):
+        for name in ("features.npy", "labels.npy"):
+            (split_dir / side / name).rename(split_dir / f"{side}_{name}")
+        shutil.rmtree(split_dir / side)
+    meta = json.loads((split_dir / "meta.json").read_text())
+    meta.update(schema=side_meta["schema"], stats=side_meta["stats"])
+    (split_dir / "meta.json").write_text(json.dumps(meta))

@@ -3,7 +3,7 @@
 Usage::
 
     python tests/golden.py            # print the digests as JSON
-    python tests/golden.py --write    # rewrite tests/golden.json, printing what moved
+    python tests/golden.py --write    # rewrite tests/golden.json, printing what changed
 
 Each case runs one perfbench workload's input (seeds 0-2) through
 ``run_experiment`` and through the seven-subcommand CLI chain that
@@ -12,8 +12,10 @@ thread.  Timing fields are dropped from ``trace.json`` (``seconds``,
 ``epoch_seconds``) and ``report.json`` (``t_seconds``, ``tradeoff``,
 ``stage_seconds``, ``constraints.t_inference_seconds``).  A split side's
 CSV export is hashed by the arrays it decodes to (``oracles.read_split_csv``).
-Every other file, the split's ``.npy`` arrays among them, is hashed as its
-bytes.
+Every other file, the files of each split side's dataset directory among
+them, is hashed as its bytes.  ``--write`` prints one line per digest that
+changed, appeared or went, and a key whose digest reappears under a new key
+as a rename (``old -> new, digest unchanged``).
 
 The digests hold on one host only: the file records the numpy version, the
 BLAS build and the CPU model they were written with (``fingerprint``).
@@ -130,6 +132,26 @@ def case_digests(work: str, name: str, seed: int) -> dict:
     return out
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per key whose digest differs between ``old`` and ``new``,
+    in key order.  A key that went, whose digest a new key holds, is
+    renamed to it; keys that share one digest pair off in key order."""
+    gone = {}
+    for key in sorted(old.keys() - new.keys()):
+        gone.setdefault(old[key], []).append(key)
+    renamed = {}
+    for key in sorted(new.keys() - old.keys()):
+        if gone.get(new[key]):
+            renamed[gone[new[key]].pop(0)] = key
+    lines = []
+    for key in sorted((old.keys() | new.keys()) - set(renamed.values())):
+        if key in renamed:
+            lines.append(f"{key} -> {renamed[key]}, digest unchanged")
+        elif old.get(key) != new.get(key):
+            lines.append(f"{key}: {old.get(key, '(none)')} -> {new.get(key, '(none)')}")
+    return lines
+
+
 def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]  # spawned workers get it too
     from workloads import WORKLOADS
@@ -143,10 +165,8 @@ def main() -> int:
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if sys.argv[1:] == ["--write"]:
         old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
-        for key in sorted(old.keys() | doc["digests"].keys()):
-            before, after = old.get(key, "(none)"), doc["digests"].get(key, "(none)")
-            if before != after:  # one line per changed, added or removed output
-                print(f"{key}: {before} -> {after}")
+        for line in changes(old, doc["digests"]):
+            print(line)
         GOLDEN.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)

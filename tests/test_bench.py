@@ -429,10 +429,10 @@ class TestRunExperiment:
         blocker = os.path.join(plan.out_dir, "split")  # a file where the split directory goes
         os.makedirs(plan.out_dir)
         open(blocker, "w").close()
-        with pytest.raises(FileExistsError) as info:
+        with pytest.raises(NotADirectoryError) as info:  # making the side directory d_in
             run_experiment(plan)
-        assert info.value.errno == errno.EEXIST
-        assert info.value.filename == blocker
+        assert info.value.errno == errno.ENOTDIR
+        assert info.value.filename == os.path.join(blocker, "d_in")
         assert info.value.__notes__ == ["[stage=split]"]
 
 

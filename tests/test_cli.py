@@ -1,8 +1,6 @@
 import argparse
 import dataclasses
-import io
 import json
-import pickle
 import re
 import shlex
 import shutil
@@ -16,15 +14,15 @@ from tabcl import cli
 from tabcl.bench import TCL_KEYS, DetectorConfig, ExperimentPlan, run_experiment
 from tabcl.cli import build_parser, main
 from tabcl.data import (
-    SCHEMA_VERSION, Dataset, Schema, _write_dataset_csv, load_dataset, save_dataset,
+    SCHEMA_VERSION, Dataset, Schema, load_dataset, load_split, save_dataset,
 )
 from tabcl.exceptions import ConfigError
 from tabcl.heads import load_head
 from tabcl.numerics import STREAMS, RngStream
 
 from conftest import (
-    SPLIT_SIDE_CASES, TOO_LARGE_COLUMNS, numeric_schema, params_block, shifted_cluster_data,
-    spoil_split_side, write_classification_csv,
+    DATASET_CASES, TOO_LARGE_COLUMNS, as_prefixed_arrays, numeric_schema, params_block,
+    shifted_cluster_data, spoil, write_classification_csv,
 )
 
 
@@ -74,7 +72,7 @@ class TestStagedPipeline:
         meta = json.loads((split_dir / "meta.json").read_text())
         assert meta["m"] + meta["n"] == 500
         # The split records what it decided; the detector's settings stay in scores.json.
-        assert set(meta) == {"schema-version", "threshold", "m", "n", "schema", "stats"}
+        assert set(meta) == {"schema-version", "threshold", "m", "n"}
         scores = json.loads((det_dir / "scores.json").read_text())
         assert {k: scores[k] for k in ("detector", "norm", "tail", "seed")} == {
             "detector": "openmax", "norm": "l2", "tail": 25, "seed": 1}
@@ -293,7 +291,7 @@ class TestExitCodes:
         })
         assert run(["report", "--config", plan]) == 3
         assert capsys.readouterr().err == (
-            f"data error: [stage=split] [Errno 17] File exists: '{blocker}'\n"
+            f"data error: [stage=split] [Errno 20] Not a directory: '{blocker / 'd_in'}'\n"
         )
 
     def test_unwritable_out_is_3(self, tmp_path, data_csv):
@@ -493,95 +491,17 @@ class TestExitCodes:
         assert str(path) in capsys.readouterr().err
 
 
-def _resave(name, change):
-    """A case that loads ``name``, changes the array, or casts it when
-    ``change`` is a type, and saves it back with pickling allowed."""
-    def apply(directory):
-        path = directory / name
-        array = np.load(path)
-        array = array.astype(change) if isinstance(change, type) else change(array)
-        np.save(path, array, allow_pickle=True)
-    return apply
-
-
-def _unlink(name):
-    return lambda directory: (directory / name).unlink()
-
-
-def _rewrite(name, change):
-    """A case that replaces the bytes of ``name`` with ``change(bytes)``."""
-    def apply(directory):
-        path = directory / name
-        path.write_bytes(change(path.read_bytes()))
-    return apply
-
-
-def _as_v1(directory):
-    """The directory as the CSV format of schema-version 1 stored it."""
-    dataset = load_dataset(directory)
-    for name in ("features.npy", "labels.npy"):
-        (directory / name).unlink()
-    _write_dataset_csv(dataset, directory / "data.csv")
-    meta = json.loads((directory / "meta.json").read_text())
-    write_json(directory / "meta.json", dict(meta, **{"schema-version": 1}))
-
-
-def _as_pickle(npy: bytes) -> bytes:
-    return pickle.dumps(np.load(io.BytesIO(npy)))
-
-
-def _as_npz(npy: bytes) -> bytes:
-    out = io.BytesIO()
-    np.savez(out, features=np.load(io.BytesIO(npy)))
-    return out.getvalue()
-
-
-def _set_first(value):
-    def change(a):
-        a = a.copy()
-        a.flat[0] = value
-        return a
-    return change
-
-
 class TestDatasetPayload:
     """Every malformed dataset directory is a format error, exit 3."""
 
-    # case: (change to a copy of a good directory, text the error holds)
-    CASES = {
-        "features missing": (_unlink("features.npy"), "cannot read feature matrix"),
-        "labels missing": (_unlink("labels.npy"), "cannot read label vector"),
-        "features empty": (_rewrite("features.npy", lambda b: b""), "corrupt feature matrix"),
-        "labels empty": (_rewrite("labels.npy", lambda b: b""), "corrupt label vector"),
-        "features truncated": (_rewrite("features.npy", lambda b: b[:-8]), "corrupt feature"),
-        "labels cut in header": (_rewrite("labels.npy", lambda b: b[:20]), "corrupt label"),
-        "features pickled": (_rewrite("features.npy", _as_pickle), "corrupt feature matrix"),
-        "features object dtype": (_resave("features.npy", object), "corrupt feature matrix"),
-        "labels object dtype": (_resave("labels.npy", object), "corrupt label vector"),
-        "features npz archive": (_rewrite("features.npy", _as_npz), "not a .npy feature"),
-        "features 1-D": (_resave("features.npy", lambda a: a[:, 0]), "1-D float64, expected 2-D"),
-        "features float32": (_resave("features.npy", np.float32), "2-D float32, expected 2-D"),
-        "features too narrow": (_resave("features.npy", lambda a: a[:, 1:]), "feature width 3"),
-        "features too wide": (_resave("features.npy", lambda a: a[:, [0, 0, 1, 2, 3]]), "width 5"),
-        "features no rows": (_resave("features.npy", lambda a: a[:0]), "non-empty"),
-        "features non-finite": (_resave("features.npy", _set_first(np.nan)), "non-finite"),
-        "features infinite": (_resave("features.npy", _set_first(-np.inf)), "non-finite"),
-        "labels 2-D": (_resave("labels.npy", lambda a: a[:, None]), "is 2-D int64, expected 1-D"),
-        "labels one short": (_resave("labels.npy", lambda a: a[:-1]), "labels length"),
-        "labels float64": (_resave("labels.npy", np.float64), "1-D float64, expected 1-D int64"),
-        "labels int32": (_resave("labels.npy", np.int32), "1-D int32"),
-        "schema-version 1 with data.csv": (_as_v1, "schema-version 1, expected 2"),
-    }
-
     @pytest.mark.parametrize("command", ["detect", "fit-head"])
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case", sorted(DATASET_CASES))
     def test_bad_payload_is_3(self, tmp_path, ds_dir, case, command, capsys):
-        change, message = self.CASES[case]
         shutil.copytree(ds_dir, tmp_path / "ds")
-        change(tmp_path / "ds")
+        path, message = spoil(tmp_path / "ds", case)
         assert run([command, tmp_path / "ds", "--out", tmp_path / "out"]) == 3
         err = capsys.readouterr().err
-        assert str(tmp_path / "ds") in err and message in err
+        assert str(path) in err and message in err
 
     @pytest.mark.parametrize("stored", ["int64", "nan", "inf"])
     def test_bad_regression_target_is_3(self, tmp_path, ds_dir, stored, capsys):
@@ -1292,19 +1212,20 @@ class TestOneSubcommandParser:
                 parser.parse_args(argv)
 
 
-class TestTrainReadsTheIdSide:
-    """``train`` on a split directory reads the ``d_in`` arrays and the
-    sidecar, and never the ``d_ood`` arrays or either CSV export."""
+@pytest.fixture
+def split_dir(tmp_path, ds_dir, scores_json):
+    out = tmp_path / "split"
+    assert run(["split", ds_dir, scores_json, "--quantile", 0.9, "--out", out]) == 0
+    return out
 
-    @pytest.fixture
-    def split_dir(self, tmp_path, ds_dir, scores_json):
-        out = tmp_path / "split"
-        assert run(["split", ds_dir, scores_json, "--quantile", 0.9, "--out", out]) == 0
-        return out
+
+class TestTrainReadsTheIdSide:
+    """``train`` on a split directory reads the ``d_in`` dataset directory
+    and the sidecar, and never the ``d_ood`` directory or either CSV export."""
 
     @staticmethod
-    def trained(split_dir, out) -> bytes:
-        assert run(["train", split_dir, "--max-epochs", 2, "--seed", 4, "--out", out]) == 0
+    def trained(data, out) -> bytes:
+        assert run(["train", data, "--max-epochs", 2, "--seed", 4, "--out", out]) == 0
         return (out / "model.json").read_bytes()
 
     def test_model_without_d_ood_or_with_a_bad_cell_in_it(self, tmp_path, split_dir):
@@ -1312,39 +1233,85 @@ class TestTrainReadsTheIdSide:
         for name in ("d_in.csv", "d_ood.csv"):
             (split_dir / name).unlink()
         assert self.trained(split_dir, tmp_path / "no-csv") == want
-        spoil_split_side(split_dir, "d_ood", "features non-finite")
+        spoil(split_dir / "d_ood", "features non-finite")
         assert self.trained(split_dir, tmp_path / "bad-cell") == want
-        for name in ("d_ood_features.npy", "d_ood_labels.npy"):
-            (split_dir / name).unlink()
+        shutil.rmtree(split_dir / "d_ood")
         assert self.trained(split_dir, tmp_path / "no-d_ood") == want
+
+    def test_split_and_its_d_in_directory_train_the_same_model(self, tmp_path, split_dir):
+        assert (self.trained(split_dir, tmp_path / "split")
+                == self.trained(split_dir / "d_in", tmp_path / "d_in"))
 
     @pytest.mark.parametrize("extra", [1, -1])
     def test_d_in_rows_other_than_m_is_3_naming_the_file(self, tmp_path, split_dir, extra,
                                                          capsys):
         meta = json.loads((split_dir / "meta.json").read_text())
         write_json(split_dir / "meta.json", dict(meta, m=meta["m"] + extra))
-        for name in ("d_ood_features.npy", "d_ood_labels.npy"):
-            (split_dir / name).unlink()
+        shutil.rmtree(split_dir / "d_ood")
         assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
         assert capsys.readouterr().err == (
-            f"data error: {split_dir}: row counts disagree with the sidecar: d_in_features.npy "
+            f"data error: {split_dir}: row counts disagree with the sidecar: d_in "
             f"holds {meta['m']} rows, not {meta['m'] + extra}\n")
 
-    @pytest.mark.parametrize("case", sorted(SPLIT_SIDE_CASES))
+    @pytest.mark.parametrize("case", sorted(DATASET_CASES))
     def test_bad_d_in_array_is_3_naming_the_file(self, tmp_path, split_dir, case, capsys):
-        name, text = spoil_split_side(split_dir, "d_in", case)
+        path, text = spoil(split_dir / "d_in", case)
         assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and name in err and text in err
+        assert err.startswith("data error: ") and str(path) in err and text in err
         assert not (tmp_path / "run").exists()
 
     def test_split_of_csvs_alone_is_3_naming_a_missing_array(self, tmp_path, split_dir, capsys):
-        """A split stored before its sides were ``.npy`` arrays."""
-        for path in split_dir.glob("*.npy"):
-            path.unlink()
-        assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
-        assert capsys.readouterr().err.startswith(
-            f"data error: cannot read feature matrix {split_dir / 'features.npy'}: ")
+        """A split stored before its sides were dataset directories, with
+        its sides' arrays beside the sidecar, and before they were arrays."""
+        as_prefixed_arrays(split_dir)
+        for layout in ("prefixed arrays", "csvs alone"):
+            if layout == "csvs alone":
+                for path in split_dir.glob("*.npy"):
+                    path.unlink()
+            assert run(["train", split_dir, "--max-epochs", 1, "--out", tmp_path / "run"]) == 3
+            assert capsys.readouterr().err.startswith(
+                f"data error: cannot read feature matrix {split_dir / 'features.npy'}: ")
+
+
+class TestStagesOnASplitSide:
+    """Each side of a stored split is a dataset directory that every stage
+    reading a dataset takes."""
+
+    def test_stages_run_on_either_side(self, tmp_path, split_dir):
+        assert run(["detect", split_dir / "d_in", "--tail", 25, "--out", tmp_path / "det"]) == 0
+        scores = json.loads((tmp_path / "det" / "scores.json").read_text())["scores"]
+        assert len(scores) == load_dataset(split_dir / "d_in").n
+        assert run(["train", split_dir, "--max-epochs", 2, "--out", tmp_path / "run"]) == 0
+        model = tmp_path / "run" / "model.json"
+        for side in ("d_in", "d_ood"):
+            assert run(["embed", model, split_dir / side, "--out", tmp_path / side]) == 0
+        assert run(["fit-head", tmp_path / "d_in", "--out", tmp_path / "head"]) == 0
+        assert run(["evaluate", tmp_path / "head" / "head.json", tmp_path / "d_ood",
+                    "--out", tmp_path / "eval"]) == 0
+        metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert 0.0 <= metrics["accuracy"] <= 1.0
+        # README's example: a head on the ID rows, scored on the OOD rows
+        assert run(["fit-head", split_dir / "d_in", "--out", tmp_path / "head_in"]) == 0
+        assert run(["evaluate", tmp_path / "head_in" / "head.json", split_dir / "d_ood",
+                    "--out", tmp_path / "eval_ood"]) == 0
+
+    @pytest.mark.parametrize("command", ["detect", "fit-head"])
+    def test_a_split_given_as_a_dataset_is_3_naming_its_sides(self, tmp_path, split_dir,
+                                                               command, capsys):
+        assert run([command, split_dir, "--out", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {split_dir} is a split, not a dataset: pass its side "
+            f"{split_dir / 'd_in'} or {split_dir / 'd_ood'}\n")
+
+    def test_a_side_loads_as_the_split_holds_it(self, split_dir):
+        pair = load_split(split_dir)
+        for side in ("d_in", "d_ood"):
+            got, want = load_dataset(split_dir / side), getattr(pair, side)
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.labels.dtype == want.labels.dtype
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.schema == want.schema and got.stats == want.stats
 
 
 class TestStreams:

@@ -27,6 +27,7 @@ from tabcl.data import (
     ingest_csv,
     load_dataset,
     load_split,
+    load_split_in,
     read_csv,
     save_dataset,
     save_split,
@@ -36,7 +37,7 @@ from tabcl.exceptions import ConfigError, FormatError
 from tabcl.numerics import RngStream
 
 from conftest import (
-    SPLIT_SIDE_CASES, TOO_LARGE_COLUMNS, load_workloads, numeric_schema, spoil_split_side,
+    DATASET_CASES, TOO_LARGE_COLUMNS, as_prefixed_arrays, load_workloads, numeric_schema, spoil,
 )
 from oracles import read_split_csv
 
@@ -780,7 +781,7 @@ class TestSplitPersistence:
         pair = build_pair()
         save_split(pair, tmp_path / "split")
         meta = json.loads((tmp_path / "split" / "meta.json").read_text())
-        assert set(meta) == {"schema-version", "threshold", "m", "n", "schema", "stats"}
+        assert set(meta) == {"schema-version", "threshold", "m", "n"}
         assert meta["threshold"] == 0.1628
         assert meta["m"] == 40 and meta["n"] == 12
 
@@ -827,9 +828,10 @@ class TestSplitPersistence:
 
     def test_directory_holds_the_arrays_the_sidecar_and_the_csv_export(self, tmp_path):
         save_split(build_pair(), tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "d_in.csv", "d_in_features.npy", "d_in_labels.npy",
-            "d_ood.csv", "d_ood_features.npy", "d_ood_labels.npy", "meta.json",
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "d_in", "d_in.csv", "d_in/features.npy", "d_in/labels.npy", "d_in/meta.json",
+            "d_ood", "d_ood.csv", "d_ood/features.npy", "d_ood/labels.npy", "d_ood/meta.json",
+            "meta.json",
         ]
 
     def test_csv_export_is_never_read(self, tmp_path):
@@ -842,23 +844,69 @@ class TestSplitPersistence:
             assert bits(getattr(loaded, side).features) == bits(getattr(pair, side).features)
             assert getattr(loaded, side).labels.tobytes() == getattr(pair, side).labels.tobytes()
 
-    def test_split_of_csvs_alone_names_the_missing_array(self, tmp_path):
-        """A split stored before its sides were ``.npy`` arrays."""
+    @pytest.mark.parametrize("arrays", ["prefixed arrays", "csvs alone"])
+    @pytest.mark.parametrize("load", [load_split, load_split_in])
+    def test_split_of_prefixed_arrays_names_the_missing_sidecar(self, tmp_path, load, arrays):
+        """A split stored before its sides were dataset directories: with
+        its sides' arrays beside the sidecar, or before they were arrays."""
         save_split(build_pair(), tmp_path)
-        for path in tmp_path.glob("*.npy"):
+        as_prefixed_arrays(tmp_path)
+        if arrays == "csvs alone":
+            for path in tmp_path.glob("*.npy"):
+                path.unlink()
+        missing = re.escape(str(tmp_path / "d_in" / "meta.json"))
+        with pytest.raises(FormatError, match=f"^cannot read dataset sidecar {missing}: "):
+            load(tmp_path)
+
+    def test_split_of_csvs_alone_names_the_missing_array(self, tmp_path):
+        """Side directories that hold no arrays, only their sidecars."""
+        save_split(build_pair(), tmp_path)
+        for path in tmp_path.glob("*/*.npy"):
             path.unlink()
-        missing = re.escape(str(tmp_path / "d_in_features.npy"))
+        missing = re.escape(str(tmp_path / "d_in" / "features.npy"))
         with pytest.raises(FormatError, match=f"^cannot read feature matrix {missing}: "):
             load_split(tmp_path)
 
-    @pytest.mark.parametrize("side", ["d_in", "d_ood"])
-    @pytest.mark.parametrize("case", sorted(SPLIT_SIDE_CASES))
-    def test_bad_side_array_is_refused_naming_the_file(self, tmp_path, case, side):
+    @pytest.mark.parametrize("side, load", [
+        ("d_in", load_split), ("d_ood", load_split), ("d_in", load_split_in),
+    ], ids=["d_in", "d_ood", "d_in alone"])
+    @pytest.mark.parametrize("case", sorted(DATASET_CASES))
+    def test_bad_side_array_is_refused_naming_the_file(self, tmp_path, case, side, load):
         save_split(build_pair(), tmp_path)
-        name, text = spoil_split_side(tmp_path, side, case)
+        path, text = spoil(tmp_path / side, case)
         with pytest.raises(FormatError) as exc:
+            load(tmp_path)
+        assert str(path) in str(exc.value) and text in str(exc.value)
+
+    @pytest.mark.parametrize("key, side, extra", [
+        ("m", "d_in", 1), ("m", "d_in", -1), ("n", "d_ood", 1), ("n", "d_ood", -1),
+    ])
+    def test_row_count_other_than_the_side_is_refused(self, tmp_path, key, side, extra):
+        pair = build_pair()
+        save_split(pair, tmp_path)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps(dict(meta, **{key: meta[key] + extra})))
+        rows = getattr(pair, side).n
+        with pytest.raises(FormatError, match=re.escape(
+                f"{tmp_path}: row counts disagree with the sidecar: "
+                f"{side} holds {rows} rows, not {rows + extra}")):
             load_split(tmp_path)
-        assert name in str(exc.value) and text in str(exc.value)
+
+    @pytest.mark.parametrize("change", ["another column", "another task"])
+    def test_sides_of_different_schemas_are_refused_naming_the_split(self, tmp_path, change):
+        pair = build_pair()
+        save_split(pair, tmp_path)
+        d_ood = pair.d_ood
+        if change == "another column":
+            schema = numeric_schema(3, target="z")
+        else:
+            schema = numeric_schema(3, task="regression")
+        save_dataset(Dataset(d_ood.features, d_ood.labels, schema, None), tmp_path / "d_ood")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{tmp_path}: malformed split: ValueError('split sides must share one schema')")):
+            load_split(tmp_path)
+        assert load_split_in(tmp_path).schema == pair.d_in.schema
 
     @pytest.mark.parametrize("text, message", [
         ("x0,x1,x2,y\r\n", "input contained no data"),
@@ -1067,7 +1115,7 @@ class TestBulkParse:
     def test_label_that_numpy_reads_is_still_refused(self, tmp_path, schema, labels, message):
         side = Dataset(np.zeros((2, 3)), np.zeros(2), schema, None)
         save_split(SplitPair(side, side, threshold=0.5), tmp_path)
-        path = tmp_path / "d_in_labels.npy"
+        path = tmp_path / "d_in" / "labels.npy"
         np.save(path, np.asarray(labels))
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}$"):
             load_split(tmp_path)
@@ -1111,7 +1159,7 @@ def drawn_pair(draws, task, max_width=5):
 
 
 class TestSplitSide:
-    """A stored split side is two ``.npy`` arrays: what the writer writes
+    """A stored split side is a dataset directory: what the writer writes
     loads bit-exactly, its CSV export decodes to the same bits, and a
     changed cell that the dataset checks refuse is a FormatError naming
     the file."""
@@ -1146,7 +1194,7 @@ class TestSplitSide:
         value = draws.draw(st.sampled_from(values), label="value")
         name = "labels" if column == dataset.d else "features"
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, f"{side}_{name}.npy")
+            path = os.path.join(tmp, side, f"{name}.npy")
             save_split(pair, tmp)
             array = np.load(path)
             if name == "labels":

@@ -31,3 +31,17 @@ def test_outputs_match_the_golden_digests():
     want, got = golden["digests"], now["digests"]
     differ = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
     assert not differ, f"{len(differ)} of {len(want)} outputs differ from tests/golden.json: {differ}"
+
+
+def test_write_prints_a_moved_digest_as_a_rename():
+    from golden import changes
+
+    old = {"a": "1", "b": "2", "plan/x_f": "3", "cli/x_f": "3", "gone": "5"}
+    new = {"a": "1", "b": "9", "plan/x/f": "3", "cli/x/f": "3", "new": "4"}
+    assert changes(old, new) == [
+        "b: 2 -> 9",
+        "cli/x_f -> cli/x/f, digest unchanged",
+        "gone: 5 -> (none)",
+        "new: (none) -> 4",
+        "plan/x_f -> plan/x/f, digest unchanged",
+    ]
