@@ -18,7 +18,9 @@ single implementation of each stage: the CLI subcommands call the same ones.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -56,27 +58,6 @@ def tradeoff(p: float, t: float, task: str) -> float:
                      "takes P in [0, 1], regression a positive finite P")
 
 
-def load_config(path) -> dict:
-    """Read a JSON config document, or a TOML one when the name ends in ``.toml``."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        if str(path).endswith(".toml"):
-            import tomllib  # only TOML configs pay for the import
-
-            doc = tomllib.loads(raw.decode("utf-8-sig"))
-        else:
-            doc = json.loads(raw)
-    except ValueError as exc:  # bad JSON, bad TOML or bad UTF-8
-        raise ConfigError(f"{path}: bad config: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: a config is a JSON object or a TOML table")
-    return doc
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Settings of the detect and split stages (the seed is the run's).  A
@@ -107,14 +88,6 @@ class DetectorConfig:
             object.__setattr__(self, key, plain_number(getattr(self, key)))
 
 
-def check_table(block, what: str) -> dict:
-    """``block``, the ``what`` settings; a configuration error unless it is a
-    table."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{what} must be a table, got {block!r}")
-    return block
-
-
 def check_seed(seed) -> int:
     """The run's seed as an ``int``; a configuration error unless it is a
     non-negative integer."""
@@ -128,8 +101,9 @@ def build_config(cls, block: dict, what: str, **fixed):
     with the ``fixed`` fields set by the caller, which the block may not set.
     A block that is not a table, unknown keys and rejected values are
     configuration errors."""
-    allowed = {f.name for f in dataclasses.fields(cls)} - set(fixed)
-    unknown = set(check_table(block, what)) - allowed
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be a table, got {block!r}")
+    unknown = set(block) - ({f.name for f in dataclasses.fields(cls)} - set(fixed))
     if unknown:
         raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
     try:
@@ -178,7 +152,24 @@ class ExperimentPlan:
 
     @staticmethod
     def from_file(path) -> "ExperimentPlan":
-        return ExperimentPlan.from_dict(load_config(path))
+        """The plan in a JSON file, or a TOML one when the name ends in ``.toml``."""
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        try:
+            if str(path).endswith(".toml"):
+                import tomllib  # only TOML plans pay for the import
+
+                doc = tomllib.loads(raw.decode("utf-8-sig"))
+            else:
+                doc = json.loads(raw)
+        except ValueError as exc:  # bad JSON, bad TOML or bad UTF-8
+            raise ConfigError(f"{path}: bad config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: a config is a JSON object or a TOML table")
+        return ExperimentPlan.from_dict(doc)
 
 
 @dataclass
@@ -448,6 +439,11 @@ def _sig(v: float, digits: int) -> str:
     return f"{v:.{digits}g}"
 
 
+def _cell(text: str) -> str:
+    """``text`` as a markdown table cell: a ``|`` in it would end the cell."""
+    return text.replace("|", "\\|")
+
+
 def _markdown(report: BenchReport) -> str:
     g = report.split_grid
     lines = [
@@ -467,7 +463,7 @@ def _markdown(report: BenchReport) -> str:
         "",
         f"| model | {report.metric_name} | t (s) | trade-off |",
         "| --- | --- | --- | --- |",
-        f"| {report.model} | {_sig(report.p, 4)} | {_sig(report.t_seconds, 4)} "
+        f"| {_cell(report.model)} | {_sig(report.p, 4)} | {_sig(report.t_seconds, 4)} "
         f"| {_sig(report.tradeoff, 2)} |",
         "",
         "## Recorded constraints",
@@ -493,14 +489,13 @@ def _flat_items(report: BenchReport) -> list[tuple[str, object]]:
 
 
 def _csv_text(report: BenchReport) -> str:
-    # full-precision value plus a display-rounded column
-    lines = ["field,value,display"]
-    for key, value in _flat_items(report):
-        if isinstance(value, float):
-            lines.append(f"{key},{value!r},{_sig(value, 4)}")
-        else:
-            lines.append(f"{key},{value},{value}")
-    return "\n".join(lines) + "\n"
+    # full-precision value plus a display-rounded column; csv.writer quotes
+    # a field holding a comma, a quote or a line break
+    rows = [(key, repr(v), _sig(v, 4)) if isinstance(v, float) else (key, str(v), str(v))
+            for key, v in _flat_items(report)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("field", "value", "display"), *rows])
+    return buf.getvalue()
 
 
 def emit_report(report: BenchReport, fmt: str, path) -> None:
@@ -553,7 +548,7 @@ def comparison_markdown(rows: list[dict]) -> str:
     ]
     for r in rows:
         lines.append(
-            f"| {r['rank']} | {r['model']} | {_sig(r['p'], 4)} "
+            f"| {r['rank']} | {_cell(r['model'])} | {_sig(r['p'], 4)} "
             f"| {_sig(r['t_seconds'], 4)} | {_sig(r['tradeoff'], 2)} |"
         )
     return "\n".join(lines) + "\n"

@@ -1,11 +1,12 @@
 """Command-line pipeline: each subcommand is one stage, `report` runs them all.
 
 Each stage subcommand parses its arguments and calls the stage function
-in :mod:`tabcl.bench` that ``run_experiment`` calls too.  A shared flag goes
-only to the subcommands that read it: ``--out <dir>`` to all but ``tradeoff``,
-``--config <file>`` (an experiment plan, JSON or TOML) to ``detect``, ``split``,
-``train`` and ``report``, and ``--seed`` (the run's one seed) to ``detect``,
-``train`` and ``report``.  Options go after the subcommand.
+in :mod:`tabcl.bench` that ``run_experiment`` calls too.  A stage's
+settings are its flags, checked before any artifact is read; only
+``report`` reads an experiment plan, ``--config <file>`` (JSON or TOML).
+A shared flag goes only to the subcommands that read it: ``--out <dir>``
+to all but ``tradeoff``, and ``--seed`` (the run's one seed) to
+``detect``, ``train`` and ``report``.  Options go after the subcommand.
 
 Exit codes: 0 success, 2 configuration error, 3 data/format error
 (including an unreadable or unwritable file), 4 numeric/training error.
@@ -27,13 +28,11 @@ from .bench import (
     ExperimentPlan,
     build_config,
     check_seed,
-    check_table,
     compare_models,
     comparison_markdown,
     detect,
     emit_report,
     evaluate,
-    load_config,
     load_scores,
     run_experiment,
     save_scores,
@@ -51,16 +50,9 @@ from .ood import OPENMAX, TEMPERATURE
 # that the tracer folds a call through it into the span of data.split.
 from .data import split as split_rows  # noqa: F401
 
-def _settings(args, block: str, flags) -> dict:
-    """The ``block`` table of the ``--config`` experiment plan, whose other
-    fields set nothing for the stage, with the given flags laid over it.  A
-    key that is not a plan field, or a ``block`` that is no table, is refused."""
-    cfg = load_config(args.config) if args.config else {}
-    unknown = set(cfg) - {f.name for f in dataclasses.fields(ExperimentPlan)}
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown experiment plan keys: {sorted(unknown)}")
-    flagged = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
-    return {**check_table(cfg.get(block, {}), block), **flagged}
+def _flags(args, names) -> dict:
+    """The settings among ``names`` that were given as flags."""
+    return {key: getattr(args, key) for key in names if getattr(args, key) is not None}
 
 
 def _out_dir(args) -> str:
@@ -80,8 +72,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    flags = ("detector", "norm", "tail")
-    det = build_config(DetectorConfig, _settings(args, "detector", flags), "detector")
+    det = build_config(DetectorConfig, _flags(args, ("detector", "norm", "tail")), "detector")
     dataset = load_dataset(args.data)
     out = _out_dir(args)
     scores, settings = detect(dataset, det, args.seed, out)
@@ -92,10 +83,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_split(args) -> int:
-    det = _settings(args, "detector", ("threshold", "quantile"))
-    if (args.threshold is None) != (args.quantile is None):  # one flag replaces both file keys
-        det.pop("quantile" if args.quantile is None else "threshold", None)
-    det = build_config(DetectorConfig, det, "detector")
+    det = build_config(DetectorConfig, _flags(args, ("threshold", "quantile")), "detector")
     dataset = load_dataset(args.data)
     scores = load_scores(args.scores)
     out = _out_dir(args)
@@ -106,7 +94,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    tcl = _settings(args, "tcl", TCL_KEYS)
+    tcl = _flags(args, TCL_KEYS)
     build_config(TclConfig, tcl, "tcl", input_dim=1, seed=args.seed)  # before any artifact is read
     # a split holds its ID side as the dataset directory d_in
     split = os.path.isdir(os.path.join(args.data, "d_in"))
@@ -224,7 +212,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {"seed": dict(type=int, default=0, help="random seed (default 0)"),
-              "config": dict(help="JSON/TOML config file"), "out": dict(help="output directory")}
+              "out": dict(help="output directory")}
     skip = types.SimpleNamespace(add_argument=lambda *args, **kwargs: None)
 
     def command(name, func, help, *flags):
@@ -243,19 +231,19 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--task", choices=list(TASKS), default=None)
     p.add_argument("--delimiter", default=",")
 
-    p = command("detect", cmd_detect, "score rows with an OOD detector", "seed", "config", "out")
+    p = command("detect", cmd_detect, "score rows with an OOD detector", "seed", "out")
     p.add_argument("data", help="dataset artifact directory")
     p.add_argument("--detector", choices=[OPENMAX, TEMPERATURE], default=None)
     p.add_argument("--norm", choices=["l1", "l2"], default=None)
     p.add_argument("--tail", type=int, default=None)
 
-    p = command("split", cmd_split, "split a dataset at a score threshold", "config", "out")
+    p = command("split", cmd_split, "split a dataset at a score threshold", "out")
     p.add_argument("data")
     p.add_argument("scores", help="scores.json from `detect`")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--quantile", type=float, default=None)
 
-    p = command("train", cmd_train, "train the contrastive encoder", "seed", "config", "out")
+    p = command("train", cmd_train, "train the contrastive encoder", "seed", "out")
     p.add_argument("data", help="dataset artifact or split directory")
     for f in dataclasses.fields(TclConfig):
         if f.name in TCL_KEYS:
@@ -279,7 +267,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True, help="training seconds")
     p.add_argument("--task", choices=list(TASKS), required=True)
 
-    p = command("report", cmd_report, "run a full experiment plan", "config", "out")
+    p = command("report", cmd_report, "run a full experiment plan", "out")
+    p.add_argument("--config", help="experiment plan, JSON or TOML")
     p.add_argument("--seed", type=int, help="random seed (default: the plan's)")
 
     p = command("compare", cmd_compare, "rank reports by trade-off", "out")

@@ -165,6 +165,20 @@ def _label_error(labels: np.ndarray, schema: Schema) -> str | None:
     return f"class index {bad[0]} outside [0, {k})" if bad.size else None
 
 
+def _stats_error(stats, schema: Schema) -> str | None:
+    """Why ``stats`` cannot be the fit statistics of ``schema``'s rows, or
+    None: they are None, or a finite ``median``, ``mean`` and ``std > 0``
+    for each numeric column and no other column."""
+    numeric = sorted(c.name for c in schema.features if c.kind == NUMERIC)
+    if stats is not None and (not isinstance(stats, dict) or set(stats) != set(numeric)):
+        return f"stats must be null or a table of the numeric columns {numeric}"
+    for name, s in (stats or {}).items():
+        if not (isinstance(s, dict) and set(s) == {"median", "mean", "std"}
+                and all(map(is_finite_number, s.values())) and s["std"] > 0):
+            return f"stats of column {name!r} need a finite median, mean and std > 0, got {s!r}"
+    return None
+
+
 @dataclass(eq=False)  # holds arrays: compared by identity
 class Dataset:
     """Encoded feature matrix, labels, schema, and (optional) fit statistics.
@@ -386,10 +400,8 @@ def encode_features(raw: RawTable, schema: Schema, stats: dict | None = None) ->
             raise ValueError(f"schema column {col.name!r} missing from header")
     if schema.target not in raw.header:
         raise ValueError(f"target column {schema.target!r} missing from header")
-    if stats is not None:
-        expected = {c.name for c in schema.features if c.kind == NUMERIC}
-        if set(stats) != expected:
-            raise ValueError("stats do not match the schema's numeric columns")
+    if error := _stats_error(stats, schema):
+        raise ValueError(error)
 
     n = len(raw.rows)
     if n < 1:
@@ -602,6 +614,9 @@ def load_dataset(path) -> Dataset:
                           f"{os.path.join(path, 'd_in')} or {os.path.join(path, 'd_ood')}")
     with fields(sidecar, "dataset sidecar"):
         schema = Schema.from_dict(meta["schema"])
+    stats = meta.get("stats")
+    if error := _stats_error(stats, schema):
+        raise FormatError(f"{sidecar}: {error}")
     features_path = os.path.join(path, "features.npy")
     labels_path = os.path.join(path, "labels.npy")
     features = _load_array(features_path, "feature matrix", np.float64, 2)
@@ -612,7 +627,7 @@ def load_dataset(path) -> Dataset:
     # Dataset checks the row counts, the width against the schema and the
     # finiteness of the features.
     with fields(features_path, "dataset"):
-        return Dataset(features, labels, schema, meta.get("stats"))
+        return Dataset(features, labels, schema, stats)
 
 
 def save_split(pair: SplitPair, path) -> None:

@@ -166,6 +166,30 @@ def _rewrite(name, change):
     return apply
 
 
+def _restat(change):
+    """A change that replaces the sidecar's ``stats`` with ``change(stats)``,
+    given valid statistics of the schema's numeric columns when the sidecar
+    stores none."""
+    def apply(directory):
+        path = directory / "meta.json"
+        meta = json.loads(path.read_text())
+        stats = meta["stats"] or {c["name"]: {"median": 0.0, "mean": 0.0, "std": 1.0}
+                                  for c in meta["schema"]["features"] if c["kind"] == "numeric"}
+        path.write_text(json.dumps(dict(meta, stats=change(stats))))
+        return path
+    return apply
+
+
+def _set_stat(key, value):
+    """A change of the statistics that sets the first column's ``key`` to
+    ``value``, or removes the key when ``value`` is None."""
+    def change(stats):
+        first = next(iter(stats))
+        entry = {k: v for k, v in stats[first].items() if k != key}
+        return {**stats, first: entry if value is None else {**entry, key: value}}
+    return change
+
+
 def _as_v1(directory):
     """The directory as the CSV format of schema-version 1 stored it."""
     dataset = load_dataset(directory)
@@ -240,6 +264,16 @@ DATASET_CASES = {
     "labels int32": (_resave("labels.npy", np.int32), "is 1-D int32, expected 1-D int64"),
     "class index out of range": (_resave("labels.npy", _set_first(-1)), "class index -1 outside"),
     "schema-version 1 with data.csv": (_as_v1, "schema-version 1, expected 2"),
+    "stats a string": (_restat(lambda s: "garbage"), "stats must be null or a table"),
+    "stats a list": (_restat(lambda s: [1, 2]), "stats must be null or a table"),
+    "stats of one column with a string median": (
+        _restat(lambda s: {"x0": {"median": "x"}}), "stats must be null or a table"),
+    "stats one column short": (_restat(lambda s: dict(list(s.items())[1:])),
+                               "stats must be null or a table"),
+    "stats with a string median": (_restat(_set_stat("median", "x")), "finite median, mean"),
+    "stats with a NaN mean": (_restat(_set_stat("mean", float("nan"))), "finite median, mean"),
+    "stats with a zero std": (_restat(_set_stat("std", 0.0)), "std > 0"),
+    "stats without a std": (_restat(_set_stat("std", None)), "std > 0"),
 }
 
 

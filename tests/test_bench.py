@@ -1,6 +1,8 @@
+import csv
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +188,8 @@ class TestPlan:
     def test_null_detector_value_means_unset(self):
         null = {"threshold": None, "quantile": None}
         assert build_config(DetectorConfig, null, "detector") == DetectorConfig()
+        half = {"threshold": None, "quantile": 0.5}  # the quantile decides
+        assert build_config(DetectorConfig, half, "detector") == DetectorConfig(quantile=0.5)
         plan = ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", "detector": null})
         assert plan.detector == null  # the plan keeps the block as written
 
@@ -523,6 +527,38 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report(report, "xml", tmp_path / "r.xml")
 
+    def test_csv_field_with_a_comma_or_a_quote_reads_back_whole(self, tmp_path):
+        model, dataset = 'tcl "v2", small', "e/a,b.csv"
+        path = tmp_path / "r.csv"
+        emit_report(fake_report(model, 0.8, 10.0, dataset=dataset), "csv", path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {3}
+        fields = {row[0]: row[1:] for row in rows}
+        assert fields["model"] == [model, model] and fields["dataset"] == [dataset, dataset]
+
+    def test_pipe_in_the_model_name_stays_in_its_cell(self, tmp_path):
+        report = fake_report("a|b", 0.8, 10.0, split_grid={"id_test": 0.9, "ood": 0.5},
+                             constraints={"ood_metric": 0.5})
+        emit_report(report, "markdown", tmp_path / "r.md")
+        tables = table_cells((tmp_path / "r.md").read_text())
+        assert len(tables) == 3
+        assert [row[0] for row in tables[1]] == ["model", "---", r"a\|b"]
+
+
+def table_cells(text: str) -> list[list[list[str]]]:
+    """The markdown tables of ``text``: each a list of rows, each a list of
+    the stripped cells between the pipes that are not escaped.  Every row
+    of a table has as many cells as its header."""
+    tables = []
+    for block in text.split("\n\n"):
+        rows = [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+                for line in block.splitlines() if line.startswith("|")]
+        if rows:
+            assert {len(row) for row in rows} == {len(rows[0])}, rows
+            tables.append(rows)
+    return tables
+
 
 def fake_report(model, p, t, task="classification", **kw):
     fields = dict(
@@ -580,6 +616,11 @@ class TestCompare:
         text = comparison_markdown(rows)
         assert text.splitlines()[0].startswith("| rank |")
         assert "| 1 | a |" in text
+
+    def test_pipe_in_a_model_name_stays_in_its_cell(self):
+        rows = compare_models([fake_report("a|b", 0.8, 10.0), fake_report("c", 0.7, 10.0)])
+        (table,) = table_cells(comparison_markdown(rows))
+        assert [row[1] for row in table] == ["model", "---", r"a\|b", "c"]
 
 
 class TestBlasThreads:

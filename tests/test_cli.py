@@ -723,6 +723,32 @@ def no_file_in(out):
     return not out.exists() or not any(out.iterdir())
 
 
+# The stage whose flag sets each setting.  A block's ``seed``, ``bins`` and
+# ``temperature`` have no flag.
+STAGE_OF = {"detector": "detect", "norm": "detect", "tail": "detect",
+            "threshold": "split", "quantile": "split", **dict.fromkeys(TCL_KEYS, "train")}
+
+
+def flag_case(key, value):
+    """The stage and the flag word that set ``key`` to ``value``, and the
+    start of the stage's refusal: the setting check's where the flag's type
+    and choices take the value's text, argparse's where they do not.  None
+    where no flag carries the value: a list, a bool and null have no
+    spelling on a command line."""
+    command = STAGE_OF.get(key)
+    if command is None or type(value) not in (int, float, str):
+        return None
+    (action,) = (a for a in subparsers()[command]._actions if a.dest == key)
+    flag = action.option_strings[0]
+    try:
+        parsed = (action.type or str)(str(value))
+        checked = action.choices is None or parsed in action.choices
+    except ValueError:
+        checked = False
+    return command, f"{flag}={value}", ("configuration error: " if checked
+                                        else f"argument {flag}: invalid")
+
+
 @pytest.fixture(scope="module")
 def scores_json(tmp_path_factory, ds_dir):
     out = tmp_path_factory.mktemp("cli-scores")
@@ -732,53 +758,65 @@ def scores_json(tmp_path_factory, ds_dir):
 
 class TestBadSettingValues:
     """Every detector and tcl setting with a value no stage can use exits 2
-    before any stage runs, through the experiment plan and through each CLI
-    stage that reads it.  So does a ``seed`` in either block."""
+    before any stage runs: through the experiment plan, and through the flag
+    of the CLI stage that reads it wherever a flag can carry the value.  So
+    does a ``seed`` in either block of a plan."""
+
+    @staticmethod
+    def check_plan(tmp_path, data_csv, block, key, value, capsys):
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out),
+            block: {key: value},
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert no_file_in(out)
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "[stage=" not in err
+
+    @staticmethod
+    def check_flag(tmp_path, inputs, key, value, capsys):
+        """The stage that reads ``key``, given ``inputs`` by command, with
+        ``value`` as its flag, when a flag carries it."""
+        case = flag_case(key, value)
+        if case is not None:
+            command, flag, refusal = case
+            out = tmp_path / "stage"
+            code, _, err = outcome([command, *map(str, inputs[command]), flag,
+                                    "--out", str(out)], capsys)
+            assert code == 2 and refusal in err and "[stage=" not in err, err
+            assert no_file_in(out)
 
     @pytest.mark.parametrize("key, value", DETECTOR_CASES)
     def test_detector_value_is_2(self, tmp_path, data_csv, ds_dir, scores_json, key, value,
                                  capsys):
-        out = tmp_path / "exp"
-        plan = write_json(tmp_path / "plan.json", {
-            "dataset": str(data_csv), "target": "label", "out_dir": str(out),
-            "detector": {key: value},
-        })
-        assert run(["report", "--config", plan]) == 2
-        assert no_file_in(out)
-        config = write_json(tmp_path / "det.json", {"detector": {key: value}})
-        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "det"]) == 2
-        assert no_file_in(tmp_path / "det")
-        assert run(["split", ds_dir, scores_json, "--config", config,
-                    "--out", tmp_path / "split"]) == 2
-        assert no_file_in(tmp_path / "split")
-        err = capsys.readouterr().err
-        assert err.count("configuration error") == 3 and "[stage=" not in err
+        self.check_plan(tmp_path, data_csv, "detector", key, value, capsys)
+        inputs = {"detect": [ds_dir], "split": [ds_dir, scores_json]}
+        self.check_flag(tmp_path, inputs, key, value, capsys)
 
     @pytest.mark.parametrize("key, value", TCL_CASES)
     def test_tcl_value_is_2(self, tmp_path, data_csv, ds_dir, key, value, capsys):
-        out = tmp_path / "exp"
-        plan = write_json(tmp_path / "plan.json", {
-            "dataset": str(data_csv), "target": "label", "out_dir": str(out),
-            "tcl": {key: value},
-        })
-        assert run(["report", "--config", plan]) == 2
-        assert no_file_in(out)
-        config = write_json(tmp_path / "train.json", {"tcl": {key: value}})
-        assert run(["train", ds_dir, "--config", config, "--out", tmp_path / "m"]) == 2
-        assert no_file_in(tmp_path / "m")
-        err = capsys.readouterr().err
-        assert err.count("configuration error") == 2 and "[stage=" not in err
+        self.check_plan(tmp_path, data_csv, "tcl", key, value, capsys)
+        self.check_flag(tmp_path, {"train": [ds_dir]}, key, value, capsys)
+
+    def test_flag_cases_reach_every_flag_and_its_check(self):
+        """Each stage flag carries some bad value to its setting check."""
+        cases = (flag_case(key, value) for key, value in DETECTOR_CASES + TCL_CASES)
+        checked = {case[1].split("=")[0] for case in cases
+                   if case is not None and case[2] == "configuration error: "}
+        flags = {"--detector", "--norm", "--tail", "--threshold", "--quantile", *TRAIN_FLAGS}
+        assert checked == flags - {"--detector", "--norm"}  # no bad name is a choice
 
     @pytest.mark.parametrize("argv, setting", [
-        (["split", "ds", "missing.json"], {"detector": {"quantile": 7}}),
-        (["train", "missing"], {"tcl": {"max_epochs": 2.5}}),
+        (["split", "ds", "missing.json"], ["--quantile", "7"]),
+        (["train", "missing"], ["--batch-size", "1"]),
+        (["detect", "missing"], ["--tail", "1"]),
     ])
     def test_setting_is_checked_before_any_artifact_is_read(self, tmp_path, argv, setting,
                                                             capsys):
-        config = write_json(tmp_path / "config.json", setting)
         paths = [tmp_path / name for name in argv[1:]]
-        assert run([argv[0], *paths, "--config", config, "--out", tmp_path / "out"]) == 2
-        ((key, _),) = next(iter(setting.values())).items()
+        assert run([argv[0], *paths, *setting, "--out", tmp_path / "out"]) == 2
+        key = setting[0].removeprefix("--").replace("-", "_")
         assert f"{key} must" in capsys.readouterr().err
         assert no_file_in(tmp_path / "out")
 
@@ -800,8 +838,8 @@ class TestBadSettingValues:
         assert {key for key, _ in TCL_CASES} == TCL_KEYS | {"seed", "temperature"}
 
     def test_detect_records_the_norm_it_fitted_with(self, tmp_path, data_csv, ds_dir):
-        config = write_json(tmp_path / "det.json", {"detector": {"norm": "l1", "tail": 25}})
-        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "det"]) == 0
+        assert run(["detect", ds_dir, "--norm", "l1", "--tail", 25,
+                    "--out", tmp_path / "det"]) == 0
         assert json.loads((tmp_path / "det" / "scores.json").read_text())["norm"] == "l1"
         plan = write_json(tmp_path / "plan.json", {
             "dataset": str(data_csv), "target": "label", "out_dir": str(tmp_path / "exp"),
@@ -826,74 +864,40 @@ class TestBadSettingValues:
 
 class TestOneSpelling:
     """Each setting has one spelling.  The seed is set by ``--seed`` or the
-    plan's ``seed`` alone, and a stage's ``--config`` is an experiment plan
-    whose ``detector`` or ``tcl`` table it reads.  Any other spelling exits
-    2, naming it, before any file is written."""
-
-    @staticmethod
-    def stages(block, ds_dir, scores_json) -> list:
-        """The stages that read ``block``."""
-        return ([["detect", ds_dir], ["split", ds_dir, scores_json]] if block == "detector"
-                else [["train", ds_dir]])
+    plan's ``seed`` alone, a stage's settings by its flags, and a plan's
+    by its ``detector`` and ``tcl`` tables.  Any other spelling exits 2,
+    naming it, before any file is written."""
 
     @pytest.mark.parametrize("block", ["detector", "tcl"])
-    def test_seed_in_a_block_is_2(self, tmp_path, data_csv, ds_dir, scores_json, block, capsys):
+    def test_seed_in_a_block_is_2(self, tmp_path, data_csv, block, capsys):
         out = tmp_path / "exp"
         plan = write_json(tmp_path / "plan.json", {
             "dataset": str(data_csv), "target": "label", "out_dir": str(out), block: {"seed": 3},
         })
-        stages = self.stages(block, ds_dir, scores_json)
         assert run(["report", "--config", plan]) == 2
-        for stage in stages:
-            assert run([*stage, "--config", plan, "--out", tmp_path / "stage"]) == 2
-        err = capsys.readouterr().err
-        assert err.count(f"unknown {block} config keys: ['seed']") == 1 + len(stages)
-        assert not out.exists() and not (tmp_path / "stage").exists()
-
-    @pytest.mark.parametrize("command, flat", [
-        ("detect", {"norm": "l1"}), ("split", {"quantile": 0.5}), ("train", {"max_epochs": 2}),
-    ])
-    def test_flat_stage_config_is_2(self, tmp_path, ds_dir, scores_json, command, flat, capsys):
-        config = write_json(tmp_path / "flat.json", flat)
-        inputs = [ds_dir, scores_json] if command == "split" else [ds_dir]
-        assert run([command, *inputs, "--config", config, "--out", tmp_path / "out"]) == 2
-        assert f"unknown experiment plan keys: {list(flat)}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("block", ["detector", "tcl"])
-    def test_block_that_is_not_a_table_is_2(self, tmp_path, ds_dir, scores_json, block, capsys):
-        config = write_json(tmp_path / "config.json", {block: 5})
-        for stage in self.stages(block, ds_dir, scores_json):
-            assert run([*stage, "--config", config, "--out", tmp_path / "out"]) == 2
-            assert f"{block} must be a table, got 5" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert f"unknown {block} config keys: ['seed']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [5, "openmax", ["tail"]], ids=["int", "str", "list"])
     @pytest.mark.parametrize("block", ["detector", "tcl"])
-    def test_plan_block_that_is_not_a_table_is_2(self, tmp_path, data_csv, ds_dir, scores_json,
-                                                 block, value, capsys):
-        """The plan and each stage refuse it with one message, naming the
-        block and the value."""
+    def test_plan_block_that_is_not_a_table_is_2(self, tmp_path, data_csv, block, value, capsys):
+        """The plan refuses it, naming the block and the value."""
         out = tmp_path / "exp"
         plan = write_json(tmp_path / "plan.json", {
             "dataset": str(data_csv), "target": "label", "out_dir": str(out), block: value,
         })
-        stages = self.stages(block, ds_dir, scores_json)
         assert run(["report", "--config", plan]) == 2
-        for stage in stages:
-            assert run([*stage, "--config", plan, "--out", tmp_path / "stage"]) == 2
-        err = capsys.readouterr().err
-        assert err.count(f"{block} must be a table, got {value!r}") == 1 + len(stages)
-        assert not out.exists() and not (tmp_path / "stage").exists()
+        assert f"{block} must be a table, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRemovedSettings:
     """The split share, the histogram's bins and the contrastive loss are
-    fixed: a plan, a stage table or a flag that sets the split
-    ``fractions``, the detector's ``bins`` or the tcl ``temperature`` exits
-    2, naming it, before any file is written."""
+    fixed: a plan or a flag that sets the split ``fractions``, the
+    detector's ``bins`` or the tcl ``temperature`` exits 2, naming it,
+    before any file is written."""
 
-    def test_fractions_in_a_plan_is_2(self, tmp_path, data_csv, ds_dir, capsys):
+    def test_fractions_in_a_plan_is_2(self, tmp_path, data_csv, capsys):
         out = tmp_path / "exp"
         plan = write_json(tmp_path / "plan.json", {
             "dataset": str(data_csv), "target": "label", "out_dir": str(out),
@@ -901,26 +905,19 @@ class TestRemovedSettings:
         })
         assert run(["report", "--config", plan]) == 2
         assert "unexpected keyword argument 'fractions'" in capsys.readouterr().err
-        assert run(["train", ds_dir, "--config", plan, "--out", tmp_path / "m"]) == 2
-        assert "unknown experiment plan keys: ['fractions']" in capsys.readouterr().err
-        assert not out.exists() and not (tmp_path / "m").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("block, key, value", [
         ("detector", "bins", 50), ("tcl", "temperature", 1.0),  # the old defaults
     ])
-    def test_key_in_a_block_is_2(self, tmp_path, data_csv, ds_dir, scores_json, block, key,
-                                 value, capsys):
+    def test_key_in_a_block_is_2(self, tmp_path, data_csv, block, key, value, capsys):
         out = tmp_path / "exp"
         plan = write_json(tmp_path / "plan.json", {
             "dataset": str(data_csv), "target": "label", "out_dir": str(out), block: {key: value},
         })
-        stages = TestOneSpelling.stages(block, ds_dir, scores_json)
         assert run(["report", "--config", plan]) == 2
-        for stage in stages:
-            assert run([*stage, "--config", plan, "--out", tmp_path / "stage"]) == 2
-        err = capsys.readouterr().err
-        assert err.count(f"unknown {block} config keys: ['{key}']") == 1 + len(stages)
-        assert not out.exists() and not (tmp_path / "stage").exists()
+        assert f"unknown {block} config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [("detect", "--bins"), ("train", "--temperature")])
     def test_flag_is_2(self, tmp_path, ds_dir, command, flag, capsys):
@@ -932,54 +929,41 @@ class TestRemovedSettings:
 
 
 class TestConfig:
-    """One config document drives the CLI stages and the experiment plan."""
-
-    DETECTOR = {"detector": "openmax", "norm": "l1", "tail": 25}
-
-    @pytest.mark.parametrize("form", ["nested", "plan"])
-    def test_detector_config_forms(self, tmp_path, data_csv, ds_dir, form):
-        """A stage reads its table alone: a whole plan's other fields, its
-        ``seed`` among them, set nothing for it."""
-        cfg = {"detector": self.DETECTOR}
-        if form == "plan":
-            cfg.update(dataset=str(data_csv), target="label", seed=9, tcl={"max_epochs": 2})
-        config = write_json(tmp_path / "det.json", cfg)
-        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "cfg"]) == 0
-        assert run(["detect", ds_dir, "--detector", "openmax", "--norm", "l1", "--tail", 25,
-                    "--out", tmp_path / "flags"]) == 0
-        by_config = (tmp_path / "cfg" / "scores.json").read_bytes()
-        assert by_config == (tmp_path / "flags" / "scores.json").read_bytes()
-        assert json.loads(by_config)["norm"] == "l1"
+    """A stage's settings are its flags; an experiment plan file, read by
+    ``report`` alone, sets them in its ``detector`` and ``tcl`` tables."""
 
     @pytest.mark.parametrize("suffix", ["json", "toml"])
-    def test_config_with_a_byte_order_mark(self, tmp_path, ds_dir, suffix):
-        text = (json.dumps({"detector": self.DETECTOR}) if suffix == "json"
-                else '[detector]\ndetector = "openmax"\nnorm = "l1"\ntail = 25\n')
-        config = tmp_path / f"bom.{suffix}"
-        config.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "bom"]) == 0
-        assert run(["detect", ds_dir, "--detector", "openmax", "--norm", "l1", "--tail", 25,
-                    "--out", tmp_path / "flags"]) == 0
-        assert (tmp_path / "bom" / "scores.json").read_bytes() == \
-            (tmp_path / "flags" / "scores.json").read_bytes()
+    def test_config_with_a_byte_order_mark(self, tmp_path, data_csv, suffix):
+        """``report`` reads a plan that starts with a byte order mark as it
+        reads the plan without one."""
+        text = (json.dumps({"dataset": str(data_csv), "target": "label",
+                            "detector": {"norm": "l1", "tail": 25}}) if suffix == "json"
+                else f'dataset = {json.dumps(str(data_csv))}\ntarget = "label"\n'
+                     '[detector]\nnorm = "l1"\ntail = 25\n')
+        plain, bom = tmp_path / f"plain.{suffix}", tmp_path / f"bom.{suffix}"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        plan = ExperimentPlan.from_file(bom)
+        assert plan == ExperimentPlan.from_file(plain)
+        assert plan.detector == {"norm": "l1", "tail": 25}
 
     @pytest.mark.parametrize("cfg", [
         {"detector": {"detector": "openmax", "bogus": 1}},
         {"detector": {"detektor": "openmax"}},
     ])
-    def test_unknown_detector_key_is_2(self, tmp_path, ds_dir, cfg, capsys):
-        config = write_json(tmp_path / "det.json", cfg)
-        assert run(["detect", ds_dir, "--config", config, "--out", tmp_path / "o"]) == 2
+    def test_unknown_detector_key_is_2(self, tmp_path, data_csv, cfg, capsys):
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(tmp_path / "exp"), **cfg,
+        })
+        assert run(["report", "--config", plan]) == 2
         assert "unknown detector config keys" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("tcl, message", [
         ({"bogus": 1}, "bogus"),
         ({"input_dim": 4}, "input_dim"),
     ])
-    def test_bad_tcl_key_is_2(self, tmp_path, data_csv, ds_dir, tcl, message, capsys):
-        config = write_json(tmp_path / "train.json", {"tcl": tcl})
-        assert run(["train", ds_dir, "--config", config, "--out", tmp_path / "m"]) == 2
-        assert message in capsys.readouterr().err
+    def test_bad_tcl_key_is_2(self, tmp_path, data_csv, tcl, message, capsys):
         plan = write_json(tmp_path / "plan.json", {
             "dataset": str(data_csv), "target": "label", "tcl": tcl,
             "out_dir": str(tmp_path / "exp"),
@@ -1004,12 +988,12 @@ class TestConfig:
             detector={"detector": detector, "norm": "l1", "tail": 25},
             tcl={"max_epochs": 1, "batch_size": 128}, seed=7, out_dir=str(tmp_path / "plan"),
         )
-        config = write_json(tmp_path / "plan.json", plan.to_dict())
         run_experiment(plan)
 
         ds, det, spl = tmp_path / "ds", tmp_path / "det", tmp_path / "split"
         assert run(["ingest", data_csv, "--target", "label", "--out", ds]) == 0
-        assert run(["detect", ds, "--config", config, "--seed", 7, "--out", det]) == 0
+        assert run(["detect", ds, "--detector", detector, "--norm", "l1", "--tail", 25,
+                    "--seed", 7, "--out", det]) == 0
         assert run(["split", ds, det / "scores.json", "--quantile", 0.95, "--out", spl]) == 0
 
         made = tmp_path / "plan"
@@ -1017,61 +1001,34 @@ class TestConfig:
         for name in ("d_in.csv", "d_ood.csv", "meta.json"):
             assert (spl / name).read_bytes() == (made / "split" / name).read_bytes(), name
 
-    def test_split_reads_threshold_and_quantile_from_config(self, tmp_path, ds_dir):
-        det = tmp_path / "det"
-        assert run(["detect", ds_dir, "--out", det]) == 0
-        scores = det / "scores.json"
-
+    def test_split_at_a_quantile_or_at_its_threshold(self, tmp_path, ds_dir, scores_json):
         def split_bytes(name, *argv):
             out = tmp_path / name
-            assert run(["split", ds_dir, scores, "--out", out, *argv]) == 0
+            assert run(["split", ds_dir, scores_json, "--out", out, *argv]) == 0
             return [(out / f).read_bytes() for f in ("d_in.csv", "d_ood.csv")]
 
-        config = write_json(tmp_path / "split.json",
-                            {"detector": {"detector": "openmax", "quantile": 0.5}})
-        by_flag = split_bytes("flag", "--quantile", 0.5)
-        assert split_bytes("config", "--config", config) == by_flag
-        assert split_bytes("default") != by_flag
-        # a flag beats the file, and either flag replaces both keys
-        assert split_bytes("q", "--config", config, "--quantile", 0.95) == split_bytes("default")
-        threshold = json.loads((tmp_path / "flag" / "meta.json").read_text())["threshold"]
-        assert split_bytes("t", "--config", config, "--threshold", threshold) == by_flag
-        # null means unset: a null threshold leaves the quantile to decide
-        unset = write_json(tmp_path / "unset.json",
-                           {"detector": {"threshold": None, "quantile": 0.5}})
-        assert split_bytes("unset", "--config", unset) == by_flag
+        by_quantile = split_bytes("q", "--quantile", 0.5)
+        assert split_bytes("default") != by_quantile
+        assert split_bytes("q95", "--quantile", 0.95) == split_bytes("default")
+        threshold = json.loads((tmp_path / "q" / "meta.json").read_text())["threshold"]
+        assert split_bytes("t", "--threshold", threshold) == by_quantile
 
-    def test_plan_without_a_stage_block_sets_nothing_for_it(self, tmp_path, data_csv, ds_dir):
-        # a plan's other fields are not settings of the stage whose block it lacks
-        plan = write_json(tmp_path / "plan.json", {
-            "dataset": str(data_csv), "target": "label", "tcl": {"max_epochs": 2},
-        })
-        det, default_det = tmp_path / "det", tmp_path / "default-det"
-        assert run(["detect", ds_dir, "--config", plan, "--out", det]) == 0
-        assert run(["detect", ds_dir, "--out", default_det]) == 0
-        scores = det / "scores.json"
-        assert scores.read_bytes() == (default_det / "scores.json").read_bytes()
-        assert run(["split", ds_dir, scores, "--config", plan, "--out", tmp_path / "s1"]) == 0
-        assert run(["split", ds_dir, scores, "--out", tmp_path / "s2"]) == 0
-        assert (tmp_path / "s1" / "d_in.csv").read_bytes() == \
-            (tmp_path / "s2" / "d_in.csv").read_bytes()
-        # the tcl block applies to train; a plan without one trains with defaults
-        assert run(["train", ds_dir, "--config", plan, "--out", tmp_path / "m1"]) == 0
-        assert json.loads((tmp_path / "m1" / "trace.json").read_text())["epochs"] == 2
-        no_tcl = write_json(tmp_path / "no-tcl.json", {"dataset": str(data_csv), "target": "label"})
-        assert run(["train", ds_dir, "--config", no_tcl, "--max-epochs", 1,
-                    "--out", tmp_path / "m2"]) == 0
+    def test_threshold_and_quantile_together_is_2(self, tmp_path, ds_dir, scores_json, capsys):
+        assert run(["split", ds_dir, scores_json, "--threshold", 0.5, "--quantile", 0.5,
+                    "--out", tmp_path / "out"]) == 2
+        assert "give either a threshold or a quantile, not both" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 TRAIN_FLAGS = {"--hidden-dim", "--latent-dim", "--noise", "--sigma", "--mask-prob",
                "--batch-size", "--max-epochs", "--tolerance", "--learning-rate"}
-# each subcommand's options: the shared --seed, --config and --out only where
-# its cmd_* function reads them
+# each subcommand's options: the shared --seed and --out only where its cmd_*
+# function reads them, and --config, a plan file, for report alone
 OPTIONS = {
     "ingest": {"--out", "--target", "--task", "--delimiter"},
-    "detect": {"--seed", "--config", "--out", "--detector", "--norm", "--tail"},
-    "split": {"--config", "--out", "--threshold", "--quantile"},
-    "train": {"--seed", "--config", "--out", *TRAIN_FLAGS},
+    "detect": {"--seed", "--out", "--detector", "--norm", "--tail"},
+    "split": {"--out", "--threshold", "--quantile"},
+    "train": {"--seed", "--out", *TRAIN_FLAGS},
     "embed": {"--out"},
     "fit-head": {"--out", "--kind"},
     "evaluate": {"--out"},
@@ -1082,7 +1039,9 @@ OPTIONS = {
 # a valid argv for each subcommand that lost a shared flag
 ARGV = {
     "ingest": ["ingest", "t.csv", "--target", "y"],
+    "detect": ["detect", "ds"],
     "split": ["split", "ds", "scores.json"],
+    "train": ["train", "ds"],
     "embed": ["embed", "model.json", "ds"],
     "fit-head": ["fit-head", "emb"],
     "evaluate": ["evaluate", "head.json", "emb"],
@@ -1093,6 +1052,7 @@ REMOVED = [
     *((command, flag) for command in ("ingest", "embed", "fit-head", "evaluate", "compare")
       for flag in ("--seed", "--config")),
     ("split", "--seed"), ("tradeoff", "--seed"), ("tradeoff", "--config"), ("tradeoff", "--out"),
+    ("detect", "--config"), ("split", "--config"), ("train", "--config"),
 ]
 
 

@@ -671,6 +671,18 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode_features(raw, schema, stats={"b": {"median": 0, "mean": 0, "std": 1}})
 
+    @pytest.mark.parametrize("entry", [
+        {"median": 0, "mean": 0, "std": 0}, {"median": 0, "mean": float("nan"), "std": 1},
+        {"median": 0, "mean": 0}, {"median": "0", "mean": 0, "std": 1},
+    ], ids=["zero std", "NaN mean", "no std", "string median"])
+    def test_stats_of_a_column_that_cannot_be_applied(self, entry):
+        """The stats :func:`load_dataset` accepts are the stats that
+        ``encode_features`` applies."""
+        raw = RawTable(["a", "y"], [["1", "0"], ["2", "1"]])
+        schema = Schema((Column("a", "numeric"),), "y", "classification", ("0", "1"))
+        with pytest.raises(ValueError, match="stats of column 'a' need a finite median"):
+            encode_features(raw, schema, stats={"a": entry})
+
 
 class TestSplit:
     def build(self, n, seed=1, classes=2):
