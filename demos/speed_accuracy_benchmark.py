@@ -54,8 +54,8 @@ print(f"\nwrote {len(X)} rows to {csv_path}")
 # ---------------------------------------------------------------------------
 reports = []
 for name, tcl_overrides in (
-    ("gaussian-views", {"max_epochs": 15, "batch_size": 256}),
-    ("masked-views", {"max_epochs": 15, "batch_size": 256, "noise": "mask"}),
+    ("gaussian-views", {"max_epochs": 15}),
+    ("masked-views", {"max_epochs": 15, "noise": "mask"}),
 ):
     plan = ExperimentPlan(
         dataset=csv_path,

@@ -132,6 +132,8 @@ class ExperimentPlan:
         for name in ("dataset", "target", "model_name", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if {"\n", "\r"} & set(self.model_name):  # a markdown table row is one line
+            raise ConfigError(f"model_name must be one line, got {self.model_name!r}")
         if self.task not in (None, *TASKS):
             raise ConfigError(f"unknown task: {self.task!r}")
         if self.head not in (None, *(rules.head for rules in TASKS.values())):
@@ -215,6 +217,8 @@ class BenchReport:
             }[f.type]
             if not ok:
                 raise FormatError(f"malformed report: {f.name} must be {what}, got {value!r}")
+        if {"\n", "\r"} & set(report.model):
+            raise FormatError(f"malformed report: model must be one line, got {report.model!r}")
         return report
 
     @staticmethod

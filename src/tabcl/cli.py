@@ -247,7 +247,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("data", help="dataset artifact or split directory")
     for f in dataclasses.fields(TclConfig):
         if f.name in TCL_KEYS:
-            kind = {"int": int, "float": float, "str": str}[f.type.removesuffix(" | None")]
+            kind = {"int": int, "float": float, "str": str}[f.type]
             p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=kind, default=None)
 
     p = command("embed", cmd_embed, "encode a dataset into the latent space", "out")

@@ -10,6 +10,9 @@ encoder/decoder, and minimizes an unweighted three-part loss:
   averaged;
 * distance: mean squared error between the two embedded views.
 
+The widths derive from the input width; the noise levels, the batch size
+and the learning rate are the constants below (:class:`TclConfig`).
+
 At inference only the encoder runs: :func:`embed` maps rows to the latent
 space with no noise and no decoder.  It runs both matrix products on the
 whole input and the LeakyReLU and LayerNorm in cache-sized row blocks, and
@@ -49,13 +52,17 @@ import numpy as np
 from .artifacts import fields, read_json, write_json
 from .exceptions import TrainingError
 from .numerics import (STREAMS, RngStream, check_finite, gaussian_noise, is_finite_number,
-                       is_integer, largest_noise, plain_number)
+                       is_integer, plain_number)
 
 LEAKY_SLOPE = 0.01
 LN_EPS = 1e-5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+SIGMA = 0.1  # std of the additive Gaussian noise
+MASK_PROB = 0.1  # probability that the mask zeroes an entry
+BATCH_SIZE = 256
+LEARNING_RATE = 1e-3
 STABLE_WINDOW = 3  # epochs over which relative improvement is measured
 
 GAUSSIAN = "gaussian"
@@ -64,65 +71,49 @@ MASK = "mask"
 PARAM_KEYS = ("w1", "b1", "gamma", "beta", "w2", "b2", "w3", "b3", "w4", "b4")
 
 MODEL_FORMAT = "tcl-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 DTYPES = ("float32", "float64")
-
-
-def _clamp(v: int, lo: int, hi: int) -> int:
-    return max(lo, min(hi, v))
 
 
 @dataclass(frozen=True)
 class TclConfig:
-    """Architecture, noise, and optimization settings.
-
-    ``hidden_dim`` defaults to clamp(2d, 16, 256) and ``latent_dim`` to
-    clamp(d, 8, 128).  ``noise`` is "gaussian" (additive, std ``sigma``) or
-    "mask" (entries zeroed with probability ``mask_prob``).  Every number
-    is stored as a Python ``int`` or ``float``.
+    """The settings a run varies: the ``noise`` mode, "gaussian" (additive,
+    std ``SIGMA``) or "mask" (entries zeroed with probability
+    ``MASK_PROB``), and the stopping rule; ``input_dim`` is the data's width
+    and ``seed`` the run's.  The widths derive from ``input_dim``:
+    ``hidden_dim`` is clamp(2d, 16, 256) and ``latent_dim`` clamp(d, 8, 128).
+    Every number is stored as a Python ``int`` or ``float``.
     """
 
     input_dim: int
-    hidden_dim: int | None = None
-    latent_dim: int | None = None
     noise: str = GAUSSIAN
-    sigma: float = 0.1
-    mask_prob: float = 0.1
-    batch_size: int = 256
     max_epochs: int = 100
     tolerance: float = 1e-4
-    learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
-        if not is_integer(self.input_dim) or self.input_dim < 1:
-            raise ValueError(f"input_dim must be an integer >= 1, got {self.input_dim!r}")
-        if self.hidden_dim is None:
-            object.__setattr__(self, "hidden_dim", _clamp(2 * self.input_dim, 16, 256))
-        if self.latent_dim is None:
-            object.__setattr__(self, "latent_dim", _clamp(self.input_dim, 8, 128))
-        for name in ("input_dim", "hidden_dim", "latent_dim", "batch_size", "max_epochs", "seed"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("sigma", "mask_prob", "tolerance", "learning_rate"):
-            if not is_finite_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, plain_number(getattr(self, name)))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.hidden_dim < 1 or self.latent_dim < 1:
-            raise ValueError("hidden_dim and latent_dim must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+        for name, least in (("input_dim", 1), ("max_epochs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not (is_finite_number(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", plain_number(self.tolerance))
         if self.noise not in (GAUSSIAN, MASK):
             raise ValueError(f"unknown noise mode: {self.noise!r}")
-        if self.sigma < 0 or not (0.0 <= self.mask_prob <= 1.0):
-            raise ValueError("sigma must be >= 0 and mask_prob in [0, 1]")
-        if largest_noise(self.sigma, np.float32) > np.finfo(np.float32).max:
-            raise ValueError(f"sigma {self.sigma!r} makes noise beyond float32's range")
-        if self.max_epochs < 1 or self.learning_rate <= 0 or self.tolerance < 0:
-            raise ValueError("bad optimization settings")
+
+    @property
+    def hidden_dim(self) -> int:
+        return max(16, min(256, 2 * self.input_dim))
+
+    @property
+    def latent_dim(self) -> int:
+        return max(8, min(128, self.input_dim))
+
+    @property
+    def batch_size(self) -> int:  # the benchmark's step phases read it
+        return BATCH_SIZE
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -248,11 +239,11 @@ def _views(x: np.ndarray, config: TclConfig, rng: RngStream,
     halves = views.reshape(2, n, d)
     if config.noise == GAUSSIAN:
         for half in halves:
-            gaussian_noise(n, d, config.sigma, rng, x.dtype, out=half)
+            gaussian_noise(n, d, SIGMA, rng, x.dtype, out=half)
         halves += x
     else:
         rng.uniform(2 * n, d, x.dtype, out=views)
-        np.greater_equal(halves, config.mask_prob, out=halves)  # 1.0 keeps an entry
+        np.greater_equal(halves, MASK_PROB, out=halves)  # 1.0 keeps an entry
         halves *= x
     return views
 
@@ -607,8 +598,7 @@ class _Adam:
     Every operation is elementwise, so the result holds the bits of the same
     update applied key by key."""
 
-    def __init__(self, params: np.ndarray, lr: float):
-        self.lr = lr
+    def __init__(self, params: np.ndarray):
         self.params = params
         # four vectors, not one (4, P) block: with the block, the gate-tall
         # benchmark's peak RSS read about 1 MiB higher (the block is past
@@ -631,7 +621,7 @@ class _Adam:
         v += num
         # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
         np.divide(m, b1t, out=num)
-        num *= self.lr
+        num *= LEARNING_RATE
         np.divide(v, b2t, out=den)
         np.sqrt(den, out=den)
         den += ADAM_EPS
@@ -643,11 +633,12 @@ def train_tcl(X, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     """Minibatch training loop with loss-stabilization early stopping, on
     the n x ``config.input_dim`` feature matrix ``X``.
 
-    Each epoch shuffles the rows, walks them in batches, and applies Adam
-    updates from the analytic gradients.  Training stops once the relative
-    change of the epoch-mean total loss over the last three epochs falls
-    below ``config.tolerance``, or at ``config.max_epochs``.  An epoch-mean
-    loss above ten times the first epoch's raises TrainingError.
+    Each epoch shuffles the rows, walks them in batches of ``BATCH_SIZE``
+    rows (the last one shorter), and applies Adam updates from the analytic
+    gradients.  Training stops once the relative change of the epoch-mean
+    total loss over the last three epochs falls below ``config.tolerance``,
+    or at ``config.max_epochs``.  An epoch-mean loss above ten times the
+    first epoch's raises TrainingError.
 
     The model is float32, and the data is cast to float32 once; finite
     data beyond float32's range is a ValueError.  Each step runs one
@@ -666,7 +657,7 @@ def train_tcl(X, config: TclConfig) -> tuple[TclModel, TrainTrace]:
     if X.shape[1] != config.input_dim:
         raise ValueError(f"data has {X.shape[1]} columns, config expects {config.input_dim}")
     n = X.shape[0]
-    batch = min(config.batch_size, n)
+    batch = min(BATCH_SIZE, n)
 
     start = time.perf_counter()
     model = init_model(config)
@@ -675,7 +666,7 @@ def train_tcl(X, config: TclConfig) -> tuple[TclModel, TrainTrace]:
         raise ValueError(f"training data holds values beyond the {model.dtype.name} range")
     X = cast
     rng = RngStream(config.seed, STREAMS["views"])
-    adam = _Adam(model.vector, config.learning_rate)
+    adam = _Adam(model.vector)
     grad = np.empty_like(model.vector)
     grads = _split(grad, config)
     work = _work_arrays(model, 2 * batch)
@@ -710,7 +701,7 @@ def train_tcl(X, config: TclConfig) -> tuple[TclModel, TrainTrace]:
         if trace.total[-1] > 10.0 * initial_loss + 1e-12:
             raise TrainingError(
                 f"loss diverged at epoch {epoch} ({trace.total[-1]:.4g} vs initial "
-                f"{initial_loss:.4g}); use a smaller learning rate"
+                f"{initial_loss:.4g})"
             )
         if epoch >= STABLE_WINDOW:
             ref = trace.total[-1 - STABLE_WINDOW]

@@ -4,9 +4,10 @@ None of these runs in the pipeline.  The three ``loss_*`` functions are the
 loss terms as written down, each on its own arrays; the training step's
 gradient seed (``contrastive._seed``) computes the same terms from the
 residuals and row dots it forms anyway, and the tests hold it to their bits.
-:func:`oracle_loss` sums them on :func:`tabcl.contrastive.encode` and
-:func:`ref_decode`, so the finite-difference checks of the analytic
-gradients do not run the code they check.  :func:`hessian_product` is the
+:func:`oracle_terms` evaluates them on :func:`tabcl.contrastive.encode` and
+:func:`ref_decode`, and :func:`oracle_loss` sums them, so the
+finite-difference checks of the analytic gradients do not run the code
+they check.  :func:`hessian_product` is the
 logistic fit's Hessian-vector product in float64, the reference for the
 package's float32 one.  :func:`read_split_csv` reads a split side's CSV
 export, which the package writes and never reads back.
@@ -71,14 +72,24 @@ def ref_decode(p, e):
     return {"z3": z3, "a3": a3, "out": a3 @ p["w4"] + p["b4"]}
 
 
+def oracle_terms(model: TclModel, x1, x2, x_clean) -> tuple[float, float, float]:
+    """The reconstruction, contrastive and distance terms of two fixed
+    views: the ``loss_*`` formulas on :func:`encode` and :func:`ref_decode`
+    of the views stacked into one matrix, as a training step stacks them.
+    (A BLAS product over the n rows of one view can differ in the last bit
+    from the same rows inside the 2n-row stack.)"""
+    n = len(x1)
+    e = encode(model, np.concatenate((x1, x2)))
+    out = ref_decode(model.params, e)["out"]
+    return (loss_reconstruction(out[:n], out[n:], x_clean),
+            loss_contrastive(e[:n], e[n:]),
+            loss_distance(e[:n], e[n:]))
+
+
 def oracle_loss(model: TclModel, x1, x2, x_clean) -> float:
-    """Total loss of two fixed views: the sum of the ``loss_*`` terms on
-    :func:`encode` and :func:`ref_decode`."""
-    e1, e2 = encode(model, x1), encode(model, x2)
-    out1, out2 = (ref_decode(model.params, e)["out"] for e in (e1, e2))
-    return (loss_reconstruction(out1, out2, x_clean)
-            + loss_contrastive(e1, e2)
-            + loss_distance(e1, e2))
+    """Total loss of two fixed views: the sum of :func:`oracle_terms`."""
+    r, c, d = oracle_terms(model, x1, x2, x_clean)
+    return r + c + d
 
 
 def hessian_product(obj, v) -> Array:

@@ -17,7 +17,6 @@ from tabcl.contrastive import (
     TclConfig,
     augment,
     embed,
-    encode,
     grad_on_views,
     init_model,
     loss_on_views,
@@ -43,11 +42,8 @@ from conftest import auroc, shifted_cluster_data, write_classification_csv, xor_
 from oracles import (
     draw_integers,
     finite_diff_grad,
-    loss_contrastive,
-    loss_distance,
-    loss_reconstruction,
     oracle_loss,
-    ref_decode,
+    oracle_terms,
     replace_params,
     weibull_sample,
 )
@@ -103,15 +99,10 @@ def test_criterion_02_gradient_check_suite():
     rng = np.random.default_rng(4242)
     worst = 0.0
     for i in range(20):
-        d = int(rng.integers(3, 9))
-        h = int(rng.integers(4, 17))
-        k = int(rng.integers(2, 9))
+        d = int(rng.integers(3, 13))  # hidden 16 to 24, latent 8 to 12
         n = int(rng.integers(2, 9))
         noise = "gaussian" if i % 2 == 0 else "mask"
-        config = TclConfig(
-            input_dim=d, hidden_dim=h, latent_dim=k, noise=noise,
-            sigma=0.3, mask_prob=0.3, seed=1000 + i,
-        )
+        config = TclConfig(input_dim=d, noise=noise, seed=1000 + i)
         model = _as_float64(init_model(config))
         stream = RngStream(2000 + i, 0)
         x = stream.normal(n, d)
@@ -134,13 +125,8 @@ def test_criterion_03_loss_identities():
     rng = np.random.default_rng(777)
     models = []
     for j in range(10):
-        config = TclConfig(
-            input_dim=int(rng.integers(2, 7)),
-            hidden_dim=int(rng.integers(4, 10)),
-            latent_dim=int(rng.integers(2, 6)),
-            sigma=0.2,
-            seed=3000 + j,
-        )
+        # widths 2 to 12: hidden 16 to 24, latent 8 to 12
+        config = TclConfig(input_dim=int(rng.integers(2, 13)), seed=3000 + j)
         models.append(_as_float64(init_model(config)))
     checked = 0
     for case in range(1000):
@@ -152,11 +138,7 @@ def test_criterion_03_loss_identities():
         x1, x2 = augment(x, model.config, stream)
 
         total, comps = loss_on_views(model, x1, x2, x)
-        e1, e2 = encode(model, x1), encode(model, x2)
-        r = loss_reconstruction(ref_decode(model.params, e1)["out"],
-                                ref_decode(model.params, e2)["out"], x)
-        c = loss_contrastive(e1, e2)
-        dist = loss_distance(e1, e2)
+        r, c, dist = oracle_terms(model, x1, x2, x)
         assert total == r + c + dist  # decomposition, bit-exact
         assert r >= 0.0 and c >= 0.0 and dist >= 0.0
 
@@ -301,7 +283,7 @@ def test_criterion_08_training_behavior(xor_run):
         and len(trace.reconstruction) == 15
         and all(np.isfinite(v) and v >= 0 for v in trace.total)
     )
-    _line(8, "epoch-mean loss after 15 default-batch epochs is <= half the "
+    _line(8, "epoch-mean loss after 15 epochs is <= half the "
              "first epoch's; stop reason and trace recorded",
           ok, f"ratio {ratio:.3f}, stop {trace.stop_reason}")
 
@@ -316,7 +298,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
         plan = ExperimentPlan(
             dataset=str(csv_path), target="label", model_name="tcl",
             detector={"detector": "openmax", "norm": "l2", "tail": 25, "quantile": 0.9},
-            tcl={"max_epochs": 6, "batch_size": 64},
+            tcl={"max_epochs": 6},
             seed=11, out_dir=str(tmp_path / name),
         )
         report = run_experiment(plan)

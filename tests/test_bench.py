@@ -176,10 +176,13 @@ class TestPlan:
             ExperimentPlan.from_dict({"dataset": "d.csv", "target": "y", "detector": detector})
 
     @pytest.mark.parametrize("tcl, message", [
-        ({"batch_size": 1}, "batch_size must be >= 2"),
+        ({"max_epochs": 0}, "max_epochs must be an integer >= 1, got 0"),
         ({"noise": "salt"}, "unknown noise mode"),
-        ({"sigma": "hot"}, "bad tcl config"),
+        ({"tolerance": "hot"}, "bad tcl config"),
         ({"temperature": 1.0}, r"unknown tcl config keys: \['temperature'\]"),
+        # a constant of tabcl.contrastive, not a setting
+        ({"batch_size": 1}, r"unknown tcl config keys: \['batch_size'\]"),
+        ({"sigma": "hot"}, r"unknown tcl config keys: \['sigma'\]"),
     ])
     def test_bad_tcl_value_rejected_when_built(self, tcl, message):
         with pytest.raises(ConfigError, match=message):
@@ -215,13 +218,13 @@ class TestPlan:
     def test_numbers_stored_as_python_numbers(self):
         # numpy scalars are accepted where plain numbers are, and stored as
         # int or float, so that the model file and the report can hold them
-        tcl = TclConfig(input_dim=np.int64(4), batch_size=np.int64(32), sigma=np.float32(0.25))
+        tcl = TclConfig(input_dim=np.int64(4), max_epochs=np.int64(3), tolerance=np.float32(0.25))
         det = DetectorConfig(tail=np.int64(20), quantile=np.float64(0.9))
         plan = ExperimentPlan(dataset="d.csv", target="y", seed=np.int64(1))
-        stored = [tcl.input_dim, tcl.hidden_dim, tcl.latent_dim, tcl.batch_size, tcl.sigma,
+        stored = [tcl.input_dim, tcl.hidden_dim, tcl.latent_dim, tcl.max_epochs, tcl.tolerance,
                   det.tail, det.quantile, plan.seed]
         assert [type(v) for v in stored] == [int] * 4 + [float, int, float, int]
-        assert stored == [4, 16, 8, 32, 0.25, 20, 0.9, 1]
+        assert stored == [4, 16, 8, 3, 0.25, 20, 0.9, 1]
 
     @pytest.mark.parametrize("block", [5, "openmax", ["tail"]], ids=["int", "str", "list"])
     @pytest.mark.parametrize("what", ["detector", "tcl"])
@@ -266,7 +269,7 @@ def small_plan(tmp_path, run_name="run", **overrides):
         target="label",
         model_name="tcl",
         detector={"detector": "openmax", "norm": "l2", "tail": 30, "quantile": 0.9},
-        tcl={"max_epochs": 8, "batch_size": 128},
+        tcl={"max_epochs": 8},
         seed=5,
         out_dir=str(tmp_path / run_name),
     )
@@ -300,7 +303,7 @@ class TestRunExperiment:
             return fit(X, y, l2, classes)
 
         monkeypatch.setattr(heads, "fit_logistic", spy)
-        run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2, "batch_size": 128}))
+        run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2}))
         assert fits == [2, 2, 2]
 
     def test_quantile_sets_split_sizes(self, tmp_path):
@@ -321,7 +324,7 @@ class TestRunExperiment:
             return small_plan(
                 tmp_path, run_name=kind, seed=as_int(5),
                 detector={"detector": "openmax", "tail": as_int(30), "quantile": 0.9},
-                tcl={"max_epochs": 2, "batch_size": as_int(128), "sigma": as_float(0.25)})
+                tcl={"max_epochs": as_int(2), "tolerance": as_float(0.25)})
 
         run_experiment(plan("plain", int, float))
         run_experiment(plan("numpy", np.int64, np.float32))
@@ -373,7 +376,7 @@ class TestRunExperiment:
         assert exc.value.__notes__ == ["[stage=split]"]
 
     def test_model_and_report_record_the_plan_seed(self, tmp_path):
-        report = run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2, "batch_size": 128}))
+        report = run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2}))
         model = json.loads((tmp_path / "run" / "model.json").read_text())
         assert model["config"]["seed"] == report.seed == 5
 
@@ -396,7 +399,7 @@ class TestRunExperiment:
         plan = ExperimentPlan(
             dataset=str(csv_path), target="value", model_name="tcl",
             detector={"detector": "temperature", "quantile": 0.9},
-            tcl={"max_epochs": 5, "batch_size": 128}, seed=6,
+            tcl={"max_epochs": 5}, seed=6,
             out_dir=str(tmp_path / "reg_out"),
         )
         report = run_experiment(plan)
@@ -632,13 +635,13 @@ class TestBlasThreads:
     def test_two_runs_at_two_threads_write_the_same_bytes(self, tmp_path):
         ds, _ = shifted_cluster_data(n_id=900, n_ood=100, d=64, seed=202)
         write_classification_csv(tmp_path / "data.csv", ds.features, ds.labels)
-        # About 720 training rows: two batches of 248 and a short one.  Two
-        # views of 248 rows make products of inner length 496, where one and
-        # two threads give different models for this plan.
+        # 950 ID rows make 760 training rows: two batches of 256 and one of
+        # 248.  Two views of 248 rows make products of inner length 496,
+        # where one and two threads give different models for this plan.
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({
             "dataset": str(tmp_path / "data.csv"), "target": "label", "seed": 3,
-            "detector": {"quantile": 0.9}, "tcl": {"max_epochs": 3, "batch_size": 248},
+            "detector": {"quantile": 0.95}, "tcl": {"max_epochs": 3},
         }))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
                "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
@@ -648,6 +651,7 @@ class TestBlasThreads:
                             "--out", str(tmp_path / name)], env=env, check=True,
                            capture_output=True, timeout=300)
             report = json.loads((tmp_path / name / "report.json").read_text())
+            assert report["m"] == 950
             metrics = [report[key] for key in ("p", "threshold", "m", "n", "split_grid")]
             outputs.append(((tmp_path / name / "model.json").read_bytes(),
                             json.dumps([*metrics, report["constraints"]["ood_metric"]])))

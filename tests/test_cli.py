@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tabcl import cli
+from tabcl import cli, contrastive
 from tabcl.bench import TCL_KEYS, DetectorConfig, ExperimentPlan, run_experiment
 from tabcl.cli import build_parser, main
 from tabcl.data import (
@@ -78,8 +78,7 @@ class TestStagedPipeline:
             "detector": "openmax", "norm": "l2", "tail": 25, "seed": 1}
 
         train_dir = tmp_path / "model"
-        assert run(["train", split_dir, "--max-epochs", 5, "--batch-size", 64,
-                    "--seed", 2, "--out", train_dir]) == 0
+        assert run(["train", split_dir, "--max-epochs", 5, "--seed", 2, "--out", train_dir]) == 0
         assert (train_dir / "model.json").exists()
         trace = json.loads((train_dir / "trace.json").read_text())
         assert trace["epochs"] == 5
@@ -144,7 +143,7 @@ class TestStagedPipeline:
             "target": "label",
             "model_name": "tcl",
             "detector": {"detector": "openmax", "norm": "l2", "tail": 25, "quantile": 0.9},
-            "tcl": {"max_epochs": 5, "batch_size": 128},
+            "tcl": {"max_epochs": 5},
             "seed": 3,
             "out_dir": str(tmp_path / "exp1"),
         }
@@ -156,7 +155,7 @@ class TestStagedPipeline:
         assert (tmp_path / "exp1" / "report.csv").exists()
 
         plan2 = dict(plan, model_name="tcl-mask", out_dir=str(tmp_path / "exp2"),
-                     tcl={"max_epochs": 5, "batch_size": 128, "noise": "mask"})
+                     tcl={"max_epochs": 5, "noise": "mask"})
         cfg2 = tmp_path / "plan2.json"
         cfg2.write_text(json.dumps(plan2))
         assert run(["report", "--config", cfg2]) == 0
@@ -255,11 +254,12 @@ class TestExitCodes:
     def test_missing_artifact_is_3(self, tmp_path):
         assert run(["evaluate", tmp_path / "head.json", tmp_path / "nope"]) == 3
 
-    def test_numeric_error_is_4(self, tmp_path, data_csv):
+    def test_numeric_error_is_4(self, tmp_path, data_csv, monkeypatch, capsys):
         ds_dir = tmp_path / "ds"
         run(["ingest", data_csv, "--target", "label", "--out", ds_dir])
-        assert run(["train", ds_dir, "--max-epochs", 10, "--learning-rate", 50,
-                    "--batch-size", 32, "--out", tmp_path / "m"]) == 4
+        monkeypatch.setattr(contrastive, "LEARNING_RATE", 50.0)  # the loss diverges
+        assert run(["train", ds_dir, "--max-epochs", 10, "--out", tmp_path / "m"]) == 4
+        assert "numeric error: loss diverged" in capsys.readouterr().err
 
     def test_unscaled_features_detect_with_exit_0(self, tmp_path):
         # Features of standard deviation about 10, not z-scored as ingest
@@ -278,7 +278,7 @@ class TestExitCodes:
     def test_bad_value_is_2(self, tmp_path, data_csv):
         ds_dir = tmp_path / "ds"
         run(["ingest", data_csv, "--target", "label", "--out", ds_dir])
-        assert run(["train", ds_dir, "--batch-size", 1, "--out", tmp_path / "m"]) == 2
+        assert run(["train", ds_dir, "--max-epochs", 0, "--out", tmp_path / "m"]) == 2
         assert run(["train", ds_dir, "--noise", "bogus", "--out", tmp_path / "m"]) == 2
 
     def test_report_names_the_failed_stage(self, tmp_path, data_csv, capsys):
@@ -320,12 +320,12 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     # A well-formed model of width 4, which the cases below spoil.  PARAMS
-    # is its flat parameter vector: w1 (4 x 1), b1, gamma, beta, w2, b2, w3,
-    # b3, w4 (1 x 4) and b4 (4).
-    PARAMS = [0.0] * 4 + [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0] + [0.0] * 8
-    MODEL = {"format": "tcl-model", "version": 4, "dtype": "float32",
-             "config": {"input_dim": 4, "hidden_dim": 1, "latent_dim": 1},
-             "params": params_block(PARAMS)}
+    # is its flat parameter vector of 16 hidden and 8 latent units: w1
+    # (4 x 16) and b1 zero, gamma one, and beta, w2 (16 x 8), b2, w3
+    # (8 x 16), b3, w4 (16 x 4) and b4 zero.
+    PARAMS = [0.0] * 80 + [1.0] * 16 + [0.0] * 364
+    MODEL = {"format": "tcl-model", "version": 5, "dtype": "float32",
+             "config": {"input_dim": 4}, "params": params_block(PARAMS)}
 
     # One score per row of ds_dir, which would split cleanly.
     SCORES = np.linspace(0.0, 1.0, 500).tolist()
@@ -396,6 +396,11 @@ class TestExitCodes:
             "model.json", dict(MODEL, version=3, config={**MODEL["config"], "temperature": 1.0}),
             lambda f, ds: ["embed", f, ds],
         ),
+        "model of version 4": (  # its config held the widths
+            "model.json", dict(MODEL, version=4, config={**MODEL["config"], "hidden_dim": 16,
+                                                         "latent_dim": 8}),
+            lambda f, ds: ["embed", f, ds],
+        ),
         "scores holding a list": ("scores.json", [0.1, 0.2], lambda f, ds: ["split", ds, f]),
         "scores without scores": (
             "scores.json", {"detector": "openmax"}, lambda f, ds: ["split", ds, f],
@@ -450,6 +455,17 @@ class TestExitCodes:
         assert run(["compare", good, good]) == 0
         assert run(["compare", good, bad]) == 3
         assert f"{bad}: malformed report: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["tcl\nnew", "tcl\rnew", "tcl\r\n"],
+                             ids=["line feed", "carriage return", "trailing CRLF"])
+    def test_model_name_with_a_line_break_is_3(self, tmp_path, name, capsys):
+        """A line break would end the model's row of comparison.md."""
+        good = write_json(tmp_path / "good.json", self.REPORT)
+        bad = write_json(tmp_path / "bad.json", dict(self.REPORT, model=name))
+        assert run(["compare", good, bad, "--out", tmp_path / "cmp"]) == 3
+        assert f"{bad}: malformed report: model must be one line, got {name!r}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "cmp" / "comparison.md").exists()
 
     # The detector's settings beside the scores are for the reader: split
     # reads only the scores.
@@ -618,7 +634,7 @@ class TestPlanChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("tcl", {"batch_size": 1}), ("detector", {"tail": 1}),
+        ("tcl", {"max_epochs": 0}), ("detector", {"tail": 1}),
     ])
     def test_bad_stage_setting_is_2_before_any_stage(self, tmp_path, data_csv, field, value,
                                                      capsys):
@@ -629,6 +645,19 @@ class TestPlanChecks:
         assert run(["report", "--config", plan]) == 2
         assert "[stage=" not in capsys.readouterr().err
         assert not (out / "histogram.csv").exists() and not (out / "split").exists()
+
+    @pytest.mark.parametrize("name", ["tcl\nmask", "tcl\rmask", "tcl\n"],
+                             ids=["line feed", "carriage return", "trailing line feed"])
+    def test_model_name_with_a_line_break_is_2_before_any_stage(self, tmp_path, data_csv,
+                                                                 name, capsys):
+        """A line break would end the model's row of report.md's table."""
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out), "model_name": name,
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert f"model_name must be one line, got {name!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plan_with_delta_is_2(self, tmp_path, data_csv, capsys):
         """``delta`` was recorded and never read; a plan that still sets it
@@ -709,14 +738,13 @@ DETECTOR_CASES = [
     ("norm", "L2"), ("tail", None), ("bins", None),  # only threshold and quantile take null
 ]
 TCL_CASES = [
-    *bad_values("hidden_dim", "int"), *bad_values("latent_dim", "int"),
-    *bad_values("noise", "name"), *bad_values("sigma", "real"),
-    *bad_values("mask_prob", "real"), *bad_values("temperature", "real"),
-    *bad_values("batch_size", "int"), *bad_values("max_epochs", "int"),
-    *bad_values("tolerance", "real"), *bad_values("learning_rate", "real"),
-    *bad_values("seed", "int"), ("sigma", float("nan")), ("learning_rate", float("inf")),
-    ("sigma", 1e39),  # finite, but its noise overflows float32
+    *bad_values("noise", "name"), *bad_values("temperature", "real"),
+    *bad_values("max_epochs", "int"), *bad_values("tolerance", "real"),
+    *bad_values("seed", "int"), ("tolerance", float("nan")), ("tolerance", float("inf")),
 ]
+# The widths derive from the data, and the noise levels, batch size and
+# learning rate are constants of tabcl.contrastive: no settings.
+CONSTANTS = ["hidden_dim", "latent_dim", "sigma", "mask_prob", "batch_size", "learning_rate"]
 
 
 def no_file_in(out):
@@ -799,6 +827,22 @@ class TestBadSettingValues:
         self.check_plan(tmp_path, data_csv, "tcl", key, value, capsys)
         self.check_flag(tmp_path, {"train": [ds_dir]}, key, value, capsys)
 
+    @pytest.mark.parametrize("key", CONSTANTS)
+    def test_constant_is_refused_by_name(self, tmp_path, data_csv, ds_dir, key, capsys):
+        """A tcl block that sets a constant exits 2 naming it, before any
+        stage runs, and ``train`` has no flag for it."""
+        out = tmp_path / "exp"
+        plan = write_json(tmp_path / "plan.json", {
+            "dataset": str(data_csv), "target": "label", "out_dir": str(out), "tcl": {key: 1},
+        })
+        assert run(["report", "--config", plan]) == 2
+        assert no_file_in(out)
+        assert f"unknown tcl config keys: ['{key}']" in capsys.readouterr().err
+        flag = f"--{key.replace('_', '-')}"
+        code, _, err = outcome(["train", str(ds_dir), flag, "1", "--out", str(out)], capsys)
+        assert code == 2 and f"unrecognized arguments: {flag} 1" in err
+        assert no_file_in(out)
+
     def test_flag_cases_reach_every_flag_and_its_check(self):
         """Each stage flag carries some bad value to its setting check."""
         cases = (flag_case(key, value) for key, value in DETECTOR_CASES + TCL_CASES)
@@ -809,7 +853,7 @@ class TestBadSettingValues:
 
     @pytest.mark.parametrize("argv, setting", [
         (["split", "ds", "missing.json"], ["--quantile", "7"]),
-        (["train", "missing"], ["--batch-size", "1"]),
+        (["train", "missing"], ["--tolerance", "nan"]),
         (["detect", "missing"], ["--tail", "1"]),
     ])
     def test_setting_is_checked_before_any_artifact_is_read(self, tmp_path, argv, setting,
@@ -972,9 +1016,7 @@ class TestConfig:
         assert message in capsys.readouterr().err
 
     def test_every_tcl_flag_reaches_the_model_config(self, tmp_path, ds_dir):
-        values = {"hidden_dim": 12, "latent_dim": 5, "noise": "mask", "sigma": 0.25,
-                  "mask_prob": 0.2, "batch_size": 64, "max_epochs": 2,
-                  "tolerance": 0.5, "learning_rate": 0.002}
+        values = {"noise": "mask", "max_epochs": 2, "tolerance": 0.5}
         assert set(values) == TCL_KEYS
         flags = [a for key, value in values.items() for a in (f"--{key.replace('_', '-')}", value)]
         assert run(["train", ds_dir, *flags, "--seed", 3, "--out", tmp_path / "m"]) == 0
@@ -986,7 +1028,7 @@ class TestConfig:
         plan = ExperimentPlan(
             dataset=str(data_csv), target="label",
             detector={"detector": detector, "norm": "l1", "tail": 25},
-            tcl={"max_epochs": 1, "batch_size": 128}, seed=7, out_dir=str(tmp_path / "plan"),
+            tcl={"max_epochs": 1}, seed=7, out_dir=str(tmp_path / "plan"),
         )
         run_experiment(plan)
 
@@ -1020,8 +1062,7 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
 
-TRAIN_FLAGS = {"--hidden-dim", "--latent-dim", "--noise", "--sigma", "--mask-prob",
-               "--batch-size", "--max-epochs", "--tolerance", "--learning-rate"}
+TRAIN_FLAGS = {"--noise", "--max-epochs", "--tolerance"}
 # each subcommand's options: the shared --seed and --out only where its cmd_*
 # function reads them, and --config, a plan file, for report alone
 OPTIONS = {
@@ -1053,6 +1094,7 @@ REMOVED = [
       for flag in ("--seed", "--config")),
     ("split", "--seed"), ("tradeoff", "--seed"), ("tradeoff", "--config"), ("tradeoff", "--out"),
     ("detect", "--config"), ("split", "--config"), ("train", "--config"),
+    *(("train", f"--{key.replace('_', '-')}") for key in CONSTANTS),
 ]
 
 

@@ -328,8 +328,9 @@ class TestIsFiniteNumber:
     def test_everything_else(self, value):
         assert is_finite_number(value) is False
 
-    def test_sigma_as_a_numpy_scalar(self):
+    def test_tolerance_as_a_numpy_scalar(self):
         from tabcl.contrastive import TclConfig
 
-        for sigma in (np.float16(2.0), np.float32(2.0)):
-            assert TclConfig(input_dim=2, sigma=sigma).sigma == 2.0
+        for tolerance in (np.float16(2.0), np.float32(2.0)):
+            stored = TclConfig(input_dim=2, tolerance=tolerance).tolerance
+            assert type(stored) is float and stored == 2.0

@@ -1,13 +1,19 @@
-"""README's library quick start runs as written against the package sources,
-on a small generated census-like ``adult.csv``."""
+"""README's library quick start and its CLI block run as written against the
+package sources, on a small generated census-like ``adult.csv`` and a small
+``table.csv``."""
 
+import contextlib
 import csv
+import io
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+from tabcl.cli import main
 from tabcl.numerics import RngStream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,3 +54,51 @@ def test_quick_start_runs(tmp_path):
     assert result.returncode == 0, result.stderr[-2000:]
     accuracy, seconds = map(float, result.stdout.split())
     assert 0.0 <= accuracy <= 1.0 and seconds > 0.0
+
+
+def cli_section() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def cli_block() -> list[list[str]]:
+    """The arguments of each ``tabcl`` line of the CLI section's ``sh``
+    block, in order, each line's trailing ``# ...`` comment stripped."""
+    block = re.search(r"```sh\n(.*?)```", cli_section(), re.DOTALL).group(1)
+    return [shlex.split(line.split(" #")[0])[1:]
+            for line in block.splitlines() if line.startswith("tabcl ")]
+
+
+def plan_example() -> dict:
+    """The experiment plan of the CLI section's ``json`` block."""
+    return json.loads(re.search(r"```json\n(.*?)```", cli_section(), re.DOTALL).group(1))
+
+
+def write_table(path, n=400):
+    """Two numeric columns, a categorical one and a two-class ``label``
+    that depends on them."""
+    rng = RngStream(41, 0)
+    x = rng.normal(n, 2)
+    colors = ["red", "green", "blue"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x0", "x1", "color", "label"])
+        for i in range(n):
+            yes = x[i, 0] - x[i, 1] + (i % 3 == 0) > 0
+            writer.writerow([f"{x[i, 0]:.4f}", f"{x[i, 1]:.4f}", colors[i % 3],
+                             "yes" if yes else "no"])
+
+
+def test_cli_block_runs(tmp_path, monkeypatch):
+    """Every line of the block exits 0, in order, in one directory that
+    holds ``table.csv`` and README's plan as ``plan.json``."""
+    argvs = cli_block()
+    assert [argv[0] for argv in argvs].count("report") == 2
+    assert argvs[-1][0] == "compare"
+    monkeypatch.chdir(tmp_path)
+    write_table(tmp_path / "table.csv")
+    (tmp_path / "plan.json").write_text(json.dumps(plan_example()), encoding="utf-8")
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, shlex.join(["tabcl", *argv])
+    assert (tmp_path / "run_a" / "report.md").exists()
