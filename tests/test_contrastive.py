@@ -113,6 +113,28 @@ class TestConfig:
 
 
 class TestAugment:
+    # the views read SIGMA and MASK_PROB when they are drawn, so a test can
+    # set the levels at their edges
+    def test_zero_sigma_returns_originals(self, monkeypatch):
+        monkeypatch.setattr(contrastive, "SIGMA", 0.0)
+        x = RngStream(70, 0).normal(5, 4)
+        x1, x2 = augment(x, TclConfig(input_dim=4), RngStream(1, 0))
+        np.testing.assert_array_equal(x1, x)
+        np.testing.assert_array_equal(x2, x)
+
+    def test_full_mask_zeroes_everything(self, monkeypatch):
+        monkeypatch.setattr(contrastive, "MASK_PROB", 1.0)
+        x = RngStream(73, 0).normal(5, 4) + 10
+        x1, x2 = augment(x, TclConfig(input_dim=4, noise="mask"), RngStream(4, 0))
+        assert np.all(x1 == 0.0) and np.all(x2 == 0.0)
+
+    def test_zero_mask_prob_keeps_everything(self, monkeypatch):
+        monkeypatch.setattr(contrastive, "MASK_PROB", 0.0)
+        x = RngStream(74, 0).normal(5, 4)
+        x1, x2 = augment(x, TclConfig(input_dim=4, noise="mask"), RngStream(5, 0))
+        np.testing.assert_array_equal(x1, x)
+        np.testing.assert_array_equal(x2, x)
+
     def test_same_stream_reproduces_pair(self):
         x = RngStream(71, 0).normal(5, 4)
         cfg = TclConfig(input_dim=4)
@@ -474,6 +496,22 @@ class TestTraining:
         cfg = TclConfig(input_dim=4, max_epochs=3, seed=6)
         _, trace = train_tcl(X, cfg)
         assert trace.epochs == 3
+
+    def test_epoch_walks_batches_of_batch_size(self, monkeypatch):
+        # training reads BATCH_SIZE when it starts: 100 rows in batches of
+        # 32 are three full steps and a short one of 4 rows, every epoch
+        rows = []
+        grad_into = contrastive._grad_into
+
+        def recording_grad_into(model, x, x_clean, w, grad, grads):
+            rows.append((x.shape[0], x_clean.shape[0]))
+            return grad_into(model, x, x_clean, w, grad, grads)
+
+        monkeypatch.setattr(contrastive, "BATCH_SIZE", 32)
+        monkeypatch.setattr(contrastive, "_grad_into", recording_grad_into)
+        X = two_cluster_matrix(n=100, d=4)
+        train_tcl(X, TclConfig(input_dim=4, max_epochs=2, tolerance=0.0, seed=14))
+        assert rows == 2 * [(64, 32), (64, 32), (64, 32), (8, 4)]
 
     def test_training_holds_float32_only(self, monkeypatch):
         # an upcast array would pass silently: numpy casts float64 results
@@ -1122,7 +1160,8 @@ class TestWorkArrays:
         with pytest.raises(ValueError, match="share one shape"):
             grad_on_views(model, x, x[:5], x)
 
-    @pytest.mark.parametrize("n", [300, 100])  # a full batch and a short one; one batch
+    # a full batch and a short one; one full batch; one short batch
+    @pytest.mark.parametrize("n", [300, 256, 100, 32])
     def test_memory_estimate_counts_what_training_holds(self, n):
         # the recorded bytes cover the arrays that live through training:
         # parameters, gradients and Adam's four sets, and the work arrays of
