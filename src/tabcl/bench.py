@@ -370,6 +370,13 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
     Stage order: ingest -> detect -> split -> train (timed) -> embed ->
     fit-head -> evaluate.  Any failure propagates with the stage name added
     as a note; artifacts written before the failure are kept for debugging.
+
+    Each feature matrix is kept only while a later stage reads it, so after
+    the split the run holds one float64 copy of the rows at a time: the
+    ingested table goes once the split is written; the split pair once
+    ID-train and ID-test are cut from it, keeping its OOD side, threshold
+    and sizes; and ID-train, ID-test and the OOD side once they are
+    embedded, keeping their labels and the class count.
     """
     os.makedirs(plan.out_dir, exist_ok=True)
     clock: dict[str, float] = {}
@@ -386,8 +393,11 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
 
     with _Stage("split", clock):
         pair = split_at_threshold(dataset, scores, det, os.path.join(plan.out_dir, "split"))
+        del dataset, scores  # the split holds every row a later stage reads
         grid, id_train, id_test = validate_split(
             pair, RngStream(plan.seed, STREAMS["id-split"]))
+        d_ood, threshold, m, n = pair.d_ood, pair.threshold, pair.m, pair.n
+        del pair  # its ID side lives on as ID-train and ID-test
 
     with _Stage("train", clock):
         model, trace = train(id_train, plan.tcl, plan.seed, plan.out_dir)
@@ -395,18 +405,20 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
     with _Stage("embed", clock):
         e_train = embed(model, id_train.features)
         e_test = embed(model, id_test.features)
-        e_ood = embed(model, pair.d_ood.features)
+        e_ood = embed(model, d_ood.features)
+        y_train, y_test, y_ood = id_train.labels, id_test.labels, d_ood.labels
+        classes = len(id_train.schema.classes)
+        del id_train, id_test, d_ood  # the later stages read embeddings and labels
 
     with _Stage("fit-head", clock):
-        head = fit_head(e_train, id_train.labels, task, plan.head,
-                        classes=len(id_train.schema.classes))
+        head = fit_head(e_train, y_train, task, plan.head, classes=classes)
 
     with _Stage("evaluate", clock):
         t0 = time.perf_counter()
         pred_test = predict(head, e_test)
         t_inference = time.perf_counter() - t0
-        p = rules.metric(id_test.labels, pred_test)
-        p_ood = rules.metric(pair.d_ood.labels, predict(head, e_ood))
+        p = rules.metric(y_test, pred_test)
+        p_ood = rules.metric(y_ood, predict(head, e_ood))
 
     t_train = trace.seconds
     report = BenchReport(
@@ -428,9 +440,9 @@ def run_experiment(plan: ExperimentPlan) -> BenchReport:
         stage_seconds=clock,
         detector=settings["detector"],
         norm=settings["norm"],
-        threshold=pair.threshold,
-        m=pair.m,
-        n=pair.n,
+        threshold=threshold,
+        m=m,
+        n=n,
         seed=plan.seed,
     )
     emit_report(report, "json", os.path.join(plan.out_dir, "report.json"))

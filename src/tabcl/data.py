@@ -222,15 +222,19 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, idx) -> "Dataset":
-        """Row subset sharing schema and stats."""
+        """Row subset sharing schema and stats.  ``idx`` is an index array, so
+        the subset's rows are a copy: a caller that keeps only the subset can
+        let this dataset go."""
         return Dataset(self.features[idx], self.labels[idx], self.schema, self.stats)
 
 
 @dataclass(eq=False)  # holds arrays: compared by identity
 class SplitPair:
     """An in-distribution / out-of-distribution partition of one dataset and
-    the score threshold that made it.  The detector's settings are not part
-    of it: ``scores.json`` and the report record them."""
+    the score threshold that made it.  Each side holds a copy of its rows
+    (:meth:`Dataset.take`), not a view of the partitioned dataset.  The
+    detector's settings are not part of it: ``scores.json`` and the report
+    record them."""
 
     d_in: Dataset
     d_ood: Dataset

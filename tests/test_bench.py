@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tabcl import bench, heads, ood
+from tabcl import bench, cli, heads, ood
 from tabcl.bench import (
     BenchReport,
     DetectorConfig,
@@ -441,6 +442,68 @@ class TestRunExperiment:
         assert info.value.errno == errno.ENOTDIR
         assert info.value.filename == os.path.join(blocker, "d_in")
         assert info.value.__notes__ == ["[stage=split]"]
+
+
+class TestRowLifetimes:
+    """A run keeps each feature matrix only while a later stage reads it: by
+    training the ingested table and the split's ID side are gone, and by the
+    head fit every matrix of rows is, leaving embeddings and labels."""
+
+    @staticmethod
+    def watch(monkeypatch) -> dict:
+        """Wrap the stages so that they hold a weak reference to each feature
+        matrix, and record which of them are still alive when ``train`` and
+        ``fit_head`` are called."""
+        refs, alive = {}, {}
+
+        def wrap(name, record=lambda args, result: None):
+            original = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                if name in ("train", "fit_head"):
+                    alive[name] = {part: ref() is not None for part, ref in refs.items()}
+                result = original(*args, **kwargs)
+                record(args, result)
+                return result
+
+            monkeypatch.setattr(bench, name, wrapper)
+
+        def on_ingest(args, table):
+            refs["table"] = weakref.ref(table.features)
+
+        def on_validate(args, result):
+            pair, (_, id_train, id_test) = args[0], result
+            for name, part in (("d_in", pair.d_in), ("d_ood", pair.d_ood),
+                               ("id_train", id_train), ("id_test", id_test)):
+                refs[name] = weakref.ref(part.features)
+
+        wrap("ingest_csv", on_ingest)
+        wrap("validate_split", on_validate)
+        wrap("train")
+        wrap("fit_head")
+        return alive
+
+    # what is still alive when each stage is called: training reads ID-train,
+    # and embedding reads ID-test and the OOD side after it
+    EXPECTED = {
+        "train": {"table": False, "d_in": False, "d_ood": True, "id_train": True,
+                  "id_test": True},
+        "fit_head": {"table": False, "d_in": False, "d_ood": False, "id_train": False,
+                     "id_test": False},
+    }
+
+    def test_run_experiment_lets_each_matrix_go(self, tmp_path, monkeypatch):
+        alive = self.watch(monkeypatch)
+        run_experiment(small_plan(tmp_path, tcl={"max_epochs": 2}))
+        assert alive == self.EXPECTED
+
+    def test_report_subcommand_lets_each_matrix_go(self, tmp_path, monkeypatch):
+        plan = small_plan(tmp_path, tcl={"max_epochs": 2})
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan.to_dict()))
+        alive = self.watch(monkeypatch)
+        assert cli.main(["report", "--config", str(plan_path)]) == 0
+        assert alive == self.EXPECTED
 
 
 class TestDetect:
