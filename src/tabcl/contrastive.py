@@ -14,10 +14,10 @@ The widths derive from the input width; the noise levels, the batch size
 and the learning rate are the constants below (:class:`TclConfig`).
 
 At inference only the encoder runs: :func:`embed` maps rows to the latent
-space with no noise and no decoder.  It runs both matrix products on the
-whole input and the LeakyReLU and LayerNorm in cache-sized row blocks, and
-its output is bit-identical to the training step's encoder on the same
-matrix.
+space with no noise and no decoder.  It runs the training step's encoder
+over cache-sized blocks of rows in a per-thread scratch that holds one
+block, and its output is bit-identical to the training step's encoder on
+each block of rows (not on the whole matrix).
 
 The encoder is Linear -> LeakyReLU -> LayerNorm -> Linear and the decoder
 Linear -> LeakyReLU -> Linear; gradients are computed analytically and are
@@ -274,7 +274,8 @@ def _check_input(x, width: int, what: str, dtype) -> np.ndarray:
 # holds 1.0 in every row, and ``w2f`` and ``b2f`` hold the second encoder
 # layer with LayerNorm's affine folded in (see :func:`_fold`).  The loss seed
 # reads ``out`` once and then keeps squared residuals there.  Inference
-# (encode) uses none of them: it runs the encoder in row blocks.
+# (encode) uses none of them: it carves the encoder's arrays for one block
+# of rows from its own scratch.
 _WORK_ARRAYS = {
     "views": "d",
     "z1": "h", "xhat": "h", "e": "k", "mu": 1, "inv_std": 1,
@@ -361,26 +362,27 @@ def _hidden(z1: np.ndarray, xhat: np.ndarray, mu: np.ndarray, inv_std: np.ndarra
     return check_finite(out, "encoder layernorm", mask)
 
 
-def _fold(p: dict, w2f: np.ndarray, b2f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fold(p: dict, w2f: np.ndarray, b2f: np.ndarray) -> None:
     """The second encoder layer with LayerNorm's affine folded in, into
     ``w2f`` and ``b2f``:
 
         (xhat * gamma + beta) @ w2 + b2 == xhat @ (gamma[:, None] * w2) + (beta @ w2 + b2)
 
-    Both are (h, k) work or less, once per step, in place of (rows, h)
-    passes for the affine forward and backward."""
+    Both are (h, k) work or less, once per step (once per call of
+    :func:`encode`), in place of (rows, h) passes for the affine forward
+    and backward."""
     np.multiply(p["gamma"][:, None], p["w2"], out=w2f)
     np.matmul(p["beta"], p["w2"], out=b2f)
     b2f += p["b2"]
-    return w2f, b2f
 
 
-def _encode(p: dict, x: np.ndarray, w: dict) -> np.ndarray:
-    """Encoder forward pass of ``x`` into the work arrays ``w``."""
+def _encode(p: dict, x: np.ndarray, w: dict, mask: np.ndarray | None = None) -> np.ndarray:
+    """Encoder forward pass of ``x`` into the work arrays ``w``, whose
+    ``w2f`` and ``b2f`` already hold the folded second layer (see
+    :func:`_fold`).  ``mask`` is scratch for the finite checks."""
     z1 = _linear(x, p["w1"], p["b1"], w["z1"])
-    xhat = _hidden(z1, w["xhat"], w["mu"], w["inv_std"], w["xhat"])
-    w2f, b2f = _fold(p, w["w2f"], w["b2f"])
-    return check_finite(_linear(xhat, w2f, b2f, w["e"]), "encoder linear 2")
+    xhat = _hidden(z1, w["xhat"], w["mu"], w["inv_std"], w["xhat"], mask)
+    return check_finite(_linear(xhat, w["w2f"], w["b2f"], w["e"]), "encoder linear 2", mask)
 
 
 def _decode(p: dict, e: np.ndarray, w: dict) -> np.ndarray:
@@ -391,8 +393,8 @@ def _decode(p: dict, e: np.ndarray, w: dict) -> np.ndarray:
 
 
 # Rows per block of inference: a block of hidden activations takes about
-# this many bytes, so the LeakyReLU and LayerNorm passes over it stay in the
-# per-core cache instead of streaming n x h arrays through memory.
+# this many bytes, so the passes over it stay in the per-core cache instead
+# of streaming n x h arrays through memory, and the scratch holds one block.
 _BLOCK_BYTES = 256 * 1024
 _ALIGN = 64  # bytes: where each scratch array of inference starts
 _scratch = threading.local()
@@ -403,11 +405,12 @@ def _scratch_arrays(*specs) -> list[np.ndarray]:
     thread's inference scratch.
 
     The scratch is one byte buffer per thread that grows to the largest
-    request and is kept for the thread's next call.  Repeated calls then
-    reuse its pages; fresh temporaries of this size would be handed back to
-    the operating system and faulted in again on every call, as the heap
-    that earlier code left behind decides.  The arrays of the last request
-    are kept too, and a request of the same specs gets them again."""
+    request (one block of rows, see :func:`encode`) and is kept for the
+    thread's next call.  Repeated calls then reuse its pages; fresh
+    temporaries would be handed back to the operating system and faulted
+    in again on every call, as the heap that earlier code left behind
+    decides.  The arrays of the last request are kept too, and a request
+    of the same specs gets them again."""
     if getattr(_scratch, "specs", None) == specs:
         return _scratch.arrays
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
@@ -425,39 +428,41 @@ def _scratch_arrays(*specs) -> list[np.ndarray]:
 def encode(model: TclModel, x) -> np.ndarray:
     """Deterministic encoder forward pass (n x latent_dim).
 
-    Both matrix products run on the whole matrix, and the row-local
-    LeakyReLU and LayerNorm run in row blocks of about ``_BLOCK_BYTES``, so
-    the output is bit-identical to the training step's encoder on the same
-    matrix.  The input is cast to the parameters' dtype once.  The blocks
-    work in place on the first product's output.  Every array but the
-    output is carved from the thread's scratch (:func:`_scratch_arrays`):
-    the cast input, the first product, one block of scratch rows, the folded
-    second layer and the finite checks' mask.  The output is a fresh array.
+    The training step's encoder (:func:`_encode`) runs over consecutive
+    blocks of ``_BLOCK_BYTES // (itemsize * hidden_dim)`` rows, the last
+    one shorter, and each block's latents go straight into their rows of
+    the output.  So the output is bit-identical to the training step's
+    encoder on each block of rows, not on the whole matrix.  The second
+    layer is folded once per call.  Every array but the output is carved
+    from the thread's scratch (:func:`_scratch_arrays`) and holds one
+    block: the rows cast to the parameters' dtype, the pre-activations,
+    the normalized rows, LayerNorm's statistics, the folded second layer
+    and the finite checks' mask.  The output is a fresh array.
     """
     dtype = model.dtype
     c, p = model.config, model.params
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != c.input_dim:
         raise ValueError(f"input must be 2-D with {c.input_dim} columns, got shape {x.shape}")
-    n, h, k = x.shape[0], c.hidden_dim, c.latent_dim
+    n, d, h, k = x.shape[0], c.input_dim, c.hidden_dim, c.latent_dim
     rows = max(1, _BLOCK_BYTES // (dtype.itemsize * h))
     r = min(rows, n)
-    cast, a, xhat, stats, w2f, b2f, mask = _scratch_arrays(
-        (x.shape if x.dtype != dtype else (0,), dtype), ((n, h), dtype), ((r, h), dtype),
-        ((2, r, 1), dtype), ((h, k), dtype), ((k,), dtype), ((max(r * h, n * k),), bool))
-    if x.dtype != dtype:
-        with np.errstate(over="ignore"):  # beyond float32's range: inf, which the checks report
-            np.copyto(cast, x, casting="unsafe")
-        x = cast
-    mu, inv_std = stats
-    np.matmul(x, p["w1"], out=a)
-    for lo in range(0, n, rows):
-        block = a[lo : lo + rows]
-        m = block.shape[0]
-        block += p["b1"]
-        _hidden(block, xhat[:m], mu[:m], inv_std[:m], block, mask)
+    cast, z1, xhat, stats, w2f, b2f, mask = _scratch_arrays(
+        ((r, d) if x.dtype != dtype else (0,), dtype), ((r, h), dtype), ((r, h), dtype),
+        ((2, r, 1), dtype), ((h, k), dtype), ((k,), dtype), ((r * h,), bool))  # h == 2k
     _fold(p, w2f, b2f)
-    return check_finite(_linear(a, w2f, b2f, np.empty((n, k), dtype)), "encoder linear 2", mask)
+    out = np.empty((n, k), dtype)
+    for lo in range(0, n, rows):
+        block = x[lo : lo + rows]
+        m = block.shape[0]
+        if x.dtype != dtype:
+            with np.errstate(over="ignore"):  # beyond float32's range: inf, which the checks report
+                np.copyto(cast[:m], block, casting="unsafe")
+            block = cast[:m]
+        w = {"z1": z1[:m], "xhat": xhat[:m], "mu": stats[0, :m], "inv_std": stats[1, :m],
+             "w2f": w2f, "b2f": b2f, "e": out[lo : lo + m]}
+        _encode(p, block, w, mask)
+    return out
 
 
 # Encoder-only inference: no noise, no decoder.
@@ -477,6 +482,7 @@ def _stack_views(model: TclModel, x1, x2, x_clean) -> tuple[np.ndarray, np.ndarr
 
 def _forward(p: dict, x: np.ndarray, w: dict) -> None:
     """Stacked views through encoder and decoder, into w["e"] and w["out"]."""
+    _fold(p, w["w2f"], w["b2f"])
     _decode(p, _encode(p, x, w), w)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .artifacts import fields, read_json, write_json
 from .data import CLASSIFICATION, REGRESSION
 from .exceptions import ConfigError, NumericError
-from .numerics import _class_index, check_finite, softmax_classes
+from .numerics import _class_index, check_finite, is_finite_number, softmax_classes
 
 LOGISTIC = "logistic"
 LINEAR = "linear"
@@ -207,10 +207,10 @@ def fit_logistic(X, y, l2: float = L2, classes: int | None = None) -> Head:
 
     The head has ``classes`` outputs, one per class of the schema, so that
     it scores rows of a class its fit rows lack; by default, the largest
-    label plus one.
+    label plus one.  ``l2`` must be a finite number >= 0.
     """
-    if l2 < 0:
-        raise ValueError("l2 must be >= 0")
+    if not (is_finite_number(l2) and l2 >= 0):
+        raise ValueError(f"l2 must be >= 0 and finite, got {l2!r}")
     X = np.asarray(X)  # the fit widens float32 features, such as embeddings, itself
     X = _check_features(X, dtype=np.float32 if X.dtype == np.float32 else np.float64)
     y = np.asarray(y)

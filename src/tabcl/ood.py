@@ -71,13 +71,16 @@ def discretize_target(y, bins: int) -> np.ndarray:
     """Equal-frequency (quantile) binning of a real target into class labels.
 
     Populations differ by at most one when values are distinct; ties are
-    broken by original row order.
+    broken by original row order.  A non-finite value, like constant values,
+    is a degenerate target: ValueError.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("y must be a non-empty vector")
+    if not np.isfinite(y).all():
+        raise ValueError("degenerate target: non-finite values")
     if np.all(y == y[0]):
         raise ValueError("degenerate target: constant values")
     order = np.argsort(y, kind="stable")

@@ -18,11 +18,12 @@ def weibull_cdf(x, shape, scale):
     """CDF ``1 - exp(-(x/scale)^shape)``; zero for x <= 0.
 
     ``shape`` and ``scale`` are scalars or arrays that broadcast against
-    ``x``, such as one pair per row.  A power that overflows gives exactly
+    ``x``, such as one pair per row.  A shape or scale that is not > 0, NaN
+    among them, raises ValueError.  A power that overflows gives exactly
     1.0, without a warning.
     """
     x, shape, scale = np.broadcast_arrays(*(np.asarray(v, np.float64) for v in (x, shape, scale)))
-    if np.any(shape <= 0) or np.any(scale <= 0):
+    if not (np.all(shape > 0) and np.all(scale > 0)):
         raise ValueError("shape and scale must be positive")
     with np.errstate(over="ignore"):
         power = (np.maximum(x, 0.0) / scale) ** shape

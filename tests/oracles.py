@@ -4,10 +4,10 @@ None of these runs in the pipeline.  The three ``loss_*`` functions are the
 loss terms as written down, each on its own arrays; the training step's
 gradient seed (``contrastive._seed``) computes the same terms from the
 residuals and row dots it forms anyway, and the tests hold it to their bits.
-:func:`oracle_terms` evaluates them on :func:`tabcl.contrastive.encode` and
-:func:`ref_decode`, and :func:`oracle_loss` sums them, so the
-finite-difference checks of the analytic gradients do not run the code
-they check.  :func:`hessian_product` is the
+:func:`oracle_terms` evaluates them on :func:`ref_encode` and
+:func:`ref_decode` of the whole stacked matrix, and :func:`oracle_loss`
+sums them, so the finite-difference checks of the analytic gradients do
+not run the code they check.  :func:`hessian_product` is the
 logistic fit's Hessian-vector product in float64, the reference for the
 package's float32 one.  :func:`read_split_csv` reads a split side's CSV
 export, which the package writes and never reads back.
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from tabcl.contrastive import LEAKY_SLOPE, TclModel, encode
+from tabcl.contrastive import LEAKY_SLOPE, LN_EPS, TclModel
 from tabcl.data import LABEL_TYPES
 from tabcl.exceptions import NumericError
 from tabcl.numerics import RngStream
@@ -65,6 +65,27 @@ def ref_leaky(z):
     return np.where(z > 0.0, z, LEAKY_SLOPE * z)
 
 
+def ref_row_mean(a, b=None):
+    sums = np.einsum("ij->i", a) if b is None else np.einsum("ij,ij->i", a, b)
+    return sums[:, None] / a.shape[1]
+
+
+def ref_encode(p, x):
+    """The encoder on fresh arrays, in the parameters' dtype, over the whole
+    matrix ``x`` in one product per layer, as a training step runs it: the
+    LayerNorm statistics and the folded second layer as the module computes
+    them."""
+    x = np.asarray(x, dtype=p["w1"].dtype)
+    z1 = x @ p["w1"] + p["b1"]
+    a1 = ref_leaky(z1)
+    centred = a1 - ref_row_mean(a1)
+    inv_std = 1.0 / np.sqrt(ref_row_mean(centred, centred) + LN_EPS)
+    xhat = centred * inv_std
+    w2f = p["gamma"][:, None] * p["w2"]
+    e = xhat @ w2f + (p["beta"] @ p["w2"] + p["b2"])
+    return {"x": x, "z1": z1, "xhat": xhat, "inv_std": inv_std, "w2f": w2f, "e": e}
+
+
 def ref_decode(p, e):
     """The decoder Linear -> LeakyReLU -> Linear on fresh arrays."""
     z3 = e @ p["w3"] + p["b3"]
@@ -74,12 +95,13 @@ def ref_decode(p, e):
 
 def oracle_terms(model: TclModel, x1, x2, x_clean) -> tuple[float, float, float]:
     """The reconstruction, contrastive and distance terms of two fixed
-    views: the ``loss_*`` formulas on :func:`encode` and :func:`ref_decode`
-    of the views stacked into one matrix, as a training step stacks them.
-    (A BLAS product over the n rows of one view can differ in the last bit
-    from the same rows inside the 2n-row stack.)"""
+    views: the ``loss_*`` formulas on :func:`ref_encode` and
+    :func:`ref_decode` of the views stacked into one matrix, as a training
+    step stacks them.  (A BLAS product over the n rows of one view, or over
+    one of inference's row blocks, can differ in the last bit from the same
+    rows inside the 2n-row stack.)"""
     n = len(x1)
-    e = encode(model, np.concatenate((x1, x2)))
+    e = ref_encode(model.params, np.concatenate((x1, x2)))["e"]
     out = ref_decode(model.params, e)["out"]
     return (loss_reconstruction(out[:n], out[n:], x_clean),
             loss_contrastive(e[:n], e[n:]),

@@ -38,7 +38,9 @@ from oracles import (
     oracle_loss,
     oracle_terms,
     ref_decode,
+    ref_encode,
     ref_leaky,
+    ref_row_mean,
     replace_params,
 )
 
@@ -320,6 +322,20 @@ class TestTotalLoss:
             r, c, d = oracle_terms(model, x1, x2, x)
             assert total == r + c + d, dtype
             assert (comps.reconstruction, comps.contrastive, comps.distance) == (r, c, d), dtype
+
+    def test_decomposition_is_bit_exact_on_a_stack_of_two_blocks(self):
+        # a float64 model at d = 64 has 256 rows per inference block, so the
+        # 400 stacked rows span two; the oracle encodes the whole stack, as
+        # the training step does, and still holds each term's bits
+        model = as_float64(small_model(d=64, seed=5))
+        rng = RngStream(88, 0)
+        x = rng.normal(200, 64)
+        assert block_rows(model) == 256 < 2 * len(x)
+        x1, x2 = augment(x, model.config, rng)
+        total, comps = loss_on_views(model, x1, x2, x)
+        r, c, d = oracle_terms(model, x1, x2, x)
+        assert total == r + c + d
+        assert (comps.reconstruction, comps.contrastive, comps.distance) == (r, c, d)
 
     def test_row_permutation_invariance(self):
         for dtype in DTYPES:
@@ -781,30 +797,14 @@ class TestPersistence:
 
 # The training step as first written: np.where LeakyReLU, a fresh array for
 # every intermediate, and out-of-place Adam, over the two views stacked into
-# one matrix, all in the parameters' dtype.  It computes LayerNorm's
-# statistics and the folded second encoder layer as the module does, and
-# the module's step writes into reused work arrays and must match it bit for
-# bit.  plain_encode and plain_backward below are the unfolded formula.
+# one matrix, all in the parameters' dtype.  Its encoder is
+# ``oracles.ref_encode``, which computes LayerNorm's statistics and the
+# folded second encoder layer as the module does, and the module's step
+# writes into reused work arrays and must match it bit for bit.
+# plain_encode and plain_backward below are the unfolded formula.
 
 def ref_leaky_grad(z):
     return np.where(z > 0.0, 1.0, LEAKY_SLOPE).astype(z.dtype)
-
-
-def ref_row_mean(a, b=None):
-    sums = np.einsum("ij->i", a) if b is None else np.einsum("ij,ij->i", a, b)
-    return sums[:, None] / a.shape[1]
-
-
-def ref_encode(p, x):
-    x = np.asarray(x, dtype=p["w1"].dtype)
-    z1 = x @ p["w1"] + p["b1"]
-    a1 = ref_leaky(z1)
-    centred = a1 - ref_row_mean(a1)
-    inv_std = 1.0 / np.sqrt(ref_row_mean(centred, centred) + LN_EPS)
-    xhat = centred * inv_std
-    w2f = p["gamma"][:, None] * p["w2"]
-    e = xhat @ w2f + (p["beta"] @ p["w2"] + p["b2"])
-    return {"x": x, "z1": z1, "xhat": xhat, "inv_std": inv_std, "w2f": w2f, "e": e}
 
 
 def ref_backward(p, enc, dec, d_out, d_e):
@@ -961,7 +961,7 @@ class TestMatchesReferenceStep:
         for name, values in losses.items():
             assert same_bits(getattr(trace, name), values), name
         assert (trace.epochs, trace.stop_reason) == (len(losses["total"]), stop)
-        assert same_bits(embed(model, X), ref_encode(ref_model.params, X)["e"])
+        assert same_bits(embed(model, X), ref_embed(ref_model, X))
 
     def test_gradients_at_exact_zeros_of_z1(self):
         cfg = TclConfig(input_dim=5, seed=4)
@@ -1031,9 +1031,16 @@ def block_rows(model):
     return max(1, contrastive._BLOCK_BYTES // row_bytes)
 
 
+def ref_embed(model, x):
+    """The reference encoder applied over inference's row blocks, stacked."""
+    rows = block_rows(model)
+    blocks = [ref_encode(model.params, x[lo : lo + rows])["e"] for lo in range(0, len(x), rows)]
+    return np.concatenate(blocks) if blocks else ref_encode(model.params, x)["e"]
+
+
 class TestBlockedInference:
-    """``embed`` runs LeakyReLU and LayerNorm in row blocks between two
-    whole-matrix products; its bits must not depend on the blocking."""
+    """``embed`` runs the training step's encoder over row blocks; each
+    block's rows must hold the bits of the reference encoder on that block."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1060,7 +1067,7 @@ class TestBlockedInference:
         x = rng.normal(n, d) * (1.0 + 3.0 * rng.uniform(1, d))
         e = embed(model, x)
         assert e.shape == (n, model.config.latent_dim)
-        assert same_bits(e, ref_encode(model.params, x)["e"])
+        assert same_bits(e, ref_embed(model, x))
 
     def test_non_finite_row_in_a_later_block(self):
         model = small_model(d=4)
@@ -1101,10 +1108,34 @@ class TestBlockedInference:
             thread.join()
         assert same == [[True] * 30, [True] * 30]
 
+    def test_first_call_holds_one_block_beside_its_output(self):
+        """A thread's first call carves one block of scratch rows, not the
+        whole input's: on 20,000 rows of 48 float64 columns a float32 model
+        (682 rows per block) traces its output and about 0.74 MB more."""
+        model = init_model(TclConfig(input_dim=48))
+        x = RngStream(105, 0).normal(20_000, 48)
+        traced = {}
+
+        def work():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                e = embed(model, x)
+                traced["peak"] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            traced["nbytes"] = e.nbytes
+
+        thread = threading.Thread(target=work)  # a fresh thread: an empty scratch
+        thread.start()
+        thread.join()
+        assert traced["nbytes"] == 20_000 * 48 * 4
+        assert traced["peak"] <= traced["nbytes"] + 1024 * 1024
+
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_second_call_of_a_shape_allocates_only_its_output(self, dtype):
-        """The cast input, the first product, the block scratch and the
-        finite checks' mask are kept from the first call."""
+        """The cast rows, the block scratch and the finite checks' mask are
+        kept from the first call."""
         model = in_dtype(init_model(TclConfig(input_dim=48, seed=0)), dtype)
         x = RngStream(104, 0).normal(4 * block_rows(model) + 17, 48).astype(np.float32)
         embed(model, x)

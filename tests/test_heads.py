@@ -70,6 +70,13 @@ class TestLogistic:
         with pytest.raises(ValueError, match="l2 must be >= 0"):
             fit_logistic(X, y, l2=-1e-4)
 
+    @pytest.mark.parametrize("l2", [float("nan"), float("inf"), np.float32("nan")],
+                             ids=["nan", "inf", "float32-nan"])
+    def test_non_finite_penalty_rejected(self, l2):
+        X, y = separable_toy()
+        with pytest.raises(ValueError, match="l2 must be >= 0 and finite"):
+            fit_logistic(X, y, l2=l2)
+
     @pytest.mark.parametrize("labels", [(0, 1), (0, 2)])
     def test_separable_data_stops_with_finite_weights(self, labels):
         # Separable classes, and with labels {0, 2} an absent class 1 whose

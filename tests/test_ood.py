@@ -155,6 +155,13 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize_target(np.arange(10.0), 1)
 
+    @pytest.mark.parametrize("y", [
+        [np.nan] * 4, [1.0, 2.0, np.nan, 3.0], [1.0, np.inf, 2.0, 3.0], [-np.inf, 0.0, 1.0, 2.0],
+    ], ids=["all-nan", "one-nan", "inf", "minus-inf"])
+    def test_non_finite_target_rejected(self, y):
+        with pytest.raises(ValueError, match="degenerate target: non-finite"):
+            discretize_target(np.array(y), 2)
+
 
 class TestOpenMax:
     def test_mavs_far_apart_for_separated_classes(self):

@@ -39,6 +39,14 @@ class TestCdf:
         with pytest.raises(ValueError, match="must be positive"):
             weibull_cdf(np.ones(3), np.array([1.0, 0.0, 2.0]), 1.0)
 
+    @pytest.mark.parametrize("shape, scale", [
+        (math.nan, 1.0), (1.0, math.nan), (np.array([1.0, math.nan]), 1.0),
+        (1.0, np.array([2.0, math.nan])),
+    ], ids=["nan-shape", "nan-scale", "nan-shape-entry", "nan-scale-entry"])
+    def test_nan_parameters_rejected(self, shape, scale):
+        with pytest.raises(ValueError, match="must be positive"):
+            weibull_cdf(np.ones(2), shape, scale)
+
     def test_scalar_keeps_numpy_scalar_power_bits(self):
         # A scalar call keeps the bits of the plain formula with numpy's
         # array power, and agrees to rounding with libm pow, which numpy's
