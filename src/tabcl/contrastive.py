@@ -15,9 +15,9 @@ and the learning rate are the constants below (:class:`TclConfig`).
 
 At inference only the encoder runs: :func:`embed` maps rows to the latent
 space with no noise and no decoder.  It runs the training step's encoder
-over cache-sized blocks of rows in a per-thread scratch that holds one
-block, and its output is bit-identical to the training step's encoder on
-each block of rows (not on the whole matrix).
+over cache-sized blocks of rows, in one block of the training step's work
+arrays that each thread keeps, and its output is bit-identical to the
+training step's encoder on each block of rows (not on the whole matrix).
 
 The encoder is Linear -> LeakyReLU -> LayerNorm -> Linear and the decoder
 Linear -> LeakyReLU -> Linear; gradients are computed analytically and are
@@ -274,8 +274,8 @@ def _check_input(x, width: int, what: str, dtype) -> np.ndarray:
 # holds 1.0 in every row, and ``w2f`` and ``b2f`` hold the second encoder
 # layer with LayerNorm's affine folded in (see :func:`_fold`).  The loss seed
 # reads ``out`` once and then keeps squared residuals there.  Inference
-# (encode) uses none of them: it carves the encoder's arrays for one block
-# of rows from its own scratch.
+# (encode) takes the encoder's entries, ``_ENCODER_ARRAYS``, for one block of
+# rows, and casts each block's rows into ``views``.
 _WORK_ARRAYS = {
     "views": "d",
     "z1": "h", "xhat": "h", "e": "k", "mu": 1, "inv_std": 1,
@@ -284,17 +284,32 @@ _WORK_ARRAYS = {
     "dots": 1, "mean_dx": 1, "mean_dx_xhat": 1, "ones": 1,
     "w2f": ("h", "k"), "b2f": ("k",),
 }
+_ENCODER_ARRAYS = ("views", "z1", "xhat", "mu", "inv_std", "w2f", "b2f")
+_ALIGN = 64  # bytes: where each work array starts
 
 
-def _work_arrays(model: TclModel, rows: int) -> dict[str, np.ndarray]:
+def _aligned_empty(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized array of its own that starts on an ``_ALIGN``-byte
+    boundary, as vectorized loops and BLAS kernels read fastest."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    buffer = np.empty(size + _ALIGN, np.uint8)
+    start = -buffer.ctypes.data % _ALIGN
+    return buffer[start : start + size].view(dtype).reshape(shape)
+
+
+def _work_arrays(model: TclModel, rows: int, names=_WORK_ARRAYS) -> dict[str, np.ndarray]:
+    """The work arrays ``names`` of ``rows`` stacked rows, each allocated on
+    its own (see :func:`_aligned_empty`)."""
     c = model.config
     widths = {"d": c.input_dim, "h": c.hidden_dim, "k": c.latent_dim, 1: 1}
-    arrays = {
-        name: np.empty(tuple(widths[x] for x in width) if isinstance(width, tuple)
-                       else (rows, widths[width]), model.dtype)
-        for name, width in _WORK_ARRAYS.items()
-    }
-    arrays["ones"].fill(1.0)
+    arrays = {}
+    for name in names:
+        width = _WORK_ARRAYS[name]
+        shape = (tuple(widths[x] for x in width) if isinstance(width, tuple)
+                 else (rows, widths[width]))
+        arrays[name] = _aligned_empty(shape, model.dtype)
+    if "ones" in arrays:
+        arrays["ones"].fill(1.0)
     return arrays
 
 
@@ -394,35 +409,10 @@ def _decode(p: dict, e: np.ndarray, w: dict) -> np.ndarray:
 
 # Rows per block of inference: a block of hidden activations takes about
 # this many bytes, so the passes over it stay in the per-core cache instead
-# of streaming n x h arrays through memory, and the scratch holds one block.
+# of streaming n x h arrays through memory, and a thread's work arrays hold
+# one block.
 _BLOCK_BYTES = 256 * 1024
-_ALIGN = 64  # bytes: where each scratch array of inference starts
-_scratch = threading.local()
-
-
-def _scratch_arrays(*specs) -> list[np.ndarray]:
-    """One array per ``(shape, dtype)`` of ``specs``, carved from this
-    thread's inference scratch.
-
-    The scratch is one byte buffer per thread that grows to the largest
-    request (one block of rows, see :func:`encode`) and is kept for the
-    thread's next call.  Repeated calls then reuse its pages; fresh
-    temporaries would be handed back to the operating system and faulted
-    in again on every call, as the heap that earlier code left behind
-    decides.  The arrays of the last request are kept too, and a request
-    of the same specs gets them again."""
-    if getattr(_scratch, "specs", None) == specs:
-        return _scratch.arrays
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-    starts = np.cumsum([0] + [-(-size // _ALIGN) * _ALIGN for size in sizes]).tolist()
-    buffer = getattr(_scratch, "buffer", None)
-    if buffer is None or buffer.size < starts[-1] + _ALIGN:
-        buffer = _scratch.buffer = np.empty(starts[-1] + _ALIGN, np.uint8)
-    base = -buffer.ctypes.data % _ALIGN
-    _scratch.specs, _scratch.arrays = specs, [
-        buffer[base + start : base + start + size].view(dtype).reshape(shape)
-        for (shape, dtype), start, size in zip(specs, starts, sizes)]
-    return _scratch.arrays
+_held = threading.local()  # each thread's block of encoder work arrays
 
 
 def encode(model: TclModel, x) -> np.ndarray:
@@ -433,34 +423,36 @@ def encode(model: TclModel, x) -> np.ndarray:
     one shorter, and each block's latents go straight into their rows of
     the output.  So the output is bit-identical to the training step's
     encoder on each block of rows, not on the whole matrix.  The second
-    layer is folded once per call.  Every array but the output is carved
-    from the thread's scratch (:func:`_scratch_arrays`) and holds one
-    block: the rows cast to the parameters' dtype, the pre-activations,
-    the normalized rows, LayerNorm's statistics, the folded second layer
-    and the finite checks' mask.  The output is a fresh array.
+    layer is folded once per call.  Every array but the output is one full
+    block of the training step's work arrays (``_ENCODER_ARRAYS``, the
+    rows cast to the parameters' dtype in ``views``) or the finite checks'
+    mask.  Each thread keeps them for its next call on a model of the same
+    dtype and input width, whatever the input's rows, so repeated calls do
+    not allocate and fault in fresh pages.  The output is a fresh array.
     """
     dtype = model.dtype
     c, p = model.config, model.params
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != c.input_dim:
         raise ValueError(f"input must be 2-D with {c.input_dim} columns, got shape {x.shape}")
-    n, d, h, k = x.shape[0], c.input_dim, c.hidden_dim, c.latent_dim
+    n, h = x.shape[0], c.hidden_dim
     rows = max(1, _BLOCK_BYTES // (dtype.itemsize * h))
-    r = min(rows, n)
-    cast, z1, xhat, stats, w2f, b2f, mask = _scratch_arrays(
-        ((r, d) if x.dtype != dtype else (0,), dtype), ((r, h), dtype), ((r, h), dtype),
-        ((2, r, 1), dtype), ((h, k), dtype), ((k,), dtype), ((r * h,), bool))  # h == 2k
-    _fold(p, w2f, b2f)
-    out = np.empty((n, k), dtype)
+    if getattr(_held, "key", None) != (dtype, c.input_dim):
+        _held.key = _held.work = _held.mask = None  # free the old block before allocating
+        _held.work = _work_arrays(model, rows, _ENCODER_ARRAYS)
+        _held.mask = _aligned_empty((rows * h,), bool)
+        _held.key = (dtype, c.input_dim)
+    work, mask = _held.work, _held.mask
+    _fold(p, work["w2f"], work["b2f"])
+    out = np.empty((n, c.latent_dim), dtype)
     for lo in range(0, n, rows):
         block = x[lo : lo + rows]
-        m = block.shape[0]
+        w = dict(work) if block.shape[0] == rows else _rows(work, block.shape[0])
         if x.dtype != dtype:
             with np.errstate(over="ignore"):  # beyond float32's range: inf, which the checks report
-                np.copyto(cast[:m], block, casting="unsafe")
-            block = cast[:m]
-        w = {"z1": z1[:m], "xhat": xhat[:m], "mu": stats[0, :m], "inv_std": stats[1, :m],
-             "w2f": w2f, "b2f": b2f, "e": out[lo : lo + m]}
+                np.copyto(w["views"], block, casting="unsafe")
+            block = w["views"]
+        w["e"] = out[lo : lo + block.shape[0]]
         _encode(p, block, w, mask)
     return out
 

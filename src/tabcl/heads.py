@@ -175,9 +175,9 @@ def fit_softmax_regression(
     Armijo margin, so it never rises.  The fit starts at zero weights and
     stops once every gradient entry is at most ``_TOL`` in magnitude, after
     ``_NEWTON_STEPS`` steps, or when no step lowers the objective.  Returns
-    weights (d, C) and bias (C,).  Labels not one per row or outside
-    ``[0, n_classes)`` and finite features beyond float32's range raise
-    ValueError, non-finite features NumericError.
+    weights (d, C) and bias (C,).  Labels not one per row or not whole
+    numbers in ``[0, n_classes)`` and finite features beyond float32's range
+    raise ValueError, non-finite features NumericError.
     """
     d = X.shape[1]
     obj = _Objective(X, y, n_classes, l2)
@@ -216,22 +216,24 @@ def fit_logistic(X, y, l2: float = L2, classes: int | None = None) -> Head:
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ValueError("labels must be one per row")
-    y = y.astype(np.int64)
-    if classes is None:
-        classes = int(y.max()) + 1 if y.size else 0
     if not y.size or (y == y[0]).all():  # np.unique imports numpy.ma
         raise ValueError("logistic head needs at least 2 classes present")
+    if classes is None:  # a NaN or infinite label fails the fit's label check
+        classes = int(y.max()) + 1 if np.isfinite(y.max()) else 0
     W, b = fit_softmax_regression(X, y, classes, l2)
     return Head(LOGISTIC, W, b, classes)
 
 
 def fit_linear(X, y) -> Head:
     """Closed-form ridge regression at the penalty ``RIDGE`` (normal
-    equations, intercept unpenalized)."""
-    X = _check_features(X)
+    equations, intercept unpenalized).  Non-finite features raise
+    NumericError, non-finite targets ValueError."""
+    X = check_finite(_check_features(X), "linear regression features")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.shape[0],):
         raise ValueError("targets must be one per row")
+    if not np.isfinite(y).all():
+        raise ValueError("targets must be finite")
     n, d = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
     gram = Xa.T @ Xa
@@ -264,10 +266,12 @@ def logits(head: Head, X) -> np.ndarray:
 
 
 def predict(head: Head, X) -> np.ndarray:
-    """Class indices for logistic heads, real predictions for linear heads."""
+    """Class indices for logistic heads, real predictions for linear heads;
+    NumericError when a logit or a prediction is non-finite."""
     if head.kind == LOGISTIC:
         return np.argmax(logits(head, X), axis=1)
-    return _check_features(X, head) @ head.weights + head.bias[0]
+    return check_finite(_check_features(X, head) @ head.weights + head.bias[0],
+                        "linear predictions")
 
 
 def save_head(head: Head, path) -> None:

@@ -65,13 +65,16 @@ class RngStream:
 
 def _class_index(y: Array, n_classes: int, n: int) -> Array:
     """Flat position of each row's label in a class-major (C, n) matrix.
-    A label outside ``[0, C)`` would read a neighbouring row: ValueError."""
+    A label outside ``[0, C)`` would read a neighbouring row, and one that
+    is not a whole number would be truncated to another class: ValueError.
+    Integral floats such as 1.0 are labels, as a ``Dataset`` takes them."""
     y = np.asarray(y)
     if y.shape != (n,) or n == 0:
         raise ValueError("labels must be one per row, with at least one row")
-    if y.min() < 0 or y.max() >= n_classes:
-        raise ValueError(f"labels must lie in [0, {n_classes})")
-    return y * n + np.arange(n)
+    whole = (y == np.floor(y)).all() if y.dtype.kind == "f" else True  # False for NaN
+    if not (whole and y.min() >= 0 and y.max() < n_classes):
+        raise ValueError(f"labels must lie in [0, {n_classes}) and be whole numbers")
+    return y.astype(np.int64, copy=False) * n + np.arange(n)
 
 
 def softmax_classes(p: Array, log: bool = False) -> Array:

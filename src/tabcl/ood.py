@@ -41,7 +41,7 @@ from .artifacts import atomic_write
 from .data import CLASSIFICATION, Dataset, SplitPair, split
 from .exceptions import NumericError
 from .heads import Head, fit_head, predict, task_rules
-from .numerics import RngStream, _class_index, softmax_classes
+from .numerics import RngStream, _class_index, check_finite, is_integer, softmax_classes
 from .weibull import weibull_cdf, weibull_mle
 
 OPENMAX = "openmax"
@@ -74,8 +74,8 @@ def discretize_target(y, bins: int) -> np.ndarray:
     broken by original row order.  A non-finite value, like constant values,
     is a degenerate target: ValueError.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    if not (is_integer(bins) and bins >= 2):
+        raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("y must be a non-empty vector")
@@ -174,9 +174,9 @@ def _nll_at_temperature(logits: np.ndarray, y: np.ndarray, tau: float) -> float:
 
 def fit_temperature_on_logits(logits, y) -> float:
     """Golden-section search for the NLL-minimizing temperature in
-    [TEMP_LO, TEMP_HI]."""
-    logits = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(y).astype(np.int64)
+    [TEMP_LO, TEMP_HI].  Non-finite logits raise NumericError."""
+    logits = check_finite(np.asarray(logits, dtype=np.float64), "temperature logits")
+    y = np.asarray(y)
     a, b = TEMP_LO, TEMP_HI
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -225,8 +225,8 @@ def score_histogram(scores, bins: int = 50) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("scores must be non-empty")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    if not (is_integer(bins) and bins >= 1):
+        raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
     return np.histogram(scores, bins=bins)
 
 

@@ -1151,8 +1151,53 @@ class TestBlockedInference:
         # broadcast, and small objects
         assert e.nbytes <= peak <= e.nbytes + 8192 * e.itemsize + 16 * 1024
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_a_short_first_call_keeps_a_full_block(self, dtype):
+        """A thread's first call takes one full block of work arrays, however
+        few its rows, so a later call of more rows (or of fewer) allocates
+        only its output."""
+        model = in_dtype(init_model(TclConfig(input_dim=48, seed=0)), dtype)
+        rng = RngStream(106, 0)
+        long = 3 * block_rows(model) + 17
+        xs = [rng.normal(5, 48), rng.normal(long, 48), rng.normal(7, 48), rng.normal(long, 48)]
+        traced = []
+
+        def work():
+            embed(model, xs[0])
+            tracemalloc.start()
+            try:
+                for x in xs[1:]:
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    e = embed(model, x)
+                    traced.append((tracemalloc.get_traced_memory()[1] - before, e.nbytes))
+                    del e
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=work)  # a fresh thread: no work arrays yet
+        thread.start()
+        thread.join()
+        assert len(traced) == 3
+        for peak, nbytes in traced:
+            # as above: the output, numpy's broadcast buffer and small objects
+            assert nbytes <= peak <= nbytes + 8192 * model.dtype.itemsize + 16 * 1024
+
 
 class TestWorkArrays:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("d", [1, 3, 9, 25, 48])
+    def test_every_array_starts_on_a_64_byte_boundary(self, d, dtype):
+        model = in_dtype(small_model(d=d), dtype)
+        for rows in (2, 14, 2 * contrastive.BATCH_SIZE):
+            arrays = contrastive._work_arrays(model, rows)  # training's table
+            assert list(arrays) == list(contrastive._WORK_ARRAYS)
+            assert [name for name, a in arrays.items() if a.ctypes.data % 64] == []
+        arrays = contrastive._work_arrays(model, block_rows(model), contrastive._ENCODER_ARRAYS)
+        assert list(arrays) == list(contrastive._ENCODER_ARRAYS)
+        assert [name for name, a in arrays.items() if a.ctypes.data % 64] == []
+        assert all(a.dtype == dtype and a.flags.c_contiguous for a in arrays.values())
+
     def test_outputs_are_not_overwritten_by_later_calls(self):
         model = small_model()
         rng = RngStream(96, 0)

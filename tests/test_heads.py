@@ -201,6 +201,25 @@ class TestSoftmaxRegression:
         with pytest.raises(ValueError, match="with at least one row"):
             fit_softmax_regression(X[:0], y[:0], 3, 1e-4)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, -0.5, np.nan, np.inf])
+    def test_label_not_a_whole_number_rejected(self, bad):
+        # a cast to an integer would truncate 0.5 and 1.7 to other classes
+        X, y = separable_toy(n=8)
+        labels = y.astype(np.float64)
+        labels[3] = bad
+        with pytest.raises(ValueError, match="whole numbers"):
+            fit_logistic(X, labels)
+        with pytest.raises(ValueError, match="whole numbers"):
+            fit_logistic(X, labels, classes=2)
+        with pytest.raises(ValueError, match="whole numbers"):
+            fit_softmax_regression(X, labels, 2, 1e-4)
+
+    def test_integral_float_labels_are_labels(self):
+        X, y = separable_toy()
+        head = fit_logistic(X, y.astype(np.float64))
+        assert head.classes == 2
+        assert bits_equal(head.weights, fit_logistic(X, y).weights)
+
     def test_non_finite_features_rejected(self):
         X, y = softmax_problem(7, 30, 4, 3, 1.0)
         X[3, 2] = np.nan
@@ -412,6 +431,28 @@ class TestLinear:
         P[4, 4] = 0.0
         coef = np.linalg.solve(Xa.T @ Xa + P, Xa.T @ y)
         np.testing.assert_allclose(np.append(head.weights, head.bias[0]), coef, atol=1e-8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        X = RngStream(45, 0).normal(4, 2)
+        with pytest.raises(ValueError, match="targets must be finite"):
+            fit_linear(X, [1.0, bad, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        X = RngStream(46, 0).normal(4, 2)
+        X[1, 0] = bad
+        with pytest.raises(NumericError, match="non-finite values in linear regression features"):
+            fit_linear(X, [1.0, 0.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_raises(self, bad):
+        # as logits does for a logistic head
+        head = fit_linear(RngStream(47, 0).normal(6, 2), [1.0, 0.0, 2.0, 3.0, 1.0, 2.0])
+        X = np.array([[1.0, 2.0], [bad, 0.0]])
+        with pytest.raises(NumericError, match="non-finite values in linear predictions"):
+            predict(head, X)
+        assert np.isfinite(predict(head, X[:1])).all()
 
 
 class TestMetrics:

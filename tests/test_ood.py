@@ -162,6 +162,16 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="degenerate target: non-finite"):
             discretize_target(np.array(y), 2)
 
+    # 2.5 would make three bins, NaN label every row with int64's minimum
+    @pytest.mark.parametrize("bins", [2.5, np.nan, True, 3.0])
+    def test_bins_must_be_an_integer(self, bins):
+        with pytest.raises(ValueError, match="bins must be an integer >= 2"):
+            discretize_target(np.arange(10.0), bins)
+
+    def test_numpy_integer_bins(self):
+        y = np.arange(10.0)
+        np.testing.assert_array_equal(discretize_target(y, np.int64(3)), discretize_target(y, 3))
+
 
 class TestOpenMax:
     def test_mavs_far_apart_for_separated_classes(self):
@@ -347,6 +357,27 @@ class TestTemperatureMatchesReference:
             with pytest.raises(ValueError, match="labels must be one per row"):
                 fit_temperature_on_logits(logits, labels)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.9, np.nan, np.inf])
+    def test_label_not_a_whole_number_rejected(self, bad):
+        # a cast to an integer would truncate 1.5 and 2.9 to other classes
+        logits = calibration_problem(6, 6, 3, 1.0)[0]
+        y = np.array([0, bad, 2, 0, 1, 2])
+        with pytest.raises(ValueError, match="whole numbers"):
+            fit_temperature_on_logits(logits, y)
+
+    def test_integral_float_labels_are_labels(self):
+        logits, y = calibration_problem(7, 40, 3, 1.0)
+        tau = fit_temperature_on_logits(logits, y.astype(np.float64))
+        assert tau.hex() == fit_temperature_on_logits(logits, y).hex()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_rejected(self, bad):
+        # a NaN logit used to end the search at the top of its bracket
+        logits, y = calibration_problem(8, 40, 3, 1.0)
+        logits[5, 1] = bad
+        with pytest.raises(NumericError, match="non-finite values in temperature logits"):
+            fit_temperature_on_logits(logits, y)
+
 
 class TestTemperature:
     def _posterior_sample(self, n, C, seed):
@@ -454,6 +485,11 @@ class TestHistogram:
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 6
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 50
+
+    @pytest.mark.parametrize("bins", [2.5, np.nan, True, 0])
+    def test_bins_must_be_an_integer(self, bins):
+        with pytest.raises(ValueError, match="bins must be an integer >= 1"):
+            score_histogram(np.linspace(0.0, 1.0, 10), bins=bins)
 
     def test_csv_bytes(self, tmp_path):
         path = tmp_path / "hist.csv"
